@@ -157,6 +157,58 @@ def dataset_key(data: AppData) -> tuple:
     return token
 
 
+def field_run_dtype(schema: RecordSchema, first: str, count: int) -> np.dtype:
+    """Record dtype exposing ``count`` back-to-back fields of one type,
+    starting at ``first``, as a single ``(count,)`` subarray field ``run``.
+
+    Viewing a structured array through it reads those fields as one
+    strided ``(n, count)`` array, with no per-field copies.
+    """
+    names = schema.field_names
+    start = names.index(first)
+    run = schema.fields[start : start + count]
+    item = np.dtype(run[0].dtype)
+    if len(run) != count or any(
+        np.dtype(f.dtype) != item or f.offset != run[0].offset + j * item.itemsize
+        for j, f in enumerate(run)
+    ):
+        raise ApplicationError(
+            f"fields {first}..+{count} are not {count} packed {item} fields"
+        )
+    return np.dtype(
+        {
+            "names": ["run"],
+            "formats": [(item, (count,))],
+            "offsets": [run[0].offset],
+            "itemsize": schema.record_size,
+        }
+    )
+
+
+def separator_bounds(
+    seps: np.ndarray, n: int, chunk_units: int
+) -> list[tuple[int, int]]:
+    """Split ``[0, n)`` into chunks of about ``chunk_units`` units, each
+    cut just past the first separator at or after its nominal end.
+
+    ``seps`` holds the sorted separator positions; each cut is one binary
+    search, so the whole split is O(chunks · log seps). A chunk with no
+    separator at or after its nominal end runs to ``n``.
+    """
+    bounds = []
+    lo = 0
+    while lo < n:
+        hi = lo + chunk_units
+        if hi < n:
+            j = int(np.searchsorted(seps, hi))
+            hi = int(seps[j]) + 1 if j < seps.size else n
+        else:
+            hi = n
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
 @dataclass(frozen=True)
 class AccessProfile:
     """Static per-record access characterization of an app's kernel.
@@ -378,6 +430,25 @@ class Application(abc.ABC):
             raise ApplicationError("chunk_units must be >= 1")
         n = self.n_units(data)
         return [(lo, min(lo + chunk_units, n)) for lo in range(0, n, chunk_units)]
+
+    def _separator_bounds(
+        self, data: AppData, array: str, sep: int, chunk_units: int
+    ) -> list[tuple[int, int]]:
+        """Byte chunks of ``data.mapped[array]`` that each end just past a
+        ``sep`` byte, so no delimiter-terminated record straddles two.
+
+        The separator positions are found once per dataset instance and
+        kept in ``data.meta`` (like :func:`data_fingerprint`'s token, so an
+        in-place edit of the bytes after the first call is not seen).
+        """
+        if chunk_units < 1:
+            raise ApplicationError("chunk_units must be >= 1")
+        key = f"_separators:{array}:{sep}"
+        seps = data.meta.get(key)
+        if seps is None:
+            seps = np.flatnonzero(data.mapped[array]["byte"] == sep)
+            data.meta[key] = seps
+        return separator_bounds(seps, self.n_units(data), chunk_units)
 
     # ---------------------------------------------------- characterization
     @abc.abstractmethod

@@ -13,7 +13,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.apps.base import AccessProfile, AppData, Application, register
+from repro.apps.base import (
+    AccessProfile,
+    AppData,
+    Application,
+    field_run_dtype,
+    register,
+)
 from repro.apps.datagen import dna_bases
 from repro.kernelc.codegen import ExecutionContext
 from repro.kernelc.ir import (
@@ -40,6 +46,9 @@ _fields += [("read_id", "i8"), ("quality", "f4"), ("lane", "i4")]
 FRAGMENT = RecordSchema.packed(_fields, record_size=128)
 
 READ_BYTES = FRAG_LEN  # 46 of 128 bytes ~ 36%
+
+#: the k-mer prefix b0..b15 as one (KMER,) uint8 field of each record
+_KMER_VIEW = field_run_dtype(FRAGMENT, "b0", KMER)
 
 
 def _kmer_hashes(bases: np.ndarray) -> np.ndarray:
@@ -93,10 +102,7 @@ class DnaAssemblyApp(Application):
         return {"table": np.zeros(TABLE_SIZE, dtype=np.int64)}
 
     def process_chunk(self, data: AppData, state: Any, lo: int, hi: int) -> None:
-        f = data.mapped["fragments"]
-        bases = np.stack(
-            [f[f"b{j}"][lo:hi] for j in range(KMER)], axis=1
-        )
+        bases = data.mapped["fragments"][lo:hi].view(_KMER_VIEW)["run"]
         h = _kmer_hashes(bases)
         np.add.at(state["table"], (h % TABLE_SIZE).astype(np.int64), 1)
 

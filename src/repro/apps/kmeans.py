@@ -38,6 +38,9 @@ PARTICLE = RecordSchema.packed(
 READ_BYTES = 24
 #: cluster id written per record
 WRITE_BYTES = 4
+#: particles per distance block: two (k, block) float64 matrices, 1 MiB
+#: each at the default k = 32, stay in cache
+_BLOCK = 4096
 
 
 @register
@@ -80,12 +83,21 @@ class KMeansApp(Application):
     def process_chunk(self, data: AppData, state: Any, lo: int, hi: int) -> None:
         p = data.mapped["particles"]
         c = data.resident["clusters"]  # (k, 3)
-        # distance matrix (hi-lo, k) via broadcasting
-        dx = p["x"][lo:hi, None] - c[None, :, 0]
-        dy = p["y"][lo:hi, None] - c[None, :, 1]
-        dz = p["z"][lo:hi, None] - c[None, :, 2]
-        d2 = dx * dx + dy * dy + dz * dz
-        p["cid"][lo:hi] = np.argmin(d2, axis=1).astype(np.int32)
+        # squared distances as (k, block) matrices built in place, one
+        # cache-sized block of particles at a time: each entry is
+        # ((cx-x)^2 + (cy-y)^2) + (cz-z)^2, bit-equal to the (x-cx)^2 form,
+        # and argmin keeps the lowest cluster id on a tie
+        for b0 in range(lo, hi, _BLOCK):
+            b1 = min(b0 + _BLOCK, hi)
+            d2 = np.subtract.outer(c[:, 0], p["x"][b0:b1])
+            d2 *= d2
+            t = np.subtract.outer(c[:, 1], p["y"][b0:b1])
+            t *= t
+            d2 += t
+            np.subtract.outer(c[:, 2], p["z"][b0:b1], out=t)
+            t *= t
+            d2 += t
+            p["cid"][b0:b1] = np.argmin(d2, axis=0)
         state["assigned"] += hi - lo
 
     def finalize(self, data: AppData, state: Any) -> np.ndarray:

@@ -165,18 +165,7 @@ class MastercardAffinityApp(_MastercardBase):
 
     def chunk_bounds(self, data: AppData, chunk_units: int) -> list[tuple[int, int]]:
         """Byte chunks aligned to record separators."""
-        text = data.mapped["transactions"]["byte"]
-        n = text.size
-        bounds = []
-        lo = 0
-        while lo < n:
-            hi = min(lo + chunk_units, n)
-            if hi < n:
-                nxt = np.nonzero(text[hi:] == SEP)[0]
-                hi = (hi + int(nxt[0]) + 1) if nxt.size else n
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
+        return self._separator_bounds(data, "transactions", SEP, chunk_units)
 
     def _record_range(self, data: AppData, lo: int, hi: int) -> tuple[int, int]:
         starts = data.meta["record_starts"]

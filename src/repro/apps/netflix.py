@@ -87,16 +87,18 @@ class NetflixApp(Application):
 
     def process_chunk(self, data: AppData, state: Any, lo: int, hi: int) -> None:
         r = data.mapped["ratings"]
-        m = r["movie"][lo:hi].astype(np.int64)
         a = r["rating_a"][lo:hi]
         b = r["rating_b"][lo:hi]
-        t = state["table"]
-        np.add.at(t, m * STATS + 0, 1.0)
-        np.add.at(t, m * STATS + 1, a)
-        np.add.at(t, m * STATS + 2, b)
-        np.add.at(t, m * STATS + 3, a * b)
-        np.add.at(t, m * STATS + 4, a * a)
-        np.add.at(t, m * STATS + 5, b * b)
+        # one row of the six statistics per record, added to its movie's
+        # row in record order: every cell accumulates as six 1-D adds would
+        values = np.empty((a.size, STATS))
+        values[:, 0] = 1.0
+        values[:, 1] = a
+        values[:, 2] = b
+        np.multiply(a, b, out=values[:, 3])
+        np.multiply(a, a, out=values[:, 4])
+        np.multiply(b, b, out=values[:, 5])
+        np.add.at(state["table"].reshape(N_MOVIES, STATS), r["movie"][lo:hi], values)
 
     def finalize(self, data: AppData, state: Any) -> np.ndarray:
         t = state["table"].reshape(N_MOVIES, STATS)

@@ -14,7 +14,14 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.apps.base import AccessProfile, AppData, Application, register
+from repro.apps.base import (
+    AccessProfile,
+    AppData,
+    Application,
+    field_run_dtype,
+    register,
+)
+from repro.errors import ApplicationError
 from repro.kernelc.codegen import ExecutionContext
 from repro.kernelc.ir import (
     Assign,
@@ -41,6 +48,36 @@ TWEET = RecordSchema.packed(_fields, record_size=112)
 
 #: the 20 word ids (80 B of 112 B) are read: ~71%; the paper reports 73%
 READ_BYTES = WORDS_PER_TWEET * 4
+
+#: the word ids w0..w19 as one (WORDS_PER_TWEET,) int32 field of each record
+_WORDS_VIEW = field_run_dtype(TWEET, "w0", WORDS_PER_TWEET)
+#: bits of the per-word code table that folds the four dictionaries
+_POSITIVE, _NEGATIVE, _ADVERB, _SUBJECT = 1, 2, 4, 8
+_DICTIONARY_BITS = (
+    ("positive", _POSITIVE),
+    ("negative", _NEGATIVE),
+    ("adverb", _ADVERB),
+    ("subject", _SUBJECT),
+)
+
+
+def _word_codes(data: AppData) -> np.ndarray:
+    """int8 table: for each word id, the bits of the dictionaries it is in.
+
+    Built once per dataset instance and kept in ``data.meta``. The
+    dictionaries are 0/1 membership flags; anything else is refused,
+    since the bit code could not reproduce its arithmetic.
+    """
+    codes = data.meta.get("_word_codes")
+    if codes is None:
+        codes = np.zeros(data.resident["subject"].size, dtype=np.int8)
+        for name, bit in _DICTIONARY_BITS:
+            flags = data.resident[name]
+            if not np.isin(flags, (0, 1)).all():
+                raise ApplicationError(f"opinion dictionary {name!r} is not 0/1 flags")
+            codes |= flags.astype(np.int8) * np.int8(bit)
+        data.meta["_word_codes"] = codes
+    return codes
 
 
 @register
@@ -97,21 +134,14 @@ class OpinionFinderApp(Application):
         return {"score": np.zeros(1, dtype=np.int64)}
 
     def process_chunk(self, data: AppData, state: Any, lo: int, hi: int) -> None:
-        t = data.mapped["tweets"]
-        words = np.stack(
-            [t[f"w{j}"][lo:hi].astype(np.int64) for j in range(WORDS_PER_TWEET)],
-            axis=1,
-        )  # (n, W)
-        pos = data.resident["positive"][words].astype(np.int64)
-        neg = data.resident["negative"][words].astype(np.int64)
-        adv = data.resident["adverb"][words].astype(np.int64)
-        subj = data.resident["subject"][words]
-        mentions = subj.any(axis=1)
+        words = data.mapped["tweets"][lo:hi].view(_WORDS_VIEW)["run"]  # (n, W)
+        codes = _word_codes(data)[words]
+        codes = codes[(codes & _SUBJECT).any(axis=1)]  # tweets on the subject
+        sentiment = (codes & _POSITIVE) - ((codes & _NEGATIVE) >> 1)
         # precedence: an adverb at position j-1 doubles word j's weight
-        weight = np.ones_like(pos)
-        weight[:, 1:] += adv[:, :-1]
-        contrib = ((pos - neg) * weight).sum(axis=1)
-        state["score"][0] += int(contrib[mentions].sum())
+        weight = np.ones_like(sentiment)
+        weight[:, 1:] += (codes[:, :-1] & _ADVERB) >> 2
+        state["score"][0] += int((sentiment * weight).sum(dtype=np.int64))
 
     def finalize(self, data: AppData, state: Any) -> int:
         return int(state["score"][0])

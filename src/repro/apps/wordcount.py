@@ -43,39 +43,58 @@ HASH_MOD = 1 << 32
 SEP = 32  # space
 
 
-def _word_hashes(text: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Vectorized rolling hash of every word fully inside [lo, hi).
+#: the prefix hash's power tables: ``r**k == lo[k & _POW_MASK] *
+#: hi[k >> _POW_BITS]`` (mod 2^32) for any exponent ``k < 2**32``, so two
+#: fixed 2^16-entry tables serve every range length
+_POW_BITS = 16
+_POW_MASK = (1 << _POW_BITS) - 1
 
-    h = (h * 31 + c) mod 2^32, folded to the table size by the caller.
+
+def _power_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) uint32 tables of ``r**k mod 2^32`` split at ``_POW_BITS``."""
+
+    def geometric(ratio: int) -> np.ndarray:
+        table = np.empty(1 << _POW_BITS, dtype=np.uint32)
+        table[0] = 1
+        ratios = np.full(table.size - 1, ratio, dtype=np.uint32)
+        np.cumprod(ratios, dtype=np.uint32, out=table[1:])
+        return table
+
+    return geometric(r), geometric(pow(r, 1 << _POW_BITS, HASH_MOD))
+
+
+#: 31 is odd, hence a unit mod 2^32: its inverse exists
+_POW = _power_tables(31)
+_INV_POW = _power_tables(pow(31, -1, HASH_MOD))
+
+
+def _word_hashes(text: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rolling hash of every word in [lo, hi), in word order.
+
+    The hash is ``h = (h * 31 + c) mod 2^32`` over a word's bytes, i.e.
+    ``h(w[s, e)) = sum_i c_i * 31**(e-1-i)``. With the prefix sums
+    ``S[k] = sum_{i<k} c_i * 31**-i`` (wrapping uint32) every word is
+    ``(S[e] - S[s]) * 31**(e-1)``: one O(n) pass, and exact because both
+    sides are the same residue mod 2^32. A word cut by ``lo`` or ``hi``
+    hashes its in-range bytes.
     """
     seg = text[lo:hi]
-    is_sep = seg == SEP
-    is_char = ~is_sep
-    if not is_char.any():
-        return np.empty(0, dtype=np.uint32)
-    prev_sep = np.empty(seg.size, dtype=bool)
-    prev_sep[0] = True
-    prev_sep[1:] = is_sep[:-1]
-    starts = np.nonzero(is_char & prev_sep)[0]
-    # word lengths: distance to the next separator
-    sep_pos = np.nonzero(is_sep)[0]
-    if sep_pos.size:
-        next_sep = np.searchsorted(sep_pos, starts)
-        word_end = np.where(
-            next_sep < sep_pos.size,
-            sep_pos[np.minimum(next_sep, sep_pos.size - 1)],
-            seg.size,
-        )
-    else:
-        word_end = np.full(starts.shape, seg.size)
-    lengths = word_end - starts
-    h = np.zeros(starts.size, dtype=np.uint32)
-    maxlen = int(lengths.max()) if lengths.size else 0
-    for j in range(maxlen):
-        mask = j < lengths
-        idx = starts[mask] + j
-        h[mask] = h[mask] * np.uint32(31) + seg[idx].astype(np.uint32)
-    return h
+    n = seg.size
+    # separators padded on both sides: every flip is a word start or end
+    is_sep = np.ones(n + 2, dtype=bool)
+    np.equal(seg, SEP, out=is_sep[1:-1])
+    edges = np.flatnonzero(is_sep[1:] != is_sep[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    prefix = np.zeros(n + 1, dtype=np.uint32)
+    terms = prefix[1:]
+    inv_lo, inv_hi = _INV_POW
+    for block, b0 in enumerate(range(0, n, 1 << _POW_BITS)):
+        b1 = min(b0 + (1 << _POW_BITS), n)
+        np.multiply(seg[b0:b1], inv_lo[: b1 - b0] * inv_hi[block], out=terms[b0:b1])
+    np.cumsum(terms, dtype=np.uint32, out=terms)
+    last = ends - 1
+    scale = _POW[0][last & _POW_MASK] * _POW[1][last >> _POW_BITS]
+    return (prefix[ends] - prefix[starts]) * scale
 
 
 @register
@@ -127,19 +146,7 @@ class WordCountApp(Application):
     # ------------------------------------------------------------ chunking
     def chunk_bounds(self, data: AppData, chunk_units: int) -> list[tuple[int, int]]:
         """Byte chunks aligned to separators so words never straddle."""
-        text = data.mapped["text"]["byte"]
-        n = text.size
-        bounds = []
-        lo = 0
-        while lo < n:
-            hi = min(lo + chunk_units, n)
-            if hi < n:
-                # advance to just past the next separator
-                nxt = np.nonzero(text[hi:] == SEP)[0]
-                hi = (hi + int(nxt[0]) + 1) if nxt.size else n
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
+        return self._separator_bounds(data, "text", SEP, chunk_units)
 
     # ---------------------------------------------------- characterization
     def access_profile(self, data: AppData) -> AccessProfile:
