@@ -7,8 +7,7 @@ with dedicated vs shared PCIe links.
 
 from repro.apps import get_app
 from repro.bench.report import render_table
-from repro.engines import BigKernelEngine, EngineConfig
-from repro.ext import MultiGpuBigKernelEngine
+from repro.engines import BigKernelEngine, EngineConfig, MultiGpuBigKernelEngine
 from repro.units import MiB
 
 

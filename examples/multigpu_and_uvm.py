@@ -19,8 +19,9 @@ from repro.engines import (
     EngineConfig,
     GpuDoubleBufferEngine,
     GpuSingleBufferEngine,
+    GpuUvmEngine,
+    MultiGpuBigKernelEngine,
 )
-from repro.ext import GpuUvmEngine, MultiGpuBigKernelEngine
 from repro.units import MiB, fmt_time
 
 

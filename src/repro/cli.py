@@ -176,17 +176,15 @@ def cmd_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     from repro.verify import run_verify
+    from repro.verify.runner import PILLARS
 
     summary = run_verify(
         quick=args.quick,
         seed=args.seed,
         data_bytes=args.data_mib * MiB if args.data_mib else None,
         fuzz_iterations=args.fuzz_iters,
-        fastpath=args.fastpath,
-        compiled=args.compiled,
-        analytic=args.analytic,
-        multigpu=args.multigpu,
-        serve=args.serve,
+        opt_in=tuple(p.name for p in PILLARS
+                     if p.opt_in and getattr(args, p.name)),
     )
     print(summary.summary())
     return 0 if summary.ok else 1
@@ -468,6 +466,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.verify.runner import PILLARS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BigKernel (IPDPS 2014) reproduction",
@@ -505,26 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dataset size (MiB); 0 = suite default")
     p_v.add_argument("--fuzz-iters", type=int, default=None,
                      help="fuzz cases per loop (default: 8 quick / 30 full)")
-    p_v.add_argument("--fastpath", action="store_true",
-                     help="also run the fastpath-vs-des differential "
-                          "(analytic pipeline against the simulator)")
-    p_v.add_argument("--compiled", action="store_true",
-                     help="also run the compiled-vs-interpreter differential "
-                          "(vectorized kernel backend against the "
-                          "tree-walking oracle)")
-    p_v.add_argument("--analytic", action="store_true",
-                     help="also run the closed-form-predictor-vs-des "
-                          "differential (repro.analytic against the "
-                          "simulator, 5%% relative tolerance)")
-    p_v.add_argument("--multigpu", action="store_true",
-                     help="also run the sharded scale-out differential "
-                          "(multi-GPU engine vs the serial oracle, per-shard "
-                          "trace invariants, analytic shard model, fuzzed "
-                          "fabrics)")
-    p_v.add_argument("--serve", action="store_true",
-                     help="also run the serve differential (a multi-tenant "
-                          "trace through a live server; every response "
-                          "bit-equal to a fresh one-shot oracle)")
+    for pillar in PILLARS:
+        if pillar.opt_in:
+            p_v.add_argument(f"--{pillar.name}", action="store_true",
+                             help="also run " + pillar.help.replace("%", "%%"))
 
     p_c = sub.add_parser(
         "chaos",

@@ -5,24 +5,16 @@
   record-wise mapper + associative reducer into a streaming
   :class:`~repro.apps.base.Application`, so arbitrary MapReduce jobs run on
   every execution scheme (including BigKernel) unchanged.
-* :mod:`repro.ext.multigpu` — sharding the stream across several simulated
-  GPUs, each with its own pipeline (and optionally its own PCIe link).
-  Now a first-class engine in :mod:`repro.engines.multigpu`; the module
-  here is a re-export shim.
-* :mod:`repro.ext.uvm` — a fault-driven unified-memory baseline: the
-  mechanism that later delivered BigKernel's programming model in the
-  driver, and the historical reason this line of work was superseded.
+
+Multi-GPU sharding and the unified-memory baseline started here as
+extensions and are now first-class engines in :mod:`repro.engines`
+(:mod:`repro.engines.multigpu`, :mod:`repro.engines.uvm`).
 """
 
 from repro.ext.mapreduce import MapReduceSpec, MapReduceApp, make_clickstream_job
-from repro.ext.multigpu import MultiGpuBigKernelEngine
-from repro.ext.uvm import GpuUvmEngine, UvmSpec
 
 __all__ = [
     "MapReduceSpec",
     "MapReduceApp",
     "make_clickstream_job",
-    "MultiGpuBigKernelEngine",
-    "GpuUvmEngine",
-    "UvmSpec",
 ]

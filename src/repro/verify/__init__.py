@@ -1,100 +1,74 @@
 """Invariant-checking & differential verification (the safety net).
 
-Three pillars, each usable on its own:
+Nine pillars, listed once in :data:`repro.verify.runner.PILLARS` (four
+run by default, five opt-in):
 
 * :mod:`repro.verify.invariants` — physical-law checkers over pipeline
   timelines (capacity, causality, backpressure, byte conservation);
+  the ``invariants`` pillar runs them over BigKernel timelines;
 * :mod:`repro.verify.differential` — every engine vs the serial CPU
-  oracle, bit-for-bit, with a structured mismatch report;
-* :mod:`repro.verify.fuzz` — seeded random IR programs and pipeline
-  schedules through the compiler round trip and the invariant checkers.
-
-Opt-in pillars extend the sweep: ``--fastpath`` checks the analytic
-steady-state pipeline (:mod:`repro.runtime.fastpath`) against the DES
-across the full app x engine matrix (totals within 1e-9), ``--compiled``
-checks the vectorized kernel backend against the interpreter, and
-``--analytic`` checks the closed-form performance predictor
-(:mod:`repro.analytic`) against the DES at 5% relative tolerance over
-the clean matrix plus fuzzed geometries, and ``--multigpu`` checks the
-sharded scale-out engine against the serial oracle across GPU counts
-and link topologies — merged outputs bit-equal, every shard's trace
-invariant-checked (:func:`~repro.verify.invariants.audit_sharded_run`),
-analytic shard predictions within tolerance, plus fuzzed fabrics.
-``--serve`` replays a seeded multi-tenant trace through a live
-:class:`~repro.serve.Server` and bit-compares every response (rtol 0,
-exact ``sim_time``) against a fresh one-shot oracle of the same job.
+  oracle, bit-for-bit (the ``differential`` and ``uvm`` pillars), plus
+  the opt-in oracle pillars: ``fastpath`` (the analytic steady-state
+  pipeline vs the DES, totals within 1e-9), ``compiled`` (the vectorized
+  kernel backend vs the interpreter), ``analytic`` (the closed-form
+  predictor vs the DES at 5% relative tolerance), ``multigpu`` (the
+  sharded scale-out engine vs the serial oracle, every shard's trace
+  invariant-checked, analytic shard predictions within tolerance) and
+  ``serve`` (every response of a live multi-tenant server bit-equal to a
+  fresh one-shot oracle). Each reports a :class:`Report` of
+  :class:`Cell` s;
+* :mod:`repro.verify.fuzz` — seeded random IR programs, pipeline
+  schedules and UVM paging configurations through the compiler round
+  trip, the compiled backend and the invariant checkers.
 
 ``python -m repro verify`` (see :mod:`repro.verify.runner`) runs the
 suites and exits nonzero on any violation. Opt-in hooks:
 ``run_pipeline(..., verify=True)``, ``bigkernel_launch(..., verify=True)``
 and ``BenchSettings(check_invariants=True)``.
+
+The registry names (:mod:`repro.verify.runner`, which imports nothing
+heavy) bind at import; the checker modules' names resolve lazily on
+first access. The CLI imports the registry to build its flags, and
+``repro --help`` must not pay for the engines behind the pillars.
 """
 
-from repro.verify.differential import (
-    AnalyticEntry,
-    AnalyticReport,
-    DiffEntry,
-    DifferentialReport,
-    FastpathEntry,
-    FastpathReport,
-    MultiGpuEntry,
-    MultiGpuReport,
-    ServeEntry,
-    ServeReport,
-    run_analytic_differential,
-    run_differential,
-    run_fastpath_differential,
-    run_multigpu_differential,
-    run_serve_differential,
-)
-from repro.verify.fuzz import FuzzFailure, FuzzReport, run_fuzz
-from repro.verify.invariants import (
-    InvariantReport,
-    Violation,
-    check_backpressure,
-    check_byte_conservation,
-    check_compute_after_transfer,
-    check_flag_after_data,
-    check_pcie_serialization,
-    check_stage_order,
-    check_track_capacity,
-    audit_sharded_run,
-    verify_pipeline_trace,
-    verify_run,
-)
-from repro.verify.runner import VerifySummary, run_verify
+from importlib import import_module
 
-__all__ = [
-    "Violation",
-    "InvariantReport",
-    "check_track_capacity",
-    "check_pcie_serialization",
-    "check_flag_after_data",
-    "check_compute_after_transfer",
-    "check_stage_order",
-    "check_backpressure",
-    "check_byte_conservation",
-    "audit_sharded_run",
-    "verify_pipeline_trace",
-    "verify_run",
-    "AnalyticEntry",
-    "AnalyticReport",
-    "DiffEntry",
-    "DifferentialReport",
-    "FastpathEntry",
-    "FastpathReport",
-    "MultiGpuEntry",
-    "MultiGpuReport",
-    "ServeEntry",
-    "ServeReport",
-    "run_analytic_differential",
-    "run_differential",
-    "run_fastpath_differential",
-    "run_multigpu_differential",
-    "run_serve_differential",
-    "FuzzFailure",
-    "FuzzReport",
-    "run_fuzz",
-    "VerifySummary",
-    "run_verify",
-]
+from repro.verify.runner import PILLARS, Pillar, VerifySummary, run_verify
+
+_EXPORTS = {
+    "differential": (
+        "Cell",
+        "Report",
+        "run_analytic_differential",
+        "run_compiled_differential",
+        "run_differential",
+        "run_fastpath_differential",
+        "run_multigpu_differential",
+        "run_serve_differential",
+    ),
+    "fuzz": ("FuzzFailure", "FuzzReport", "run_fuzz"),
+    "invariants": (
+        "Violation",
+        "InvariantReport",
+        "check_track_capacity",
+        "check_pcie_serialization",
+        "check_flag_after_data",
+        "check_compute_after_transfer",
+        "check_stage_order",
+        "check_backpressure",
+        "check_byte_conservation",
+        "audit_sharded_run",
+        "verify_pipeline_trace",
+        "verify_run",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["PILLARS", "Pillar", "VerifySummary", "run_verify", *_HOME]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -9,11 +9,16 @@ app × engine matrix against that oracle, compares outputs bit-for-bit
 (via each app's ``outputs_equal``, which is exact equality for integer
 outputs and tight-tolerance comparison for accumulated floats), and
 invariant-checks every BigKernel timeline on the side.
+
+The other oracle pillars (fastpath, compiled, analytic, multigpu, serve)
+live here too, and every pillar reports through one shape: a
+:class:`Report` holding one :class:`Cell` per graded unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -22,7 +27,7 @@ from repro.apps import ALL_APPS
 from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
 from repro.errors import VerificationError
 from repro.units import MiB
-from repro.verify.invariants import InvariantReport, verify_run
+from repro.verify.invariants import verify_run
 
 ORACLE = CpuSerialEngine.name
 
@@ -41,50 +46,70 @@ def describe_output(value) -> str:
 
 
 @dataclass
-class DiffEntry:
-    """One (app, engine) cell of the differential matrix."""
+class Cell:
+    """One graded unit of a verify pillar: an (app, engine) pair, a fuzz
+    case, or a served request."""
 
     app: str
     engine: str
     ok: bool
     detail: str = ""
-    sim_time: float = 0.0
-    invariants: Optional[InvariantReport] = None
+    #: how the cell ran (``fast``/``des-fallback``, ``clean``/``fuzz``,
+    #: ``compiled``/``fallback``, ...); the headline counts cells per mode
+    mode: str = ""
+    #: a model's relative error against the DES, for pillars that price
+    rel_err: Optional[float] = None
 
 
 @dataclass
-class DifferentialReport:
-    """Structured outcome of one oracle sweep."""
+class Report:
+    """Structured outcome of one pillar: its cells, the tolerance they
+    were held to, and extra headline counters (shard traces audited,
+    served/cached responses, ...)."""
 
-    oracle: str = ORACLE
-    entries: list[DiffEntry] = field(default_factory=list)
+    title: str
+    cells: list[Cell] = field(default_factory=list)
+    tol: Optional[float] = None
+    counts: dict = field(default_factory=dict)
 
     @property
-    def mismatches(self) -> list[DiffEntry]:
-        return [e for e in self.entries if not e.ok]
+    def mismatches(self) -> list[Cell]:
+        return [c for c in self.cells if not c.ok]
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
     def summary(self) -> str:
-        lines = [
-            f"differential vs {self.oracle}: {len(self.entries)} cells, "
-            f"{len(self.mismatches)} mismatch(es)"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            line = f"  {e.app:12s} x {e.engine:12s} {status}"
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
+        """One headline (cell count, per-mode counts, counters, mismatch
+        count, worst relative error, tolerance), then one line per failing
+        cell."""
+        modes = Counter(c.mode for c in self.cells if c.mode)
+        notes = [f"{n} {what}" for what, n in (*modes.items(), *self.counts.items())]
+        head = f"{self.title}: {len(self.cells)} cells"
+        if notes:
+            head += f" ({', '.join(notes)})"
+        head += f", {len(self.mismatches)} mismatch(es)"
+        errs = [c.rel_err for c in self.cells if c.rel_err is not None]
+        if errs:
+            head += f", worst rel err {max(errs):.2e}"
+        if self.tol is not None:
+            head += f", tol {self.tol:g}"
+        lines = [head]
+        for c in self.mismatches:
+            line = f"  {c.app:12s} x {c.engine:12s} MISMATCH"
+            if c.mode:
+                line += f" [{c.mode}]"
+            if c.rel_err is not None:
+                line += f" rel {c.rel_err:.2e}"
+            lines.append(f"{line} — {c.detail}")
         return "\n".join(lines)
 
     def raise_if_failed(self) -> None:
         if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
+            named = ", ".join(f"({c.app}, {c.engine})" for c in self.mismatches)
             raise VerificationError(
-                f"differential mismatch in {named}\n{self.summary()}"
+                f"{self.title} mismatch in {named}\n{self.summary()}"
             )
 
 
@@ -106,15 +131,15 @@ def run_differential(
     engines: Optional[Iterable] = None,
     check_invariants: bool = True,
     traced_engines: tuple = ("bigkernel",),
-) -> DifferentialReport:
+) -> Report:
     """Run every engine on every app and diff against the serial oracle.
 
     ``apps``/``engines`` accept instances (defaults: all six apps, all five
     schemes). Timelines of engines named in ``traced_engines`` additionally
     pass through the invariant checkers when ``check_invariants`` is set
-    (default: BigKernel only; the UVM pillar passes the uvm family); a
-    violated timeline marks the cell as a mismatch even if the output
-    agreed.
+    (default: BigKernel only; the UVM pillar passes the uvm family); those
+    cells run in mode ``traced``, and a violated timeline marks the cell
+    as a mismatch even if the output agreed.
     """
     config = config or EngineConfig(chunk_bytes=512 * 1024)
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
@@ -130,27 +155,25 @@ def run_differential(
     # records none, so those cells run against the DES explicitly
     traced_config = config.with_(fastpath=False) if config.fastpath else config
 
-    report = DifferentialReport()
+    report = Report(f"differential vs {ORACLE}")
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
         ref = oracle.run(app, data, config)
-        report.entries.append(
-            DiffEntry(app.name, oracle.name, True, sim_time=ref.sim_time)
-        )
+        report.cells.append(Cell(app.name, oracle.name, True))
         for engine in engines:
             if engine is oracle:
                 continue
             wants_trace = check_invariants and engine.name in traced_engines
             res = engine.run(app, data, traced_config if wants_trace else config)
             ok, detail = compare_outputs(app, ref.output, res.output)
-            inv = None
             if wants_trace:
                 inv = verify_run(res, traced_config)
                 if not inv.ok:
                     ok = False
                     detail = (detail + "; " if detail else "") + inv.summary()
-            report.entries.append(
-                DiffEntry(app.name, engine.name, ok, detail, res.sim_time, inv)
+            report.cells.append(
+                Cell(app.name, engine.name, ok, detail,
+                     "traced" if wants_trace else "")
             )
     return report
 
@@ -162,58 +185,6 @@ def run_differential(
 #: relative tolerance for timeline comparisons — the fast path is designed
 #: to be bit-identical, so this is purely a guard against future drift
 FASTPATH_TOL = 1e-9
-
-
-@dataclass
-class FastpathEntry:
-    """One (app, engine) cell of the fastpath-vs-des matrix."""
-
-    app: str
-    engine: str
-    ok: bool
-    used_fastpath: bool
-    detail: str = ""
-    sim_time_fast: float = 0.0
-    sim_time_des: float = 0.0
-
-
-@dataclass
-class FastpathReport:
-    """Structured outcome of one fastpath-vs-des sweep."""
-
-    entries: list[FastpathEntry] = field(default_factory=list)
-    tol: float = FASTPATH_TOL
-
-    @property
-    def mismatches(self) -> list[FastpathEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        fast_cells = sum(1 for e in self.entries if e.used_fastpath)
-        lines = [
-            f"fastpath vs des: {len(self.entries)} cells "
-            f"({fast_cells} took the fast path), "
-            f"{len(self.mismatches)} mismatch(es), tol {self.tol:g}"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            mode = "fast" if e.used_fastpath else "des-fallback"
-            line = f"  {e.app:12s} x {e.engine:12s} {status} [{mode}]"
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"fastpath-vs-des mismatch in {named}\n{self.summary()}"
-            )
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -251,7 +222,7 @@ def run_fastpath_differential(
     apps: Optional[Iterable] = None,
     engines: Optional[Iterable] = None,
     tol: float = FASTPATH_TOL,
-) -> FastpathReport:
+) -> Report:
     """Run every (app, engine) cell twice — fast path allowed vs DES forced —
     and assert ``sim_time``/``stage_totals``/byte counters/outputs agree.
 
@@ -259,10 +230,10 @@ def run_fastpath_differential(
     the trusted model, and every cell must agree within ``tol`` (the fast
     path targets bit-identical, so 1e-9 has huge margin). Cells where the
     fast path declines (mapped writes, short runs) compare DES vs DES and
-    pass trivially — ``used_fastpath`` records which cells actually
-    exercised the analytic engine. Engine instances are reused between the
-    two runs of a cell, so schedule memoization is shared and only the
-    simulation layer differs.
+    pass trivially — their mode is ``des-fallback``, while ``fast`` marks
+    the cells that actually exercised the analytic engine. Engine
+    instances are reused between the two runs of a cell, so schedule
+    memoization is shared and only the simulation layer differs.
     """
     config = config or EngineConfig(chunk_bytes=512 * 1024)
     fast_config = config.with_(fastpath=True)
@@ -272,24 +243,18 @@ def run_fastpath_differential(
         list(engines) if engines is not None else [cls() for cls in ALL_ENGINES]
     )
 
-    report = FastpathReport(tol=tol)
+    report = Report("fastpath vs des", tol=tol)
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
         for engine in engines:
             fast = engine.run(app, data, fast_config)
             des = engine.run(app, data, des_config)
             problems = _diff_runs(app, fast, des, tol)
-            report.entries.append(
-                FastpathEntry(
-                    app=app.name,
-                    engine=engine.name,
-                    ok=not problems,
-                    used_fastpath=fast.trace is None and des.trace is not None,
-                    detail="; ".join(problems),
-                    sim_time_fast=fast.sim_time,
-                    sim_time_des=des.sim_time,
-                )
-            )
+            used_fastpath = fast.trace is None and des.trace is not None
+            report.cells.append(Cell(
+                app.name, engine.name, not problems, "; ".join(problems),
+                "fast" if used_fastpath else "des-fallback",
+            ))
     return report
 
 
@@ -301,70 +266,68 @@ def run_fastpath_differential(
 #: backend targets bit-identical results, this guards against drift only)
 COMPILED_TOL = 1e-9
 
-_STAT_FIELDS = (
-    "n_ops",
-    "n_calls",
-    "n_mapped_reads",
-    "n_mapped_writes",
-    "n_resident_accesses",
-    "mapped_read_bytes",
-    "mapped_write_bytes",
-)
 
+def compiled_problems(kernel, ctx_i, ctx_c, make_ctx, n: int,
+                      passes: int = 1) -> list[str]:
+    """Run a kernel the vectorizability analysis admits through the
+    interpreter (the oracle, on ``ctx_i``) and the compiled backend (on
+    ``ctx_c``) over units ``[0, n)`` for ``passes`` passes; then, when
+    the kernel slices and its addr-gen form compiles too, run that slice
+    both ways on two fresh ``make_ctx()`` contexts.
 
-@dataclass
-class CompiledEntry:
-    """One app of the compiled-vs-interpreter sweep."""
+    Returns every ``InterpStats`` counter and addr-gen address stream
+    (read and write) that diverged — all integer-exact. Outputs stay in
+    the two contexts for the caller to compare in its own terms.
+    """
+    from repro.errors import SlicingError
+    from repro.kernelc.codegen import KernelInterpreter
+    from repro.kernelc.compile import (
+        compile_kernel,
+        resident_kinds_of,
+        try_compile_kernel,
+        vector_fn_names,
+    )
+    from repro.kernelc.slicing import make_addrgen_kernel
 
-    app: str
-    ok: bool
-    compiled: bool
-    #: analysis verdict matched the app's declared ``compiled_expected``
-    expected: bool
-    fallback_reasons: tuple = ()
-    detail: str = ""
+    kinds = {
+        "vector_fns": vector_fn_names(ctx_c.device_fns),
+        "resident_kinds": resident_kinds_of(ctx_c.resident),
+    }
+    interp = KernelInterpreter(kernel, ctx_i)
+    compiled = compile_kernel(kernel, **kinds)
+    totals: Counter = Counter()
+    for p in range(passes):
+        if "pass_idx" in kernel.params:
+            ctx_i.params["pass_idx"] = ctx_c.params["pass_idx"] = p
+        interp.run_thread(0, 0, n)
+        totals.update(asdict(compiled.run_range(ctx_c, 0, n).stats))
+    problems = [
+        f"stats.{f} {a} != {totals[f]}"
+        for f, a in asdict(interp.stats).items()
+        if a != totals[f]
+    ]
 
-
-@dataclass
-class CompiledReport:
-    """Structured outcome of one compiled-vs-interpreter sweep."""
-
-    entries: list[CompiledEntry] = field(default_factory=list)
-    tol: float = COMPILED_TOL
-
-    @property
-    def mismatches(self) -> list[CompiledEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        n_compiled = sum(1 for e in self.entries if e.compiled)
-        lines = [
-            f"compiled vs interpreter: {len(self.entries)} apps "
-            f"({n_compiled} compiled, "
-            f"{len(self.entries) - n_compiled} interpreter-fallback), "
-            f"{len(self.mismatches)} mismatch(es), atol {self.tol:g}"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            mode = "compiled" if e.compiled else "fallback"
-            line = f"  {e.app:20s} {status} [{mode}]"
-            if e.fallback_reasons:
-                line += f" — {'; '.join(e.fallback_reasons)}"
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(e.app for e in self.mismatches)
-            raise VerificationError(
-                f"compiled-vs-interpreter mismatch in {named}\n{self.summary()}"
-            )
+    try:
+        ag_kernel = make_addrgen_kernel(kernel)
+    except SlicingError:
+        return problems
+    ag_compiled = try_compile_kernel(ag_kernel, **kinds)
+    if ag_compiled is None:
+        return problems
+    ctx_ai, ctx_ac = make_ctx(), make_ctx()
+    if "pass_idx" in ag_kernel.params:
+        ctx_ai.params["pass_idx"] = ctx_ac.params["pass_idx"] = 0
+    ag = KernelInterpreter(ag_kernel, ctx_ai)
+    ag.run_thread(0, 0, n)
+    run = ag_compiled.run_range(ctx_ac, 0, n)
+    for kind, records, offsets in (
+        ("read", ag.read_addresses, run.read_offsets()),
+        ("write", ag.write_addresses, run.write_offsets()),
+    ):
+        expected = np.asarray([r.offset for r in records], dtype=np.int64)
+        if not np.array_equal(offsets, expected):
+            problems.append(f"{kind} address stream diverged")
+    return problems
 
 
 def _clone_app_data(data):
@@ -406,131 +369,60 @@ def run_compiled_differential(
     seed: int = 7,
     apps: Optional[Iterable] = None,
     tol: float = COMPILED_TOL,
-) -> CompiledReport:
+) -> Report:
     """Run every app's kernel through the interpreter and (where the
     vectorizability analysis admits it) the compiled NumPy backend, over
     the same data, and compare outputs, InterpStats counters, and
     addr-gen address streams.
 
     The tree-walking interpreter is the trusted oracle; the compiled
-    backend must agree exactly — stats and streams are integer-compared,
-    outputs at ``rtol=0, atol=tol``. Apps the analysis rejects
-    (``compiled_expected = False``: wordcount's and mastercard's
-    loop-carried scanner state) record their fallback reasons and pass if
-    the verdict matches the declaration, so an analysis regression that
+    backend must agree exactly — stats and streams are integer-compared
+    (:func:`compiled_problems`), outputs at ``rtol=0, atol=tol``. Apps the
+    analysis rejects (``compiled_expected = False``: wordcount's and
+    mastercard's loop-carried scanner state) run in mode ``fallback``,
+    carry their fallback reasons in the cell detail, and pass if the
+    verdict matches the declaration, so an analysis regression that
     silently starts rejecting (or admitting) a kernel fails the pillar.
     """
-    from repro.errors import SlicingError
-    from repro.kernelc.codegen import InterpStats, KernelInterpreter
-    from repro.kernelc.compile import (
-        compile_kernel,
-        resident_kinds_of,
-        vector_fn_names,
-    )
     from repro.kernelc.analysis import analyze_vectorizable
-    from repro.kernelc.slicing import make_addrgen_kernel
+    from repro.kernelc.compile import resident_kinds_of, vector_fn_names
 
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
-    report = CompiledReport(tol=tol)
+    report = Report("compiled vs interpreter", tol=tol)
     for app in apps:
         base = app.generate(n_bytes=data_bytes, seed=seed)
-        data_i = _clone_app_data(base)
-        data_c = _clone_app_data(base)
+        data_i, data_c = _clone_app_data(base), _clone_app_data(base)
+        ctx_i, ctx_c = app.make_ir_context(data_i), app.make_ir_context(data_c)
         kernel = app.kernel()
-        n = app.n_units(base)
-        ctx_i = app.make_ir_context(data_i)
-        ctx_c = app.make_ir_context(data_c)
-        vfns = vector_fn_names(ctx_c.device_fns)
-        rkinds = resident_kinds_of(ctx_c.resident)
         verdict = analyze_vectorizable(
-            kernel, vector_fns=vfns, resident_kinds=rkinds
+            kernel,
+            vector_fns=vector_fn_names(ctx_c.device_fns),
+            resident_kinds=resident_kinds_of(ctx_c.resident),
         )
-        expected = verdict.ok == app.compiled_expected
-
-        if not verdict.ok:
-            report.entries.append(
-                CompiledEntry(
-                    app=app.name,
-                    ok=expected,
-                    compiled=False,
-                    expected=expected,
-                    fallback_reasons=verdict.reasons,
-                    detail=""
-                    if expected
-                    else "analysis rejected a kernel declared compilable",
-                )
-            )
-            continue
-
         problems: list[str] = []
-        if not expected:
-            problems.append("analysis admitted a kernel declared fallback")
-
-        interp = KernelInterpreter(kernel, ctx_i)
-        compiled = compile_kernel(
-            kernel, vector_fns=vfns, resident_kinds=rkinds
-        )
-        cstats = InterpStats()
-        for p in range(app.n_passes):
-            if "pass_idx" in kernel.params:
-                ctx_i.params["pass_idx"] = p
-                ctx_c.params["pass_idx"] = p
-            interp.run_thread(0, 0, n)
-            run = compiled.run_range(ctx_c, 0, n)
-            for f in _STAT_FIELDS:
-                setattr(cstats, f, getattr(cstats, f) + getattr(run.stats, f))
-
-        ok_out, detail = _outputs_close(
-            app, app.ir_output(data_i, ctx_i), app.ir_output(data_c, ctx_c),
-            tol,
-        )
-        if not ok_out:
-            problems.append(detail)
-        for f in _STAT_FIELDS:
-            a, b = getattr(interp.stats, f), getattr(cstats, f)
-            if a != b:
-                problems.append(f"stats.{f} {a} != {b}")
-
-        try:
-            ag_kernel = make_addrgen_kernel(kernel)
-        except SlicingError:
-            ag_kernel = None
-        if ag_kernel is not None:
-            ag_verdict = analyze_vectorizable(
-                ag_kernel, vector_fns=vfns, resident_kinds=rkinds
+        if verdict.ok != app.compiled_expected:
+            problems.append(
+                "analysis admitted a kernel declared fallback"
+                if verdict.ok
+                else "analysis rejected a kernel declared compilable"
             )
-            if ag_verdict.ok:
-                ctx_ai = app.make_ir_context(_clone_app_data(base))
-                ctx_ac = app.make_ir_context(_clone_app_data(base))
-                if "pass_idx" in ag_kernel.params:
-                    ctx_ai.params["pass_idx"] = 0
-                    ctx_ac.params["pass_idx"] = 0
-                ag_i = KernelInterpreter(ag_kernel, ctx_ai)
-                ag_i.run_thread(0, 0, n)
-                ag_c = compile_kernel(
-                    ag_kernel, vector_fns=vfns, resident_kinds=rkinds
-                )
-                run = ag_c.run_range(ctx_ac, 0, n)
-                r_i = np.asarray(
-                    [r.offset for r in ag_i.read_addresses], dtype=np.int64
-                )
-                w_i = np.asarray(
-                    [r.offset for r in ag_i.write_addresses], dtype=np.int64
-                )
-                if not np.array_equal(run.read_offsets(), r_i):
-                    problems.append("read address stream diverged")
-                if not np.array_equal(run.write_offsets(), w_i):
-                    problems.append("write address stream diverged")
-
-        report.entries.append(
-            CompiledEntry(
-                app=app.name,
-                ok=not problems,
-                compiled=True,
-                expected=expected,
-                detail="; ".join(problems),
+        if verdict.ok:
+            problems += compiled_problems(
+                kernel, ctx_i, ctx_c,
+                lambda: app.make_ir_context(_clone_app_data(base)),
+                app.n_units(base), app.n_passes,
             )
-        )
+            ok_out, detail = _outputs_close(
+                app, app.ir_output(data_i, ctx_i),
+                app.ir_output(data_c, ctx_c), tol,
+            )
+            if not ok_out:
+                problems.append(detail)
+        report.cells.append(Cell(
+            app.name, kernel.name, not problems,
+            "; ".join(problems + list(verdict.reasons)),
+            "compiled" if verdict.ok else "fallback",
+        ))
     return report
 
 
@@ -545,69 +437,8 @@ def run_compiled_differential(
 ANALYTIC_TOL = 5e-2
 
 
-@dataclass
-class AnalyticEntry:
-    """One (app, engine, geometry) cell of the predictor-vs-DES matrix."""
-
-    app: str
-    engine: str
-    ok: bool
-    predicted: float = 0.0
-    simulated: float = 0.0
-    fuzzed: bool = False
-    detail: str = ""
-
-    @property
-    def rel_err(self) -> float:
-        scale = max(abs(self.simulated), 1e-300)
-        return abs(self.predicted - self.simulated) / scale
-
-
-@dataclass
-class AnalyticReport:
-    """Structured outcome of one predictor-vs-DES sweep."""
-
-    entries: list[AnalyticEntry] = field(default_factory=list)
-    tol: float = ANALYTIC_TOL
-
-    @property
-    def mismatches(self) -> list[AnalyticEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def worst(self) -> float:
-        return max((e.rel_err for e in self.entries), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        fuzz_cells = sum(1 for e in self.entries if e.fuzzed)
-        lines = [
-            f"analytic vs des: {len(self.entries)} cells "
-            f"({fuzz_cells} fuzzed geometries), "
-            f"{len(self.mismatches)} over tolerance, "
-            f"worst rel err {self.worst:.2e} (tol {self.tol:g})"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "OVER-TOL"
-            mode = "fuzz" if e.fuzzed else "clean"
-            line = (
-                f"  {e.app:12s} x {e.engine:12s} {status} [{mode}] "
-                f"rel {e.rel_err:.2e}"
-            )
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"analytic-vs-des over tolerance in {named}\n{self.summary()}"
-            )
+def _rel_err(predicted: float, simulated: float) -> float:
+    return abs(predicted - simulated) / max(abs(simulated), 1e-300)
 
 
 def run_analytic_differential(
@@ -617,7 +448,7 @@ def run_analytic_differential(
     apps: Optional[Iterable] = None,
     tol: float = ANALYTIC_TOL,
     fuzz_iterations: int = 8,
-) -> AnalyticReport:
+) -> Report:
     """Validate the closed-form predictor against the DES.
 
     Two phases. The *clean matrix* prices every app on every predictable
@@ -644,27 +475,23 @@ def run_analytic_differential(
         app.name: app.generate(n_bytes=data_bytes, seed=seed) for app in apps
     }
 
-    report = AnalyticReport(tol=tol)
+    report = Report("analytic vs des", tol=tol)
 
-    def check(app, engine_name, cfg, fuzzed, detail=""):
+    def check(app, engine_name, cfg, mode, detail=""):
         data = datasets[app.name]
         predicted = predict_run(app, data, cfg, engine=engine_name).sim_time
         simulated = resolve_engine(engine_name).run(app, data, cfg).sim_time
-        entry = AnalyticEntry(
-            app=app.name,
-            engine=engine_name,
-            ok=True,
-            predicted=predicted,
-            simulated=simulated,
-            fuzzed=fuzzed,
-            detail=detail,
+        err = _rel_err(predicted, simulated)
+        detail = f"predicted {predicted!r} vs simulated {simulated!r}" + (
+            f" at {detail}" if detail else ""
         )
-        entry.ok = entry.rel_err <= tol
-        report.entries.append(entry)
+        report.cells.append(
+            Cell(app.name, engine_name, err <= tol, detail, mode, err)
+        )
 
     for app in apps:
         for engine_name in PREDICTABLE_ENGINES:
-            check(app, engine_name, config, fuzzed=False)
+            check(app, engine_name, config, "clean")
 
     rng = random.Random(f"analytic-{seed}")
     for _ in range(fuzz_iterations):
@@ -676,16 +503,10 @@ def run_analytic_differential(
             ring_depth=rng.randint(2, 6),
             compute_threads=32 * rng.randint(1, 16),
         )
-        check(
-            app,
-            engine_name,
-            cfg,
-            fuzzed=True,
-            detail=(
-                f"cb={cfg.chunk_bytes // 1024}K nb={cfg.num_blocks} "
-                f"rd={cfg.ring_depth} ct={cfg.compute_threads}"
-            ),
-        )
+        check(app, engine_name, cfg, "fuzz", detail=(
+            f"cb={cfg.chunk_bytes // 1024}K nb={cfg.num_blocks} "
+            f"rd={cfg.ring_depth} ct={cfg.compute_threads}"
+        ))
     return report
 
 
@@ -708,71 +529,34 @@ MULTIGPU_DEDICATED_TOL = 5e-3
 MULTIGPU_SHARED_TOL = 1e-1
 
 
-@dataclass
-class MultiGpuEntry:
-    """One (app, fabric) cell of the multi-GPU differential matrix."""
+def multigpu_cell(app, data, config, engine, reference, tol: float,
+                  mode: str = "clean") -> tuple[Cell, int]:
+    """Grade one sharded run by the multigpu pillar's three laws.
 
-    app: str
-    engine: str
-    ok: bool
-    detail: str = ""
-    sim_time: float = 0.0
-    #: shard traces audited in this cell
-    shards: int = 0
-    predicted: float = 0.0
-    fuzzed: bool = False
+    * the merged output matches ``reference`` (the serial oracle's
+      output) bit-for-bit — sharding plus the cross-GPU merge is
+      invisible to the result;
+    * every shard's trace passes the full pipeline invariant battery and
+      the per-shard byte ledgers sum to the run's counters
+      (:func:`repro.verify.invariants.audit_sharded_run`);
+    * the closed-form shard predictor prices the run within ``tol``.
 
-    @property
-    def rel_err(self) -> float:
-        """Analytic shard prediction vs the DES total."""
-        scale = max(abs(self.sim_time), 1e-300)
-        return abs(self.predicted - self.sim_time) / scale
+    Returns the cell and the number of shard traces audited.
+    """
+    from repro.analytic import predict_run
+    from repro.verify.invariants import audit_sharded_run
 
-
-@dataclass
-class MultiGpuReport:
-    """Structured outcome of one multi-GPU differential sweep."""
-
-    oracle: str = ORACLE
-    entries: list[MultiGpuEntry] = field(default_factory=list)
-
-    @property
-    def mismatches(self) -> list[MultiGpuEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def shards_audited(self) -> int:
-        return sum(e.shards for e in self.entries)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        fuzz_cells = sum(1 for e in self.entries if e.fuzzed)
-        lines = [
-            f"multigpu vs {self.oracle}: {len(self.entries)} cells "
-            f"({fuzz_cells} fuzzed fabrics, {self.shards_audited} shard "
-            f"traces audited), {len(self.mismatches)} mismatch(es)"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            mode = "fuzz" if e.fuzzed else "clean"
-            line = (
-                f"  {e.app:12s} x {e.engine:32s} {status} [{mode}] "
-                f"rel {e.rel_err:.2e}"
-            )
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"multigpu differential mismatch in {named}\n{self.summary()}"
-            )
+    res = engine.run(app, data, config)
+    _, detail = compare_outputs(app, reference, res.output)
+    problems = [detail] if detail else []
+    problems += audit_sharded_run(res)
+    err = _rel_err(predict_run(app, data, config, engine).sim_time,
+                   res.sim_time)
+    if err > tol:
+        problems.append(f"analytic rel err {err:.2e} > {tol:g}")
+    cell = Cell(app.name, engine.name, not problems, "; ".join(problems),
+                mode, err)
+    return cell, len(res.shard_details or ())
 
 
 def run_multigpu_differential(
@@ -783,97 +567,60 @@ def run_multigpu_differential(
     gpu_counts: Iterable[int] = (1, 2, 4),
     tol: float = MULTIGPU_SHARED_TOL,
     fuzz_iterations: int = 4,
-) -> MultiGpuReport:
+) -> Report:
     """Validate the sharded scale-out engine against the serial oracle.
 
-    Two phases, mirroring the analytic suite. The *clean matrix* runs
-    every app across ``gpu_counts`` with dedicated links and (for K>1)
-    a shared root complex, always through the true DES. Each cell must
-    satisfy three laws at once:
-
-    * the merged output matches ``cpu_serial`` bit-for-bit — sharding
-      plus the cross-GPU merge is invisible to the result;
-    * every shard's trace passes the full pipeline invariant battery and
-      the per-shard byte ledgers sum to the run's counters
-      (:func:`repro.verify.invariants.audit_sharded_run`);
-    * the closed-form shard predictor prices the cell — dedicated links
-      within :data:`MULTIGPU_DEDICATED_TOL` (exact bound family), shared
-      links within ``tol`` (default :data:`MULTIGPU_SHARED_TOL`, sized
-      for the fill/drain corner geometries the steady-state bounds
-      cannot capture).
+    Two phases, mirroring the analytic suite, each cell graded by
+    :func:`multigpu_cell`. The *clean matrix* runs every app across
+    ``gpu_counts`` with dedicated links and (for K>1) a shared root
+    complex, always through the true DES: dedicated links are priced
+    within :data:`MULTIGPU_DEDICATED_TOL` (exact bound family), shared
+    links within ``tol`` (default :data:`MULTIGPU_SHARED_TOL`, sized for
+    the fill/drain corner geometries the steady-state bounds cannot
+    capture).
 
     The *fuzz loop* then draws ``fuzz_iterations`` random fabrics (GPU
     count, link topology, NUMA placement, chunk geometry) through
-    :func:`repro.verify.fuzz.check_multigpu_differential`, each seeded
+    :func:`repro.verify.fuzz.draw_multigpu_case`, each seeded
     ``random.Random(f"multigpu-{seed}-{case}")`` so any failure is
-    reproducible from (seed, case) alone.
+    reproducible from (seed, case) alone. Fuzzed fabrics are corner
+    geometries by design (2-3 chunks per shard, numa-blind 8-GPU
+    splits), so both link types are held to ``tol``.
     """
     import random
 
-    from repro.analytic import predict_run
     from repro.engines.multigpu import MultiGpuBigKernelEngine
-    from repro.verify.fuzz import check_multigpu_differential
-    from repro.verify.invariants import audit_sharded_run
+    from repro.verify.fuzz import draw_multigpu_case
 
     config = config or EngineConfig(chunk_bytes=512 * 1024)
     # shard traces only exist on the true DES; totals are fastpath-identical
     config = config.with_(fastpath=False)
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
     oracle = CpuSerialEngine()
-    report = MultiGpuReport()
+    report = Report(f"multigpu vs {ORACLE}", counts={"shard traces": 0})
+
+    def add(graded) -> Cell:
+        cell, shards = graded
+        report.cells.append(cell)
+        report.counts["shard traces"] += shards
+        return cell
 
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
-        ref = oracle.run(app, data, config)
+        ref = oracle.run(app, data, config).output
         for n in gpu_counts:
             for shared in (False,) if n == 1 else (False, True):
-                eng = MultiGpuBigKernelEngine(n, shared_link=shared)
-                res = eng.run(app, data, config)
-                ok, detail = compare_outputs(app, ref.output, res.output)
-                problems = [detail] if detail else []
-                problems += audit_sharded_run(res)
-                entry = MultiGpuEntry(
-                    app=app.name,
-                    engine=eng.name,
-                    ok=True,
-                    sim_time=res.sim_time,
-                    shards=len(res.shard_details or ()),
-                    predicted=predict_run(app, data, config, eng).sim_time,
-                )
-                cell_tol = tol if shared else MULTIGPU_DEDICATED_TOL
-                if entry.rel_err > cell_tol:
-                    problems.append(
-                        f"analytic rel err {entry.rel_err:.2e} > {cell_tol:g}"
-                    )
-                entry.ok = not problems
-                entry.detail = "; ".join(problems)
-                report.entries.append(entry)
+                engine = MultiGpuBigKernelEngine(n, shared_link=shared)
+                add(multigpu_cell(app, data, config, engine, ref,
+                                  tol if shared else MULTIGPU_DEDICATED_TOL))
 
     for case in range(fuzz_iterations):
-        rng = random.Random(f"multigpu-{seed}-{case}")
-        try:
-            drawn = check_multigpu_differential(rng)
-            report.entries.append(
-                MultiGpuEntry(
-                    app=drawn["app"],
-                    engine=drawn["engine"],
-                    ok=True,
-                    sim_time=drawn["sim_time"],
-                    shards=drawn["shards"],
-                    predicted=drawn["sim_time"] * (1 + drawn["rel_err"]),
-                    fuzzed=True,
-                )
-            )
-        except VerificationError as exc:
-            report.entries.append(
-                MultiGpuEntry(
-                    app="(fuzz)",
-                    engine=f"seed {seed} case {case}",
-                    ok=False,
-                    detail=str(exc),
-                    fuzzed=True,
-                )
-            )
+        app, data, engine, cfg = draw_multigpu_case(
+            random.Random(f"multigpu-{seed}-{case}")
+        )
+        ref = oracle.run(app, data, cfg).output
+        cell = add(multigpu_cell(app, data, cfg, engine, ref, tol, "fuzz"))
+        cell.detail += f" [reproduce: multigpu-{seed}-{case}]"
     return report
 
 
@@ -895,71 +642,12 @@ def _bit_equal(a, b) -> bool:
     return bool(a == b)
 
 
-@dataclass
-class ServeEntry:
-    """One served request graded against its one-shot oracle."""
-
-    req_id: int
-    tenant: str
-    app: str
-    engine: str
-    status: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class ServeReport:
-    """Structured outcome of one serve-vs-one-shot sweep."""
-
-    entries: list[ServeEntry] = field(default_factory=list)
-    cached: int = 0
-    coalesced: int = 0
-    served: int = 0
-    engine_runs: int = 0
-    #: typed SLO terminals from the overloaded phase (shed + predicted
-    #: rejections) — not mismatches, but accounted and type-checked
-    shed: int = 0
-    rejected: int = 0
-
-    @property
-    def mismatches(self) -> list[ServeEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        lines = [
-            f"serve vs one-shot: {len(self.entries)} grades "
-            f"({self.served} served, {self.coalesced} coalesced, "
-            f"{self.cached} cached; {self.engine_runs} engine runs; "
-            f"slo phase shed {self.shed}, rejected {self.rejected}), "
-            f"{len(self.mismatches)} mismatch(es)"
-        ]
-        for e in self.mismatches:
-            lines.append(
-                f"  req {e.req_id} [{e.tenant}] {e.app} x {e.engine} "
-                f"({e.status}) MISMATCH — {e.detail}"
-            )
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(str(e.req_id) for e in self.mismatches)
-            raise VerificationError(
-                f"serve differential mismatch in request(s) {named}\n"
-                f"{self.summary()}"
-            )
-
-
 def run_serve_differential(
     data_bytes: int = 512 * 1024,
     seed: int = 7,
     duration: float = 2.0,
     rate: float = 25.0,
-) -> ServeReport:
+) -> Report:
     """Serve a short seeded trace and bit-compare every response.
 
     A repeat-heavy multi-tenant trace goes through a live
@@ -970,7 +658,9 @@ def run_serve_differential(
     dataset, new engine, no caches) for that exact job. ``sim_time`` must
     be exactly equal and outputs bit-equal with zero tolerance. The queue
     is sized above the trace so nothing is rejected: in this pillar a
-    rejection or a failure is itself a mismatch.
+    rejection or a failure is itself a mismatch. So is a clean phase
+    that never short-circuited (zero cached and zero coalesced
+    responses): a serving layer that never amortizes is also a bug.
 
     A second, *overloaded* phase then replays the same trace compressed
     into a burst with every tenant carrying a tight SLO (derived from the
@@ -1006,53 +696,40 @@ def run_serve_differential(
 
     jobs = {req.req_id: (req.tenant, req.job) for req in trace}
     oracles: dict = {}
-    report = ServeReport(
-        cached=outcome.metrics.cached,
-        coalesced=outcome.metrics.coalesced,
-        served=outcome.metrics.served,
-        engine_runs=outcome.metrics.engine_runs,
+    m = outcome.metrics
+    report = Report(
+        "serve vs one-shot",
+        counts={
+            "served": m.served,
+            "coalesced": m.coalesced,
+            "cached": m.cached,
+            "engine runs": m.engine_runs,
+            "slo shed": 0,
+            "slo rejected": 0,
+        },
     )
-    def grade(resp, phase: str, slo_phase: bool) -> None:
+
+    def grade(resp, phase: str) -> None:
         tenant, job = jobs[resp.req_id]
-        entry = ServeEntry(
-            req_id=resp.req_id,
-            tenant=tenant,
-            app=job.dataset.app,
-            engine=job.engine.name,
-            status=f"{phase}:{resp.status}",
-            ok=True,
-        )
-        if resp.status in ("rejected", "failed", "shed"):
-            if not slo_phase:
-                # phase 1 is sized so nothing is rejected or dropped
-                entry.ok = False
-                entry.detail = resp.error or f"request {resp.status}"
-            elif resp.status == "failed":
-                entry.ok = False
-                entry.detail = resp.error or "request failed"
-            elif resp.status == "shed":
-                report.shed += 1
-                if not isinstance(resp.exception, SloViolationError):
-                    entry.ok = False
-                    entry.detail = (
-                        "shed response lacks a typed SloViolationError"
-                    )
-            else:
-                report.rejected += 1
-                queue_full = resp.error == "queue full"
-                typed = isinstance(resp.exception, SloViolationError)
-                if not (queue_full or typed):
-                    entry.ok = False
-                    entry.detail = (
-                        "rejection is neither queue-full nor a typed "
-                        "SloViolationError"
-                    )
+        problems = []
+        if resp.status == "failed" or (
+            phase == "open" and resp.status in ("rejected", "shed")
+        ):
+            # the open phase is sized so nothing is rejected or dropped
+            problems.append(resp.error or f"request {resp.status}")
+        elif resp.status in ("rejected", "shed"):
+            report.counts[f"slo {resp.status}"] += 1
+            # a rejection may also be a plain queue-full; a shed may not
+            queue_full = resp.status == "rejected" and resp.error == "queue full"
+            if not (queue_full or isinstance(resp.exception, SloViolationError)):
+                problems.append(
+                    f"{resp.status} response lacks a typed SloViolationError"
+                )
         else:
             key = (job.dataset, job.engine, job.config)
             oracle = oracles.get(key)
             if oracle is None:
                 oracle = oracles[key] = oneshot_oracle(job)
-            problems = []
             if resp.result.sim_time != oracle.sim_time:
                 problems.append(
                     f"sim_time {resp.result.sim_time!r} != "
@@ -1065,16 +742,24 @@ def run_serve_differential(
                     f"output {describe_output(resp.result.output)} != "
                     f"{describe_output(oracle.output)}"
                 )
-            if problems:
-                entry.ok = False
-                entry.detail = "; ".join(problems)
-        report.entries.append(entry)
+        detail = "; ".join(problems)
+        if detail:
+            detail = f"req {resp.req_id} [{tenant}] {phase}:{resp.status}: {detail}"
+        report.cells.append(
+            Cell(job.dataset.app, job.engine.name, not problems, detail)
+        )
 
     for resp in outcome.responses:
-        grade(resp, "open", slo_phase=False)
+        grade(resp, "open")
+    if not (m.cached or m.coalesced):
+        report.cells.append(
+            Cell("*", "*", False,
+                 "open phase never short-circuited: 0 cached and 0 "
+                 "coalesced responses")
+        )
 
     # --- phase 2: burst overload with tight SLOs through EDF + admission ---
-    mean_service = outcome.makespan / max(outcome.metrics.completed, 1)
+    mean_service = outcome.makespan / max(m.completed, 1)
     slo_ms = 1000.0 * 5.0 * mean_service
     slo_config = ServeConfig(
         max_queue=max(8, len(trace) // 4),
@@ -1087,28 +772,18 @@ def run_serve_differential(
         cache=RunCache(disk=None),
     ) as server:
         slo_outcome = serve_trace(server, scale_trace(trace, 1e-3))
-    report.engine_runs += slo_outcome.metrics.engine_runs
+    report.counts["engine runs"] += slo_outcome.metrics.engine_runs
     for resp in slo_outcome.responses:
-        grade(resp, "slo", slo_phase=True)
+        grade(resp, "slo")
 
-    m = slo_outcome.metrics
-    if m.submitted != m.admitted + m.rejected or m.admitted != (
-        m.completed + m.failed + m.shed
+    s = slo_outcome.metrics
+    if s.submitted != s.admitted + s.rejected or s.admitted != (
+        s.completed + s.failed + s.shed
     ):
-        report.entries.append(
-            ServeEntry(
-                req_id=-1,
-                tenant="*",
-                app="*",
-                engine="*",
-                status="slo:accounting",
-                ok=False,
-                detail=(
-                    f"identity violated: submitted={m.submitted} "
-                    f"admitted={m.admitted} rejected={m.rejected} "
-                    f"completed={m.completed} failed={m.failed} "
-                    f"shed={m.shed}"
-                ),
-            )
-        )
+        report.cells.append(Cell(
+            "*", "*", False,
+            f"slo accounting identity violated: submitted={s.submitted} "
+            f"admitted={s.admitted} rejected={s.rejected} "
+            f"completed={s.completed} failed={s.failed} shed={s.shed}",
+        ))
     return report

@@ -21,12 +21,10 @@ explores the same space more aggressively when it is installed):
   prefetch mode) and asserts the UVM engine's output matches the serial
   oracle, its timeline passes the invariant checkers, and its page-byte
   ledger conserves (migrated == evicted + resident, written-back == d2h).
-* :func:`check_multigpu_differential` draws a random sharded fabric
-  (GPU count, shared vs dedicated links, NUMA placement, chunk geometry)
-  and asserts the scale-out engine's merged output matches the serial
-  oracle, every shard's DES trace passes the invariant battery, the
-  per-shard byte ledgers reconcile, and the analytic shard model prices
-  the run within tolerance.
+* :func:`draw_multigpu_case` draws a random sharded fabric (GPU count,
+  shared vs dedicated links, NUMA placement, chunk geometry) for the
+  multigpu pillar's fuzz loop, which grades it by the same laws as the
+  clean matrix (:func:`repro.verify.differential.multigpu_cell`).
 
 :func:`run_fuzz` bundles the loops into a :class:`FuzzReport`.
 """
@@ -78,7 +76,7 @@ TMP_NAMES = ("t0", "t1", "t2")
 class FuzzFailure:
     """One failing fuzz case, reproducible from (kind, seed, case)."""
 
-    kind: str  # "ir" | "pipeline" | "uvm" | "multigpu"
+    kind: str  # "ir" | "pipeline" | "uvm"
     seed: int
     case: int
     message: str
@@ -100,7 +98,6 @@ class FuzzReport:
     ir_compiled: int = 0
     pipeline_cases: int = 0
     uvm_cases: int = 0
-    multigpu_cases: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -113,7 +110,6 @@ class FuzzReport:
             f"({self.ir_sliced} sliced, {self.ir_compiled} compiled), "
             f"{self.pipeline_cases} pipeline case(s), "
             f"{self.uvm_cases} uvm case(s), "
-            f"{self.multigpu_cases} multigpu case(s), "
             f"{len(self.failures)} failure(s)"
         ]
         lines += [f"  {f}" for f in self.failures[:10]]
@@ -306,57 +302,32 @@ def check_kernel_compiled(kernel: Kernel, data_seed: int) -> bool:
 
     Returns True when the kernel compiled, False for the documented
     interpreter fallback; raises :class:`VerificationError` on any
-    divergence in outputs, InterpStats counters, or addr-gen streams.
+    divergence in outputs, InterpStats counters, or addr-gen streams
+    (the last two via :func:`repro.verify.differential.compiled_problems`,
+    shared with the compiled pillar).
     """
-    from repro.kernelc.compile import compile_kernel, try_compile_kernel
+    from repro.kernelc.analysis import analyze_vectorizable
+    from repro.verify.differential import compiled_problems
 
-    ctx_i = _make_ctx(data_seed)
-    ctx_c = _make_ctx(data_seed)
-    compiled = try_compile_kernel(
-        kernel, resident_kinds={"acc": "f"}
-    )
-    if compiled is None:
+    if not analyze_vectorizable(kernel, resident_kinds={"acc": "f"}).ok:
         return False
-
-    interp = KernelInterpreter(kernel, ctx_i)
-    interp.run_thread(0, 0, N_RECORDS)
-    run = compiled.run_range(ctx_c, 0, N_RECORDS)
-
-    for f in (
-        "n_ops", "n_calls", "n_mapped_reads", "n_mapped_writes",
-        "n_resident_accesses", "mapped_read_bytes", "mapped_write_bytes",
-    ):
-        a, b = getattr(interp.stats, f), getattr(run.stats, f)
-        if a != b:
-            raise VerificationError(f"compiled stats.{f} {b} != interp {a}")
+    ctx_i, ctx_c = _make_ctx(data_seed), _make_ctx(data_seed)
+    problems = compiled_problems(
+        kernel, ctx_i, ctx_c, lambda: _make_ctx(data_seed), N_RECORDS
+    )
     if not np.allclose(
         ctx_i.resident["acc"], ctx_c.resident["acc"], rtol=0, atol=1e-9
     ):
-        raise VerificationError(
-            f"compiled resident state diverged: {ctx_c.resident['acc']} vs "
+        problems.append(
+            f"resident state diverged: {ctx_c.resident['acc']} vs "
             f"{ctx_i.resident['acc']}"
         )
     if not np.array_equal(
         ctx_i.mapped["arr"].view(np.uint8), ctx_c.mapped["arr"].view(np.uint8)
     ):
-        raise VerificationError("compiled mapped array bytes diverged")
-
-    try:
-        addrgen = make_addrgen_kernel(kernel)
-    except SlicingError:
-        return True
-    ag_compiled = try_compile_kernel(addrgen, resident_kinds={"acc": "f"})
-    if ag_compiled is None:
-        return True
-    ag = KernelInterpreter(addrgen, _make_ctx(data_seed))
-    ag.run_thread(0, 0, N_RECORDS)
-    ag_run = ag_compiled.run_range(_make_ctx(data_seed), 0, N_RECORDS)
-    r_i = np.asarray([r.offset for r in ag.read_addresses], dtype=np.int64)
-    w_i = np.asarray([r.offset for r in ag.write_addresses], dtype=np.int64)
-    if not np.array_equal(ag_run.read_offsets(), r_i):
-        raise VerificationError("compiled read address stream diverged")
-    if not np.array_equal(ag_run.write_offsets(), w_i):
-        raise VerificationError("compiled write address stream diverged")
+        problems.append("mapped array bytes diverged")
+    if problems:
+        raise VerificationError("compiled vs interpreter: " + "; ".join(problems))
     return True
 
 
@@ -476,24 +447,18 @@ def check_uvm_differential(rng: random.Random) -> None:
 # random multi-gpu fabrics
 # ---------------------------------------------------------------------------
 
-def check_multigpu_differential(rng: random.Random) -> dict:
-    """One random sharded fabric against the serial oracle.
+def draw_multigpu_case(rng: random.Random) -> tuple:
+    """One random sharded fabric: ``(app, data, engine, config)``.
 
-    Draws the GPU count, link topology (dedicated per-GPU links vs one
-    shared root complex), NUMA placement mode, and chunk geometry, then
-    runs the scale-out engine as a true DES. The merged output must
-    match ``cpu_serial`` bit-for-bit, every shard's trace must pass the
-    full pipeline invariant battery with the per-shard byte ledgers
-    summing to the run's counters, and the closed-form shard predictor
-    must price the run within the analytic tolerance. Returns a small
-    description of the drawn cell for reporting.
+    Draws the app, dataset, GPU count, link topology (dedicated per-GPU
+    links vs one shared root complex), NUMA placement mode, and chunk
+    geometry. The config pins the true DES: shard traces only exist
+    there (totals are identical).
     """
-    from repro.analytic import predict_run
     from repro.apps import get_app
-    from repro.engines import CpuSerialEngine, EngineConfig
+    from repro.engines import EngineConfig
     from repro.engines.multigpu import MultiGpuBigKernelEngine
     from repro.units import KiB, MiB
-    from repro.verify.invariants import audit_sharded_run
 
     app = get_app(rng.choice(("netflix", "wordcount", "kmeans", "mastercard")))
     data = app.generate(
@@ -505,45 +470,12 @@ def check_multigpu_differential(rng: random.Random) -> dict:
         shared_link=rng.random() < 0.5,
         numa_aware=rng.random() < 0.75,
     )
-    # shard traces only exist on the true DES (totals are identical)
     config = EngineConfig(
         chunk_bytes=rng.choice((64, 128, 256)) * KiB,
         ring_depth=rng.randint(2, 5),
         fastpath=False,
     )
-    ref = CpuSerialEngine().run(app, data, config)
-    res = engine.run(app, data, config)
-    if not app.outputs_equal(ref.output, res.output):
-        raise VerificationError(
-            f"{engine.name} merged output diverged from {ref.engine} "
-            f"on {app.name} (chunk={config.chunk_bytes // KiB}K)"
-        )
-    problems = audit_sharded_run(res)
-    if problems:
-        raise VerificationError(
-            f"{engine.name} on {app.name}: " + "; ".join(problems)
-        )
-    predicted = predict_run(app, data, config, engine).sim_time
-    rel_err = abs(predicted - res.sim_time) / max(abs(res.sim_time), 1e-300)
-    # fuzzed fabrics are corner geometries by design (2-3 chunks per
-    # shard, numa-blind 8-GPU splits), so both link types get the
-    # fill/drain-sized tolerance rather than the clean-matrix bounds
-    from repro.verify.differential import MULTIGPU_SHARED_TOL
-
-    if rel_err > MULTIGPU_SHARED_TOL:
-        raise VerificationError(
-            f"analytic shard model off by {rel_err:.2e} "
-            f"(> {MULTIGPU_SHARED_TOL:g}) "
-            f"for {engine.name} on {app.name} "
-            f"(chunk={config.chunk_bytes // KiB}K rd={config.ring_depth})"
-        )
-    return {
-        "app": app.name,
-        "engine": engine.name,
-        "sim_time": res.sim_time,
-        "shards": len(res.shard_details),
-        "rel_err": rel_err,
-    }
+    return app, data, engine, config
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +487,6 @@ def run_fuzz(
     pipeline_iterations: int = 25,
     seed: int = 0,
     uvm_iterations: int = 10,
-    multigpu_iterations: int = 0,
 ) -> FuzzReport:
     """Run the fuzz loops; failures carry the reproducing (seed, case)."""
     report = FuzzReport(seed=seed)
@@ -594,11 +525,4 @@ def run_fuzz(
         except VerificationError as exc:
             report.failures.append(FuzzFailure("uvm", seed, case, str(exc)))
         report.uvm_cases += 1
-    for case in range(multigpu_iterations):
-        rng = random.Random(f"multigpu-{seed}-{case}")
-        try:
-            check_multigpu_differential(rng)
-        except VerificationError as exc:
-            report.failures.append(FuzzFailure("multigpu", seed, case, str(exc)))
-        report.multigpu_cases += 1
     return report

@@ -66,7 +66,7 @@ class TestCli:
 
         def broken(**kwargs):
             summary = runner.VerifySummary()
-            summary.invariant_reports["bigkernel/kmeans"] = InvariantReport(
+            summary["invariants"] = InvariantReport(
                 checked=("ring-backpressure",),
                 violations=[Violation("ring-backpressure", "ran ahead", 1.0)],
             )

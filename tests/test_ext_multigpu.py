@@ -3,9 +3,8 @@
 import pytest
 
 from repro.apps import get_app
-from repro.engines import BigKernelEngine, EngineConfig
+from repro.engines import BigKernelEngine, EngineConfig, MultiGpuBigKernelEngine
 from repro.errors import RuntimeConfigError
-from repro.ext import MultiGpuBigKernelEngine
 from repro.units import MiB
 
 CFG = EngineConfig(chunk_bytes=512 * 1024)
@@ -76,17 +75,6 @@ class TestMultiGpu:
     def test_invalid_gpu_count(self):
         with pytest.raises(RuntimeConfigError):
             MultiGpuBigKernelEngine(0)
-
-    def test_deprecated_shim_reexports_engine_class(self):
-        """repro.ext.multigpu is a shim over repro.engines.multigpu."""
-        import repro.engines
-        import repro.engines.multigpu as canonical
-        import repro.ext.multigpu as shim
-
-        assert shim.MultiGpuBigKernelEngine is canonical.MultiGpuBigKernelEngine
-        assert shim.MultiGpuBigKernelEngine is repro.engines.MultiGpuBigKernelEngine
-        assert shim.__all__ == ["MultiGpuBigKernelEngine"]
-        assert "Deprecated location" in (shim.__doc__ or "")
 
     def test_analytic_predictor_prices_multigpu(self, workload):
         """The closed-form predictor knows the shard model: dedicated-link

@@ -8,9 +8,10 @@ from repro.engines import (
     EngineConfig,
     GpuDoubleBufferEngine,
     GpuSingleBufferEngine,
+    GpuUvmEngine,
+    UvmSpec,
 )
 from repro.errors import RuntimeConfigError
-from repro.ext import GpuUvmEngine, UvmSpec
 from repro.units import KiB, MiB
 
 CFG = EngineConfig(chunk_bytes=1 * MiB)

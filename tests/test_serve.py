@@ -302,8 +302,8 @@ def test_serve_differential_pillar():
         data_bytes=256 * KiB, seed=5, duration=1.0, rate=20.0
     )
     assert report.ok, report.summary()
-    assert report.cached > 0
-    assert report.engine_runs < len(report.entries)
+    assert report.counts["cached"] > 0
+    assert report.counts["engine runs"] < len(report.cells)
     assert "serve vs one-shot" in report.summary()
 
 

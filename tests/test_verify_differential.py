@@ -12,8 +12,8 @@ from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
 from repro.errors import VerificationError
 from repro.units import MiB
 from repro.verify.differential import (
-    DifferentialReport,
-    DiffEntry,
+    Cell,
+    Report,
     compare_outputs,
     describe_output,
     run_differential,
@@ -34,28 +34,28 @@ def report():
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_engine_matches_oracle(report, app_name, engine_name):
     entry = next(
-        e for e in report.entries if (e.app, e.engine) == (app_name, engine_name)
+        e for e in report.cells if (e.app, e.engine) == (app_name, engine_name)
     )
     assert entry.ok, f"({app_name}, {engine_name}): {entry.detail}"
 
 
 def test_matrix_is_complete(report):
-    assert len(report.entries) == len(APPS) * (len(ENGINES) + 1)
+    assert len(report.cells) == len(APPS) * (len(ENGINES) + 1)
     assert report.ok
     assert "0 mismatch(es)" in report.summary()
 
 
 def test_bigkernel_cells_carry_invariant_reports(report):
-    cells = [e for e in report.entries if e.engine == "bigkernel"]
-    assert cells and all(e.invariants is not None and e.invariants.ok for e in cells)
+    cells = [e for e in report.cells if e.engine == "bigkernel"]
+    assert cells and all(e.mode == "traced" and e.ok for e in cells)
 
 
 def test_mismatch_report_names_the_pair():
     """A corrupted cell produces a structured report naming (app, engine)."""
-    report = DifferentialReport()
-    report.entries.append(DiffEntry("kmeans", "bigkernel", True))
-    report.entries.append(
-        DiffEntry("dna", "gpu_double", False, detail="oracle=... vs engine=...")
+    report = Report("differential vs cpu_serial")
+    report.cells.append(Cell("kmeans", "bigkernel", True))
+    report.cells.append(
+        Cell("dna", "gpu_double", False, detail="oracle=... vs engine=...")
     )
     assert not report.ok
     assert [("dna", "gpu_double")] == [
@@ -123,4 +123,4 @@ def test_oracle_added_when_absent():
         engines=[CpuSerialEngine()],
         check_invariants=False,
     )
-    assert rep.ok and len(rep.entries) == 1
+    assert rep.ok and len(rep.cells) == 1
