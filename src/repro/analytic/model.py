@@ -29,10 +29,9 @@ from repro.engines.bigkernel import BigKernelEngine, BigKernelFeatures
 from repro.engines.gpu_common import chunk_plan
 
 #: process-wide accounting of :func:`extract_app_model` memoization, the
-#: sibling of ``DATASET_HASH_STATS`` (apps.base) and ``CONTENT_KEY_STATS``
-#: (bench.sweep): ``requests`` counts every extraction ask, ``hits`` the
-#: ones answered from the content-keyed cache, ``misses`` the full
-#: app-byte walks actually paid
+#: sibling of ``DATASET_HASH_STATS`` (apps.base): ``requests`` counts every
+#: extraction ask, ``hits`` the ones answered from the content-keyed cache,
+#: ``misses`` the full app-byte walks actually paid
 ANALYTIC_MODEL_STATS = {"requests": 0, "hits": 0, "misses": 0}
 
 #: content-keyed LRU of extracted models. The model is a frozen pure

@@ -112,6 +112,17 @@ def data_fingerprint(data: AppData) -> tuple:
     return (data.app, data.n_records, token)
 
 
+def recipe_key(app: str, seed: int, n_bytes: Optional[int], version: int) -> tuple:
+    """Content key of the dataset ``app.generate(n_bytes, seed)`` makes at
+    datagen ``version``, named without generating it.
+
+    The one place this tuple is built: :func:`dataset_key` of a generated
+    dataset and :attr:`repro.bench.jobs.DatasetSpec.key` of its recipe are
+    equal, so a run cached under one is found under the other.
+    """
+    return ("datagen", app, seed, n_bytes, version)
+
+
 def dataset_key(data: AppData) -> tuple:
     """Hashable *content* token of a dataset: stable across processes.
 
@@ -126,23 +137,20 @@ def dataset_key(data: AppData) -> tuple:
 
     Datasets produced by a registered app's ``generate`` carry their
     generation recipe in ``data.meta["datagen"]`` (stamped automatically by
-    :class:`Application`), so the key is the cheap tuple ``("datagen", app,
-    seed, n_bytes, DATAGEN_VERSION)`` — the datagen version ties it to the
-    generator implementation. Hand-built :class:`AppData` instances fall
-    back to a SHA-256 over the mapped/resident arrays and params, which is
-    equally stable, just paid per instance.
+    :class:`Application`), so the key is the cheap :func:`recipe_key` tuple
+    ``("datagen", app, seed, n_bytes, DATAGEN_VERSION)`` — the datagen
+    version ties it to the generator implementation. Hand-built
+    :class:`AppData` instances fall back to a SHA-256 over the
+    mapped/resident arrays and params, which is equally stable, just paid
+    per instance.
     """
     DATASET_HASH_STATS["requests"] += 1
     token = data.meta.get("_dataset_key")
     if token is None:
         recipe = data.meta.get("datagen")
         if recipe is not None:
-            token = (
-                "datagen",
-                data.app,
-                recipe["seed"],
-                recipe["n_bytes"],
-                recipe["version"],
+            token = recipe_key(
+                data.app, recipe["seed"], recipe["n_bytes"], recipe["version"]
             )
         else:
             DATASET_HASH_STATS["sha256_digests"] += 1

@@ -59,8 +59,12 @@ def make_text(
     out = np.frombuffer(pieces, dtype=np.uint8)
     if out.size > n_bytes:
         # trim at the last separator before the limit
-        cut = int(np.nonzero(out[:n_bytes] == sep)[0][-1]) + 1
-        out = out[:cut]
+        seps = np.flatnonzero(out[:n_bytes] == sep)
+        if seps.size == 0:
+            raise ApplicationError(
+                f"no word fits in {n_bytes} bytes of text; ask for more bytes"
+            )
+        out = out[: int(seps[-1]) + 1]
     return np.ascontiguousarray(out)
 
 

@@ -26,7 +26,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.apps.base import APP_REGISTRY, AppData, Application, get_app
+from repro.apps.base import (
+    APP_REGISTRY,
+    AppData,
+    Application,
+    get_app,
+    recipe_key,
+)
+from repro.apps.datagen import DATAGEN_VERSION
 from repro.engines.base import Engine, EngineConfig, RunResult
 from repro.errors import ReproError
 
@@ -41,6 +48,25 @@ class DatasetSpec:
     n_bytes: Optional[int]
     #: :data:`repro.apps.datagen.DATAGEN_VERSION` at spec time
     version: int
+
+    @property
+    def key(self) -> tuple:
+        """The content key (:func:`repro.apps.base.dataset_key`) of the
+        dataset this recipe generates, without generating it."""
+        return recipe_key(self.app, self.seed, self.n_bytes, self.version)
+
+    @property
+    def current(self) -> bool:
+        """Does this build's generator reproduce the recipe?"""
+        return self.version == DATAGEN_VERSION
+
+    def check_version(self, holder: str) -> None:
+        """Raise unless the recipe is :attr:`current`."""
+        if not self.current:
+            raise ReproError(
+                f"dataset spec for {self.app!r} was made with datagen version "
+                f"{self.version}, {holder} has {DATAGEN_VERSION}"
+            )
 
 
 @dataclass(frozen=True)
@@ -175,13 +201,7 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[Application, AppData]:
     if cached is not None:
         _WORKER_DATASETS.move_to_end(spec)
         return cached
-    from repro.apps.datagen import DATAGEN_VERSION
-
-    if spec.version != DATAGEN_VERSION:
-        raise ReproError(
-            f"dataset spec for {spec.app!r} was made with datagen version "
-            f"{spec.version}, worker has {DATAGEN_VERSION}"
-        )
+    spec.check_version("worker")
     app = get_app(spec.app)
     data = app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
     _WORKER_DATASETS[spec] = (app, data)

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.apps.base import AppData, Application, data_fingerprint, dataset_key
+from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_jobspec
 from repro.engines.base import Engine, EngineConfig, RunResult
 from repro.errors import ReproError
 from repro.units import MiB
@@ -241,78 +242,50 @@ class DiskCache:
             self.hits = self.misses = self._puts = 0
 
 
-#: memoized ``content_run_key`` digests, keyed on dataset *identity* (plus
-#: engine/config): the serve admission loop probes the cache once per
-#: request, and re-deriving the SHA-256 — whose ``dataset_key`` component
-#: may itself hash megabytes for hand-built datasets — on every probe of
-#: the same run would put hashing on the hot path. Identity keying makes a
-#: stale hit impossible: a regenerated dataset gets a fresh fingerprint.
-_CONTENT_KEY_MEMO: OrderedDict = OrderedDict()
-_CONTENT_KEY_MEMO_MAX = 4096
-_CONTENT_KEY_LOCK = threading.Lock()
+def run_digest(key: tuple) -> str:
+    """SHA-256 disk key of a run named by content identities only.
 
-#: process-wide accounting: ``requests`` counts every ``content_run_key``
-#: call, ``computed`` only the digests actually derived (memo misses)
-CONTENT_KEY_STATS = {"requests": 0, "computed": 0}
+    ``key`` is ``(engine cache_key, app name, dataset content key,
+    config)``: every component is stable across processes — the dataset
+    is named by :func:`repro.apps.base.dataset_key` (recipe or byte hash,
+    never the per-instance fingerprint), and the frozen config's repr is
+    deterministic (it includes the hardware spec and any fault plan).
+    :data:`CACHE_SCHEMA_VERSION` folds the build generation in.
+    """
+    payload = repr((CACHE_SCHEMA_VERSION,) + key)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def content_run_key(
     engine: Engine, app: Application, data: AppData, config: EngineConfig
 ) -> str:
-    """SHA-256 disk key of one run, built from content identities only.
+    """:func:`run_digest` of one run on a dataset in hand.
 
-    Every component is stable across processes: the engine's
-    ``cache_key`` string, the app name, the dataset's *content* key
-    (:func:`repro.apps.base.dataset_key` — recipe or byte hash, never the
-    per-instance fingerprint), and the frozen config's repr (dataclass
-    reprs are deterministic, and include the hardware spec and any fault
-    plan). :data:`CACHE_SCHEMA_VERSION` folds the build generation in.
-
-    Digests are memoized per process on the dataset's *identity*
-    fingerprint (plus engine and config), so repeated probes for the same
-    run — the ``repro serve`` hot loop — hash exactly once
-    (:data:`CONTENT_KEY_STATS` carries the proof).
+    A generated dataset's content key is its recipe, so this equals the
+    digest of :meth:`RunCache.recipe_key` for the job that names the same
+    recipe: a sweep-written disk entry and a server lookup share one file.
     """
-    memo_key = (engine.cache_key, app.name, data_fingerprint(data), config)
-    with _CONTENT_KEY_LOCK:
-        CONTENT_KEY_STATS["requests"] += 1
-        digest = _CONTENT_KEY_MEMO.get(memo_key)
-        if digest is not None:
-            _CONTENT_KEY_MEMO.move_to_end(memo_key)
-            return digest
-    payload = repr(
-        (
-            CACHE_SCHEMA_VERSION,
-            engine.cache_key,
-            app.name,
-            dataset_key(data),
-            config,
-        )
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    with _CONTENT_KEY_LOCK:
-        CONTENT_KEY_STATS["computed"] += 1
-        _CONTENT_KEY_MEMO[memo_key] = digest
-        _CONTENT_KEY_MEMO.move_to_end(memo_key)
-        while len(_CONTENT_KEY_MEMO) > _CONTENT_KEY_MEMO_MAX:
-            _CONTENT_KEY_MEMO.popitem(last=False)
-    return digest
+    return run_digest((engine.cache_key, app.name, dataset_key(data), config))
 
 
 class RunCache:
     """Two-tier cache of engine runs, keyed on everything a run reads.
 
-    The front tier is a thread-safe in-process LRU keyed on ``(engine
-    cache_key, app name, dataset *identity* fingerprint, config)``: the
-    fingerprint (:func:`repro.apps.base.data_fingerprint`) is minted per
-    dataset *instance*, so within one process a stale hit is impossible
-    even if data is regenerated or mutated.
+    The front tier is a thread-safe in-process LRU. A sweep keys it with
+    :meth:`key`, ``(engine cache_key, app name, dataset *identity*
+    fingerprint, config)``: the fingerprint
+    (:func:`repro.apps.base.data_fingerprint`) is minted per dataset
+    *instance*, so a stale hit is impossible even if the caller — who owns
+    the ``AppData`` — mutates or regenerates it. The server keys it with
+    :meth:`recipe_key`, the same tuple with the dataset's recipe in place
+    of the fingerprint: it owns every dataset it builds, builds each one
+    from its recipe, and so can look a job up with no dataset in hand.
 
     Behind it sits an optional persistent :class:`DiskCache` keyed by
-    :func:`content_run_key` — dataset *content*, not identity — which is
+    :func:`run_digest` over dataset *content*, not identity — which is
     what lets a fresh process (a figure harness, a CI job, a pool worker's
     parent) reuse points evaluated by an earlier one. A disk hit is
-    promoted into the memory tier under the caller's identity key.
+    promoted into the memory tier under the caller's key.
     """
 
     def __init__(self, maxsize: int = 512, disk: Optional[DiskCache] = None):
@@ -327,6 +300,12 @@ class RunCache:
     @staticmethod
     def key(engine: Engine, app: Application, data: AppData, config: EngineConfig):
         return (engine.cache_key, app.name, data_fingerprint(data), config)
+
+    @staticmethod
+    def recipe_key(engine: Engine, job: JobSpec) -> tuple:
+        """Content key of a job, from its recipe alone; :func:`run_digest`
+        of it is the job's disk key."""
+        return (engine.cache_key, job.dataset.app, job.dataset.key, job.config)
 
     def get(self, key, disk_key: Optional[str] = None) -> Optional[RunResult]:
         with self._lock:
@@ -420,8 +399,6 @@ def _resolve_backend(
         raise ReproError(f"unknown sweep backend {backend!r}; known: {BACKENDS}")
     if backend == "thread" or jobs <= 1:
         return "thread"
-    from repro.bench.jobs import dataset_spec, engine_to_spec
-
     speccable = (
         engine_to_spec(engine) is not None
         and dataset_spec(app, data) is not None
@@ -605,8 +582,6 @@ def _evaluate_process(
     order), then merges results back into their grid slots — point order
     and tie-breaks match the serial sweep exactly.
     """
-    from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_jobspec
-
     dspec = dataset_spec(app, data)
     espec = engine_to_spec(engine)
     points: list[Optional[SweepPoint]] = [None] * len(combos)

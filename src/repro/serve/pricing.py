@@ -67,13 +67,14 @@ class JobPricer:
         key = (job.dataset, job.engine, job.config)
         if key in self._sim:
             return self._sim[key]
-        from repro.analytic import predicted_sim_time
+        from repro.analytic import predicted_sim_time, resolve_engine
 
         try:
+            # an engine with no closed-form model (the UVM family) is
+            # refused here, before a dataset is loaded for it
+            engine = resolve_engine(engine_from_spec(job.engine))
             app, data = dataset_loader(job.dataset)
-            sim = predicted_sim_time(
-                app, data, job.config, engine_from_spec(job.engine)
-            )
+            sim = predicted_sim_time(app, data, job.config, engine)
         except ReproError:
             sim = None
         self._sim[key] = sim

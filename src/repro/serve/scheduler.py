@@ -43,6 +43,14 @@ jobs inside the window collapse onto a single leader run (followers are
 instance — which is what keeps BigKernel's schedule memoization, the
 fastpath template memo and the per-dataset hashes warm across jobs.
 
+The server's cache identity is the job's *recipe*
+(:meth:`~repro.bench.sweep.RunCache.recipe_key`: dataset recipe, engine,
+frozen config), never a dataset instance.  Every cache probe — admission
+and dispatch, memory and disk tier — is answered without a dataset in
+hand, and a cached result outlives its dataset's eviction from the pool.
+A dataset is generated only for a job that misses and runs in this
+process (and for pricing a modeled job the first time it is priced).
+
 :func:`serve_trace` replays an open-loop trace against a server on a
 virtual clock: the clock jumps to the next arrival when idle and advances
 by the *measured wall time* of each dispatch round, so latencies mix
@@ -58,7 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.apps.base import AppData, Application, get_app
+from repro.apps.base import get_app
 from repro.bench.jobs import (
     DatasetSpec,
     EngineSpec,
@@ -66,7 +74,7 @@ from repro.bench.jobs import (
     engine_from_spec,
     run_jobspec,
 )
-from repro.bench.sweep import DiskCache, RunCache, content_run_key
+from repro.bench.sweep import DiskCache, RunCache, run_digest
 from repro.engines.base import Engine, RunResult
 from repro.errors import ReproError, SloViolationError
 from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
@@ -155,12 +163,7 @@ class ServeResponse:
 def oneshot_oracle(job: JobSpec) -> RunResult:
     """Fresh one-shot run of a job — new app, newly generated dataset, new
     engine, no caches. The ground truth a served response must bit-match."""
-    from repro.apps.datagen import DATAGEN_VERSION
-
-    if job.dataset.version != DATAGEN_VERSION:
-        raise ReproError(
-            "oracle cannot replay a dataset from another datagen version"
-        )
+    job.dataset.check_version("oracle")
     app = get_app(job.dataset.app)
     data = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
     return engine_from_spec(job.engine).run(app, data, job.config)
@@ -237,15 +240,13 @@ class Server:
         return self._meta.get(req.req_id, (math.inf, None))[0]
 
     def _cache_would_hit(self, job: JobSpec) -> bool:
-        """Silent probe: would this job short-circuit through the cache?"""
-        if self.cache is None:
-            return False
-        try:
-            app, data = self._dataset(job.dataset)
-        except ReproError:
+        """Silent probe: would this job short-circuit through the cache?
+
+        Keyed on the job's recipe, so the probe loads no dataset."""
+        if self.cache is None or not job.dataset.current:
             return False
         engine = self._engine(job.engine)
-        return self.cache.contains(RunCache.key(engine, app, data, job.config))
+        return self.cache.contains(RunCache.recipe_key(engine, job))
 
     def _admission_price(self, req: ServeRequest) -> Optional[float]:
         """Predicted wall cost of one enqueued request, cache-aware.
@@ -544,20 +545,17 @@ class Server:
     def _dataset(self, spec: DatasetSpec) -> tuple:
         """(app, data) for a recipe, via the server's LRU dataset pool.
 
-        Sharing one live ``AppData`` instance across requests is what lets
-        the engine-side memos (schedule, fastpath template, dataset hash)
-        hit: they all key on the instance fingerprint."""
+        The pool feeds engine runs (and the pricer's first look at a
+        modeled job), never cache lookups: those key on the recipe.
+        Sharing one live ``AppData`` instance across the runs of one
+        dataset is what lets the engine-side memos (schedule, fastpath
+        template, dataset hash) hit: they key on the instance fingerprint.
+        """
         cached = self._datasets.get(spec)
         if cached is not None:
             self._datasets.move_to_end(spec)
             return cached
-        from repro.apps.datagen import DATAGEN_VERSION
-
-        if spec.version != DATAGEN_VERSION:
-            raise ReproError(
-                f"dataset spec for {spec.app!r} was made with datagen version "
-                f"{spec.version}, server has {DATAGEN_VERSION}"
-            )
+        spec.check_version("server")
         app = get_app(spec.app)
         data = app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
         self._datasets[spec] = (app, data)
@@ -601,12 +599,15 @@ class Server:
         responses: dict = {}
         verify_items: list = []
 
-        # cache probe per unique job; exact repeats never reach the engine
-        to_run: list = []
+        # cache probe per unique job, keyed on its recipe: exact repeats
+        # never reach the engine and need no dataset
+        misses: list = []
         for reqs in batch.unique_jobs().values():
             job = reqs[0].job
             try:
-                app, data = self._dataset(job.dataset)
+                # before any probe: a stale recipe is never answered from
+                # a disk entry written under its key
+                job.dataset.check_version("server")
             except ReproError as exc:
                 for req in reqs:
                     responses[req.req_id] = self._fail(req, batch_id, now, exc)
@@ -614,9 +615,9 @@ class Server:
             key = disk_key = None
             hit = None
             if self.cache is not None:
-                key = RunCache.key(engine, app, data, job.config)
+                key = RunCache.recipe_key(engine, job)
                 if self.cache.disk is not None and self.cache.disk.enabled:
-                    disk_key = content_run_key(engine, app, data, job.config)
+                    disk_key = run_digest(key)
                 hit = self.cache.get(key, disk_key)
             if hit is not None:
                 for req in reqs:
@@ -626,22 +627,44 @@ class Server:
                     responses[req.req_id] = resp
                     verify_items.append((job, resp))
             else:
-                to_run.append((reqs, app, data, key, disk_key))
+                misses.append((reqs, key, disk_key))
+
+        # a miss that runs in this process needs its dataset: load each one
+        # before the timed section and hold it for the whole batch, so a
+        # small pool cannot evict it between its runs
+        cfg = self.config
+        ship = cfg.backend == "process" and cfg.jobs > 1 and len(misses) > 1
+        datasets: Optional[dict] = None
+        to_run = misses
+        if not ship:
+            datasets, to_run = {}, []
+            for reqs, key, disk_key in misses:
+                spec = reqs[0].job.dataset
+                try:
+                    if spec not in datasets:
+                        datasets[spec] = self._dataset(spec)
+                except ReproError as exc:
+                    for req in reqs:
+                        responses[req.req_id] = self._fail(req, batch_id, now, exc)
+                    continue
+                to_run.append((reqs, key, disk_key))
 
         # timed engine-run section: one batch is one (app, engine) cell,
         # so its wall time is one clean calibration sample for the pricer
+        jobs = [reqs[0].job for reqs, *_ in to_run]
         start = self.timer()
-        outcomes = self._run_unique(engine, to_run)
+        outcomes = self._run_unique(engine, jobs, datasets)
         elapsed = max(self.timer() - start, 0.0)
         n_runs = sum(1 for o in outcomes if not isinstance(o, Exception))
         if to_run:
+            held = datasets or {}
             self.pricer.observe_batch(
-                [reqs[0].job for reqs, *_ in to_run],
+                jobs,
                 elapsed,
                 n_runs,
-                self._dataset,
+                lambda spec: held.get(spec) or self._dataset(spec),
             )
-        for (reqs, app, data, key, disk_key), outcome in zip(to_run, outcomes):
+        for (reqs, key, disk_key), outcome in zip(to_run, outcomes):
             job = reqs[0].job
             if isinstance(outcome, Exception):
                 for req in reqs:
@@ -675,19 +698,16 @@ class Server:
         self.metrics.failed += 1
         return resp
 
-    def _run_unique(self, engine: Engine, to_run: list) -> list:
-        """Execute unique jobs; one outcome (result or exception) each."""
-        if not to_run:
-            return []
-        if (
-            self.config.backend == "process"
-            and self.config.jobs > 1
-            and len(to_run) > 1
-        ):
-            futures = [
-                self._pool().submit(run_jobspec, reqs[0].job)
-                for reqs, *_ in to_run
-            ]
+    def _run_unique(
+        self, engine: Engine, jobs: list, datasets: Optional[dict]
+    ) -> list:
+        """Execute unique jobs; one outcome (result or exception) each.
+
+        ``datasets`` maps each job's recipe to its loaded (app, data);
+        ``None`` ships the jobs to the worker pool, which regenerates
+        them there."""
+        if datasets is None:
+            futures = [self._pool().submit(run_jobspec, job) for job in jobs]
             outcomes: list = []
             for future in futures:
                 try:
@@ -696,15 +716,15 @@ class Server:
                     outcomes.append(exc)
             return outcomes
 
-        # in-process: group by dataset instance so the engine's batch entry
-        # can amortize state across the configs of one dataset
-        outcomes = [None] * len(to_run)
-        by_data: "OrderedDict[int, list]" = OrderedDict()
-        for i, (_reqs, _app, data, *_rest) in enumerate(to_run):
-            by_data.setdefault(id(data), []).append(i)
-        for idxs in by_data.values():
-            _reqs0, app, data, *_rest = to_run[idxs[0]]
-            configs = [to_run[i][0][0].job.config for i in idxs]
+        # in-process: group by dataset so the engine's batch entry can
+        # amortize state across the configs of one dataset
+        outcomes = [None] * len(jobs)
+        by_data: "OrderedDict[DatasetSpec, list]" = OrderedDict()
+        for i, job in enumerate(jobs):
+            by_data.setdefault(job.dataset, []).append(i)
+        for spec, idxs in by_data.items():
+            app, data = datasets[spec]
+            configs = [jobs[i].config for i in idxs]
             try:
                 results = engine.run_batch(app, data, configs)
                 for i, result in zip(idxs, results):
@@ -714,7 +734,7 @@ class Server:
                 # only the genuinely failing jobs fail
                 for i in idxs:
                     try:
-                        outcomes[i] = engine.run(app, data, to_run[i][0][0].job.config)
+                        outcomes[i] = engine.run(app, data, jobs[i].config)
                     except ReproError as exc:
                         outcomes[i] = exc
         return outcomes

@@ -62,6 +62,11 @@ class TestText:
         with pytest.raises(ApplicationError):
             make_text(np.random.default_rng(0), 2)
 
+    @pytest.mark.parametrize("seed,n_bytes", [(0, 4), (0, 8), (5, 12)])
+    def test_no_word_fits_rejected(self, seed, n_bytes):
+        with pytest.raises(ApplicationError, match="no word fits"):
+            make_text(np.random.default_rng(seed), n_bytes)
+
 
 class TestDnaBases:
     def test_alphabet(self):

@@ -7,10 +7,10 @@ import pytest
 
 from repro.apps.base import DATASET_HASH_STATS, dataset_key, get_app
 from repro.bench.jobs import DatasetSpec, JobSpec
-from repro.bench.sweep import CONTENT_KEY_STATS, RunCache, content_run_key
+from repro.bench.sweep import DiskCache, RunCache, content_run_key, run_digest
 from repro.cli import main
 from repro.engines import BigKernelEngine, EngineConfig
-from repro.errors import ReproError
+from repro.errors import ApplicationError, ReproError
 from repro.runtime.fastpath import FASTPATH_MEMO_STATS
 from repro.serve import (
     ServeConfig,
@@ -164,6 +164,143 @@ def test_failed_job_is_typed_and_isolated():
     assert responses[1].status == "served"  # the batch survived
 
 
+def test_tiny_wordcount_dataset_fails_alone():
+    # no word fits in 8 bytes of seed-0 text: the request fails typed and
+    # its batch-mate is still served
+    tiny = _job(dataset=_dataset_spec(seed=0, n_bytes=8))
+    with Server(ServeConfig(cache=False)) as server:
+        server.submit(_request(0, tiny))
+        server.submit(_request(1, _job()))
+        responses = sorted(server.drain(), key=lambda r: r.req_id)
+    assert responses[0].status == "failed"
+    assert isinstance(responses[0].exception, ApplicationError)
+    assert responses[1].status == "served"
+
+
+# ------------------------------------------------------ recipe-keyed cache
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Every ``generate`` call of every registry app, as (app, seed)."""
+    from repro.apps.base import APP_REGISTRY
+
+    calls = []
+    for cls in APP_REGISTRY.values():
+        def counted(self, n_bytes=None, seed=0, _orig=cls.generate):
+            calls.append((self.name, seed))
+            return _orig(self, n_bytes=n_bytes, seed=seed)
+
+        monkeypatch.setattr(cls, "generate", counted)
+    return calls
+
+
+def _serve_one(server, req_id, job, now=0.0):
+    assert server.submit(_request(req_id, job), now=now) is None
+    (resp,) = server.drain(now=now)
+    return resp
+
+
+def test_cached_result_survives_dataset_eviction(generate_calls):
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    job_b = _job(dataset=_dataset_spec(seed=2))
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
+        first = _serve_one(server, 0, job_a)
+        _serve_one(server, 1, job_b)  # evicts A's dataset
+        runs = server.metrics.engine_runs
+        again = _serve_one(server, 2, job_a)
+    assert first.status == "served"
+    assert again.status == "cached"
+    assert again.result is first.result
+    assert server.metrics.engine_runs == runs
+    assert generate_calls == [("wordcount", 1), ("wordcount", 2)]
+
+
+def test_slo_admission_of_a_cached_job_prices_zero_and_loads_nothing(
+    generate_calls,
+):
+    tenants = (TenantSpec("t", 1.0, slo_ms=1e6),)
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    job_b = _job(dataset=_dataset_spec(seed=2))
+    config = ServeConfig(dataset_pool=1, scheduling="edf")
+    with Server(config, tenants=tenants, cache=RunCache(disk=None)) as server:
+        _serve_one(server, 0, job_a)
+        _serve_one(server, 1, job_b)  # evicts A's dataset
+        del generate_calls[:]
+        assert server.submit(_request(2, job_a)) is None
+        assert server._meta[2][1] == 0.0
+        assert generate_calls == []
+        (resp,) = server.drain()
+    assert resp.status == "cached"
+    assert generate_calls == []
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_stale_datagen_version_fails_typed_before_any_probe(tmp_path, planted):
+    stale = _job(dataset=DatasetSpec(
+        app="wordcount", seed=0, n_bytes=256 * KiB, version=-1
+    ))
+    cache = RunCache(disk=DiskCache(root=tmp_path))
+    if planted:
+        # a result written under the stale recipe's own key must not leak
+        poison = oneshot_oracle(_job())
+        key = RunCache.recipe_key(BigKernelEngine(), stale)
+        cache.disk.put(run_digest(key), poison)
+        assert cache.disk.get(run_digest(key)) is not None
+    with Server(ServeConfig(), cache=cache) as server:
+        resp = _serve_one(server, 0, stale)
+    assert resp.status == "failed"
+    assert isinstance(resp.exception, ReproError)
+    assert "datagen version" in resp.error
+    assert resp.result is None
+
+
+def test_disk_tier_replays_in_a_fresh_server(tmp_path, generate_calls):
+    jobs = [
+        _job(dataset=_dataset_spec(app=app, seed=seed), chunk_kib=chunk)
+        for app in ("wordcount", "kmeans")
+        for seed in (1, 2)
+        for chunk in (128, 256)
+    ]
+    with Server(ServeConfig(), cache=RunCache(disk=DiskCache(root=tmp_path))) as first:
+        for i, job in enumerate(jobs):
+            assert first.submit(_request(i, job)) is None
+        first.drain()
+    assert first.metrics.engine_runs == len(jobs)
+    del generate_calls[:]
+    with Server(ServeConfig(), cache=RunCache(disk=DiskCache(root=tmp_path))) as second:
+        for i, job in enumerate(jobs):
+            assert second.submit(_request(i, job)) is None
+        responses = sorted(second.drain(), key=lambda r: r.req_id)
+    assert second.metrics.engine_runs == 0
+    assert second.cache.disk_hits == len(jobs)
+    assert generate_calls == []
+    for job, resp in zip(jobs, responses):
+        assert resp.status == "cached"
+        oracle = oneshot_oracle(job)
+        assert resp.result.sim_time == oracle.sim_time
+        assert get_app(job.dataset.app).outputs_equal(
+            resp.result.output, oracle.output
+        )
+
+
+def test_pricer_loads_no_dataset_for_an_unmodeled_engine():
+    from repro.serve.pricing import JobPricer
+    from repro.serve.workload import engine_spec_by_name
+
+    job = JobSpec(
+        dataset=_dataset_spec(),
+        engine=engine_spec_by_name("gpu_uvm"),
+        config=EngineConfig(chunk_bytes=256 * KiB),
+    )
+
+    def loader(spec):
+        raise AssertionError(f"loaded {spec} for an engine with no model")
+
+    pricer = JobPricer()
+    assert pricer.price(job, loader) is None
+    pricer.observe_batch([job], 0.5, 1, loader)
+    assert pricer.price(job, loader) == 0.5
+
+
 def test_served_results_bit_equal_one_shot(tmp_path):
     trace = generate_trace(SMALL)
     with Server(ServeConfig(max_queue=len(trace) + 1),
@@ -232,16 +369,18 @@ def test_dataset_hash_recipe_datasets_never_digest():
     assert DATASET_HASH_STATS["sha256_digests"] == before
 
 
-def test_content_run_key_memoized_per_identity():
-    app = get_app("wordcount")
-    data = app.generate(n_bytes=256 * KiB, seed=7)
+def test_content_run_key_equals_server_recipe_digest():
+    # the disk tier depends on it: a sweep-written entry and a server
+    # lookup of the same recipe address one file
     engine = BigKernelEngine()
-    cfg = EngineConfig(chunk_bytes=64 * KiB)
-    before = dict(CONTENT_KEY_STATS)
-    digests = {content_run_key(engine, app, data, cfg) for _ in range(8)}
-    assert len(digests) == 1
-    assert CONTENT_KEY_STATS["requests"] == before["requests"] + 8
-    assert CONTENT_KEY_STATS["computed"] <= before["computed"] + 1
+    job = _job(dataset=_dataset_spec(seed=7), chunk_kib=64)
+    app = get_app("wordcount")
+    data = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
+    assert dataset_key(data) == job.dataset.key
+    digest = content_run_key(engine, app, data, job.config)
+    assert digest == run_digest(RunCache.recipe_key(engine, job))
+    other = _job(dataset=_dataset_spec(seed=8), chunk_kib=64)
+    assert digest != run_digest(RunCache.recipe_key(engine, other))
 
 
 def test_fastpath_memo_reused_across_identical_pipeline_runs():

@@ -150,3 +150,31 @@ def test_served_outputs_bit_equal_oneshot_oracle(seed):
         assert _bit_equal(resp.result.output, oracle.output)
     # the trace was serving-shaped: amortization actually kicked in
     assert outcome.metrics.engine_runs < outcome.metrics.completed
+
+
+# ------------------------------------------------------- recipe-keyed cache
+@pytest.mark.parametrize("seed", [4, 17, 29])
+def test_repeats_past_a_one_slot_dataset_pool_stay_bit_equal(seed):
+    # every repeat outlives its dataset's eviction, so the recipe-keyed
+    # cache answers it; verify=True bit-checks each one against a fresh
+    # one-shot oracle
+    spec = TraceSpec(
+        seed=seed,
+        duration=0.8,
+        rate=25.0,
+        data_bytes=128 * KiB,
+        n_dataset_seeds=3,
+        chunk_kib_choices=(64, 128),
+        repeat_p=0.8,
+    )
+    trace = generate_trace(spec)
+    config = ServeConfig(
+        max_queue=len(trace) + 1, max_batch=4, dataset_pool=1, verify=True
+    )
+    with Server(config, cache=RunCache(disk=None)) as server:
+        outcome = serve_trace(server, trace)
+    m = outcome.metrics
+    assert m.completed == len(trace)
+    assert m.verified == m.completed
+    assert m.verify_failures == 0
+    assert m.cached > 0
