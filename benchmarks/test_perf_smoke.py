@@ -1,9 +1,9 @@
 """Perf smoke: wall-clock of the analytic fast path vs the DES.
 
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
-autotune sweep, the raw DES event throughput, and a DES-bound
-thread-vs-process sweep, and records the measurements to
-``BENCH_pipeline.json`` at the repo root.
+autotune sweep, the raw DES event throughput, a DES-bound
+thread-vs-process sweep and every app's dataset generation, and records
+the measurements to ``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -22,7 +22,7 @@ import time
 import warnings
 from pathlib import Path
 
-from repro.apps import get_app
+from repro.apps import APP_REGISTRY, get_app
 from repro.bench.sweep import RUN_CACHE, sweep
 from repro.engines import BigKernelEngine, EngineConfig
 from repro.units import MiB
@@ -35,6 +35,9 @@ WARN_SPEEDUP = 5.0
 DES_BASELINE_EVENTS_PER_SEC = 0.647e6
 DES_WARN_SPEEDUP = 1.5
 PROCESS_WARN_SPEEDUP = 2.0
+#: Word Count's 512 KiB ``generate`` takes ~10 ms on one core of a 2-vCPU
+#: host; the per-word vocabulary loop and bytes join it replaced took ~60 ms
+DATAGEN_WARN_MS = 20.0
 
 SWEEP_GRID = {
     "chunk_bytes": [256 * 1024, 512 * 1024, 1 * MiB, 2 * MiB],
@@ -171,6 +174,44 @@ def test_des_event_throughput():
             f"des_event_throughput: {best_rate / 1e6:.2f}M events/s is "
             f"{speedup:.2f}x the pre-optimization baseline, below the "
             f"{DES_WARN_SPEEDUP:.1f}x expectation (warn-only)",
+            stacklevel=2,
+        )
+
+
+def test_datagen_throughput():
+    """Best-of-5 ``generate`` wall per app at 512 KiB, and Word Count at
+    16 MiB (the ``sweep_des`` dataset size).
+
+    The server regenerates a dataset from its recipe whenever a run or a
+    first price misses its dataset pool, so ``generate`` is on the serving
+    hot path.
+    """
+
+    def best_ms(name: str, n_bytes: int, repeats: int) -> float:
+        app = get_app(name)
+        best = float("inf")
+        for seed in range(repeats):
+            t0 = time.perf_counter()
+            app.generate(n_bytes=n_bytes, seed=seed)
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e3
+
+    generate_ms = {name: best_ms(name, 512 * 1024, 5) for name in sorted(APP_REGISTRY)}
+    wordcount_16mib_ms = best_ms("wordcount", 16 * MiB, 2)
+    _record(
+        {
+            "name": "datagen_throughput",
+            "n_bytes": 512 * 1024,
+            "generate_ms": generate_ms,
+            "wordcount_16mib_ms": wordcount_16mib_ms,
+            "warn_ms": DATAGEN_WARN_MS,
+        }
+    )
+    if generate_ms["wordcount"] > DATAGEN_WARN_MS:
+        warnings.warn(
+            f"datagen_throughput: wordcount generate took "
+            f"{generate_ms['wordcount']:.1f} ms at 512 KiB, above the "
+            f"{DATAGEN_WARN_MS:.0f} ms expectation (warn-only)",
             stacklevel=2,
         )
 

@@ -62,15 +62,22 @@ def _render_transactions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render parsed transactions to delimiter-separated text.
 
-    Returns (text bytes, record start offsets).
+    Record ``i`` is ``b"%08d|%08d|%s;" % (card, merchant, b"9" * tail)``
+    with a tail of 28-61 bytes, written column by column into one buffer
+    of ``9``s (keys stay below ``10**KEY_WIDTH``). Returns (text bytes,
+    record start offsets).
     """
     tails = rng.integers(28, 62, cards.size)
-    pieces = []
-    for c, m, t in zip(cards.tolist(), merchants.tolist(), tails.tolist()):
-        pieces.append(b"%08d|%08d|%s;" % (c, m, b"9" * t))
-    text = np.frombuffer(b"".join(pieces), dtype=np.uint8)
-    lens = np.array([len(p) for p in pieces], dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    lens = 2 * (KEY_WIDTH + 1) + tails + 1
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    text = np.full(int(ends[-1]), ord("9"), dtype=np.uint8)
+    for offset, keys in ((0, cards), (KEY_WIDTH + 1, merchants)):
+        for digit in range(KEY_WIDTH):
+            place = 10 ** (KEY_WIDTH - 1 - digit)
+            text[starts + offset + digit] = ord("0") + keys // place % 10
+        text[starts + offset + KEY_WIDTH] = BAR
+    text[ends - 1] = SEP
     return text, starts
 
 

@@ -1,10 +1,29 @@
 """Tests for the synthetic data generators + interpreter guard rails."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
 from repro.apps.datagen import dna_bases, make_text, make_vocabulary, zipf_indices
 from repro.errors import ApplicationError, CompilerError
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with ``TimeoutError`` instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestVocabulary:
@@ -27,6 +46,19 @@ class TestVocabulary:
     def test_invalid_size(self):
         with pytest.raises(ApplicationError):
             make_vocabulary(np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize(
+        "size,min_len,max_len",
+        [(27, 1, 1), (3, 0, 0), (5, 4, 3), (26 + 26**2 + 1, 1, 2)],
+    )
+    def test_impossible_request_rejected(self, size, min_len, max_len):
+        with deadline(10), pytest.raises(ApplicationError):
+            make_vocabulary(np.random.default_rng(0), size, min_len, max_len)
+
+    def test_every_word_of_a_length_reachable(self):
+        with deadline(10):
+            vocab = make_vocabulary(np.random.default_rng(0), 26, 1, 1)
+        assert sorted(vocab) == [bytes([c]) for c in b"abcdefghijklmnopqrstuvwxyz"]
 
 
 class TestZipf:
@@ -57,6 +89,12 @@ class TestText:
         text = make_text(rng, 10_000)
         pairs = (text[:-1] == 32) & (text[1:] == 32)
         assert not pairs.any()
+
+    def test_words_separated_by_sep(self):
+        text = make_text(np.random.default_rng(4), 10_000, sep=ord(","))
+        spaced = make_text(np.random.default_rng(4), 10_000)
+        assert text[-1] == ord(",") and not (text == 32).any()
+        assert np.array_equal(np.where(text == ord(","), 32, text), spaced)
 
     def test_tiny_request_rejected(self):
         with pytest.raises(ApplicationError):
