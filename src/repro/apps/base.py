@@ -135,12 +135,13 @@ def dataset_key(data: AppData) -> tuple:
     arrays; it is the *wrong* key for anything keyed on an instance that
     may have been mutated in place after generation.
 
-    Datasets produced by a registered app's ``generate`` carry their
-    generation recipe in ``data.meta["datagen"]`` (stamped automatically by
-    :class:`Application`), so the key is the cheap :func:`recipe_key` tuple
-    ``("datagen", app, seed, n_bytes, DATAGEN_VERSION)`` — the datagen
-    version ties it to the generator implementation. Hand-built
-    :class:`AppData` instances fall back to a SHA-256 over the
+    Datasets produced by a registered app's ``generate`` in its default
+    configuration carry their generation recipe in ``data.meta["datagen"]``
+    (stamped automatically by :class:`Application`), so the key is the
+    cheap :func:`recipe_key` tuple ``("datagen", app, seed, n_bytes,
+    DATAGEN_VERSION)`` — the datagen version ties it to the generator
+    implementation. Every other dataset (hand-built, or generated by a
+    configured or unregistered app) falls back to a SHA-256 over the
     mapped/resident arrays and params, which is equally stable, just paid
     per instance.
     """
@@ -292,20 +293,28 @@ class AccessProfile:
 
 
 def _stamping_generate(generate):
-    """Wrap an app's ``generate`` so every dataset records its recipe.
+    """Wrap an app's ``generate`` so a dataset records its recipe when the
+    recipe regenerates it.
 
     ``data.meta["datagen"]`` carries everything needed to regenerate the
     dataset deterministically elsewhere — the content identity behind
     :func:`dataset_key` and the ``backend="process"`` sweep workers. The
     requested (pre-default-resolution) ``n_bytes`` is recorded: two calls
     with the same arguments produce the same bytes, which is all the key
-    needs.
+    needs. A recipe names only the app, so only an app that
+    :func:`get_app` rebuilds — its registered class in its default
+    configuration — stamps one; any other dataset (``KMeansApp(4)``'s, a
+    MapReduce job's) is keyed by its bytes.
     """
 
     @functools.wraps(generate)
     def wrapper(self, n_bytes: Optional[int] = None, seed: int = 0) -> "AppData":
         data = generate(self, n_bytes=n_bytes, seed=seed)
-        if isinstance(data, AppData):
+        if (
+            isinstance(data, AppData)
+            and is_registered(self)
+            and vars(self) == vars(type(self)())
+        ):
             data.meta.setdefault(
                 "datagen",
                 {"seed": seed, "n_bytes": n_bytes, "version": DATAGEN_VERSION},
@@ -348,10 +357,10 @@ class Application(abc.ABC):
         """Create a synthetic dataset of ~``n_bytes`` mapped data.
 
         Concrete implementations are wrapped by :func:`_stamping_generate`
-        (via ``__init_subclass__``): the returned dataset's
-        ``meta["datagen"]`` records ``{seed, n_bytes, version}`` so
-        :func:`dataset_key` and the process-pool sweep workers can
-        reproduce it by recipe.
+        (via ``__init_subclass__``): when :func:`get_app` rebuilds this
+        app, the returned dataset's ``meta["datagen"]`` records ``{seed,
+        n_bytes, version}`` so :func:`dataset_key` and the process-pool
+        sweep workers can reproduce it by recipe.
         """
 
     def default_bytes(self) -> int:
@@ -495,6 +504,13 @@ def register(cls):
         raise ApplicationError(f"{cls.__name__} has no name")
     APP_REGISTRY[cls.name] = cls
     return cls
+
+
+def is_registered(app: Application) -> bool:
+    """Is ``app`` an instance of exactly the class registered under its
+    name? ``Engine._functional_output`` memoizes only those apps' passes,
+    and only their datasets can carry a recipe."""
+    return APP_REGISTRY.get(app.name) is type(app)
 
 
 def get_app(name: str) -> Application:

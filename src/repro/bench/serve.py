@@ -35,11 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.base import get_app
 from repro.bench.sweep import RunCache
 from repro.errors import ReproError, SloViolationError
 from repro.serve.pricing import JobPricer
-from repro.serve.scheduler import ServeConfig, Server, oneshot_oracle, serve_trace
+from repro.serve.scheduler import (
+    ServeConfig,
+    Server,
+    matches_oracle,
+    oneshot_oracle,
+    serve_trace,
+)
 from repro.serve.workload import TraceSpec, generate_trace, scale_trace, with_slo
 from repro.units import KiB
 
@@ -238,11 +243,7 @@ def run_serve_benchmark(
             job = by_id[resp.req_id]
             oracle = oracles[(job.dataset, job.engine, job.config)]
             result.verified += 1
-            ok = resp.result.sim_time == oracle.sim_time
-            if job.config.functional:
-                app = get_app(job.dataset.app)
-                ok = ok and app.outputs_equal(resp.result.output, oracle.output)
-            if not ok:
+            if not matches_oracle(job, resp.result, oracle):
                 result.verify_failures += 1
     return result
 
@@ -493,10 +494,6 @@ def run_serve_slo_benchmark(
             job = by_id[resp.req_id]
             oracle = oracles[(job.dataset, job.engine, job.config)]
             result.verified += 1
-            ok = resp.result.sim_time == oracle.sim_time
-            if job.config.functional:
-                app = get_app(job.dataset.app)
-                ok = ok and app.outputs_equal(resp.result.output, oracle.output)
-            if not ok:
+            if not matches_oracle(job, resp.result, oracle):
                 result.verify_failures += 1
     return result

@@ -14,7 +14,10 @@
 
 All engines produce *functional* output through the same chunked kernel
 path (validated equal across engines) and *temporal* results through the
-hardware cost models on the simulated timeline.
+hardware cost models on the simulated timeline. Because the functional
+part is shared, :meth:`Engine._functional_output` runs a registered app's
+pass once per dataset instance and chunk bounds and hands every later run
+the same read-only output.
 """
 
 from repro.engines.base import Engine, EngineConfig, RunResult, RunMetrics

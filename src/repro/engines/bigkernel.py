@@ -482,51 +482,6 @@ class BigKernelEngine(Engine):
         return sched
 
     # --------------------------------------------------------------- run
-    def run_batch(
-        self,
-        app: Application,
-        data: AppData,
-        configs: list[EngineConfig],
-    ) -> list[RunResult]:
-        """Batch entry: share functional outputs across the batch.
-
-        The functional pass (the NumPy kernel over the whole dataset) is
-        the dominant cost of a cached-schedule run, and it depends only on
-        the chunk bounds — i.e. on ``units_per_chunk`` — never on the
-        pipeline geometry. Batch members whose schedules resolve to the
-        same ``upc`` therefore share one functional output: the first
-        member computes it, later members run timing-only and attach the
-        very same object, which makes bit-equality to the one-shot run
-        trivially exact. Timing, metrics and traces are untouched — they
-        come from the normal :meth:`run` path either way.
-        """
-        if type(self) is not BigKernelEngine:
-            # subclasses (the multi-GPU shard engine) plan per shard; the
-            # whole-dataset upc is not their sharing key — stay sequential
-            return super().run_batch(app, data, configs)
-        outputs: dict[int, object] = {}
-        results = []
-        for cfg in configs:
-            if not cfg.functional:
-                results.append(self.run(app, data, cfg))
-                continue
-            try:
-                upc = self._schedule(app, data, cfg).upc
-            except PinnedMemoryExceeded:
-                # degraded/fallback runs plan differently — no sharing
-                results.append(self.run(app, data, cfg))
-                continue
-            if upc in outputs:
-                res = self.run(app, data, cfg.with_(functional=False))
-                res.output = outputs[upc]
-                res.metrics.notes["batch_shared_output"] = True
-                results.append(res)
-            else:
-                res = self.run(app, data, cfg)
-                outputs[upc] = res.output
-                results.append(res)
-        return results
-
     def run(
         self,
         app: Application,

@@ -11,6 +11,7 @@ from repro.serve.scheduler import (
     ServeOutcome,
     ServeResponse,
     Server,
+    bit_equal,
     oneshot_oracle,
     serve_trace,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "ServeOutcome",
     "ServeResponse",
     "Server",
+    "bit_equal",
     "oneshot_oracle",
     "serve_trace",
     "DEFAULT_TENANTS",

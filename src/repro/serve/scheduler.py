@@ -38,10 +38,11 @@ Each batch (same engine variant, app, hardware) runs as one pipeline
 pass: exact repeats are short-circuited through the two-tier
 :class:`~repro.bench.sweep.RunCache` with *zero* engine runs, duplicate
 jobs inside the window collapse onto a single leader run (followers are
-``coalesced``), and the surviving unique jobs go through the engine's
-:meth:`~repro.engines.base.Engine.run_batch` hook on a *shared* dataset
-instance — which is what keeps BigKernel's schedule memoization, the
-fastpath template memo and the per-dataset hashes warm across jobs.
+``coalesced``), and each surviving unique job is one
+:meth:`~repro.engines.base.Engine.run` on a *shared* dataset instance —
+which is what keeps the functional-pass memo, BigKernel's schedule
+memoization, the fastpath template memo and the per-dataset hashes warm
+across jobs.
 
 The server's cache identity is the job's *recipe*
 (:meth:`~repro.bench.sweep.RunCache.recipe_key`: dataset recipe, engine,
@@ -65,6 +66,8 @@ from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from repro.apps.base import get_app
 from repro.bench.jobs import (
@@ -100,8 +103,9 @@ class ServeConfig:
     verify: bool = False
     #: worker processes for backend="process"
     jobs: int = 1
-    #: "thread" executes in-process through run_batch (amortized);
-    #: "process" ships unique jobs to a worker pool (parallel)
+    #: "thread" runs unique jobs in-process on pooled datasets (the
+    #: engine memos amortize across them); "process" ships them to a
+    #: worker pool (parallel)
     backend: str = "thread"
     #: generated datasets kept live (LRU) for cross-request reuse
     dataset_pool: int = 8
@@ -167,6 +171,27 @@ def oneshot_oracle(job: JobSpec) -> RunResult:
     app = get_app(job.dataset.app)
     data = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
     return engine_from_spec(job.engine).run(app, data, job.config)
+
+
+def bit_equal(a, b) -> bool:
+    """Exact structural equality (rtol 0): the serving layer's contract is
+    that batching and caching are *invisible*, so no tolerance applies."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and bool(np.array_equal(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return set(a) == set(b) and all(bit_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(bit_equal(x, y) for x, y in zip(a, b))
+    return bool(a == b)
+
+
+def matches_oracle(job: JobSpec, result: RunResult, oracle: RunResult) -> bool:
+    """Does a served result equal its one-shot oracle: ``sim_time``
+    exactly, and the output :func:`bit_equal` when the job computed one?"""
+    return result.sim_time == oracle.sim_time and (
+        not job.config.functional or bit_equal(result.output, oracle.output)
+    )
 
 
 class Server:
@@ -716,27 +741,13 @@ class Server:
                     outcomes.append(exc)
             return outcomes
 
-        # in-process: group by dataset so the engine's batch entry can
-        # amortize state across the configs of one dataset
-        outcomes = [None] * len(jobs)
-        by_data: "OrderedDict[DatasetSpec, list]" = OrderedDict()
-        for i, job in enumerate(jobs):
-            by_data.setdefault(job.dataset, []).append(i)
-        for spec, idxs in by_data.items():
-            app, data = datasets[spec]
-            configs = [jobs[i].config for i in idxs]
+        outcomes = []
+        for job in jobs:
+            app, data = datasets[job.dataset]
             try:
-                results = engine.run_batch(app, data, configs)
-                for i, result in zip(idxs, results):
-                    outcomes[i] = result
-            except ReproError:
-                # one poisoned config sank the batch: retry one-by-one so
-                # only the genuinely failing jobs fail
-                for i in idxs:
-                    try:
-                        outcomes[i] = engine.run(app, data, jobs[i].config)
-                    except ReproError as exc:
-                        outcomes[i] = exc
+                outcomes.append(engine.run(app, data, job.config))
+            except ReproError as exc:
+                outcomes.append(exc)
         return outcomes
 
     # -------------------------------------------------------- verification
@@ -747,11 +758,7 @@ class Server:
         if oracle is None:
             oracle = self._oracles[okey] = oneshot_oracle(job)
         self.metrics.verified += 1
-        ok = resp.result.sim_time == oracle.sim_time
-        if job.config.functional:
-            app = get_app(job.dataset.app)
-            ok = ok and app.outputs_equal(resp.result.output, oracle.output)
-        if not ok:
+        if not matches_oracle(job, resp.result, oracle):
             self.metrics.verify_failures += 1
             resp.error = "served result diverges from its one-shot oracle"
 

@@ -629,19 +629,6 @@ def run_multigpu_differential(
 # --------------------------------------------------------------------------
 
 
-def _bit_equal(a, b) -> bool:
-    """Exact structural equality (rtol 0): the serving layer's contract is
-    that batching and caching are *invisible*, so no tolerance applies."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = np.asarray(a), np.asarray(b)
-        return a.dtype == b.dtype and bool(np.array_equal(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(_bit_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_bit_equal(x, y) for x, y in zip(a, b))
-    return bool(a == b)
-
-
 def run_serve_differential(
     data_bytes: int = 512 * 1024,
     seed: int = 7,
@@ -678,6 +665,7 @@ def run_serve_differential(
         ServeConfig,
         Server,
         TraceSpec,
+        bit_equal,
         generate_trace,
         oneshot_oracle,
         scale_trace,
@@ -735,7 +723,7 @@ def run_serve_differential(
                     f"sim_time {resp.result.sim_time!r} != "
                     f"{oracle.sim_time!r}"
                 )
-            if job.config.functional and not _bit_equal(
+            if job.config.functional and not bit_equal(
                 resp.result.output, oracle.output
             ):
                 problems.append(

@@ -61,6 +61,33 @@ class TestDatasetKey:
         assert app_name == "wordcount"
         assert seed == 3 and n_bytes == 1 * MiB
 
+    def test_configured_app_datasets_are_keyed_by_bytes(self):
+        # a recipe names only the app: KMeansApp(4)'s and KMeansApp(256)'s
+        # datasets at one seed and size differ, so neither may carry one
+        from repro.analytic.predict import predict_run, predicted_sim_time
+        from repro.apps import KMeansApp
+        from repro.bench.sweep import content_run_key
+
+        few, many = KMeansApp(n_clusters=4), KMeansApp(n_clusters=256)
+        d_few = few.generate(n_bytes=256 * 1024, seed=5)
+        d_many = many.generate(n_bytes=256 * 1024, seed=5)
+        assert dataset_spec(few, d_few) is None
+        assert dataset_key(d_few)[0] == "sha256"
+        assert dataset_key(d_few) != dataset_key(d_many)
+        engine, cfg = BigKernelEngine(), EngineConfig(chunk_bytes=64 * 1024)
+        assert content_run_key(engine, few, d_few, cfg) != content_run_key(
+            engine, many, d_many, cfg
+        )
+        predicted_sim_time(few, d_few, cfg)
+        assert (
+            predicted_sim_time(many, d_many, cfg)
+            == predict_run(many, d_many, cfg).sim_time
+        )
+        # the default configuration is what get_app rebuilds: it keeps
+        # its recipe
+        default = KMeansApp().generate(n_bytes=256 * 1024, seed=5)
+        assert dataset_key(default)[0] == "datagen"
+
     def test_content_hash_fallback_for_handmade_data(self):
         def handmade():
             return AppData(

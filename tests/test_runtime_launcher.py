@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.kmeans import KMeansApp, PARTICLE
 from repro.engines import (
+    BigKernelEngine,
     CpuSerialEngine,
     EngineConfig,
     GpuDoubleBufferEngine,
@@ -193,6 +194,20 @@ class TestCustomKernelLaunch:
             spec=LaunchSpec(make_output=lambda ctx: ctx.resident["buckets"].copy()),
         )
         np.testing.assert_allclose(res.output, self.expected(events), atol=1e-9)
+
+    def test_runs_accumulate_into_resident(self):
+        # the launched pass adds into the caller's resident arrays, so it
+        # is never memoized: a second run adds its sums again
+        reg, events = self.make_registry()
+        app = KernelApplication(
+            make_filter_kernel(), reg, resident={"buckets": np.zeros(16)}
+        )
+        engine = BigKernelEngine()
+        for _ in range(2):
+            engine.run(app, app.data, CFG)
+        np.testing.assert_allclose(
+            app.data.resident["buckets"], 2 * self.expected(events), rtol=1e-12
+        )
 
     def test_measured_profile(self):
         reg, events = self.make_registry()

@@ -1,6 +1,7 @@
 """Serving layer: trace generation, batching, cache short-circuit, chaos
 serve mode, the amortization counters, and the CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -322,26 +323,21 @@ def test_served_results_bit_equal_one_shot(tmp_path):
     assert outcome.metrics.engine_runs < len(trace)
 
 
-# -------------------------------------------------------- batch engine hook
-def test_run_batch_shares_functional_output_bit_exactly():
-    app = get_app("wordcount")
-    data = app.generate(n_bytes=256 * KiB, seed=3)
-    engine = BigKernelEngine()
-    # same chunk geometry, different ring depth: equal chunk bounds, so the
-    # functional output may be shared; timelines must still differ per run
-    cfgs = [
-        EngineConfig(chunk_bytes=64 * KiB, ring_depth=2),
-        EngineConfig(chunk_bytes=64 * KiB, ring_depth=3),
-        EngineConfig(chunk_bytes=64 * KiB, ring_depth=2),
-    ]
-    batch = engine.run_batch(app, data, cfgs)
-    solo = [BigKernelEngine().run(app, data, cfg) for cfg in cfgs]
-    for got, want in zip(batch, solo):
-        assert got.sim_time == want.sim_time
-        assert app.outputs_equal(got.output, want.output)
-    assert any(
-        r.metrics.notes.get("batch_shared_output") for r in batch[1:]
-    )
+def test_verify_is_exact_where_outputs_equal_is_tolerant():
+    # Netflix's outputs_equal allows atol 1e-9; --verify promises
+    # bit-equality, so a cached result 1e-12 off must count as a failure
+    job = _job(dataset=_dataset_spec(app="netflix", seed=3), chunk_kib=64)
+    good = oneshot_oracle(job)
+    bad = dataclasses.replace(good, output=good.output + 1e-12)
+    assert get_app("netflix").outputs_equal(bad.output, good.output)
+    cache = RunCache(disk=None)
+    cache.put(RunCache.recipe_key(BigKernelEngine(), job), bad)
+    with Server(ServeConfig(verify=True), cache=cache) as server:
+        server.submit(_request(0, job))
+        (resp,) = server.drain()
+    assert resp.status == "cached"
+    assert server.metrics.verify_failures == 1
+    assert resp.error == "served result diverges from its one-shot oracle"
 
 
 # ------------------------------------------------- amortization accounting

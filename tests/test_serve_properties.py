@@ -13,13 +13,13 @@ from repro.serve import (
     Server,
     TenantSpec,
     TraceSpec,
+    bit_equal,
     generate_trace,
     oneshot_oracle,
     scale_trace,
     serve_trace,
 )
 from repro.units import KiB
-from repro.verify.differential import _bit_equal
 
 
 def _tiny_job(seed=0):
@@ -147,7 +147,7 @@ def test_served_outputs_bit_equal_oneshot_oracle(seed):
         oracle = oracles[key]
         # rtol 0: the amortization stack must change nothing observable
         assert resp.result.sim_time == oracle.sim_time
-        assert _bit_equal(resp.result.output, oracle.output)
+        assert bit_equal(resp.result.output, oracle.output)
     # the trace was serving-shaped: amortization actually kicked in
     assert outcome.metrics.engine_runs < outcome.metrics.completed
 

@@ -23,6 +23,7 @@ from repro.serve import (
     Server,
     TenantSpec,
     TraceSpec,
+    bit_equal,
     generate_trace,
     scale_trace,
     serve_trace,
@@ -30,7 +31,6 @@ from repro.serve import (
 )
 from repro.serve.workload import engine_spec_by_name
 from repro.units import KiB
-from repro.verify.differential import _bit_equal
 
 
 class FakeTimer:
@@ -376,7 +376,7 @@ def test_slo_trace_bit_equal_across_backends(engines):
         assert t_resp.deadline == p_resp.deadline
         if t_resp.result is not None:
             assert t_resp.result.sim_time == p_resp.result.sim_time
-            assert _bit_equal(t_resp.result.output, p_resp.result.output)
+            assert bit_equal(t_resp.result.output, p_resp.result.output)
 
 
 # ------------------------------------------------------- gpu_uvm round-trip
@@ -392,7 +392,7 @@ def test_gpu_uvm_jobspec_roundtrip_matches_direct_run():
     data = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
     direct = engine_from_spec(job.engine).run(app, data, job.config)
     assert spec_result.sim_time == direct.sim_time
-    assert _bit_equal(spec_result.output, direct.output)
+    assert bit_equal(spec_result.output, direct.output)
 
 
 def test_gpu_uvm_served_and_priced_by_observation():
