@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -146,12 +147,44 @@ def make_vocabulary(
     return [row[:n].tobytes() for row, n in zip(table, lengths.tolist())]
 
 
-def zipf_indices(rng: np.random.Generator, vocab_size: int, n: int, s: float = 1.2) -> np.ndarray:
-    """Zipf-distributed indices into a vocabulary (word frequencies)."""
+#: buckets of the guide table :func:`zipf_indices` starts each search from
+_GUIDE_BUCKETS = 2**16
+
+
+@lru_cache(maxsize=8)
+def _zipf_guide(vocab_size: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The CDF ``rng.choice(p=...)`` searches, and for each bucket ``k`` of
+    ``[0, 1)`` the first index whose CDF exceeds ``k / 2**16``."""
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     probs = ranks**-s
     probs /= probs.sum()
-    return rng.choice(vocab_size, size=n, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS, dtype=np.float64) / _GUIDE_BUCKETS
+    guide = np.searchsorted(cdf, edges, side="right").astype(np.int64)
+    cdf.setflags(write=False)
+    guide.setflags(write=False)
+    return cdf, guide
+
+
+def zipf_indices(rng: np.random.Generator, vocab_size: int, n: int, s: float = 1.2) -> np.ndarray:
+    """Zipf-distributed indices into a vocabulary (word frequencies).
+
+    Exactly ``rng.choice(vocab_size, size=n, p=probs)``: the same CDF and
+    the same one ``rng.random(n)`` draw ``u``, without a binary search per
+    draw. Each search starts at the guide entry of ``u``'s bucket, which
+    never passes ``searchsorted(cdf, u, side="right")`` because the bucket
+    starts at or below ``u``, and steps forward while ``cdf[idx] <= u``.
+    """
+    cdf, guide = _zipf_guide(vocab_size, float(s))
+    u = rng.random(n)
+    # u * 2**16 is exact, so the bucket is floor(u * 2**16)
+    idx = guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
+    behind = np.flatnonzero(cdf.take(idx) <= u)
+    while behind.size:
+        idx[behind] += 1
+        behind = behind[cdf.take(idx[behind]) <= u[behind]]
+    return idx
 
 
 def make_text(

@@ -134,9 +134,10 @@ class BigKernelEngine(Engine):
     name = "bigkernel"
     display_name = "GPU BigKernel"
 
-    #: compiler-slice outcomes keyed by app name — the slice depends only
-    #: on the app's kernel IR, never on data or config (class-level: shared
-    #: by every engine instance, including the Fig. 5 ablation variants)
+    #: compiler-slice outcomes keyed by (app class, app name) — the slice
+    #: depends only on the app's kernel IR, never on data or config
+    #: (class-level: shared by every engine instance, including the Fig. 5
+    #: ablation variants)
     _slice_cache: dict = {}
     #: pattern-sampling results keyed by (dataset fingerprint, total
     #: threads, units per chunk) — everything the sampler reads
@@ -163,18 +164,25 @@ class BigKernelEngine(Engine):
 
     # ----------------------------------------------------------- helpers
     def _sliceable(self, app: Application, profile) -> bool:
-        """Try the real compiler slice; fall back to the profile's claim."""
+        """Try the real compiler slice; fall back to the profile's claim.
+
+        The verdict is cached per app class and name and read before the
+        kernel is built. Only an app with a kernel enters the cache, so an
+        app whose ``kernel()`` is None still gets the profile's claim.
+        """
+        key = (type(app), app.name)
+        cached = self._slice_cache.get(key)
+        if cached is not None:
+            return cached
         kernel = app.kernel()
         if kernel is None:
             return profile.sliceable
-        cached = self._slice_cache.get(app.name)
-        if cached is None:
-            try:
-                make_addrgen_kernel(kernel)
-                cached = True
-            except SlicingError:
-                cached = False
-            self._slice_cache[app.name] = cached
+        try:
+            make_addrgen_kernel(kernel)
+            cached = True
+        except SlicingError:
+            cached = False
+        self._slice_cache[key] = cached
         return cached
 
     def _sample_pattern_fraction(
@@ -222,7 +230,7 @@ class BigKernelEngine(Engine):
             tracker = OnlineAddressTracker(
                 recognizer, temp_buffer=PATTERN_TEMP_BUFFER
             )
-            tracker.feed_many(offsets[:PATTERN_SAMPLE_ADDRS].tolist())
+            tracker.feed_many(offsets[:PATTERN_SAMPLE_ADDRS])
             tracker.finish()
             hits += int(tracker.has_pattern)
             sampled += 1

@@ -76,14 +76,16 @@ class PcieLink:
         """Pure duration of one logical transfer, without queueing."""
         return self.spec.transfer_time(nbytes, pinned, segments)
 
-    def transfer(self, req: TransferRequest) -> Event:
+    def transfer(self, req: TransferRequest, detached: bool = False) -> Event:
         """Enqueue ``req`` on its direction's DMA engine.
 
         Returns the process event; it succeeds (with the request) when the
         DMA completes. FIFO ordering per direction is guaranteed by the
-        underlying resource.
+        underlying resource. ``detached=True`` promises that nothing waits
+        on that event after the DMA lands (a flag signals completion
+        instead), so it completes without a heap trip.
         """
-        return self.env.process(self._do_transfer(req))
+        return self.env.process(self._do_transfer(req), detached)
 
     def _attempt_time(self, req: TransferRequest) -> float:
         """Duration of one DMA attempt, honouring any injected degradation
@@ -197,9 +199,14 @@ class DmaEngine:
         Because the direction's queue is FIFO, the flag is set only after
         the data transfer has fully landed — the in-order trick from
         Section IV-C. Returns the completion event of the *data* transfer.
+        Both DMA processes are detached: wait on ``flag``, which is how the
+        consumer learns the data landed. A process already waiting on the
+        returned event when the DMA lands is still resumed through the
+        heap; one that starts waiting later finds it processed.
         """
         data_done = self.link.transfer(
-            TransferRequest(nbytes, direction, pinned, label, segments, meta=meta)
+            TransferRequest(nbytes, direction, pinned, label, segments, meta=meta),
+            detached=True,
         )
         self.link.transfer(
             TransferRequest(
@@ -211,6 +218,7 @@ class DmaEngine:
                 # carry the data DMA's identity (chunk/block) so trace
                 # checkers can pair each flag with the transfer it chases
                 meta=dict(meta),
-            )
+            ),
+            detached=True,
         )
         return data_done

@@ -99,10 +99,10 @@ class PatternRecognizer:
         for period in range(1, self.max_period + 1):
             if diffs.size < 2 * period:
                 break
-            cycle = diffs[:period]
-            reps = -(-diffs.size // period)
-            predicted = np.tile(cycle, reps)[: diffs.size]
-            if np.array_equal(predicted, diffs):
+            # diffs repeats its first `period` strides iff it equals itself
+            # shifted by one period
+            if np.array_equal(diffs[period:], diffs[:-period]):
+                cycle = diffs[:period]
                 return StridePattern(int(addrs[0]), tuple(int(s) for s in cycle))
         return None
 
@@ -162,8 +162,42 @@ class OnlineAddressTracker:
             self._count += 1
 
     def feed_many(self, addresses: Iterable[int]) -> None:
-        for a in addresses:
-            self.feed(a)
+        """:meth:`feed` every address in turn, a run at a time.
+
+        While a pattern is verified, the run of addresses that matches it
+        is checked with one array compare against the pattern's expansion;
+        in fallback the rest is appended raw. Everything else (collection,
+        and the first mismatch) goes through :meth:`feed`, which stays the
+        definition.
+        """
+        if not isinstance(addresses, np.ndarray):
+            addresses = list(addresses)
+        addrs = np.asarray(addresses, dtype=np.int64)
+        i, n = 0, addrs.size
+        while i < n:
+            if self.state == self.VERIFYING:
+                expect = self._expand_from(self._count, n - i)
+                bad = np.flatnonzero(expect != addrs[i:])
+                run = n - i if bad.size == 0 else int(bad[0])
+                self._count += run
+                i += run
+                if i == n:
+                    break
+            elif self.state == self.FALLBACK:
+                self.raw_emitted.extend(addrs[i:].tolist())
+                self._count += n - i
+                break
+            self.feed(addrs[i])
+            i += 1
+
+    def _expand_from(self, start: int, n: int) -> np.ndarray:
+        """Addresses ``start .. start + n - 1`` of the verified pattern."""
+        pat = self.pattern
+        assert pat is not None
+        r = start % pat.period
+        return StridePattern(
+            pat.address_at(start), pat.strides[r:] + pat.strides[:r]
+        ).expand(n)
 
     def finish(self) -> None:
         """End of stream: a still-collecting buffer is flushed raw, a

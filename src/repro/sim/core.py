@@ -9,16 +9,40 @@ Determinism: ties in time are broken first by event *priority* (``URGENT``
 before ``NORMAL``) and then by schedule order, so repeated runs of the same
 model produce identical timelines.
 
-Performance: this module is the simulator's hot loop — every chunk of every
+Performance: this module is the simulator's hot loop. Every chunk of every
 pipeline stage turns into a handful of events here, and DES-bound workloads
-(traced, verified, or faulted runs) spend most of their wall-clock inside
-:meth:`Environment.run`. The implementation therefore uses ``__slots__`` on
-the event classes, binds the heap and callback list to locals inside the
-dispatch loop, and flattens the common :class:`Timeout` construction into a
-single heap push. None of this changes scheduling order: the heap entries,
-the ``_eid`` sequence and the tie-break tuple are byte-for-byte the same as
-the straightforward implementation, so timelines stay bit-identical (the
-calibration locks in ``tests/test_calibration_lock.py`` pin this at 1e-9).
+(sweeps, traced, verified or faulted runs) spend most of their wall-clock
+inside :meth:`Environment.run`. Two things keep a chunk cheap:
+
+* **Inline pushes.** Heap entries are pushed where they are made, with
+  no call through :meth:`Environment.schedule`: by :class:`Timeout`,
+  :meth:`Event.succeed` and the :class:`Initialize` that starts a process.
+  The :class:`~repro.sim.resources.Request`,
+  :class:`~repro.sim.stores.StorePut` and :class:`~repro.sim.stores.StoreGet`
+  constructors flatten ``Event.__init__`` and push an immediate grant or
+  hand-off through that inlined ``succeed``. Each push builds the entry
+  ``schedule`` would have built, at the same moment.
+* **Unobservable events stay off the heap.** Popping an event sets the
+  clock to its time and runs its callbacks. A succeeded zero-delay event
+  that nothing can ever wait on therefore changes nothing when popped,
+  and needs no heap trip.
+  A resource released by leaving a ``with request:`` block creates no
+  :class:`~repro.sim.resources.Release` at all (the block discards it),
+  and a *detached* process (:meth:`Environment.process` with
+  ``detached=True``) that finishes with no waiter completes in place:
+  its value is set and it is marked processed without a push. The DMA
+  engine detaches the two processes of a flagged copy, whose consumer
+  waits on the flag, never on them. A detached process that fails still
+  goes through the heap, so :meth:`Environment.run` raises its error.
+
+The invariant is on the heap entries that remain: they keep their
+relative ``(time, priority, eid)`` order, because every push still takes
+the next ``_eid`` at the moment the straightforward implementation would
+have scheduled it. Dropping an entry that runs no callback cannot reorder
+the others, so every timeline is unchanged
+(``tests/test_sim_golden_trace.py`` pins the interval order of every DES
+user, and ``tests/test_calibration_lock.py`` the calibrated times). The
+``_eid`` counter counts heap pushes, nothing else.
 """
 
 from __future__ import annotations
@@ -86,11 +110,15 @@ class Event:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # env.schedule(self), inlined: the same entry, pushed now
+        env = self.env
+        eid = env._eid + 1
+        env._eid = eid
+        heappush(env._queue, (env._now, NORMAL, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -153,11 +181,14 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume_cb)
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume_cb]
         self._value = None
-        env.schedule(self, priority=URGENT)
+        self._ok = True
+        self._defused = False
+        eid = env._eid + 1
+        env._eid = eid
+        heappush(env._queue, (env._now, URGENT, eid, self))
 
 
 class Process(Event):
@@ -165,18 +196,23 @@ class Process(Event):
 
     The process *is* an event: it triggers with the generator's return value
     when the generator finishes, so other processes can ``yield proc`` to
-    join on it.
+    join on it. A *detached* process promises that nobody joins on it after
+    it finishes: when it returns with no waiter it completes in place,
+    without a heap trip (see the module docstring).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb")
+    __slots__ = ("_generator", "_target", "name", "_resume_cb", "_detached")
 
-    def __init__(self, env: "Environment", generator: Generator):
+    def __init__(
+        self, env: "Environment", generator: Generator, detached: bool = False
+    ):
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process() requires a generator, got {type(generator).__name__}"
             )
         super().__init__(env)
         self._generator = generator
+        self._detached = detached
         #: the bound resume callback, created once — appending ``_resume``
         #: directly would allocate a fresh bound method per wait
         self._resume_cb = self._resume
@@ -226,7 +262,12 @@ class Process(Event):
             except StopIteration as exc:
                 self._target = None
                 env._active_process = None
-                self.succeed(exc.value)
+                if self._detached and not self.callbacks:
+                    # no waiter, and none can come: processed in place
+                    self._value = exc.value
+                    self.callbacks = None
+                else:
+                    self.succeed(exc.value)
                 return
             except BaseException as exc:
                 self._target = None
@@ -347,9 +388,13 @@ class Environment:
         """Create a fresh, untriggered event."""
         return Event(self)
 
-    def process(self, generator: Generator) -> Process:
-        """Register ``generator`` as a new simulated process."""
-        return Process(self, generator)
+    def process(self, generator: Generator, detached: bool = False) -> Process:
+        """Register ``generator`` as a new simulated process.
+
+        ``detached=True`` promises that nothing waits on the process once
+        it has finished, which lets it complete off the heap.
+        """
+        return Process(self, generator, detached)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: all of ``events`` succeed."""

@@ -12,7 +12,7 @@ from collections import deque
 from typing import Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import PENDING, Environment, Event
 
 
 class Request(Event):
@@ -24,10 +24,22 @@ class Request(Event):
         with res.request() as req:
             yield req
             yield env.timeout(cost)
+
+    Leaving the block releases the resource without creating a
+    :class:`Release`: the block would discard it, so nothing could ever
+    wait on it, and it stays off the heap.
     """
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Event.__init__, flattened; an immediate grant is pushed inline
+        # by Event.succeed inside _do_request
+        self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         resource._do_request(self)
 
@@ -35,7 +47,7 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
+        self.resource._do_release(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request from the wait queue."""
@@ -45,6 +57,8 @@ class Request(Event):
 
 class Release(Event):
     """Event representing a completed release (fires immediately)."""
+
+    __slots__ = ()
 
     def __init__(self, resource: "Resource", request: Request):
         super().__init__(resource.env)
@@ -109,6 +123,8 @@ class Resource:
 
 class PriorityRequest(Request):
     """Request carrying a priority (lower value = more urgent)."""
+
+    __slots__ = ("priority", "_seq")
 
     def __init__(self, resource: "PriorityResource", priority: int):
         self.priority = priority

@@ -11,14 +11,22 @@ from collections import deque
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import PENDING, Environment, Event
 
 
 class StorePut(Event):
     """Fires once the item has been accepted by the store."""
 
+    __slots__ = ("item",)
+
     def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
+        # Event.__init__, flattened; an immediate hand-off is pushed
+        # inline by Event.succeed inside _do_put
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.item = item
         store._do_put(self)
 
@@ -26,8 +34,14 @@ class StorePut(Event):
 class StoreGet(Event):
     """Fires with the retrieved item as its value."""
 
+    __slots__ = ()
+
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         store._do_get(self)
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -63,7 +66,16 @@ class TraceRecorder:
         """Append one interval; ``end`` must not precede ``start``."""
         if end < start:
             raise ValueError(f"interval ends before it starts: [{start}, {end}]")
-        iv = Interval(track, label, start, end, meta)
+        # Interval(track, label, start, end, meta) minus the frozen
+        # dataclass's Python-level __init__ frame: the same
+        # object.__setattr__ calls, so equality, hashing, immutability and
+        # the compact instance layout are the dataclass's own
+        iv = _new(Interval)
+        _set(iv, "track", track)
+        _set(iv, "label", label)
+        _set(iv, "start", start)
+        _set(iv, "end", end)
+        _set(iv, "meta", meta)
         self._intervals.append(iv)
         return iv
 

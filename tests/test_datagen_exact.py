@@ -2,10 +2,12 @@
 replaced.
 
 ``make_vocabulary`` replays its generator's stream from one block of raw
-32-bit draws, ``make_text`` gathers its words from a table, and Mastercard
-renders its records with array writes. The loops below are the previous
-implementations, kept as oracles: outputs, and the generator's state
-afterwards (which every later draw depends on), must match exactly.
+32-bit draws, ``zipf_indices`` replays ``rng.choice(p=...)`` through a guide
+table over its CDF, ``make_text`` gathers its words from a table, and
+Mastercard renders its records with array writes. The loops and calls
+below are the previous implementations, kept as oracles: outputs, and the
+generator's state afterwards (which every later draw depends on), must
+match exactly.
 """
 
 from __future__ import annotations
@@ -40,13 +42,20 @@ def loop_vocabulary(rng, size, min_len=3, max_len=12):
     return vocab
 
 
+def choice_zipf(rng, vocab_size, n, s=1.2):
+    ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
+    probs = ranks**-s
+    probs /= probs.sum()
+    return rng.choice(vocab_size, size=n, p=probs)
+
+
 def join_text(rng, n_bytes, vocab_size=2000, sep=32):
     if n_bytes < 4:
         raise ApplicationError("text size must be >= 4 bytes")
     vocab = loop_vocabulary(rng, vocab_size)
     avg = sum(len(w) for w in vocab) / len(vocab) + 1
     n_words = max(1, int(n_bytes / avg))
-    idx = zipf_indices(rng, vocab_size, n_words)
+    idx = choice_zipf(rng, vocab_size, n_words)
     pieces = b" ".join(vocab[i] for i in idx) + b" "
     out = np.frombuffer(pieces, dtype=np.uint8)
     if out.size > n_bytes:
@@ -258,6 +267,38 @@ class TestParseRejections:
         vocab, read = model_vocabulary(words.tolist(), 20, 3, 12)
         assert words_of(parse_vocabulary(words[:read], 20, 3, 12)) == (vocab, read)
         assert parse_vocabulary(words[: read - 1], 20, 3, 12) is None
+
+
+# -------------------------------------------------------------------- zipf
+@pytest.mark.parametrize(
+    "vocab_size,n,s",
+    [(2000, 75_000, 1.2), (50, 1000, 1.2), (1, 17, 1.2), (1000, 5000, 0.7)],
+)
+def test_zipf_matches_choice(vocab_size, n, s):
+    for seed in range(50):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expect = choice_zipf(old, vocab_size, n, s)
+        idx = zipf_indices(new, vocab_size, n, s)
+        assert idx.dtype == expect.dtype and np.array_equal(idx, expect), seed
+        assert state_of(new) == state_of(old)
+
+
+def test_zipf_steps_past_guide_entries():
+    # draws that land right on a guide bucket's lower edge, or just past a
+    # CDF value inside it, must still resolve to searchsorted's answer
+    from repro.apps.datagen import _zipf_guide
+
+    cdf, guide = _zipf_guide(2000, 1.2)
+    edges = np.arange(0, 2**16, 97) / 2**16
+    u = np.concatenate([edges, cdf[:-1], np.nextafter(cdf[:-1], 1.0)])
+
+    class Fixed:
+        def random(self, n):
+            assert n == u.size
+            return u.copy()
+
+    idx = zipf_indices(Fixed(), 2000, u.size)
+    assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
 
 
 # -------------------------------------------------------------------- text

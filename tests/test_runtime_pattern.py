@@ -169,3 +169,64 @@ class TestOnlineTracker:
         t.feed_many(addrs)
         t.finish()
         np.testing.assert_array_equal(t.addresses(), addrs)
+
+
+class TestFeedManyDifferential:
+    """``feed_many`` checks a verified pattern a run at a time; the scalar
+    ``feed`` loop stays the definition it must equal."""
+
+    @staticmethod
+    def snapshot(t):
+        return (
+            t.state,
+            t.pattern,
+            t.count,
+            [int(a) for a in t.raw_emitted],
+            [int(a) for a in t._buffer],
+            t.cpu_bytes(),
+        )
+
+    @staticmethod
+    def stream(rng, kind):
+        n = int(rng.integers(1, 400))
+        period = int(rng.integers(1, 6))
+        cycle = rng.integers(-64, 65, period)
+        base = int(rng.integers(0, 10**6))
+        steps = np.tile(cycle, n // period + 1)[: n - 1]
+        addrs = base + np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
+        if kind == "perturbed":
+            addrs[int(rng.integers(0, n))] += int(rng.integers(1, 9))
+        elif kind == "random":
+            addrs = rng.integers(0, 10**7, n)
+        elif kind == "shifted":
+            # the stride cycle, or just the base, changes mid-stream
+            at = int(rng.integers(0, n))
+            if rng.random() < 0.5:
+                addrs[at:] += int(rng.integers(1, 4096))
+            else:
+                addrs[at:] = addrs[at] + np.arange(n - at) * int(rng.integers(1, 99))
+        return addrs
+
+    @pytest.mark.parametrize(
+        "kind,seed", [("periodic", 1), ("perturbed", 2), ("random", 3), ("shifted", 4)]
+    )
+    def test_feed_many_equals_scalar_loop(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            addrs = self.stream(rng, kind)
+            temp = int(rng.choice([4, 8, 16]))
+            scalar = OnlineAddressTracker(temp_buffer=temp)
+            for a in addrs.tolist():
+                scalar.feed(a)
+            fed = self.snapshot(scalar)
+            scalar.finish()
+            finished = self.snapshot(scalar)
+            cut = int(rng.integers(0, addrs.size + 1))
+            # whole as an array, split in two as lists
+            for pieces in ([addrs], [addrs[:cut].tolist(), addrs[cut:].tolist()]):
+                batched = OnlineAddressTracker(temp_buffer=temp)
+                for piece in pieces:
+                    batched.feed_many(piece)
+                assert self.snapshot(batched) == fed
+                batched.finish()
+                assert self.snapshot(batched) == finished

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import Deadlock, Interrupt, SimulationError
-from repro.sim import Environment, AllOf, AnyOf
+from repro.sim import Environment, AllOf, AnyOf, Resource
 
 
 def test_timeout_advances_clock():
@@ -315,3 +315,89 @@ def test_nested_processes_compose():
     env.process(root(env, out))
     env.run()
     assert out == [(3.0, 3.0)]
+
+
+# -- events kept off the heap -----------------------------------------------
+def test_detached_process_without_waiter_completes_off_the_heap():
+    env = Environment()
+
+    def work(env):
+        yield env.timeout(1.0)
+        return "done"
+
+    proc = env.process(work(env), detached=True)
+    env.run()
+    # Initialize + the timeout: the completion itself was never pushed
+    assert env._eid == 2
+    assert proc.processed and proc.value == "done" and not proc.is_alive
+
+
+def test_detached_process_with_waiter_resumes_it_through_the_heap():
+    env = Environment()
+    seen = []
+
+    def work(env):
+        yield env.timeout(1.0)
+        return 7
+
+    def joiner(env, proc):
+        seen.append((yield proc))
+
+    proc = env.process(work(env), detached=True)
+    env.process(joiner(env, proc))
+    env.run()
+    assert seen == [7]
+    # two Initializes, the timeout, the completion the joiner waited on and
+    # the joiner's own completion
+    assert env._eid == 5
+
+
+def test_detached_process_failure_still_propagates():
+    env = Environment()
+
+    def work(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.process(work(env), detached=True)
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+
+
+def test_with_block_release_pushes_no_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def user(env, tag):
+        with res.request() as req:
+            yield req
+            order.append((tag, env.now))
+            yield env.timeout(1.0)
+
+    env.process(user(env, "a"))
+    env.process(user(env, "b"))
+    env.run()
+    assert order == [("a", 0.0), ("b", 1.0)]
+    # per user an Initialize, a grant, a timeout and its completion; no
+    # Release events
+    assert env._eid == 8
+    assert res.count == 0
+
+
+def test_explicit_release_is_still_a_scheduled_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    resumed = []
+
+    def user(env):
+        req = res.request()
+        yield req
+        rel = res.release(req)
+        assert rel.triggered and not rel.processed
+        yield rel
+        resumed.append(env.now)
+
+    env.process(user(env))
+    env.run()
+    assert resumed == [0.0] and res.count == 0
