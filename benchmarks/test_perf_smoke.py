@@ -290,7 +290,8 @@ def test_des_bound_sweep_process_vs_thread():
     there is no concurrency to buy and the fork tax makes processes
     *slower*; the expectation is skipped there (recorded either way).
     """
-    from repro.bench.sweep import _resolve_backend
+    from repro.bench.jobs import dataset_spec, engine_to_spec, resolve_backend
+    from repro.bench.sweep import _des_bound
 
     app = get_app("kmeans")
     data = app.generate(n_bytes=32 * MiB, seed=7)
@@ -316,8 +317,13 @@ def test_des_bound_sweep_process_vs_thread():
     # the dispatch heuristic's verdict belongs next to the timings it is
     # supposed to predict (a 1-core runner records "thread" here, which
     # explains a process_speedup < 1 without flagging a regression)
-    auto_backend = _resolve_backend(
-        "auto", engine, app, data, base, jobs=4, n_points=n_points
+    auto_backend = resolve_backend(
+        "auto",
+        jobs=4,
+        n_items=n_points,
+        speccable=dataset_spec(app, data) is not None
+        and engine_to_spec(engine) is not None,
+        des_bound=_des_bound(app, base),
     )
     speedup = t_thread / t_proc if t_proc > 0 else float("inf")
     _record(

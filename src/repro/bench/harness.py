@@ -7,6 +7,7 @@ from typing import Iterable, Optional
 
 from repro.apps import ALL_APPS, get_app
 from repro.apps.base import AppData, Application
+from repro.bench.sweep import cached_run
 from repro.engines import (
     ALL_ENGINES,
     BigKernelEngine,
@@ -65,21 +66,6 @@ def default_engines():
     )
 
 
-def _run_cell(engine, app, data, config, cache: bool) -> RunResult:
-    """One matrix cell, optionally through the two-tier run cache."""
-    if not cache:
-        return engine.run(app, data, config)
-    from repro.bench.sweep import RUN_CACHE, RunCache, _disk_key
-
-    key = RunCache.key(engine, app, data, config)
-    disk_key = _disk_key(engine, app, data, config, cache)
-    result = RUN_CACHE.get(key, disk_key)
-    if result is None:
-        result = engine.run(app, data, config)
-        RUN_CACHE.put(key, result, disk_key)
-    return result
-
-
 def run_matrix(
     settings: Optional[BenchSettings] = None,
     apps: Optional[Iterable[Application]] = None,
@@ -101,7 +87,11 @@ def run_matrix(
         data = app.generate(n_bytes=settings.data_bytes, seed=settings.seed)
         reference = None
         for engine in engines:
-            res = _run_cell(engine, app, data, config, settings.cache)
+            res = (
+                cached_run(engine, app, data, config)
+                if settings.cache
+                else engine.run(app, data, config)
+            )
             results[(app.name, engine.name)] = res
             if reference is None:
                 reference = res

@@ -6,19 +6,14 @@ result in the best execution time, as determined through
 experimentation*. :func:`autotune` reproduces that methodology: it sweeps
 a small grid per engine/app pair and returns the fastest configuration.
 
-Three levers keep big grids fast (``docs/performance.md``):
+Two levers keep big grids fast (``docs/performance.md``):
 
-* ``jobs=N`` fans the grid points across an executor. Points are
-  independent engine runs; results are merged back in grid order, so the
-  outcome — including every tie-break — is identical to the serial sweep.
-* ``backend=`` picks the executor: ``"thread"`` (cheap, right when points
-  resolve on the analytic fast path or mostly hit the cache),
-  ``"process"`` (a :class:`~concurrent.futures.ProcessPoolExecutor` over
-  picklable :class:`~repro.bench.jobs.JobSpec`\\ s — the GIL serializes
-  DES-bound points on threads, so pure-Python simulation work needs real
-  processes), or ``"auto"`` (process exactly when the run is DES-bound).
-  Workers regenerate the dataset locally from its recipe instead of being
-  shipped arrays.
+* ``jobs=N`` and ``backend=`` fan the grid points out through
+  :func:`repro.bench.jobs.run_ordered`, the runner every harness shares.
+  Points are independent engine runs, and results merge back in grid
+  order, so the outcome — including every tie-break — is identical to the
+  serial sweep. The sweep tells the runner whether its points are
+  DES-bound (:func:`_des_bound`), which is what ``backend="auto"`` weighs.
 * ``cache=True`` consults the two-tier :class:`RunCache`: an in-process
   LRU keyed on dataset *identity* in front of a persistent on-disk store
   (:class:`DiskCache`, SHA-256 content key under ``.repro-cache/``) keyed
@@ -35,13 +30,13 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.apps.base import AppData, Application, data_fingerprint, dataset_key
-from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_jobspec
+from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_ordered
 from repro.engines.base import Engine, EngineConfig, RunResult
 from repro.errors import ReproError
 from repro.units import MiB
@@ -363,15 +358,6 @@ class RunCache:
 #: process-wide two-tier run cache used by ``sweep(..., cache=True)``
 RUN_CACHE = RunCache(disk=DiskCache())
 
-#: recognized ``backend=`` values
-BACKENDS = ("thread", "process", "auto")
-
-
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
-
 
 def _des_bound(app: Application, config: EngineConfig) -> bool:
     """Will grid points resolve on the pure-Python DES (GIL-bound)?
@@ -385,53 +371,84 @@ def _des_bound(app: Application, config: EngineConfig) -> bool:
     return not config.fastpath or app.writes_mapped
 
 
-def _resolve_backend(
-    backend: str,
+def _cached_runs(
     engine: Engine,
     app: Application,
     data: AppData,
-    config: EngineConfig,
-    jobs: int,
-    n_points: int = 0,
-) -> str:
-    """Pick thread vs process; validate explicit process requests."""
-    if backend not in BACKENDS:
-        raise ReproError(f"unknown sweep backend {backend!r}; known: {BACKENDS}")
-    if backend == "thread" or jobs <= 1:
-        return "thread"
-    speccable = (
-        engine_to_spec(engine) is not None
-        and dataset_spec(app, data) is not None
+    configs: list,
+    items: list,
+    run_items: Callable[[list], list],
+) -> list[RunResult]:
+    """The runs of ``configs`` through the process-wide :data:`RUN_CACHE`.
+
+    ``items[i]`` describes the run of ``configs[i]`` to ``run_items``. The
+    cache is probed for every config, ``run_items`` gets the items of the
+    misses in one call, and the results it returns are put back. The disk
+    tier is consulted only while it is enabled.
+    """
+    disk = RUN_CACHE.disk
+    disk_on = disk is not None and disk.enabled
+    keys = [
+        (
+            RunCache.key(engine, app, data, cfg),
+            content_run_key(engine, app, data, cfg) if disk_on else None,
+        )
+        for cfg in configs
+    ]
+    results = [RUN_CACHE.get(*key) for key in keys]
+    misses = [i for i, result in enumerate(results) if result is None]
+    for i, result in zip(misses, run_items([items[i] for i in misses])):
+        results[i] = result
+        RUN_CACHE.put(keys[i][0], result, keys[i][1])
+    return results
+
+
+def cached_run(
+    engine: Engine, app: Application, data: AppData, config: EngineConfig
+) -> RunResult:
+    """One engine run through the process-wide :data:`RUN_CACHE`."""
+    (result,) = _cached_runs(
+        engine,
+        app,
+        data,
+        [config],
+        [config],
+        lambda configs: [engine.run(app, data, cfg) for cfg in configs],
     )
-    if backend == "process":
-        if not speccable:
-            raise ReproError(
-                "backend='process' needs a registry app with a generation "
-                "recipe and a stock engine (workers regenerate data by "
-                "recipe); use backend='thread' for custom apps/engines"
-            )
-        return "process"
-    # auto: processes pay a fork + regeneration tax, so only buy real
-    # parallelism where threads cannot provide it (the GIL-bound DES) AND
-    # the machine/grid can amortize the tax — on a 1-2 core box or a tiny
-    # grid the workers serialize anyway and the process backend measured
-    # 0.35x (BENCH_pipeline.json, 1-core run)
-    cores = os.cpu_count() or 1
-    if cores <= 2 or (n_points and n_points < 4):
-        return "thread"
-    return "process" if speccable and _des_bound(app, config) else "thread"
+    return result
 
 
-def _disk_key(
+def _run_points(
     engine: Engine,
     app: Application,
     data: AppData,
-    cfg: EngineConfig,
-    cache: bool,
-) -> Optional[str]:
-    if not cache or RUN_CACHE.disk is None or not RUN_CACHE.disk.enabled:
-        return None
-    return content_run_key(engine, app, data, cfg)
+    base_config: EngineConfig,
+    jobs: Optional[int],
+    backend: str,
+    points: list,
+) -> list[RunResult]:
+    """Run grid points (override dicts) through the shared runner.
+
+    The points are described as job specs only when ``jobs`` may hand
+    them to a pool: a serial sweep builds none.
+    """
+    specs, des_bound = None, False
+    if jobs != 1:
+        dspec, espec = dataset_spec(app, data), engine_to_spec(engine)
+        if dspec is not None and espec is not None:
+            specs = [
+                JobSpec(dspec, espec, base_config.with_(**chosen))
+                for chosen in points
+            ]
+        des_bound = _des_bound(app, base_config)
+    return run_ordered(
+        lambda chosen: engine.run(app, data, base_config.with_(**chosen)),
+        points,
+        jobs,
+        backend,
+        specs,
+        des_bound,
+    )
 
 
 def _sweep_analytic(
@@ -493,15 +510,16 @@ def sweep(
 
     ``grid`` maps EngineConfig field names to candidate value lists; the
     product is enumerated in deterministic order (sorted keys, listed
-    values). ``jobs`` > 1 evaluates points on an executor (0/None means
-    one per CPU) selected by ``backend``: ``"thread"``, ``"process"``
-    (picklable job specs, workers regenerate data locally), or ``"auto"``
-    (process exactly when points are DES-bound — faulted, ``fastpath=
-    False``, or mapped-writes runs — else thread). Whatever the backend,
-    results merge in grid order, so the points list and the tie-broken
-    winner are identical to the serial sweep's. ``cache=True`` consults
-    the process-wide two-tier :data:`RUN_CACHE` (in-memory LRU + on-disk
-    content-keyed store) before evaluating any point.
+    values). ``cache=True`` first probes the process-wide two-tier
+    :data:`RUN_CACHE` (in-memory LRU + on-disk content-keyed store) for
+    every point; the misses then run through
+    :func:`repro.bench.jobs.run_ordered` on ``jobs`` workers (0/None means
+    one per CPU) and ``backend`` (``"thread"``, ``"process"`` or
+    ``"auto"``, told whether the points are DES-bound: faulted,
+    ``fastpath=False`` or mapped-writes runs), and their results are put
+    back in the cache. Whatever the backend, results merge in grid order,
+    so the points list and the tie-broken winner are identical to the
+    serial sweep's.
 
     ``mode`` selects how points are evaluated:
 
@@ -522,7 +540,7 @@ def sweep(
     keys = sorted(grid)
     combos = [
         dict(zip(keys, values))
-        for values in itertools.product(*(grid[k] for k in keys))
+        for values in itertools.product(*[grid[k] for k in keys])
     ]
 
     if mode not in ("des", "analytic", "hybrid"):
@@ -534,79 +552,23 @@ def sweep(
             engine, app, data, base_config, grid, combos, top_k
         )
 
-    jobs = _resolve_jobs(jobs) if jobs != 1 else 1
-    chosen_backend = _resolve_backend(
-        backend, engine, app, data, base_config, jobs, n_points=len(combos)
-    )
-    if chosen_backend == "process" and len(combos) > 1:
-        return SweepResult(
-            _evaluate_process(engine, app, data, base_config, combos, jobs, cache)
+    if cache:
+        results = _cached_runs(
+            engine,
+            app,
+            data,
+            [base_config.with_(**chosen) for chosen in combos],
+            combos,
+            partial(_run_points, engine, app, data, base_config, jobs, backend),
         )
-
-    def evaluate(chosen: dict) -> SweepPoint:
-        cfg = base_config.with_(**chosen)
-        result = None
-        cache_key = disk_key = None
-        if cache:
-            cache_key = RunCache.key(engine, app, data, cfg)
-            disk_key = _disk_key(engine, app, data, cfg, cache)
-            result = RUN_CACHE.get(cache_key, disk_key)
-        if result is None:
-            result = engine.run(app, data, cfg)
-            if cache:
-                RUN_CACHE.put(cache_key, result, disk_key)
-        return SweepPoint(dict(chosen), result.sim_time, result)
-
-    if jobs == 1 or len(combos) <= 1:
-        points = [evaluate(c) for c in combos]
     else:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(combos))) as ex:
-            # executor.map preserves input order: deterministic merge
-            points = list(ex.map(evaluate, combos))
+        results = _run_points(
+            engine, app, data, base_config, jobs, backend, combos
+        )
+    points = []  # a loop, not a comprehension: single-point sweeps are hot
+    for chosen, result in zip(combos, results):
+        points.append(SweepPoint(chosen, result.sim_time, result))
     return SweepResult(points)
-
-
-def _evaluate_process(
-    engine: Engine,
-    app: Application,
-    data: AppData,
-    base_config: EngineConfig,
-    combos: list[dict],
-    jobs: int,
-    cache: bool,
-) -> list[SweepPoint]:
-    """Grid evaluation on a process pool, cache consulted parent-side.
-
-    Workers know nothing of the cache: the parent resolves hits first,
-    dispatches only the misses (``executor.map`` preserves submission
-    order), then merges results back into their grid slots — point order
-    and tie-breaks match the serial sweep exactly.
-    """
-    dspec = dataset_spec(app, data)
-    espec = engine_to_spec(engine)
-    points: list[Optional[SweepPoint]] = [None] * len(combos)
-    pending: list[tuple[int, dict, EngineConfig, Optional[str]]] = []
-    for i, chosen in enumerate(combos):
-        cfg = base_config.with_(**chosen)
-        result = None
-        disk_key = None
-        if cache:
-            disk_key = _disk_key(engine, app, data, cfg, cache)
-            result = RUN_CACHE.get(RunCache.key(engine, app, data, cfg), disk_key)
-        if result is None:
-            pending.append((i, chosen, cfg, disk_key))
-        else:
-            points[i] = SweepPoint(dict(chosen), result.sim_time, result)
-
-    if pending:
-        specs = [JobSpec(dspec, espec, cfg) for _, _, cfg, _ in pending]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as ex:
-            results = list(ex.map(run_jobspec, specs))
-        for (i, chosen, cfg, disk_key), result in zip(pending, results):
-            if cache:
-                RUN_CACHE.put(RunCache.key(engine, app, data, cfg), result, disk_key)
-            points[i] = SweepPoint(dict(chosen), result.sim_time, result)
-    return points  # type: ignore[return-value]
 
 
 #: the default tuning grid: buffer size and launch width, the two knobs

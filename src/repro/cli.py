@@ -525,12 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--json", default="",
                      help="also write the FaultReport JSON to this path")
     p_c.add_argument("--jobs", type=int, default=1,
-                     help="parallel (app, engine) blocks; the fingerprint "
-                          "is identical for any jobs/backend")
+                     help="parallel (app, engine) blocks (0 = one per CPU); "
+                          "the fingerprint is identical for any jobs/backend")
     p_c.add_argument("--backend", default="auto",
                      choices=["auto", "thread", "process"],
-                     help="executor for --jobs > 1 (auto picks process: "
-                          "faulted runs are DES-bound)")
+                     help="executor for --jobs > 1 (auto picks process only "
+                          "with more than 2 cores and at least 4 blocks; "
+                          "see docs/performance.md)")
     p_c.add_argument("--serve", action="store_true",
                      help="route every faulted run through a live serve "
                           "Server; the report fingerprint must match the "
@@ -549,11 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dataset size (MiB)")
     p_b.add_argument("--seed", type=int, default=4, help="data generator seed")
     p_b.add_argument("--jobs", type=int, default=1,
-                     help="parallel (app, engine) cells")
+                     help="parallel (app, engine) cells (0 = one per CPU)")
     p_b.add_argument("--backend", default="auto",
                      choices=["auto", "thread", "process"],
-                     help="executor for --jobs > 1 (UVM runs are DES-bound, "
-                          "so auto picks process)")
+                     help="executor for --jobs > 1 (auto picks process only "
+                          "with more than 2 cores and at least 4 cells; "
+                          "see docs/performance.md)")
     p_b.add_argument("--gpus", default="",
                      help="run the multi-GPU scaling sweep instead: "
                           "comma-separated GPU counts, e.g. 1,2,4,8 "
@@ -574,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["auto", "thread", "process"],
                       help="executor for --jobs > 1: process sidesteps the "
                            "GIL for DES-bound grids, thread suits "
-                           "fastpath/cached ones (auto decides)")
+                           "fastpath/cached ones (auto picks process only "
+                           "for DES-bound grids of at least 4 uncached "
+                           "points with more than 2 cores)")
     p_sw.add_argument("--mode", default="des",
                       choices=["des", "analytic", "hybrid"],
                       help="des simulates every point; analytic prices the "

@@ -14,18 +14,19 @@ the plan, and checks that graceful degradation actually was graceful:
 Everything is seeded and deterministic: the same seed produces a
 byte-identical :class:`~repro.faults.report.FaultReport`
 (``report.fingerprint()`` is the contract ``tests/test_faults.py`` pins).
-That determinism is also what makes the sweep parallelizable: with
-``jobs > 1`` the grid is split into per-(app, engine) *blocks*, each block
-regenerates its dataset and oracle locally (nothing is shipped between
-processes but a picklable spec), and the plan-ordered cells come back in
-the exact serial nesting order — so the report fingerprint is identical
+That determinism is also what makes the sweep parallelizable. The grid is
+split into per-(app, engine) *blocks*, and each block regenerates its
+dataset and oracle locally, so nothing is shipped between processes but
+a picklable spec. The blocks run through
+:func:`repro.bench.jobs.run_ordered`, the runner every harness shares,
+serially or on ``jobs`` workers, and their plan-ordered cells come back in
+the serial nesting order. The report fingerprint is therefore identical
 whether the sweep ran serial, threaded, or across a process pool.
 Exposed as ``python -m repro chaos [--quick] [--jobs N] [--backend B]``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
 from repro.apps import KMeansApp, WordCountApp
@@ -102,19 +103,6 @@ def _judge_outcome(
     return cell
 
 
-def _evaluate_cell(app, data, ref, engine, clean, plan, config) -> FaultCell:
-    """One faulted run, judged against the oracle and the clean run.
-
-    Shared by the serial path and both parallel backends so a cell is
-    scored by exactly one piece of code.
-    """
-    try:
-        outcome = engine.run(app, data, config.with_(faults=plan))
-    except ReproError as exc:
-        outcome = exc
-    return _judge_outcome(app, ref, engine.name, clean, plan, config, outcome)
-
-
 def _serve_cell_block(
     app, engine, plans, config, seed, data_bytes
 ) -> list[FaultCell]:
@@ -181,16 +169,22 @@ def _cell_block(app, engine, plans, config, seed, data_bytes) -> list[FaultCell]
     """All cells of one (app, engine) block, in plan order.
 
     Regenerates the dataset and reruns the oracle locally — generation is
-    deterministic, so the block is self-contained and the cells match what
-    the serial nested loop would have produced, byte for byte.
+    deterministic, so the block is self-contained and its cells are the
+    same, byte for byte, on whichever worker runs it.
     """
     data = app.generate(n_bytes=data_bytes, seed=seed)
     ref = CpuSerialEngine().run(app, data, config)
     clean = engine.run(app, data, config)
-    return [
-        _evaluate_cell(app, data, ref, engine, clean, plan, config)
-        for plan in plans
-    ]
+    cells = []
+    for plan in plans:
+        try:
+            outcome = engine.run(app, data, config.with_(faults=plan))
+        except ReproError as exc:
+            outcome = exc
+        cells.append(
+            _judge_outcome(app, ref, engine.name, clean, plan, config, outcome)
+        )
+    return cells
 
 
 def _cell_block_spec(task) -> list[FaultCell]:
@@ -203,39 +197,6 @@ def _cell_block_spec(task) -> list[FaultCell]:
         get_app(app_name), engine_from_spec(engine_spec), plans, config,
         seed, data_bytes,
     )
-
-
-def _resolve_backend(backend: str, jobs: int, apps, engines) -> str:
-    """Pick the executor; chaos is always DES-bound, so auto favors process."""
-    from repro.apps.base import APP_REGISTRY
-    from repro.bench.jobs import engine_to_spec
-    from repro.bench.sweep import BACKENDS
-
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if jobs <= 1 or backend == "thread":
-        return "thread"
-    speccable = all(
-        APP_REGISTRY.get(app.name) is type(app) for app in apps
-    ) and all(engine_to_spec(engine) is not None for engine in engines)
-    if backend == "process":
-        if not speccable:
-            raise ReproError(
-                "backend='process' needs registry apps and stock engines "
-                "(workers rebuild both from picklable specs); use "
-                "backend='thread' for custom instances"
-            )
-        return "process"
-    # every faulted run forces the DES (faults have no analytic model), so
-    # chaos blocks hold the GIL for their whole duration: processes win
-    # whenever they are possible at all — except on a 1-2 core box or a
-    # tiny grid, where the fork + regeneration tax never amortizes
-    cores = os.cpu_count() or 1
-    if cores <= 2 or len(apps) * len(engines) < 3:
-        return "thread"
-    return "process" if speccable else "thread"
 
 
 def run_chaos(
@@ -258,17 +219,18 @@ def run_chaos(
     Both scales include the unified-memory engine, so every fault primitive
     is also exercised against the demand-paging migration path.
 
-    ``jobs > 1`` fans the per-(app, engine) blocks across an executor —
-    ``backend="process"`` (a :class:`~concurrent.futures.ProcessPoolExecutor`
-    fed picklable specs, the default under ``"auto"`` since faulted runs
-    are DES-bound), or ``backend="thread"`` (shares live instances, works
-    for custom apps/engines). Cells are merged in the serial nesting order,
-    so ``report.fingerprint()`` is backend-invariant.
+    ``jobs``/``backend`` fan the per-(app, engine) blocks out through
+    :func:`repro.bench.jobs.run_ordered`: ``"process"`` ships picklable
+    block specs to a process pool, ``"thread"`` shares live instances (and
+    works for custom apps/engines), and ``"auto"`` applies the runner's one
+    rule, to which faulted runs are DES-bound. Cells are merged in the
+    serial nesting order, so ``report.fingerprint()`` is backend-invariant.
 
     ``serve=True`` routes every faulted run through a live
-    :class:`~repro.serve.Server` (``jobs``/``backend`` are ignored — the
-    server under test runs in-process) and must produce the identical
-    fingerprint: fault containment has to survive the batching layer.
+    :class:`~repro.serve.Server` (``jobs`` is ignored — the server under
+    test runs in-process — but an unknown ``backend`` still raises) and
+    must produce the identical fingerprint: fault containment has to
+    survive the batching layer.
     """
     data_bytes = data_bytes or (1 * MiB if quick else 4 * MiB)
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 8))
@@ -284,58 +246,28 @@ def run_chaos(
     )
     plans = tuple(plans) if plans is not None else default_fault_grid(seed)
 
-    from repro.bench.sweep import BACKENDS
+    from repro.apps.base import APP_REGISTRY
+    from repro.bench.jobs import engine_to_spec, run_ordered
 
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-
-    report = FaultReport(seed=seed)
     blocks = [(app, engine) for app in apps for engine in engines]
-    if serve:
-        for app, engine in blocks:
-            report.cells.extend(
-                _serve_cell_block(app, engine, plans, config, seed, data_bytes)
-            )
-        return report
-    if jobs > 1 and len(blocks) > 1:
-        resolved = _resolve_backend(backend, jobs, apps, engines)
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        workers = min(jobs, len(blocks))
-        if resolved == "process":
-            from repro.bench.jobs import engine_to_spec
-
-            tasks = [
-                (app.name, engine_to_spec(engine), plans, config, seed,
-                 data_bytes)
-                for app, engine in blocks
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                # executor.map preserves submission order: blocks come back
-                # in the serial nesting order regardless of finish order
-                for cells in ex.map(_cell_block_spec, tasks):
-                    report.cells.extend(cells)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                for cells in ex.map(
-                    lambda b: _cell_block(
-                        b[0], b[1], plans, config, seed, data_bytes
-                    ),
-                    blocks,
-                ):
-                    report.cells.extend(cells)
-        return report
-
-    oracle = CpuSerialEngine()
-    for app in apps:
-        data = app.generate(n_bytes=data_bytes, seed=seed)
-        ref = oracle.run(app, data, config)
-        for engine in engines:
-            clean = engine.run(app, data, config)
-            for plan in plans:
-                report.cells.append(
-                    _evaluate_cell(app, data, ref, engine, clean, plan, config)
-                )
+    tasks = [
+        (app.name, engine_to_spec(engine), plans, config, seed, data_bytes)
+        for app, engine in blocks
+    ]
+    speccable = all(
+        APP_REGISTRY.get(app.name) is type(app) for app in apps
+    ) and all(task[1] is not None for task in tasks)
+    run_block = _cell_block
+    if serve:  # the server under test runs in-process, one block at a time
+        run_block, jobs = _serve_cell_block, 1
+    report = FaultReport(seed=seed)
+    for cells in run_ordered(
+        lambda block: run_block(*block, plans, config, seed, data_bytes),
+        blocks,
+        jobs,
+        backend,
+        specs=tasks if speccable else None,
+        worker=_cell_block_spec,
+    ):
+        report.cells.extend(cells)
     return report

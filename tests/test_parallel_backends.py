@@ -22,9 +22,12 @@ from repro.bench.jobs import (
     dataset_spec,
     engine_from_spec,
     engine_to_spec,
+    resolve_backend,
     run_jobspec,
 )
-from repro.bench.sweep import RunCache, sweep
+from repro.bench.multigpu import run_multigpu_scaling
+from repro.bench.sweep import RunCache, _des_bound, sweep
+from repro.bench.uvm import run_uvm_comparison
 from repro.engines import (
     BigKernelEngine,
     BigKernelFeatures,
@@ -34,7 +37,7 @@ from repro.engines import (
 )
 from repro.errors import ReproError
 from repro.faults.chaos import default_fault_grid, run_chaos
-from repro.units import MiB
+from repro.units import KiB, MiB
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -271,6 +274,36 @@ class TestChaosBackendEquivalence:
             run_chaos(quick=True, backend="bogus")
 
 
+#: a few-second subset of both ``repro bench`` ladders
+LADDERS = {
+    "uvm": lambda **kw: run_uvm_comparison(
+        data_bytes=256 * KiB, apps=("kmeans", "wordcount"), **kw
+    ),
+    "multigpu": lambda **kw: run_multigpu_scaling(
+        data_bytes=256 * KiB, apps=("kmeans", "wordcount"),
+        gpu_counts=(1, 2), **kw
+    ),
+}
+
+
+class TestBenchBackendEquivalence:
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    def test_backends_agree(self, ladder):
+        run = LADDERS[ladder]
+        serial = run()
+        for backend in ("thread", "process"):
+            parallel = run(jobs=2, backend=backend)
+            assert parallel.figure_entry() == serial.figure_entry()
+            assert list(parallel.results) == list(serial.results)
+            for cell, res in serial.results.items():
+                assert parallel.results[cell].sim_time == res.sim_time
+
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    def test_unknown_backend_rejected_even_serially(self, ladder):
+        with pytest.raises(ReproError):
+            LADDERS[ladder](jobs=1, backend="bogus")
+
+
 _SWEEP_SCRIPT = """\
 import json, sys
 from repro.apps import get_app
@@ -354,23 +387,19 @@ class TestAutoBackendHeuristic:
     1-2 core boxes and tiny grids (BENCH_pipeline.json once recorded the
     process backend at 0.35x on a 1-core runner)."""
 
-    def _sweep_resolve(self, monkeypatch, cores, **kwargs):
-        from repro.bench.sweep import _resolve_backend
-
+    def _sweep_resolve(self, monkeypatch, cores, backend="auto", n_points=8):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         app = get_app("kmeans")
         data = app.generate(n_bytes=1 * MiB, seed=3)
-        defaults = dict(
-            backend="auto",
-            engine=BigKernelEngine(),
-            app=app,
-            data=data,
-            config=EngineConfig(fastpath=False),  # DES-bound
-            jobs=4,
-            n_points=8,
+        speccable = (
+            dataset_spec(app, data) is not None
+            and engine_to_spec(BigKernelEngine()) is not None
         )
-        defaults.update(kwargs)
-        return _resolve_backend(**defaults)
+        config = EngineConfig(fastpath=False)  # DES-bound
+        return resolve_backend(
+            backend, jobs=4, n_items=n_points, speccable=speccable,
+            des_bound=_des_bound(app, config),
+        )
 
     def test_sweep_auto_prefers_process_when_parallel_pays(self, monkeypatch):
         assert self._sweep_resolve(monkeypatch, cores=8) == "process"
@@ -389,12 +418,16 @@ class TestAutoBackendHeuristic:
         )
 
     def _chaos_resolve(self, monkeypatch, cores, backend="auto", n_apps=2):
-        from repro.faults.chaos import _resolve_backend
-
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         apps = [get_app("kmeans"), get_app("wordcount")][:n_apps]
         engines = [BigKernelEngine(), GpuDoubleBufferEngine()]
-        return _resolve_backend(backend, jobs=4, apps=apps, engines=engines)
+        # chaos blocks are (app, engine) pairs, and faulted runs are
+        # always DES-bound
+        return resolve_backend(
+            backend, jobs=4, n_items=len(apps) * len(engines),
+            speccable=all(engine_to_spec(e) is not None for e in engines),
+            des_bound=True,
+        )
 
     def test_chaos_auto_prefers_process_when_parallel_pays(self, monkeypatch):
         assert self._chaos_resolve(monkeypatch, cores=8) == "process"
@@ -411,3 +444,27 @@ class TestAutoBackendHeuristic:
             self._chaos_resolve(monkeypatch, cores=2, backend="process")
             == "process"
         )
+
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    def test_bench_auto_prefers_thread_on_small_boxes(
+        self, monkeypatch, ladder
+    ):
+        import concurrent.futures
+
+        def no_processes(*args, **kwargs):
+            raise AssertionError("auto built a process pool on a 2-core box")
+
+        thread_pools = []
+        real_threads = concurrent.futures.ThreadPoolExecutor
+
+        def threads(*args, **kwargs):
+            thread_pools.append(kwargs)
+            return real_threads(*args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_processes
+        )
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", threads)
+        LADDERS[ladder](jobs=2, backend="auto")
+        assert thread_pools  # the cells did fan out, on threads
