@@ -1,11 +1,13 @@
 """Closed-form analytic performance predictor.
 
-``predict_run`` prices one engine configuration in O(1) — same schedule
-derivation as the engines, closed with the max-plus bound family of
-:mod:`repro.analytic.algebra` instead of a simulation.  ``predict_grid``
-vectorizes that over whole sweep grids (a million configurations in
-seconds); ``repro report`` renders instant roofline / what-if output.
-Validated against the DES by the ``verify --analytic`` pillar.
+``predict_run`` prices one engine configuration in O(1) from the engine's
+own timing model: the closed forms of the unpipelined engines as they
+are, the pipelined engines' chunk schedules closed with the max-plus
+bound family of :mod:`repro.analytic.algebra` instead of a simulation.
+``predict_grid`` vectorizes that over whole sweep grids (a million
+configurations in seconds); ``repro report`` renders instant roofline /
+what-if output.  The ``verify --analytic`` pillar grades the bound family
+against the DES on the pipelined engines.
 """
 
 from repro.analytic.algebra import STAGE_NAMES, pipeline_bounds
@@ -14,11 +16,6 @@ from repro.analytic.grid import (
     GridPrediction,
     predict_grid,
     suggest_grid,
-)
-from repro.analytic.model import (
-    ANALYTIC_MODEL_STATS,
-    AppModel,
-    extract_app_model,
 )
 from repro.analytic.predict import (
     PREDICT_RUN_STATS,
@@ -32,15 +29,12 @@ from repro.analytic.predict import (
 from repro.analytic.report import run_report
 
 __all__ = [
-    "ANALYTIC_MODEL_STATS",
-    "AppModel",
     "PREDICT_RUN_STATS",
     "GRID_FIELDS",
     "GridPrediction",
     "PREDICTABLE_ENGINES",
     "PredictedRun",
     "STAGE_NAMES",
-    "extract_app_model",
     "pipeline_bounds",
     "predict_grid",
     "predict_run",

@@ -8,14 +8,18 @@ times, the full max-plus bound family) becomes one elementwise expression
 over the flattened grid.  A million configurations price in a few
 seconds; there is no per-point Python loop anywhere.
 
-Two approximations relative to the exact scalar path, both documented and
-covered by ``verify --analytic``:
+Two approximations relative to the exact scalar path:
 
 - the pattern-recognition fraction is sampled once at the base config's
   geometry and treated as geometry-independent (the recognizer's verdict
   is a property of the app's address stream, not of chunk boundaries);
 - the buffer allocator is not exercised per point (clean-run geometry is
   assumed to fit pinned/device memory, as it does for all shipped grids).
+
+``tests/test_analytic.py::TestPredictGrid::test_grid_matches_scalar_pointwise``
+holds every point of a grid that moves the sampling geometry to
+``predict_run`` at 1e-12 relative, for every registered app and every
+predictable engine.
 
 Grid point enumeration matches ``bench.sweep``: keys iterate in sorted
 order with ``itertools.product`` semantics (last key fastest), and the
@@ -31,10 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.apps.base import AppData, Application
+from repro.apps.base import AccessProfile, AppData, Application
 from repro.engines.base import Engine, EngineConfig
 from repro.engines.bigkernel import BigKernelEngine
-from repro.engines.gpu_common import kernel_chunk_cost
+from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import HardwareError, ReproError
 from repro.hw.topology import merge_cost, shard_mem_bandwidth, shard_workers, state_nbytes
@@ -42,7 +46,6 @@ from repro.runtime.fastpath import FLAG_BYTES
 from repro.runtime.pattern import ADDRESS_BYTES
 
 from repro.analytic.algebra import pipeline_bounds
-from repro.analytic.model import AppModel, extract_app_model
 from repro.analytic.predict import predict_run, resolve_engine
 
 #: config fields predict_grid can sweep
@@ -126,13 +129,15 @@ def _xfer(pcie, nbytes, segments=1):
     return pcie.latency * segments + np.where(nbytes > 0, nbytes, 0) / bw
 
 
-def _assembly_hit_rate(m: AppModel, cpu, threads, locality_opt: bool):
+def _assembly_hit_rate(profile: AccessProfile, cpu, threads, locality_opt: bool):
     """Vectorized runtime.assembly.estimate_assembly_hit_rate."""
-    if m.reads_per_record <= 0:
+    if profile.reads_per_record <= 0:
         return 1.0
-    record_bytes = int(max(m.record_bytes, 1))
-    misses = min(float(m.reads_per_record), max(record_bytes / cpu.cache_line, 0.0))
-    seq_hit = max(0.0, 1.0 - misses / m.reads_per_record)
+    record_bytes = int(max(profile.record_bytes, 1))
+    misses = min(
+        float(profile.reads_per_record), max(record_bytes / cpu.cache_line, 0.0)
+    )
+    seq_hit = max(0.0, 1.0 - misses / profile.reads_per_record)
     if locality_opt:
         return seq_hit
     stream_set = threads * (cpu.cache_line * 2)
@@ -146,6 +151,20 @@ def _assembly_hit_rate(m: AppModel, cpu, threads, locality_opt: bool):
 def _bandwidth_scale(gpu, threads):
     saturating = gpu.num_sms * (gpu.max_threads_per_sm // 4)
     return np.minimum(1.0, threads / saturating)
+
+
+def _gpu_compute(gpu, profile: AccessProfile, u_units, eff, scale):
+    """Vectorized GpuDevice.stage_time of a ``kernel_chunk_cost`` chunk
+    (no fixed overhead); ``eff`` is the cost's coalescing efficiency."""
+    n_ops = u_units * profile.gpu_ops_per_record * profile.gpu_divergence
+    gbytes = u_units * (
+        profile.read_bytes_per_record
+        + profile.write_bytes_per_record
+        + profile.resident_bytes_per_record
+    )
+    return n_ops / gpu.peak_ops + (gbytes / eff) / (
+        gpu.effective_mem_bandwidth * scale
+    )
 
 
 def _active_blocks(gpu, num_blocks, compute_threads):
@@ -177,10 +196,10 @@ def _tail_geometry(units: int, upc):
     return tpl_units, eff_n_full, tail_units, has_tail
 
 
-def _pipeline_total(m, hw, t, u, eff_n_full, has_tail, depth, cpu_workers):
+def _pipeline_total(passes, t, u, eff_n_full, has_tail, depth, cpu_workers):
     per_pass = eff_n_full + has_tail
-    n = m.passes * per_pass
-    n_tail = m.passes * np.where(has_tail, 1, 0)
+    n = passes * per_pass
+    n_tail = passes * np.where(has_tail, 1, 0)
     total, _, _ = pipeline_bounds(
         t,
         u,
@@ -188,7 +207,7 @@ def _pipeline_total(m, hw, t, u, eff_n_full, has_tail, depth, cpu_workers):
         n_tail=n_tail,
         depth=depth,
         per_pass=per_pass,
-        passes=m.passes,
+        passes=passes,
         cpu_workers=cpu_workers,
     )
     return total
@@ -243,21 +262,14 @@ def predict_grid(
             1, (cb / max(profile.record_bytes, 1e-12)).astype(np.int64)
         )
         tpl_u, eff_n_full, tail_u, has_tail = _tail_geometry(units, upc)
-        cost_f = kernel_chunk_cost(profile, 1.0, coalesced=False)
+        eff = kernel_chunk_cost(profile, 1.0, coalesced=False).efficiency
         scale = _bandwidth_scale(gpu, threads)
 
         def serial_chunk(u_units):
             raw = u_units * profile.record_bytes
             comm = raw / (cpu.per_thread_bandwidth * 2.0 / 3.0) + _xfer(pcie, raw)
-            n_ops = u_units * profile.gpu_ops_per_record * profile.gpu_divergence
-            gbytes = u_units * (
-                profile.read_bytes_per_record
-                + profile.write_bytes_per_record
-                + profile.resident_bytes_per_record
-            )
             comp = (
-                n_ops / gpu.peak_ops
-                + (gbytes / cost_f.efficiency) / (gpu.effective_mem_bandwidth * scale)
+                _gpu_compute(gpu, profile, u_units, eff, scale)
                 + gpu.kernel_launch_overhead
             )
             wb = u_units * profile.write_bytes_per_record
@@ -274,27 +286,21 @@ def predict_grid(
 
     # -- pipelined engines: build template/tail stage tables vectorized -----
     if eng.name == "gpu_double":
-        m = extract_app_model(app, data, base)
-        upc = np.maximum(1, (cb / max(m.record_bytes, 1e-12)).astype(np.int64))
+        upc = np.maximum(
+            1, (cb / max(profile.record_bytes, 1e-12)).astype(np.int64)
+        )
         tpl_u, eff_n_full, tail_u, has_tail = _tail_geometry(units, upc)
         scale = _bandwidth_scale(gpu, threads)
         eff = kernel_chunk_cost(profile, 1.0, coalesced=False).efficiency
 
         def kind(u_units):
             u_units = u_units.astype(np.float64)
-            raw = u_units * m.record_bytes
-            n_ops = u_units * m.gpu_ops_per_record * m.gpu_divergence
-            gbytes = u_units * (
-                m.read_bytes_per_record
-                + m.write_bytes_per_record
-                + m.resident_bytes_per_record
-            )
+            raw = u_units * profile.record_bytes
             t_comp = (
-                n_ops / gpu.peak_ops
-                + (gbytes / eff) / (gpu.effective_mem_bandwidth * scale)
+                _gpu_compute(gpu, profile, u_units, eff, scale)
                 + gpu.kernel_launch_overhead
             )
-            wb_f = u_units * m.write_bytes_per_record
+            wb_f = u_units * profile.write_bytes_per_record
             wb = np.floor(wb_f)
             zero = np.zeros_like(raw)
             return dict(
@@ -312,7 +318,8 @@ def predict_grid(
         t = kind(tpl_u)
         u = kind(tail_u)
         sim = _pipeline_total(
-            m, hw, t, u, eff_n_full, has_tail, depth=np.int64(2), cpu_workers=1
+            profile.passes, t, u, eff_n_full, has_tail, depth=np.int64(2),
+            cpu_workers=1,
         )
         meta["note"] = "ring_depth fixed at 2 by the engine"
         return GridPrediction(eng.name, app.name, keys, values, sim, base, meta)
@@ -422,10 +429,15 @@ def _bigkernel_grid_total(
     profile = app.access_profile(data)
     threads = nb * ct
     mem_bw = cpu.mem_bandwidth if mem_bandwidth is None else mem_bandwidth
-    m = extract_app_model(app, data, base, features=features)
-    pattern_on = bool(base.pattern_recognition and m.pattern_fraction >= 0.5)
-    reduce_volume = m.reduce_volume
-    ppu = m.payload_per_unit
+    engine = BigKernelEngine(features)
+    reduce_volume = features.reduce_volume and engine._sliceable(app, profile)
+    ppu = profile.read_bytes_per_record if reduce_volume else profile.record_bytes
+    # one pattern sample, at the base geometry, stands for every point
+    fraction = 0.0
+    if base.pattern_recognition and profile.pattern_friendly is not None:
+        base_upc, _ = chunk_plan(units, base.chunk_bytes, ppu)
+        fraction = engine._sample_pattern_fraction(app, data, base, base_upc)
+    pattern_on = bool(base.pattern_recognition and fraction >= 0.5)
     upc = np.maximum(1, (cb / max(ppu, 1e-12)).astype(np.int64))
     tpl_u, eff_n_full, tail_u, has_tail = _tail_geometry(units, upc)
     active = _active_blocks(gpu, nb, ct)
@@ -440,17 +452,20 @@ def _bigkernel_grid_total(
     scale = _bandwidth_scale(gpu, threads)
     coalesced = bool(features.coalesce and reduce_volume)
     eff = kernel_chunk_cost(profile, 1.0, coalesced=coalesced).efficiency
-    hit = _assembly_hit_rate(m, cpu, threads, locality_opt=pattern_on)
+    hit = _assembly_hit_rate(profile, cpu, threads, locality_opt=pattern_on)
     staging_bw = cpu.per_thread_bandwidth * 2.0 / 3.0
     miss_bw = cpu.cache_line / cpu.miss_latency
 
     def kind(u_units):
         u_units = u_units.astype(np.float64)
-        raw = u_units * m.record_bytes
-        emitted = u_units * m.emitted_addresses_per_record
-        read_bytes = u_units * m.read_bytes_per_record
+        raw = u_units * profile.record_bytes
+        emitted = u_units * profile.emitted_addresses_per_record
+        read_bytes = u_units * profile.read_bytes_per_record
         payload = u_units * ppu
-        t_ag = u_units * (2.0 + 3.0 * m.emitted_addresses_per_record) / gpu.peak_ops
+        t_ag = (
+            u_units * (2.0 + 3.0 * profile.emitted_addresses_per_record)
+            / gpu.peak_ops
+        )
         if reduce_volume and not pattern_on:
             addr_d2h = np.floor(emitted * ADDRESS_BYTES)
         else:
@@ -460,7 +475,7 @@ def _bigkernel_grid_total(
             t_asm = np.maximum(t_asm, 2.0 * raw / mem_bw)
         else:
             accesses = (
-                read_bytes / m.gather_run_bytes if pattern_on else emitted
+                read_bytes / profile.gather_run_bytes if pattern_on else emitted
             )
             data_bytes = emitted * (read_bytes / np.maximum(emitted, 1e-9))
             read_t = (data_bytes * hit) / cpu.per_thread_bandwidth + (
@@ -473,20 +488,14 @@ def _bigkernel_grid_total(
             loop_t = accesses * 6.0 / cpu.peak_ops_per_thread
             t_asm = (read_t + write_t + addr_t + loop_t) / worker_eff
             t_asm = np.maximum(t_asm, 2.0 * read_bytes / mem_bw)
-        n_ops = u_units * m.gpu_ops_per_record * m.gpu_divergence
-        gbytes = u_units * (
-            m.read_bytes_per_record
-            + m.write_bytes_per_record
-            + m.resident_bytes_per_record
-        )
-        t_comp = n_ops / gpu.peak_ops + (gbytes / eff) / (
-            gpu.effective_mem_bandwidth * scale
-        )
-        wb_f = u_units * m.write_bytes_per_record
+        t_comp = _gpu_compute(gpu, profile, u_units, eff, scale)
+        wb_f = u_units * profile.write_bytes_per_record
         wb = np.floor(wb_f)
-        if m.write_bytes_per_record > 0:
-            w_elem = m.write_bytes_per_record / max(m.writes_per_record, 1e-9)
-            sc_bytes = (u_units * m.writes_per_record) * w_elem
+        if profile.write_bytes_per_record > 0:
+            w_elem = profile.write_bytes_per_record / max(
+                profile.writes_per_record, 1e-9
+            )
+            sc_bytes = (u_units * profile.writes_per_record) * w_elem
             t_sc = (
                 sc_bytes / cpu.per_thread_bandwidth
                 + (sc_bytes * 0.9) / cpu.per_thread_bandwidth
@@ -513,18 +522,19 @@ def _bigkernel_grid_total(
     u = kind(tail_u)
     cpu_workers = 2 if workers_fixed is None else workers_fixed
     sim = _pipeline_total(
-        m, hw, t, u, eff_n_full, has_tail, depth=rd, cpu_workers=cpu_workers
+        profile.passes, t, u, eff_n_full, has_tail, depth=rd,
+        cpu_workers=cpu_workers,
     )
-    d2h_occ = m.passes * (
+    d2h_occ = profile.passes * (
         eff_n_full * (t["d_addr"] + t["WB"])
         + np.where(has_tail, u["d_addr"] + u["WB"], 0.0)
     )
     d2h_fill = t["A"] - t["d_addr"]
     bmeta = dict(
         pattern_on=pattern_on,
-        pattern_fraction=m.pattern_fraction,
+        pattern_fraction=fraction,
         reduce_volume=reduce_volume,
-        features=m.feature_label,
+        features=features.label,
     )
     return sim, d2h_occ, d2h_fill, bmeta
 

@@ -1,12 +1,14 @@
 """O(1)-per-configuration run prediction: ``predict_run``.
 
 Where ``engine.run(...)`` walks a discrete-event (or fastpath) simulation
-of the pipeline, ``predict_run(...)`` prices the same schedule in closed
-form: it builds the engine's own chunk cost vectors (so every byte/op
-ratio, buffer-planning and pattern-recognition decision is *identical* to
-the simulated run) and closes the bounded-ring recurrence with the
-max-plus bound family of :mod:`repro.analytic.algebra`.  No simulator
-events fire; cost is a handful of float ops regardless of chunk count.
+of the pipeline, ``predict_run(...)`` reads the engine's own timing model
+and skips the simulation.  The CPU baselines' roofline legs and
+gpu_single's serial chain are closed forms already, so the prediction is
+their ``sim_time``.  The pipelined engines hand over the chunk schedule
+their ``run`` simulates, and the predictor closes its bounded-ring
+recurrence with the max-plus bound family of
+:mod:`repro.analytic.algebra`.  No simulator events fire; cost is a
+handful of float ops regardless of chunk count.
 
 Scope: the five paper engines (``cpu_serial``, ``cpu_mt``, ``gpu_single``,
 ``gpu_double``, ``bigkernel`` incl. ablation feature sets) plus the
@@ -29,13 +31,10 @@ from repro.engines.base import Engine, EngineConfig
 from repro.engines.bigkernel import BigKernelEngine
 from repro.engines.cpu_mt import CpuMtEngine
 from repro.engines.cpu_serial import CpuSerialEngine
-from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.engines.gpu_double import GpuDoubleBufferEngine
 from repro.engines.gpu_single import GpuSingleBufferEngine
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import ReproError
-from repro.hw.cpu import CpuDevice
-from repro.hw.gpu import GpuDevice
 from repro.runtime.fastpath import FLAG_BYTES, TemplatedChunks
 from repro.runtime.pipeline import ChunkWork, PipelineConfig
 
@@ -304,40 +303,6 @@ def _predict_multigpu(
     return _finish_pipelined(eng.name, app.name, total, bounds, occupancy, n_chunks)
 
 
-def _gpu_double_chunks(app, data, config) -> TemplatedChunks:
-    """Rebuild gpu_double's schedule exactly as the engine prices it."""
-    hw = config.hardware
-    profile = app.access_profile(data)
-    gpu = GpuDevice(hw.gpu)
-    cpu = CpuDevice(hw.cpu)
-    units = app.n_units(data)
-    upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
-    threads = config.total_compute_threads
-
-    def costs(u: int) -> ChunkWork:
-        raw = u * profile.record_bytes
-        cost = kernel_chunk_cost(profile, u, coalesced=False)
-        t_comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-        wb = u * profile.write_bytes_per_record
-        return ChunkWork(
-            index=0,
-            t_addr_gen=0.0,
-            addr_bytes_d2h=0,
-            t_assembly=cpu.staging_copy_time(raw),
-            xfer_bytes=int(raw),
-            t_compute=t_comp,
-            write_bytes=int(wb),
-            t_scatter=cpu.staging_copy_time(wb) if wb > 0 else 0.0,
-        )
-
-    n_full, rem = divmod(units, upc)
-    if rem == 0:
-        return TemplatedChunks(costs(upc), n_full, None, profile.passes)
-    if n_full == 0:
-        return TemplatedChunks(costs(rem), 1, None, profile.passes)
-    return TemplatedChunks(costs(upc), n_full, costs(rem), profile.passes)
-
-
 def predict_run(
     app: Application,
     data: AppData,
@@ -348,62 +313,27 @@ def predict_run(
     config = config if config is not None else EngineConfig()
     eng = resolve_engine(engine)
     hw = config.hardware
-    profile = app.access_profile(data)
-    units = app.n_units(data)
-    cpu = CpuDevice(hw.cpu)
 
-    if eng.name == "cpu_serial" or eng.name == "cpu_mt":
-        n_ops = units * profile.cpu_ops_per_record * profile.passes
-        nbytes = units * profile.record_bytes * profile.passes
-        if eng.name == "cpu_serial":
-            compute_t = n_ops / hw.cpu.peak_ops_per_thread
-            mem_t = nbytes / hw.cpu.per_thread_bandwidth
-        else:
-            cores_used = min(hw.cpu.threads, hw.cpu.cores)
-            compute_t = n_ops / (
-                hw.cpu.peak_ops_per_thread * cores_used * hw.cpu.mt_efficiency
-            )
-            agg_bw = min(
-                hw.cpu.mem_bandwidth, hw.cpu.threads * hw.cpu.per_thread_bandwidth
-            )
-            mem_t = nbytes / agg_bw
-        total = max(compute_t, mem_t)
+    if isinstance(eng, (CpuSerialEngine, CpuMtEngine)):
+        compute_t, mem_t = eng._legs(app, data, config)
         occupancy = {"cpu_compute": compute_t, "cpu_memory": mem_t}
+        binding = max(occupancy, key=occupancy.get)
         return PredictedRun(
             engine=eng.name,
             app=app.name,
-            sim_time=total,
+            sim_time=max(compute_t, mem_t),
             stage_occupancy=occupancy,
-            bottleneck=max(occupancy, key=occupancy.get),
+            bottleneck=binding,
             overlap_fraction=0.0,
             bounds=dict(occupancy),
-            binding_bound=max(occupancy, key=occupancy.get),
+            binding_bound=binding,
             n_chunks=1,
         )
 
-    if eng.name == "gpu_single":
-        gpu = GpuDevice(hw.gpu)
-        upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
-        threads = config.total_compute_threads
-
-        def costs(u: int):
-            raw = u * profile.record_bytes
-            comm = cpu.staging_copy_time(raw) + hw.pcie.transfer_time(raw, pinned=True)
-            cost = kernel_chunk_cost(profile, u, coalesced=False)
-            comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-            wb = u * profile.write_bytes_per_record
-            if wb > 0:
-                comm += hw.pcie.transfer_time(wb, pinned=True)
-                comm += cpu.staging_copy_time(wb)
-            return comm, comp
-
-        n_full, rem = divmod(units, upc)
-        comm_f, comp_f = costs(upc) if n_full else (0.0, 0.0)
-        comm_t, comp_t = costs(rem) if rem else (0.0, 0.0)
-        comm = profile.passes * (n_full * comm_f + comm_t)
-        comp = profile.passes * (n_full * comp_f + comp_t)
-        total = comm + comp
-        occupancy = {"data_transfer": comm, "compute": comp}
+    if isinstance(eng, GpuSingleBufferEngine):
+        m = eng._closed_form(app, data, config)
+        total = m.comm_time + m.comp_time
+        occupancy = {"data_transfer": m.comm_time, "compute": m.comp_time}
         return PredictedRun(
             engine=eng.name,
             app=app.name,
@@ -413,13 +343,12 @@ def predict_run(
             overlap_fraction=0.0,
             bounds={"serial_chain": total},
             binding_bound="serial_chain",
-            n_chunks=profile.passes * (n_full + (1 if rem else 0)),
+            n_chunks=m.n_chunks,
         )
 
-    if eng.name == "gpu_double":
-        chunks = _gpu_double_chunks(app, data, config)
-        pipe_cfg = PipelineConfig(ring_depth=2, cpu_workers=1)
-        total, bounds, occupancy = predict_templated(hw, chunks, pipe_cfg)
+    if isinstance(eng, GpuDoubleBufferEngine):
+        chunks, _ = eng._schedule(app, data, config)
+        total, bounds, occupancy = predict_templated(hw, chunks, eng.pipe_cfg)
         return _finish_pipelined(
             eng.name, app.name, total, bounds, occupancy, len(chunks)
         )
@@ -427,7 +356,7 @@ def predict_run(
     if isinstance(eng, MultiGpuBigKernelEngine):
         return _predict_multigpu(app, data, config, eng)
 
-    # bigkernel (any feature set): price the engine's own resolved schedule
+    # bigkernel (any feature set): one kernel launch over the whole run
     sched = eng._schedule(app, data, config)
     total, bounds, occupancy = predict_templated(hw, sched.chunks, sched.pipe_cfg)
     total += hw.gpu.kernel_launch_overhead

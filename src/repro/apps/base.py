@@ -305,10 +305,17 @@ def _stamping_generate(generate):
     :func:`get_app` rebuilds — its registered class in its default
     configuration — stamps one; any other dataset (``KMeansApp(4)``'s, a
     MapReduce job's) is keyed by its bytes.
+
+    A negative ``n_bytes`` raises :class:`ApplicationError` for every app;
+    ``None`` and ``0`` mean the app's default size.
     """
 
     @functools.wraps(generate)
     def wrapper(self, n_bytes: Optional[int] = None, seed: int = 0) -> "AppData":
+        if n_bytes is not None and n_bytes < 0:
+            raise ApplicationError(
+                f"{self.name}: dataset size must be >= 0 bytes, got {n_bytes}"
+            )
         data = generate(self, n_bytes=n_bytes, seed=seed)
         if (
             isinstance(data, AppData)

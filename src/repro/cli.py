@@ -48,8 +48,17 @@ def _settings(args):
     )
 
 
+def _data_mib(text: str) -> int:
+    """argparse type of every ``--data-mib``: a whole number of MiB, >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of MiB >= 0, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_common(p):
-    p.add_argument("--data-mib", type=int, default=16, help="dataset size (MiB)")
+    p.add_argument("--data-mib", type=_data_mib, default=16, help="dataset size (MiB)")
     p.add_argument("--chunk-kib", type=int, default=2048, help="chunk payload (KiB)")
     p.add_argument("--seed", type=int, default=7, help="data generator seed")
 
@@ -501,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--quick", action="store_true",
                      help="CI scale: smaller datasets, fewer fuzz cases")
     p_v.add_argument("--seed", type=int, default=7, help="verification seed")
-    p_v.add_argument("--data-mib", type=int, default=0,
+    p_v.add_argument("--data-mib", type=_data_mib, default=0,
                      help="dataset size (MiB); 0 = suite default")
     p_v.add_argument("--fuzz-iters", type=int, default=None,
                      help="fuzz cases per loop (default: 8 quick / 30 full)")
@@ -520,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--seed", type=int, default=7,
                      help="fault-grid + data seed (same seed => identical "
                           "FaultReport)")
-    p_c.add_argument("--data-mib", type=int, default=0,
+    p_c.add_argument("--data-mib", type=_data_mib, default=0,
                      help="dataset size (MiB); 0 = sweep default")
     p_c.add_argument("--json", default="",
                      help="also write the FaultReport JSON to this path")
@@ -546,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--engine", default="uvm", choices=["uvm"],
                      help="competitor family to compare against "
                           "(currently only 'uvm')")
-    p_b.add_argument("--data-mib", type=int, default=4,
+    p_b.add_argument("--data-mib", type=_data_mib, default=4,
                      help="dataset size (MiB)")
     p_b.add_argument("--seed", type=int, default=4, help="data generator seed")
     p_b.add_argument("--jobs", type=int, default=1,
@@ -611,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tenant mix as 'name=weight,...' "
                             "(default: alpha=1,beta=2,gamma=4)")
     p_srv.add_argument("--seed", type=int, default=7, help="trace seed")
-    p_srv.add_argument("--data-mib", type=int, default=1,
+    p_srv.add_argument("--data-mib", type=_data_mib, default=1,
                        help="dataset size per job (MiB)")
     p_srv.add_argument("--max-queue", type=int, default=64,
                        help="total backlog before admission control rejects")

@@ -449,21 +449,7 @@ class BigKernelEngine(Engine):
                 xfer_segments=workers,
             )
 
-        # Every full-size chunk shares one cost vector: price the template
-        # once, the ragged tail once, and keep the sequence lazy.
-        n_full, rem = divmod(units, upc)
-        if rem == 0:
-            chunks = TemplatedChunks(
-                chunk_costs(upc), n_full, None, passes=profile.passes
-            )
-        elif n_full == 0:
-            chunks = TemplatedChunks(
-                chunk_costs(rem), 1, None, passes=profile.passes
-            )
-        else:
-            chunks = TemplatedChunks(
-                chunk_costs(upc), n_full, chunk_costs(rem), passes=profile.passes
-            )
+        chunks = TemplatedChunks.split(units, upc, chunk_costs, profile.passes)
 
         pipe_cfg = PipelineConfig(
             # the ring may have been shrunk by the degradation policy;

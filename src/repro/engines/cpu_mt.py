@@ -21,6 +21,17 @@ class CpuMtEngine(Engine):
     name = "cpu_mt"
     display_name = "CPU Multi-threaded"
 
+    def _legs(
+        self, app: Application, data: AppData, config: EngineConfig
+    ) -> tuple[float, float]:
+        """``(compute, memory)`` roofline legs; ``sim_time`` is their max."""
+        profile = app.access_profile(data)
+        totals = self.totals(app, data, profile)
+        return CpuDevice(config.hardware.cpu).mt_legs(
+            n_ops=totals["cpu_ops"] * profile.passes,
+            bytes_streamed=totals["data_bytes"] * profile.passes,
+        )
+
     def run(
         self,
         app: Application,
@@ -28,16 +39,8 @@ class CpuMtEngine(Engine):
         config: Optional[EngineConfig] = None,
     ) -> RunResult:
         config = config or EngineConfig()
-        profile = app.access_profile(data)
-        totals = self.totals(app, data, profile)
         spec = config.hardware.cpu
-        cpu = CpuDevice(spec)
-
-        sim_time = cpu.mt_compute_time(
-            n_ops=totals["cpu_ops"] * profile.passes,
-            bytes_streamed=totals["data_bytes"] * profile.passes,
-            threads=spec.threads,
-        )
+        sim_time = max(self._legs(app, data, config))
         # Functional path: partition into per-thread chunks to demonstrate
         # record independence (results must equal the serial run).
         n = app.n_units(data)

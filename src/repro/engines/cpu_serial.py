@@ -15,6 +15,19 @@ class CpuSerialEngine(Engine):
     name = "cpu_serial"
     display_name = "CPU Serial"
 
+    def _legs(
+        self, app: Application, data: AppData, config: EngineConfig
+    ) -> tuple[float, float]:
+        """``(compute, memory)`` roofline legs; ``sim_time`` is their max."""
+        profile = app.access_profile(data)
+        totals = self.totals(app, data, profile)
+        # The serial implementation touches all record bytes every pass and
+        # performs the scalar arithmetic of the kernel.
+        return CpuDevice(config.hardware.cpu).serial_legs(
+            n_ops=totals["cpu_ops"] * profile.passes,
+            bytes_streamed=totals["data_bytes"] * profile.passes,
+        )
+
     def run(
         self,
         app: Application,
@@ -22,16 +35,7 @@ class CpuSerialEngine(Engine):
         config: Optional[EngineConfig] = None,
     ) -> RunResult:
         config = config or EngineConfig()
-        profile = app.access_profile(data)
-        totals = self.totals(app, data, profile)
-        cpu = CpuDevice(config.hardware.cpu)
-
-        # The serial implementation touches all record bytes every pass and
-        # performs the scalar arithmetic of the kernel.
-        sim_time = cpu.serial_compute_time(
-            n_ops=totals["cpu_ops"] * profile.passes,
-            bytes_streamed=totals["data_bytes"] * profile.passes,
-        )
+        sim_time = max(self._legs(app, data, config))
         output = app.reference(data) if config.functional else None
         metrics = RunMetrics(
             n_chunks=1,

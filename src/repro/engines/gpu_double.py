@@ -36,21 +36,23 @@ class GpuDoubleBufferEngine(Engine):
 
     name = "gpu_double"
     display_name = "GPU Double Buffer"
+    #: two buffer pairs, staged by one host thread
+    pipe_cfg = PipelineConfig(ring_depth=2, cpu_workers=1)
 
-    def run(
-        self,
-        app: Application,
-        data: AppData,
-        config: Optional[EngineConfig] = None,
-    ) -> RunResult:
-        config = config or EngineConfig()
+    def _schedule(
+        self, app: Application, data: AppData, config: EngineConfig
+    ) -> tuple[TemplatedChunks, int]:
+        """The run's chunk schedule and its units per chunk.
+
+        :meth:`run` simulates this schedule under :attr:`pipe_cfg`, and
+        ``repro.analytic`` prices the same one in closed form.
+        """
         hw = config.hardware
         profile = app.access_profile(data)
-        totals = self.totals(app, data, profile)
         gpu = GpuDevice(hw.gpu)
         cpu = CpuDevice(hw.cpu)
 
-        units = totals["units"]
+        units = app.n_units(data)
         upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
         threads = config.total_compute_threads
 
@@ -70,24 +72,24 @@ class GpuDoubleBufferEngine(Engine):
                 t_scatter=cpu.staging_copy_time(wb) if wb > 0 else 0.0,
             )
 
-        # One cost vector for every full chunk, one for the ragged tail.
-        n_full, rem = divmod(units, upc)
-        if rem == 0:
-            chunks = TemplatedChunks(chunk_costs(upc), n_full, None, profile.passes)
-        elif n_full == 0:
-            chunks = TemplatedChunks(chunk_costs(rem), 1, None, profile.passes)
-        else:
-            chunks = TemplatedChunks(
-                chunk_costs(upc), n_full, chunk_costs(rem), profile.passes
-            )
+        return TemplatedChunks.split(units, upc, chunk_costs, profile.passes), upc
+
+    def run(
+        self,
+        app: Application,
+        data: AppData,
+        config: Optional[EngineConfig] = None,
+    ) -> RunResult:
+        config = config or EngineConfig()
+        chunks, upc = self._schedule(app, data, config)
 
         injector = None
         if config.faults is not None and config.faults.active():
             injector = FaultInjector(config.faults)
         result = run_pipeline(
-            hw,
+            config.hardware,
             chunks,
-            PipelineConfig(ring_depth=2, cpu_workers=1),
+            self.pipe_cfg,
             fastpath=config.fastpath,
             faults=injector,
         )

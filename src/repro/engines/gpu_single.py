@@ -23,20 +23,18 @@ class GpuSingleBufferEngine(Engine):
     name = "gpu_single"
     display_name = "GPU Single Buffer"
 
-    def run(
-        self,
-        app: Application,
-        data: AppData,
-        config: Optional[EngineConfig] = None,
-    ) -> RunResult:
-        config = config or EngineConfig()
+    def _closed_form(
+        self, app: Application, data: AppData, config: EngineConfig
+    ) -> RunMetrics:
+        """The run's whole timing: nothing overlaps, so its ``sim_time`` is
+        ``comm_time + comp_time``. :meth:`run` and ``repro.analytic`` both
+        read it."""
         hw = config.hardware
         profile = app.access_profile(data)
-        totals = self.totals(app, data, profile)
         gpu = GpuDevice(hw.gpu)
         cpu = CpuDevice(hw.cpu)
 
-        units = totals["units"]
+        units = app.n_units(data)
         upc, n_chunks = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
         threads = config.total_compute_threads
 
@@ -62,24 +60,27 @@ class GpuSingleBufferEngine(Engine):
         comm_f, comp_f, h2d_f, d2h_f = chunk_costs(upc) if n_full else (0, 0, 0, 0)
         comm_t, comp_t, h2d_t, d2h_t = chunk_costs(rem) if rem else (0.0, 0.0, 0, 0)
         passes = profile.passes
-        comm = passes * (n_full * comm_f + comm_t)
-        comp = passes * (n_full * comp_f + comp_t)
-        bytes_h2d = passes * (n_full * h2d_f + h2d_t)
-        bytes_d2h = passes * (n_full * d2h_f + d2h_t)
-        launches = passes * (n_full + (1 if rem else 0))
-        sim_time = comm + comp
-
-        output = None
-        if config.functional:
-            bounds = app.chunk_bounds(data, upc)
-            output = self._functional_output(app, data, bounds)
-        metrics = RunMetrics(
-            n_chunks=n_chunks * profile.passes,
-            bytes_h2d=bytes_h2d,
-            bytes_d2h=bytes_d2h,
-            comp_time=comp,
-            comm_time=comm,
-            kernel_launches=launches,
+        return RunMetrics(
+            n_chunks=n_chunks * passes,
+            bytes_h2d=passes * (n_full * h2d_f + h2d_t),
+            bytes_d2h=passes * (n_full * d2h_f + d2h_t),
+            comp_time=passes * (n_full * comp_f + comp_t),
+            comm_time=passes * (n_full * comm_f + comm_t),
+            kernel_launches=passes * (n_full + (1 if rem else 0)),
             notes={"units_per_chunk": upc},
         )
+
+    def run(
+        self,
+        app: Application,
+        data: AppData,
+        config: Optional[EngineConfig] = None,
+    ) -> RunResult:
+        config = config or EngineConfig()
+        metrics = self._closed_form(app, data, config)
+        output = None
+        if config.functional:
+            bounds = app.chunk_bounds(data, metrics.notes["units_per_chunk"])
+            output = self._functional_output(app, data, bounds)
+        sim_time = metrics.comm_time + metrics.comp_time
         return RunResult(self.name, app.name, output, sim_time, metrics)

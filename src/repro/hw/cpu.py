@@ -20,8 +20,9 @@ class CpuDevice:
         self.spec = spec
 
     # -- baselines -----------------------------------------------------------
-    def serial_compute_time(self, n_ops: float, bytes_streamed: float) -> float:
-        """One thread doing ``n_ops`` over ``bytes_streamed`` of data.
+    def serial_legs(self, n_ops: float, bytes_streamed: float) -> tuple[float, float]:
+        """``(compute, memory)`` time of one thread doing ``n_ops`` over
+        ``bytes_streamed`` of data.
 
         Roofline on the single-thread machine: arithmetic throughput vs the
         bandwidth one thread can pull by itself.
@@ -30,12 +31,16 @@ class CpuDevice:
             raise HardwareError("work amounts must be non-negative")
         compute_t = n_ops / self.spec.peak_ops_per_thread
         mem_t = bytes_streamed / self.spec.per_thread_bandwidth
-        return max(compute_t, mem_t)
+        return compute_t, mem_t
 
-    def mt_compute_time(
+    def serial_compute_time(self, n_ops: float, bytes_streamed: float) -> float:
+        """The binding leg of :meth:`serial_legs`."""
+        return max(self.serial_legs(n_ops, bytes_streamed))
+
+    def mt_legs(
         self, n_ops: float, bytes_streamed: float, threads: int | None = None
-    ) -> float:
-        """Multithreaded version: core scaling with efficiency, socket-BW cap.
+    ) -> tuple[float, float]:
+        """Multithreaded legs: core scaling with efficiency, socket-BW cap.
 
         Hyperthreads add memory-level parallelism but no arithmetic units,
         so op throughput scales with physical cores only.
@@ -51,7 +56,13 @@ class CpuDevice:
             self.spec.mem_bandwidth, threads * self.spec.per_thread_bandwidth
         )
         mem_t = bytes_streamed / agg_bw
-        return max(compute_t, mem_t)
+        return compute_t, mem_t
+
+    def mt_compute_time(
+        self, n_ops: float, bytes_streamed: float, threads: int | None = None
+    ) -> float:
+        """The binding leg of :meth:`mt_legs`."""
+        return max(self.mt_legs(n_ops, bytes_streamed, threads))
 
     # -- staging for traditional GPU schemes ----------------------------------
     def staging_copy_time(self, nbytes: float) -> float:

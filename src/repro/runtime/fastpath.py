@@ -42,7 +42,7 @@ the whole fallback matrix.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import RuntimeConfigError
 from repro.hw.spec import HardwareSpec
@@ -106,6 +106,24 @@ class TemplatedChunks(Sequence):
         #: entered fault-free/trace-free, where the result is a pure
         #: function of (template, hardware, config).
         self.fastpath_memo: dict = {}
+
+    @classmethod
+    def split(
+        cls,
+        units: int,
+        units_per_chunk: int,
+        costs: Callable[[int], ChunkWork],
+        passes: int = 1,
+    ) -> "TemplatedChunks":
+        """``units`` cut into ``units_per_chunk``-unit chunks, each priced
+        by ``costs(u)``: one template for the full chunks plus a ragged
+        tail, or a single short template when ``units`` fills no chunk."""
+        n_full, rem = divmod(units, units_per_chunk)
+        if rem == 0:
+            return cls(costs(units_per_chunk), n_full, None, passes)
+        if n_full == 0:
+            return cls(costs(rem), 1, None, passes)
+        return cls(costs(units_per_chunk), n_full, costs(rem), passes)
 
     @property
     def per_pass(self) -> int:

@@ -13,7 +13,6 @@ import pytest
 from repro.analytic import (
     GRID_FIELDS,
     PREDICTABLE_ENGINES,
-    extract_app_model,
     pipeline_bounds,
     predict_grid,
     predict_run,
@@ -21,7 +20,7 @@ from repro.analytic import (
     run_report,
     suggest_grid,
 )
-from repro.apps import get_app
+from repro.apps import ALL_APPS, get_app
 from repro.engines import (
     BigKernelEngine,
     CpuSerialEngine,
@@ -104,6 +103,30 @@ class TestPredictRun:
         assert pred.sim_time == pytest.approx(des.sim_time, rel=1e-12)
         assert pred.n_chunks == des.metrics.n_chunks
 
+    def test_closed_form_engines_price_exactly(self):
+        # one timing model per engine: the unpipelined engines have no
+        # bound family to close, so the prediction is their sim_time
+        cells = 0
+        for cls in ALL_APPS:
+            app = cls()
+            for size in (512 * 1024, 2 * MiB):
+                data = app.generate(n_bytes=size, seed=7)
+                for chunk_kib in (64, 256, 1024):
+                    for blocks in (8, 16):
+                        cfg = EngineConfig(
+                            chunk_bytes=chunk_kib * 1024,
+                            num_blocks=blocks,
+                            functional=False,
+                        )
+                        for name in ("cpu_serial", "cpu_mt", "gpu_single"):
+                            pred = predict_run(app, data, cfg, engine=name)
+                            run = resolve_engine(name).run(app, data, cfg)
+                            assert pred.sim_time == run.sim_time, (
+                                app.name, size, chunk_kib, blocks, name
+                            )
+                            cells += 1
+        assert cells == 252
+
     def test_writer_app_has_writeback_occupancy(self, writer_workload):
         app, data = writer_workload
         pred = predict_run(app, data, engine="bigkernel")
@@ -134,23 +157,32 @@ class TestPredictRun:
 
 
 class TestPredictGrid:
+    # compute_threads and chunk_bytes both move the pattern sampler's
+    # geometry, so the scalar path re-samples at every point
     GRID = {
-        "chunk_bytes": [128 * 1024, 256 * 1024, 512 * 1024],
+        "chunk_bytes": [128 * 1024, 512 * 1024],
+        "compute_threads": [64, 256],
         "num_blocks": [8, 16],
         "ring_depth": [2, 3],
     }
 
     @pytest.mark.parametrize("engine", PREDICTABLE_ENGINES)
-    def test_grid_matches_scalar_pointwise(self, workload, engine):
-        app, data = workload
+    def test_grid_matches_scalar_pointwise(self, engine):
+        """The grid's two approximations (one pattern sample per grid, no
+        allocator run per point) hold at every point of every app."""
         base = EngineConfig(functional=False)
-        gp = predict_grid(app, data, self.GRID, base, engine=engine)
-        assert gp.n_points == 12
-        for i in (0, 5, 11):
-            scalar = predict_run(
-                app, data, gp.config_at(i), engine=engine
-            ).sim_time
-            assert float(gp.sim_time[i]) == pytest.approx(scalar, rel=1e-12)
+        for cls in ALL_APPS:
+            app = cls()
+            data = app.generate(n_bytes=1 * MiB, seed=7)
+            gp = predict_grid(app, data, self.GRID, base, engine=engine)
+            assert gp.n_points == 16
+            for i in range(gp.n_points):
+                scalar = predict_run(
+                    app, data, gp.config_at(i), engine=engine
+                ).sim_time
+                assert float(gp.sim_time[i]) == pytest.approx(
+                    scalar, rel=1e-12
+                ), (app.name, gp.params_at(i))
 
     def test_enumeration_matches_sweep_order(self, workload):
         import itertools
@@ -203,15 +235,7 @@ class TestSuggestGrid:
         assert 1000 <= n < 50_000
 
 
-class TestAppModel:
-    def test_extracted_model_matches_profile(self, workload):
-        app, data = workload
-        m = extract_app_model(app, data)
-        profile = app.access_profile(data)
-        assert m.units == app.n_units(data)
-        assert m.record_bytes == profile.record_bytes
-        assert m.passes == profile.passes
-
+class TestKernelIntensity:
     def test_kernel_intensity_census(self):
         k = kernel_intensity(get_app("dna").kernel())
         assert k.arithmetic_ops > 0

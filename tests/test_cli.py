@@ -35,6 +35,16 @@ class TestCli:
     def test_run_unknown_engine_fails(self, capsys):
         assert main(["run", "kmeans", "--engine", "warpdrive", *FAST]) == 2
 
+    @pytest.mark.parametrize(
+        "command", ["run kmeans", "report kmeans", "verify", "chaos", "bench",
+                    "serve"],
+    )
+    def test_negative_data_mib_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--data-mib", "-2"])
+        assert exc.value.code == 2
+        assert "--data-mib" in capsys.readouterr().err
+
     def test_table1_command(self, capsys):
         assert main(["table1", *FAST]) == 0
         assert "Table I" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from repro.engines import (
     GpuDoubleBufferEngine,
     GpuSingleBufferEngine,
 )
+from repro.errors import ApplicationError
 from repro.units import MiB
 
 TINY_CFG = EngineConfig(chunk_bytes=64 * 1024)
@@ -34,6 +35,10 @@ class TestTinyDatasets:
         for r in results[1:]:
             assert app.outputs_equal(results[0].output, r.output), r.engine
         assert all(r.sim_time > 0 for r in results)
+
+    def test_negative_size_rejected(self, name):
+        with pytest.raises(ApplicationError, match="must be >= 0"):
+            get_app(name).generate(n_bytes=-2 * MiB, seed=1)
 
     def test_single_chunk_dataset(self, name):
         """Dataset smaller than one chunk: exactly one pipeline chunk per

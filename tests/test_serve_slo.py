@@ -441,18 +441,3 @@ def test_predicted_sim_time_memoizes():
     assert first == second
     assert PREDICT_RUN_STATS["requests"] == before["requests"] + 2
     assert PREDICT_RUN_STATS["hits"] >= before["hits"] + 1
-
-
-def test_extract_app_model_memoizes():
-    from repro.analytic import ANALYTIC_MODEL_STATS, extract_app_model
-    from repro.apps.base import get_app
-
-    app = get_app("wordcount")
-    data = app.generate(n_bytes=128 * KiB, seed=1)
-    config = EngineConfig(chunk_bytes=64 * KiB)
-    before = dict(ANALYTIC_MODEL_STATS)
-    first = extract_app_model(app, data, config)
-    second = extract_app_model(app, data, config)
-    assert second is first  # the cache returns the same model object
-    assert ANALYTIC_MODEL_STATS["requests"] == before["requests"] + 2
-    assert ANALYTIC_MODEL_STATS["hits"] >= before["hits"] + 1
