@@ -30,13 +30,15 @@ to the DES, and the ``fastpath-vs-des`` differential oracle
 (:func:`repro.verify.differential.run_fastpath_differential`) holds it to
 that claim on every run of ``python -m repro verify --fastpath``.
 
+A ring deeper than the chunk list needs no special case: neither the ring
+nor any store ever binds, so no chunk looks back and the recurrence is
+plain ``+``/``max`` down the stages.
+
 The fast path declines (and :func:`~repro.runtime.pipeline.run_pipeline`
 falls back to the DES) whenever any of its assumptions could be violated:
-heterogeneous chunks, mapped writes, an externally supplied trace, a
-``verify=`` run, or a ring deeper than the chunk list (a degenerate case
-the steady-state framing does not model). :func:`fastpath_supported`
-reports the decision and the reason, and ``tests/test_fastpath.py`` pins
-the whole fallback matrix.
+heterogeneous chunks, mapped writes, an externally supplied trace or a
+``verify=`` run. :func:`fastpath_supported` reports the decision and the
+reason, and ``tests/test_fastpath.py`` pins the whole fallback matrix.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from repro.runtime.pipeline import (
     PipelineResult,
 )
 
+_new = object.__new__
+_set = object.__setattr__
+
 #: bytes of the trailing completion-flag DMA (DmaEngine.copy_with_flag)
 FLAG_BYTES = 4
 
@@ -64,6 +69,18 @@ FLAG_BYTES = 4
 #: evaluations, ``reused`` counts runs answered from a prior evaluation of
 #: the same schedule under the same hardware/pipeline config
 FASTPATH_MEMO_STATS = {"computed": 0, "reused": 0}
+
+
+def _with_index(kind: ChunkWork, index: int) -> ChunkWork:
+    """A copy of the validated template or tail ``kind`` at ``index``:
+    ``replace(kind, index=index)`` without re-running ``__post_init__``
+    once per chunk. Fields are set one by one, as the frozen dataclass's
+    ``__init__`` sets them, so the copy keeps its compact layout."""
+    chunk = _new(ChunkWork)
+    for name, value in vars(kind).items():
+        _set(chunk, name, value)
+    _set(chunk, "index", index)
+    return chunk
 
 
 class TemplatedChunks(Sequence):
@@ -146,7 +163,7 @@ class TemplatedChunks(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError(i)
-        return replace(self.kind_at(i), index=i)
+        return _with_index(self.kind_at(i), i)
 
     def __iter__(self) -> Iterator[ChunkWork]:
         return iter(self.materialize())
@@ -155,7 +172,7 @@ class TemplatedChunks(Sequence):
         """The equivalent eager chunk list (cached)."""
         if self._materialized is None:
             self._materialized = [
-                replace(self.kind_at(i), index=i) for i in range(len(self))
+                _with_index(self.kind_at(i), i) for i in range(len(self))
             ]
         return self._materialized
 
@@ -194,9 +211,12 @@ def template_of(
 
 
 def fastpath_supported(
-    chunks: Sequence[ChunkWork], config: PipelineConfig, faults=None
+    chunks: Sequence[ChunkWork], faults=None
 ) -> tuple[bool, str]:
     """Can the analytic engine reproduce the DES exactly for this run?
+
+    Every pipeline config is covered, so only the schedule and the faults
+    decide.
 
     Returns ``(supported, reason)``; the reason names the first failed
     gate (``"ok"`` when supported). Gates, in order:
@@ -208,10 +228,7 @@ def fastpath_supported(
       authoritative under injection;
     * ``heterogeneous-chunks`` — the schedule is not template(+tail);
     * ``mapped-writes`` — any chunk carries write-back work (stages 5–6
-      add CPU and d2h contention the closed form does not cover);
-    * ``ring-deeper-than-run`` — ``ring_depth > n_chunks``: the ring
-      never binds and the steady-state framing is degenerate; the DES is
-      authoritative there.
+      add CPU and d2h contention the closed form does not cover).
     """
     n = len(chunks)
     if n == 0:
@@ -229,8 +246,6 @@ def fastpath_supported(
     kinds = (template,) if tail is None else (template, tail)
     if any(k.write_bytes > 0 or k.t_scatter > 0 for k in kinds):
         return False, "mapped-writes"
-    if config.ring_depth > n:
-        return False, "ring-deeper-than-run"
     return True, "ok"
 
 
@@ -247,7 +262,7 @@ def run_fastpath(
     ``stage_totals`` and byte counters are bit-identical to the DES's;
     ``trace`` is None (tracing is precisely the work being skipped).
     """
-    ok, reason = fastpath_supported(chunks, config)
+    ok, reason = fastpath_supported(chunks)
     if not ok:
         raise RuntimeConfigError(f"fast path does not cover this run: {reason}")
     template, n_full, tail, passes = template_of(chunks)

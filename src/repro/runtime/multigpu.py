@@ -38,6 +38,7 @@ from repro.runtime.pipeline import (
     PipelineConfig,
     PipelineResult,
     _spawn_block_processes,
+    _stage_totals,
 )
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
@@ -150,17 +151,12 @@ def run_pipeline_sharded(
 
     shards = []
     for g, (chunks, trace) in enumerate(zip(shard_chunks, traces)):
-        stage_totals = {
-            label: trace.total_time(label)
-            for label in trace.labels()
-            if not label.endswith("-flag")
-        }
         shards.append(
             PipelineResult(
                 total_time=max((iv.end for iv in trace), default=0.0),
                 n_chunks=len(chunks),
                 trace=trace,
-                stage_totals=stage_totals,
+                stage_totals=_stage_totals(trace),
                 bytes_h2d=_trace_bytes(trace, f"pcie-{H2D}"),
                 bytes_d2h=_trace_bytes(trace, f"pcie-{D2H}"),
             )

@@ -215,9 +215,12 @@ def _spawn_block_processes(
             yield asm_store.put(chunk)
 
     def transfer_proc() -> Generator:
+        # one ready flag, re-armed per chunk: the previous chunk's flag DMA
+        # has landed before the next chunk's copy is issued
+        flag = Flag(env, name=f"data_ready{tag}")
         for _ in chunks:
             chunk = yield asm_store.get()
-            flag = Flag(env, name=f"data_ready{tag}[{chunk.index}]")
+            flag.clear()
             dma.copy_with_flag(
                 chunk.xfer_bytes,
                 flag,
@@ -285,17 +288,22 @@ def _spawn_block_processes(
         env.process(scatter_proc())
 
 
-def _collect_result(env, link, trace, n_chunks) -> PipelineResult:
-    stage_totals = {
-        label: trace.total_time(label)
-        for label in trace.labels()
+def _stage_totals(trace: TraceRecorder) -> dict:
+    """Each stage label's summed durations in ``trace``; flag DMAs are not
+    stages."""
+    return {
+        label: total
+        for label, total in trace.label_totals().items()
         if not label.endswith("-flag")
     }
+
+
+def _collect_result(env, link, trace, n_chunks) -> PipelineResult:
     return PipelineResult(
         total_time=env.now,
         n_chunks=n_chunks,
         trace=trace,
-        stage_totals=stage_totals,
+        stage_totals=_stage_totals(trace),
         bytes_h2d=link.bytes_moved[H2D],
         bytes_d2h=link.bytes_moved[D2H],
     )
@@ -375,7 +383,7 @@ def run_pipeline(
         fastpath if fastpath is not None else isinstance(chunks, TemplatedChunks)
     )
     if want_fast and trace is None and not verify:
-        ok, _reason = fastpath_supported(chunks, config, faults=injector)
+        ok, _reason = fastpath_supported(chunks, faults=injector)
         if ok:
             if isinstance(chunks, TemplatedChunks):
                 return _memoized_fastpath(hardware, chunks, config)

@@ -12,28 +12,33 @@ model produce identical timelines.
 Performance: this module is the simulator's hot loop. Every chunk of every
 pipeline stage turns into a handful of events here, and DES-bound workloads
 (sweeps, traced, verified or faulted runs) spend most of their wall-clock
-inside :meth:`Environment.run`. Two things keep a chunk cheap:
+inside :meth:`Environment.run`. Three things keep a chunk cheap:
 
 * **Inline pushes.** Heap entries are pushed where they are made, with
   no call through :meth:`Environment.schedule`: by :class:`Timeout`,
-  :meth:`Event.succeed` and the :class:`Initialize` that starts a process.
+  :meth:`Event.succeed` and :class:`Initialize`.
   The :class:`~repro.sim.resources.Request`,
   :class:`~repro.sim.stores.StorePut` and :class:`~repro.sim.stores.StoreGet`
   constructors flatten ``Event.__init__`` and push an immediate grant or
   hand-off through that inlined ``succeed``. Each push builds the entry
   ``schedule`` would have built, at the same moment.
+* **No process where a callback chain will do.** :class:`Initialize`
+  takes a start callback: a :class:`Process` passes its resume callback,
+  and a DMA (:class:`~repro.hw.pcie.Transfer`, the most-repeated action
+  on the timeline) passes the first link of a chain of callbacks that
+  request the channel, time the attempts and land the data. The chain
+  pushes exactly the entries a generator process doing the same would
+  push, without a generator, its frames or its resumes.
 * **Unobservable events stay off the heap.** Popping an event sets the
   clock to its time and runs its callbacks. A succeeded zero-delay event
   that nothing can ever wait on therefore changes nothing when popped,
   and needs no heap trip.
   A resource released by leaving a ``with request:`` block creates no
   :class:`~repro.sim.resources.Release` at all (the block discards it),
-  and a *detached* process (:meth:`Environment.process` with
-  ``detached=True``) that finishes with no waiter completes in place:
-  its value is set and it is marked processed without a push. The DMA
-  engine detaches the two processes of a flagged copy, whose consumer
-  waits on the flag, never on them. A detached process that fails still
-  goes through the heap, so :meth:`Environment.run` raises its error.
+  and a *detached* DMA that lands with no waiter completes in place: its
+  value is set and it is marked processed without a push. The DMA engine
+  detaches the two transfers of a flagged copy, whose consumer waits on
+  the flag, never on them.
 
 The invariant is on the heap entries that remain: they keep their
 relative ``(time, priority, eid)`` order, because every push still takes
@@ -176,13 +181,17 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event used to start a new process on the next step."""
+    """Internal URGENT event that runs ``start`` on the next step.
+
+    A :class:`Process` passes its resume callback; a callback-driven
+    activity such as :class:`~repro.hw.pcie.Transfer` passes its first step.
+    """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process"):
+    def __init__(self, env: "Environment", start: Callable[[Event], None]):
         self.env = env
-        self.callbacks = [process._resume_cb]
+        self.callbacks = [start]
         self._value = None
         self._ok = True
         self._defused = False
@@ -196,27 +205,22 @@ class Process(Event):
 
     The process *is* an event: it triggers with the generator's return value
     when the generator finishes, so other processes can ``yield proc`` to
-    join on it. A *detached* process promises that nobody joins on it after
-    it finishes: when it returns with no waiter it completes in place,
-    without a heap trip (see the module docstring).
+    join on it.
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb", "_detached")
+    __slots__ = ("_generator", "_target", "name", "_resume_cb")
 
-    def __init__(
-        self, env: "Environment", generator: Generator, detached: bool = False
-    ):
+    def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process() requires a generator, got {type(generator).__name__}"
             )
         super().__init__(env)
         self._generator = generator
-        self._detached = detached
         #: the bound resume callback, created once — appending ``_resume``
         #: directly would allocate a fresh bound method per wait
         self._resume_cb = self._resume
-        self._target: Optional[Event] = Initialize(env, self)
+        self._target: Optional[Event] = Initialize(env, self._resume_cb)
         self.name = getattr(generator, "__name__", "process")
 
     @property
@@ -262,12 +266,7 @@ class Process(Event):
             except StopIteration as exc:
                 self._target = None
                 env._active_process = None
-                if self._detached and not self.callbacks:
-                    # no waiter, and none can come: processed in place
-                    self._value = exc.value
-                    self.callbacks = None
-                else:
-                    self.succeed(exc.value)
+                self.succeed(exc.value)
                 return
             except BaseException as exc:
                 self._target = None
@@ -388,13 +387,9 @@ class Environment:
         """Create a fresh, untriggered event."""
         return Event(self)
 
-    def process(self, generator: Generator, detached: bool = False) -> Process:
-        """Register ``generator`` as a new simulated process.
-
-        ``detached=True`` promises that nothing waits on the process once
-        it has finished, which lets it complete off the heap.
-        """
-        return Process(self, generator, detached)
+    def process(self, generator: Generator) -> Process:
+        """Register ``generator`` as a new simulated process."""
+        return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: all of ``events`` succeed."""

@@ -6,13 +6,22 @@ totals to the DES inside its coverage envelope and an automatic DES
 fallback outside it; every cell of that claim is pinned here.
 """
 
+import itertools
+import random
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.apps import get_app
+from repro.apps import APP_REGISTRY, get_app
 from repro.apps.base import data_fingerprint
 from repro.bench.sweep import DEFAULT_GRID, RunCache, SweepPoint, SweepResult, sweep
-from repro.engines import BigKernelEngine, EngineConfig, GpuDoubleBufferEngine
+from repro.engines import (
+    BigKernelEngine,
+    BigKernelFeatures,
+    EngineConfig,
+    GpuDoubleBufferEngine,
+)
 from repro.errors import RuntimeConfigError
 from repro.hw.spec import DEFAULT_HARDWARE as HW
 from repro.runtime.assembly import (
@@ -28,7 +37,7 @@ from repro.runtime.fastpath import (
 )
 from repro.runtime.pipeline import ChunkWork, PipelineConfig, run_pipeline
 from repro.sim.trace import TraceRecorder
-from repro.units import MiB
+from repro.units import KiB, MiB
 from repro.verify.differential import run_fastpath_differential
 
 TEMPLATE = ChunkWork(
@@ -39,6 +48,9 @@ TAIL = ChunkWork(
     0, t_addr_gen=5e-5, addr_bytes_d2h=1024, t_assembly=1e-4,
     xfer_bytes=123456, t_compute=9e-5, xfer_segments=3,
 )
+#: a template with mapped writes, which the fast path does not cover
+WRITER = ChunkWork(0, 1e-4, 512, 2e-4, 65536, 3e-4,
+                   write_bytes=4096, t_scatter=1e-4)
 
 
 def assert_same_totals(fast, slow):
@@ -99,29 +111,26 @@ class TestFallbackMatrix:
             ChunkWork(i, 1e-4 * (i + 1), 0, 2e-4, (i + 1) * 65536, 3e-4)
             for i in range(6)
         ]
-        ok, reason = fastpath_supported(chunks, PipelineConfig(ring_depth=3))
+        ok, reason = fastpath_supported(chunks)
         assert not ok and reason == "heterogeneous-chunks"
         allowed, forced = self.run_both(chunks)
         assert allowed.trace is not None  # the DES ran
         assert_same_totals(allowed, forced)
 
     def test_mapped_writes_fall_back(self):
-        t = ChunkWork(0, 1e-4, 512, 2e-4, 65536, 3e-4,
-                      write_bytes=4096, t_scatter=1e-4)
-        chunks = TemplatedChunks(t, 6)
-        ok, reason = fastpath_supported(chunks, PipelineConfig(ring_depth=3))
+        chunks = TemplatedChunks(WRITER, 6)
+        ok, reason = fastpath_supported(chunks)
         assert not ok and reason == "mapped-writes"
         allowed, forced = self.run_both(chunks)
         assert allowed.trace is not None
         assert_same_totals(allowed, forced)
 
-    def test_ring_deeper_than_run_falls_back(self):
+    def test_ring_deeper_than_run_takes_fast_path(self):
         chunks = TemplatedChunks(TEMPLATE, 3)
         cfg = PipelineConfig(ring_depth=5)
-        ok, reason = fastpath_supported(chunks, cfg)
-        assert not ok and reason == "ring-deeper-than-run"
+        assert fastpath_supported(chunks) == (True, "ok")
         allowed, forced = self.run_both(chunks, cfg)
-        assert allowed.trace is not None
+        assert allowed.trace is None  # the ring never binds: no lookback
         assert_same_totals(allowed, forced)
 
     def test_verify_run_uses_des(self):
@@ -160,9 +169,64 @@ class TestFallbackMatrix:
         assert_same_totals(fast, slow)
 
     def test_unsupported_run_fastpath_raises(self):
-        chunks = TemplatedChunks(TEMPLATE, 3)
-        with pytest.raises(RuntimeConfigError):
-            run_fastpath(HW, chunks, PipelineConfig(ring_depth=5))
+        with pytest.raises(RuntimeConfigError, match="mapped-writes"):
+            run_fastpath(HW, TemplatedChunks(WRITER, 6), PipelineConfig(ring_depth=3))
+
+
+def schedule_of(engine, app, data, cfg):
+    """The ``(chunks, pipeline config)`` an engine run simulates."""
+    if isinstance(engine, BigKernelEngine):
+        sched = engine._schedule(app, data, cfg)
+        return sched.chunks, sched.pipe_cfg
+    chunks, _ = engine._schedule(app, data, cfg)
+    return chunks, engine.pipe_cfg
+
+
+@lru_cache(maxsize=None)
+def small_dataset(app_name, kib):
+    app = get_app(app_name)
+    return app, app.generate(n_bytes=kib * KiB, seed=7)
+
+
+class TestDeepRingMatrix:
+    """A ring deeper than the run takes the fast path, bit-equal to the DES.
+
+    A seeded sample of the exactness matrix: every app × BigKernel, its
+    overlap-only variant and double buffering × 16 KiB-1 MiB of data ×
+    64 KiB-1 MiB chunks × ring depths 2-8 × 8 or 16 blocks. Most of it
+    has fewer chunks than ring slots; every sampled run must match the
+    forced DES, and take the fast path whenever its schedule allows.
+    """
+
+    ENGINES = {
+        "bigkernel": BigKernelEngine,
+        "overlap-only": lambda: BigKernelEngine(BigKernelFeatures.overlap_only()),
+        "gpu_double": GpuDoubleBufferEngine,
+    }
+    MATRIX = list(itertools.product(
+        sorted(APP_REGISTRY), sorted(ENGINES), (16, 32, 64, 128, 256, 512, 1024),
+        (64, 128, 256, 512, 1024), (2, 3, 4, 6, 8), (8, 16),
+    ))
+
+    def test_sampled_matrix(self):
+        deep_fast = 0
+        for case in random.Random(0).sample(self.MATRIX, 200):
+            app_name, engine_name, data_kib, chunk_kib, depth, blocks = case
+            app, data = small_dataset(app_name, data_kib)
+            engine = self.ENGINES[engine_name]()
+            cfg = EngineConfig(chunk_bytes=chunk_kib * KiB, ring_depth=depth,
+                               num_blocks=blocks, functional=False)
+            fast = engine.run(app, data, cfg)
+            slow = engine.run(app, data, cfg.with_(fastpath=False))
+            assert (fast.sim_time, fast.metrics.stage_totals,
+                    fast.metrics.bytes_h2d, fast.metrics.bytes_d2h) == (
+                slow.sim_time, slow.metrics.stage_totals,
+                slow.metrics.bytes_h2d, slow.metrics.bytes_d2h), case
+            chunks, pipe_cfg = schedule_of(engine, app, data, cfg)
+            assert (fast.trace is None) == fastpath_supported(chunks)[0], case
+            if fast.trace is None and pipe_cfg.ring_depth > len(chunks):
+                deep_fast += 1
+        assert deep_fast >= 100  # 119 of the 200 sampled runs
 
 
 class TestTemplatedChunks:

@@ -1,5 +1,8 @@
 """Tests for the 4/6-stage pipeline scheduling behaviour."""
 
+import operator
+from functools import reduce
+
 import pytest
 
 from repro.errors import RuntimeConfigError
@@ -16,6 +19,7 @@ from repro.runtime.pipeline import (
     PipelineResult,
     run_pipeline,
 )
+from repro.runtime.multigpu import run_pipeline_sharded
 from repro.units import MiB
 
 
@@ -174,3 +178,30 @@ class TestValidation:
         res = run_pipeline(HW, make_chunks(10))
         assert res.stage_fraction(STAGE_COMPUTE) == pytest.approx(1.0)
         assert 0 < res.stage_fraction(STAGE_ADDR_GEN) < 1.0
+
+
+class TestStageTotals:
+    """Each stage total is its intervals' durations added left to right in
+    record order: the fast path's order, on every Python (``sum()`` over
+    floats is compensated from 3.12 on)."""
+
+    @staticmethod
+    def assert_left_to_right(res):
+        labels = {iv.label for iv in res.trace} - {f"{STAGE_TRANSFER}-flag"}
+        assert set(res.stage_totals) == labels
+        for label, total in res.stage_totals.items():
+            durations = [iv.end - iv.start for iv in res.trace if iv.label == label]
+            assert total == reduce(operator.add, durations, 0.0), label
+
+    def test_pipeline(self):
+        chunks = make_chunks(
+            23, t_ag=1e-4, t_asm=3.3e-4, xfer=300_001, t_comp=2.7e-4,
+            addr_bytes=4097, write_bytes=7001, t_scatter=1.1e-4,
+        )
+        self.assert_left_to_right(run_pipeline(HW, chunks, fastpath=False))
+
+    def test_sharded(self):
+        shards = [make_chunks(9, t_asm=3.3e-4, xfer=300_001), make_chunks(7)]
+        res = run_pipeline_sharded(HW, shards, [PipelineConfig()] * 2)
+        for shard in res.shards:
+            self.assert_left_to_right(shard)

@@ -318,52 +318,6 @@ def test_nested_processes_compose():
 
 
 # -- events kept off the heap -----------------------------------------------
-def test_detached_process_without_waiter_completes_off_the_heap():
-    env = Environment()
-
-    def work(env):
-        yield env.timeout(1.0)
-        return "done"
-
-    proc = env.process(work(env), detached=True)
-    env.run()
-    # Initialize + the timeout: the completion itself was never pushed
-    assert env._eid == 2
-    assert proc.processed and proc.value == "done" and not proc.is_alive
-
-
-def test_detached_process_with_waiter_resumes_it_through_the_heap():
-    env = Environment()
-    seen = []
-
-    def work(env):
-        yield env.timeout(1.0)
-        return 7
-
-    def joiner(env, proc):
-        seen.append((yield proc))
-
-    proc = env.process(work(env), detached=True)
-    env.process(joiner(env, proc))
-    env.run()
-    assert seen == [7]
-    # two Initializes, the timeout, the completion the joiner waited on and
-    # the joiner's own completion
-    assert env._eid == 5
-
-
-def test_detached_process_failure_still_propagates():
-    env = Environment()
-
-    def work(env):
-        yield env.timeout(1.0)
-        raise ValueError("boom")
-
-    env.process(work(env), detached=True)
-    with pytest.raises(ValueError, match="boom"):
-        env.run()
-
-
 def test_with_block_release_pushes_no_event():
     env = Environment()
     res = Resource(env, capacity=1)

@@ -48,6 +48,7 @@ from repro.runtime.pipeline import (
     run_pipeline,
     run_pipeline_per_block,
 )
+from repro.sim.core import Environment
 from repro.sim.trace import TraceRecorder
 from repro.units import KiB, MiB
 
@@ -226,6 +227,34 @@ def test_every_case_has_a_digest():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace(name):
     assert case_digest(name) == GOLDEN[name]
+
+
+#: heap pushes (``env._eid``) of one run at 32 KiB chunks on the 1 MiB
+#: datasets: the DES work per chunk, which the digests above do not see
+HEAP_PUSHES = {
+    ("bigkernel", "wordcount"): 648,
+    ("gpu_double", "wordcount"): 648,
+    ("bigkernel", "kmeans"): 522,
+    ("gpu_double", "kmeans"): 1002,
+}
+ENGINES = {"bigkernel": BigKernelEngine, "gpu_double": GpuDoubleBufferEngine}
+
+
+@pytest.mark.parametrize("engine_name,app_name", sorted(HEAP_PUSHES))
+def test_heap_pushes_per_run(engine_name, app_name, monkeypatch):
+    pushes = []
+    plain_run = Environment.run
+
+    def counting_run(env, *args, **kwargs):
+        try:
+            return plain_run(env, *args, **kwargs)
+        finally:
+            pushes.append(env._eid)
+
+    monkeypatch.setattr(Environment, "run", counting_run)
+    app, data = dataset(app_name)
+    ENGINES[engine_name]().run(app, data, DES.with_(chunk_bytes=32 * KiB))
+    assert pushes == [HEAP_PUSHES[engine_name, app_name]]
 
 
 if __name__ == "__main__":

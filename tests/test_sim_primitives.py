@@ -371,6 +371,18 @@ class TestTrace:
         assert tr.total_time("comp") == pytest.approx(5.0)
         assert tr.total_time() == pytest.approx(6.0)
 
+    def test_label_totals_add_left_to_right(self):
+        tr = TraceRecorder()
+        for _ in range(10):
+            tr.record("gpu", "comp", 0.0, 0.1)
+        tr.record("pcie", "xfer", 0.0, 0.3)
+        totals = tr.label_totals()
+        # 0.1 added ten times left to right is 0.9999999999999999; a
+        # compensated sum (``sum()`` from Python 3.12 on) is 1.0
+        assert totals == {"comp": 0.9999999999999999, "xfer": 0.3}
+        assert list(totals) == tr.labels()
+        assert tr.total_time("comp") == totals["comp"]
+
     def test_makespan(self):
         tr = TraceRecorder()
         tr.record("a", "x", 1.0, 2.0)
