@@ -506,9 +506,10 @@ def test_analytic_sweep():
     """Million-point analytic sweep plus a DES spot-check of its optimum.
 
     The closed-form predictor prices a generated grid of >= 1,000,000
-    BigKernel configurations (chunk bytes x blocks x threads x ring
-    depth) as pure NumPy array ops; the wall-clock is recorded, then a
-    single DES run at the analytic argbest must land within the
+    configurations (chunk bytes x blocks x threads x ring depth) as pure
+    NumPy array ops, for BigKernel and for the gpu_double and gpu_single
+    baselines; each engine's wall-clock is recorded. Then a single DES
+    run at BigKernel's analytic argbest must land within the
     ``verify --analytic`` tolerance (the predictor is machine-exact on
     clean geometries, so this is a hard assert). Finally the hybrid
     sweep mode — rank analytically, DES-verify only the frontier — must
@@ -523,9 +524,15 @@ def test_analytic_sweep():
     base = EngineConfig(functional=False)
 
     grid = suggest_grid(1_000_000)
+    engine_walls = {}
+    for name in ("gpu_double", "gpu_single"):
+        t0 = time.perf_counter()
+        predict_grid(app, data, grid, base, engine=name)
+        engine_walls[name] = time.perf_counter() - t0
     t0 = time.perf_counter()
     gp = predict_grid(app, data, grid, base, engine=engine)
     elapsed = time.perf_counter() - t0
+    engine_walls["bigkernel"] = elapsed
     assert gp.n_points >= 1_000_000
 
     best_idx = gp.argbest()
@@ -552,6 +559,7 @@ def test_analytic_sweep():
             "points": gp.n_points,
             "wall_seconds": elapsed,
             "points_per_sec": gp.n_points / elapsed,
+            "wall_seconds_by_engine": engine_walls,
             "best_params": gp.best_params(),
             "predicted_best": predicted,
             "des_at_best": des,
@@ -560,9 +568,10 @@ def test_analytic_sweep():
             "hybrid_matches_des_best": hybrid.best.params == pure.best.params,
         }
     )
-    if elapsed > 60.0:
-        warnings.warn(
-            f"analytic_sweep: {gp.n_points:,} points took {elapsed:.1f}s "
-            f"(warn-only; see BENCH_pipeline.json)",
-            stacklevel=2,
-        )
+    for name, wall in engine_walls.items():
+        if wall > 60.0:
+            warnings.warn(
+                f"analytic_sweep: {gp.n_points:,} {name} points took "
+                f"{wall:.1f}s (warn-only; see BENCH_pipeline.json)",
+                stacklevel=2,
+            )

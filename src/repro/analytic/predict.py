@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, Optional, Union
 
 from repro.apps.base import AppData, Application
@@ -35,7 +36,8 @@ from repro.engines.gpu_double import GpuDoubleBufferEngine
 from repro.engines.gpu_single import GpuSingleBufferEngine
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import ReproError
-from repro.runtime.fastpath import FLAG_BYTES, TemplatedChunks
+from repro.hw.elementwise import maximum, where
+from repro.runtime.fastpath import FLAG_BYTES
 from repro.runtime.pipeline import ChunkWork, PipelineConfig
 
 from repro.analytic.algebra import STAGE_NAMES, STAGES6, pipeline_bounds
@@ -120,63 +122,61 @@ def resolve_engine(engine: Union[str, Engine]) -> Engine:
     return cls()
 
 
-def chunk_durations(k: ChunkWork, pcie, sync: float) -> Dict[str, float]:
-    """Per-stage durations of one chunk kind, as the DES would price them."""
-    d_addr = (
-        pcie.transfer_time(k.addr_bytes_d2h, pinned=True) if k.addr_bytes_d2h > 0 else 0.0
-    )
+def chunk_durations(k: ChunkWork, pcie, sync, h2d_slots=1) -> Dict[str, float]:
+    """Per-stage durations of one chunk kind, as the DES would price them.
+
+    ``k``'s costs may be per-point arrays (a sweep grid), and then so are
+    the durations. ``h2d_slots`` stretches the data transfer for shards
+    served round-robin on one shared root-complex port.
+    """
+    xfer = pcie.pinned_transfer_time
+    d_addr = where(k.addr_bytes_d2h > 0, xfer(k.addr_bytes_d2h), 0.0)
     return dict(
         A=k.t_addr_gen + d_addr,
         S=k.t_assembly,
-        X=pcie.transfer_time(k.xfer_bytes, pinned=True, segments=k.xfer_segments)
-        + pcie.transfer_time(FLAG_BYTES, pinned=True),
+        X=h2d_slots * (xfer(k.xfer_bytes, k.xfer_segments) + xfer(FLAG_BYTES)),
         C=k.t_compute + sync,
-        WB=(
-            pcie.transfer_time(k.write_bytes, pinned=True, segments=k.xfer_segments)
-            if k.write_bytes > 0
-            else 0.0
-        ),
+        WB=where(k.write_bytes > 0, xfer(k.write_bytes, k.xfer_segments), 0.0),
         SC=k.t_scatter,
         d_addr=d_addr,
     )
 
 
-def predict_templated(hw, chunks: TemplatedChunks, pipe_cfg: PipelineConfig):
-    """Closed-form total of a template(+tail) pipeline run.
+def predict_templated(hw, chunks, pipe_cfg: PipelineConfig, h2d_slots=1):
+    """Closed form of a template(+tail) pipeline run.
 
-    Returns ``(total, bounds, occupancy)`` with plain-float values.
+    ``chunks`` is a :class:`~repro.runtime.fastpath.TemplatedChunks`, or
+    a sweep grid's :class:`~repro.analytic.grid.GridChunks` whose costs,
+    counts and ``pipe_cfg.ring_depth`` are per-point arrays. Returns
+    :func:`~repro.analytic.algebra.pipeline_bounds`'s ``(total, bounds,
+    occupancy)``: NumPy scalars for one run, arrays for a grid.
     """
-    pcie = hw.pcie
-    t = chunk_durations(chunks.template, pcie, pipe_cfg.sync_overhead)
-    u = (
-        chunk_durations(chunks.tail, pcie, pipe_cfg.sync_overhead)
-        if chunks.tail is not None
-        else t
-    )
-    n_tail = chunks.passes if chunks.tail is not None else 0
-    total, bounds, occ = pipeline_bounds(
+    pcie, sync, k = hw.pcie, pipe_cfg.sync_overhead, h2d_slots
+    t = chunk_durations(chunks.template, pcie, sync, k)
+    u = t if chunks.tail is None else chunk_durations(chunks.tail, pcie, sync, k)
+    per_pass = chunks.n_full + chunks.has_tail
+    return pipeline_bounds(
         t,
         u,
-        n=len(chunks),
-        n_tail=n_tail,
+        n=chunks.passes * per_pass,
+        n_tail=chunks.passes * chunks.has_tail,
         depth=pipe_cfg.ring_depth,
-        per_pass=chunks.per_pass,
+        per_pass=per_pass,
         passes=chunks.passes,
         cpu_workers=pipe_cfg.cpu_workers,
     )
-    bounds = {name: float(v) for name, v in bounds.items()}
+
+
+def _finish_pipelined(name, app_name, total, bounds, occ, n_chunks):
+    total = float(total)
     occupancy = {STAGE_NAMES[s]: float(occ[s]) for s in STAGES6}
-    return float(total), bounds, occupancy
-
-
-def _finish_pipelined(name, app_name, total, bounds, occupancy, n_chunks):
     comm = occupancy["data_transfer"] + occupancy["write_transfer"]
     comp = occupancy["compute"]
     floor = min(comm, comp)
     overlap = 0.0
     if floor > 0.0:
         overlap = min(1.0, max(0.0, (comm + comp - total) / floor))
-    real_bounds = {k: v for k, v in bounds.items() if v != float("-inf")}
+    real_bounds = {k: float(v) for k, v in bounds.items() if v != float("-inf")}
     binding = max(real_bounds, key=real_bounds.get)
     bottleneck = max(occupancy, key=occupancy.get)
     return PredictedRun(
@@ -192,54 +192,55 @@ def _finish_pipelined(name, app_name, total, bounds, occupancy, n_chunks):
     )
 
 
-def _link_legs(chunks: TemplatedChunks, pcie, sync: float):
-    """One shard's total busy time on each PCIe direction.
-
-    Returns ``(h2d, d2h)``: the data+flag H2D traffic and the address-ship
-    plus write-back D2H traffic, summed over template and tail chunks —
-    exactly the residency a shard imposes on a shared root-complex port.
-    """
+def _d2h_busy(pcie, chunks, sync):
+    """One shard's total busy time on the D2H direction: the address
+    ships plus write-backs of its template and tail chunks, exactly the
+    residency it imposes on a shared root-complex port."""
     t = chunk_durations(chunks.template, pcie, sync)
-    u = chunk_durations(chunks.tail, pcie, sync) if chunks.tail is not None else t
-    n_tail = chunks.passes if chunks.tail is not None else 0
-    n_main = len(chunks) - n_tail
-    h2d = n_main * t["X"] + n_tail * u["X"]
-    d2h = n_main * (t["d_addr"] + t["WB"]) + n_tail * (u["d_addr"] + u["WB"])
-    return h2d, d2h
+    u = t if chunks.tail is None else chunk_durations(chunks.tail, pcie, sync)
+    n_main = chunks.passes * chunks.n_full
+    n_tail = chunks.passes * chunks.has_tail
+    return n_main * (t["d_addr"] + t["WB"]) + n_tail * (u["d_addr"] + u["WB"])
 
 
-def _scaled_shared_total(hw, chunks: TemplatedChunks, pipe_cfg: PipelineConfig, k: int):
-    """One shard's closed form under round-robin service on a shared port.
+def sharded_total(hw, shards, shared_link: bool):
+    """Closed-form pipeline total of shards that run side by side.
 
-    K symmetric shards start together, so their H2D requests interleave
-    in near-lockstep on the root-complex FIFO: a shard's data transfer is
-    served once every K slots, i.e. with effective duration ``K * X``.
-    Closing the ring recurrence with that service time captures both the
-    latency throttling of compute-bound shards (the ring stalls waiting
-    for slow transfers) and — via the X-occupancy bound — the port's
-    total H2D residency.
+    ``shards`` lists each shard's ``(chunks, pipe_cfg)``, numbers for one
+    run or per-point arrays for a sweep grid. Dedicated links: shards
+    share nothing in the DES, so the slowest shard's closed form *is* the
+    total (exact, as for single-GPU bigkernel). A shared root-complex
+    port adds two contention estimates. K symmetric shards start
+    together, so their H2D requests interleave in near-lockstep on the
+    port's FIFO: each shard's ring is closed again with its data transfer
+    served once every K slots. And the address ships and write-backs of
+    *all* shards serialize on the one D2H channel.
+
+    Returns ``(total, per_shard, port_bounds)``: the total before the
+    kernel launch and the merge, each shard's :func:`predict_templated`
+    result, and the two port bounds (``-inf`` where inapplicable).
     """
-    pcie = hw.pcie
-    t = chunk_durations(chunks.template, pcie, pipe_cfg.sync_overhead)
-    t["X"] *= k
-    if chunks.tail is not None:
-        u = chunk_durations(chunks.tail, pcie, pipe_cfg.sync_overhead)
-        u["X"] *= k
-        n_tail = chunks.passes
-    else:
-        u = t
-        n_tail = 0
-    total, _bounds, _occ = pipeline_bounds(
-        t,
-        u,
-        n=len(chunks),
-        n_tail=n_tail,
-        depth=pipe_cfg.ring_depth,
-        per_pass=chunks.per_pass,
-        passes=chunks.passes,
-        cpu_workers=pipe_cfg.cpu_workers,
-    )
-    return float(total)
+    per_shard = [predict_templated(hw, chunks, cfg) for chunks, cfg in shards]
+    total = reduce(maximum, [p[0] for p in per_shard])
+    port = {}
+    k = len(shards)
+    if shared_link and k > 1:
+        port["shared_port_h2d"] = reduce(
+            maximum,
+            [predict_templated(hw, c, cfg, h2d_slots=k)[0] for c, cfg in shards],
+        )
+        d2h = 0.0  # added left to right, as on every Python version
+        for chunks, cfg in shards:
+            d2h = d2h + _d2h_busy(hw.pcie, chunks, cfg.sync_overhead)
+        # fill: the first address ship waits for chunk 0's addr-gen
+        chunks0, cfg0 = shards[0]
+        t0 = chunk_durations(chunks0.template, hw.pcie, cfg0.sync_overhead)
+        port["shared_port_d2h"] = where(
+            d2h > 0.0, (t0["A"] - t0["d_addr"]) + d2h, float("-inf")
+        )
+        total = maximum(total, port["shared_port_h2d"])
+        total = maximum(total, port["shared_port_d2h"])
+    return total, per_shard, port
 
 
 def _predict_multigpu(
@@ -248,58 +249,27 @@ def _predict_multigpu(
     config: EngineConfig,
     eng: MultiGpuBigKernelEngine,
 ) -> PredictedRun:
-    """Price a sharded run: per-shard pipeline bounds + fabric bounds.
-
-    Dedicated links: shards share nothing in the DES, so the slowest
-    shard's closed form *is* the pipeline total (exact, as for single-GPU
-    bigkernel). A shared root-complex port adds two contention estimates:
-    each shard's ring closed with K-scaled transfer service
-    (:func:`_scaled_shared_total`) and a D2H-channel residency bound
-    (address ships + write-backs of *all* shards serialize on the one
-    D2H port). The kernel-launch overhead and the closed-form merge cost
-    (identical to the engine's ``_merge_time``) are added on top.
-    """
+    """Price a sharded run: :func:`sharded_total`, plus the kernel-launch
+    overhead and the closed-form merge cost (identical to the engine's
+    ``_merge_time``)."""
     hw = config.hardware
     plans, _ = eng._shard_plan(app, data, config)
-    per_shard = []
-    for g, _su, sched in plans:
-        total_g, bounds_g, occ_g = predict_templated(hw, sched.chunks, sched.pipe_cfg)
-        per_shard.append((g, total_g, bounds_g, occ_g, sched))
-
-    slowest = max(per_shard, key=lambda p: p[1])
-    total = slowest[1]
-    bounds = {f"shard{slowest[0]}:{k}": v for k, v in slowest[2].items()}
-    occupancy: Dict[str, float] = {}
-    for _g, _t, _b, occ_g, _s in per_shard:
-        for k, v in occ_g.items():
-            occupancy[k] = occupancy.get(k, 0.0) + v
-
-    n_shards = len(per_shard)
-    if eng.shared_link and n_shards > 1:
-        pcie = hw.pcie
-        shared_h2d = max(
-            _scaled_shared_total(hw, sched.chunks, sched.pipe_cfg, n_shards)
-            for _g, _t, _b, _o, sched in per_shard
-        )
-        bounds["shared_port_h2d"] = shared_h2d
-        total = max(total, shared_h2d)
-        d2h_sum = sum(
-            _link_legs(sched.chunks, pcie, sched.pipe_cfg.sync_overhead)[1]
-            for _g, _t, _b, _o, sched in per_shard
-        )
-        if d2h_sum > 0.0:
-            # fill: the first address ship waits for chunk 0's addr-gen
-            sched0 = per_shard[0][4]
-            t0 = chunk_durations(
-                sched0.chunks.template, pcie, sched0.pipe_cfg.sync_overhead
-            )
-            shared_d2h = (t0["A"] - t0["d_addr"]) + d2h_sum
-            bounds["shared_port_d2h"] = shared_d2h
-            total = max(total, shared_d2h)
-
-    total += hw.gpu.kernel_launch_overhead
-    total += eng._merge_time(app, data, hw, n_shards)
-    n_chunks = sum(len(sched.chunks) for _g, _t, _b, _o, sched in per_shard)
+    total, per_shard, port = sharded_total(
+        hw, [(sched.chunks, sched.pipe_cfg) for _g, _su, sched in plans],
+        eng.shared_link,
+    )
+    slowest = max(range(len(plans)), key=lambda i: per_shard[i][0])
+    bounds = {
+        f"shard{plans[slowest][0]}:{k}": v for k, v in per_shard[slowest][1].items()
+    }
+    bounds.update(port)
+    occupancy = {s: 0.0 for s in STAGES6}
+    for _total, _bounds, occ in per_shard:
+        for s in STAGES6:
+            occupancy[s] = occupancy[s] + occ[s]
+    total = total + hw.gpu.kernel_launch_overhead
+    total = total + eng._merge_time(app, data, hw, len(plans))
+    n_chunks = sum(len(sched.chunks) for _g, _su, sched in plans)
     return _finish_pipelined(eng.name, app.name, total, bounds, occupancy, n_chunks)
 
 
@@ -348,20 +318,18 @@ def predict_run(
 
     if isinstance(eng, GpuDoubleBufferEngine):
         chunks, _ = eng._schedule(app, data, config)
-        total, bounds, occupancy = predict_templated(hw, chunks, eng.pipe_cfg)
-        return _finish_pipelined(
-            eng.name, app.name, total, bounds, occupancy, len(chunks)
-        )
+        total, bounds, occ = predict_templated(hw, chunks, eng.pipe_cfg)
+        return _finish_pipelined(eng.name, app.name, total, bounds, occ, len(chunks))
 
     if isinstance(eng, MultiGpuBigKernelEngine):
         return _predict_multigpu(app, data, config, eng)
 
     # bigkernel (any feature set): one kernel launch over the whole run
     sched = eng._schedule(app, data, config)
-    total, bounds, occupancy = predict_templated(hw, sched.chunks, sched.pipe_cfg)
-    total += hw.gpu.kernel_launch_overhead
+    total, bounds, occ = predict_templated(hw, sched.chunks, sched.pipe_cfg)
+    total = total + hw.gpu.kernel_launch_overhead
     return _finish_pipelined(
-        eng.name, app.name, total, bounds, occupancy, len(sched.chunks)
+        eng.name, app.name, total, bounds, occ, len(sched.chunks)
     )
 
 

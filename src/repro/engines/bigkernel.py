@@ -37,6 +37,7 @@ from repro.errors import PinnedMemoryExceeded, SlicingError
 from repro.faults.inject import FaultInjector
 from repro.faults.policies import degrade_buffer_plan
 from repro.hw.cpu import CpuDevice
+from repro.hw.elementwise import maximum, trunc
 from repro.hw.gpu import GpuDevice
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
@@ -340,15 +341,11 @@ class BigKernelEngine(Engine):
         hw = config.hardware
         profile = app.access_profile(data)
         totals = self.totals(app, data, profile)
-        gpu = GpuDevice(hw.gpu)
-        cpu = CpuDevice(hw.cpu)
 
         sliceable = self._sliceable(app, profile)
         reduce_volume = self.features.reduce_volume and sliceable
-        payload_per_unit = (
-            profile.read_bytes_per_record if reduce_volume else profile.record_bytes
-        )
         units = totals["units"] if units is None else units
+        payload_per_unit = self._payload(profile, reduce_volume)
         upc, _ = chunk_plan(units, config.chunk_bytes, payload_per_unit)
 
         # Pattern recognition on real address streams (Table II's switch).
@@ -366,98 +363,17 @@ class BigKernelEngine(Engine):
             else min(active_blocks, hw.cpu.threads)
         )
         threads = config.total_compute_threads
-        sync_overhead = gpu.flag_wait_overhead(2) + 2 * hw.gpu.global_latency
-
-        def chunk_costs(u: int) -> ChunkWork:
-            """Stage costs of one chunk covering ``u`` units (index 0)."""
-            raw = u * profile.record_bytes
-            emitted = u * profile.emitted_addresses_per_record
-            read_bytes = u * profile.read_bytes_per_record
-            payload = u * payload_per_unit
-
-            # Stage 1: address generation (+ address shipping when no
-            # pattern compresses the stream).
-            t_ag = gpu.stage_time(addr_gen_chunk_cost(profile, u), threads)
-            if not reduce_volume or pattern_on:
-                # A verified pattern (or the degenerate whole-range
-                # slice) sends one tiny descriptor per thread for the
-                # entire run — amortized to nothing per chunk.
-                addr_d2h = 0
-            else:
-                addr_d2h = int(emitted * ADDRESS_BYTES)
-
-            # Stage 2: data assembly.
-            if not reduce_volume:
-                # No gathering: plain staging copy, parallel across the
-                # per-block CPU threads.
-                t_asm = cpu.staging_copy_time(raw) / (workers * hw.cpu.mt_efficiency)
-                t_asm = max(t_asm, 2.0 * raw / hw.cpu.mem_bandwidth)
-            else:
-                hit = estimate_assembly_hit_rate(
-                    elem_bytes=profile.elem_bytes,
-                    record_bytes=int(max(profile.record_bytes, 1)),
-                    threads=threads,
-                    chunk_bytes=int(raw),
-                    cpu=hw.cpu,
-                    locality_opt=pattern_on,
-                    reads_per_record=profile.reads_per_record,
-                )
-                # A recognized pattern exposes contiguous runs the
-                # gather loop copies whole; without one, every emitted
-                # address is a separate address-driven copy.
-                if pattern_on:
-                    accesses = read_bytes / profile.gather_run_bytes
-                else:
-                    accesses = emitted
-                per_thread_t = cpu.assembly_time(
-                    n_elements=emitted,
-                    elem_bytes=read_bytes / max(emitted, 1e-9),
-                    hit_rate=hit,
-                    address_driven=not pattern_on,
-                    n_accesses=accesses,
-                )
-                t_asm = per_thread_t / (workers * hw.cpu.mt_efficiency)
-                t_asm = max(t_asm, 2.0 * read_bytes / hw.cpu.mem_bandwidth)
-
-            # Stage 4: computation on the (re)laid-out buffer.
-            coalesced = self.features.coalesce and reduce_volume
-            cost = kernel_chunk_cost(profile, u, coalesced=coalesced)
-            t_comp = gpu.stage_time(cost, threads)
-
-            # Stages 5-6: mapped writes.
-            wb = u * profile.write_bytes_per_record
-            t_scatter = 0.0
-            if wb > 0:
-                w_elem = profile.write_bytes_per_record / max(
-                    profile.writes_per_record, 1e-9
-                )
-                t_scatter = cpu.scatter_time(
-                    u * profile.writes_per_record, w_elem, hit_rate=0.9
-                ) / (workers * hw.cpu.mt_efficiency)
-
-            return ChunkWork(
-                index=0,
-                t_addr_gen=t_ag,
-                addr_bytes_d2h=int(addr_d2h),
-                t_assembly=t_asm,
-                xfer_bytes=int(payload),
-                t_compute=t_comp,
-                write_bytes=int(wb),
-                t_scatter=t_scatter,
-                # each block's buffer set is its own DMA; assembly
-                # threads issue one consolidated copy per worker
-                xfer_segments=workers,
-            )
-
-        chunks = TemplatedChunks.split(units, upc, chunk_costs, profile.passes)
-
-        pipe_cfg = PipelineConfig(
-            # the ring may have been shrunk by the degradation policy;
-            # clean runs keep buf_cfg.instances == config.ring_depth
-            ring_depth=buf_cfg.instances,
-            cpu_workers=2,  # aggregate stage times are pre-divided by workers
-            sync_overhead=sync_overhead,
+        chunks = TemplatedChunks.split(
+            units,
+            upc,
+            lambda u: self.chunk_costs(
+                hw, profile, u, threads, workers, reduce_volume, pattern_on
+            ),
+            profile.passes,
         )
+        # the ring may have been shrunk by the degradation policy; clean
+        # runs keep buf_cfg.instances == config.ring_depth
+        pipe_cfg = self.pipe_config(hw, buf_cfg.instances)
         sched = BigKernelSchedule(
             chunks=chunks,
             pipe_cfg=pipe_cfg,
@@ -474,6 +390,116 @@ class BigKernelEngine(Engine):
         if len(self._schedule_cache) > self._SCHEDULE_CACHE_MAX:
             self._schedule_cache.popitem(last=False)
         return sched
+
+    @staticmethod
+    def _payload(profile, reduce_volume: bool) -> float:
+        """Bytes per unit the prefetch buffer carries."""
+        if reduce_volume:
+            return profile.read_bytes_per_record
+        return profile.record_bytes
+
+    @staticmethod
+    def pipe_config(hw, ring_depth) -> PipelineConfig:
+        """The pipeline a BigKernel schedule runs on (``ring_depth`` may be
+        an array of per-point depths)."""
+        return PipelineConfig(
+            ring_depth=ring_depth,
+            cpu_workers=2,  # aggregate stage times are pre-divided by workers
+            sync_overhead=(
+                GpuDevice(hw.gpu).flag_wait_overhead(2) + 2 * hw.gpu.global_latency
+            ),
+        )
+
+    def chunk_costs(
+        self, hw, profile, u, threads, workers, reduce_volume: bool, pattern_on: bool
+    ) -> ChunkWork:
+        """Stage costs of one chunk covering ``u`` units.
+
+        ``threads`` GPU compute threads run the kernel and ``workers`` CPU
+        threads assemble. ``u``, ``threads`` and ``workers`` may be
+        per-point arrays, and then so are the costs
+        (``repro.analytic.predict_grid`` prices a sweep grid this way).
+        """
+        gpu = GpuDevice(hw.gpu)
+        cpu = CpuDevice(hw.cpu)
+        raw = u * profile.record_bytes
+        emitted = u * profile.emitted_addresses_per_record
+        read_bytes = u * profile.read_bytes_per_record
+        payload = u * self._payload(profile, reduce_volume)
+        worker_eff = workers * hw.cpu.mt_efficiency
+
+        # Stage 1: address generation (+ address shipping when no
+        # pattern compresses the stream).
+        t_ag = gpu.stage_time(addr_gen_chunk_cost(profile, u), threads)
+        if not reduce_volume or pattern_on:
+            # A verified pattern (or the degenerate whole-range
+            # slice) sends one tiny descriptor per thread for the
+            # entire run — amortized to nothing per chunk.
+            addr_d2h = 0
+        else:
+            addr_d2h = trunc(emitted * ADDRESS_BYTES)
+
+        # Stage 2: data assembly.
+        if not reduce_volume:
+            # No gathering: plain staging copy, parallel across the
+            # per-block CPU threads.
+            t_asm = cpu.staging_copy_time(raw) / worker_eff
+            t_asm = maximum(t_asm, 2.0 * raw / hw.cpu.mem_bandwidth)
+        else:
+            hit = estimate_assembly_hit_rate(
+                elem_bytes=profile.elem_bytes,
+                record_bytes=int(max(profile.record_bytes, 1)),
+                threads=threads,
+                cpu=hw.cpu,
+                locality_opt=pattern_on,
+                reads_per_record=profile.reads_per_record,
+            )
+            # A recognized pattern exposes contiguous runs the
+            # gather loop copies whole; without one, every emitted
+            # address is a separate address-driven copy.
+            if pattern_on:
+                accesses = read_bytes / profile.gather_run_bytes
+            else:
+                accesses = emitted
+            per_thread_t = cpu.assembly_time(
+                n_elements=emitted,
+                elem_bytes=read_bytes / maximum(emitted, 1e-9),
+                hit_rate=hit,
+                address_driven=not pattern_on,
+                n_accesses=accesses,
+            )
+            t_asm = per_thread_t / worker_eff
+            t_asm = maximum(t_asm, 2.0 * read_bytes / hw.cpu.mem_bandwidth)
+
+        # Stage 4: computation on the (re)laid-out buffer.
+        coalesced = self.features.coalesce and reduce_volume
+        cost = kernel_chunk_cost(profile, u, coalesced=coalesced)
+        t_comp = gpu.stage_time(cost, threads)
+
+        # Stages 5-6: mapped writes.
+        wb = u * profile.write_bytes_per_record
+        t_scatter = 0.0
+        if profile.write_bytes_per_record > 0:
+            w_elem = profile.write_bytes_per_record / max(
+                profile.writes_per_record, 1e-9
+            )
+            t_scatter = cpu.scatter_time(
+                u * profile.writes_per_record, w_elem, hit_rate=0.9
+            ) / worker_eff
+
+        return ChunkWork(
+            index=0,
+            t_addr_gen=t_ag,
+            addr_bytes_d2h=addr_d2h,
+            t_assembly=t_asm,
+            xfer_bytes=trunc(payload),
+            t_compute=t_comp,
+            write_bytes=trunc(wb),
+            t_scatter=t_scatter,
+            # each block's buffer set is its own DMA; assembly
+            # threads issue one consolidated copy per worker
+            xfer_segments=workers,
+        )
 
     # --------------------------------------------------------------- run
     def run(

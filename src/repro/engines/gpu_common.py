@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.apps.base import AccessProfile
 from repro.hw.coalescing import AccessPattern
+from repro.hw.elementwise import maximum, trunc
 from repro.hw.gpu import KernelCost
 
 #: lane distance used for byte-walk kernels (each thread owns a contiguous
@@ -70,6 +69,7 @@ def addr_gen_chunk_cost(profile: AccessProfile, units: float) -> KernelCost:
 
 
 def chunk_plan(total_units: int, chunk_bytes: int, bytes_per_unit: float) -> tuple[int, int]:
-    """(units per chunk, number of chunks per pass)."""
-    upc = max(1, int(chunk_bytes / max(bytes_per_unit, 1e-12)))
-    return upc, math.ceil(total_units / upc)
+    """(units per chunk, number of chunks per pass); ``chunk_bytes`` may
+    be an array of per-point chunk sizes."""
+    upc = maximum(1, trunc(chunk_bytes / max(bytes_per_unit, 1e-12)))
+    return upc, -(-total_units // upc)

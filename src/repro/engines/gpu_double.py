@@ -17,6 +17,7 @@ from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
 from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.faults.inject import FaultInjector
 from repro.hw.cpu import CpuDevice
+from repro.hw.elementwise import trunc
 from repro.hw.gpu import GpuDevice
 from repro.runtime.fastpath import TemplatedChunks
 from repro.runtime.pipeline import (
@@ -49,30 +50,43 @@ class GpuDoubleBufferEngine(Engine):
         """
         hw = config.hardware
         profile = app.access_profile(data)
-        gpu = GpuDevice(hw.gpu)
-        cpu = CpuDevice(hw.cpu)
-
         units = app.n_units(data)
         upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
         threads = config.total_compute_threads
+        chunks = TemplatedChunks.split(
+            units,
+            upc,
+            lambda u: self.chunk_costs(hw, profile, u, threads),
+            profile.passes,
+        )
+        return chunks, upc
 
-        def chunk_costs(u: int) -> ChunkWork:
-            raw = u * profile.record_bytes
-            cost = kernel_chunk_cost(profile, u, coalesced=False)
-            t_comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-            wb = u * profile.write_bytes_per_record
-            return ChunkWork(
-                index=0,
-                t_addr_gen=0.0,
-                addr_bytes_d2h=0,
-                t_assembly=cpu.staging_copy_time(raw),
-                xfer_bytes=int(raw),
-                t_compute=t_comp,
-                write_bytes=int(wb),
-                t_scatter=cpu.staging_copy_time(wb) if wb > 0 else 0.0,
-            )
-
-        return TemplatedChunks.split(units, upc, chunk_costs, profile.passes), upc
+    @staticmethod
+    def chunk_costs(hw, profile, u, threads) -> ChunkWork:
+        """Stage costs of one ``u``-unit chunk run by ``threads`` GPU
+        threads. ``u`` and ``threads`` may be per-point arrays, and then so
+        are the costs (``repro.analytic.predict_grid`` prices a sweep
+        grid this way)."""
+        gpu = GpuDevice(hw.gpu)
+        cpu = CpuDevice(hw.cpu)
+        raw = u * profile.record_bytes
+        cost = kernel_chunk_cost(profile, u, coalesced=False)
+        t_comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
+        wb = u * profile.write_bytes_per_record
+        return ChunkWork(
+            index=0,
+            t_addr_gen=0.0,
+            addr_bytes_d2h=0,
+            t_assembly=cpu.staging_copy_time(raw),
+            xfer_bytes=trunc(raw),
+            t_compute=t_comp,
+            write_bytes=trunc(wb),
+            t_scatter=(
+                cpu.staging_copy_time(wb)
+                if profile.write_bytes_per_record > 0
+                else 0.0
+            ),
+        )
 
     def run(
         self,

@@ -14,7 +14,9 @@ from repro.apps.base import AppData, Application
 from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
 from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.hw.cpu import CpuDevice
+from repro.hw.elementwise import trunc, where
 from repro.hw.gpu import GpuDevice
+from repro.runtime.fastpath import split_units
 
 
 class GpuSingleBufferEngine(Engine):
@@ -29,46 +31,61 @@ class GpuSingleBufferEngine(Engine):
         """The run's whole timing: nothing overlaps, so its ``sim_time`` is
         ``comm_time + comp_time``. :meth:`run` and ``repro.analytic`` both
         read it."""
-        hw = config.hardware
         profile = app.access_profile(data)
-        gpu = GpuDevice(hw.gpu)
-        cpu = CpuDevice(hw.cpu)
-
         units = app.n_units(data)
-        upc, n_chunks = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
-        threads = config.total_compute_threads
-
-        def chunk_costs(u: int) -> tuple[float, float, int, int]:
-            """(comm, comp, bytes_h2d, bytes_d2h) of one ``u``-unit chunk."""
-            raw = u * profile.record_bytes
-            comm = cpu.staging_copy_time(raw)
-            comm += hw.pcie.transfer_time(raw, pinned=True)
-            cost = kernel_chunk_cost(profile, u, coalesced=False)
-            comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-            wb = u * profile.write_bytes_per_record
-            d2h = 0
-            if wb > 0:
-                comm += hw.pcie.transfer_time(wb, pinned=True)
-                comm += cpu.staging_copy_time(wb)  # apply into the source
-                d2h = int(wb)
-            return comm, comp, int(raw), d2h
-
-        # Serialized execution has no cross-chunk coupling, so per-pass cost
-        # is just (full chunks) x (template cost) + (tail cost): price the
-        # two chunk kinds once instead of looping over every chunk.
-        n_full, rem = divmod(units, upc)
-        comm_f, comp_f, h2d_f, d2h_f = chunk_costs(upc) if n_full else (0, 0, 0, 0)
-        comm_t, comp_t, h2d_t, d2h_t = chunk_costs(rem) if rem else (0.0, 0.0, 0, 0)
-        passes = profile.passes
+        upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
+        comm, comp, h2d, d2h, launches = self.serial_chain(
+            config.hardware, profile, units, upc, config.total_compute_threads
+        )
         return RunMetrics(
-            n_chunks=n_chunks * passes,
-            bytes_h2d=passes * (n_full * h2d_f + h2d_t),
-            bytes_d2h=passes * (n_full * d2h_f + d2h_t),
-            comp_time=passes * (n_full * comp_f + comp_t),
-            comm_time=passes * (n_full * comm_f + comm_t),
-            kernel_launches=passes * (n_full + (1 if rem else 0)),
+            n_chunks=launches,
+            bytes_h2d=h2d,
+            bytes_d2h=d2h,
+            comp_time=comp,
+            comm_time=comm,
+            kernel_launches=launches,
             notes={"units_per_chunk": upc},
         )
+
+    def serial_chain(self, hw, profile, units, upc, threads):
+        """``(comm, comp, bytes_h2d, bytes_d2h, kernel_launches)`` of a run
+        over ``units`` units in ``upc``-unit chunks.
+
+        Serialized execution has no cross-chunk coupling, so per-pass cost
+        is (full chunks) x (template cost) + (tail cost): the two chunk
+        kinds are priced once instead of looping over every chunk. ``upc``
+        and ``threads`` may be per-point arrays (``repro.analytic`` prices
+        a sweep grid this way).
+        """
+        tpl_u, n_tpl, tail_u, has_tail = split_units(units, upc)
+        comm_f, comp_f, h2d_f, d2h_f = self.chunk_costs(hw, profile, tpl_u, threads)
+        comm_t, comp_t, h2d_t, d2h_t = self.chunk_costs(hw, profile, tail_u, threads)
+        passes = profile.passes
+        return (
+            passes * (n_tpl * comm_f + where(has_tail, comm_t, 0.0)),
+            passes * (n_tpl * comp_f + where(has_tail, comp_t, 0.0)),
+            passes * (n_tpl * h2d_f + where(has_tail, h2d_t, 0)),
+            passes * (n_tpl * d2h_f + where(has_tail, d2h_t, 0)),
+            passes * (n_tpl + has_tail),
+        )
+
+    @staticmethod
+    def chunk_costs(hw, profile, u, threads):
+        """``(comm, comp, bytes_h2d, bytes_d2h)`` of one ``u``-unit chunk."""
+        gpu = GpuDevice(hw.gpu)
+        cpu = CpuDevice(hw.cpu)
+        raw = u * profile.record_bytes
+        comm = cpu.staging_copy_time(raw)
+        comm += hw.pcie.pinned_transfer_time(raw)
+        cost = kernel_chunk_cost(profile, u, coalesced=False)
+        comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
+        d2h = 0
+        if profile.write_bytes_per_record > 0:
+            wb = u * profile.write_bytes_per_record
+            comm += hw.pcie.pinned_transfer_time(wb)
+            comm += cpu.staging_copy_time(wb)  # apply into the source
+            d2h = trunc(wb)
+        return comm, comp, trunc(raw), d2h
 
     def run(
         self,

@@ -117,13 +117,28 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
         schedule)``. Shards on the same node with equal unit counts share
         a memoized schedule (the cache keys on the derated hardware).
         """
-        hw = config.hardware
-        fabric = self.fabric
-        units = app.n_units(data)
-        per_shard = -(-units // fabric.n_gpus)  # ceil
-        workers = shard_workers(hw.cpu, fabric)
-
+        shards, workers = self._shards(config.hardware, app.n_units(data))
         plans = []
+        for g, su, shard_hw in shards:
+            shard_cfg = config
+            if shard_hw is not config.hardware:
+                shard_cfg = config.with_(hardware=shard_hw)
+            sched = self._schedule(
+                app, data, shard_cfg, units=su, workers_override=workers
+            )
+            plans.append((g, su, sched))
+        return plans, workers
+
+    def _shards(self, hw, units: int) -> tuple[list, int]:
+        """``(shards, workers)``: ``(shard, units, hardware)`` of each
+        non-empty shard, and the assembly workers each shard gets.
+
+        Units split ceil-evenly across the GPUs in order; each shard's
+        hardware carries its NUMA-derated memory bandwidth.
+        """
+        fabric = self.fabric
+        per_shard = -(-units // fabric.n_gpus)  # ceil
+        shards = []
         remaining = units
         for g in range(fabric.n_gpus):
             su = min(per_shard, remaining)
@@ -131,16 +146,11 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
                 break
             remaining -= su
             bw = shard_mem_bandwidth(hw.cpu, g, fabric)
-            shard_cfg = config
+            shard_hw = hw
             if bw != hw.cpu.mem_bandwidth:
-                shard_cfg = config.with_(
-                    hardware=replace(hw, cpu=replace(hw.cpu, mem_bandwidth=bw))
-                )
-            sched = self._schedule(
-                app, data, shard_cfg, units=su, workers_override=workers
-            )
-            plans.append((g, su, sched))
-        return plans, workers
+                shard_hw = replace(hw, cpu=replace(hw.cpu, mem_bandwidth=bw))
+            shards.append((g, su, shard_hw))
+        return shards, shard_workers(hw.cpu, fabric)
 
     def _merge_time(self, app: Application, data: AppData, hw, n_shards: int) -> float:
         """Simulated cost of the cross-GPU reduce/merge stage."""

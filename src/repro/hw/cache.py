@@ -18,6 +18,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import HardwareError
+from repro.hw.elementwise import every, minimum
 
 
 class CacheSim:
@@ -95,7 +96,7 @@ def analytic_hit_rate(
     unit-stride reads) hit whenever the element shares a line with its
     predecessor: ``1 - elem/line`` (clamped at 0). *Random* gathers over a
     ``working_set`` larger than the cache miss almost always; the residual
-    hit chance is the capacity ratio.
+    hit chance is the capacity ratio. ``working_set`` may be an array.
     """
     if elem_bytes <= 0 or cache_line <= 0:
         raise HardwareError("elem_bytes and cache_line must be positive")
@@ -103,6 +104,6 @@ def analytic_hit_rate(
         return max(0.0, 1.0 - elem_bytes / cache_line)
     if working_set is None or cache_bytes is None:
         return 0.0
-    if working_set <= 0:
+    if not every(working_set > 0):
         raise HardwareError("working_set must be positive")
-    return min(1.0, cache_bytes / working_set)
+    return minimum(1.0, cache_bytes / working_set)

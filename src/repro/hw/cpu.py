@@ -5,11 +5,13 @@ baselines, the staging memcpy of traditional (single/double-buffer) GPU
 schemes, and BigKernel's data-assembly stage with its cache-locality
 behaviour (Section IV-B: BigKernel does two reads + two writes per
 prefetched element where traditional staging does one read + one write).
+The staging, assembly and scatter times take numbers or per-point arrays.
 """
 
 from __future__ import annotations
 
 from repro.errors import HardwareError
+from repro.hw.elementwise import every
 from repro.hw.spec import CpuSpec
 
 
@@ -71,13 +73,15 @@ class CpuDevice:
         One read + one write stream on one thread; wide streaming copies
         sustain about two thirds of the single-thread streaming bandwidth.
         """
-        if nbytes < 0:
+        if not every(nbytes >= 0):
             raise HardwareError("nbytes must be non-negative")
         return nbytes / (self.spec.per_thread_bandwidth * 2.0 / 3.0)
 
     # -- BigKernel data assembly ----------------------------------------------
     def random_read_bandwidth(self) -> float:
         """Achieved bytes/s when every read misses (one line per miss)."""
+        if self.spec.cache_line <= 0 or self.spec.miss_latency <= 0:
+            raise HardwareError("cache_line and miss_latency must be positive")
         return self.spec.cache_line / self.spec.miss_latency
 
     def assembly_time(
@@ -101,9 +105,8 @@ class CpuDevice:
         When no pattern was recognized (``address_driven``), the CPU also
         streams through the address buffer, one address per element.
         """
-        if not 0.0 <= hit_rate <= 1.0:
-            raise HardwareError(f"hit_rate must be in [0,1], got {hit_rate}")
-        if n_elements < 0 or elem_bytes < 0:
+        _check_hit_rate(hit_rate)
+        if not (every(n_elements >= 0) and every(elem_bytes >= 0)):
             raise HardwareError("work amounts must be non-negative")
         data_bytes = n_elements * elem_bytes
         hit_bw = self.spec.per_thread_bandwidth
@@ -117,15 +120,14 @@ class CpuDevice:
             else 0.0
         )
         accesses = n_elements if n_accesses is None else n_accesses
-        if accesses < 0:
+        if not every(accesses >= 0):
             raise HardwareError("n_accesses must be non-negative")
         loop_t = accesses * ops_per_access / self.spec.peak_ops_per_thread
         return read_t + write_t + addr_t + loop_t
 
     def scatter_time(self, n_elements: float, elem_bytes: float, hit_rate: float) -> float:
         """Write-back stage: scatter returned values into the mapped source."""
-        if not 0.0 <= hit_rate <= 1.0:
-            raise HardwareError(f"hit_rate must be in [0,1], got {hit_rate}")
+        _check_hit_rate(hit_rate)
         data_bytes = n_elements * elem_bytes
         hit_bw = self.spec.per_thread_bandwidth
         miss_bw = self.random_read_bandwidth()
@@ -134,3 +136,8 @@ class CpuDevice:
             data_bytes * (1.0 - hit_rate)
         ) / miss_bw
         return read_t + write_t
+
+
+def _check_hit_rate(hit_rate) -> None:
+    if not every((0.0 <= hit_rate) & (hit_rate <= 1.0)):
+        raise HardwareError(f"hit_rate must be in [0,1], got {hit_rate}")

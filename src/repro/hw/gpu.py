@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import HardwareError
+from repro.hw.elementwise import every, maximum, minimum
 from repro.hw.spec import GpuSpec
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
@@ -20,7 +21,10 @@ from repro.sim.resources import Resource
 
 @dataclass(frozen=True)
 class KernelCost:
-    """Counted work of one kernel stage execution over one chunk."""
+    """Counted work of one kernel stage execution over one chunk.
+
+    The counts may be per-point arrays when a sweep grid is priced.
+    """
 
     #: arithmetic operations retired
     n_ops: float
@@ -33,9 +37,10 @@ class KernelCost:
     fixed_overhead: float = 0.0
 
     def __post_init__(self):
-        if self.efficiency <= 0 or self.efficiency > 1.0:
+        if not every((self.efficiency > 0) & (self.efficiency <= 1.0)):
             raise HardwareError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.n_ops < 0 or self.global_bytes < 0 or self.fixed_overhead < 0:
+        ok = (self.n_ops >= 0) & (self.global_bytes >= 0) & (self.fixed_overhead >= 0)
+        if not every(ok):
             raise HardwareError("kernel cost components must be non-negative")
 
 
@@ -69,8 +74,10 @@ class GpuDevice:
         ``min`` over the three per-SM resource constraints (threads, shared
         memory, registers) times the SM count — the runtime part of the
         paper's hybrid compile-time/run-time active-block formula.
+        ``req.threads`` may be an array of per-point block sizes.
         """
-        if req.threads < 1 or req.threads > self.spec.max_threads_per_block:
+        limit = self.spec.max_threads_per_block
+        if not every((req.threads >= 1) & (req.threads <= limit)):
             raise HardwareError(
                 f"block thread count {req.threads} outside (0, "
                 f"{self.spec.max_threads_per_block}]"
@@ -82,18 +89,20 @@ class GpuDevice:
             else by_threads
         )
         regs = req.registers_per_thread * req.threads
-        by_regs = self.spec.registers_per_sm // regs if regs else by_threads
-        per_sm = min(by_threads, by_smem, by_regs)
-        return max(0, per_sm) * self.spec.num_sms
+        by_regs = by_threads
+        if req.registers_per_thread:
+            by_regs = self.spec.registers_per_sm // regs
+        per_sm = minimum(minimum(by_threads, by_smem), by_regs)
+        return maximum(0, per_sm) * self.spec.num_sms
 
     def active_blocks(self, req: BlockResources, num_set_blocks: int) -> int:
         """Paper Section IV-D: ``min(numSetBlocks, Rgpu / Rtb)``."""
         hw = self.max_active_blocks(req)
-        if hw == 0:
+        if not every(hw > 0):
             raise HardwareError(
                 f"a block needing {req} exceeds per-SM resources of {self.spec.name}"
             )
-        return min(num_set_blocks, hw)
+        return minimum(num_set_blocks, hw)
 
     # -- latency hiding ------------------------------------------------------
     def bandwidth_scale(self, total_threads: int) -> float:
@@ -106,9 +115,9 @@ class GpuDevice:
         streaming loads).
         """
         saturating = self.spec.num_sms * (self.spec.max_threads_per_sm // 4)
-        if total_threads <= 0:
+        if not every(total_threads > 0):
             raise HardwareError("total_threads must be positive")
-        return min(1.0, total_threads / saturating)
+        return minimum(1.0, total_threads / saturating)
 
     # -- timing ---------------------------------------------------------------
     def stage_time(self, cost: KernelCost, total_threads: int | None = None) -> float:

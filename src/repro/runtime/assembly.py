@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.errors import RuntimeConfigError
 from repro.hw.cache import CacheSim, analytic_hit_rate
+from repro.hw.elementwise import where
 from repro.hw.spec import CpuSpec
 from repro.kernelc.codegen import AddressRecord
 
@@ -171,7 +172,6 @@ def estimate_assembly_hit_rate(
     elem_bytes: int,
     record_bytes: int,
     threads: int,
-    chunk_bytes: int,
     cpu: CpuSpec,
     locality_opt: bool,
     reads_per_record: float = 1.0,
@@ -184,7 +184,7 @@ def estimate_assembly_hit_rate(
     is ``record_bytes / cache_line`` (at most one per access). Without it,
     consecutive reads jump between threads' slabs (~``chunk/threads``
     apart): each read opens its own line unless the whole chunk fits in
-    cache.
+    cache. ``threads`` may be an array of per-point thread counts.
     """
     if reads_per_record <= 0:
         return 1.0
@@ -200,12 +200,14 @@ def estimate_assembly_hit_rate(
     # hit, just with degraded hardware prefetching; past it, the streams
     # evict each other.
     stream_set = threads * cpu.cache_line * 2
-    if stream_set <= cpu.cache_bytes:
-        return 0.85 * seq_hit
-    return analytic_hit_rate(
-        elem_bytes,
-        cpu.cache_line,
-        sequential=False,
-        working_set=stream_set,
-        cache_bytes=cpu.cache_bytes,
+    return where(
+        stream_set <= cpu.cache_bytes,
+        0.85 * seq_hit,
+        analytic_hit_rate(
+            elem_bytes,
+            cpu.cache_line,
+            sequential=False,
+            working_set=stream_set,
+            cache_bytes=cpu.cache_bytes,
+        ),
     )

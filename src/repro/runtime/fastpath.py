@@ -47,6 +47,7 @@ from dataclasses import replace
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import RuntimeConfigError
+from repro.hw.elementwise import where
 from repro.hw.spec import HardwareSpec
 from repro.runtime.pipeline import (
     STAGE_ADDR_GEN,
@@ -81,6 +82,27 @@ def _with_index(kind: ChunkWork, index: int) -> ChunkWork:
         _set(chunk, name, value)
     _set(chunk, "index", index)
     return chunk
+
+
+def split_units(units, units_per_chunk):
+    """One pass of ``units`` cut into ``units_per_chunk``-unit chunks.
+
+    Returns ``(template_units, n_template, tail_units, has_tail)``: the
+    full chunks share one template, and a remainder becomes a ragged tail.
+    A pass that fills no chunk is a single short template. Where there is
+    no tail, ``tail_units`` repeats ``template_units``. ``units_per_chunk``
+    may be an array of per-point chunk sizes.
+    """
+    n_full, rem = divmod(units, units_per_chunk)
+    short = n_full == 0
+    template_units = where(short, rem, units_per_chunk)
+    has_tail = (rem > 0) & (n_full > 0)
+    return (
+        template_units,
+        where(short, 1, n_full),
+        where(has_tail, rem, template_units),
+        has_tail,
+    )
 
 
 class TemplatedChunks(Sequence):
@@ -132,15 +154,20 @@ class TemplatedChunks(Sequence):
         costs: Callable[[int], ChunkWork],
         passes: int = 1,
     ) -> "TemplatedChunks":
-        """``units`` cut into ``units_per_chunk``-unit chunks, each priced
-        by ``costs(u)``: one template for the full chunks plus a ragged
-        tail, or a single short template when ``units`` fills no chunk."""
-        n_full, rem = divmod(units, units_per_chunk)
-        if rem == 0:
-            return cls(costs(units_per_chunk), n_full, None, passes)
-        if n_full == 0:
-            return cls(costs(rem), 1, None, passes)
-        return cls(costs(units_per_chunk), n_full, costs(rem), passes)
+        """``units`` cut by :func:`split_units`, each chunk kind priced by
+        ``costs(u)``."""
+        if units < 1:
+            raise RuntimeConfigError("template schedule needs at least one chunk")
+        template_units, n_template, tail_units, has_tail = split_units(
+            units, units_per_chunk
+        )
+        template = costs(template_units)
+        tail = costs(tail_units) if has_tail else None
+        return cls(template, n_template, tail, passes)
+
+    @property
+    def has_tail(self) -> bool:
+        return self.tail is not None
 
     @property
     def per_pass(self) -> int:

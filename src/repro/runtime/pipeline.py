@@ -27,6 +27,7 @@ from typing import Generator, Optional
 
 from repro.errors import RuntimeConfigError
 from repro.faults.inject import FaultInjector, as_injector
+from repro.hw.elementwise import every
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
 from repro.hw.spec import HardwareSpec
 from repro.sim.core import Environment
@@ -52,7 +53,8 @@ class ChunkWork:
 
     The engine derives these from counted work (records, bytes, addresses)
     via the hardware cost models; the pipeline is only responsible for the
-    *scheduling* — what overlaps with what.
+    *scheduling* — what overlaps with what. When ``repro.analytic`` prices
+    a sweep grid, the fields are per-point arrays of the same costs.
     """
 
     index: int
@@ -75,15 +77,17 @@ class ChunkWork:
 
     def __post_init__(self):
         for name in ("t_addr_gen", "t_assembly", "t_compute", "t_scatter"):
-            if getattr(self, name) < 0:
+            if not every(getattr(self, name) >= 0):
                 raise RuntimeConfigError(f"{name} must be non-negative")
-        if self.addr_bytes_d2h < 0 or self.xfer_bytes < 0 or self.write_bytes < 0:
+        ok = (self.addr_bytes_d2h >= 0) & (self.xfer_bytes >= 0)
+        if not every(ok & (self.write_bytes >= 0)):
             raise RuntimeConfigError("byte counts must be non-negative")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Scheduling knobs of one pipeline run."""
+    """Scheduling knobs of one pipeline run (``ring_depth`` is a per-point
+    array when ``repro.analytic`` prices a sweep grid)."""
 
     #: buffer instances per set — bounds how far stages may run ahead
     ring_depth: int = 2
@@ -95,7 +99,7 @@ class PipelineConfig:
     sync_overhead: float = 0.0
 
     def __post_init__(self):
-        if self.ring_depth < 2:
+        if not every(self.ring_depth >= 2):
             raise RuntimeConfigError("ring_depth must be >= 2 (paper Section III)")
         if self.cpu_workers < 1:
             raise RuntimeConfigError("cpu_workers must be >= 1")

@@ -166,10 +166,14 @@ class TestPredictGrid:
         "ring_depth": [2, 3],
     }
 
-    @pytest.mark.parametrize("engine", PREDICTABLE_ENGINES)
+    @pytest.mark.parametrize(
+        "engine", PREDICTABLE_ENGINES + ("bigkernel_multigpu4_shared",)
+    )
     def test_grid_matches_scalar_pointwise(self, engine):
-        """The grid's two approximations (one pattern sample per grid, no
-        allocator run per point) hold at every point of every app."""
+        """The grid is the point model: its two approximations (one pattern
+        sample per grid, no allocator run per point) hold at every point
+        of every app, and it prices each point bit for bit as
+        ``predict_run`` does."""
         base = EngineConfig(functional=False)
         for cls in ALL_APPS:
             app = cls()
@@ -180,9 +184,7 @@ class TestPredictGrid:
                 scalar = predict_run(
                     app, data, gp.config_at(i), engine=engine
                 ).sim_time
-                assert float(gp.sim_time[i]) == pytest.approx(
-                    scalar, rel=1e-12
-                ), (app.name, gp.params_at(i))
+                assert float(gp.sim_time[i]) == scalar, (app.name, gp.params_at(i))
 
     def test_enumeration_matches_sweep_order(self, workload):
         import itertools

@@ -1,12 +1,15 @@
-"""Tests for the CPU cache simulator and analytic hit-rate model."""
+"""Tests for the CPU cache simulator, analytic hit-rate model and DRAM
+read-bandwidth inputs."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HardwareError
+from repro.hw import XEON_E5, CpuDevice
 from repro.hw.cache import CacheSim, analytic_hit_rate
-from repro.hw.dram import blended_read_bandwidth, random_access_bandwidth
 
 
 class TestCacheSim:
@@ -85,19 +88,12 @@ class TestAnalyticHitRate:
 
 
 class TestDramHelpers:
-    def test_random_bandwidth(self):
-        assert random_access_bandwidth(64, 80e-9) == pytest.approx(8e8)
-
-    def test_blended_endpoints(self):
-        assert blended_read_bandwidth(1.0, 10e9, 1e9) == pytest.approx(10e9)
-        assert blended_read_bandwidth(0.0, 10e9, 1e9) == pytest.approx(1e9)
-
-    def test_blend_is_harmonic(self):
-        bw = blended_read_bandwidth(0.5, 10e9, 1e9)
-        assert bw == pytest.approx(1.0 / (0.5 / 10e9 + 0.5 / 1e9))
+    """The DRAM read-bandwidth formulas live on ``CpuDevice``."""
 
     def test_invalid_inputs(self):
         with pytest.raises(HardwareError):
-            blended_read_bandwidth(2.0, 1, 1)
+            CpuDevice(XEON_E5).assembly_time(1, 1, 2.0, False)
         with pytest.raises(HardwareError):
-            random_access_bandwidth(0, 1)
+            CpuDevice(replace(XEON_E5, cache_line=0)).random_read_bandwidth()
+        with pytest.raises(HardwareError):
+            CpuDevice(replace(XEON_E5, miss_latency=0.0)).random_read_bandwidth()

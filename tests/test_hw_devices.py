@@ -1,5 +1,6 @@
 """Tests for the GPU/CPU device cost models and the hardware presets."""
 
+import numpy as np
 import pytest
 
 from repro.errors import HardwareError
@@ -33,6 +34,23 @@ class TestSpecs:
 
     def test_pcie_latency_floor(self):
         assert PCIE_GEN3_X16.transfer_time(0) == PCIE_GEN3_X16.latency
+
+    def test_pinned_transfer_twin_matches_transfer_time(self):
+        """The number-or-array twin the predictor prices with equals the
+        simulator's scalar transfer time at every byte count and segment
+        count, bit for bit."""
+        pcie = PCIE_GEN3_X16
+        nbytes = np.array([0, 4, 4096, 1 * MiB, 12_345_678])
+        segments = np.arange(1, 17)
+        grid = pcie.pinned_transfer_time(nbytes[:, None], segments[None, :])
+        for i, n in enumerate(nbytes.tolist()):
+            for j, seg in enumerate(segments.tolist()):
+                scalar = pcie.pinned_transfer_time(n, seg)
+                assert type(scalar) is float
+                assert scalar == pcie.transfer_time(n, pinned=True, segments=seg)
+                assert grid[i, j] == scalar
+        with pytest.raises(ValueError):
+            pcie.pinned_transfer_time(nbytes, segments=np.array([1, 0, 1, 1, 1]))
 
     def test_gpu_memory_bandwidth_exceeds_pcie(self):
         # the imbalance that motivates the whole paper
@@ -96,6 +114,30 @@ class TestGpuDevice:
         with pytest.raises(HardwareError):
             self.gpu.max_active_blocks(BlockResources(threads=2048))
 
+    def test_array_inputs_match_scalars(self):
+        threads = np.array([32, 512, 4096, 10**6])
+        cost = KernelCost(n_ops=2e6, global_bytes=64 * MiB, efficiency=0.5)
+        grid = self.gpu.stage_time(cost, threads)
+        for i, t in enumerate(threads.tolist()):
+            scalar = self.gpu.stage_time(cost, t)
+            assert type(scalar) is float and grid[i] == scalar
+        req = BlockResources(threads=np.array([64, 512, 1024]))
+        assert self.gpu.active_blocks(req, np.array([4, 100, 100])).tolist() == [
+            4,
+            32,
+            GTX680.num_sms * 2,
+        ]
+
+    def test_one_bad_array_element_rejected(self):
+        with pytest.raises(HardwareError):
+            KernelCost(n_ops=np.array([1.0, -1.0]), global_bytes=0)
+        with pytest.raises(HardwareError):
+            KernelCost(n_ops=0, global_bytes=0, efficiency=np.array([0.5, 1.5]))
+        with pytest.raises(HardwareError):
+            self.gpu.bandwidth_scale(np.array([256, 0]))
+        with pytest.raises(HardwareError):
+            self.gpu.max_active_blocks(BlockResources(threads=np.array([256, 2048])))
+
     def test_launch_overhead_scales(self):
         assert self.gpu.launch_overhead(10) == pytest.approx(
             10 * GTX680.kernel_launch_overhead
@@ -143,6 +185,32 @@ class TestCpuDevice:
     def test_bad_hit_rate_rejected(self):
         with pytest.raises(HardwareError):
             self.cpu.assembly_time(1, 1, 1.5, False)
+        with pytest.raises(HardwareError):
+            self.cpu.scatter_time(1, 1, 2.0)
+        with pytest.raises(HardwareError):
+            self.cpu.assembly_time(1, 1, np.array([0.5, -0.1]), False)
+
+    def test_random_read_bandwidth(self):
+        assert self.cpu.random_read_bandwidth() == pytest.approx(8e8)
+
+    def _read_time(self, hit_rate, n=10**6):
+        """Assembly's read term: the total less the buffer write."""
+        total = self.cpu.assembly_time(n, 1, hit_rate, False, n_accesses=0)
+        return total - n / XEON_E5.per_thread_bandwidth
+
+    def test_read_blend_endpoints(self):
+        n = 10**6
+        assert self._read_time(1.0) == pytest.approx(n / XEON_E5.per_thread_bandwidth)
+        assert self._read_time(0.0) == pytest.approx(
+            n / self.cpu.random_read_bandwidth()
+        )
+
+    def test_read_blend_is_harmonic(self):
+        n = 10**6
+        per_byte = 0.5 / XEON_E5.per_thread_bandwidth + 0.5 / (
+            self.cpu.random_read_bandwidth()
+        )
+        assert self._read_time(0.5) == pytest.approx(n * per_byte)
 
     def test_scatter_time_positive(self):
         assert self.cpu.scatter_time(1000, 4, 0.5) > 0
