@@ -21,15 +21,14 @@ per-chunk closed form (see ``docs/performance.md``).
 
 from __future__ import annotations
 
-import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, Optional, Union
 
 from repro.apps.base import AppData, Application
+from repro.engines import ENGINES, engine_by_name
 from repro.engines.base import Engine, EngineConfig
-from repro.engines.bigkernel import BigKernelEngine
 from repro.engines.cpu_mt import CpuMtEngine
 from repro.engines.cpu_serial import CpuSerialEngine
 from repro.engines.gpu_double import GpuDoubleBufferEngine
@@ -51,29 +50,6 @@ PREDICTABLE_ENGINES = (
     "bigkernel",
     "bigkernel_multigpu",
 )
-
-_ENGINE_CLASSES = {
-    "cpu_serial": CpuSerialEngine,
-    "cpu_mt": CpuMtEngine,
-    "gpu_single": GpuSingleBufferEngine,
-    "gpu_double": GpuDoubleBufferEngine,
-    "bigkernel": BigKernelEngine,
-    "bigkernel_multigpu": MultiGpuBigKernelEngine,
-}
-
-#: instance names encode the fabric ("bigkernel_multigpu4_shared", ...)
-_MULTIGPU_NAME = re.compile(r"^bigkernel_multigpu(\d*)(_shared)?(_numablind)?$")
-
-
-def _multigpu_from_name(name: str) -> Optional[MultiGpuBigKernelEngine]:
-    m = _MULTIGPU_NAME.match(name)
-    if m is None:
-        return None
-    return MultiGpuBigKernelEngine(
-        n_gpus=int(m.group(1)) if m.group(1) else 2,
-        shared_link=bool(m.group(2)),
-        numa_aware=not m.group(3),
-    )
 
 
 @dataclass
@@ -99,27 +75,22 @@ class PredictedRun:
 
 
 def resolve_engine(engine: Union[str, Engine]) -> Engine:
-    """Return an engine instance predict_run knows how to price."""
-    if isinstance(engine, Engine):
-        if isinstance(engine, MultiGpuBigKernelEngine):
-            return engine
-        cls = _ENGINE_CLASSES.get(engine.name)
-        if cls is None or not isinstance(engine, cls):
-            raise ReproError(
-                f"no closed-form model for engine {engine.name!r}; "
-                f"predictable: {', '.join(PREDICTABLE_ENGINES)}"
-            )
-        return engine
-    eng = _multigpu_from_name(engine)
-    if eng is not None:
-        return eng
-    cls = _ENGINE_CLASSES.get(engine)
-    if cls is None:
+    """Return an engine instance predict_run knows how to price: a name
+    resolves through :func:`repro.engines.engine_by_name`, and the
+    engine's registry name must be one of :data:`PREDICTABLE_ENGINES`,
+    with the engine an instance of the class registered under it."""
+    label = engine if isinstance(engine, str) else engine.name
+    try:
+        eng = engine_by_name(engine) if isinstance(engine, str) else engine
+    except ReproError:
+        eng = None
+    name = eng.identity.name if eng is not None else None
+    if name not in PREDICTABLE_ENGINES or not isinstance(eng, ENGINES[name]):
         raise ReproError(
-            f"no closed-form model for engine {engine!r}; "
+            f"no closed-form model for engine {label!r}; "
             f"predictable: {', '.join(PREDICTABLE_ENGINES)}"
         )
-    return cls()
+    return eng
 
 
 def chunk_durations(k: ChunkWork, pcie, sync, h2d_slots=1) -> Dict[str, float]:
@@ -351,8 +322,9 @@ def predicted_sim_time(
     """:func:`predict_run`'s ``sim_time``, memoized per compatibility key.
 
     The key is the content identity of the run — dataset content key,
-    engine spec (name + variant), frozen config — exactly what the serving
-    layer's batcher calls a compatibility class plus the per-job geometry.
+    engine spec (registry name + constructor keywords), frozen config —
+    exactly what the serving layer's batcher calls a compatibility class
+    plus the per-job geometry.
     Raises :class:`ReproError` for engines with no closed-form model (the
     UVM family), same as :func:`predict_run`.
     """

@@ -12,7 +12,7 @@ The process backend cannot ship live objects to workers: engines carry
 memoization caches, ``AppData`` holds tens of megabytes of arrays, and
 pickling either would cost more than the run itself. Instead the parent
 sends a :class:`JobSpec` — app name, generation recipe (seed, requested
-bytes, datagen version), engine identity, and the frozen
+bytes, datagen version), engine spec, and the frozen
 :class:`~repro.engines.base.EngineConfig` — and each worker *regenerates*
 the dataset locally. Generation is deterministic
 (:func:`repro.apps.base.dataset_key` names datasets by exactly this
@@ -21,15 +21,17 @@ recipe), so every worker sees byte-identical data, and per-worker caches
 regeneration and the engine's schedule memoization across all the points
 a worker evaluates.
 
-Only registry apps and stock engines are spec-able: a hand-built
-``AppData`` or a custom engine instance has no recipe a worker could
-replay, in which case :func:`dataset_spec` / :func:`engine_to_spec` return
-``None`` and the runner stays on threads (or raises, when the process
-backend was requested explicitly).
+Only registry apps and registered engine classes, with any constructor
+keywords, are spec-able: a hand-built ``AppData`` or an unregistered
+engine class has no recipe a worker could replay, in which case
+:func:`dataset_spec` / :func:`engine_to_spec` return ``None`` and the
+runner stays on threads (or raises, when the process backend was
+requested explicitly).
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -43,7 +45,8 @@ from repro.apps.base import (
     recipe_key,
 )
 from repro.apps.datagen import DATAGEN_VERSION
-from repro.engines.base import Engine, EngineConfig, RunResult
+from repro.engines import ENGINES
+from repro.engines.base import Engine, EngineConfig, EngineSpec, RunResult
 from repro.errors import ReproError
 
 
@@ -79,14 +82,6 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class EngineSpec:
-    """Engine identity: registry name plus the BigKernel feature label."""
-
-    name: str
-    variant: str = ""
-
-
-@dataclass(frozen=True)
 class JobSpec:
     """One engine run, fully described by value — safe to pickle."""
 
@@ -117,81 +112,24 @@ def dataset_spec(app: Application, data: AppData) -> Optional[DatasetSpec]:
 
 
 def engine_to_spec(engine: Engine) -> Optional[EngineSpec]:
-    """Identity of a stock engine, or None for custom engine types."""
-    from repro.engines import ALL_ENGINES, UVM_ENGINES, BigKernelEngine
-    from repro.engines.multigpu import MultiGpuBigKernelEngine
-    from repro.engines.uvm import UvmSpec
-
-    if type(engine) is MultiGpuBigKernelEngine:
-        # the fabric rides in the variant: every constructor knob that
-        # changes the timeline must survive the worker round-trip
-        variant = ":".join(
-            (
-                engine.features.label,
-                f"g{engine.n_gpus}",
-                "shared" if engine.shared_link else "dedicated",
-                "numa" if engine.numa_aware else "blind",
-            )
-        )
-        return EngineSpec(name=MultiGpuBigKernelEngine.name, variant=variant)
-    if type(engine) is BigKernelEngine:
-        return EngineSpec(name=engine.name, variant=engine.features.label)
-    if type(engine) in UVM_ENGINES:
-        # only the stock paging model is replayable by name; a custom
-        # UvmSpec has no registry recipe a worker could rebuild
-        if engine.spec != UvmSpec():
-            return None
-        return EngineSpec(name=engine.name, variant=engine.prefetch or "")
-    if type(engine) in ALL_ENGINES:
-        return EngineSpec(name=engine.name)
-    return None
-
-
-def _features_from_label(label: str):
-    from repro.engines import BigKernelFeatures
-
-    factory = {
-        "overlap-only": BigKernelFeatures.overlap_only,
-        "volume-reduction": BigKernelFeatures.with_reduction,
-        "full": BigKernelFeatures.full,
-        "coalesce-only": lambda: BigKernelFeatures(
-            reduce_volume=False, coalesce=True
-        ),
-    }.get(label or "full")
-    if factory is None:
-        raise ReproError(f"unknown BigKernel variant {label!r}")
-    return factory()
+    """The engine's :attr:`~repro.engines.base.Engine.identity`, or None
+    when ``type(engine)`` is not the registered class for its name."""
+    spec = engine.identity
+    return spec if ENGINES.get(spec.name) is type(engine) else None
 
 
 def engine_from_spec(spec: EngineSpec) -> Engine:
-    """Reconstruct the engine a spec names."""
-    from repro.engines import ALL_ENGINES, BigKernelEngine
-    from repro.engines.multigpu import MultiGpuBigKernelEngine
-
-    if spec.name == MultiGpuBigKernelEngine.name:
-        parts = spec.variant.split(":")
-        if len(parts) != 4 or not parts[1].startswith("g"):
-            raise ReproError(
-                f"malformed multi-GPU engine variant {spec.variant!r}"
-            )
-        label, gpus, link, numa = parts
-        return MultiGpuBigKernelEngine(
-            n_gpus=int(gpus[1:]),
-            features=_features_from_label(label),
-            shared_link=link == "shared",
-            numa_aware=numa == "numa",
+    """Rebuild the engine a spec names from the registry."""
+    cls = ENGINES.get(spec.name)
+    if cls is None:
+        raise ReproError(f"unknown engine {spec.name!r} in job spec")
+    params = dict(spec.params)
+    unknown = params.keys() - inspect.signature(cls).parameters.keys()
+    if unknown:
+        raise ReproError(
+            f"engine {spec.name!r} takes no keyword {sorted(unknown)}"
         )
-    if spec.name == BigKernelEngine.name:
-        return BigKernelEngine(features=_features_from_label(spec.variant))
-    from repro.engines import UVM_ENGINES
-
-    for cls in UVM_ENGINES:
-        if cls.name == spec.name:
-            return cls(prefetch=spec.variant or None)
-    for cls in ALL_ENGINES:
-        if cls.name == spec.name:
-            return cls()
-    raise ReproError(f"unknown engine {spec.name!r} in job spec")
+    return cls(**params)
 
 
 #: per-worker dataset cache: spec -> (app, data). A sweep fans one dataset
@@ -264,7 +202,7 @@ def resolve_backend(
         if not speccable:
             raise ReproError(
                 "backend='process' needs registry apps with a generation "
-                "recipe and stock engines (workers rebuild both from "
+                "recipe and registry engines (workers rebuild both from "
                 "picklable specs); use backend='thread' for custom instances"
             )
         return "process"

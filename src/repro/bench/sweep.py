@@ -240,7 +240,7 @@ class DiskCache:
 def run_digest(key: tuple) -> str:
     """SHA-256 disk key of a run named by content identities only.
 
-    ``key`` is ``(engine cache_key, app name, dataset content key,
+    ``key`` is ``(engine.identity, app name, dataset content key,
     config)``: every component is stable across processes — the dataset
     is named by :func:`repro.apps.base.dataset_key` (recipe or byte hash,
     never the per-instance fingerprint), and the frozen config's repr is
@@ -260,14 +260,14 @@ def content_run_key(
     digest of :meth:`RunCache.recipe_key` for the job that names the same
     recipe: a sweep-written disk entry and a server lookup share one file.
     """
-    return run_digest((engine.cache_key, app.name, dataset_key(data), config))
+    return run_digest((engine.identity, app.name, dataset_key(data), config))
 
 
 class RunCache:
     """Two-tier cache of engine runs, keyed on everything a run reads.
 
     The front tier is a thread-safe in-process LRU. A sweep keys it with
-    :meth:`key`, ``(engine cache_key, app name, dataset *identity*
+    :meth:`key`, ``(engine.identity, app name, dataset *identity*
     fingerprint, config)``: the fingerprint
     (:func:`repro.apps.base.data_fingerprint`) is minted per dataset
     *instance*, so a stale hit is impossible even if the caller — who owns
@@ -294,13 +294,13 @@ class RunCache:
 
     @staticmethod
     def key(engine: Engine, app: Application, data: AppData, config: EngineConfig):
-        return (engine.cache_key, app.name, data_fingerprint(data), config)
+        return (engine.identity, app.name, data_fingerprint(data), config)
 
     @staticmethod
     def recipe_key(engine: Engine, job: JobSpec) -> tuple:
         """Content key of a job, from its recipe alone; :func:`run_digest`
         of it is the job's disk key."""
-        return (engine.cache_key, job.dataset.app, job.dataset.key, job.config)
+        return (engine.identity, job.dataset.app, job.dataset.key, job.config)
 
     def get(self, key, disk_key: Optional[str] = None) -> Optional[RunResult]:
         with self._lock:

@@ -90,26 +90,36 @@ def cmd_apps(args) -> int:
     return 0
 
 
+def _engine_by_name(name: str):
+    """:func:`repro.engines.engine_by_name`, or None after a message."""
+    from repro.engines import engine_by_name
+    from repro.errors import ReproError
+
+    try:
+        return engine_by_name(name)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     from repro.apps import get_app
     from repro.bench.report import render_table
-    from repro.engines import ALL_ENGINES, UVM_ENGINES
+    from repro.engines import ALL_ENGINES, CpuSerialEngine
 
     app = get_app(args.app)
     data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
     settings = _settings(args)
-    engines = [cls() for cls in ALL_ENGINES]
-    if args.engine in {cls.name for cls in UVM_ENGINES}:
-        # the UVM family stays out of the default five-scheme table but is
-        # runnable by name, next to the serial baseline for a speedup ref
-        engines = [engines[0]] + [
-            cls() for cls in UVM_ENGINES if cls.name == args.engine
-        ]
-    elif args.engine != "all":
-        engines = [e for e in engines if e.name == args.engine]
-        if not engines:
-            print(f"unknown engine {args.engine!r}", file=sys.stderr)
+    if args.engine == "all":
+        engines = [cls() for cls in ALL_ENGINES]
+    else:
+        engine = _engine_by_name(args.engine)
+        if engine is None:
             return 2
+        # an engine outside the five-scheme table runs next to the serial
+        # baseline, for a speedup reference
+        engines = [engine]
+        if type(engine) not in ALL_ENGINES:
+            engines.insert(0, CpuSerialEngine())
     results = [e.run(app, data, settings.config) for e in engines]
     for r in results[1:]:
         if not app.outputs_equal(results[0].output, r.output):
@@ -277,18 +287,11 @@ def cmd_sweep(args) -> int:
     from repro.apps import get_app
     from repro.bench.report import render_table
     from repro.bench.sweep import DEFAULT_GRID, autotune
-    from repro.engines import ALL_ENGINES, UVM_ENGINES
 
     app = get_app(args.app)
     data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
-    engine = None
-    for cls in ALL_ENGINES + UVM_ENGINES:
-        e = cls()
-        if e.name == args.engine:
-            engine = e
-            break
+    engine = _engine_by_name(args.engine)
     if engine is None:
-        print(f"unknown engine {args.engine!r}", file=sys.stderr)
         return 2
     if args.points and args.mode == "analytic":
         return _analytic_scan(args, engine, app, data)

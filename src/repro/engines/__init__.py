@@ -18,6 +18,10 @@ hardware cost models on the simulated timeline. Because the functional
 part is shared, :meth:`Engine._functional_output` runs a registered app's
 pass once per dataset instance and chunk bounds and hands every later run
 the same read-only output.
+
+:data:`ENGINES` registers these, the multi-GPU engine and the UVM family
+by name; an engine's :attr:`Engine.identity` is that name plus its
+constructor keywords.
 """
 
 from repro.engines.base import Engine, EngineConfig, RunResult, RunMetrics
@@ -26,13 +30,14 @@ from repro.engines.cpu_mt import CpuMtEngine
 from repro.engines.gpu_single import GpuSingleBufferEngine
 from repro.engines.gpu_double import GpuDoubleBufferEngine
 from repro.engines.bigkernel import BigKernelEngine, BigKernelFeatures
-from repro.engines.multigpu import MultiGpuBigKernelEngine
+from repro.engines.multigpu import MultiGpuBigKernelEngine, params_from_name
 from repro.engines.uvm import (
     GpuUvmEngine,
     UvmLearnedEngine,
     UvmReadaheadEngine,
     UvmSpec,
 )
+from repro.errors import ReproError
 
 ALL_ENGINES = (
     CpuSerialEngine,
@@ -52,6 +57,26 @@ UVM_ENGINES = (
     UvmLearnedEngine,
 )
 
+#: every engine class by registry name
+ENGINES = {
+    cls.name: cls
+    for cls in ALL_ENGINES + (MultiGpuBigKernelEngine,) + UVM_ENGINES
+}
+
+
+def engine_by_name(name: str) -> Engine:
+    """The engine ``name`` names: a registry name builds its class with
+    the default keywords, and a multi-GPU instance name
+    (``bigkernel_multigpu4_shared``) builds that fabric."""
+    cls = ENGINES.get(name)
+    if cls is not None:
+        return cls()
+    params = params_from_name(name)
+    if params is None:
+        raise ReproError(f"unknown engine {name!r}")
+    return MultiGpuBigKernelEngine(**params)
+
+
 __all__ = [
     "Engine",
     "EngineConfig",
@@ -70,4 +95,6 @@ __all__ = [
     "UvmSpec",
     "ALL_ENGINES",
     "UVM_ENGINES",
+    "ENGINES",
+    "engine_by_name",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -48,26 +49,8 @@ class EngineConfig:
     #: deterministic fault plan (``repro.faults``); None = clean run. An
     #: active plan forces the DES and engages the degradation policies
     faults: Optional[FaultPlan] = None
-    #: kernel-IR executor: "compiled" demands the vectorized NumPy backend
-    #: (raises ``VectorizationError`` for kernels it cannot lower), "interp"
-    #: forces the tree-walking interpreter, "auto" compiles when the
-    #: vectorizability analysis admits the kernel and falls back otherwise
-    kernel_exec: str = "auto"
-    #: prefetcher of the unified-memory engines (``repro.engines.uvm``):
-    #: "none" keeps the driver's partial readahead only, "readahead" adds
-    #: the adaptive sequential window, "learned" the pattern-descriptor
-    #: prefetcher; ignored by the non-UVM engines
-    prefetch: str = "none"
 
     def __post_init__(self):
-        if self.kernel_exec not in ("auto", "compiled", "interp"):
-            raise RuntimeConfigError(
-                "kernel_exec must be 'auto', 'compiled', or 'interp'"
-            )
-        if self.prefetch not in ("none", "readahead", "learned"):
-            raise RuntimeConfigError(
-                "prefetch must be 'none', 'readahead', or 'learned'"
-            )
         if self.chunk_bytes < 1024:
             raise RuntimeConfigError("chunk_bytes must be at least 1 KiB")
         if self.num_blocks < 1:
@@ -131,19 +114,35 @@ class RunResult:
         return other.sim_time / self.sim_time
 
 
+@dataclass(frozen=True)
+class EngineSpec:
+    """An engine's identity: its registry name plus every constructor
+    keyword, defaults included, as name-sorted ``(keyword, value)`` pairs.
+    It keys caches and crosses process boundaries."""
+
+    name: str
+    params: tuple = ()
+
+    def __hash__(self) -> int:
+        # equal specs share a name, whose hash Python caches: served
+        # requests hash their spec several times each
+        return hash(self.name)
+
+
 class Engine(abc.ABC):
     """One execution scheme."""
 
     name: str = ""
     display_name: str = ""
 
-    @property
-    def cache_key(self) -> str:
-        """Identity of this engine for run-result caching (bench.sweep).
+    def _params(self) -> dict:
+        """This instance's constructor keywords, defaults included."""
+        return {}
 
-        Engines whose behaviour depends on constructor state must extend
-        this (BigKernel appends its feature-ablation label)."""
-        return self.name
+    @cached_property
+    def identity(self) -> EngineSpec:
+        """The :class:`EngineSpec` this engine is keyed and rebuilt by."""
+        return EngineSpec(type(self).name, tuple(sorted(self._params().items())))
 
     @abc.abstractmethod
     def run(

@@ -159,9 +159,8 @@ class BigKernelEngine(Engine):
         self.schedule_hits = 0
         self.schedule_misses = 0
 
-    @property
-    def cache_key(self) -> str:
-        return f"{self.name}:{self.features.label}"
+    def _params(self) -> dict:
+        return {"features": self.features}
 
     # ----------------------------------------------------------- helpers
     def _sliceable(self, app: Application, profile) -> bool:

@@ -37,6 +37,7 @@ each device's pipeline independent, synchronize only at the barriers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from typing import Any, Optional
 
@@ -59,6 +60,22 @@ from repro.runtime.pipeline import (
     STAGE_WRITEBACK_XFER,
     run_pipeline,
 )
+
+
+#: instance names, as ``__init__`` writes them (no count: the default)
+_INSTANCE_NAME = re.compile(r"^bigkernel_multigpu(\d*)(_shared)?(_numablind)?$")
+
+
+def params_from_name(name: str) -> Optional[dict]:
+    """Constructor keywords of the fabric an instance name spells
+    (``bigkernel_multigpu4_shared``), or None for any other name."""
+    m = _INSTANCE_NAME.match(name)
+    if m is None:
+        return None
+    params = {"shared_link": bool(m.group(2)), "numa_aware": not m.group(3)}
+    if m.group(1):
+        params["n_gpus"] = int(m.group(1))
+    return params
 
 
 def copy_state(state: Any) -> Any:
@@ -97,17 +114,18 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
         self.shared_link = shared_link
         #: False leaves assembly threads unplaced (interconnect penalty)
         self.numa_aware = numa_aware
-        # the name is the engine's *identity*: it must encode every
-        # constructor knob that changes the timeline, or sweep/run-cache
-        # entries for two different configurations would collide
+        # the instance name spells the fabric in the grammar that
+        # params_from_name parses
         suffix = "_shared" if shared_link else ""
         if not numa_aware:
             suffix += "_numablind"
         self.name = f"bigkernel_multigpu{n_gpus}{suffix}"
 
-    @property
-    def cache_key(self) -> str:
-        return f"{self.name}:{self.features.label}"
+    def _params(self) -> dict:
+        return dict(
+            super()._params(), n_gpus=self.n_gpus,
+            shared_link=self.shared_link, numa_aware=self.numa_aware,
+        )
 
     # ------------------------------------------------------------ planning
     def _shard_plan(self, app: Application, data: AppData, config: EngineConfig):

@@ -52,8 +52,6 @@ from repro.sim.core import Environment
 from repro.sim.trace import TraceRecorder
 from repro.units import KiB, US
 
-PREFETCH_MODES = ("none", "readahead", "learned")
-
 #: trace label of the un-hidable fault-service stall (cpu track)
 FAULT_SERVICE = "fault_service"
 
@@ -69,8 +67,8 @@ class UvmSpec:
     #: whole batch rather than paying it per page
     fault_latency: float = 25 * US
     #: fraction of a faulting batch's *successor* the driver's partial
-    #: sequential readahead queues ahead of the faulting thread (the
-    #: ``prefetch="none"`` baseline still has this, like real UVM)
+    #: sequential readahead queues ahead of the faulting thread (plain
+    #: ``gpu_uvm``, with no prefetcher, still has this, like real UVM)
     prefetch_hit: float = 0.65
     #: fraction of the fault-service stall that computation on
     #: already-resident pages covers
@@ -325,23 +323,15 @@ class GpuUvmEngine(Engine):
 
     name = "gpu_uvm"
     display_name = "GPU Unified Memory"
-    #: subclass hook: prefetch mode baked into the engine identity;
-    #: None defers to ``EngineConfig.prefetch``
-    default_prefetch: Optional[str] = None
+    #: the prefetcher: "none" keeps the driver's partial readahead only;
+    #: each prefetcher is its own engine class below
+    prefetch = "none"
 
-    def __init__(
-        self, spec: UvmSpec = UvmSpec(), prefetch: Optional[str] = None
-    ):
-        if prefetch is not None and prefetch not in PREFETCH_MODES:
-            raise RuntimeConfigError(
-                f"prefetch must be one of {PREFETCH_MODES}, got {prefetch!r}"
-            )
+    def __init__(self, spec: UvmSpec = UvmSpec()):
         self.spec = spec
-        self.prefetch = prefetch if prefetch is not None else self.default_prefetch
 
-    @property
-    def cache_key(self) -> str:
-        return f"{self.name}[{self.prefetch or 'config'};{self.spec!r}]"
+    def _params(self) -> dict:
+        return {"spec": self.spec}
 
     def run(
         self,
@@ -350,12 +340,7 @@ class GpuUvmEngine(Engine):
         config: Optional[EngineConfig] = None,
     ) -> RunResult:
         config = config or EngineConfig()
-        mode = self.prefetch if self.prefetch is not None else config.prefetch
-        if mode not in PREFETCH_MODES:
-            raise RuntimeConfigError(
-                f"prefetch must be one of {PREFETCH_MODES}, got {mode!r}"
-            )
-        sim = _UvmSimulation(self.spec, mode, app, data, config)
+        sim = _UvmSimulation(self.spec, self.prefetch, app, data, config)
         sim_time = sim.execute()
 
         output = None
@@ -368,14 +353,14 @@ class GpuUvmEngine(Engine):
         notes = {
             "pages": sim.table.n_pages,
             "page_bytes": self.spec.page_bytes,
-            "prefetch": mode,
+            "prefetch": self.prefetch,
             "batch_pages": sim.batch_pages,
             "capacity_pages": sim.table.capacity_pages,
             "faults": sim.fault_events,
             "fault_stall": sim.fault_stall,
             "paging": sim.table.stats(),
         }
-        if mode == "learned":
+        if self.prefetch == "learned":
             notes["prefetch_source"] = sim.learned_source
         if sim.injector is not None:
             notes["fault_stats"] = sim.injector.stats()
@@ -400,7 +385,7 @@ class UvmReadaheadEngine(GpuUvmEngine):
 
     name = "uvm_readahead"
     display_name = "GPU UVM + Readahead Prefetch"
-    default_prefetch = "readahead"
+    prefetch = "readahead"
 
 
 class UvmLearnedEngine(GpuUvmEngine):
@@ -408,4 +393,4 @@ class UvmLearnedEngine(GpuUvmEngine):
 
     name = "uvm_learned"
     display_name = "GPU UVM + Learned Prefetch"
-    default_prefetch = "learned"
+    prefetch = "learned"

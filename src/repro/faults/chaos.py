@@ -125,7 +125,7 @@ def _serve_cell_block(
     engine_spec = engine_to_spec(engine)
     if engine_spec is None or APP_REGISTRY.get(app.name) is not type(app):
         raise ReproError(
-            "chaos serve mode needs registry apps and stock engines "
+            "chaos serve mode needs registry apps and registry engines "
             "(requests ride as picklable job specs)"
         )
     data = app.generate(n_bytes=data_bytes, seed=seed)

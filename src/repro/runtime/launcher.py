@@ -92,6 +92,7 @@ class KernelApplication(Application):
         self.params_init = dict(params or {})
         self.device_fns = dict(device_fns or {})
         self.spec = spec or LaunchSpec()
+        #: kernel-IR executor: "compiled" (or raise), "interp" or "auto"
         self.kernel_exec = kernel_exec
         # lazy caches: False = not yet resolved (None is a valid verdict)
         self._compiled_main: Any = False
@@ -397,12 +398,14 @@ def bigkernel_launch(
     spec: Optional[LaunchSpec] = None,
     engine: Optional[BigKernelEngine] = None,
     verify: bool = False,
+    kernel_exec: str = "auto",
 ) -> RunResult:
     """Compile, characterize, and run ``kernel`` over the mapped data.
 
     Returns the engine's :class:`RunResult`: functional output (the
     resident state, or ``spec.make_output``'s extraction) plus the
-    simulated time, metrics and pipeline trace.
+    simulated time, metrics and pipeline trace, with ``kernel_exec`` as
+    :class:`KernelApplication`'s executor.
 
     With ``verify=True`` the launch is double-checked after the run: the
     pipeline timeline goes through the trace invariant checkers and the
@@ -413,7 +416,7 @@ def bigkernel_launch(
     cfg = config or EngineConfig()
     app = KernelApplication(
         kernel, registry, resident, params, device_fns, spec,
-        kernel_exec=cfg.kernel_exec,
+        kernel_exec=kernel_exec,
     )
     eng = engine or BigKernelEngine()
     if not verify:

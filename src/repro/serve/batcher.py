@@ -1,7 +1,7 @@
 """Grouping a dispatch window into engine-compatible batches.
 
 Two requests are *compatible* — may share one pipeline pass — when they
-name the same engine (including its feature variant), the same app, and
+name the same engine spec (every constructor keyword), the same app, and
 the same hardware spec. Within a batch, requests that are *exact*
 duplicates (same dataset recipe and same full config) collapse onto a
 single engine run: the first becomes the batch leader, the rest become

@@ -4,9 +4,9 @@ The scheduler needs a *wall-clock* service-time estimate for every queued
 job — that is what deadlines are written against.  The analytic predictor
 (:func:`repro.analytic.predicted_sim_time`) supplies a cheap O(1) estimate
 in *simulated* seconds for the engines it can model; the
-:class:`JobPricer` closes the loop by learning, per (app, engine) cell, an
-EWMA of the observed wall-per-simulated-second ratio from every executed
-batch.  A priced job costs ``sim_time * ratio`` wall seconds.
+:class:`JobPricer` closes the loop by learning, per (app, engine spec)
+cell, an EWMA of the observed wall-per-simulated-second ratio from every
+executed batch.  A priced job costs ``sim_time * ratio`` wall seconds.
 
 Engines the predictor cannot price (the UVM family raises
 :class:`~repro.errors.ReproError`) fall back to a per-cell EWMA of
@@ -42,7 +42,7 @@ class JobPricer:
     def __init__(self):
         #: memoized analytic sim_time per job identity (None = unpredictable)
         self._sim: dict = {}
-        #: EWMA wall/sim calibration ratio per (app, engine name) cell
+        #: EWMA wall/sim calibration ratio per (app, engine spec) cell
         self._ratio: dict = {}
         #: EWMA observed wall per engine run per cell (UVM fallback path)
         self._per_run: dict = {}
@@ -59,7 +59,7 @@ class JobPricer:
 
     @staticmethod
     def cell(job: JobSpec) -> tuple:
-        return (job.dataset.app, job.engine.name)
+        return (job.dataset.app, job.engine)
 
     # ----------------------------------------------------------- predictions
     def _sim_for(self, job: JobSpec, dataset_loader: Callable) -> Optional[float]:

@@ -34,7 +34,7 @@ and the scheduler becomes *cost-aware* end to end:
   recent unique fraction) fits the tightest deadline slack in queue,
   and grows back to ``max_batch`` when slack is plentiful.
 
-Each batch (same engine variant, app, hardware) runs as one pipeline
+Each batch (same engine spec, app, hardware) runs as one pipeline
 pass: exact repeats are short-circuited through the two-tier
 :class:`~repro.bench.sweep.RunCache` with *zero* engine runs, duplicate
 jobs inside the window collapse onto a single leader run (followers are

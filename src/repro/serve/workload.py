@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.bench.jobs import DatasetSpec, EngineSpec, JobSpec
+from repro.engines import engine_by_name
 from repro.engines.base import EngineConfig
 from repro.errors import ReproError
 from repro.units import MiB
@@ -93,7 +94,7 @@ class TraceSpec:
     tenants: tuple = DEFAULT_TENANTS
     #: registry apps the job pool draws from
     apps: tuple = ("wordcount", "dna")
-    #: stock engine names the job pool draws from. The default mix pairs
+    #: engine names the job pool draws from. The default mix pairs
     #: the paper engine with the unified-memory competitor so the serving
     #: path exercises an engine family the analytic predictor cannot price
     #: (UVM jobs are costed purely from the observed-wall calibration loop)
@@ -119,16 +120,8 @@ class TraceSpec:
 
 
 def engine_spec_by_name(name: str) -> EngineSpec:
-    """Picklable spec of a stock engine, resolved from the registry."""
-    from repro.bench.jobs import engine_to_spec
-    from repro.engines import ALL_ENGINES, UVM_ENGINES
-
-    for cls in tuple(ALL_ENGINES) + tuple(UVM_ENGINES):
-        if cls.name == name:
-            spec = engine_to_spec(cls())
-            assert spec is not None  # stock engines are always spec-able
-            return spec
-    raise ReproError(f"unknown engine {name!r} for the serve trace")
+    """Picklable spec of the engine :func:`engine_by_name` resolves."""
+    return engine_by_name(name).identity
 
 
 def generate_trace(

@@ -182,9 +182,9 @@ def run_differential(
 # fastpath-vs-des mode: the analytic pipeline against the simulator
 # --------------------------------------------------------------------------
 
-#: relative tolerance for timeline comparisons — the fast path is designed
-#: to be bit-identical, so this is purely a guard against future drift
-FASTPATH_TOL = 1e-9
+#: relative tolerance for timeline comparisons: none, the fast path is
+#: bit-identical to the DES
+FASTPATH_TOL = 0
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -227,8 +227,8 @@ def run_fastpath_differential(
     and assert ``sim_time``/``stage_totals``/byte counters/outputs agree.
 
     This is the oracle that lets the analytic pipeline ship: the DES is
-    the trusted model, and every cell must agree within ``tol`` (the fast
-    path targets bit-identical, so 1e-9 has huge margin). Cells where the
+    the trusted model, and every cell must agree within ``tol`` (by
+    default exactly: the fast path is bit-identical). Cells where the
     fast path declines (mapped writes, short runs) compare DES vs DES and
     pass trivially — their mode is ``des-fallback``, while ``fast`` marks
     the cells that actually exercised the analytic engine. Engine

@@ -18,7 +18,7 @@ explores the same space more aggressively when it is installed):
   invariant checker.
 * :func:`check_uvm_differential` draws a random unified-memory paging
   configuration (page size, fault-batch size, device-memory capacity,
-  prefetch mode) and asserts the UVM engine's output matches the serial
+  prefetcher) and asserts the UVM engine's output matches the serial
   oracle, its timeline passes the invariant checkers, and its page-byte
   ledger conserves (migrated == evicted + resident, written-back == d2h).
 * :func:`draw_multigpu_case` draws a random sharded fabric (GPU count,
@@ -391,12 +391,13 @@ def check_uvm_differential(rng: random.Random) -> None:
     """One random paged-UVM configuration against the serial oracle.
 
     Draws page geometry, fault-batch size, device-memory capacity, and
-    prefetch mode; the run's output must match ``cpu_serial``, its
-    timeline must pass every invariant checker, and the page table's
-    byte ledger must reconcile with the PCIe byte counters.
+    the prefetcher's engine class; the run's output must match
+    ``cpu_serial``, its timeline must pass every invariant checker, and
+    the page table's byte ledger must reconcile with the PCIe byte
+    counters.
     """
     from repro.apps import get_app
-    from repro.engines import CpuSerialEngine, EngineConfig, GpuUvmEngine, UvmSpec
+    from repro.engines import UVM_ENGINES, CpuSerialEngine, EngineConfig, UvmSpec
     from repro.units import KiB, MiB
     from repro.verify.invariants import verify_run
 
@@ -412,16 +413,14 @@ def check_uvm_differential(rng: random.Random) -> None:
         device_mem_bytes=rng.choice((None, 256 * KiB, 1 * MiB)),
         max_window=rng.choice((2, 8, 32)),
     )
-    config = EngineConfig(
-        chunk_bytes=256 * KiB,
-        prefetch=rng.choice(("none", "readahead", "learned")),
-    )
+    engine = rng.choice(UVM_ENGINES)(spec)
+    config = EngineConfig(chunk_bytes=256 * KiB)
     ref = CpuSerialEngine().run(app, data, config)
-    res = GpuUvmEngine(spec).run(app, data, config)
+    res = engine.run(app, data, config)
     if not app.outputs_equal(ref.output, res.output):
         raise VerificationError(
-            f"uvm output diverged from {ref.engine} on {app.name} "
-            f"(spec={spec}, prefetch={config.prefetch})"
+            f"{engine.name} output diverged from {ref.engine} on {app.name} "
+            f"(spec={spec})"
         )
     verify_run(res, config).raise_if_failed()
     paging = res.metrics.notes["paging"]

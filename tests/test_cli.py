@@ -35,6 +35,14 @@ class TestCli:
     def test_run_unknown_engine_fails(self, capsys):
         assert main(["run", "kmeans", "--engine", "warpdrive", *FAST]) == 2
 
+    def test_run_multigpu_instance_name(self, capsys):
+        """A multi-GPU instance name resolves like any registry name, and
+        runs next to the serial baseline under its own name."""
+        name = "bigkernel_multigpu4_shared_numablind"
+        assert main(["run", "wordcount", "--engine", name, *FAST]) == 0
+        out = capsys.readouterr().out
+        assert name in out and "cpu_serial" in out
+
     @pytest.mark.parametrize(
         "command", ["run kmeans", "report kmeans", "verify", "chaos", "bench",
                     "serve"],

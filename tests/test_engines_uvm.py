@@ -4,7 +4,7 @@ Four families of properties, each a simulated-time fact that must hold on
 any machine:
 
 * **Determinism** — the same seed produces a byte-identical timeline
-  (interval-level fingerprint), for every prefetch mode.
+  (interval-level fingerprint), for every prefetcher.
 * **Conservation** — the page-table ledger balances: every byte moved
   host-to-device is accounted as migrated, every migrated byte is either
   still resident or was evicted, and every device-to-host byte is a
@@ -28,7 +28,7 @@ from repro.engines import (
     UvmLearnedEngine,
     UvmReadaheadEngine,
 )
-from repro.engines.uvm import PREFETCH_MODES, UvmSpec
+from repro.engines.uvm import UvmSpec
 from repro.units import KiB, MiB
 from repro.verify.invariants import verify_run
 
@@ -59,10 +59,12 @@ def _run(engine, app_name, n_bytes=DATA_BYTES, seed=SEED, config=CONFIG):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("mode", PREFETCH_MODES)
-    def test_same_seed_same_timeline(self, mode):
-        a = _run(GpuUvmEngine(prefetch=mode), "wordcount")[2]
-        b = _run(GpuUvmEngine(prefetch=mode), "wordcount")[2]
+    @pytest.mark.parametrize(
+        "engine_cls", UVM_ENGINES, ids=lambda c: c.prefetch
+    )
+    def test_same_seed_same_timeline(self, engine_cls):
+        a = _run(engine_cls(), "wordcount")[2]
+        b = _run(engine_cls(), "wordcount")[2]
         assert a.sim_time == b.sim_time
         assert _fingerprint(a.trace) == _fingerprint(b.trace)
         assert a.metrics.notes["paging"] == b.metrics.notes["paging"]
@@ -148,15 +150,3 @@ class TestDifferential:
         assert app.outputs_equal(ref.output, res.output)
         report = verify_run(res, CONFIG)
         assert report.ok, report.summary()
-
-    def test_config_prefetch_equals_variant_engine(self):
-        """``EngineConfig.prefetch`` and the variant subclasses are two
-        spellings of the same engine."""
-        app = get_app("netflix")
-        data = app.generate(n_bytes=DATA_BYTES, seed=SEED)
-        via_cfg = GpuUvmEngine().run(
-            app, data, CONFIG.with_(prefetch="readahead")
-        )
-        via_cls = UvmReadaheadEngine().run(app, data, CONFIG)
-        assert via_cfg.sim_time == via_cls.sim_time
-        assert _fingerprint(via_cfg.trace) == _fingerprint(via_cls.trace)

@@ -550,15 +550,11 @@ class TestAppEquivalence:
 
 
 class TestEngineWiring:
-    def test_engine_config_validates_kernel_exec(self):
-        from repro.engines import EngineConfig
-
-        assert EngineConfig(kernel_exec="compiled").kernel_exec == "compiled"
+    def test_launch_validates_kernel_exec(self):
         with pytest.raises(RuntimeConfigError):
-            EngineConfig(kernel_exec="jit")
+            self._launch("jit")
 
     def _launch(self, kernel_exec):
-        from repro.engines import EngineConfig
         from repro.runtime.launcher import bigkernel_launch
         from repro.runtime.streaming import StreamingRegistry
 
@@ -586,7 +582,7 @@ class TestEngineWiring:
             kernel,
             registry,
             resident={"total": np.zeros(1, dtype=np.int64)},
-            config=EngineConfig(kernel_exec=kernel_exec),
+            kernel_exec=kernel_exec,
         )
         return host["out"].copy(), res.output["total"].copy()
 

@@ -8,6 +8,7 @@ tier lets a fresh process replay a sweep with zero engine runs.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ import repro
 from repro.apps import get_app
 from repro.apps.base import AppData, data_fingerprint, dataset_key
 from repro.bench.jobs import (
+    EngineSpec,
     JobSpec,
     dataset_spec,
     engine_from_spec,
@@ -29,11 +31,16 @@ from repro.bench.multigpu import run_multigpu_scaling
 from repro.bench.sweep import RunCache, _des_bound, sweep
 from repro.bench.uvm import run_uvm_comparison
 from repro.engines import (
+    ENGINES,
+    UVM_ENGINES,
     BigKernelEngine,
     BigKernelFeatures,
     CpuMtEngine,
     EngineConfig,
     GpuDoubleBufferEngine,
+    GpuUvmEngine,
+    MultiGpuBigKernelEngine,
+    UvmSpec,
 )
 from repro.errors import ReproError
 from repro.faults.chaos import default_fault_grid, run_chaos
@@ -109,18 +116,6 @@ class TestDatasetKey:
 
 
 class TestJobSpecs:
-    def test_engine_spec_roundtrip_variants(self):
-        for features in (
-            BigKernelFeatures.full(),
-            BigKernelFeatures.overlap_only(),
-            BigKernelFeatures.with_reduction(),
-            BigKernelFeatures(reduce_volume=False, coalesce=True),
-        ):
-            engine = BigKernelEngine(features=features)
-            spec = engine_to_spec(engine)
-            rebuilt = engine_from_spec(spec)
-            assert rebuilt.cache_key == engine.cache_key
-
     def test_stock_engine_roundtrip(self):
         spec = engine_to_spec(CpuMtEngine())
         assert engine_from_spec(spec).name == "cpu_mt"
@@ -145,42 +140,6 @@ class TestJobSpecs:
         data.meta.pop("datagen")
         assert dataset_spec(app, data) is None
 
-    def test_multigpu_engine_spec_roundtrips_full_config(self):
-        """Every fabric knob that changes the timeline must survive the
-        worker round-trip — a stale variant here would silently reprice
-        cells under the process backend."""
-        from repro.engines.multigpu import MultiGpuBigKernelEngine
-
-        for n, features, shared, numa in (
-            (2, BigKernelFeatures.full(), False, True),
-            (4, BigKernelFeatures.overlap_only(), True, True),
-            (8, BigKernelFeatures.with_reduction(), True, False),
-            (3, BigKernelFeatures.full(), False, False),
-        ):
-            engine = MultiGpuBigKernelEngine(
-                n_gpus=n,
-                features=features,
-                shared_link=shared,
-                numa_aware=numa,
-            )
-            rebuilt = engine_from_spec(engine_to_spec(engine))
-            assert type(rebuilt) is MultiGpuBigKernelEngine
-            assert rebuilt.n_gpus == n
-            assert rebuilt.features == features
-            assert rebuilt.shared_link == shared
-            assert rebuilt.numa_aware == numa
-            assert rebuilt.name == engine.name
-            assert rebuilt.cache_key == engine.cache_key
-
-    def test_multigpu_malformed_variant_rejected(self):
-        from repro.bench.jobs import EngineSpec
-        from repro.engines.multigpu import MultiGpuBigKernelEngine
-
-        with pytest.raises(ReproError):
-            engine_from_spec(
-                EngineSpec(name=MultiGpuBigKernelEngine.name, variant="full")
-            )
-
     def test_run_jobspec_matches_direct_multigpu_run(self):
         """A multi-GPU cell replayed by a pool worker is bit-identical —
         sim_time, byte counters, and merged output — to the direct run."""
@@ -197,6 +156,90 @@ class TestJobSpecs:
         assert replayed.metrics.bytes_h2d == direct.metrics.bytes_h2d
         assert replayed.metrics.bytes_d2h == direct.metrics.bytes_d2h
         assert app.outputs_equal(direct.output, replayed.output)
+
+
+FEATURE_SETS = (
+    BigKernelFeatures.full(),
+    BigKernelFeatures.overlap_only(),
+    BigKernelFeatures.with_reduction(),
+    BigKernelFeatures(reduce_volume=False, coalesce=True),
+)
+
+#: every registered class with its default keywords, the four BigKernel
+#: feature sets, four multi-GPU fabrics and a custom paging model per UVM
+#: class
+REGISTRY_ENGINES = (
+    [pytest.param(cls(), id=name) for name, cls in ENGINES.items()]
+    + [
+        pytest.param(BigKernelEngine(features=f), id=f"bigkernel-{f.label}")
+        for f in FEATURE_SETS
+    ]
+    + [
+        pytest.param(
+            MultiGpuBigKernelEngine(n, f, shared, numa),
+            id=f"multigpu{n}-{f.label}-shared{shared}-numa{numa}",
+        )
+        for n, f, shared, numa in (
+            (2, FEATURE_SETS[0], False, True),
+            (4, FEATURE_SETS[1], True, True),
+            (8, FEATURE_SETS[2], True, False),
+            (3, FEATURE_SETS[0], False, False),
+        )
+    ]
+    + [
+        pytest.param(cls(UvmSpec(page_bytes=16 * KiB)), id=f"{cls.name}-page16k")
+        for cls in UVM_ENGINES
+    ]
+)
+
+
+class TestEngineRegistry:
+    """An engine's spec is its registry name plus every constructor
+    keyword, so rebuilding it from the spec gives the same engine."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        app = get_app("wordcount")
+        return app, app.generate(n_bytes=256 * KiB, seed=9)
+
+    @pytest.mark.parametrize("engine", REGISTRY_ENGINES)
+    def test_spec_roundtrip(self, engine, workload):
+        spec = engine_to_spec(engine)
+        assert spec == engine.identity
+        shipped = pickle.loads(pickle.dumps(spec))
+        rebuilt = engine_from_spec(shipped)
+        assert type(rebuilt) is type(engine)
+        assert rebuilt.identity == spec
+        assert rebuilt.name == engine.name
+        app, data = workload
+        cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
+        assert (
+            rebuilt.run(app, data, cfg).sim_time
+            == engine.run(app, data, cfg).sim_time
+        )
+
+    def test_unknown_name_or_keyword_rejected(self):
+        with pytest.raises(ReproError):
+            engine_from_spec(EngineSpec("no_such_engine"))
+        with pytest.raises(ReproError):
+            engine_from_spec(EngineSpec("bigkernel", (("variant", "full"),)))
+
+    @pytest.mark.parametrize("cls", ENGINES.values(), ids=ENGINES.keys())
+    def test_unregistered_subclass_has_no_spec(self, cls):
+        subclass = type(f"Custom{cls.__name__}", (cls,), {})
+        assert engine_to_spec(subclass()) is None
+
+    def test_custom_uvm_spec_ships_to_process_workers(self):
+        app = get_app("wordcount")
+        data = app.generate(n_bytes=512 * KiB, seed=3)
+        engine = GpuUvmEngine(UvmSpec(page_bytes=16 * KiB))
+        grid = {"num_blocks": [8, 16]}
+
+        def points(**kwargs):
+            res = sweep(engine, app, data, EngineConfig(), grid, **kwargs)
+            return [(p.params, p.sim_time) for p in res.points]
+
+        assert points(jobs=2, backend="process") == points()
 
 
 class TestSweepBackendEquivalence:

@@ -427,6 +427,30 @@ def test_gpu_uvm_served_and_priced_by_observation():
     assert pricer.stats["samples"] > 0
 
 
+def test_pricer_calibrates_each_engine_spec_apart():
+    """The batcher runs each engine spec as its own batch, so each spec is
+    its own pricing cell: an observed overlap-only BigKernel batch does not
+    price a full-feature BigKernel job with its ratio."""
+    from repro.apps.base import get_app
+    from repro.bench.jobs import engine_to_spec
+    from repro.engines import BigKernelEngine, BigKernelFeatures
+
+    def loader(spec):
+        app = get_app(spec.app)
+        return app, app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
+
+    full = _job()
+    overlap = JobSpec(
+        full.dataset,
+        engine_to_spec(BigKernelEngine(BigKernelFeatures.overlap_only())),
+        full.config,
+    )
+    pricer = JobPricer()
+    pricer.observe_batch([overlap], 0.01, 1, loader)
+    assert pricer.price(overlap, loader) is not None
+    assert pricer.price(full, loader) is None
+
+
 # ----------------------------------------------------------- memoized model
 def test_predicted_sim_time_memoizes():
     from repro.analytic import PREDICT_RUN_STATS, predicted_sim_time
