@@ -22,7 +22,7 @@ import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -37,7 +37,15 @@ DEFAULT_SCALE = 1.0 / 100.0
 
 @dataclass
 class AppData:
-    """One generated dataset instance."""
+    """One generated dataset instance.
+
+    A dataset that carries its recipe (``meta["datagen"]``) can
+    :meth:`drop` its ``mapped`` and ``resident`` arrays. The first read of
+    either regenerates both from the recipe, byte for byte, and ``meta`` is
+    never touched: what was derived from the bytes (the functional memo,
+    the separator index, the fingerprint token, the generator's own
+    tables) outlives the drop.
+    """
 
     app: str
     #: mapped (streamed) structures: name -> structured array
@@ -58,7 +66,39 @@ class AppData:
 
     @property
     def n_records(self) -> int:
+        if not self.holds_arrays:
+            return self._dropped_records
         return int(self.primary_array.shape[0])
+
+    @property
+    def holds_arrays(self) -> bool:
+        """False between a :meth:`drop` and the next read of the arrays."""
+        return "mapped" in self.__dict__
+
+    def drop(self, regenerate: Callable[[], AppData]) -> None:
+        """Release ``mapped`` and ``resident``; the first read of either
+        takes both back from ``regenerate()``, which must make this
+        dataset again from its recipe (``get_app(app).generate(n_bytes=,
+        seed=)``). Dropping a dataset that holds no arrays changes nothing.
+        """
+        if "datagen" not in self.meta:
+            raise ApplicationError(
+                f"{self.app}: a dataset without a recipe cannot drop its arrays"
+            )
+        if self.holds_arrays:
+            self._dropped_records = self.n_records
+            self._regenerate = regenerate
+            del self.mapped, self.resident
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an attribute the instance lacks: the arrays of
+        # a dropped dataset, which come back from its recipe
+        regenerate = self.__dict__.get("_regenerate")
+        if name not in ("mapped", "resident") or regenerate is None:
+            raise AttributeError(name)
+        fresh = regenerate()
+        self.mapped, self.resident = fresh.mapped, fresh.resident
+        return self.__dict__[name]
 
     @property
     def record_bytes(self) -> int:
@@ -95,8 +135,11 @@ def data_fingerprint(data: AppData) -> tuple:
     instead. The token is minted once per instance and stashed in
     ``data.meta`` — two datasets get equal fingerprints only if they are
     the *same object*, which is exactly the safe notion of identity for an
-    in-process cache: regenerating data (even with the same seed) gets a
-    fresh token and therefore fresh cache entries.
+    in-process cache: generating the data again (even with the same seed)
+    makes a new object with a fresh token and therefore fresh cache
+    entries. A dataset that drops its arrays (:meth:`AppData.drop`) keeps
+    its token: the arrays it reads back are regenerated from its recipe,
+    the same bytes it dropped, so what was keyed on the token still holds.
 
     Use this key for caches scoped to one process whose entries may depend
     on anything the caller did to the instance (in-place edits included).

@@ -166,10 +166,6 @@ class MastercardAffinityApp(_MastercardBase):
     def generate(self, n_bytes: Optional[int] = None, seed: int = 0) -> AppData:
         return _generate_common(self.name, n_bytes or self.default_bytes(), seed)
 
-    # units are BYTES: the kernel walks every byte
-    def n_units(self, data: AppData) -> int:
-        return int(data.mapped["transactions"].shape[0])
-
     def chunk_bounds(self, data: AppData, chunk_units: int) -> list[tuple[int, int]]:
         """Byte chunks aligned to record separators."""
         return self._separator_bounds(data, "transactions", SEP, chunk_units)

@@ -177,9 +177,6 @@ class WordCountApp(Application):
             gpu_divergence=24.0,  # per-byte branches + table atomics
         )
 
-    def n_units(self, data: AppData) -> int:
-        return int(data.mapped["text"].shape[0])
-
     def chunk_read_offsets(self, data: AppData, lo: int, hi: int) -> np.ndarray:
         return np.arange(lo, hi, dtype=np.int64)
 

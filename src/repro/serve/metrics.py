@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.units import fmt_bytes
+
 
 def _tenant_bucket() -> dict:
     return {
@@ -54,6 +56,16 @@ class ServeMetrics:
     #: unique (dataset, config) jobs handed to an engine — the quantity the
     #: cache and coalescer exist to minimize
     engine_runs: int = 0
+    #: datasets generated for a recipe the server did not hold (first
+    #: sight, or after the store forgot it)
+    datasets_generated: int = 0
+    #: stored datasets whose dropped arrays a run read back, regenerating
+    #: them
+    datasets_restored: int = 0
+    #: entries the store forgot to stay under its byte bound
+    store_evictions: int = 0
+    #: bytes the store's datasets hold now (their derivations)
+    store_bytes: int = 0
     #: inline-oracle mismatches (only counted when the server verifies)
     verify_failures: int = 0
     verified: int = 0
@@ -168,6 +180,10 @@ class ServeMetrics:
             f"cached={self.cached} failed={self.failed} shed={self.shed}",
             f"batches={self.batches} largest={self.largest_batch} "
             f"engine_runs={self.engine_runs}",
+            f"datasets generated={self.datasets_generated} "
+            f"restored={self.datasets_restored} "
+            f"store={fmt_bytes(self.store_bytes)} "
+            f"store_evictions={self.store_evictions}",
         ]
         if self.latencies:
             lines.append(f"latency p50={self.p50:.4f}s p99={self.p99:.4f}s")

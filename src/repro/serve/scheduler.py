@@ -49,8 +49,15 @@ The server's cache identity is the job's *recipe*
 frozen config), never a dataset instance.  Every cache probe — admission
 and dispatch, memory and disk tier — is answered without a dataset in
 hand, and a cached result outlives its dataset's eviction from the pool.
-A dataset is generated only for a job that misses and runs in this
-process (and for pricing a modeled job the first time it is priced).
+
+The pool bounds how many datasets hold their arrays.  The dataset it
+evicts drops only its arrays and moves into the server's store, bounded by
+:data:`STORE_BYTES`, with what was derived from them: the functional-pass
+memo, the separator index, the fingerprint that keys BigKernel's memos,
+the generator's tables.  A stored dataset stands in for a full one:
+pricing it reads no bytes, and neither does a run whose pass is memoized.
+A dataset is generated the first time its recipe is priced or run in this
+process, and regenerated only when a run reads the arrays it dropped.
 
 :func:`serve_trace` replays an open-loop trace against a server on a
 virtual clock: the clock jumps to the next arrival when idle and advances
@@ -84,6 +91,31 @@ from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pricing import JobPricer
 from repro.serve.workload import DEFAULT_TENANTS, ServeRequest, TenantSpec
+from repro.units import MiB
+
+#: bound on the bytes held by the datasets in a server's store: those the
+#: pool evicted, which dropped their arrays and kept their functional
+#: outputs, separator indexes and generator tables. The benchmark's
+#: ``serve_slo_edf`` trace ends with 40 stored datasets holding 19.6 MiB
+#: (14.2 MiB of functional outputs, 4.0 of separator indexes, 1.4 of
+#: generator tables) and ``serve_repeat_spill`` with 16 holding 15.7 MiB.
+STORE_BYTES = 64 * MiB
+
+
+def _array_bytes(value) -> int:
+    """Bytes of the arrays in ``value`` and the dicts, lists and tuples
+    nested in it, each array counted once."""
+    sizes: dict = {}
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            sizes[id(item)] = item.nbytes
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return sum(sizes.values())
 
 
 @dataclass(frozen=True)
@@ -107,7 +139,9 @@ class ServeConfig:
     #: engine memos amortize across them); "process" ships them to a
     #: worker pool (parallel)
     backend: str = "thread"
-    #: generated datasets kept live (LRU) for cross-request reuse
+    #: datasets kept with their arrays (LRU) for cross-request reuse; an
+    #: evicted one drops its arrays and keeps what was derived from them in
+    #: the server's store (:data:`STORE_BYTES`)
     dataset_pool: int = 8
     #: "edf" = deadline-aware scheduling (identical to WDRR while no
     #: queued request carries a finite deadline); "fifo" = deadline-blind
@@ -227,7 +261,15 @@ class Server:
             self.cache = RunCache(disk=disk)
         else:
             self.cache = None
+        #: recipe -> (app, data): the LRU dataset pool, the only datasets
+        #: that may hold arrays
         self._datasets: "OrderedDict[DatasetSpec, tuple]" = OrderedDict()
+        #: recipe -> (app, data, held bytes): the store, LRU under
+        #: STORE_BYTES, of datasets the pool evicted with their arrays
+        #: dropped
+        self._store: "OrderedDict[DatasetSpec, tuple]" = OrderedDict()
+        #: seconds on ``timer`` spent generating datasets
+        self._generation_s = 0.0
         self._engines: dict = {}
         self._oracles: dict = {}
         #: req_id -> (deadline, admission price or None) for queued requests
@@ -243,6 +285,8 @@ class Server:
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
+        self._datasets.clear()
+        self._store.clear()
 
     def __enter__(self) -> "Server":
         return self
@@ -568,25 +612,63 @@ class Server:
 
     # ---------------------------------------------------------- execution
     def _dataset(self, spec: DatasetSpec) -> tuple:
-        """(app, data) for a recipe, via the server's LRU dataset pool.
+        """(app, data) for a recipe, via the server's LRU dataset pool and
+        the store behind it.
 
-        The pool feeds engine runs (and the pricer's first look at a
-        modeled job), never cache lookups: those key on the recipe.
-        Sharing one live ``AppData`` instance across the runs of one
-        dataset is what lets the engine-side memos (schedule, fastpath
-        template, dataset hash) hit: they key on the instance fingerprint.
+        The pool feeds engine runs and the pricer, never cache lookups:
+        those key on the recipe. A recipe the server does not hold is
+        generated. A stored one comes back as the same object, arrays
+        dropped, without generating; only a run that reads its arrays (a
+        pass the functional memo has not seen) regenerates them. Sharing
+        one ``AppData`` across the runs and prices of a recipe is what
+        lets the engine-side memos (functional pass, schedule, fastpath
+        template, dataset hash) hit: they key on the instance and its
+        ``meta``.
         """
-        cached = self._datasets.get(spec)
-        if cached is not None:
+        entry = self._datasets.get(spec)
+        if entry is not None:
             self._datasets.move_to_end(spec)
-            return cached
-        spec.check_version("server")
-        app = get_app(spec.app)
-        data = app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
-        self._datasets[spec] = (app, data)
+            return entry
+        stored = self._store.pop(spec, None)
+        if stored is not None:
+            self.metrics.store_bytes -= stored[2]
+            entry = stored[:2]
+        else:
+            spec.check_version("server")
+            app = get_app(spec.app)
+            entry = (app, self._generate(app, spec))
+            self.metrics.datasets_generated += 1
+        self._datasets[spec] = entry
         while len(self._datasets) > self.config.dataset_pool:
-            self._datasets.popitem(last=False)
-        return app, data
+            self._keep(*self._datasets.popitem(last=False))
+        return entry
+
+    def _generate(self, app, spec: DatasetSpec):
+        """The recipe's dataset, its generation timed on ``timer`` so that
+        a timed batch leaves it out of its calibration sample."""
+        start = self.timer()
+        try:
+            return app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
+        finally:
+            self._generation_s += max(self.timer() - start, 0.0)
+
+    def _keep(self, spec: DatasetSpec, entry: tuple) -> None:
+        """Move a dataset the pool evicted into the store, arrays dropped.
+        Past STORE_BYTES the store forgets whole entries, least recently
+        used first."""
+        app, data = entry
+
+        def restore():
+            self.metrics.datasets_restored += 1
+            return self._generate(app, spec)
+
+        data.drop(restore)
+        held = _array_bytes(data.meta)
+        self._store[spec] = (app, data, held)
+        self.metrics.store_bytes += held
+        while self.metrics.store_bytes > STORE_BYTES:
+            self.metrics.store_bytes -= self._store.popitem(last=False)[1][2]
+            self.metrics.store_evictions += 1
 
     def _engine(self, spec: EngineSpec) -> Engine:
         engine = self._engines.get(spec)
@@ -654,42 +736,21 @@ class Server:
             else:
                 misses.append((reqs, key, disk_key))
 
-        # a miss that runs in this process needs its dataset: load each one
-        # before the timed section and hold it for the whole batch, so a
-        # small pool cannot evict it between its runs
+        # timed engine-run section: one batch is one (app, engine) cell, so
+        # its wall time, less the dataset generation inside it, is one clean
+        # calibration sample for the pricer
         cfg = self.config
         ship = cfg.backend == "process" and cfg.jobs > 1 and len(misses) > 1
-        datasets: Optional[dict] = None
-        to_run = misses
-        if not ship:
-            datasets, to_run = {}, []
-            for reqs, key, disk_key in misses:
-                spec = reqs[0].job.dataset
-                try:
-                    if spec not in datasets:
-                        datasets[spec] = self._dataset(spec)
-                except ReproError as exc:
-                    for req in reqs:
-                        responses[req.req_id] = self._fail(req, batch_id, now, exc)
-                    continue
-                to_run.append((reqs, key, disk_key))
-
-        # timed engine-run section: one batch is one (app, engine) cell,
-        # so its wall time is one clean calibration sample for the pricer
-        jobs = [reqs[0].job for reqs, *_ in to_run]
+        jobs = [reqs[0].job for reqs, *_ in misses]
+        generation_s = self._generation_s
         start = self.timer()
-        outcomes = self._run_unique(engine, jobs, datasets)
-        elapsed = max(self.timer() - start, 0.0)
+        outcomes = self._run_unique(engine, jobs, ship)
+        generation_s = self._generation_s - generation_s
+        elapsed = max(self.timer() - start - generation_s, 0.0)
         n_runs = sum(1 for o in outcomes if not isinstance(o, Exception))
-        if to_run:
-            held = datasets or {}
-            self.pricer.observe_batch(
-                jobs,
-                elapsed,
-                n_runs,
-                lambda spec: held.get(spec) or self._dataset(spec),
-            )
-        for (reqs, key, disk_key), outcome in zip(to_run, outcomes):
+        if misses:
+            self.pricer.observe_batch(jobs, elapsed, n_runs, self._dataset)
+        for (reqs, key, disk_key), outcome in zip(misses, outcomes):
             job = reqs[0].job
             if isinstance(outcome, Exception):
                 for req in reqs:
@@ -723,15 +784,13 @@ class Server:
         self.metrics.failed += 1
         return resp
 
-    def _run_unique(
-        self, engine: Engine, jobs: list, datasets: Optional[dict]
-    ) -> list:
+    def _run_unique(self, engine: Engine, jobs: list, ship: bool) -> list:
         """Execute unique jobs; one outcome (result or exception) each.
 
-        ``datasets`` maps each job's recipe to its loaded (app, data);
-        ``None`` ships the jobs to the worker pool, which regenerates
-        them there."""
-        if datasets is None:
+        In this process each job runs on its recipe's pooled dataset;
+        ``ship`` sends the jobs to the worker pool, which generates the
+        datasets there."""
+        if ship:
             futures = [self._pool().submit(run_jobspec, job) for job in jobs]
             outcomes: list = []
             for future in futures:
@@ -743,8 +802,8 @@ class Server:
 
         outcomes = []
         for job in jobs:
-            app, data = datasets[job.dataset]
             try:
+                app, data = self._dataset(job.dataset)
                 outcomes.append(engine.run(app, data, job.config))
             except ReproError as exc:
                 outcomes.append(exc)

@@ -639,7 +639,9 @@ def run_serve_differential(
 
     A repeat-heavy multi-tenant trace goes through a live
     :class:`~repro.serve.Server` with the full amortization stack engaged
-    (run cache, batch coalescing, shared datasets, engine memos); then
+    (run cache, batch coalescing, shared datasets, engine memos) and a
+    one-slot dataset pool, so jobs also run on datasets that dropped
+    their arrays into the server's store and restore them; then
     *every* completed response — served, coalesced, or cached alike — is
     compared against a fresh one-shot oracle (new app, newly generated
     dataset, new engine, no caches) for that exact job. ``sim_time`` must
@@ -677,7 +679,7 @@ def run_serve_differential(
         seed=seed, duration=duration, rate=rate, data_bytes=data_bytes
     )
     trace = generate_trace(spec)
-    config = ServeConfig(max_queue=len(trace) + 1)
+    config = ServeConfig(max_queue=len(trace) + 1, dataset_pool=1)
     # memory-only cache: the pillar must be hermetic, not a disk-state test
     with Server(config, cache=RunCache(disk=None)) as server:
         outcome = serve_trace(server, trace)

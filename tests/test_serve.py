@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.engines import BigKernelEngine, EngineConfig
 from repro.errors import ApplicationError, ReproError
 from repro.runtime.fastpath import FASTPATH_MEMO_STATS
+from repro.serve.scheduler import matches_oracle
 from repro.serve import (
     ServeConfig,
     ServeRequest,
@@ -43,12 +44,12 @@ def _request(req_id, job, tenant="t", arrival=0.0):
     return ServeRequest(req_id=req_id, tenant=tenant, arrival=arrival, job=job)
 
 
-def _job(dataset=None, chunk_kib=256, **cfg):
+def _job(dataset=None, chunk_kib=256, engine="bigkernel", **cfg):
     from repro.serve.workload import engine_spec_by_name
 
     return JobSpec(
         dataset=dataset or _dataset_spec(),
-        engine=engine_spec_by_name("bigkernel"),
+        engine=engine_spec_by_name(engine),
         config=EngineConfig(chunk_bytes=chunk_kib * 1024, **cfg),
     )
 
@@ -300,6 +301,247 @@ def test_pricer_loads_no_dataset_for_an_unmodeled_engine():
     assert pricer.price(job, loader) is None
     pricer.observe_batch([job], 0.5, 1, loader)
     assert pricer.price(job, loader) == 0.5
+
+
+# ------------------------------------------------------------ dataset store
+STORE_APPS = (
+    "wordcount", "dna", "kmeans", "netflix", "opinion", "mastercard"
+)
+
+
+def test_only_a_recipe_dataset_drops_and_it_reads_back_its_bytes():
+    import numpy as np
+
+    from repro.apps import KMeansApp
+    from repro.apps.base import data_fingerprint
+
+    with pytest.raises(ApplicationError, match="recipe"):
+        KMeansApp(4).generate(n_bytes=64 * KiB, seed=1).drop(None)
+    app = get_app("mastercard")
+    data = app.generate(n_bytes=64 * KiB, seed=1)
+    fresh = app.generate(n_bytes=64 * KiB, seed=1)
+    n_records, fingerprint = data.n_records, data_fingerprint(data)
+    calls = []
+
+    def regenerate():
+        calls.append(1)
+        return app.generate(n_bytes=64 * KiB, seed=1)
+
+    data.drop(regenerate)
+    assert not data.holds_arrays and data.n_records == n_records
+    assert data_fingerprint(data) == fingerprint and calls == []
+    assert np.array_equal(data.mapped["transactions"], fresh.mapped["transactions"])
+    assert data.holds_arrays and calls == [1]
+    data.resident
+    assert calls == [1]
+    # the token keys BigKernel's memos: the restored bytes are the same
+    assert data_fingerprint(data) == fingerprint
+    assert data_fingerprint(fresh) != fingerprint
+
+
+def _pooled(server, job):
+    """The server's (app, data) for a job's recipe, without a lookup."""
+    return server._datasets[job.dataset]
+
+
+def test_drop_and_restore_are_invisible_on_a_one_slot_pool():
+    # consecutive jobs never share an app, so a one-slot pool evicts every
+    # recipe between two of its runs
+    jobs = [
+        _job(dataset=_dataset_spec(app=app, seed=5), chunk_kib=chunk,
+             engine=engine)
+        for chunk in (64, 128)
+        for engine in ("bigkernel", "gpu_uvm")
+        for app in STORE_APPS
+    ]
+    config = ServeConfig(dataset_pool=1, verify=True)
+    with Server(config, cache=RunCache(disk=None)) as server:
+        responses = [_serve_one(server, i, job) for i, job in enumerate(jobs)]
+    m = server.metrics
+    assert m.datasets_generated == len(STORE_APPS)
+    assert m.datasets_restored > 0
+    assert m.verified == len(jobs) and m.verify_failures == 0
+    for job, resp in zip(jobs, responses):
+        assert resp.status == "served"
+        assert matches_oracle(job, resp.result, oneshot_oracle(job))
+
+
+def _evicted(server, job, other):
+    """Serve ``job``, then ``other`` so that ``job``'s dataset is stored."""
+    _serve_one(server, 0, job)
+    _serve_one(server, 1, other)
+    assert job.dataset in server._store
+
+
+def test_pricing_a_stored_recipe_generates_nothing(generate_calls):
+    tenants = (TenantSpec("t", 1.0, slo_ms=1e6),)
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    config = ServeConfig(dataset_pool=1, scheduling="edf")
+    with Server(config, tenants=tenants, cache=RunCache(disk=None)) as server:
+        _evicted(server, job_a, _job(dataset=_dataset_spec(seed=2)))
+        del generate_calls[:]
+        priced = dataclasses.replace(job_a, config=job_a.config.with_(ring_depth=4))
+        assert server.submit(_request(2, priced)) is None
+        assert server._meta[2][1] is not None
+        assert generate_calls == []
+        assert not _pooled(server, job_a)[1].holds_arrays
+
+
+def test_a_memoized_run_generates_nothing_and_stays_dropped(generate_calls):
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
+        _evicted(server, job_a, _job(dataset=_dataset_spec(seed=2)))
+        del generate_calls[:]
+        same_pass = dataclasses.replace(
+            job_a, config=job_a.config.with_(ring_depth=4)
+        )
+        resp = _serve_one(server, 2, same_pass)
+        assert generate_calls == []
+        assert not _pooled(server, job_a)[1].holds_arrays
+    assert resp.status == "served"
+    assert server.metrics.datasets_restored == 0
+    assert matches_oracle(same_pass, resp.result, oneshot_oracle(same_pass))
+
+
+def test_a_run_needing_a_new_pass_generates_once(generate_calls):
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
+        _evicted(server, job_a, _job(dataset=_dataset_spec(seed=2)))
+        del generate_calls[:]
+        new_pass = _job(dataset=job_a.dataset, chunk_kib=64)
+        resp = _serve_one(server, 2, new_pass)
+        assert generate_calls == [("wordcount", 1)]
+        assert _pooled(server, job_a)[1].holds_arrays
+    assert server.metrics.datasets_restored == 1
+    assert matches_oracle(new_pass, resp.result, oneshot_oracle(new_pass))
+
+
+def test_a_batch_with_more_recipes_than_pool_slots_restores_in_it(
+    generate_calls,
+):
+    # one batch runs A, B, then A twice more on a one-slot pool, cache off:
+    # B's run evicts A into the store, so a later A job whose pass is
+    # memoized reads nothing and one that needs a new pass restores A
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    job_b = _job(dataset=_dataset_spec(seed=2))
+    memoized = _job(dataset=job_a.dataset, ring_depth=4)
+    new_pass = _job(dataset=job_a.dataset, chunk_kib=64)
+    jobs = (job_a, job_b, memoized, new_pass)
+    with Server(ServeConfig(dataset_pool=1, cache=False)) as server:
+        for i, job in enumerate(jobs):
+            assert server.submit(_request(i, job)) is None
+        responses = server.drain()
+    assert server.metrics.batches == 1
+    assert server.metrics.engine_runs == len(jobs)
+    assert generate_calls == [("wordcount", 1), ("wordcount", 2), ("wordcount", 1)]
+    assert server.metrics.datasets_generated == 2
+    assert server.metrics.datasets_restored == 1
+    for resp in responses:
+        job = jobs[resp.req_id]
+        assert matches_oracle(job, resp.result, oneshot_oracle(job))
+
+
+def test_store_stays_under_its_bound_and_forgets_whole_entries_lru(
+    monkeypatch, generate_calls
+):
+    from repro.serve import scheduler
+
+    jobs = [_job(dataset=_dataset_spec(seed=seed)) for seed in (1, 2, 3, 4)]
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as probe:
+        _evicted(probe, jobs[0], jobs[1])
+        entry_bytes = probe._store[jobs[0].dataset][2]
+    # room for two stored wordcount datasets of this size, not three
+    monkeypatch.setattr(scheduler, "STORE_BYTES", int(2.5 * entry_bytes))
+    del generate_calls[:]
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
+        for i, job in enumerate(jobs):
+            _serve_one(server, i, job)
+            held = sum(entry[2] for entry in server._store.values())
+            assert server.metrics.store_bytes == held <= scheduler.STORE_BYTES
+            assert all(not data.holds_arrays for _, data, _ in server._store.values())
+        # seeds 2 and 3 are stored; seed 1, the least recent, was forgotten
+        assert list(server._store) == [jobs[1].dataset, jobs[2].dataset]
+        assert server.metrics.store_evictions == 1
+        del generate_calls[:]
+        forgotten = _job(dataset=jobs[0].dataset, ring_depth=4)
+        resp = _serve_one(server, len(jobs), forgotten)
+        assert generate_calls == [("wordcount", 1)]
+    assert server.metrics.datasets_generated == len(jobs) + 1
+    assert matches_oracle(forgotten, resp.result, oneshot_oracle(forgotten))
+
+
+def test_kmeans_after_a_restore_ends_as_a_real_pass_leaves_it(
+    monkeypatch, generate_calls
+):
+    import numpy as np
+
+    from repro.apps import KMeansApp
+
+    finalized = []
+    real_finalize = KMeansApp.finalize
+
+    def counted(self, data, state):
+        finalized.append(data)
+        return real_finalize(self, data, state)
+
+    monkeypatch.setattr(KMeansApp, "finalize", counted)
+    job = _job(dataset=_dataset_spec(app="kmeans", seed=1), chunk_kib=128)
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
+        _evicted(server, job, _job(dataset=_dataset_spec(seed=2)))
+        del generate_calls[:], finalized[:]
+        memoized = dataclasses.replace(job, config=job.config.with_(ring_depth=4))
+        first = _serve_one(server, 2, memoized)
+        assert generate_calls == [] and finalized == []
+        new_bounds = _job(dataset=job.dataset, chunk_kib=64)
+        second = _serve_one(server, 3, new_bounds)
+        assert generate_calls == [("kmeans", 1)]
+        (data,) = finalized
+        assert data is _pooled(server, job)[1]
+        app = get_app("kmeans")
+        fresh = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
+        app.reference(fresh)
+        assert np.array_equal(
+            data.mapped["particles"]["cid"], fresh.mapped["particles"]["cid"]
+        )
+        assert np.array_equal(data.mapped["particles"], fresh.mapped["particles"])
+    assert matches_oracle(memoized, first.result, oneshot_oracle(memoized))
+    assert matches_oracle(new_bounds, second.result, oneshot_oracle(new_bounds))
+
+
+def test_calibration_leaves_dataset_generation_out(monkeypatch):
+    from repro.apps.base import APP_REGISTRY
+
+    clock = [0.0]
+    gen_step, run_step = 1.0, 0.25
+    for cls in APP_REGISTRY.values():
+        def slow_generate(self, n_bytes=None, seed=0, _orig=cls.generate):
+            clock[0] += gen_step
+            return _orig(self, n_bytes=n_bytes, seed=seed)
+
+        monkeypatch.setattr(cls, "generate", slow_generate)
+    real_run = BigKernelEngine.run
+
+    def slow_run(self, app, data, config=None):
+        clock[0] += run_step
+        return real_run(self, app, data, config)
+
+    monkeypatch.setattr(BigKernelEngine, "run", slow_run)
+    job_a = _job(dataset=_dataset_spec(seed=1))
+    with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
+        server.timer = lambda: clock[0]
+        handed = []
+        real_observe = server.pricer.observe_batch
+
+        def observe(jobs, elapsed, n_runs, loader):
+            handed.append(elapsed)
+            return real_observe(jobs, elapsed, n_runs, loader)
+
+        monkeypatch.setattr(server.pricer, "observe_batch", observe)
+        _evicted(server, job_a, _job(dataset=_dataset_spec(seed=2)))
+        _serve_one(server, 2, _job(dataset=job_a.dataset, chunk_kib=64))
+    assert server.metrics.datasets_generated == 2
+    assert server.metrics.datasets_restored == 1
+    assert handed == [run_step] * 3
 
 
 def test_served_results_bit_equal_one_shot(tmp_path):
