@@ -2,9 +2,9 @@
 
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
 autotune sweep, the raw DES event throughput, the DES cost per pipeline
-chunk, a DES-bound thread-vs-process sweep and every app's dataset
-generation, and records the measurements to ``BENCH_pipeline.json`` at
-the repo root.
+chunk, a DES-bound thread-vs-process sweep, every app's dataset
+generation and a first vs a replayed unified-memory run, and records the
+measurements to ``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -388,6 +388,58 @@ def test_uvm_comparison():
     entry["bigkernel_wins"] = wins
     entry["wall_seconds"] = elapsed
     _record(entry)
+
+
+def test_uvm_replay(monkeypatch):
+    """A unified-memory run simulates once per plan; a repeat replays.
+
+    Best-of-3 wall of a first and a replayed 1 MiB ``gpu_uvm`` Word Count
+    run (functional off), each on a fresh engine, with the number of DES
+    runs each made (``_UvmSimulation.execute`` calls): 1, then 0. The
+    counts and the replay's exactness are hard asserts; the wall ratio
+    is warn-only.
+    """
+    from repro.engines import GpuUvmEngine
+    from repro.engines.uvm import _UvmSimulation
+
+    simulations = [0]
+    plain_execute = _UvmSimulation.execute
+
+    def counting_execute(sim):
+        simulations[0] += 1
+        return plain_execute(sim)
+
+    monkeypatch.setattr(_UvmSimulation, "execute", counting_execute)
+    app = get_app("wordcount")
+    data = app.generate(n_bytes=1 * MiB, seed=7)
+    cfg = EngineConfig(functional=False)
+    best = {"first": float("inf"), "replay": float("inf")}
+    counts = {}
+    for _ in range(3):
+        engine = GpuUvmEngine()
+        results = {}
+        for run in ("first", "replay"):
+            before = simulations[0]
+            t0 = time.perf_counter()
+            results[run] = engine.run(app, data, cfg)
+            best[run] = min(best[run], time.perf_counter() - t0)
+            counts[run] = simulations[0] - before
+        assert results["replay"].sim_time == results["first"].sim_time
+    assert counts == {"first": 1, "replay": 0}
+    speedup = best["first"] / best["replay"] if best["replay"] > 0 else float("inf")
+    _record(
+        {
+            "name": "uvm_replay",
+            "n_bytes": 1 * MiB,
+            "first_ms": best["first"] * 1e3,
+            "replay_ms": best["replay"] * 1e3,
+            "first_simulations": counts["first"],
+            "replay_simulations": counts["replay"],
+            "speedup": speedup,
+            "sim_time": results["first"].sim_time,
+        }
+    )
+    _warn_if_slow("uvm_replay", speedup)
 
 
 def test_multigpu_scaling():

@@ -12,11 +12,12 @@ import numpy as np
 from repro.apps.base import AccessProfile, AppData, Application, is_registered
 from repro.errors import RuntimeConfigError
 from repro.faults.plan import FaultPlan
-from repro.hw.spec import DEFAULT_HARDWARE, HardwareSpec
+from repro.hw.spec import DEFAULT_HARDWARE, HardwareSpec, hash_once
 from repro.sim.trace import TraceRecorder
 from repro.units import MiB
 
 
+@hash_once
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs shared by every execution scheme.

@@ -141,7 +141,7 @@ class BigKernelEngine(Engine):
     #: ablation variants)
     _slice_cache: dict = {}
     #: pattern-sampling results keyed by (dataset fingerprint, total
-    #: threads, units per chunk) — everything the sampler reads
+    #: threads, units in the first chunk) — everything the sampler reads
     _pattern_cache: "OrderedDict" = OrderedDict()
     _PATTERN_CACHE_MAX = 256
     #: buffer plans keyed by the config fields the planner reads
@@ -198,16 +198,17 @@ class BigKernelEngine(Engine):
         (the ``myParticleStartIndex`` convention); its address stream is the
         app's read offsets over that subrange. Results are memoized on
         everything the sampler reads — the dataset instance, the thread
-        count and the chunk geometry — so sweeps re-sample only when the
-        geometry actually changes.
+        count and the first chunk's size — so sweeps re-sample only when
+        that chunk actually changes, and every chunk size that covers the
+        whole dataset shares one sample.
         """
         threads = config.total_compute_threads
-        cache_key = (data_fingerprint(data), threads, units_per_chunk)
+        n_units = app.n_units(data)
+        first_chunk_units = min(units_per_chunk, n_units)
+        cache_key = (data_fingerprint(data), threads, first_chunk_units)
         if cache_key in self._pattern_cache:
             self._pattern_cache.move_to_end(cache_key)
             return self._pattern_cache[cache_key]
-        n_units = app.n_units(data)
-        first_chunk_units = min(units_per_chunk, n_units)
         per_thread = max(1, first_chunk_units // threads)
         # per-period evidence (two full cycles) is enforced inside
         # recognize(); the floor only guards against trivial samples

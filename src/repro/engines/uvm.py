@@ -28,14 +28,21 @@ All three run under the DES and emit standard trace intervals
 checkers and the differential oracle apply unchanged, and PCIe fault
 plans (``pcie.degrade``, ``dma.error``) act on the migration DMAs
 exactly as they do on the pipelined engines.
+
+A run's plan (page geometry, fault batches, per-batch compute times) is
+memoized on the engine, and so is the plan's fault-free timeline: a
+repeated run with the fast path allowed replays it, bit for bit, without
+a DES (see :class:`GpuUvmEngine`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.apps.base import AppData, Application
+from repro.apps.base import AppData, Application, data_fingerprint
 from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
 from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.errors import RuntimeConfigError, SlicingError
@@ -43,6 +50,7 @@ from repro.faults.inject import as_injector
 from repro.hw.gpu import GpuDevice
 from repro.hw.paging import PageTable
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
+from repro.hw.spec import HardwareSpec
 from repro.runtime.pipeline import (
     STAGE_COMPUTE,
     STAGE_TRANSFER,
@@ -104,8 +112,11 @@ class UvmSpec:
             )
 
 
-class _UvmSimulation:
-    """One DES run of the paged executor (state shared by the stages)."""
+class _UvmPlan:
+    """What a run derives before its DES: the page geometry, the fault
+    batches and their compute times, and the learned prefetcher's
+    evidence. A pure function of the app, the dataset, the hardware, the
+    compute-thread total, the :class:`UvmSpec` and the prefetcher."""
 
     def __init__(
         self,
@@ -113,22 +124,18 @@ class _UvmSimulation:
         mode: str,
         app: Application,
         data: AppData,
-        config: EngineConfig,
+        hw: HardwareSpec,
+        threads: int,
     ):
-        self.spec = spec
-        self.mode = mode
-        hw = config.hardware
         self.profile = app.access_profile(data)
-        self.totals = Engine.totals(app, data, self.profile)
-        self.gpu = GpuDevice(hw.gpu)
-        self.units = self.totals["units"]
-        self.threads = config.total_compute_threads
+        totals = Engine.totals(app, data, self.profile)
+        self.units = totals["units"]
         self.passes = self.profile.passes
-        self.writes = self.totals["write_bytes"] > 0
+        self.writes = totals["write_bytes"] > 0
 
         # page-granular migration: any read inside a page moves the whole
         # page, so the paged range is the entire mapped dataset
-        total_bytes = int(self.totals["data_bytes"])
+        self.total_bytes = total_bytes = int(totals["data_bytes"])
         n_pages = -(-total_bytes // spec.page_bytes)
         self.batch_pages = min(spec.batch_pages, n_pages)
         if spec.device_mem_bytes is not None:
@@ -139,9 +146,8 @@ class _UvmSimulation:
             capacity, max(self.batch_pages, hw.gpu.global_mem_bytes // spec.page_bytes)
         )
         # the current batch is pinned during compute, so it must always fit
-        capacity = max(capacity, self.batch_pages)
-        self.table = PageTable(total_bytes, spec.page_bytes, capacity)
-        self.capacity_batches = capacity // self.batch_pages
+        self.capacity = max(capacity, self.batch_pages)
+        self.capacity_batches = self.capacity // self.batch_pages
 
         self.n_batches = -(-n_pages // self.batch_pages)
         self.batches = [
@@ -152,14 +158,56 @@ class _UvmSimulation:
         # per-batch compute time on the original (uncoalesced) layout;
         # stage_time is linear in units, so these sum to the closed-form
         # per-pass total
+        gpu = GpuDevice(hw.gpu)
         self.comp_times = []
         for batch in self.batches:
-            span = sum(self.table.page_size(p) for p in batch)
+            # the batch's bytes: its pages, the last one maybe partial
+            span = (
+                min((batch[-1] + 1) * spec.page_bytes, total_bytes)
+                - batch[0] * spec.page_bytes
+            )
             cost = kernel_chunk_cost(
                 self.profile, self.units * span / total_bytes, coalesced=False
             )
-            self.comp_times.append(self.gpu.stage_time(cost, self.threads))
+            self.comp_times.append(gpu.stage_time(cost, threads))
+        self.learned_source = (
+            _learned_source(app, data, self.units) if mode == "learned" else None
+        )
+        #: the fault-free run, once simulated (see :meth:`GpuUvmEngine.run`)
+        self.timeline: Optional[_Timeline] = None
 
+
+@dataclass(frozen=True)
+class _Timeline:
+    """The numbers one DES run leaves: what a result is built from."""
+
+    sim_time: float
+    bytes_h2d: int
+    bytes_d2h: int
+    comp_time: float
+    comm_time: float
+    notes: dict
+    #: the trace's intervals (frozen, so results can share them)
+    intervals: tuple
+
+
+class _UvmSimulation:
+    """One DES run of the paged executor over a :class:`_UvmPlan` (state
+    shared by the stages)."""
+
+    def __init__(
+        self,
+        plan: _UvmPlan,
+        spec: UvmSpec,
+        mode: str,
+        config: EngineConfig,
+    ):
+        self.plan = plan
+        self.spec = spec
+        self.mode = mode
+        hw = config.hardware
+        self.gpu = GpuDevice(hw.gpu)
+        self.table = PageTable(plan.total_bytes, spec.page_bytes, plan.capacity)
         self.env = Environment()
         self.trace = TraceRecorder()
         self.injector = as_injector(config.faults)
@@ -172,23 +220,48 @@ class _UvmSimulation:
         self.fault_events = 0
         self.fault_stall = 0.0
         self.comp_time = 0.0
-        self.learned_source = (
-            self._derive_learned_source(app, data) if mode == "learned" else None
-        )
 
     # -------------------------------------------------------------- run
-    def execute(self) -> float:
+    def execute(self) -> _Timeline:
+        """Run the DES and keep the numbers a result is built from."""
         self.env.process(self._main())
         self.env.run()
-        return self.env.now
+        table = self.table
+        notes = {
+            "pages": table.n_pages,
+            "page_bytes": self.spec.page_bytes,
+            "prefetch": self.mode,
+            "batch_pages": self.plan.batch_pages,
+            "capacity_pages": table.capacity_pages,
+            "faults": self.fault_events,
+            "fault_stall": self.fault_stall,
+            "paging": table.stats(),
+        }
+        if self.mode == "learned":
+            notes["prefetch_source"] = self.plan.learned_source
+        if self.injector is not None:
+            notes["fault_stats"] = self.injector.stats()
+        return _Timeline(
+            sim_time=self.env.now,
+            bytes_h2d=self.link.bytes_moved[H2D],
+            bytes_d2h=self.link.bytes_moved[D2H],
+            comp_time=self.comp_time,
+            comm_time=(
+                self.trace.busy_time("pcie-h2d") + self.trace.busy_time("pcie-d2h")
+            ),
+            notes=notes,
+            intervals=tuple(self.trace),
+        )
 
     def _main(self):
+        plan = self.plan
+        batches, n_batches = plan.batches, plan.n_batches
         # UVM keeps BigKernel's single-launch model: one kernel over the
         # whole dataset, paying the launch overhead exactly once
         yield self.env.timeout(self.gpu.spec.kernel_launch_overhead)
         self.comp_time += self.gpu.spec.kernel_launch_overhead
-        for g in range(self.n_instances):
-            pages = self.batches[g % self.n_batches]
+        for g in range(plan.n_instances):
+            pages = batches[g % n_batches]
             self.table.pin(pages)
             missing = self.table.missing(pages)
             if missing:
@@ -211,11 +284,11 @@ class _UvmSimulation:
             if waits:
                 yield self.env.all_of(waits)
             start = self.env.now
-            yield self.env.timeout(self.comp_times[g % self.n_batches])
+            yield self.env.timeout(plan.comp_times[g % n_batches])
             self.comp_time += self.env.now - start
             self.trace.record("gpu", STAGE_COMPUTE, start, self.env.now, chunk=g)
-            self.table.touch(pages, dirty=self.writes)
-            if self.writes and g // self.n_batches == self.passes - 1:
+            self.table.touch(pages, dirty=plan.writes)
+            if plan.writes and g // n_batches == plan.passes - 1:
                 # eager asynchronous write-back right after the final pass
                 # over this batch; only the tail remains at the barrier
                 self._flush(self.table.take_dirty(pages))
@@ -260,17 +333,19 @@ class _UvmSimulation:
 
     # -------------------------------------------------------- prefetchers
     def _issue_prefetches(self, g: int) -> None:
+        plan = self.plan
+        n_batches = plan.n_batches
         if self.mode == "none":
             # the driver's partial readahead: a slice of the *next* batch
             # rides along, sized by the hit fraction
-            k = int(self.spec.prefetch_hit * self.batch_pages + 0.5)
+            k = int(self.spec.prefetch_hit * plan.batch_pages + 0.5)
             nxt = g + 1
             if (
                 k > 0
-                and nxt < self.n_instances
-                and nxt // self.n_batches == g // self.n_batches
+                and nxt < plan.n_instances
+                and nxt // n_batches == g // n_batches
             ):
-                want = self.table.missing(self.batches[nxt % self.n_batches])[:k]
+                want = self.table.missing(plan.batches[nxt % n_batches])[:k]
                 if want:
                     self._issue(nxt, want, "prefetch", must=False)
             return
@@ -280,58 +355,93 @@ class _UvmSimulation:
             window = self.spec.max_window
             # a recognized descriptor predicts the wrap back to the start,
             # so the window survives pass boundaries
-            cross = self.learned_source in ("affine", "stride")
+            cross = plan.learned_source in ("affine", "stride")
         # leave two batches of slack so demand admission stays feasible
-        window = min(window, max(1, self.capacity_batches - 2))
+        window = min(window, max(1, plan.capacity_batches - 2))
         for d in range(1, window + 1):
             nxt = g + d
-            if nxt >= self.n_instances:
+            if nxt >= plan.n_instances:
                 break
-            if not cross and nxt // self.n_batches != g // self.n_batches:
+            if not cross and nxt // n_batches != g // n_batches:
                 break
-            want = self.table.missing(self.batches[nxt % self.n_batches])
+            want = self.table.missing(plan.batches[nxt % n_batches])
             if want and not self._issue(nxt, want, "prefetch", must=False):
                 break
 
-    def _derive_learned_source(self, app: Application, data: AppData) -> str:
-        """What evidence the pattern prefetcher trains on: a closed-form
-        affine address stream when the kernel slices to one, an online
-        stride recognition of the first chunk's reads otherwise, or plain
-        access history (degrading to a same-pass window)."""
-        from repro.kernelc.compile import affine_streams
-        from repro.kernelc.slicing import make_addrgen_kernel
-        from repro.runtime.pattern import PatternRecognizer
 
-        kernel = app.kernel()
-        if kernel is not None:
-            try:
-                streams = affine_streams(make_addrgen_kernel(kernel))
-            except SlicingError:
-                streams = None
-            if streams is not None and streams[0] is not None:
-                if streams[0].rec_stride > 0:
-                    return "affine"
-        offsets = app.chunk_read_offsets(data, 0, min(self.units, 64))
-        pattern = PatternRecognizer().recognize([int(o) for o in offsets])
-        if pattern is not None and pattern.cycle_span > 0:
-            return "stride"
-        return "history"
+def _learned_source(app: Application, data: AppData, units: int) -> str:
+    """What evidence the pattern prefetcher trains on: a closed-form
+    affine address stream when the kernel slices to one, an online
+    stride recognition of the first chunk's reads otherwise, or plain
+    access history (degrading to a same-pass window)."""
+    from repro.kernelc.compile import affine_streams
+    from repro.kernelc.slicing import make_addrgen_kernel
+    from repro.runtime.pattern import PatternRecognizer
+
+    kernel = app.kernel()
+    if kernel is not None:
+        try:
+            streams = affine_streams(make_addrgen_kernel(kernel))
+        except SlicingError:
+            streams = None
+        if streams is not None and streams[0] is not None:
+            if streams[0].rec_stride > 0:
+                return "affine"
+    offsets = app.chunk_read_offsets(data, 0, min(units, 64))
+    pattern = PatternRecognizer().recognize([int(o) for o in offsets])
+    if pattern is not None and pattern.cycle_span > 0:
+        return "stride"
+    return "history"
 
 
 class GpuUvmEngine(Engine):
-    """Fault-driven unified-memory execution (no explicit transfers)."""
+    """Fault-driven unified-memory execution (no explicit transfers).
+
+    Plans are memoized per engine instance, keyed on what a plan and its
+    timeline read besides the instance's spec and prefetcher: the app
+    name, the dataset fingerprint, the hardware and the compute-thread
+    total. A run with the fast path allowed and no fault plan replays the
+    timeline its plan memoized, which the first such run simulated; a
+    replay equals a fresh DES run in every field. ``fastpath=False`` and
+    any fault plan simulate on every call.
+    """
 
     name = "gpu_uvm"
     display_name = "GPU Unified Memory"
     #: the prefetcher: "none" keeps the driver's partial readahead only;
     #: each prefetcher is its own engine class below
     prefetch = "none"
+    _PLAN_CACHE_MAX = 64
+    #: guards the plan memos' check-then-act: threads may share one engine
+    #: (a sweep's thread backend); a class attribute, so engines pickle
+    _plan_lock = threading.Lock()
 
     def __init__(self, spec: UvmSpec = UvmSpec()):
         self.spec = spec
+        # plans keyed per instance (the spec is instance state), LRU
+        self._plan_cache: OrderedDict = OrderedDict()
 
     def _params(self) -> dict:
         return {"spec": self.spec}
+
+    def _plan(
+        self, app: Application, data: AppData, config: EngineConfig
+    ) -> _UvmPlan:
+        threads = config.total_compute_threads
+        cache_key = (app.name, data_fingerprint(data), config.hardware, threads)
+        with self._plan_lock:
+            plan = self._plan_cache.get(cache_key)
+            if plan is not None:
+                self._plan_cache.move_to_end(cache_key)
+                return plan
+        plan = _UvmPlan(
+            self.spec, self.prefetch, app, data, config.hardware, threads
+        )
+        with self._plan_lock:
+            self._plan_cache[cache_key] = plan
+            if len(self._plan_cache) > self._PLAN_CACHE_MAX:
+                self._plan_cache.popitem(last=False)
+        return plan
 
     def run(
         self,
@@ -340,43 +450,36 @@ class GpuUvmEngine(Engine):
         config: Optional[EngineConfig] = None,
     ) -> RunResult:
         config = config or EngineConfig()
-        sim = _UvmSimulation(self.spec, self.prefetch, app, data, config)
-        sim_time = sim.execute()
+        plan = self._plan(app, data, config)
+        replay = config.fastpath and config.faults is None
+        timeline = plan.timeline if replay else None
+        if timeline is None:
+            timeline = _UvmSimulation(plan, self.spec, self.prefetch, config).execute()
+            if replay:
+                plan.timeline = timeline
 
         output = None
         if config.functional:
             upc, _ = chunk_plan(
-                sim.units, config.chunk_bytes, sim.profile.record_bytes
+                plan.units, config.chunk_bytes, plan.profile.record_bytes
             )
             output = self._functional_output(app, data, app.chunk_bounds(data, upc))
 
-        notes = {
-            "pages": sim.table.n_pages,
-            "page_bytes": self.spec.page_bytes,
-            "prefetch": self.prefetch,
-            "batch_pages": sim.batch_pages,
-            "capacity_pages": sim.table.capacity_pages,
-            "faults": sim.fault_events,
-            "fault_stall": sim.fault_stall,
-            "paging": sim.table.stats(),
-        }
-        if self.prefetch == "learned":
-            notes["prefetch_source"] = sim.learned_source
-        if sim.injector is not None:
-            notes["fault_stats"] = sim.injector.stats()
+        # fresh containers around the timeline's numbers, so a caller that
+        # edits what it got cannot change a later replay
+        notes = dict(timeline.notes, paging=dict(timeline.notes["paging"]))
         metrics = RunMetrics(
-            n_chunks=sim.n_instances,
-            bytes_h2d=sim.link.bytes_moved[H2D],
-            bytes_d2h=sim.link.bytes_moved[D2H],
-            comp_time=sim.comp_time,
-            comm_time=(
-                sim.trace.busy_time("pcie-h2d") + sim.trace.busy_time("pcie-d2h")
-            ),
+            n_chunks=plan.n_instances,
+            bytes_h2d=timeline.bytes_h2d,
+            bytes_d2h=timeline.bytes_d2h,
+            comp_time=timeline.comp_time,
+            comm_time=timeline.comm_time,
             kernel_launches=1,  # UVM keeps BigKernel's single-launch model
             notes=notes,
         )
         return RunResult(
-            self.name, app.name, output, sim_time, metrics, trace=sim.trace
+            self.name, app.name, output, timeline.sim_time, metrics,
+            trace=TraceRecorder(timeline.intervals),
         )
 
 

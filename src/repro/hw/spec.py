@@ -14,6 +14,35 @@ from repro.hw.elementwise import every, where
 from repro.units import GB, GiB, MiB, KiB, US, MS
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass: hash its fields once per
+    instance and keep the value on the instance.
+
+    Cache keys hash the same spec many times per served request. The kept
+    value stays out of pickles and copies (``__getstate__``), so a
+    process started with another string-hash seed computes its own.
+    Equality, ``repr`` and ``dataclasses.replace`` stay the dataclass's.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True)
 class GpuSpec:
     """Static description of a GPU device."""
@@ -142,6 +171,7 @@ class PcieSpec:
         return self.latency * segments + payload / self.pinned_bandwidth
 
 
+@hash_once
 @dataclass(frozen=True)
 class HardwareSpec:
     """A complete machine: GPU + CPU + interconnect."""

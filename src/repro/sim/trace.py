@@ -9,7 +9,7 @@ counters, so what we report is what the simulated timeline actually did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 _new = object.__new__
 _set = object.__setattr__
@@ -52,8 +52,8 @@ class Interval:
 class TraceRecorder:
     """Accumulates :class:`Interval` records during a simulated run."""
 
-    def __init__(self) -> None:
-        self._intervals: list[Interval] = []
+    def __init__(self, intervals: Iterable[Interval] = ()) -> None:
+        self._intervals: list[Interval] = list(intervals)
 
     def record(
         self,

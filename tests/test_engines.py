@@ -1,7 +1,17 @@
 """Integration tests across engines: output equality, performance ordering,
 feature ablation monotonicity, metrics consistency."""
 
+import os
+import pickle
+import subprocess
+import sys
+from collections import OrderedDict
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.apps import ALL_APPS, get_app
 from repro.engines import (
@@ -14,7 +24,8 @@ from repro.engines import (
     GpuSingleBufferEngine,
 )
 from repro.errors import RuntimeConfigError
-from repro.units import MiB
+from repro.hw.spec import DEFAULT_HARDWARE
+from repro.units import KiB, MiB
 
 DATA_BYTES = 4_000_000
 CFG = EngineConfig(chunk_bytes=512 * 1024)
@@ -201,6 +212,71 @@ class TestEngineConfig:
         assert s > 1.0
 
 
+#: looks a pickled (config, hardware) pair up in dicts built in this
+#: process, whose string-hash seed the test sets
+_LOOKUP = """
+import pickle, sys
+from repro.engines import EngineConfig
+from repro.hw.spec import DEFAULT_HARDWARE
+config, hardware = pickle.loads(sys.stdin.buffer.read())
+configs = {EngineConfig(num_blocks=8): "config"}
+machines = {DEFAULT_HARDWARE: "hardware"}
+print(configs.get(config), machines.get(hardware), hash("gpu_uvm"))
+"""
+
+
+class TestHashOnce:
+    """``EngineConfig`` and ``HardwareSpec`` keep their hash on the
+    instance, and never hand it to another process."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EngineConfig(num_blocks=8, ring_depth=4),
+            lambda: DEFAULT_HARDWARE.scaled(num_sms=16),
+        ],
+        ids=["config", "hardware"],
+    )
+    def test_equal_specs_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a)
+        assert hash(replace(a)) == hash(a)
+        assert {a: 1}[b] == 1
+
+    def test_pickle_bytes_ignore_the_kept_hash(self):
+        hashed, fresh = EngineConfig(num_blocks=8), EngineConfig(num_blocks=8)
+        hash(hashed)
+        hash(hashed.hardware)
+        assert pickle.dumps(hashed) == pickle.dumps(fresh)
+        assert pickle.dumps(DEFAULT_HARDWARE) == pickle.dumps(
+            replace(DEFAULT_HARDWARE)
+        )
+        assert repr(hashed) == repr(fresh)
+
+    def test_unpickled_spec_hashes_with_its_process_seed(self):
+        config = EngineConfig(num_blocks=8)
+        hardware = replace(DEFAULT_HARDWARE)
+        hash(config)
+        hash(hardware)
+        seed = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _LOOKUP],
+            input=pickle.dumps((config, hardware)),
+            env=env,
+            capture_output=True,
+            check=True,
+        ).stdout.decode().split()
+        assert out[:2] == ["config", "hardware"]
+        # the child really hashed strings with another seed
+        assert int(out[2]) != hash("gpu_uvm")
+
+
 class TestBigKernelInternals:
     def test_fallback_notes_for_unsliceable_profile(self):
         """An app whose kernel cannot be sliced transfers everything."""
@@ -218,3 +294,32 @@ class TestBigKernelInternals:
         assert "write_transfer" in r["bigkernel"].metrics.stage_totals
         _, r2 = runs["netflix"]
         assert "write_transfer" not in r2["bigkernel"].metrics.stage_totals
+
+    def test_pattern_sample_keyed_on_the_first_chunk(self, monkeypatch):
+        """Chunk sizes that each cover the whole dataset sample it once,
+        for the result a fresh sample gives."""
+        monkeypatch.setattr(BigKernelEngine, "_pattern_cache", OrderedDict())
+        app = get_app("kmeans")
+        data = app.generate(n_bytes=256 * KiB, seed=3)
+        reads = []
+        plain = app.chunk_read_offsets
+
+        def counting(d, lo, hi):
+            reads.append((lo, hi))
+            return plain(d, lo, hi)
+
+        monkeypatch.setattr(app, "chunk_read_offsets", counting)
+        engine = BigKernelEngine()
+        a = engine.run(app, data, EngineConfig(chunk_bytes=1 * MiB))
+        sampled = len(reads)
+        b = engine.run(app, data, EngineConfig(chunk_bytes=2 * MiB))
+        assert sampled > 0 and len(reads) == sampled
+        assert a.metrics.notes["units_per_chunk"] >= app.n_units(data)
+        assert b.metrics.notes["units_per_chunk"] >= app.n_units(data)
+
+        monkeypatch.setattr(BigKernelEngine, "_pattern_cache", OrderedDict())
+        fresh = engine._sample_pattern_fraction(
+            app, data, EngineConfig(), b.metrics.notes["units_per_chunk"]
+        )
+        assert a.metrics.pattern_fraction == b.metrics.pattern_fraction == fresh
+        assert len(reads) == 2 * sampled
