@@ -3,8 +3,8 @@
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
 autotune sweep, the raw DES event throughput, the DES cost per pipeline
 chunk, a DES-bound thread-vs-process sweep, every app's dataset
-generation and a first vs a replayed unified-memory run, and records the
-measurements to ``BENCH_pipeline.json`` at the repo root.
+generation, a first vs a replayed unified-memory run and a memo hit, and
+records the measurements to ``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -42,6 +42,10 @@ DES_EVENTS_PER_CHUNK = {"wordcount": 20, "kmeans": 30}
 #: Word Count's 512 KiB ``generate`` takes ~7 ms on one core of a 2-vCPU
 #: host; the per-word vocabulary loop and bytes join it replaced took ~60 ms
 DATAGEN_WARN_MS = 20.0
+#: a ``Memo.get`` hit costs 4-5x a bare ``OrderedDict`` hit on a shared
+#: 2-vCPU host (0.7-0.9 us, about a third of it the lock); past this ratio
+#: the hit path has grown
+MEMO_HIT_WARN_RATIO = 6.0
 
 SWEEP_GRID = {
     "chunk_bytes": [256 * 1024, 512 * 1024, 1 * MiB, 2 * MiB],
@@ -627,3 +631,80 @@ def test_analytic_sweep():
                 f"{wall:.1f}s (warn-only; see BENCH_pipeline.json)",
                 stacklevel=2,
             )
+
+
+def test_memo_hit():
+    """ns per ``Memo.get`` hit against a bare ``OrderedDict`` lookup and
+    against the lock alone (best of 5), and the memo lookups per request
+    of a short cache-off serve trace. The ratio is warn-only."""
+    import threading
+    from collections import OrderedDict
+
+    from repro.memo import MEMO_STATS, Memo
+    from repro.serve import ServeConfig, Server, TraceSpec, generate_trace, serve_trace
+    from repro.units import KiB
+
+    n = 200_000
+    key = ("wordcount", 7, 1 << 20, EngineConfig())
+    memo = Memo("perf.memo_hit", 4)
+    memo.put(key, 1.0)
+    bare = OrderedDict([(key, 1.0)])
+    lock = threading.Lock()
+
+    def memo_hit():
+        get = memo.get
+        for _ in range(n):
+            get(key)
+
+    def bare_hit():
+        get, touch = bare.get, bare.move_to_end
+        for _ in range(n):
+            get(key)
+            touch(key)
+
+    def lock_only():
+        for _ in range(n):
+            with lock:
+                pass
+
+    def best_ns(loop):
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            loop()
+            best = min(best, time.perf_counter() - t0)
+        return best / n * 1e9
+
+    memo_ns, bare_ns, lock_ns = best_ns(memo_hit), best_ns(bare_hit), best_ns(lock_only)
+
+    trace = generate_trace(TraceSpec(seed=3, duration=1.0, rate=40.0, data_bytes=256 * KiB))
+    before = {name: sum(c.values()) - c["evictions"] for name, c in MEMO_STATS.items()}
+    with Server(ServeConfig(cache=False)) as server:
+        outcome = serve_trace(server, trace)
+    assert outcome.metrics.completed == len(trace)
+    lookups = {
+        name: sum(c.values()) - c["evictions"] - before.get(name, 0)
+        for name, c in MEMO_STATS.items()
+    }
+    lookups = {name: count for name, count in lookups.items() if count}
+    ratio = memo_ns / bare_ns
+    _record(
+        {
+            "name": "memo_hit",
+            "memo_hit_ns": memo_ns,
+            "ordered_dict_hit_ns": bare_ns,
+            "lock_ns": lock_ns,
+            "ratio": ratio,
+            "warn_ratio": MEMO_HIT_WARN_RATIO,
+            "serve_requests": len(trace),
+            "memo_lookups_per_request": sum(lookups.values()) / len(trace),
+            "memo_lookups": lookups,
+        }
+    )
+    if ratio > MEMO_HIT_WARN_RATIO:
+        warnings.warn(
+            f"memo_hit: a Memo.get hit costs {ratio:.1f}x a bare OrderedDict "
+            f"lookup, above the {MEMO_HIT_WARN_RATIO:.0f}x expectation "
+            f"(warn-only; see BENCH_pipeline.json)",
+            stacklevel=2,
+        )

@@ -18,7 +18,6 @@ from repro.analytic.grid import (
     suggest_grid,
 )
 from repro.analytic.predict import (
-    PREDICT_RUN_STATS,
     PREDICTABLE_ENGINES,
     PredictedRun,
     predict_run,
@@ -29,7 +28,6 @@ from repro.analytic.predict import (
 from repro.analytic.report import run_report
 
 __all__ = [
-    "PREDICT_RUN_STATS",
     "GRID_FIELDS",
     "GridPrediction",
     "PREDICTABLE_ENGINES",

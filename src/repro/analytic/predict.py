@@ -21,7 +21,6 @@ per-chunk closed form (see ``docs/performance.md``).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, Optional, Union
@@ -36,6 +35,7 @@ from repro.engines.gpu_single import GpuSingleBufferEngine
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import ReproError
 from repro.hw.elementwise import maximum, where
+from repro.memo import Memo
 from repro.runtime.fastpath import FLAG_BYTES
 from repro.runtime.pipeline import ChunkWork, PipelineConfig
 
@@ -304,13 +304,8 @@ def predict_run(
     )
 
 
-#: accounting of :func:`predicted_sim_time` memoization — the online
-#: pricing loop of the serving layer asks per enqueued job, so hits should
-#: dominate on any repeat-heavy trace
-PREDICT_RUN_STATS = {"requests": 0, "hits": 0, "misses": 0}
-
-_PREDICT_CACHE: "OrderedDict[tuple, float]" = OrderedDict()
-_PREDICT_CACHE_MAX = 512
+#: :func:`predicted_sim_time` per compatibility key
+_PREDICT_CACHE = Memo("analytic.predict", 512)
 
 
 def predicted_sim_time(
@@ -333,20 +328,12 @@ def predicted_sim_time(
 
     config = config if config is not None else EngineConfig()
     eng = resolve_engine(engine)
-    PREDICT_RUN_STATS["requests"] += 1
     spec = engine_to_spec(eng)
-    key = None
-    if spec is not None:
-        key = (app.name, dataset_key(data), spec, config)
-        cached = _PREDICT_CACHE.get(key)
-        if cached is not None:
-            PREDICT_RUN_STATS["hits"] += 1
-            _PREDICT_CACHE.move_to_end(key)
-            return cached
-    PREDICT_RUN_STATS["misses"] += 1
-    sim_time = predict_run(app, data, config, eng).sim_time
-    if key is not None:
-        _PREDICT_CACHE[key] = sim_time
-        while len(_PREDICT_CACHE) > _PREDICT_CACHE_MAX:
-            _PREDICT_CACHE.popitem(last=False)
+    if spec is None:
+        return predict_run(app, data, config, eng).sim_time
+    key = (app.name, dataset_key(data), spec, config)
+    sim_time = _PREDICT_CACHE.get(key)
+    if sim_time is None:
+        sim_time = predict_run(app, data, config, eng).sim_time
+        _PREDICT_CACHE.put(key, sim_time)
     return sim_time

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import inspect
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +47,7 @@ from repro.apps.datagen import DATAGEN_VERSION
 from repro.engines import ENGINES
 from repro.engines.base import Engine, EngineConfig, EngineSpec, RunResult
 from repro.errors import ReproError
+from repro.memo import Memo
 
 
 @dataclass(frozen=True)
@@ -134,35 +134,30 @@ def engine_from_spec(spec: EngineSpec) -> Engine:
 
 #: per-worker dataset cache: spec -> (app, data). A sweep fans one dataset
 #: across many configs, so one regeneration serves a worker's whole share.
-_WORKER_DATASETS: OrderedDict = OrderedDict()
-_WORKER_DATASETS_MAX = 4
+_WORKER_DATASETS = Memo("jobs.datasets", 4)
 
 #: per-worker engine cache: reusing the instance keeps its schedule /
 #: pattern / buffer memoization warm across the worker's grid points
-_WORKER_ENGINES: dict = {}
+_WORKER_ENGINES = Memo("jobs.engines", 64)
 
 
 def materialize_dataset(spec: DatasetSpec) -> tuple[Application, AppData]:
     """Regenerate (and cache) the app + dataset a spec names."""
     cached = _WORKER_DATASETS.get(spec)
-    if cached is not None:
-        _WORKER_DATASETS.move_to_end(spec)
-        return cached
-    spec.check_version("worker")
-    app = get_app(spec.app)
-    data = app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
-    _WORKER_DATASETS[spec] = (app, data)
-    while len(_WORKER_DATASETS) > _WORKER_DATASETS_MAX:
-        _WORKER_DATASETS.popitem(last=False)
-    return app, data
+    if cached is None:
+        spec.check_version("worker")
+        app = get_app(spec.app)
+        cached = (app, app.generate(n_bytes=spec.n_bytes, seed=spec.seed))
+        _WORKER_DATASETS.put(spec, cached)
+    return cached
 
 
 def run_jobspec(spec: JobSpec) -> RunResult:
     """Execute one job in this process (the pool worker entry point)."""
     app, data = materialize_dataset(spec.dataset)
-    engine = _WORKER_ENGINES.get(spec.engine)
-    if engine is None:
-        engine = _WORKER_ENGINES[spec.engine] = engine_from_spec(spec.engine)
+    engine = _WORKER_ENGINES.get_or_compute(
+        spec.engine, lambda: engine_from_spec(spec.engine)
+    )
     return engine.run(app, data, spec.config)
 
 

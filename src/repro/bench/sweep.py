@@ -29,7 +29,6 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -39,6 +38,7 @@ from repro.apps.base import AppData, Application, data_fingerprint, dataset_key
 from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_ordered
 from repro.engines.base import Engine, EngineConfig, RunResult
 from repro.errors import ReproError
+from repro.memo import Memo
 from repro.units import MiB
 
 #: Schema version of the persistent cache. Part of every disk key: bump it
@@ -266,9 +266,9 @@ def content_run_key(
 class RunCache:
     """Two-tier cache of engine runs, keyed on everything a run reads.
 
-    The front tier is a thread-safe in-process LRU. A sweep keys it with
-    :meth:`key`, ``(engine.identity, app name, dataset *identity*
-    fingerprint, config)``: the fingerprint
+    The front tier is an in-process :class:`~repro.memo.Memo` of 512
+    runs. A sweep keys it with :meth:`key`, ``(engine.identity, app name,
+    dataset *identity* fingerprint, config)``: the fingerprint
     (:func:`repro.apps.base.data_fingerprint`) is minted per dataset
     *instance*, so a stale hit is impossible even if the caller — who owns
     the ``AppData`` — mutates or regenerates it. The server keys it with
@@ -283,10 +283,10 @@ class RunCache:
     promoted into the memory tier under the caller's key.
     """
 
-    def __init__(self, maxsize: int = 512, disk: Optional[DiskCache] = None):
-        self.maxsize = maxsize
+    def __init__(self, disk: Optional[DiskCache] = None):
         self.disk = disk
-        self._entries: OrderedDict = OrderedDict()
+        self._entries = Memo("run_cache", 512)
+        #: guards the counters below; the memo guards itself
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -303,22 +303,20 @@ class RunCache:
         return (engine.identity, job.dataset.app, job.dataset.key, job.config)
 
     def get(self, key, disk_key: Optional[str] = None) -> Optional[RunResult]:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return self._entries[key]
-        if self.disk is not None and disk_key is not None:
+        result = self._entries.get(key)
+        from_disk = False
+        if result is None and self.disk is not None and disk_key is not None:
             result = self.disk.get(disk_key)
             if result is not None:
-                with self._lock:
-                    self._store(key, result)
-                    self.hits += 1
-                    self.disk_hits += 1
-                return result
+                self._entries.put(key, result)
+                from_disk = True
         with self._lock:
-            self.misses += 1
-        return None
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self.disk_hits += from_disk
+        return result
 
     def contains(self, key) -> bool:
         """Silent membership probe of the memory tier.
@@ -327,32 +325,22 @@ class RunCache:
         layer's admission pricer uses this to cost repeat jobs at zero
         without perturbing the hit/miss accounting of real lookups.
         """
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def put(self, key, result: RunResult, disk_key: Optional[str] = None) -> None:
-        with self._lock:
-            self._store(key, result)
+        self._entries.put(key, result)
         if self.disk is not None and disk_key is not None:
             self.disk.put(disk_key, result)
 
-    def _store(self, key, result: RunResult) -> None:
-        # caller holds self._lock
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
     def clear(self, disk: bool = False) -> None:
+        self._entries.clear()
         with self._lock:
-            self._entries.clear()
             self.hits = self.misses = self.disk_hits = 0
         if disk and self.disk is not None:
             self.disk.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 #: process-wide two-tier run cache used by ``sweep(..., cache=True)``

@@ -19,7 +19,6 @@ Feature flags reproduce the Section VI-B ablation:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -42,6 +41,7 @@ from repro.hw.gpu import GpuDevice
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
 from repro.kernelc.slicing import make_addrgen_kernel
+from repro.memo import Memo
 from repro.runtime.assembly import estimate_assembly_hit_rate
 from repro.runtime.buffers import BlockBuffers, BufferConfig
 from repro.runtime.fastpath import TemplatedChunks
@@ -139,25 +139,17 @@ class BigKernelEngine(Engine):
     #: depends only on the app's kernel IR, never on data or config
     #: (class-level: shared by every engine instance, including the Fig. 5
     #: ablation variants)
-    _slice_cache: dict = {}
+    _slice_cache = Memo("bigkernel.slice", 64)
     #: pattern-sampling results keyed by (dataset fingerprint, total
     #: threads, units in the first chunk) — everything the sampler reads
-    _pattern_cache: "OrderedDict" = OrderedDict()
-    _PATTERN_CACHE_MAX = 256
+    _pattern_cache = Memo("bigkernel.pattern", 256)
     #: buffer plans keyed by the config fields the planner reads
-    _buffer_cache: "OrderedDict" = OrderedDict()
-    _BUFFER_CACHE_MAX = 64
-    _SCHEDULE_CACHE_MAX = 64
+    _buffer_cache = Memo("bigkernel.buffers", 64)
 
     def __init__(self, features: BigKernelFeatures = BigKernelFeatures.full()):
         self.features = features
         # full schedules keyed per instance (features are instance state)
-        self._schedule_cache: OrderedDict = OrderedDict()
-        #: template-reuse accounting: how often a run replayed a memoized
-        #: schedule instead of re-planning (the serve layer reports this
-        #: to prove cross-request TemplatedChunks amortization)
-        self.schedule_hits = 0
-        self.schedule_misses = 0
+        self._schedule_cache = Memo("bigkernel.schedule", 128)
 
     def _params(self) -> dict:
         return {"features": self.features}
@@ -182,7 +174,7 @@ class BigKernelEngine(Engine):
             cached = True
         except SlicingError:
             cached = False
-        self._slice_cache[key] = cached
+        self._slice_cache.put(key, cached)
         return cached
 
     def _sample_pattern_fraction(
@@ -206,9 +198,9 @@ class BigKernelEngine(Engine):
         n_units = app.n_units(data)
         first_chunk_units = min(units_per_chunk, n_units)
         cache_key = (data_fingerprint(data), threads, first_chunk_units)
-        if cache_key in self._pattern_cache:
-            self._pattern_cache.move_to_end(cache_key)
-            return self._pattern_cache[cache_key]
+        fraction = self._pattern_cache.get(cache_key)
+        if fraction is not None:
+            return fraction
         per_thread = max(1, first_chunk_units // threads)
         # per-period evidence (two full cycles) is enforced inside
         # recognize(); the floor only guards against trivial samples
@@ -236,9 +228,7 @@ class BigKernelEngine(Engine):
             hits += int(tracker.has_pattern)
             sampled += 1
         fraction = hits / sampled if sampled else 0.0
-        self._pattern_cache[cache_key] = fraction
-        if len(self._pattern_cache) > self._PATTERN_CACHE_MAX:
-            self._pattern_cache.popitem(last=False)
+        self._pattern_cache.put(cache_key, fraction)
         return fraction
 
     def _allocate_buffers(
@@ -265,9 +255,9 @@ class BigKernelEngine(Engine):
             writes,
             config.faults,
         )
-        if cache_key in self._buffer_cache:
-            self._buffer_cache.move_to_end(cache_key)
-            return self._buffer_cache[cache_key]
+        cached = self._buffer_cache.get(cache_key)
+        if cached is not None:
+            return cached
         gpu_dev = GpuDevice(config.hardware.gpu)
         layout = ThreadLayout(compute_threads=config.compute_threads)
         per_block = max(4096, config.chunk_bytes // config.num_blocks)
@@ -295,9 +285,7 @@ class BigKernelEngine(Engine):
             bb.allocate(pinned, gpu_mem)
         for bb in blocks:
             bb.release(pinned, gpu_mem)
-        self._buffer_cache[cache_key] = (active_blocks, buf_cfg, degradations)
-        if len(self._buffer_cache) > self._BUFFER_CACHE_MAX:
-            self._buffer_cache.popitem(last=False)
+        self._buffer_cache.put(cache_key, (active_blocks, buf_cfg, degradations))
         return active_blocks, buf_cfg, degradations
 
     # ----------------------------------------------------------- schedule
@@ -333,11 +321,9 @@ class BigKernelEngine(Engine):
             config.pattern_recognition,
             config.faults,
         )
-        if cache_key in self._schedule_cache:
-            self._schedule_cache.move_to_end(cache_key)
-            self.schedule_hits += 1
-            return self._schedule_cache[cache_key]
-        self.schedule_misses += 1
+        sched = self._schedule_cache.get(cache_key)
+        if sched is not None:
+            return sched
         hw = config.hardware
         profile = app.access_profile(data)
         totals = self.totals(app, data, profile)
@@ -386,9 +372,7 @@ class BigKernelEngine(Engine):
             workers=workers,
             degradations=degradations,
         )
-        self._schedule_cache[cache_key] = sched
-        if len(self._schedule_cache) > self._SCHEDULE_CACHE_MAX:
-            self._schedule_cache.popitem(last=False)
+        self._schedule_cache.put(cache_key, sched)
         return sched
 
     @staticmethod

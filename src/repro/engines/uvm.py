@@ -37,8 +37,6 @@ a DES (see :class:`GpuUvmEngine`).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +49,7 @@ from repro.hw.gpu import GpuDevice
 from repro.hw.paging import PageTable
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
 from repro.hw.spec import HardwareSpec
+from repro.memo import Memo
 from repro.runtime.pipeline import (
     STAGE_COMPUTE,
     STAGE_TRANSFER,
@@ -411,15 +410,11 @@ class GpuUvmEngine(Engine):
     #: the prefetcher: "none" keeps the driver's partial readahead only;
     #: each prefetcher is its own engine class below
     prefetch = "none"
-    _PLAN_CACHE_MAX = 64
-    #: guards the plan memos' check-then-act: threads may share one engine
-    #: (a sweep's thread backend); a class attribute, so engines pickle
-    _plan_lock = threading.Lock()
 
     def __init__(self, spec: UvmSpec = UvmSpec()):
         self.spec = spec
-        # plans keyed per instance (the spec is instance state), LRU
-        self._plan_cache: OrderedDict = OrderedDict()
+        # plans keyed per instance (the spec is instance state)
+        self._plan_cache = Memo("uvm.plan", 64)
 
     def _params(self) -> dict:
         return {"spec": self.spec}
@@ -429,18 +424,12 @@ class GpuUvmEngine(Engine):
     ) -> _UvmPlan:
         threads = config.total_compute_threads
         cache_key = (app.name, data_fingerprint(data), config.hardware, threads)
-        with self._plan_lock:
-            plan = self._plan_cache.get(cache_key)
-            if plan is not None:
-                self._plan_cache.move_to_end(cache_key)
-                return plan
-        plan = _UvmPlan(
-            self.spec, self.prefetch, app, data, config.hardware, threads
-        )
-        with self._plan_lock:
-            self._plan_cache[cache_key] = plan
-            if len(self._plan_cache) > self._PLAN_CACHE_MAX:
-                self._plan_cache.popitem(last=False)
+        plan = self._plan_cache.get(cache_key)
+        if plan is None:
+            plan = _UvmPlan(
+                self.spec, self.prefetch, app, data, config.hardware, threads
+            )
+            self._plan_cache.put(cache_key, plan)
         return plan
 
     def run(

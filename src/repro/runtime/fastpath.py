@@ -49,6 +49,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.errors import RuntimeConfigError
 from repro.hw.elementwise import where
 from repro.hw.spec import HardwareSpec
+from repro.memo import Memo
 from repro.runtime.pipeline import (
     STAGE_ADDR_GEN,
     STAGE_ASSEMBLY,
@@ -64,12 +65,6 @@ _set = object.__setattr__
 
 #: bytes of the trailing completion-flag DMA (DmaEngine.copy_with_flag)
 FLAG_BYTES = 4
-
-#: process-wide accounting of the per-template result memo (see
-#: ``TemplatedChunks.fastpath_memo``): ``computed`` counts closed-form
-#: evaluations, ``reused`` counts runs answered from a prior evaluation of
-#: the same schedule under the same hardware/pipeline config
-FASTPATH_MEMO_STATS = {"computed": 0, "reused": 0}
 
 
 def _with_index(kind: ChunkWork, index: int) -> ChunkWork:
@@ -144,7 +139,7 @@ class TemplatedChunks(Sequence):
         #: O(1) instead of O(chunks). Safe because the fast path is only
         #: entered fault-free/trace-free, where the result is a pure
         #: function of (template, hardware, config).
-        self.fastpath_memo: dict = {}
+        self.fastpath_memo = Memo("fastpath", 16)
 
     @classmethod
     def split(

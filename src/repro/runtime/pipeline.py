@@ -321,16 +321,13 @@ def _memoized_fastpath(hardware, chunks, config) -> PipelineResult:
     shell around the memoized numbers so a caller mutating
     ``stage_totals`` cannot poison later runs.
     """
-    from repro.runtime.fastpath import FASTPATH_MEMO_STATS, run_fastpath
-
     key = (hardware, config)
     hit = chunks.fastpath_memo.get(key)
     if hit is None:
+        from repro.runtime.fastpath import run_fastpath
+
         hit = run_fastpath(hardware, chunks, config)
-        chunks.fastpath_memo[key] = hit
-        FASTPATH_MEMO_STATS["computed"] += 1
-    else:
-        FASTPATH_MEMO_STATS["reused"] += 1
+        chunks.fastpath_memo.put(key, hit)
     return PipelineResult(
         total_time=hit.total_time,
         n_chunks=hit.n_chunks,

@@ -25,9 +25,12 @@ from typing import Callable, Optional
 
 from repro.bench.jobs import JobSpec, engine_from_spec
 from repro.errors import ReproError
+from repro.memo import Memo
 
 #: EWMA smoothing for all calibration signals (recent rounds dominate)
 EWMA_ALPHA = 0.3
+
+_UNSEEN = object()
 
 
 def _ewma(old: Optional[float], sample: float) -> float:
@@ -41,7 +44,7 @@ class JobPricer:
 
     def __init__(self):
         #: memoized analytic sim_time per job identity (None = unpredictable)
-        self._sim: dict = {}
+        self._sim = Memo("pricing.sim", 1024)
         #: EWMA wall/sim calibration ratio per (app, engine spec) cell
         self._ratio: dict = {}
         #: EWMA observed wall per engine run per cell (UVM fallback path)
@@ -49,13 +52,6 @@ class JobPricer:
         #: EWMA observed wall per engine run across *all* cells — the
         #: adaptive batcher sizes dispatch windows from this
         self.run_wall: Optional[float] = None
-        self.stats = {
-            "priced": 0,
-            "modeled": 0,
-            "observed": 0,
-            "unpriced": 0,
-            "samples": 0,
-        }
 
     @staticmethod
     def cell(job: JobSpec) -> tuple:
@@ -65,8 +61,9 @@ class JobPricer:
     def _sim_for(self, job: JobSpec, dataset_loader: Callable) -> Optional[float]:
         """Analytic sim_time of a job, memoized; None when unmodelable."""
         key = (job.dataset, job.engine, job.config)
-        if key in self._sim:
-            return self._sim[key]
+        sim = self._sim.get(key, _UNSEEN)
+        if sim is not _UNSEEN:
+            return sim
         from repro.analytic import predicted_sim_time, resolve_engine
 
         try:
@@ -77,7 +74,7 @@ class JobPricer:
             sim = predicted_sim_time(app, data, job.config, engine)
         except ReproError:
             sim = None
-        self._sim[key] = sim
+        self._sim.put(key, sim)
         return sim
 
     def price(self, job: JobSpec, dataset_loader: Callable) -> Optional[float]:
@@ -88,20 +85,13 @@ class JobPricer:
         to fix the wall/sim scale; unmodelable cells need one observed
         batch to seed the per-run EWMA.
         """
-        self.stats["priced"] += 1
         cell = self.cell(job)
         sim = self._sim_for(job, dataset_loader)
         if sim is not None:
             ratio = self._ratio.get(cell)
             if ratio is not None:
-                self.stats["modeled"] += 1
                 return sim * ratio
-        per_run = self._per_run.get(cell)
-        if per_run is not None:
-            self.stats["observed"] += 1
-            return per_run
-        self.stats["unpriced"] += 1
-        return None
+        return self._per_run.get(cell)
 
     # ----------------------------------------------------------- calibration
     def observe_batch(
@@ -115,7 +105,6 @@ class JobPricer:
         unique jobs, ``elapsed`` wall seconds) into the calibration state."""
         if n_runs <= 0 or elapsed <= 0.0 or not jobs:
             return
-        self.stats["samples"] += 1
         per_run = elapsed / n_runs
         self.run_wall = _ewma(self.run_wall, per_run)
         cell = self.cell(jobs[0])

@@ -87,6 +87,7 @@ from repro.bench.jobs import (
 from repro.bench.sweep import DiskCache, RunCache, run_digest
 from repro.engines.base import Engine, RunResult
 from repro.errors import ReproError, SloViolationError
+from repro.memo import Memo
 from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pricing import JobPricer
@@ -270,8 +271,9 @@ class Server:
         self._store: "OrderedDict[DatasetSpec, tuple]" = OrderedDict()
         #: seconds on ``timer`` spent generating datasets
         self._generation_s = 0.0
-        self._engines: dict = {}
-        self._oracles: dict = {}
+        self._engines = Memo("serve.engines", 64)
+        #: job -> its one-shot oracle, outputs included (``verify``)
+        self._oracles = Memo("serve.oracles", 256)
         #: req_id -> (deadline, admission price or None) for queued requests
         self._meta: dict = {}
         #: EWMA of unique-jobs / window-size per round (adaptive batching
@@ -673,7 +675,8 @@ class Server:
     def _engine(self, spec: EngineSpec) -> Engine:
         engine = self._engines.get(spec)
         if engine is None:
-            engine = self._engines[spec] = engine_from_spec(spec)
+            engine = engine_from_spec(spec)
+            self._engines.put(spec, engine)
         return engine
 
     def _pool(self) -> ProcessPoolExecutor:
@@ -813,9 +816,7 @@ class Server:
     def _verify_one(self, job: JobSpec, resp: ServeResponse) -> None:
         """Bit-compare a completed response against its one-shot oracle."""
         okey = (job.dataset, job.engine, job.config)
-        oracle = self._oracles.get(okey)
-        if oracle is None:
-            oracle = self._oracles[okey] = oneshot_oracle(job)
+        oracle = self._oracles.get_or_compute(okey, lambda: oneshot_oracle(job))
         self.metrics.verified += 1
         if not matches_oracle(job, resp.result, oracle):
             self.metrics.verify_failures += 1

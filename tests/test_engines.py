@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from repro.engines import (
 )
 from repro.errors import RuntimeConfigError
 from repro.hw.spec import DEFAULT_HARDWARE
+from repro.memo import MEMO_STATS, Memo
 from repro.units import KiB, MiB
 
 DATA_BYTES = 4_000_000
@@ -298,7 +298,9 @@ class TestBigKernelInternals:
     def test_pattern_sample_keyed_on_the_first_chunk(self, monkeypatch):
         """Chunk sizes that each cover the whole dataset sample it once,
         for the result a fresh sample gives."""
-        monkeypatch.setattr(BigKernelEngine, "_pattern_cache", OrderedDict())
+        monkeypatch.setattr(
+            BigKernelEngine, "_pattern_cache", Memo("bigkernel.pattern", 256)
+        )
         app = get_app("kmeans")
         data = app.generate(n_bytes=256 * KiB, seed=3)
         reads = []
@@ -310,14 +312,20 @@ class TestBigKernelInternals:
 
         monkeypatch.setattr(app, "chunk_read_offsets", counting)
         engine = BigKernelEngine()
+        before = dict(MEMO_STATS["bigkernel.pattern"])
         a = engine.run(app, data, EngineConfig(chunk_bytes=1 * MiB))
         sampled = len(reads)
         b = engine.run(app, data, EngineConfig(chunk_bytes=2 * MiB))
         assert sampled > 0 and len(reads) == sampled
+        counts = MEMO_STATS["bigkernel.pattern"]
+        assert counts["misses"] == before["misses"] + 1
+        assert counts["hits"] == before["hits"] + 1
         assert a.metrics.notes["units_per_chunk"] >= app.n_units(data)
         assert b.metrics.notes["units_per_chunk"] >= app.n_units(data)
 
-        monkeypatch.setattr(BigKernelEngine, "_pattern_cache", OrderedDict())
+        monkeypatch.setattr(
+            BigKernelEngine, "_pattern_cache", Memo("bigkernel.pattern", 256)
+        )
         fresh = engine._sample_pattern_fraction(
             app, data, EngineConfig(), b.metrics.notes["units_per_chunk"]
         )

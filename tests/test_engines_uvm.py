@@ -27,6 +27,7 @@ import pytest
 from repro.apps import get_app
 from repro.engines import (
     UVM_ENGINES,
+    BigKernelEngine,
     CpuSerialEngine,
     EngineConfig,
     GpuUvmEngine,
@@ -36,6 +37,7 @@ from repro.engines import (
 from repro.engines.uvm import UvmSpec, _UvmSimulation
 from repro.faults.plan import FaultPlan
 from repro.hw.spec import DEFAULT_HARDWARE
+from repro.memo import Memo
 from repro.serve import bit_equal
 from repro.units import KiB, MiB
 from repro.verify.invariants import verify_run
@@ -204,6 +206,31 @@ def _des_oracle(engine_cls, app_name, config, n_bytes=DATA_BYTES):
     return engine_cls().run(app, data, config.with_(fastpath=False))
 
 
+def _hammer(engine, runs, expected, view, iterations=1000):
+    """Four threads share ``engine``, as ``sweep``'s thread backend does,
+    each cycling from its own offset through ``runs`` (``(app, data,
+    config)`` triples, more keys than the shrunk memos hold) at a 1 us
+    switch interval. No lookup may fail, and ``view`` of every run must
+    equal its entry in ``expected``."""
+
+    def cycle(shift):
+        return [
+            view(engine.run(*runs[(shift + i) % len(runs)]))
+            == expected[(shift + i) % len(runs)]
+            for i in range(iterations)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(cycle, k) for k in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(all(r) for r in results)
+
+
 def _assert_same_run(res, ref):
     assert res.sim_time == ref.sim_time
     a, b = res.metrics, ref.metrics
@@ -344,7 +371,7 @@ class TestReplay:
     def test_memo_is_bounded_and_lru(self, dataset, simulations):
         app, data = dataset("dna", 256 * KiB)
         engine = GpuUvmEngine()
-        bound = engine._PLAN_CACHE_MAX
+        bound = engine._plan_cache.maxsize
         # one key per thread total: 32 threads per block, 1..bound+1 blocks
         configs = [
             EngineConfig(num_blocks=b, compute_threads=32, functional=False)
@@ -365,13 +392,11 @@ class TestReplay:
         assert simulations() == bound + 3
 
     def test_threads_sharing_an_engine_past_the_bound(self, dataset, monkeypatch):
-        """Threads that share one engine, as ``sweep``'s thread backend
-        does, cycling through more keys than the memo holds: no lookup
-        fails, the memo stays bounded, and every run equals a forced DES
-        run."""
+        """Threads that share one engine past its plan memo's bound: the
+        memo stays bounded, and every run equals a forced DES run."""
         app, data = dataset("dna", 256 * KiB)
         engine = UvmReadaheadEngine()
-        monkeypatch.setattr(engine, "_PLAN_CACHE_MAX", 2)
+        monkeypatch.setattr(engine._plan_cache, "maxsize", 2)
         configs = [
             EngineConfig(num_blocks=b, compute_threads=32, functional=False)
             for b in (1, 2, 3)
@@ -380,21 +405,44 @@ class TestReplay:
             _des_oracle(UvmReadaheadEngine, "dna", c, 256 * KiB).sim_time
             for c in configs
         ]
-
-        def cycle(shift):
-            return [
-                engine.run(app, data, configs[(shift + i) % 3]).sim_time
-                == expected[(shift + i) % 3]
-                for i in range(1000)
-            ]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(cycle, k) for k in range(4)]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(all(r) for r in results)
+        runs = [(app, data, c) for c in configs]
+        _hammer(engine, runs, expected, lambda res: res.sim_time)
         assert len(engine._plan_cache) <= 2
+
+    def test_threads_sharing_a_bigkernel_engine_past_the_bounds(
+        self, dataset, monkeypatch
+    ):
+        """The same for a BigKernel engine with all four of its memos
+        shrunk to 2, on a dataset that is not K-means, so every run stays
+        on the fast path. The schedule and buffer plans see three keys and
+        the pattern sample two: a pattern miss costs several schedule
+        misses, and cheap misses keep evictions frequent. Every run equals
+        a fresh engine's run on a newly generated dataset."""
+        engine = BigKernelEngine()
+        monkeypatch.setattr(engine._schedule_cache, "maxsize", 2)
+        # the class-level memos are shared: fresh ones of bound 2
+        for attr in ("_slice_cache", "_pattern_cache", "_buffer_cache"):
+            name = getattr(BigKernelEngine, attr).name
+            monkeypatch.setattr(BigKernelEngine, attr, Memo(name, 2))
+        memos = (
+            engine._schedule_cache,
+            BigKernelEngine._slice_cache,
+            BigKernelEngine._pattern_cache,
+            BigKernelEngine._buffer_cache,
+        )
+        app, data = dataset("dna", 256 * KiB)
+        fresh = app.generate(n_bytes=256 * KiB, seed=SEED)
+        configs = [
+            EngineConfig(
+                num_blocks=b, chunk_bytes=c, compute_threads=32, functional=False
+            )
+            for b, c in ((1, 1 * MiB), (1, 2 * MiB), (2, 4 * MiB))
+        ]
+
+        def view(res):
+            return res.sim_time, res.metrics.notes
+
+        expected = [view(BigKernelEngine().run(app, fresh, c)) for c in configs]
+        runs = [(app, data, c) for c in configs]
+        _hammer(engine, runs, expected, view, iterations=400)
+        assert all(len(memo) <= 2 for memo in memos)

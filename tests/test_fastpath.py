@@ -363,7 +363,6 @@ class TestSweep:
         RUN_CACHE.clear()
 
     def test_cache_distinguishes_datasets(self):
-        cache = RunCache(maxsize=8)
         app = get_app("wordcount")
         d1 = app.generate(n_bytes=1 * MiB, seed=7)
         d2 = app.generate(n_bytes=1 * MiB, seed=7)

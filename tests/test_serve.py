@@ -12,7 +12,7 @@ from repro.bench.sweep import DiskCache, RunCache, content_run_key, run_digest
 from repro.cli import main
 from repro.engines import BigKernelEngine, EngineConfig
 from repro.errors import ApplicationError, ReproError
-from repro.runtime.fastpath import FASTPATH_MEMO_STATS
+from repro.memo import MEMO_STATS
 from repro.serve.scheduler import matches_oracle
 from repro.serve import (
     ServeConfig,
@@ -627,12 +627,12 @@ def test_fastpath_memo_reused_across_identical_pipeline_runs():
     engine = BigKernelEngine()
     cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
     first = engine.run(app, data, cfg)
-    before = dict(FASTPATH_MEMO_STATS)
+    before = dict(MEMO_STATS["fastpath"])
     again = engine.run(app, data, cfg)
     assert again.sim_time == first.sim_time
     assert again.metrics.stage_totals == first.metrics.stage_totals
-    assert FASTPATH_MEMO_STATS["reused"] == before["reused"] + 1
-    assert FASTPATH_MEMO_STATS["computed"] == before["computed"]
+    assert MEMO_STATS["fastpath"]["hits"] == before["hits"] + 1
+    assert MEMO_STATS["fastpath"]["misses"] == before["misses"]
     # the memo hands out fresh result shells: mutating one run's totals
     # must not leak into the next
     again.metrics.stage_totals["poison"] = 1.0
@@ -646,11 +646,12 @@ def test_bigkernel_schedule_memo_counters():
     engine = BigKernelEngine()
     cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
     engine.run(app, data, cfg)
-    misses = engine.schedule_misses
+    before = dict(MEMO_STATS["bigkernel.schedule"])
     engine.run(app, data, cfg)
     engine.run(app, data, cfg)
-    assert engine.schedule_misses == misses
-    assert engine.schedule_hits >= 2
+    after = MEMO_STATS["bigkernel.schedule"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] >= before["hits"] + 2
 
 
 # ------------------------------------------------------------- chaos serve

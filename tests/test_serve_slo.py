@@ -422,9 +422,47 @@ def test_gpu_uvm_served_and_priced_by_observation():
     assert m.failed == 0
     # the analytic model refused every UVM job, yet observation priced them
     job = trace[0].job
-    assert pricer._sim[(job.dataset, job.engine, job.config)] is None
+    assert pricer._sim.get((job.dataset, job.engine, job.config), 0.0) is None
     assert pricer.price(job, server._dataset) is not None
-    assert pricer.stats["samples"] > 0
+    assert pricer.run_wall is not None
+
+
+def test_server_memos_hold_their_bounds_past_many_recipes():
+    """A verified SLO trace over more distinct jobs and engine specs than
+    the pricer, oracle and engine memos hold: each memo ends at its bound,
+    and every response is still bit-equal to its one-shot oracle."""
+    from repro.memo import MEMO_STATS
+
+    spec = TraceSpec(
+        seed=5,
+        duration=1.0,
+        rate=40.0,
+        data_bytes=128 * KiB,
+        n_dataset_seeds=3,
+        engines=("bigkernel", "gpu_double", "gpu_uvm"),
+        chunk_kib_choices=(32, 64),
+        repeat_p=0.3,
+    )
+    trace = generate_trace(spec)
+    distinct = {(r.job.dataset, r.job.engine, r.job.config) for r in trace}
+    assert len(distinct) > 4 and len({r.job.engine for r in trace}) == 3
+    tenants = with_slo(spec.tenants, 10_000.0)
+    with Server(
+        ServeConfig(max_queue=len(trace) + 1, max_batch=4, verify=True),
+        tenants=tenants,
+        cache=RunCache(disk=None),
+    ) as server:
+        memos = (server.pricer._sim, server._oracles, server._engines)
+        before = [MEMO_STATS[memo.name]["evictions"] for memo in memos]
+        for memo, bound in zip(memos, (4, 4, 2)):
+            memo.maxsize = bound
+        outcome = serve_trace(server, trace)
+    m = outcome.metrics
+    assert m.completed == len(trace) and m.failed == 0
+    assert m.verified > 0 and m.verify_failures == 0
+    for memo, evictions in zip(memos, before):
+        assert len(memo) == memo.maxsize
+        assert MEMO_STATS[memo.name]["evictions"] > evictions
 
 
 def test_pricer_calibrates_each_engine_spec_apart():
@@ -453,15 +491,17 @@ def test_pricer_calibrates_each_engine_spec_apart():
 
 # ----------------------------------------------------------- memoized model
 def test_predicted_sim_time_memoizes():
-    from repro.analytic import PREDICT_RUN_STATS, predicted_sim_time
+    from repro.analytic import predicted_sim_time
     from repro.apps.base import get_app
+    from repro.memo import MEMO_STATS
 
     app = get_app("wordcount")
     data = app.generate(n_bytes=128 * KiB, seed=0)
     config = EngineConfig(chunk_bytes=64 * KiB)
-    before = dict(PREDICT_RUN_STATS)
+    before = dict(MEMO_STATS["analytic.predict"])
     first = predicted_sim_time(app, data, config, "bigkernel")
     second = predicted_sim_time(app, data, config, "bigkernel")
+    after = MEMO_STATS["analytic.predict"]
     assert first == second
-    assert PREDICT_RUN_STATS["requests"] == before["requests"] + 2
-    assert PREDICT_RUN_STATS["hits"] >= before["hits"] + 1
+    assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
+    assert after["hits"] >= before["hits"] + 1
