@@ -3,8 +3,10 @@
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
 autotune sweep, the raw DES event throughput, the DES cost per pipeline
 chunk, a DES-bound thread-vs-process sweep, every app's dataset
-generation, a first vs a replayed unified-memory run and a memo hit, and
-records the measurements to ``BENCH_pipeline.json`` at the repo root.
+generation, a first vs a replayed unified-memory run, a first functional
+run vs a memoized pass at another chunking, a first vs a repeated
+double-buffered run and a memo hit, and records the measurements to
+``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -444,6 +446,117 @@ def test_uvm_replay(monkeypatch):
         }
     )
     _warn_if_slow("uvm_replay", speedup)
+
+
+def test_functional_memo(monkeypatch):
+    """One functional pass per dataset, whatever the chunking.
+
+    Best-of-3 wall of a first functional BigKernel run of a 1 MiB Word
+    Count and of a run at another chunk size on the same dataset, each
+    pair on a fresh dataset and engine, with the passes (``finalize``
+    calls) and ``chunk_bounds`` calls each made: 1 and 1, then 0 and 0.
+    The counts and the outputs' equality are hard asserts; the wall ratio
+    is warn-only.
+    """
+    from repro.serve import bit_equal
+
+    app = get_app("wordcount")
+    counts = {"passes": 0, "chunk_bounds": 0}
+    cls = type(app)
+    plain_finalize, plain_bounds = cls.finalize, cls.chunk_bounds
+
+    def counting_finalize(self, data, state):
+        counts["passes"] += 1
+        return plain_finalize(self, data, state)
+
+    def counting_bounds(self, data, chunk_units):
+        counts["chunk_bounds"] += 1
+        return plain_bounds(self, data, chunk_units)
+
+    monkeypatch.setattr(cls, "finalize", counting_finalize)
+    monkeypatch.setattr(cls, "chunk_bounds", counting_bounds)
+    configs = {
+        "first": EngineConfig(chunk_bytes=256 * 1024),
+        "memo_hit": EngineConfig(chunk_bytes=64 * 1024),
+    }
+    best = {run: float("inf") for run in configs}
+    made = {}
+    for _ in range(3):
+        data = app.generate(n_bytes=1 * MiB, seed=7)
+        engine = BigKernelEngine()
+        outputs = {}
+        for run, cfg in configs.items():
+            before = dict(counts)
+            t0 = time.perf_counter()
+            outputs[run] = engine.run(app, data, cfg).output
+            best[run] = min(best[run], time.perf_counter() - t0)
+            made[run] = {k: counts[k] - before[k] for k in counts}
+        assert bit_equal(outputs["memo_hit"], outputs["first"])
+    assert made == {
+        "first": {"passes": 1, "chunk_bounds": 1},
+        "memo_hit": {"passes": 0, "chunk_bounds": 0},
+    }
+    hit = best["memo_hit"]
+    speedup = best["first"] / hit if hit > 0 else float("inf")
+    _record(
+        {
+            "name": "functional_memo",
+            "n_bytes": 1 * MiB,
+            "first_ms": best["first"] * 1e3,
+            "memo_hit_ms": best["memo_hit"] * 1e3,
+            "first_passes": made["first"]["passes"],
+            "first_chunk_bounds": made["first"]["chunk_bounds"],
+            "memo_hit_passes": made["memo_hit"]["passes"],
+            "memo_hit_chunk_bounds": made["memo_hit"]["chunk_bounds"],
+            "speedup": speedup,
+        }
+    )
+    _warn_if_slow("functional_memo", speedup)
+
+
+def test_gpu_double_repeat():
+    """A repeated double-buffered run reuses its memoized schedule.
+
+    Best-of-3 wall of a first and a repeated 8 MiB Word Count
+    ``gpu_double`` run at 64 KiB chunks (functional off), each pair on a
+    fresh engine, with the fast-path memo hits each made: 0, then 1. The
+    counts and the repeat's exactness are hard asserts; the wall ratio is
+    warn-only.
+    """
+    from repro.engines import GpuDoubleBufferEngine
+    from repro.memo import MEMO_STATS
+
+    app = get_app("wordcount")
+    data = app.generate(n_bytes=8 * MiB, seed=7)
+    cfg = EngineConfig(chunk_bytes=64 * 1024, functional=False)
+    best = {"first": float("inf"), "repeat": float("inf")}
+    hits = {}
+    for _ in range(3):
+        engine = GpuDoubleBufferEngine()
+        results = {}
+        for run in ("first", "repeat"):
+            before = MEMO_STATS.get("fastpath", {}).get("hits", 0)
+            t0 = time.perf_counter()
+            results[run] = engine.run(app, data, cfg)
+            best[run] = min(best[run], time.perf_counter() - t0)
+            hits[run] = MEMO_STATS["fastpath"]["hits"] - before
+        assert results["repeat"].sim_time == results["first"].sim_time
+    assert hits == {"first": 0, "repeat": 1}
+    speedup = best["first"] / best["repeat"] if best["repeat"] > 0 else float("inf")
+    _record(
+        {
+            "name": "gpu_double_repeat",
+            "n_bytes": 8 * MiB,
+            "n_chunks": results["first"].metrics.n_chunks,
+            "first_ms": best["first"] * 1e3,
+            "repeat_ms": best["repeat"] * 1e3,
+            "first_fastpath_hits": hits["first"],
+            "repeat_fastpath_hits": hits["repeat"],
+            "speedup": speedup,
+            "sim_time": results["first"].sim_time,
+        }
+    )
+    _warn_if_slow("gpu_double_repeat", speedup)
 
 
 def test_multigpu_scaling():

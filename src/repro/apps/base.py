@@ -80,6 +80,10 @@ class AppData:
         takes both back from ``regenerate()``, which must make this
         dataset again from its recipe (``get_app(app).generate(n_bytes=,
         seed=)``). Dropping a dataset that holds no arrays changes nothing.
+
+        The arrays come back as generated, not as a pass left them: a
+        restored K-means dataset holds ``cid`` as generated until a pass
+        runs over it, and a run whose pass is memoized runs none.
         """
         if "datagen" not in self.meta:
             raise ApplicationError(
@@ -376,7 +380,18 @@ def _stamping_generate(generate):
 
 
 class Application(abc.ABC):
-    """Base class for the benchmark applications."""
+    """Base class for the benchmark applications.
+
+    The contract of a registered app (:func:`is_registered`): its pass —
+    ``make_state``, then each pass's ``start_pass`` and ``process_chunk``
+    over ``chunk_bounds`` in order, then ``finalize`` — is pure, and its
+    output does not depend on its own ``chunk_bounds``. Every chunking of
+    one dataset gives a bit-equal output, and running the pass again
+    leaves the dataset as the first run left it. Every engine relies on
+    this: it runs a registered app's pass once per dataset instance,
+    whatever its chunking (``Engine._functional_output``), and
+    ``tests/test_functional_memo.py`` checks it over ``APP_REGISTRY``.
+    """
 
     #: registry key, e.g. ``"kmeans"``
     name: str = ""
@@ -558,8 +573,10 @@ def register(cls):
 
 def is_registered(app: Application) -> bool:
     """Is ``app`` an instance of exactly the class registered under its
-    name? ``Engine._functional_output`` memoizes only those apps' passes,
-    and only their datasets can carry a recipe."""
+    name? Such an app keeps the :class:`Application` contract: its pass is
+    pure and its output does not depend on its own ``chunk_bounds``. So
+    ``Engine._functional_output`` runs it once per dataset, and only these
+    apps' datasets can carry a recipe."""
     return APP_REGISTRY.get(app.name) is type(app)
 
 

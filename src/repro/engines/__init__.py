@@ -16,8 +16,8 @@ All engines produce *functional* output through the same chunked kernel
 path (validated equal across engines) and *temporal* results through the
 hardware cost models on the simulated timeline. Because the functional
 part is shared, :meth:`Engine._functional_output` runs a registered app's
-pass once per dataset instance and chunk bounds and hands every later run
-the same read-only output.
+pass once per dataset instance, whatever the chunking, and hands every
+later run the same read-only output.
 
 :data:`ENGINES` registers these, the multi-GPU engine and the UVM family
 by name; an engine's :attr:`Engine.identity` is that name plus its

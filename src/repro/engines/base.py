@@ -157,31 +157,35 @@ class Engine(abc.ABC):
     # ------------------------------------------------------------- shared
     @staticmethod
     def _functional_output(
-        app: Application, data: AppData, bounds: list[tuple[int, int]]
+        app: Application, data: AppData, units_per_chunk: int
     ) -> Any:
-        """Run the app's chunked kernel over all passes (the semantics every
-        scheme shares; schemes differ only in data movement).
+        """Run the app's kernel over all passes in ``units_per_chunk``-unit
+        chunks (the semantics every scheme shares; schemes differ only in
+        data movement).
 
-        A registered app's pass is pure: its output depends only on the
-        dataset and the chunk bounds, and running it again leaves the
-        dataset as it was (K-means rewrites the same ``cid`` values). So
-        its output is memoized on the dataset instance itself, in
-        ``data.meta["_functional"]`` keyed on the app instance and the
-        bounds, and dies with the dataset. Every run gets the same
-        read-only arrays inside fresh containers, so a caller that edits
-        what it got cannot poison a later run. Like the ``_separators``
-        index, the memo does not see an in-place edit of the dataset after
-        the first run. Other apps run the pass every time:
-        :class:`~repro.runtime.launcher.KernelApplication` accumulates into
-        the caller's ``data.resident``.
+        A registered app's pass is pure and chunk-invariant (the
+        :class:`~repro.apps.base.Application` contract): its output
+        depends only on the app and the dataset, and running it again
+        leaves the dataset as it was (K-means rewrites the same ``cid``
+        values). So its output is memoized on the dataset instance itself,
+        in ``data.meta["_functional"]`` keyed on the app instance alone,
+        and dies with the dataset: one pass per dataset whatever the
+        chunking, and ``app.chunk_bounds`` runs only when a pass does.
+        Every run gets the same read-only arrays inside fresh containers,
+        so a caller that edits what it got cannot poison a later run. Like
+        the ``_separators`` index, the memo does not see an in-place edit
+        of the dataset after the first run, and a hit writes nothing: a
+        dropped K-means dataset whose arrays are read back holds ``cid`` as
+        generated, not as the memoized pass left it. Other apps run the
+        pass every time: :class:`~repro.runtime.launcher.KernelApplication`
+        accumulates into the caller's ``data.resident``.
         """
         if not is_registered(app):
-            return _run_passes(app, data, bounds)
+            return _run_passes(app, data, units_per_chunk)
         memo = data.meta.setdefault("_functional", {})
-        key = (app, tuple(bounds))
-        if key not in memo:
-            memo[key] = _run_passes(app, data, bounds)
-        return _read_only(memo[key])
+        if app not in memo:
+            memo[app] = _run_passes(app, data, units_per_chunk)
+        return _read_only(memo[app])
 
     @staticmethod
     def totals(app: Application, data: AppData, profile: AccessProfile) -> dict:
@@ -200,9 +204,8 @@ class Engine(abc.ABC):
         }
 
 
-def _run_passes(
-    app: Application, data: AppData, bounds: list[tuple[int, int]]
-) -> Any:
+def _run_passes(app: Application, data: AppData, units_per_chunk: int) -> Any:
+    bounds = app.chunk_bounds(data, units_per_chunk)
     state = app.make_state(data)
     for p in range(app.n_passes):
         app.start_pass(data, state, p)

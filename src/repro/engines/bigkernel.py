@@ -302,14 +302,15 @@ class BigKernelEngine(Engine):
         the multi-GPU extension) can plan per-shard schedules with their
         own CPU-worker budgets.
 
-        Schedules are memoized per engine instance, keyed by the app, the
-        dataset fingerprint and every config field the plan reads
-        (``fastpath``/``functional`` deliberately excluded — they do not
-        change the plan), so repeated runs — the fastpath-vs-DES oracle,
-        cached sweeps, the run matrix — plan once.
+        Schedules are memoized per engine instance, keyed by the app
+        instance (its configuration, e.g. K-means' ``n_clusters``, shapes
+        the access profile), the dataset fingerprint and every config field
+        the plan reads (``fastpath``/``functional`` deliberately excluded —
+        they do not change the plan), so repeated runs — the
+        fastpath-vs-DES oracle, cached sweeps, the run matrix — plan once.
         """
         cache_key = (
-            app.name,
+            app,
             data_fingerprint(data),
             units,
             workers_override,
@@ -529,8 +530,7 @@ class BigKernelEngine(Engine):
 
         output = None
         if config.functional:
-            bounds = app.chunk_bounds(data, upc)
-            output = self._functional_output(app, data, bounds)
+            output = self._functional_output(app, data, upc)
         comm = (
             result.stage_totals.get(STAGE_TRANSFER, 0.0)
             + result.stage_totals.get(STAGE_WRITEBACK_XFER, 0.0)

@@ -47,7 +47,7 @@ class CpuMtEngine(Engine):
         per = max(1, -(-n // spec.threads))
         bounds = app.chunk_bounds(data, per)
         output = (
-            self._functional_output(app, data, bounds) if config.functional else None
+            self._functional_output(app, data, per) if config.functional else None
         )
         metrics = RunMetrics(
             n_chunks=len(bounds),

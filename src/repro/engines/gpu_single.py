@@ -97,7 +97,7 @@ class GpuSingleBufferEngine(Engine):
         metrics = self._closed_form(app, data, config)
         output = None
         if config.functional:
-            bounds = app.chunk_bounds(data, metrics.notes["units_per_chunk"])
-            output = self._functional_output(app, data, bounds)
+            upc = metrics.notes["units_per_chunk"]
+            output = self._functional_output(app, data, upc)
         sim_time = metrics.comm_time + metrics.comp_time
         return RunResult(self.name, app.name, output, sim_time, metrics)

@@ -398,7 +398,7 @@ class GpuUvmEngine(Engine):
 
     Plans are memoized per engine instance, keyed on what a plan and its
     timeline read besides the instance's spec and prefetcher: the app
-    name, the dataset fingerprint, the hardware and the compute-thread
+    instance, the dataset fingerprint, the hardware and the compute-thread
     total. A run with the fast path allowed and no fault plan replays the
     timeline its plan memoized, which the first such run simulated; a
     replay equals a fresh DES run in every field. ``fastpath=False`` and
@@ -423,7 +423,7 @@ class GpuUvmEngine(Engine):
         self, app: Application, data: AppData, config: EngineConfig
     ) -> _UvmPlan:
         threads = config.total_compute_threads
-        cache_key = (app.name, data_fingerprint(data), config.hardware, threads)
+        cache_key = (app, data_fingerprint(data), config.hardware, threads)
         plan = self._plan_cache.get(cache_key)
         if plan is None:
             plan = _UvmPlan(
@@ -452,7 +452,7 @@ class GpuUvmEngine(Engine):
             upc, _ = chunk_plan(
                 plan.units, config.chunk_bytes, plan.profile.record_bytes
             )
-            output = self._functional_output(app, data, app.chunk_bounds(data, upc))
+            output = self._functional_output(app, data, upc)
 
         # fresh containers around the timeline's numbers, so a caller that
         # edits what it got cannot change a later replay

@@ -55,9 +55,11 @@ evicts drops only its arrays and moves into the server's store, bounded by
 :data:`STORE_BYTES`, with what was derived from them: the functional-pass
 memo, the separator index, the fingerprint that keys BigKernel's memos,
 the generator's tables.  A stored dataset stands in for a full one:
-pricing it reads no bytes, and neither does a run whose pass is memoized.
-A dataset is generated the first time its recipe is priced or run in this
-process, and regenerated only when a run reads the arrays it dropped.
+pricing it reads no bytes, and neither does a run whose pass is memoized,
+whatever its chunking.  A dataset is generated the first time its recipe
+is priced or run in this process, and regenerated only when a run needs a
+pass its memo lacks (the recipe's first functional run after timing-only
+ones), which reads the arrays it dropped.
 
 :func:`serve_trace` replays an open-loop trace against a server on a
 virtual clock: the clock jumps to the next arrival when idle and advances
@@ -97,9 +99,9 @@ from repro.units import MiB
 #: bound on the bytes held by the datasets in a server's store: those the
 #: pool evicted, which dropped their arrays and kept their functional
 #: outputs, separator indexes and generator tables. The benchmark's
-#: ``serve_slo_edf`` trace ends with 40 stored datasets holding 19.6 MiB
-#: (14.2 MiB of functional outputs, 4.0 of separator indexes, 1.4 of
-#: generator tables) and ``serve_repeat_spill`` with 16 holding 15.7 MiB.
+#: ``serve_slo_edf`` trace ends with 40 stored datasets holding 12.5 MiB
+#: (7.1 MiB of functional outputs, 4.0 of separator indexes, 1.4 of
+#: generator tables) and ``serve_repeat_spill`` with 16 holding 8.7 MiB.
 STORE_BYTES = 64 * MiB
 
 

@@ -13,7 +13,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.apps import APP_REGISTRY, get_app
+from repro.analytic import predict_run
+from repro.apps import APP_REGISTRY, KMeansApp, get_app
 from repro.apps.base import data_fingerprint
 from repro.bench.sweep import DEFAULT_GRID, RunCache, SweepPoint, SweepResult, sweep
 from repro.engines import (
@@ -21,9 +22,12 @@ from repro.engines import (
     BigKernelFeatures,
     EngineConfig,
     GpuDoubleBufferEngine,
+    GpuUvmEngine,
 )
 from repro.errors import RuntimeConfigError
+from repro.faults.plan import FaultPlan
 from repro.hw.spec import DEFAULT_HARDWARE as HW
+from repro.memo import MEMO_STATS
 from repro.runtime.assembly import (
     _interleave_layout_loop,
     assembly_read_order,
@@ -294,6 +298,46 @@ class TestEngineFastpath:
         assert s3 is s1
         other = app.generate(n_bytes=2 * MiB, seed=7)
         assert engine._schedule(app, other, cfg) is not s1
+
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [BigKernelEngine, GpuUvmEngine, GpuDoubleBufferEngine],
+        ids=lambda c: c.name,
+    )
+    def test_engine_memos_key_on_the_app_instance(self, engine_cls):
+        # a plan reads the app's configuration (K-means' cluster count)
+        # through its access profile, so two configurations of one app on
+        # one dataset need two plans
+        data = KMeansApp(4).generate(n_bytes=256 * KiB, seed=3)
+        cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
+        engine = engine_cls()
+        engine.run(KMeansApp(4), data, cfg)
+        wide = KMeansApp(256)
+        want = engine_cls().run(wide, data, cfg)
+        assert engine.run(wide, data, cfg).sim_time == want.sim_time
+
+    def test_gpu_double_repeats_hit_the_fastpath_memo(self):
+        app = get_app("wordcount")
+        data = app.generate(n_bytes=512 * KiB, seed=8)
+        engine = GpuDoubleBufferEngine()
+        cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
+        engine.run(app, data, cfg)
+        before = dict(MEMO_STATS["fastpath"])
+        for _ in range(5):
+            engine.run(app, data, cfg)
+        assert MEMO_STATS["fastpath"]["hits"] == before["hits"] + 5
+        assert MEMO_STATS["fastpath"]["misses"] == before["misses"]
+        fresh_app = get_app("wordcount")
+        fresh = fresh_app.generate(n_bytes=512 * KiB, seed=8)
+        plan = FaultPlan().pcie.degrade(4.0)
+        for variant in (cfg, cfg.with_(fastpath=False), cfg.with_(faults=plan)):
+            got = engine.run(app, data, variant)
+            want = GpuDoubleBufferEngine().run(fresh_app, fresh, variant)
+            assert got.sim_time == want.sim_time
+            assert got.metrics == want.metrics
+        assert predict_run(app, data, cfg, engine=engine) == predict_run(
+            fresh_app, fresh, cfg, engine="gpu_double"
+        )
 
     def test_functional_flag_skips_output(self):
         app = get_app("wordcount")

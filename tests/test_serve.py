@@ -346,11 +346,12 @@ def _pooled(server, job):
 
 def test_drop_and_restore_are_invisible_on_a_one_slot_pool():
     # consecutive jobs never share an app, so a one-slot pool evicts every
-    # recipe between two of its runs
+    # recipe between two of its runs; the timing-only first round leaves
+    # no pass memoized, so each recipe's first functional run restores it
     jobs = [
         _job(dataset=_dataset_spec(app=app, seed=5), chunk_kib=chunk,
-             engine=engine)
-        for chunk in (64, 128)
+             engine=engine, functional=functional)
+        for functional, chunk in ((False, 64), (True, 64), (True, 128))
         for engine in ("bigkernel", "gpu_uvm")
         for app in STORE_APPS
     ]
@@ -359,7 +360,7 @@ def test_drop_and_restore_are_invisible_on_a_one_slot_pool():
         responses = [_serve_one(server, i, job) for i, job in enumerate(jobs)]
     m = server.metrics
     assert m.datasets_generated == len(STORE_APPS)
-    assert m.datasets_restored > 0
+    assert m.datasets_restored == len(STORE_APPS)
     assert m.verified == len(jobs) and m.verify_failures == 0
     for job, resp in zip(jobs, responses):
         assert resp.status == "served"
@@ -395,16 +396,21 @@ def test_a_memoized_run_generates_nothing_and_stays_dropped(generate_calls):
         same_pass = dataclasses.replace(
             job_a, config=job_a.config.with_(ring_depth=4)
         )
-        resp = _serve_one(server, 2, same_pass)
+        other_chunks = _job(dataset=job_a.dataset, chunk_kib=64)
+        responses = [_serve_one(server, 2, same_pass),
+                     _serve_one(server, 3, other_chunks)]
         assert generate_calls == []
         assert not _pooled(server, job_a)[1].holds_arrays
-    assert resp.status == "served"
     assert server.metrics.datasets_restored == 0
-    assert matches_oracle(same_pass, resp.result, oneshot_oracle(same_pass))
+    for job, resp in zip((same_pass, other_chunks), responses):
+        assert resp.status == "served"
+        assert matches_oracle(job, resp.result, oneshot_oracle(job))
 
 
 def test_a_run_needing_a_new_pass_generates_once(generate_calls):
-    job_a = _job(dataset=_dataset_spec(seed=1))
+    # a timing-only run memoizes no pass, so the first functional run after
+    # the eviction reads the dropped arrays
+    job_a = _job(dataset=_dataset_spec(seed=1), functional=False)
     with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
         _evicted(server, job_a, _job(dataset=_dataset_spec(seed=2)))
         del generate_calls[:]
@@ -419,14 +425,16 @@ def test_a_run_needing_a_new_pass_generates_once(generate_calls):
 def test_a_batch_with_more_recipes_than_pool_slots_restores_in_it(
     generate_calls,
 ):
-    # one batch runs A, B, then A twice more on a one-slot pool, cache off:
-    # B's run evicts A into the store, so a later A job whose pass is
-    # memoized reads nothing and one that needs a new pass restores A
-    job_a = _job(dataset=_dataset_spec(seed=1))
+    # one batch runs a timing-only A, B, then A three more times on a
+    # one-slot pool, cache off: B's run evicts A into the store, so a later
+    # timing-only A job reads nothing, the first functional one restores A
+    # for its pass, and one at another chunking finds that pass memoized
+    job_a = _job(dataset=_dataset_spec(seed=1), functional=False)
     job_b = _job(dataset=_dataset_spec(seed=2))
-    memoized = _job(dataset=job_a.dataset, ring_depth=4)
-    new_pass = _job(dataset=job_a.dataset, chunk_kib=64)
-    jobs = (job_a, job_b, memoized, new_pass)
+    timing_only = _job(dataset=job_a.dataset, ring_depth=4, functional=False)
+    new_pass = _job(dataset=job_a.dataset)
+    memoized = _job(dataset=job_a.dataset, chunk_kib=64)
+    jobs = (job_a, job_b, timing_only, new_pass, memoized)
     with Server(ServeConfig(dataset_pool=1, cache=False)) as server:
         for i, job in enumerate(jobs):
             assert server.submit(_request(i, job)) is None
@@ -470,9 +478,12 @@ def test_store_stays_under_its_bound_and_forgets_whole_entries_lru(
     assert matches_oracle(forgotten, resp.result, oneshot_oracle(forgotten))
 
 
-def test_kmeans_after_a_restore_ends_as_a_real_pass_leaves_it(
+def test_kmeans_after_a_restore_holds_its_generated_bytes(
     monkeypatch, generate_calls
 ):
+    # K-means writes cid in place, but a restore regenerates the recipe's
+    # bytes with cid as generated, and no pass runs over them again: the
+    # memo answers every later run
     import numpy as np
 
     from repro.apps import KMeansApp
@@ -486,26 +497,24 @@ def test_kmeans_after_a_restore_ends_as_a_real_pass_leaves_it(
 
     monkeypatch.setattr(KMeansApp, "finalize", counted)
     job = _job(dataset=_dataset_spec(app="kmeans", seed=1), chunk_kib=128)
+    app = get_app("kmeans")
+    fresh = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
     with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
         _evicted(server, job, _job(dataset=_dataset_spec(seed=2)))
         del generate_calls[:], finalized[:]
-        memoized = dataclasses.replace(job, config=job.config.with_(ring_depth=4))
-        first = _serve_one(server, 2, memoized)
-        assert generate_calls == [] and finalized == []
-        new_bounds = _job(dataset=job.dataset, chunk_kib=64)
-        second = _serve_one(server, 3, new_bounds)
-        assert generate_calls == [("kmeans", 1)]
-        (data,) = finalized
-        assert data is _pooled(server, job)[1]
-        app = get_app("kmeans")
-        fresh = app.generate(n_bytes=job.dataset.n_bytes, seed=job.dataset.seed)
-        app.reference(fresh)
-        assert np.array_equal(
-            data.mapped["particles"]["cid"], fresh.mapped["particles"]["cid"]
-        )
+        other_chunks = _job(dataset=job.dataset, chunk_kib=64)
+        first = _serve_one(server, 2, other_chunks)
+        data = _pooled(server, job)[1]
+        assert not data.holds_arrays
+        # reading a dropped array restores it, byte for byte as generated
         assert np.array_equal(data.mapped["particles"], fresh.mapped["particles"])
-    assert matches_oracle(memoized, first.result, oneshot_oracle(memoized))
-    assert matches_oracle(new_bounds, second.result, oneshot_oracle(new_bounds))
+        assert generate_calls == [("kmeans", 1)]
+        memoized = dataclasses.replace(job, config=job.config.with_(ring_depth=4))
+        second = _serve_one(server, 3, memoized)
+        assert finalized == [] and generate_calls == [("kmeans", 1)]
+    assert server.metrics.datasets_restored == 1
+    assert matches_oracle(other_chunks, first.result, oneshot_oracle(other_chunks))
+    assert matches_oracle(memoized, second.result, oneshot_oracle(memoized))
 
 
 def test_calibration_leaves_dataset_generation_out(monkeypatch):
@@ -526,7 +535,9 @@ def test_calibration_leaves_dataset_generation_out(monkeypatch):
         return real_run(self, app, data, config)
 
     monkeypatch.setattr(BigKernelEngine, "run", slow_run)
-    job_a = _job(dataset=_dataset_spec(seed=1))
+    # a timing-only first run memoizes no pass, so the functional run after
+    # the eviction restores the recipe
+    job_a = _job(dataset=_dataset_spec(seed=1), functional=False)
     with Server(ServeConfig(dataset_pool=1), cache=RunCache(disk=None)) as server:
         server.timer = lambda: clock[0]
         handed = []
