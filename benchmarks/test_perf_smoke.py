@@ -5,8 +5,9 @@ autotune sweep, the raw DES event throughput, the DES cost per pipeline
 chunk, a DES-bound thread-vs-process sweep, every app's dataset
 generation, a first vs a replayed unified-memory run, a first functional
 run vs a memoized pass at another chunking, a first vs a repeated
-double-buffered run and a memo hit, and records the measurements to
-``BENCH_pipeline.json`` at the repo root.
+double-buffered run, a served job dispatched after pricing vs unpriced
+and a memo hit, and records the measurements to ``BENCH_pipeline.json``
+at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -48,6 +49,10 @@ DATAGEN_WARN_MS = 20.0
 #: 2-vCPU host (0.7-0.9 us, about a third of it the lock); past this ratio
 #: the hit path has grown
 MEMO_HIT_WARN_RATIO = 6.0
+#: a 512 KiB timing-only job dispatched after pricing runs 5-8x faster than
+#: unpriced (BigKernel and ``gpu_uvm``) on a shared 2-vCPU host, because
+#: pricing planned it; below this ratio dispatch plans again
+PRICING_REUSE_WARN_SPEEDUP = 3.0
 
 SWEEP_GRID = {
     "chunk_bytes": [256 * 1024, 512 * 1024, 1 * MiB, 2 * MiB],
@@ -557,6 +562,88 @@ def test_gpu_double_repeat():
         }
     )
     _warn_if_slow("gpu_double_repeat", speedup)
+
+
+def test_pricing_reuse(monkeypatch):
+    """Dispatch reuses what pricing planned.
+
+    Best-of-3 wall of pricing (``submit`` on an SLO tenant) and then
+    dispatching (``drain``) one timing-only 512 KiB Word Count job on
+    BigKernel and one on ``gpu_uvm``, against dispatching the same job
+    unpriced (a tenant with no SLO), each on a fresh server whose dataset
+    is already pooled. With the BigKernel schedules planned and the UVM
+    simulations run at dispatch: 1 unpriced, 0 after pricing. The counts
+    and the sim_times' equality are hard asserts; the walls are
+    warn-only.
+    """
+    from repro.apps.datagen import DATAGEN_VERSION
+    from repro.bench.jobs import DatasetSpec, JobSpec
+    from repro.engines.uvm import _UvmSimulation
+    from repro.memo import MEMO_STATS
+    from repro.serve import ServeConfig, ServeRequest, Server, TenantSpec
+    from repro.serve.workload import engine_spec_by_name
+
+    simulations = [0]
+    plain_execute = _UvmSimulation.execute
+
+    def counting_execute(sim):
+        simulations[0] += 1
+        return plain_execute(sim)
+
+    monkeypatch.setattr(_UvmSimulation, "execute", counting_execute)
+
+    def planned() -> int:
+        return MEMO_STATS["bigkernel.schedule"]["misses"] + simulations[0]
+
+    dataset = DatasetSpec(
+        app="wordcount", seed=7, n_bytes=512 * 1024, version=DATAGEN_VERSION
+    )
+    cfg = EngineConfig(chunk_bytes=128 * 1024, functional=False)
+    entries = {}
+    for engine in ("bigkernel", "gpu_uvm"):
+        job = JobSpec(dataset, engine_spec_by_name(engine), cfg)
+        best = {"price": float("inf"), "dispatch": float("inf"),
+                "unpriced_dispatch": float("inf")}
+        counts, sims = {}, set()
+        for _ in range(3):
+            for slo_ms in (1e9, None):
+                tenants = (TenantSpec("t", 1.0, slo_ms=slo_ms),)
+                with Server(ServeConfig(cache=False), tenants=tenants) as server:
+                    server._dataset(dataset)
+                    req = ServeRequest(req_id=0, tenant="t", arrival=0.0, job=job)
+                    t0 = time.perf_counter()
+                    assert server.submit(req) is None
+                    t1 = time.perf_counter()
+                    before = planned()
+                    (resp,) = server.drain()
+                    t2 = time.perf_counter()
+                    run = "dispatch" if slo_ms else "unpriced_dispatch"
+                    counts[run] = planned() - before
+                    assert counts[run] == (0 if slo_ms else 1)
+                    best[run] = min(best[run], t2 - t1)
+                    if slo_ms:
+                        best["price"] = min(best["price"], t1 - t0)
+                    sims.add(resp.result.sim_time)
+        assert len(sims) == 1
+        entries[engine] = {
+            "price_ms": best["price"] * 1e3,
+            "dispatch_ms": best["dispatch"] * 1e3,
+            "unpriced_dispatch_ms": best["unpriced_dispatch"] * 1e3,
+            "dispatch_plans": counts["dispatch"],
+            "unpriced_dispatch_plans": counts["unpriced_dispatch"],
+            "speedup": best["unpriced_dispatch"] / best["dispatch"],
+            "sim_time": sims.pop(),
+        }
+    _record({"name": "pricing_reuse", "n_bytes": 512 * 1024, "runs": entries})
+    for engine, entry in entries.items():
+        if entry["speedup"] < PRICING_REUSE_WARN_SPEEDUP:
+            warnings.warn(
+                f"pricing_reuse: {engine} dispatch after pricing is only "
+                f"{entry['speedup']:.1f}x faster than unpriced, below the "
+                f"{PRICING_REUSE_WARN_SPEEDUP:.0f}x expectation (warn-only; "
+                f"see BENCH_pipeline.json)",
+                stacklevel=2,
+            )
 
 
 def test_multigpu_scaling():

@@ -67,7 +67,7 @@ def test_serve_throughput():
 
 
 def test_serve_slo():
-    """Predictor-guided EDF vs deadline-blind FIFO under 20x overload.
+    """Price-guided EDF vs deadline-blind FIFO under 20x overload.
 
     Both sides see identical arrivals, identical SLOs and an identically
     pre-calibrated pricer; the only difference is the scheduling policy.

@@ -317,9 +317,10 @@ def predicted_sim_time(
     """:func:`predict_run`'s ``sim_time``, memoized per compatibility key.
 
     The key is the content identity of the run — dataset content key,
-    engine spec (registry name + constructor keywords), frozen config —
-    exactly what the serving layer's batcher calls a compatibility class
-    plus the per-job geometry.
+    engine spec (registry name + constructor keywords), frozen config.
+    The serving layer does not call it: the server prices a job by a
+    timing-only run on the engine that will serve it, which also plans
+    what dispatch reuses.
     Raises :class:`ReproError` for engines with no closed-form model (the
     UVM family), same as :func:`predict_run`.
     """

@@ -391,7 +391,7 @@ def run_serve_slo_benchmark(
     max_queue: int = 128,
     timer=time.perf_counter,
 ) -> ServeSloResult:
-    """Deadline-blind FIFO vs predictor-guided EDF under deep overload.
+    """Deadline-blind FIFO vs price-guided EDF under deep overload.
 
     Phase 1 saturates a FIFO server on the un-deadlined trace to measure
     the machine's serving *capacity* and to warm one pricer (the

@@ -1,19 +1,20 @@
-"""Online job pricing: analytic predictions calibrated by observed wall time.
+"""Online job pricing: each job's own run, calibrated by observed wall time.
 
 The scheduler needs a *wall-clock* service-time estimate for every queued
-job — that is what deadlines are written against.  The analytic predictor
-(:func:`repro.analytic.predicted_sim_time`) supplies a cheap O(1) estimate
-in *simulated* seconds for the engines it can model; the
-:class:`JobPricer` closes the loop by learning, per (app, engine spec)
-cell, an EWMA of the observed wall-per-simulated-second ratio from every
-executed batch.  A priced job costs ``sim_time * ratio`` wall seconds.
+job — that is what deadlines are written against.  The server prices a job
+by running it timing-only (``functional=False``) on the engine instance and
+pooled dataset that dispatch will use.  That run's ``sim_time`` is the one
+dispatch returns, and the run plans and memoizes what dispatch then reuses:
+BigKernel's schedule and fast-path result, the UVM plan and its timeline.
+The :class:`JobPricer` closes the loop by learning, per (app, engine spec)
+cell, an EWMA of the observed wall-per-simulated-second ratio from the
+simulated times every executed batch returns.  A priced job costs
+``sim_time * ratio`` wall seconds.
 
-Engines the predictor cannot price (the UVM family raises
-:class:`~repro.errors.ReproError`) fall back to a per-cell EWMA of
-observed wall time per engine run — pure measurement, no model.  Until a
-cell has been observed at least once, :meth:`JobPricer.price` returns
-``None`` and the scheduler stays conservative: no predictive rejection is
-ever issued on an unpriced backlog.
+Until a cell has been observed at least once, and for a job whose pricing
+run raised, :meth:`JobPricer.price` returns ``None`` and the scheduler
+stays conservative: no predictive rejection is ever issued on an unpriced
+backlog.
 
 A batch is exactly one compatibility cell (one engine spec, one app), so
 one timed batch is one clean calibration sample for one cell.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.bench.jobs import JobSpec, engine_from_spec
+from repro.bench.jobs import JobSpec
 from repro.errors import ReproError
 from repro.memo import Memo
 
@@ -43,12 +44,10 @@ class JobPricer:
     """Wall-clock service-time estimates for jobs, learned online."""
 
     def __init__(self):
-        #: memoized analytic sim_time per job identity (None = unpredictable)
+        #: memoized sim_time per job identity (None = its pricing run raised)
         self._sim = Memo("pricing.sim", 1024)
         #: EWMA wall/sim calibration ratio per (app, engine spec) cell
         self._ratio: dict = {}
-        #: EWMA observed wall per engine run per cell (UVM fallback path)
-        self._per_run: dict = {}
         #: EWMA observed wall per engine run across *all* cells — the
         #: adaptive batcher sizes dispatch windows from this
         self.run_wall: Optional[float] = None
@@ -57,61 +56,37 @@ class JobPricer:
     def cell(job: JobSpec) -> tuple:
         return (job.dataset.app, job.engine)
 
-    # ----------------------------------------------------------- predictions
-    def _sim_for(self, job: JobSpec, dataset_loader: Callable) -> Optional[float]:
-        """Analytic sim_time of a job, memoized; None when unmodelable."""
-        key = (job.dataset, job.engine, job.config)
-        sim = self._sim.get(key, _UNSEEN)
-        if sim is not _UNSEEN:
-            return sim
-        from repro.analytic import predicted_sim_time, resolve_engine
-
-        try:
-            # an engine with no closed-form model (the UVM family) is
-            # refused here, before a dataset is loaded for it
-            engine = resolve_engine(engine_from_spec(job.engine))
-            app, data = dataset_loader(job.dataset)
-            sim = predicted_sim_time(app, data, job.config, engine)
-        except ReproError:
-            sim = None
-        self._sim.put(key, sim)
-        return sim
-
-    def price(self, job: JobSpec, dataset_loader: Callable) -> Optional[float]:
+    def price(self, job: JobSpec, sim_time: Callable) -> Optional[float]:
         """Predicted wall seconds to serve ``job`` solo, or ``None``.
 
-        ``None`` means "no calibrated estimate yet" — the caller must not
-        base rejections on it.  Model-priced cells need one observed batch
-        to fix the wall/sim scale; unmodelable cells need one observed
-        batch to seed the per-run EWMA.
+        ``sim_time(job)`` is the job's simulated time from a timing-only
+        run on the engine that will serve it; it is called once per job
+        identity.  ``None`` means "no calibrated estimate": the cell has no
+        observed batch yet, or the run raised.  The caller must not base
+        rejections on it.
         """
-        cell = self.cell(job)
-        sim = self._sim_for(job, dataset_loader)
-        if sim is not None:
-            ratio = self._ratio.get(cell)
-            if ratio is not None:
-                return sim * ratio
-        return self._per_run.get(cell)
+        key = (job.dataset, job.engine, job.config)
+        sim = self._sim.get(key, _UNSEEN)
+        if sim is _UNSEEN:
+            try:
+                sim = sim_time(job)
+            except ReproError:
+                sim = None
+            self._sim.put(key, sim)
+        ratio = self._ratio.get(self.cell(job))
+        if sim is None or ratio is None:
+            return None
+        return sim * ratio
 
-    # ----------------------------------------------------------- calibration
     def observe_batch(
-        self,
-        jobs: list,
-        elapsed: float,
-        n_runs: int,
-        dataset_loader: Callable,
+        self, jobs: list, elapsed: float, n_runs: int, sims: list
     ) -> None:
         """Fold one executed batch (``n_runs`` engine runs over ``jobs``
-        unique jobs, ``elapsed`` wall seconds) into the calibration state."""
+        unique jobs, ``elapsed`` wall seconds, ``sims`` the runs' simulated
+        times) into the calibration state."""
         if n_runs <= 0 or elapsed <= 0.0 or not jobs:
             return
-        per_run = elapsed / n_runs
-        self.run_wall = _ewma(self.run_wall, per_run)
-        cell = self.cell(jobs[0])
-        self._per_run[cell] = _ewma(self._per_run.get(cell), per_run)
-        if n_runs == len(jobs):
-            sims = [self._sim_for(job, dataset_loader) for job in jobs]
-            if all(s is not None for s in sims) and sum(sims) > 0.0:
-                self._ratio[cell] = _ewma(
-                    self._ratio.get(cell), elapsed / sum(sims)
-                )
+        self.run_wall = _ewma(self.run_wall, elapsed / n_runs)
+        if n_runs == len(jobs) and sum(sims) > 0.0:
+            cell = self.cell(jobs[0])
+            self._ratio[cell] = _ewma(self._ratio.get(cell), elapsed / sum(sims))

@@ -10,11 +10,12 @@ SLO'd tenant gets the deadline ``arrival + slo`` on the serving clock,
 and the scheduler becomes *cost-aware* end to end:
 
 - **Online pricing** — every enqueued job is priced in wall seconds by
-  the :class:`~repro.serve.pricing.JobPricer`: the analytic predictor's
-  O(1) ``sim_time`` scaled by an EWMA wall/sim ratio the server learns
-  from every timed batch (per (app, engine) cell — one batch is exactly
-  one cell).  Engines the predictor cannot model (the UVM family) are
-  priced from the observed per-run wall EWMA alone.
+  the :class:`~repro.serve.pricing.JobPricer`: the ``sim_time`` of one
+  timing-only run of the job on the pooled engine and dataset dispatch
+  will use, scaled by an EWMA wall/sim ratio the server learns from the
+  simulated times of every timed batch (per (app, engine) cell — one
+  batch is exactly one cell).  The pricing run plans and memoizes what
+  dispatch then reuses, and every engine is priced the same way.
 - **Predictive admission** — a request whose deadline is provably
   unreachable at enqueue (``now`` + priced earlier-deadline backlog +
   its own price exceeds the deadline) is rejected immediately with a
@@ -64,7 +65,8 @@ ones), which reads the arrays it dropped.
 :func:`serve_trace` replays an open-loop trace against a server on a
 virtual clock: the clock jumps to the next arrival when idle and advances
 by the *measured wall time* of each dispatch round, so latencies mix
-queueing delay and real service cost in one consistent unit.
+queueing delay and real service cost in one consistent unit.  The clock
+is not charged for :meth:`Server.submit`, which prices and admits.
 """
 
 from __future__ import annotations
@@ -330,7 +332,16 @@ class Server:
         """
         if self._cache_would_hit(req.job):
             return 0.0
-        return self.pricer.price(req.job, self._dataset)
+        return self.pricer.price(req.job, self._sim_time)
+
+    def _sim_time(self, job: JobSpec) -> float:
+        """``sim_time`` of a timing-only run of ``job`` on the engine and
+        pooled dataset dispatch uses, which is the one dispatch returns:
+        the schedule, fast-path result and UVM timeline the run plans are
+        memoized on those instances for dispatch to reuse."""
+        app, data = self._dataset(job.dataset)
+        config = job.config.with_(functional=False)
+        return self._engine(job.engine).run(app, data, config).sim_time
 
     def _predicted_violation(
         self, req: ServeRequest, deadline: float, price: Optional[float], now: float
@@ -752,9 +763,9 @@ class Server:
         outcomes = self._run_unique(engine, jobs, ship)
         generation_s = self._generation_s - generation_s
         elapsed = max(self.timer() - start - generation_s, 0.0)
-        n_runs = sum(1 for o in outcomes if not isinstance(o, Exception))
+        sims = [o.sim_time for o in outcomes if not isinstance(o, Exception)]
         if misses:
-            self.pricer.observe_batch(jobs, elapsed, n_runs, self._dataset)
+            self.pricer.observe_batch(jobs, elapsed, len(sims), sims)
         for (reqs, key, disk_key), outcome in zip(misses, outcomes):
             job = reqs[0].job
             if isinstance(outcome, Exception):
@@ -865,6 +876,11 @@ def serve_trace(
     server calibrates its pricer with the same ``timer``, so a replay
     with a deterministic timer makes every scheduling, shedding and
     admission decision reproducible.
+
+    ``submit`` is not charged to the clock: the pricing runs it makes (a
+    job's first timing-only run, and any dataset generation it needs)
+    and admission cost the replay nothing, so reported latencies leave
+    them out.
     """
     server.timer = timer
     arrivals = sorted(requests, key=lambda r: (r.arrival, r.req_id))

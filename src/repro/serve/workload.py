@@ -94,10 +94,10 @@ class TraceSpec:
     tenants: tuple = DEFAULT_TENANTS
     #: registry apps the job pool draws from
     apps: tuple = ("wordcount", "dna")
-    #: engine names the job pool draws from. The default mix pairs
-    #: the paper engine with the unified-memory competitor so the serving
-    #: path exercises an engine family the analytic predictor cannot price
-    #: (UVM jobs are costed purely from the observed-wall calibration loop)
+    #: engine names the job pool draws from. The default mix pairs the
+    #: paper engine with the unified-memory competitor, so the serving path
+    #: exercises both BigKernel's schedule memos and UVM's plan and
+    #: timeline memos
     engines: tuple = ("bigkernel", "gpu_uvm")
     #: mapped bytes per generated dataset
     data_bytes: int = 1 * MiB

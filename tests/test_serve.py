@@ -284,23 +284,29 @@ def test_disk_tier_replays_in_a_fresh_server(tmp_path, generate_calls):
         )
 
 
-def test_pricer_loads_no_dataset_for_an_unmodeled_engine():
+def test_a_uvm_price_is_its_timing_only_run_times_the_cell_ratio():
     from repro.serve.pricing import JobPricer
-    from repro.serve.workload import engine_spec_by_name
 
-    job = JobSpec(
-        dataset=_dataset_spec(),
-        engine=engine_spec_by_name("gpu_uvm"),
-        config=EngineConfig(chunk_bytes=256 * KiB),
-    )
+    job = _job(engine="gpu_uvm")
+    with Server(ServeConfig(), cache=RunCache(disk=None)) as server:
+        runs = []
 
-    def loader(spec):
-        raise AssertionError(f"loaded {spec} for an engine with no model")
+        def sim_time(priced):
+            runs.append(priced)
+            return server._sim_time(priced)
 
-    pricer = JobPricer()
-    assert pricer.price(job, loader) is None
-    pricer.observe_batch([job], 0.5, 1, loader)
-    assert pricer.price(job, loader) == 0.5
+        pricer = JobPricer()
+        assert pricer.price(job, sim_time) is None
+        app, data = server._dataset(job.dataset)
+        timing_only = server._engine(job.engine).run(
+            app, data, job.config.with_(functional=False)
+        )
+        assert timing_only.output is None
+        sim = timing_only.sim_time
+        pricer.observe_batch([job], 0.5, 1, [sim])
+        assert pricer.price(job, sim_time) == sim * (0.5 / sim)
+    assert runs == [job]
+    assert sim == oneshot_oracle(job).sim_time
 
 
 # ------------------------------------------------------------ dataset store

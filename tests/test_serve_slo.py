@@ -250,8 +250,9 @@ def test_predictive_rejection_is_typed_and_counted():
     server = Server(config, tenants=tenants, pricer=pricer)
     # warm the pricer with one observed batch: 0.1s for one run of this cell
     job = _job()
-    pricer.observe_batch([job], elapsed=0.1, n_runs=1, dataset_loader=server._dataset)
-    assert pricer.price(job, server._dataset) is not None
+    sims = [server._sim_time(job)]
+    pricer.observe_batch([job], elapsed=0.1, n_runs=1, sims=sims)
+    assert pricer.price(job, server._sim_time) is not None
 
     # first request fits nothing: its own 0.1s price blows the 1ms deadline
     resp = server.submit(
@@ -296,7 +297,8 @@ def test_cache_hits_are_priced_free():
     ) is None
     server.finish(server.dispatch_round(now=0.0), 0.0)
     # price the cell expensively: without the cache probe this would reject
-    pricer.observe_batch([job], elapsed=5.0, n_runs=1, dataset_loader=server._dataset)
+    sims = [server._sim_time(job)]
+    pricer.observe_batch([job], elapsed=5.0, n_runs=1, sims=sims)
     resp = server.submit(
         ServeRequest(req_id=1, tenant="t", arrival=0.0, job=job), now=0.0
     )
@@ -396,8 +398,8 @@ def test_gpu_uvm_jobspec_roundtrip_matches_direct_run():
 
 
 def test_gpu_uvm_served_and_priced_by_observation():
-    """UVM jobs (unpredictable by the analytic model) still get priced —
-    purely from the observed per-run EWMA — and still serve correctly."""
+    """UVM jobs are priced like every other engine's, by their own
+    timing-only run calibrated by observed wall, and serve correctly."""
     spec = TraceSpec(
         seed=3,
         duration=0.8,
@@ -420,10 +422,13 @@ def test_gpu_uvm_served_and_priced_by_observation():
     assert m.completed == len(trace)
     assert m.verify_failures == 0
     assert m.failed == 0
-    # the analytic model refused every UVM job, yet observation priced them
+    # the price's memoized sim_time is the dispatched run's
     job = trace[0].job
-    assert pricer._sim.get((job.dataset, job.engine, job.config), 0.0) is None
-    assert pricer.price(job, server._dataset) is not None
+    sim = pricer._sim.get((job.dataset, job.engine, job.config))
+    assert isinstance(sim, float)
+    served = {r.req_id: r for r in outcome.responses}[trace[0].req_id]
+    assert sim == served.result.sim_time
+    assert pricer.price(job, server._sim_time) is not None
     assert pricer.run_wall is not None
 
 
@@ -469,13 +474,8 @@ def test_pricer_calibrates_each_engine_spec_apart():
     """The batcher runs each engine spec as its own batch, so each spec is
     its own pricing cell: an observed overlap-only BigKernel batch does not
     price a full-feature BigKernel job with its ratio."""
-    from repro.apps.base import get_app
     from repro.bench.jobs import engine_to_spec
     from repro.engines import BigKernelEngine, BigKernelFeatures
-
-    def loader(spec):
-        app = get_app(spec.app)
-        return app, app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
 
     full = _job()
     overlap = JobSpec(
@@ -484,9 +484,106 @@ def test_pricer_calibrates_each_engine_spec_apart():
         full.config,
     )
     pricer = JobPricer()
-    pricer.observe_batch([overlap], 0.01, 1, loader)
-    assert pricer.price(overlap, loader) is not None
-    assert pricer.price(full, loader) is None
+    with Server(ServeConfig(cache=False)) as server:
+        pricer.observe_batch([overlap], 0.01, 1, [server._sim_time(overlap)])
+        assert pricer.price(overlap, server._sim_time) is not None
+        assert pricer.price(full, server._sim_time) is None
+
+
+def _priced_jobs() -> list:
+    """Every registered engine, overlap-only BigKernel and a two-GPU
+    BigKernel, each on Word Count and K-means; then a BigKernel job with a
+    PCIe-degrade fault plan and a UVM job with the fast path off."""
+    from repro.bench.jobs import engine_to_spec
+    from repro.engines import ENGINES, BigKernelEngine, BigKernelFeatures
+    from repro.faults import FaultPlan
+
+    engines = {name: engine_spec_by_name(name) for name in ENGINES}
+    engines["bigkernel_overlap_only"] = engine_to_spec(
+        BigKernelEngine(BigKernelFeatures.overlap_only())
+    )
+    engines["bigkernel_multigpu2"] = engine_spec_by_name("bigkernel_multigpu2")
+    config = EngineConfig(chunk_bytes=32 * KiB)
+    datasets = {
+        app: DatasetSpec(app=app, seed=3, n_bytes=128 * KiB, version=DATAGEN_VERSION)
+        for app in ("wordcount", "kmeans")
+    }
+    jobs = [
+        pytest.param(JobSpec(dataset, engine, config), id=f"{name}-{app}")
+        for name, engine in engines.items()
+        for app, dataset in datasets.items()
+    ]
+    degrade = config.with_(faults=FaultPlan().pcie.degrade(4.0))
+    jobs.append(pytest.param(
+        JobSpec(datasets["wordcount"], engines["bigkernel"], degrade),
+        id="bigkernel-wordcount-pcie_degrade",
+    ))
+    jobs.append(pytest.param(
+        JobSpec(datasets["wordcount"], engines["gpu_uvm"], config.with_(fastpath=False)),
+        id="gpu_uvm-wordcount-no_fastpath",
+    ))
+    return jobs
+
+
+@pytest.mark.parametrize("job", _priced_jobs())
+def test_a_price_equals_the_run_it_prices(job):
+    """The sim_time a job is priced from is the one its dispatched run
+    returns, and the one-shot oracle's."""
+    from repro.serve import oneshot_oracle
+    from repro.serve.scheduler import matches_oracle
+
+    tenants = (TenantSpec("t", 1.0, slo_ms=1e9),)
+    with Server(ServeConfig(cache=False), tenants=tenants) as server:
+        assert server.submit(
+            ServeRequest(req_id=0, tenant="t", arrival=0.0, job=job), now=0.0
+        ) is None
+        (resp,) = server.drain()
+    priced = server.pricer._sim.get((job.dataset, job.engine, job.config))
+    oracle = oneshot_oracle(job)
+    assert resp.status == "served"
+    assert priced == resp.result.sim_time == oracle.sim_time
+    assert matches_oracle(job, resp.result, oracle)
+
+
+def test_dispatch_after_pricing_plans_nothing(monkeypatch):
+    """Pricing plans and memoizes on the engine dispatch uses: while priced
+    fault-free jobs dispatch, no BigKernel schedule, UVM plan or fast-path
+    result is computed again, and UVM simulates nothing."""
+    from repro.engines.uvm import _UvmSimulation
+    from repro.memo import MEMO_STATS
+
+    simulations = []
+    plain_execute = _UvmSimulation.execute
+
+    def counting_execute(sim):
+        simulations.append(sim)
+        return plain_execute(sim)
+
+    monkeypatch.setattr(_UvmSimulation, "execute", counting_execute)
+    jobs = [
+        JobSpec(
+            DatasetSpec(app=app, seed=4, n_bytes=256 * KiB, version=DATAGEN_VERSION),
+            engine_spec_by_name(engine),
+            EngineConfig(chunk_bytes=chunk * KiB),
+        )
+        for app in ("wordcount", "kmeans")
+        for engine in ("bigkernel", "gpu_uvm")
+        for chunk in (64, 128)
+    ]
+    tenants = (TenantSpec("t", 1.0, slo_ms=1e9),)
+    memos = ("bigkernel.schedule", "uvm.plan", "fastpath")
+    with Server(ServeConfig(max_queue=len(jobs), cache=False), tenants=tenants) as server:
+        for req_id, job in enumerate(jobs):
+            assert server.submit(
+                ServeRequest(req_id=req_id, tenant="t", arrival=0.0, job=job), now=0.0
+            ) is None
+        assert len(simulations) == 2  # one per UVM dataset, at pricing
+        misses = {name: MEMO_STATS[name]["misses"] for name in memos}
+        del simulations[:]
+        responses = server.drain()
+    assert [r.status for r in responses] == ["served"] * len(jobs)
+    assert {name: MEMO_STATS[name]["misses"] for name in memos} == misses
+    assert simulations == []
 
 
 # ----------------------------------------------------------- memoized model
