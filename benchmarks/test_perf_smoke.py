@@ -3,11 +3,10 @@
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
 autotune sweep, the raw DES event throughput, the DES cost per pipeline
 chunk, a DES-bound thread-vs-process sweep, every app's dataset
-generation, a first vs a replayed unified-memory run, a first functional
-run vs a memoized pass at another chunking, a first vs a repeated
-double-buffered run, a served job dispatched after pricing vs unpriced
-and a memo hit, and records the measurements to ``BENCH_pipeline.json``
-at the repo root.
+generation, a first vs a replayed run on three engines, a first
+functional run vs a memoized pass at another chunking, a served job
+dispatched after pricing vs unpriced and a memo hit, and records the
+measurements to ``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -401,56 +400,77 @@ def test_uvm_comparison():
     _record(entry)
 
 
-def test_uvm_replay(monkeypatch):
-    """A unified-memory run simulates once per plan; a repeat replays.
+def test_replay(monkeypatch):
+    """A fault-free run simulates once per plan; a repeat replays.
 
-    Best-of-3 wall of a first and a replayed 1 MiB ``gpu_uvm`` Word Count
-    run (functional off), each on a fresh engine, with the number of DES
-    runs each made (``_UvmSimulation.execute`` calls): 1, then 0. The
-    counts and the replay's exactness are hard asserts; the wall ratio
-    is warn-only.
+    Best-of-3 wall of a first and a repeated run of three timing-only
+    jobs, each pair on a fresh engine: a 1 MiB ``gpu_uvm`` Word Count (the
+    paging DES), an 8 MiB ``gpu_double`` Word Count at 64 KiB chunks (the
+    closed form) and a 1 MiB BigKernel K-means at 64 KiB chunks (the DES
+    fallback for mapped writes), with the simulations each run made
+    (``run_pipeline`` and ``_UvmSimulation.execute`` calls): 1, then 0.
+    The counts and the repeats' exactness are hard asserts; the wall
+    ratios are warn-only.
     """
-    from repro.engines import GpuUvmEngine
+    import repro.engines.bigkernel as bigkernel
+    import repro.engines.gpu_double as gpu_double
+    from repro.engines import GpuDoubleBufferEngine, GpuUvmEngine
     from repro.engines.uvm import _UvmSimulation
 
     simulations = [0]
-    plain_execute = _UvmSimulation.execute
 
-    def counting_execute(sim):
-        simulations[0] += 1
-        return plain_execute(sim)
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            simulations[0] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(_UvmSimulation, "execute", counting_execute)
-    app = get_app("wordcount")
-    data = app.generate(n_bytes=1 * MiB, seed=7)
-    cfg = EngineConfig(functional=False)
-    best = {"first": float("inf"), "replay": float("inf")}
-    counts = {}
-    for _ in range(3):
-        engine = GpuUvmEngine()
-        results = {}
-        for run in ("first", "replay"):
-            before = simulations[0]
-            t0 = time.perf_counter()
-            results[run] = engine.run(app, data, cfg)
-            best[run] = min(best[run], time.perf_counter() - t0)
-            counts[run] = simulations[0] - before
-        assert results["replay"].sim_time == results["first"].sim_time
-    assert counts == {"first": 1, "replay": 0}
-    speedup = best["first"] / best["replay"] if best["replay"] > 0 else float("inf")
-    _record(
-        {
-            "name": "uvm_replay",
-            "n_bytes": 1 * MiB,
+        return wrapper
+
+    for module in (bigkernel, gpu_double):
+        monkeypatch.setattr(module, "run_pipeline", counting(module.run_pipeline))
+    monkeypatch.setattr(_UvmSimulation, "execute", counting(_UvmSimulation.execute))
+    jobs = {
+        "gpu_uvm-wordcount": (GpuUvmEngine, "wordcount", 1 * MiB, None),
+        "gpu_double-wordcount": (GpuDoubleBufferEngine, "wordcount", 8 * MiB, 64),
+        "bigkernel-kmeans": (BigKernelEngine, "kmeans", 1 * MiB, 64),
+    }
+    entries = {}
+    for label, (engine_cls, app_name, n_bytes, chunk_kib) in jobs.items():
+        app = get_app(app_name)
+        data = app.generate(n_bytes=n_bytes, seed=7)
+        cfg = EngineConfig(functional=False)
+        if chunk_kib is not None:
+            cfg = cfg.with_(chunk_bytes=chunk_kib * 1024)
+        best = {"first": float("inf"), "repeat": float("inf")}
+        for _ in range(3):
+            engine = engine_cls()
+            results, counts = {}, {}
+            for run in ("first", "repeat"):
+                before = simulations[0]
+                t0 = time.perf_counter()
+                results[run] = engine.run(app, data, cfg)
+                best[run] = min(best[run], time.perf_counter() - t0)
+                counts[run] = simulations[0] - before
+            assert counts == {"first": 1, "repeat": 0}, label
+            first, repeat = results["first"], results["repeat"]
+            assert repeat.sim_time == first.sim_time, label
+            assert repeat.metrics == first.metrics, label
+        entries[label] = {
+            "n_bytes": n_bytes,
+            "n_chunks": first.metrics.n_chunks,
             "first_ms": best["first"] * 1e3,
-            "replay_ms": best["replay"] * 1e3,
+            "repeat_ms": best["repeat"] * 1e3,
             "first_simulations": counts["first"],
-            "replay_simulations": counts["replay"],
-            "speedup": speedup,
-            "sim_time": results["first"].sim_time,
+            "repeat_simulations": counts["repeat"],
+            "traced": first.trace is not None,
+            "speedup": (
+                best["first"] / best["repeat"] if best["repeat"] > 0 else float("inf")
+            ),
+            "sim_time": first.sim_time,
         }
-    )
-    _warn_if_slow("uvm_replay", speedup)
+    _record({"name": "replay", "runs": entries})
+    for label, entry in entries.items():
+        _warn_if_slow(f"replay {label}", entry["speedup"])
 
 
 def test_functional_memo(monkeypatch):
@@ -517,51 +537,6 @@ def test_functional_memo(monkeypatch):
         }
     )
     _warn_if_slow("functional_memo", speedup)
-
-
-def test_gpu_double_repeat():
-    """A repeated double-buffered run reuses its memoized schedule.
-
-    Best-of-3 wall of a first and a repeated 8 MiB Word Count
-    ``gpu_double`` run at 64 KiB chunks (functional off), each pair on a
-    fresh engine, with the fast-path memo hits each made: 0, then 1. The
-    counts and the repeat's exactness are hard asserts; the wall ratio is
-    warn-only.
-    """
-    from repro.engines import GpuDoubleBufferEngine
-    from repro.memo import MEMO_STATS
-
-    app = get_app("wordcount")
-    data = app.generate(n_bytes=8 * MiB, seed=7)
-    cfg = EngineConfig(chunk_bytes=64 * 1024, functional=False)
-    best = {"first": float("inf"), "repeat": float("inf")}
-    hits = {}
-    for _ in range(3):
-        engine = GpuDoubleBufferEngine()
-        results = {}
-        for run in ("first", "repeat"):
-            before = MEMO_STATS.get("fastpath", {}).get("hits", 0)
-            t0 = time.perf_counter()
-            results[run] = engine.run(app, data, cfg)
-            best[run] = min(best[run], time.perf_counter() - t0)
-            hits[run] = MEMO_STATS["fastpath"]["hits"] - before
-        assert results["repeat"].sim_time == results["first"].sim_time
-    assert hits == {"first": 0, "repeat": 1}
-    speedup = best["first"] / best["repeat"] if best["repeat"] > 0 else float("inf")
-    _record(
-        {
-            "name": "gpu_double_repeat",
-            "n_bytes": 8 * MiB,
-            "n_chunks": results["first"].metrics.n_chunks,
-            "first_ms": best["first"] * 1e3,
-            "repeat_ms": best["repeat"] * 1e3,
-            "first_fastpath_hits": hits["first"],
-            "repeat_fastpath_hits": hits["repeat"],
-            "speedup": speedup,
-            "sim_time": results["first"].sim_time,
-        }
-    )
-    _warn_if_slow("gpu_double_repeat", speedup)
 
 
 def test_pricing_reuse(monkeypatch):

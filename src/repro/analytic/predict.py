@@ -288,7 +288,7 @@ def predict_run(
         )
 
     if isinstance(eng, GpuDoubleBufferEngine):
-        chunks, _ = eng._schedule(app, data, config)
+        chunks = eng._schedule(app, data, config).chunks
         total, bounds, occ = predict_templated(hw, chunks, eng.pipe_cfg)
         return _finish_pipelined(eng.name, app.name, total, bounds, occ, len(chunks))
 

@@ -122,15 +122,6 @@ class AppData:
 
 _FINGERPRINT_COUNTER = itertools.count(1)
 
-#: process-wide accounting of :func:`dataset_key` work. ``requests`` counts
-#: every key lookup; ``sha256_digests`` counts only the times the SHA-256
-#: fallback actually hashed array bytes. The serve hot loop probes the run
-#: cache on every request, so the gap between the two is the proof that
-#: hashing is amortized: one digest per distinct hand-built dataset, zero
-#: for recipe-stamped ones, no matter how many probes.
-DATASET_HASH_STATS = {"requests": 0, "sha256_digests": 0}
-
-
 def data_fingerprint(data: AppData) -> tuple:
     """Hashable *identity* token of one dataset instance.
 
@@ -192,7 +183,6 @@ def dataset_key(data: AppData) -> tuple:
     mapped/resident arrays and params, which is equally stable, just paid
     per instance.
     """
-    DATASET_HASH_STATS["requests"] += 1
     token = data.meta.get("_dataset_key")
     if token is None:
         recipe = data.meta.get("datagen")
@@ -201,7 +191,6 @@ def dataset_key(data: AppData) -> tuple:
                 data.app, recipe["seed"], recipe["n_bytes"], recipe["version"]
             )
         else:
-            DATASET_HASH_STATS["sha256_digests"] += 1
             digest = hashlib.sha256()
             for group in (data.mapped, data.resident):
                 for name in sorted(group):

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.base import AppData, Application, data_fingerprint
-from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
+from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult, Timeline
 from repro.engines.gpu_common import (
     addr_gen_chunk_cost,
     chunk_plan,
@@ -127,6 +127,8 @@ class BigKernelSchedule:
     #: what the degradation policies gave up under an injected fault
     #: (``ring_shrunk_to``, ``blocks_shrunk_to``); empty on clean runs
     degradations: dict = dataclass_field(default_factory=dict)
+    #: the fault-free run, once simulated (see :meth:`Engine._timed`)
+    timeline: Optional[Timeline] = None
 
 
 class BigKernelEngine(Engine):
@@ -494,8 +496,6 @@ class BigKernelEngine(Engine):
         config: Optional[EngineConfig] = None,
     ) -> RunResult:
         config = config or EngineConfig()
-        hw = config.hardware
-        gpu = GpuDevice(hw.gpu)
         try:
             sched = self._schedule(app, data, config)
         except PinnedMemoryExceeded as exc:
@@ -514,50 +514,52 @@ class BigKernelEngine(Engine):
                 )
                 return fallback
             raise
-        chunks, upc = sched.chunks, sched.upc
-        pattern_fraction, pattern_on = sched.pattern_fraction, sched.pattern_on
-        sliceable, reduce_volume = sched.sliceable, sched.reduce_volume
-        active_blocks, workers = sched.active_blocks, sched.workers
+        timeline = self._timed(sched, config, lambda: self._simulate(sched, config))
+        output = None
+        if config.functional:
+            output = self._functional_output(app, data, sched.upc)
+        return timeline.result(self.name, app.name, output)
 
+    def _simulate(self, sched: BigKernelSchedule, config: EngineConfig) -> Timeline:
+        """One simulation of ``sched``: the closed form when the run
+        qualifies, the DES otherwise."""
+        hw = config.hardware
         injector = None
         if config.faults is not None and config.faults.active():
             injector = FaultInjector(config.faults)
         result = run_pipeline(
-            hw, chunks, sched.pipe_cfg, fastpath=config.fastpath, faults=injector
+            hw, sched.chunks, sched.pipe_cfg, fastpath=config.fastpath, faults=injector
         )
-        # BigKernel launches ONE kernel for the whole computation.
-        sim_time = result.total_time + gpu.spec.kernel_launch_overhead
-
-        output = None
-        if config.functional:
-            output = self._functional_output(app, data, upc)
         comm = (
             result.stage_totals.get(STAGE_TRANSFER, 0.0)
             + result.stage_totals.get(STAGE_WRITEBACK_XFER, 0.0)
         )
         metrics = RunMetrics(
-            n_chunks=len(chunks),
+            n_chunks=len(sched.chunks),
             bytes_h2d=result.bytes_h2d,
             bytes_d2h=result.bytes_d2h,
             comp_time=result.stage_totals.get(STAGE_COMPUTE, 0.0),
             comm_time=comm,
             stage_totals=result.stage_totals,
-            pattern_fraction=pattern_fraction,
+            pattern_fraction=sched.pattern_fraction,
             kernel_launches=1,
             notes={
                 "features": self.features.label,
-                "sliceable": sliceable,
-                "reduce_volume": reduce_volume,
-                "pattern_on": pattern_on,
-                "active_blocks": active_blocks,
-                "units_per_chunk": upc,
-                "workers": workers,
+                "sliceable": sched.sliceable,
+                "reduce_volume": sched.reduce_volume,
+                "pattern_on": sched.pattern_on,
+                "active_blocks": sched.active_blocks,
+                "units_per_chunk": sched.upc,
+                "workers": sched.workers,
             },
         )
         if sched.degradations:
             metrics.notes["degradations"] = dict(sched.degradations)
         if injector is not None:
             metrics.notes["fault_stats"] = injector.stats()
-        return RunResult(
-            self.name, app.name, output, sim_time, metrics, trace=result.trace
+        # BigKernel launches ONE kernel for the whole computation.
+        return Timeline(
+            result.total_time + hw.gpu.kernel_launch_overhead,
+            metrics,
+            None if result.trace is None else tuple(result.trace),
         )

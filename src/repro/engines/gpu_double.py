@@ -10,10 +10,11 @@ minus volume reduction, minus re-layout.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.base import AppData, Application, data_fingerprint
-from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
+from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult, Timeline
 from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.faults.inject import FaultInjector
 from repro.hw.cpu import CpuDevice
@@ -33,6 +34,17 @@ from repro.runtime.pipeline import (
 )
 
 
+@dataclass
+class DoubleBufferPlan:
+    """Resolved plan of one double-buffered run: its chunk schedule, its
+    units per chunk and, once simulated, its fault-free timeline."""
+
+    chunks: TemplatedChunks
+    upc: int
+    #: the fault-free run, once simulated (see :meth:`Engine._timed`)
+    timeline: Optional[Timeline] = None
+
+
 class GpuDoubleBufferEngine(Engine):
     """Chunked execution with transfer/compute overlap (2 buffers)."""
 
@@ -46,20 +58,22 @@ class GpuDoubleBufferEngine(Engine):
 
     def _schedule(
         self, app: Application, data: AppData, config: EngineConfig
-    ) -> tuple[TemplatedChunks, int]:
-        """The run's chunk schedule and its units per chunk.
+    ) -> DoubleBufferPlan:
+        """The run's plan: its chunk schedule and its units per chunk.
 
-        :meth:`run` simulates this schedule under :attr:`pipe_cfg`, and
-        ``repro.analytic`` prices the same one in closed form. Schedules
-        are memoized per engine instance on exactly what they read, so a
-        repeated run reuses its schedule's fast-path memo.
+        :meth:`run` simulates the schedule under :attr:`pipe_cfg`, and
+        ``repro.analytic`` prices the same one in closed form. Plans are
+        memoized per engine instance on exactly what they read, so a
+        repeated fault-free run replays its plan's timeline. The key
+        leaves out ``ring_depth``: the ring is fixed at two, so every
+        ring depth of one chunk size shares one plan.
         """
         hw = config.hardware
         threads = config.total_compute_threads
         cache_key = (app, data_fingerprint(data), hw, config.chunk_bytes, threads)
-        cached = self._schedule_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        plan = self._schedule_cache.get(cache_key)
+        if plan is not None:
+            return plan
         profile = app.access_profile(data)
         units = app.n_units(data)
         upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
@@ -69,8 +83,9 @@ class GpuDoubleBufferEngine(Engine):
             lambda u: self.chunk_costs(hw, profile, u, threads),
             profile.passes,
         )
-        self._schedule_cache.put(cache_key, (chunks, upc))
-        return chunks, upc
+        plan = DoubleBufferPlan(chunks, upc)
+        self._schedule_cache.put(cache_key, plan)
+        return plan
 
     @staticmethod
     def chunk_costs(hw, profile, u, threads) -> ChunkWork:
@@ -106,23 +121,26 @@ class GpuDoubleBufferEngine(Engine):
         config: Optional[EngineConfig] = None,
     ) -> RunResult:
         config = config or EngineConfig()
-        chunks, upc = self._schedule(app, data, config)
+        plan = self._schedule(app, data, config)
+        timeline = self._timed(plan, config, lambda: self._simulate(plan, config))
+        output = None
+        if config.functional:
+            output = self._functional_output(app, data, plan.upc)
+        return timeline.result(self.name, app.name, output)
 
+    def _simulate(self, plan: DoubleBufferPlan, config: EngineConfig) -> Timeline:
+        """One simulation of ``plan``: the closed form when the run
+        qualifies, the DES otherwise."""
         injector = None
         if config.faults is not None and config.faults.active():
             injector = FaultInjector(config.faults)
         result = run_pipeline(
             config.hardware,
-            chunks,
+            plan.chunks,
             self.pipe_cfg,
             fastpath=config.fastpath,
             faults=injector,
         )
-        sim_time = result.total_time
-
-        output = None
-        if config.functional:
-            output = self._functional_output(app, data, upc)
         comm = (
             result.stage_totals.get(STAGE_ASSEMBLY, 0.0)
             + result.stage_totals.get(STAGE_TRANSFER, 0.0)
@@ -130,17 +148,19 @@ class GpuDoubleBufferEngine(Engine):
             + result.stage_totals.get(STAGE_WRITEBACK_SCATTER, 0.0)
         )
         metrics = RunMetrics(
-            n_chunks=len(chunks),
+            n_chunks=len(plan.chunks),
             bytes_h2d=result.bytes_h2d,
             bytes_d2h=result.bytes_d2h,
             comp_time=result.stage_totals.get(STAGE_COMPUTE, 0.0),
             comm_time=comm,
             stage_totals=result.stage_totals,
-            kernel_launches=len(chunks),
-            notes={"units_per_chunk": upc},
+            kernel_launches=len(plan.chunks),
+            notes={"units_per_chunk": plan.upc},
         )
         if injector is not None:
             metrics.notes["fault_stats"] = injector.stats()
-        return RunResult(
-            self.name, app.name, output, sim_time, metrics, trace=result.trace
+        return Timeline(
+            result.total_time,
+            metrics,
+            None if result.trace is None else tuple(result.trace),
         )

@@ -30,9 +30,9 @@ plans (``pcie.degrade``, ``dma.error``) act on the migration DMAs
 exactly as they do on the pipelined engines.
 
 A run's plan (page geometry, fault batches, per-batch compute times) is
-memoized on the engine, and so is the plan's fault-free timeline: a
-repeated run with the fast path allowed replays it, bit for bit, without
-a DES (see :class:`GpuUvmEngine`).
+memoized on the engine. Like every simulating engine's plan it keeps its
+fault-free timeline, so a repeated run with the fast path allowed
+replays it, bit for bit, without a DES (:meth:`Engine._timed`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.base import AppData, Application, data_fingerprint
-from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
+from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult, Timeline
 from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.errors import RuntimeConfigError, SlicingError
 from repro.faults.inject import as_injector
@@ -172,22 +172,8 @@ class _UvmPlan:
         self.learned_source = (
             _learned_source(app, data, self.units) if mode == "learned" else None
         )
-        #: the fault-free run, once simulated (see :meth:`GpuUvmEngine.run`)
-        self.timeline: Optional[_Timeline] = None
-
-
-@dataclass(frozen=True)
-class _Timeline:
-    """The numbers one DES run leaves: what a result is built from."""
-
-    sim_time: float
-    bytes_h2d: int
-    bytes_d2h: int
-    comp_time: float
-    comm_time: float
-    notes: dict
-    #: the trace's intervals (frozen, so results can share them)
-    intervals: tuple
+        #: the fault-free run, once simulated (see :meth:`Engine._timed`)
+        self.timeline: Optional[Timeline] = None
 
 
 class _UvmSimulation:
@@ -221,7 +207,7 @@ class _UvmSimulation:
         self.comp_time = 0.0
 
     # -------------------------------------------------------------- run
-    def execute(self) -> _Timeline:
+    def execute(self) -> Timeline:
         """Run the DES and keep the numbers a result is built from."""
         self.env.process(self._main())
         self.env.run()
@@ -240,17 +226,18 @@ class _UvmSimulation:
             notes["prefetch_source"] = self.plan.learned_source
         if self.injector is not None:
             notes["fault_stats"] = self.injector.stats()
-        return _Timeline(
-            sim_time=self.env.now,
+        metrics = RunMetrics(
+            n_chunks=self.plan.n_instances,
             bytes_h2d=self.link.bytes_moved[H2D],
             bytes_d2h=self.link.bytes_moved[D2H],
             comp_time=self.comp_time,
             comm_time=(
                 self.trace.busy_time("pcie-h2d") + self.trace.busy_time("pcie-d2h")
             ),
+            kernel_launches=1,  # UVM keeps BigKernel's single-launch model
             notes=notes,
-            intervals=tuple(self.trace),
         )
+        return Timeline(self.env.now, metrics, tuple(self.trace))
 
     def _main(self):
         plan = self.plan
@@ -399,10 +386,7 @@ class GpuUvmEngine(Engine):
     Plans are memoized per engine instance, keyed on what a plan and its
     timeline read besides the instance's spec and prefetcher: the app
     instance, the dataset fingerprint, the hardware and the compute-thread
-    total. A run with the fast path allowed and no fault plan replays the
-    timeline its plan memoized, which the first such run simulated; a
-    replay equals a fresh DES run in every field. ``fastpath=False`` and
-    any fault plan simulate on every call.
+    total. A plan keeps its fault-free timeline (:meth:`Engine._timed`).
     """
 
     name = "gpu_uvm"
@@ -440,36 +424,18 @@ class GpuUvmEngine(Engine):
     ) -> RunResult:
         config = config or EngineConfig()
         plan = self._plan(app, data, config)
-        replay = config.fastpath and config.faults is None
-        timeline = plan.timeline if replay else None
-        if timeline is None:
-            timeline = _UvmSimulation(plan, self.spec, self.prefetch, config).execute()
-            if replay:
-                plan.timeline = timeline
-
+        timeline = self._timed(
+            plan,
+            config,
+            lambda: _UvmSimulation(plan, self.spec, self.prefetch, config).execute(),
+        )
         output = None
         if config.functional:
             upc, _ = chunk_plan(
                 plan.units, config.chunk_bytes, plan.profile.record_bytes
             )
             output = self._functional_output(app, data, upc)
-
-        # fresh containers around the timeline's numbers, so a caller that
-        # edits what it got cannot change a later replay
-        notes = dict(timeline.notes, paging=dict(timeline.notes["paging"]))
-        metrics = RunMetrics(
-            n_chunks=plan.n_instances,
-            bytes_h2d=timeline.bytes_h2d,
-            bytes_d2h=timeline.bytes_d2h,
-            comp_time=timeline.comp_time,
-            comm_time=timeline.comm_time,
-            kernel_launches=1,  # UVM keeps BigKernel's single-launch model
-            notes=notes,
-        )
-        return RunResult(
-            self.name, app.name, output, timeline.sim_time, metrics,
-            trace=TraceRecorder(timeline.intervals),
-        )
+        return timeline.result(self.name, app.name, output)
 
 
 class UvmReadaheadEngine(GpuUvmEngine):

@@ -39,6 +39,11 @@ falls back to the DES) whenever any of its assumptions could be violated:
 heterogeneous chunks, mapped writes, an externally supplied trace or a
 ``verify=`` run. :func:`fastpath_supported` reports the decision and the
 reason, and ``tests/test_fastpath.py`` pins the whole fallback matrix.
+
+Nothing here is memoized. An engine's memoized plan keeps the timeline of
+its first fault-free run, whichever of this closed form or the DES made
+it, and a repeated run replays that
+(:meth:`repro.engines.base.Engine._timed`).
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.errors import RuntimeConfigError
 from repro.hw.elementwise import where
 from repro.hw.spec import HardwareSpec
-from repro.memo import Memo
 from repro.runtime.pipeline import (
     STAGE_ADDR_GEN,
     STAGE_ASSEMBLY,
@@ -110,8 +114,8 @@ class TemplatedChunks(Sequence):
 
     The object is the fast path's opt-in signal: ``run_pipeline`` routes a
     ``TemplatedChunks`` schedule to the analytic engine automatically (all
-    eligibility gates still apply). Materialization — for the DES fallback
-    or for callers that index chunks — is cached.
+    eligibility gates still apply). Materialization, for the DES fallback
+    or for callers that index chunks, builds a fresh list on every call.
     """
 
     def __init__(
@@ -131,15 +135,6 @@ class TemplatedChunks(Sequence):
         self.tail = replace(tail, index=0) if tail is not None else None
         self.n_full = n_full
         self.passes = passes
-        self._materialized: Optional[list[ChunkWork]] = None
-        #: closed-form results keyed on ``(hardware, pipeline config)``.
-        #: Engines memoize whole schedules, so one TemplatedChunks instance
-        #: is replayed across repeated runs (sweep plateaus, the serve hot
-        #: loop); caching the recurrence's outcome here makes the repeat
-        #: O(1) instead of O(chunks). Safe because the fast path is only
-        #: entered fault-free/trace-free, where the result is a pure
-        #: function of (template, hardware, config).
-        self.fastpath_memo = Memo("fastpath", 16)
 
     @classmethod
     def split(
@@ -191,12 +186,10 @@ class TemplatedChunks(Sequence):
         return iter(self.materialize())
 
     def materialize(self) -> list[ChunkWork]:
-        """The equivalent eager chunk list (cached)."""
-        if self._materialized is None:
-            self._materialized = [
-                _with_index(self.kind_at(i), i) for i in range(len(self))
-            ]
-        return self._materialized
+        """The equivalent eager chunk list, built on every call: engines
+        memoize schedules, and a list kept on each would outlive the one
+        DES run that reads it."""
+        return [_with_index(self.kind_at(i), i) for i in range(len(self))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -313,31 +313,6 @@ def _collect_result(env, link, trace, n_chunks) -> PipelineResult:
     )
 
 
-def _memoized_fastpath(hardware, chunks, config) -> PipelineResult:
-    """Replay the closed form from the schedule's memo when possible.
-
-    Keyed on everything the recurrence reads beyond the template itself
-    (both frozen dataclasses). Hits return a fresh :class:`PipelineResult`
-    shell around the memoized numbers so a caller mutating
-    ``stage_totals`` cannot poison later runs.
-    """
-    key = (hardware, config)
-    hit = chunks.fastpath_memo.get(key)
-    if hit is None:
-        from repro.runtime.fastpath import run_fastpath
-
-        hit = run_fastpath(hardware, chunks, config)
-        chunks.fastpath_memo.put(key, hit)
-    return PipelineResult(
-        total_time=hit.total_time,
-        n_chunks=hit.n_chunks,
-        trace=None,
-        stage_totals=dict(hit.stage_totals),
-        bytes_h2d=hit.bytes_h2d,
-        bytes_d2h=hit.bytes_d2h,
-    )
-
-
 def run_pipeline(
     hardware: HardwareSpec,
     chunks: list[ChunkWork],
@@ -386,8 +361,6 @@ def run_pipeline(
     if want_fast and trace is None and not verify:
         ok, _reason = fastpath_supported(chunks, faults=injector)
         if ok:
-            if isinstance(chunks, TemplatedChunks):
-                return _memoized_fastpath(hardware, chunks, config)
             return run_fastpath(hardware, chunks, config)
     if isinstance(chunks, TemplatedChunks):
         chunks = chunks.materialize()

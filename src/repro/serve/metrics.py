@@ -87,11 +87,6 @@ class ServeMetrics:
         bucket = self.per_tenant.get(name)
         if bucket is None:
             bucket = self.per_tenant[name] = _tenant_bucket()
-        else:
-            # buckets persisted from an older metrics snapshot gain the new
-            # keys lazily so accounting code can index them unconditionally
-            for key, zero in _tenant_bucket().items():
-                bucket.setdefault(key, zero)
         return bucket
 
     def observe_completion(

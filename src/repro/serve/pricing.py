@@ -5,7 +5,8 @@ job — that is what deadlines are written against.  The server prices a job
 by running it timing-only (``functional=False``) on the engine instance and
 pooled dataset that dispatch will use.  That run's ``sim_time`` is the one
 dispatch returns, and the run plans and memoizes what dispatch then reuses:
-BigKernel's schedule and fast-path result, the UVM plan and its timeline.
+the engine's plan and the timeline it keeps, so a fault-free dispatch with
+the fast path allowed simulates nothing.
 The :class:`JobPricer` closes the loop by learning, per (app, engine spec)
 cell, an EWMA of the observed wall-per-simulated-second ratio from the
 simulated times every executed batch returns.  A priced job costs

@@ -131,8 +131,6 @@ class ServeConfig:
     max_queue: int = 64
     #: dispatch window size (upper bound on one round's batch)
     max_batch: int = 8
-    #: deficit credited per WDRR visit is ``quantum * weight``
-    quantum: float = 1.0
     #: run-result caching (memory tier always; disk tier via disk_cache)
     cache: bool = True
     disk_cache: bool = False
@@ -161,8 +159,6 @@ class ServeConfig:
     def __post_init__(self):
         if self.max_queue < 1 or self.max_batch < 1:
             raise ReproError("max_queue and max_batch must be >= 1")
-        if self.quantum <= 0:
-            raise ReproError("quantum must be positive")
         if self.backend not in ("thread", "process"):
             raise ReproError("backend must be 'thread' or 'process'")
         if self.jobs < 1:
@@ -337,8 +333,8 @@ class Server:
     def _sim_time(self, job: JobSpec) -> float:
         """``sim_time`` of a timing-only run of ``job`` on the engine and
         pooled dataset dispatch uses, which is the one dispatch returns:
-        the schedule, fast-path result and UVM timeline the run plans are
-        memoized on those instances for dispatch to reuse."""
+        the plan the run makes and the timeline it keeps are memoized on
+        those instances for dispatch to reuse."""
         app, data = self._dataset(job.dataset)
         config = job.config.with_(functional=False)
         return self._engine(job.engine).run(app, data, config).sim_time
@@ -469,7 +465,7 @@ class Server:
                     # an idle tenant banks no credit (standard DRR reset)
                     self._deficit[name] = 0.0
                     continue
-                self._deficit[name] += self.config.quantum * self._weights[name]
+                self._deficit[name] += self._weights[name]
                 while (
                     queue
                     and self._deficit[name] >= 1.0
@@ -530,7 +526,7 @@ class Server:
             backlogged = [name for name, q in self._queues.items() if q]
             total = sum(self._weights[name] for name in backlogged)
             for name in backlogged:
-                cap = 4.0 * max(1.0, self.config.quantum * self._weights[name])
+                cap = 4.0 * max(1.0, self._weights[name])
                 self._deficit[name] = min(
                     cap, self._deficit[name] + self._weights[name] / total
                 )

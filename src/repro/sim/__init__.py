@@ -38,7 +38,6 @@ from repro.sim.resources import Resource, Request, Release, PriorityResource
 from repro.sim.stores import Store, StorePut, StoreGet
 from repro.sim.sync import Flag, Barrier, Semaphore
 from repro.sim.trace import TraceRecorder, Interval
-from repro.sim.monitor import ResourceMonitor, utilization
 
 __all__ = [
     "Environment",
@@ -62,6 +61,4 @@ __all__ = [
     "Semaphore",
     "TraceRecorder",
     "Interval",
-    "ResourceMonitor",
-    "utilization",
 ]

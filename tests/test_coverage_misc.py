@@ -1,4 +1,4 @@
-"""Consolidated coverage for smaller surfaces: monitors, metrics, buffer
+"""Consolidated coverage for smaller surfaces: metrics, buffer
 misuse, GPU device edges, engine result helpers."""
 
 import numpy as np
@@ -11,32 +11,8 @@ from repro.hw.gpu import BlockResources
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
 from repro.runtime.buffers import BlockBuffers, BufferConfig
-from repro.sim import Environment, ResourceMonitor, TraceRecorder, utilization
+from repro.sim import Environment
 from repro.units import GiB, MiB
-
-
-class TestResourceMonitor:
-    def test_busy_and_utilization(self):
-        tr = TraceRecorder()
-        tr.record("gpu", "a", 0.0, 2.0)
-        tr.record("gpu", "b", 1.0, 3.0)  # overlaps -> union 3.0
-        tr.record("cpu", "c", 0.0, 10.0)
-        mon = ResourceMonitor(tr, "gpu")
-        assert mon.busy == pytest.approx(3.0)
-        assert mon.utilization() == pytest.approx(0.3)
-
-    def test_explicit_span(self):
-        tr = TraceRecorder()
-        tr.record("gpu", "a", 0.0, 1.0)
-        assert utilization(tr, "gpu", span=4.0) == pytest.approx(0.25)
-
-    def test_empty_track(self):
-        tr = TraceRecorder()
-        tr.record("gpu", "a", 0.0, 1.0)
-        assert utilization(tr, "pcie") == 0.0
-
-    def test_zero_span(self):
-        assert ResourceMonitor(TraceRecorder(), "gpu").utilization() == 0.0
 
 
 class TestRunMetricsAndResult:

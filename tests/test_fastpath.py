@@ -182,8 +182,7 @@ def schedule_of(engine, app, data, cfg):
     if isinstance(engine, BigKernelEngine):
         sched = engine._schedule(app, data, cfg)
         return sched.chunks, sched.pipe_cfg
-    chunks, _ = engine._schedule(app, data, cfg)
-    return chunks, engine.pipe_cfg
+    return engine._schedule(app, data, cfg).chunks, engine.pipe_cfg
 
 
 @lru_cache(maxsize=None)
@@ -316,17 +315,27 @@ class TestEngineFastpath:
         want = engine_cls().run(wide, data, cfg)
         assert engine.run(wide, data, cfg).sim_time == want.sim_time
 
-    def test_gpu_double_repeats_hit_the_fastpath_memo(self):
+    def test_gpu_double_repeats_plan_and_simulate_nothing(self, monkeypatch):
+        import repro.engines.gpu_double as gpu_double
+
         app = get_app("wordcount")
         data = app.generate(n_bytes=512 * KiB, seed=8)
         engine = GpuDoubleBufferEngine()
         cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
-        engine.run(app, data, cfg)
-        before = dict(MEMO_STATS["fastpath"])
+        first = engine.run(app, data, cfg)
+        simulated = []
+        plain = gpu_double.run_pipeline
+
+        def counting(*args, **kwargs):
+            simulated.append(args)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(gpu_double, "run_pipeline", counting)
+        misses = MEMO_STATS["gpu_double.schedule"]["misses"]
         for _ in range(5):
-            engine.run(app, data, cfg)
-        assert MEMO_STATS["fastpath"]["hits"] == before["hits"] + 5
-        assert MEMO_STATS["fastpath"]["misses"] == before["misses"]
+            assert engine.run(app, data, cfg).metrics == first.metrics
+        assert MEMO_STATS["gpu_double.schedule"]["misses"] == misses
+        assert simulated == []
         fresh_app = get_app("wordcount")
         fresh = fresh_app.generate(n_bytes=512 * KiB, seed=8)
         plan = FaultPlan().pcie.degrade(4.0)

@@ -2,11 +2,12 @@
 serve mode, the amortization counters, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.apps.base import DATASET_HASH_STATS, dataset_key, get_app
+from repro.apps.base import dataset_key, get_app
 from repro.bench.jobs import DatasetSpec, JobSpec
 from repro.bench.sweep import DiskCache, RunCache, content_run_key, run_digest
 from repro.cli import main
@@ -600,28 +601,41 @@ def test_verify_is_exact_where_outputs_equal_is_tolerant():
 
 
 # ------------------------------------------------- amortization accounting
-def test_dataset_hash_amortized_one_digest_per_handbuilt_dataset():
+@pytest.fixture
+def sha256_digests(monkeypatch):
+    """The number of SHA-256 digests started since the fixture was set up."""
+    digests = []
+    plain = hashlib.sha256
+
+    def counting(*args, **kwargs):
+        digests.append(None)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return lambda: len(digests)
+
+
+def test_dataset_hash_amortized_one_digest_per_handbuilt_dataset(sha256_digests):
     app = get_app("wordcount")
     data = app.generate(n_bytes=256 * KiB, seed=5)
     # strip the recipe stamp: force the hand-built SHA-256 fallback
     del data.meta["datagen"]
     data.meta.pop("_dataset_key", None)
-    before = dict(DATASET_HASH_STATS)
+    before = sha256_digests()
     keys = [dataset_key(data) for _ in range(10)]
     assert len(set(keys)) == 1 and keys[0][0] == "sha256"
-    assert DATASET_HASH_STATS["requests"] == before["requests"] + 10
     # ten probes, ONE digest: the hash is paid once per distinct dataset
-    assert DATASET_HASH_STATS["sha256_digests"] == before["sha256_digests"] + 1
+    assert sha256_digests() == before + 1
 
 
-def test_dataset_hash_recipe_datasets_never_digest():
+def test_dataset_hash_recipe_datasets_never_digest(sha256_digests):
     app = get_app("wordcount")
     data = app.generate(n_bytes=256 * KiB, seed=6)
-    before = DATASET_HASH_STATS["sha256_digests"]
+    before = sha256_digests()
     for _ in range(5):
         key = dataset_key(data)
     assert key[0] == "datagen"
-    assert DATASET_HASH_STATS["sha256_digests"] == before
+    assert sha256_digests() == before
 
 
 def test_content_run_key_equals_server_recipe_digest():
@@ -638,20 +652,30 @@ def test_content_run_key_equals_server_recipe_digest():
     assert digest != run_digest(RunCache.recipe_key(engine, other))
 
 
-def test_fastpath_memo_reused_across_identical_pipeline_runs():
+def test_identical_pipeline_run_replays_its_timeline(monkeypatch):
+    import repro.engines.bigkernel as bigkernel
+
     app = get_app("wordcount")
     data = app.generate(n_bytes=512 * KiB, seed=8)
     engine = BigKernelEngine()
     cfg = EngineConfig(chunk_bytes=64 * KiB, functional=False)
     first = engine.run(app, data, cfg)
-    before = dict(MEMO_STATS["fastpath"])
+    simulated = []
+    plain = bigkernel.run_pipeline
+
+    def counting(*args, **kwargs):
+        simulated.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(bigkernel, "run_pipeline", counting)
+    misses = MEMO_STATS["bigkernel.schedule"]["misses"]
     again = engine.run(app, data, cfg)
     assert again.sim_time == first.sim_time
     assert again.metrics.stage_totals == first.metrics.stage_totals
-    assert MEMO_STATS["fastpath"]["hits"] == before["hits"] + 1
-    assert MEMO_STATS["fastpath"]["misses"] == before["misses"]
-    # the memo hands out fresh result shells: mutating one run's totals
-    # must not leak into the next
+    assert MEMO_STATS["bigkernel.schedule"]["misses"] == misses
+    assert simulated == []
+    # a replay hands out fresh containers: mutating one run's totals must
+    # not leak into the next
     again.metrics.stage_totals["poison"] = 1.0
     third = engine.run(app, data, cfg)
     assert "poison" not in third.metrics.stage_totals

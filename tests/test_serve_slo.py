@@ -545,21 +545,41 @@ def test_a_price_equals_the_run_it_prices(job):
     assert matches_oracle(job, resp.result, oracle)
 
 
-def test_dispatch_after_pricing_plans_nothing(monkeypatch):
-    """Pricing plans and memoizes on the engine dispatch uses: while priced
-    fault-free jobs dispatch, no BigKernel schedule, UVM plan or fast-path
-    result is computed again, and UVM simulates nothing."""
+@pytest.fixture
+def simulations(monkeypatch):
+    """Every simulation made so far, by kind: ``"pipeline"`` for a
+    BigKernel ``run_pipeline`` call (closed form or DES), ``"uvm"`` for a
+    paging DES and ``"des"`` for any DES run (``Environment.run``)."""
+    import repro.engines.bigkernel as bigkernel
     from repro.engines.uvm import _UvmSimulation
+    from repro.sim.core import Environment
+
+    made = []
+
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            made.append(kind)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        bigkernel, "run_pipeline", counting("pipeline", bigkernel.run_pipeline)
+    )
+    monkeypatch.setattr(
+        _UvmSimulation, "execute", counting("uvm", _UvmSimulation.execute)
+    )
+    monkeypatch.setattr(Environment, "run", counting("des", Environment.run))
+    return made
+
+
+def test_dispatch_after_pricing_plans_nothing(simulations):
+    """Pricing plans and memoizes on the engine dispatch uses: while priced
+    fault-free jobs dispatch, no BigKernel schedule or UVM plan is computed
+    again, and nothing simulates, K-means's DES-bound BigKernel runs
+    included."""
     from repro.memo import MEMO_STATS
 
-    simulations = []
-    plain_execute = _UvmSimulation.execute
-
-    def counting_execute(sim):
-        simulations.append(sim)
-        return plain_execute(sim)
-
-    monkeypatch.setattr(_UvmSimulation, "execute", counting_execute)
     jobs = [
         JobSpec(
             DatasetSpec(app=app, seed=4, n_bytes=256 * KiB, version=DATAGEN_VERSION),
@@ -571,19 +591,49 @@ def test_dispatch_after_pricing_plans_nothing(monkeypatch):
         for chunk in (64, 128)
     ]
     tenants = (TenantSpec("t", 1.0, slo_ms=1e9),)
-    memos = ("bigkernel.schedule", "uvm.plan", "fastpath")
+    memos = ("bigkernel.schedule", "uvm.plan")
     with Server(ServeConfig(max_queue=len(jobs), cache=False), tenants=tenants) as server:
         for req_id, job in enumerate(jobs):
             assert server.submit(
                 ServeRequest(req_id=req_id, tenant="t", arrival=0.0, job=job), now=0.0
             ) is None
-        assert len(simulations) == 2  # one per UVM dataset, at pricing
+        # at pricing: one pipeline run per BigKernel job, one paging DES
+        # per UVM dataset
+        assert simulations.count("pipeline") == 4
+        assert simulations.count("uvm") == 2
         misses = {name: MEMO_STATS[name]["misses"] for name in memos}
         del simulations[:]
         responses = server.drain()
     assert [r.status for r in responses] == ["served"] * len(jobs)
     assert {name: MEMO_STATS[name]["misses"] for name in memos} == misses
     assert simulations == []
+
+
+def test_priced_kmeans_bigkernel_job_dispatches_without_a_des_run(simulations):
+    """K-means's mapped writes send a BigKernel run to the DES. Pricing
+    runs it once on the engine dispatch uses, and the plan keeps that
+    timeline, so the dispatched run replays it: no DES run, and the same
+    result as the one-shot oracle."""
+    from repro.serve import oneshot_oracle
+    from repro.serve.scheduler import matches_oracle
+
+    job = JobSpec(
+        DatasetSpec(app="kmeans", seed=4, n_bytes=256 * KiB, version=DATAGEN_VERSION),
+        engine_spec_by_name("bigkernel"),
+        EngineConfig(chunk_bytes=64 * KiB),
+    )
+    tenants = (TenantSpec("t", 1.0, slo_ms=1e9),)
+    with Server(ServeConfig(cache=False), tenants=tenants) as server:
+        assert server.submit(
+            ServeRequest(req_id=0, tenant="t", arrival=0.0, job=job), now=0.0
+        ) is None
+        assert simulations.count("des") == 1  # the pricing run
+        del simulations[:]
+        (resp,) = server.drain()
+    assert resp.status == "served"
+    assert simulations == []
+    assert resp.result.trace is not None
+    assert matches_oracle(job, resp.result, oneshot_oracle(job))
 
 
 # ----------------------------------------------------------- memoized model

@@ -13,7 +13,6 @@ from repro.sim import (
     Semaphore,
     Store,
     TraceRecorder,
-    utilization,
 )
 
 
@@ -393,12 +392,6 @@ class TestTrace:
         tr = TraceRecorder()
         with pytest.raises(ValueError):
             tr.record("a", "x", 2.0, 1.0)
-
-    def test_utilization(self):
-        tr = TraceRecorder()
-        tr.record("gpu", "comp", 0.0, 5.0)
-        tr.record("pcie", "xfer", 0.0, 10.0)
-        assert utilization(tr, "gpu") == pytest.approx(0.5)
 
     def test_labels_first_seen_order(self):
         tr = TraceRecorder()
