@@ -13,7 +13,7 @@ from repro.apps.base import AccessProfile, AppData, Application, is_registered
 from repro.errors import RuntimeConfigError
 from repro.faults.plan import FaultPlan
 from repro.hw.spec import DEFAULT_HARDWARE, HardwareSpec, hash_once
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import Interval, ReadOnlyMeta, TraceRecorder
 from repro.units import MiB
 
 
@@ -129,9 +129,23 @@ class Timeline:
     #: the trace's intervals; None when nothing was recorded (closed form)
     intervals: Optional[tuple] = None
 
+    def kept(self) -> "Timeline":
+        """This timeline as a plan keeps it: every replay shares its
+        intervals, so they are rebuilt with read-only meta (the records
+        themselves are frozen)."""
+        if self.intervals is None:
+            return self
+        intervals = tuple(
+            Interval(iv.track, iv.label, iv.start, iv.end, ReadOnlyMeta(iv.meta))
+            for iv in self.intervals
+        )
+        return Timeline(self.sim_time, self.metrics, intervals)
+
     def result(self, engine: str, app: str, output: Any) -> RunResult:
-        """A :class:`RunResult` of this timeline in fresh containers, so a
-        caller that edits what it got cannot change a later replay."""
+        """A :class:`RunResult` of this timeline in fresh containers (stage
+        totals, notes, trace recorder) over its intervals, which a kept
+        timeline shares read-only: a caller that edits what it got cannot
+        change a later replay."""
         m = self.metrics
         notes = {
             k: type(v)(v) if isinstance(v, (dict, list)) else v
@@ -192,7 +206,8 @@ class Engine(abc.ABC):
         """The run's timeline, by the one replay rule of every simulating
         engine: a run with the fast path allowed and no fault plan replays
         the :class:`Timeline` its memoized ``plan`` keeps, which the first
-        such run simulated (closed form, DES fallback or paging DES).
+        such run simulated (closed form, DES fallback or paging DES) and
+        stored as :meth:`Timeline.kept`.
         ``fastpath=False`` and any fault plan, even an empty one, simulate
         on every call and keep nothing. Threads that miss together may both
         simulate; the later store wins, and the values are equal."""
@@ -200,7 +215,7 @@ class Engine(abc.ABC):
             return simulate()
         timeline = plan.timeline
         if timeline is None:
-            timeline = plan.timeline = simulate()
+            timeline = plan.timeline = simulate().kept()
         return timeline
 
     @staticmethod

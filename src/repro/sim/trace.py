@@ -49,6 +49,25 @@ class Interval:
         return self.start < other.end and other.start < self.end
 
 
+class ReadOnlyMeta(dict):
+    """An interval's ``meta`` that refuses edits. A memoized plan hands the
+    intervals of its kept timeline to every replay of it
+    (:meth:`repro.engines.base.Timeline.kept`), so no caller may change
+    them under a later one. It is still a dict: reads, ``dict(meta)``,
+    JSON and pickling see no difference."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a kept timeline's interval meta is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return ReadOnlyMeta, (dict(self),)
+
+
 class TraceRecorder:
     """Accumulates :class:`Interval` records during a simulated run."""
 

@@ -12,7 +12,8 @@ mapped writes) or the paging DES. A repeat replays that timeline:
   ``_UvmSimulation.execute``);
 * ``fastpath=False`` and any fault plan simulate on every call and store
   nothing;
-* editing a result leaves the next replay unchanged.
+* editing a result leaves the next replay unchanged, and the intervals
+  every replay shares refuse edits.
 """
 
 import sys
@@ -108,9 +109,16 @@ def _des_oracle(engine_name, app_name, config, n_bytes=DATA_BYTES):
     return ENGINES[engine_name]().run(app, data, config.with_(fastpath=False))
 
 
-def _assert_same_run(res, ref):
-    """``res`` equals the forced-DES run ``ref`` in every field. A run
-    whose timeline came from the closed form recorded no trace."""
+def _took_des(engine_name, app_name):
+    """Whether the first fault-free run took a DES: the unified-memory
+    engines page on the DES, and K-means's mapped writes send BigKernel
+    and double buffering to it. The closed form records no trace."""
+    return engine_name in UVM_NAMES or app_name == "kmeans"
+
+
+def _assert_same_run(res, ref, took_des):
+    """``res`` equals the forced-DES run ``ref`` in every field, and has
+    the trace exactly when its timeline came from a DES (``took_des``)."""
     assert res.sim_time == ref.sim_time
     a, b = res.metrics, ref.metrics
     assert a.n_chunks == b.n_chunks
@@ -120,7 +128,8 @@ def _assert_same_run(res, ref):
     assert a.pattern_fraction == b.pattern_fraction
     assert a.kernel_launches == b.kernel_launches
     assert a.notes == b.notes
-    if res.trace is not None:
+    assert (res.trace is not None) == took_des
+    if took_des:
         assert _fingerprint(res.trace) == _fingerprint(ref.trace)
     assert bit_equal(res.output, ref.output)
 
@@ -164,13 +173,11 @@ class TestReplay:
         first = engine.run(app, data, config)
         replay = engine.run(app, data, config)
         assert simulations() == 1
-        # the first run took a DES (paging, or K-means's mapped writes), and
-        # then its replay has the trace too; the closed form records none
-        took_des = engine_name in UVM_NAMES or app_name == "kmeans"
-        assert (first.trace is not None) == (replay.trace is not None) == took_des
+        # a first run that took a DES keeps its trace, and so does its replay
+        took_des = _took_des(engine_name, app_name)
         ref = _des_oracle(engine_name, app_name, config, n_bytes)
-        _assert_same_run(first, ref)
-        _assert_same_run(replay, ref)
+        _assert_same_run(first, ref, took_des)
+        _assert_same_run(replay, ref, took_des)
 
     @pytest.mark.parametrize("app_name", ["wordcount", "kmeans"])
     @each_engine
@@ -217,7 +224,11 @@ class TestReplay:
         assert "fault_stats" not in clean.metrics.notes
         engine.run(app, data, CONFIG)
         assert simulations() == 3
-        _assert_same_run(clean, _des_oracle(engine_name, "wordcount", CONFIG))
+        _assert_same_run(
+            clean,
+            _des_oracle(engine_name, "wordcount", CONFIG),
+            _took_des(engine_name, "wordcount"),
+        )
 
     @pytest.mark.parametrize("app_name", ["mastercard", "kmeans"])
     @each_engine
@@ -226,6 +237,7 @@ class TestReplay:
     ):
         app, data = dataset(app_name)
         engine = ENGINES[engine_name]()
+        took_des = _took_des(engine_name, app_name)
         for res in (engine.run(app, data, CONFIG), engine.run(app, data, CONFIG)):
             notes = res.metrics.notes
             for key, value in list(notes.items()):
@@ -236,12 +248,22 @@ class TestReplay:
             notes["extra"] = True
             res.metrics.stage_totals["poison"] = 1.0
             res.metrics.stage_totals.clear()
-            if res.trace is not None:
+            if took_des:
                 res.trace.record("gpu", "bogus", 0.0, 1.0)
+                # the intervals are shared: frozen, with read-only meta
+                shared = res.trace.intervals[0]
+                with pytest.raises(TypeError):
+                    shared.meta["poison"] = 1
+                with pytest.raises(TypeError):
+                    shared.meta.clear()
+                with pytest.raises(AttributeError):
+                    shared.end = -1.0
             res.metrics.bytes_h2d = -1
         replay = engine.run(app, data, CONFIG)
         assert simulations() == 1
-        _assert_same_run(replay, _des_oracle(engine_name, app_name, CONFIG))
+        _assert_same_run(
+            replay, _des_oracle(engine_name, app_name, CONFIG), took_des
+        )
 
     @each_engine
     def test_another_dataset_instance_simulates(self, engine_name, simulations):
@@ -265,7 +287,11 @@ class TestReplay:
         results = [engine.run(app, data, other) for other in others]
         assert simulations() == 1
         for res, other in zip(results, others):
-            _assert_same_run(res, _des_oracle("gpu_double", app_name, other))
+            _assert_same_run(
+                res,
+                _des_oracle("gpu_double", app_name, other),
+                _took_des("gpu_double", app_name),
+            )
 
     @pytest.mark.parametrize(
         "change",
@@ -288,7 +314,7 @@ class TestReplay:
         other = CONFIG.with_(**change)
         res = engine.run(app, data, other)
         assert simulations() == 1
-        _assert_same_run(res, _des_oracle("uvm_readahead", "kmeans", other))
+        _assert_same_run(res, _des_oracle("uvm_readahead", "kmeans", other), True)
 
     @pytest.mark.parametrize(
         "change",
@@ -307,7 +333,7 @@ class TestReplay:
         other = CONFIG.with_(**change)
         res = engine.run(app, data, other)
         assert simulations() == 2
-        _assert_same_run(res, _des_oracle("gpu_uvm", "kmeans", other))
+        _assert_same_run(res, _des_oracle("gpu_uvm", "kmeans", other), True)
 
     def test_uvm_plan_memo_is_bounded_and_lru(self, dataset, simulations):
         app, data = dataset("dna", 256 * KiB)

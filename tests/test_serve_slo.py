@@ -577,8 +577,11 @@ def test_dispatch_after_pricing_plans_nothing(simulations):
     """Pricing plans and memoizes on the engine dispatch uses: while priced
     fault-free jobs dispatch, no BigKernel schedule or UVM plan is computed
     again, and nothing simulates, K-means's DES-bound BigKernel runs
-    included."""
+    included. Each dispatched run replays the priced timeline, trace and
+    all, and equals its one-shot oracle."""
     from repro.memo import MEMO_STATS
+    from repro.serve import oneshot_oracle
+    from repro.serve.scheduler import matches_oracle
 
     jobs = [
         JobSpec(
@@ -607,33 +610,13 @@ def test_dispatch_after_pricing_plans_nothing(simulations):
     assert [r.status for r in responses] == ["served"] * len(jobs)
     assert {name: MEMO_STATS[name]["misses"] for name in memos} == misses
     assert simulations == []
-
-
-def test_priced_kmeans_bigkernel_job_dispatches_without_a_des_run(simulations):
-    """K-means's mapped writes send a BigKernel run to the DES. Pricing
-    runs it once on the engine dispatch uses, and the plan keeps that
-    timeline, so the dispatched run replays it: no DES run, and the same
-    result as the one-shot oracle."""
-    from repro.serve import oneshot_oracle
-    from repro.serve.scheduler import matches_oracle
-
-    job = JobSpec(
-        DatasetSpec(app="kmeans", seed=4, n_bytes=256 * KiB, version=DATAGEN_VERSION),
-        engine_spec_by_name("bigkernel"),
-        EngineConfig(chunk_bytes=64 * KiB),
-    )
-    tenants = (TenantSpec("t", 1.0, slo_ms=1e9),)
-    with Server(ServeConfig(cache=False), tenants=tenants) as server:
-        assert server.submit(
-            ServeRequest(req_id=0, tenant="t", arrival=0.0, job=job), now=0.0
-        ) is None
-        assert simulations.count("des") == 1  # the pricing run
-        del simulations[:]
-        (resp,) = server.drain()
-    assert resp.status == "served"
-    assert simulations == []
-    assert resp.result.trace is not None
-    assert matches_oracle(job, resp.result, oneshot_oracle(job))
+    for r in responses:
+        job = jobs[r.req_id]
+        # a timeline from a DES (paging, or K-means's mapped writes) has a
+        # trace; the closed form records none
+        took_des = job.engine.name == "gpu_uvm" or job.dataset.app == "kmeans"
+        assert (r.result.trace is not None) == took_des
+        assert matches_oracle(job, r.result, oneshot_oracle(job))
 
 
 # ----------------------------------------------------------- memoized model

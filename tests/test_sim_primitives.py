@@ -393,6 +393,40 @@ class TestTrace:
         with pytest.raises(ValueError):
             tr.record("a", "x", 2.0, 1.0)
 
+    def test_read_only_meta_refuses_edits_and_round_trips(self):
+        """A kept timeline's interval meta refuses every edit yet reads,
+        copies, pickles and dumps as the dict it was."""
+        import copy
+        import json
+        import pickle
+
+        from repro.sim.trace import ReadOnlyMeta
+
+        source = {"chunk": 3, "block": 1}
+        meta = ReadOnlyMeta(source)
+        assert meta == source and meta.get("chunk") == 3
+        edits = (
+            lambda m: m.__setitem__("x", 1),
+            lambda m: m.__delitem__("chunk"),
+            lambda m: m.__ior__({"x": 1}),
+            lambda m: m.clear(),
+            lambda m: m.pop("chunk"),
+            lambda m: m.popitem(),
+            lambda m: m.setdefault("x", 1),
+            lambda m: m.update(x=1),
+        )
+        for edit in edits:
+            with pytest.raises(TypeError):
+                edit(meta)
+        assert meta == source == {"chunk": 3, "block": 1}
+        for twin in (
+            pickle.loads(pickle.dumps(meta)),
+            copy.copy(meta),
+            copy.deepcopy(meta),
+        ):
+            assert type(twin) is ReadOnlyMeta and twin == meta
+        assert json.loads(json.dumps(meta)) == dict(meta)
+
     def test_labels_first_seen_order(self):
         tr = TraceRecorder()
         tr.record("g", "b", 0, 1)
