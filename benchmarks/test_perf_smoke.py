@@ -3,10 +3,10 @@
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
 autotune sweep, the raw DES event throughput, the DES cost per pipeline
 chunk, a DES-bound thread-vs-process sweep, every app's dataset
-generation, a first vs a replayed run on three engines, a first
-functional run vs a memoized pass at another chunking, a served job
-dispatched after pricing vs unpriced and a memo hit, and records the
-measurements to ``BENCH_pipeline.json`` at the repo root.
+generation (wall and memory peak), a first vs a replayed run on three
+engines, a first functional run vs a memoized pass at another chunking, a
+served job dispatched after pricing vs unpriced and a memo hit, and
+records the measurements to ``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -22,8 +22,11 @@ downgrades to recording only.
 import json
 import os
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from repro.apps import APP_REGISTRY, get_app
 from repro.bench.sweep import RUN_CACHE, sweep
@@ -44,6 +47,10 @@ DES_EVENTS_PER_CHUNK = {"wordcount": 20, "kmeans": 30}
 #: Word Count's 512 KiB ``generate`` takes ~7 ms on one core of a 2-vCPU
 #: host; the per-word vocabulary loop and bytes join it replaced took ~60 ms
 DATAGEN_WARN_MS = 20.0
+#: every generator works in bounded blocks, so its tracemalloc peak stays
+#: within 1.5x the bytes its dataset holds (K-means, 1.50x, is the highest;
+#: whole-array gathers took DNA and Word Count past 4x)
+DATAGEN_WARN_PEAK = 1.6
 #: a ``Memo.get`` hit costs 4-5x a bare ``OrderedDict`` hit on a shared
 #: 2-vCPU host (0.7-0.9 us, about a third of it the lock); past this ratio
 #: the hit path has grown
@@ -252,13 +259,27 @@ def test_des_pipeline(monkeypatch):
     _record({"name": "des_pipeline", "n_bytes": 16 * MiB, "runs": runs})
 
 
+def _held_bytes(data) -> int:
+    """Bytes of every array a dataset holds, each base buffer once."""
+    buffers = {}
+    for group in (data.mapped, data.resident, data.meta):
+        for value in group.values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                buffers[id(value)] = value.nbytes
+    return sum(buffers.values())
+
+
 def test_datagen_throughput():
-    """Best-of-5 ``generate`` wall per app at 512 KiB, and Word Count at
-    16 MiB (the ``sweep_des`` dataset size).
+    """Best-of-5 ``generate`` wall per app at 512 KiB, and best-of-3 at
+    16 MiB (the ``sweep_des`` dataset size) with the tracemalloc peak over
+    the bytes the dataset holds.
 
     The server regenerates a dataset from its recipe whenever a run or a
     first price misses its dataset pool, so ``generate`` is on the serving
-    hot path.
+    hot path; ``repro run``, ``sweep`` and ``sweep_des``'s set-up generate
+    16 MiB datasets.
     """
 
     def best_ms(name: str, n_bytes: int, repeats: int) -> float:
@@ -270,15 +291,28 @@ def test_datagen_throughput():
             best = min(best, time.perf_counter() - t0)
         return best * 1e3
 
-    generate_ms = {name: best_ms(name, 512 * 1024, 5) for name in sorted(APP_REGISTRY)}
-    wordcount_16mib_ms = best_ms("wordcount", 16 * MiB, 2)
+    def peak_over_held(name: str, n_bytes: int) -> float:
+        tracemalloc.start()
+        try:
+            data = get_app(name).generate(n_bytes=n_bytes, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / _held_bytes(data)
+
+    apps = sorted(APP_REGISTRY)
+    generate_ms = {name: best_ms(name, 512 * 1024, 5) for name in apps}
+    generate_16mib_ms = {name: best_ms(name, 16 * MiB, 3) for name in apps}
+    peak_16mib = {name: peak_over_held(name, 16 * MiB) for name in apps}
     _record(
         {
             "name": "datagen_throughput",
             "n_bytes": 512 * 1024,
             "generate_ms": generate_ms,
-            "wordcount_16mib_ms": wordcount_16mib_ms,
+            "generate_16mib_ms": generate_16mib_ms,
+            "peak_over_held_16mib": peak_16mib,
             "warn_ms": DATAGEN_WARN_MS,
+            "warn_peak_over_held": DATAGEN_WARN_PEAK,
         }
     )
     if generate_ms["wordcount"] > DATAGEN_WARN_MS:
@@ -288,6 +322,14 @@ def test_datagen_throughput():
             f"{DATAGEN_WARN_MS:.0f} ms expectation (warn-only)",
             stacklevel=2,
         )
+    for name, ratio in peak_16mib.items():
+        if ratio > DATAGEN_WARN_PEAK:
+            warnings.warn(
+                f"datagen_throughput: {name} generate peaked at {ratio:.2f}x "
+                f"the bytes it holds at 16 MiB, above the "
+                f"{DATAGEN_WARN_PEAK}x expectation (warn-only)",
+                stacklevel=2,
+            )
 
 
 def test_des_bound_sweep_process_vs_thread():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -18,7 +18,18 @@ from repro.errors import ApplicationError
 #: every app per version.
 DATAGEN_VERSION = 1
 
+#: items (records, words or random draws) per block of generation work.
+#: The generators write each block straight into their output, so what
+#: they hold besides it is bounded by this, whatever the dataset's size.
+BLOCK = 1 << 14
+
 _WORD_CHARS = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
+
+
+def blocks(n: int) -> Iterator[tuple[int, int]]:
+    """The ``[lo, hi)`` ranges that cut ``range(n)`` into ``BLOCK`` items."""
+    for lo in range(0, n, BLOCK):
+        yield lo, min(lo + BLOCK, n)
 
 
 def lemire_values(draws: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +158,7 @@ def make_vocabulary(
     return [row[:n].tobytes() for row, n in zip(table, lengths.tolist())]
 
 
-#: buckets of the guide table :func:`zipf_indices` starts each search from
+#: buckets of the guide table :func:`_zipf_blocks` starts each search from
 _GUIDE_BUCKETS = 2**16
 
 
@@ -161,62 +172,97 @@ def _zipf_guide(vocab_size: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     edges = np.arange(_GUIDE_BUCKETS, dtype=np.float64) / _GUIDE_BUCKETS
-    guide = np.searchsorted(cdf, edges, side="right").astype(np.int64)
+    # int32 halves the 2**16 entries each cached guide keeps resident
+    guide = np.searchsorted(cdf, edges, side="right").astype(np.int32)
     cdf.setflags(write=False)
     guide.setflags(write=False)
     return cdf, guide
+
+
+def _zipf_blocks(
+    rng: np.random.Generator, vocab_size: int, n: int, s: float = 1.2
+) -> Iterator[np.ndarray]:
+    """:func:`zipf_indices` one block of up to ``BLOCK`` indices at a time.
+
+    Each block draws its own ``rng.random(k)``; consecutive draws read the
+    same stream as one ``rng.random(n)``. Each search starts at the guide
+    entry of ``u``'s bucket, which never passes ``searchsorted(cdf, u,
+    side="right")`` because the bucket starts at or below ``u``, and steps
+    forward while ``cdf[idx] <= u``.
+    """
+    cdf, guide = _zipf_guide(vocab_size, float(s))
+    for lo, hi in blocks(n):
+        u = rng.random(hi - lo)
+        # u * 2**16 is exact, so the bucket is floor(u * 2**16)
+        idx = guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
+        behind = np.flatnonzero(cdf.take(idx) <= u)
+        while behind.size:
+            idx[behind] += 1
+            behind = behind[cdf.take(idx[behind]) <= u[behind]]
+        yield idx
 
 
 def zipf_indices(rng: np.random.Generator, vocab_size: int, n: int, s: float = 1.2) -> np.ndarray:
     """Zipf-distributed indices into a vocabulary (word frequencies).
 
     Exactly ``rng.choice(vocab_size, size=n, p=probs)``: the same CDF and
-    the same one ``rng.random(n)`` draw ``u``, without a binary search per
-    draw. Each search starts at the guide entry of ``u``'s bucket, which
-    never passes ``searchsorted(cdf, u, side="right")`` because the bucket
-    starts at or below ``u``, and steps forward while ``cdf[idx] <= u``.
+    the same ``rng.random`` stream, without a binary search per draw (see
+    :func:`_zipf_blocks`).
     """
-    cdf, guide = _zipf_guide(vocab_size, float(s))
-    u = rng.random(n)
-    # u * 2**16 is exact, so the bucket is floor(u * 2**16)
-    idx = guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
-    behind = np.flatnonzero(cdf.take(idx) <= u)
-    while behind.size:
-        idx[behind] += 1
-        behind = behind[cdf.take(idx[behind]) <= u[behind]]
+    idx = np.empty(n, dtype=np.int64)
+    lo = 0
+    for block in _zipf_blocks(rng, vocab_size, n, s):
+        idx[lo : lo + block.size] = block
+        lo += block.size
     return idx
 
 
 def make_text(
     rng: np.random.Generator, n_bytes: int, vocab_size: int = 2000, sep: int = 32
-) -> np.ndarray:
-    """``sep``-separated zipf text of ~``n_bytes`` as a uint8 array.
+) -> tuple[np.ndarray, int]:
+    """``sep``-separated zipf text of at most ``n_bytes`` as a uint8 array,
+    and the number of words in it.
 
     Always ends with a separator so every word is terminated. Each
     vocabulary word is a ``uint8`` row of its letters padded with
-    separators to the longest length plus one; the text gathers the rows
-    by word index and keeps each word's letters and one separator.
+    separators to the longest length plus one. Each block of zipf draws
+    gathers its words' rows and writes each word's letters and one
+    separator straight into the text buffer. The text stops before the
+    first word that does not end within ``n_bytes``; the draws after it
+    are still made, so ``rng`` ends where one whole draw leaves it.
     """
     if n_bytes < 4:
         raise ApplicationError("text size must be >= 4 bytes")
     table, lengths = vocabulary_table(rng, vocab_size)
     avg = int(lengths.sum()) / vocab_size + 1
     n_words = max(1, int(n_bytes / avg))
-    idx = zipf_indices(rng, vocab_size, n_words)
-    sizes = (lengths + 1).astype(np.uint8)[idx]
-    # words that end, separator included, within n_bytes
-    fit = int(np.searchsorted(np.cumsum(sizes), n_bytes, side="right"))
-    if fit == 0:
-        raise ApplicationError(
-            f"no word fits in {n_bytes} bytes of text; ask for more bytes"
-        )
     width = table.shape[1] + 1
     rows = np.full((vocab_size, width), sep, dtype=np.uint8)
     rows[:, :-1] = np.where(table != 0, table, np.uint8(sep))
     keep = np.arange(width) <= lengths[:, None]
-    # np.take gathers whole rows several times faster than fancy indexing
-    words = idx[:fit]
-    return np.take(rows, words, axis=0)[np.take(keep, words, axis=0)]
+    sizes = lengths + 1
+    text = np.empty(n_bytes, dtype=np.uint8)
+    end = words = 0
+    full = False
+    for idx in _zipf_blocks(rng, vocab_size, n_words):
+        if full:
+            continue  # draw on
+        # the block's words that end, separator included, within n_bytes
+        ends = end + np.cumsum(sizes.take(idx))
+        fit = int(np.searchsorted(ends, n_bytes, side="right"))
+        full = fit < idx.size
+        if fit:
+            picked, stop = idx[:fit], int(ends[fit - 1])
+            # np.take gathers whole rows several times faster than fancy
+            # indexing
+            kept = np.take(keep, picked, axis=0)
+            text[end:stop] = np.take(rows, picked, axis=0)[kept]
+            end, words = stop, words + fit
+    if words == 0:
+        raise ApplicationError(
+            f"no word fits in {n_bytes} bytes of text; ask for more bytes"
+        )
+    return text[:end], words
 
 
 def dna_bases(rng: np.random.Generator, shape) -> np.ndarray:

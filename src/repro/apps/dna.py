@@ -20,7 +20,7 @@ from repro.apps.base import (
     field_run_dtype,
     register,
 )
-from repro.apps.datagen import dna_bases
+from repro.apps.datagen import blocks, dna_bases
 from repro.kernelc.codegen import ExecutionContext
 from repro.kernelc.ir import (
     Assign,
@@ -49,6 +49,8 @@ READ_BYTES = FRAG_LEN  # 46 of 128 bytes ~ 36%
 
 #: the k-mer prefix b0..b15 as one (KMER,) uint8 field of each record
 _KMER_VIEW = field_run_dtype(FRAGMENT, "b0", KMER)
+#: the whole read b0..b45, the same way
+_READ_VIEW = field_run_dtype(FRAGMENT, "b0", FRAG_LEN)
 
 
 def _kmer_hashes(bases: np.ndarray) -> np.ndarray:
@@ -80,14 +82,16 @@ class DnaAssemblyApp(Application):
         rng = np.random.default_rng(seed)
         genome_len = max(FRAG_LEN + 1, int(n * self.genome_fraction) + FRAG_LEN)
         genome = dna_bases(rng, genome_len)
-        starts = rng.integers(0, genome_len - FRAG_LEN, n)
-        idx = starts[:, None] + np.arange(FRAG_LEN)[None, :]
-        frags = genome[idx]
+        # row i is the read that starts at genome[i]
+        windows = np.lib.stride_tricks.sliding_window_view(genome, FRAG_LEN)
         arr = np.zeros(n, dtype=FRAGMENT.numpy_dtype())
-        for j in range(FRAG_LEN):
-            arr[f"b{j}"] = frags[:, j]
-        arr["read_id"] = np.arange(n)
-        arr["quality"] = rng.uniform(0.5, 1.0, n).astype(np.float32)
+        reads = arr.view(_READ_VIEW)["run"]
+        # all the starts are drawn before all the qualities
+        for lo, hi in blocks(n):
+            reads[lo:hi] = windows[rng.integers(0, genome_len - FRAG_LEN, hi - lo)]
+        for lo, hi in blocks(n):
+            arr["read_id"][lo:hi] = np.arange(lo, hi)
+            arr["quality"][lo:hi] = rng.uniform(0.5, 1.0, hi - lo)
         return AppData(
             app=self.name,
             mapped={"fragments": arr},

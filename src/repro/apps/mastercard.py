@@ -24,11 +24,13 @@ where key fields are fixed-width inside variable records.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.apps.base import AccessProfile, AppData, Application, register
+from repro.apps.datagen import blocks, zipf_indices
 from repro.kernelc.codegen import ExecutionContext
 from repro.kernelc.ir import (
     Assign,
@@ -57,27 +59,57 @@ SEP = ord(";")
 BAR = ord("|")
 
 
+#: the ``CCCCCCCC|MMMMMMMM|`` key fields that open every record
+HEADER = 2 * (KEY_WIDTH + 1)
+
+
+@lru_cache(maxsize=1)
+def _key_rows() -> np.ndarray:
+    """``b"%08d|" % key`` for every card and merchant key, one read-only
+    ``uint8`` row each, built on first use.
+
+    Built one digit column at a time from ``int32`` keys, so its
+    temporaries stay small.
+    """
+    n = max(N_CARDS, N_MERCHANTS)
+    rows = np.full((n, KEY_WIDTH + 1), BAR, dtype=np.uint8)
+    keys = np.arange(n, dtype=np.int32)
+    for column in range(KEY_WIDTH - 1, -1, -1):
+        rows[:, column] = keys % 10 + ord("0")
+        keys //= 10
+    rows.setflags(write=False)
+    return rows
+
+
 def _render_transactions(
     rng: np.random.Generator, cards: np.ndarray, merchants: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render parsed transactions to delimiter-separated text.
 
     Record ``i`` is ``b"%08d|%08d|%s;" % (card, merchant, b"9" * tail)``
-    with a tail of 28-61 bytes, written column by column into one buffer
-    of ``9``s (keys stay below ``10**KEY_WIDTH``). Returns (text bytes,
-    record start offsets).
+    with a tail of 28-61 bytes. The record offsets are drawn and summed
+    block by block, then the text is one buffer of ``9``s. Each block of
+    records takes its header rows from :func:`_key_rows` in one gather and
+    writes them in one scatter, then writes its ``;``s. Returns (text
+    bytes, record start offsets).
     """
-    tails = rng.integers(28, 62, cards.size)
-    lens = 2 * (KEY_WIDTH + 1) + tails + 1
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    text = np.full(int(ends[-1]), ord("9"), dtype=np.uint8)
-    for offset, keys in ((0, cards), (KEY_WIDTH + 1, merchants)):
-        for digit in range(KEY_WIDTH):
-            place = 10 ** (KEY_WIDTH - 1 - digit)
-            text[starts + offset + digit] = ord("0") + keys // place % 10
-        text[starts + offset + KEY_WIDTH] = BAR
-    text[ends - 1] = SEP
+    n = cards.size
+    starts = np.empty(n, dtype=np.int64)
+    end = 0
+    for lo, hi in blocks(n):
+        lens = rng.integers(28, 62, hi - lo) + (HEADER + 1)
+        ends = end + np.cumsum(lens)
+        starts[lo:hi] = ends - lens
+        end = int(ends[-1])
+    text = np.full(end, ord("9"), dtype=np.uint8)
+    headers = np.lib.stride_tricks.sliding_window_view(text, HEADER, writeable=True)
+    key_rows = _key_rows()
+    for lo, hi in blocks(n):
+        keys = np.stack((cards[lo:hi], merchants[lo:hi]), axis=1)
+        headers[starts[lo:hi]] = np.take(key_rows, keys, axis=0).reshape(-1, HEADER)
+        # each record but the last ends just before the next one starts
+        text[starts[lo + 1 : hi + 1] - 1] = SEP
+    text[-1] = SEP
     return text, starts
 
 
@@ -86,17 +118,12 @@ def _generate_common(app_name: str, n_bytes: int, seed: int) -> AppData:
     avg_record = KEY_WIDTH * 2 + 2 + 45  # keys + separators + avg tail
     n = max(4, int(n_bytes / avg_record))
     cards = rng.integers(0, N_CARDS, n)
-    ranks = np.arange(1, N_MERCHANTS + 1, dtype=np.float64)
-    probs = ranks**-1.1
-    probs /= probs.sum()
-    merchants = rng.choice(N_MERCHANTS, size=n, p=probs)
+    merchants = zipf_indices(rng, N_MERCHANTS, n, 1.1)
     target = int(merchants[0])  # guaranteed to occur
     text, starts = _render_transactions(rng, cards, merchants)
-    arr = np.zeros(text.size, dtype=BYTES.numpy_dtype())
-    arr["byte"] = text
     return AppData(
         app=app_name,
-        mapped={"transactions": arr},
+        mapped={"transactions": text.view(BYTES.numpy_dtype())},
         schemas={"transactions": BYTES},
         resident={
             "customers": np.zeros(N_CARDS, dtype=np.int64),

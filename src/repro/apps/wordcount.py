@@ -113,19 +113,15 @@ class WordCountApp(Application):
     def generate(self, n_bytes: Optional[int] = None, seed: int = 0) -> AppData:
         n_bytes = n_bytes or self.default_bytes()
         rng = np.random.default_rng(seed)
-        text = make_text(rng, n_bytes)
-        arr = np.zeros(text.size, dtype=BYTES.numpy_dtype())
-        arr["byte"] = text
-        words = int(np.count_nonzero(text == SEP))
-        avg_record = text.size / max(words, 1)
+        text, words = make_text(rng, n_bytes, sep=SEP)
         return AppData(
             app=self.name,
-            mapped={"text": arr},
+            mapped={"text": text.view(BYTES.numpy_dtype())},
             schemas={"text": BYTES},
             resident={"counts": np.zeros(TABLE_SIZE, dtype=np.int64)},
             params={"n": text.size},
             primary="text",
-            meta={"avg_record": avg_record, "n_words": words},
+            meta={"avg_record": text.size / words, "n_words": words},
         )
 
     # ----------------------------------------------------- vectorized kernel

@@ -2,12 +2,15 @@
 
 import contextlib
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.apps.base import APP_REGISTRY, get_app
 from repro.apps.datagen import dna_bases, make_text, make_vocabulary, zipf_indices
 from repro.errors import ApplicationError, CompilerError
+from repro.units import MiB
 
 
 @contextlib.contextmanager
@@ -77,24 +80,25 @@ class TestZipf:
 class TestText:
     def test_size_close_to_request(self):
         rng = np.random.default_rng(4)
-        text = make_text(rng, 100_000)
+        text, _ = make_text(rng, 100_000)
         assert 0.9 * 100_000 <= text.size <= 100_000
 
     def test_ends_with_separator(self):
         rng = np.random.default_rng(4)
-        assert make_text(rng, 10_000)[-1] == 32
+        assert make_text(rng, 10_000)[0][-1] == 32
 
     def test_no_double_separators(self):
         rng = np.random.default_rng(4)
-        text = make_text(rng, 10_000)
+        text, _ = make_text(rng, 10_000)
         pairs = (text[:-1] == 32) & (text[1:] == 32)
         assert not pairs.any()
 
     def test_words_separated_by_sep(self):
-        text = make_text(np.random.default_rng(4), 10_000, sep=ord(","))
-        spaced = make_text(np.random.default_rng(4), 10_000)
+        text, words = make_text(np.random.default_rng(4), 10_000, sep=ord(","))
+        spaced, spaced_words = make_text(np.random.default_rng(4), 10_000)
         assert text[-1] == ord(",") and not (text == 32).any()
         assert np.array_equal(np.where(text == ord(","), 32, text), spaced)
+        assert words == spaced_words
 
     def test_tiny_request_rejected(self):
         with pytest.raises(ApplicationError):
@@ -104,6 +108,33 @@ class TestText:
     def test_no_word_fits_rejected(self, seed, n_bytes):
         with pytest.raises(ApplicationError, match="no word fits"):
             make_text(np.random.default_rng(seed), n_bytes)
+
+
+def held_bytes(data) -> int:
+    """Bytes of every array a dataset holds, each base buffer once (a
+    view counts as the buffer it views)."""
+    buffers = {}
+    for group in (data.mapped, data.resident, data.meta):
+        for value in group.values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                buffers[id(value)] = value.nbytes
+    return sum(buffers.values())
+
+
+@pytest.mark.parametrize("app", sorted(APP_REGISTRY))
+def test_generate_peak_is_bounded(app):
+    # a generator writes into the arrays it returns and works in bounded
+    # blocks, so its peak stays near what the dataset keeps
+    tracemalloc.start()
+    try:
+        data = get_app(app).generate(n_bytes=8 * MiB, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = held_bytes(data)
+    assert peak <= 1.6 * held, f"{app}: peak {peak / held:.2f}x the bytes it holds"
 
 
 class TestDnaBases:

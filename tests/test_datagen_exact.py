@@ -3,25 +3,34 @@ replaced.
 
 ``make_vocabulary`` replays its generator's stream from one block of raw
 32-bit draws, ``zipf_indices`` replays ``rng.choice(p=...)`` through a guide
-table over its CDF, ``make_text`` gathers its words from a table, and
-Mastercard renders its records with array writes. The loops and calls
-below are the previous implementations, kept as oracles: outputs, and the
-generator's state afterwards (which every later draw depends on), must
-match exactly.
+table over its CDF, ``make_text`` gathers its words from a table,
+Mastercard renders its records with array writes, and DNA gathers its
+reads through a window view of the genome; the last four work in blocks
+of ``BLOCK`` items. The loops and calls below are the previous
+implementations, kept as oracles: outputs, and the generator's state
+afterwards (which every later draw depends on), must match exactly, also
+at and across block edges.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.apps import datagen
+from repro.apps.base import get_app
 from repro.apps.datagen import (
     _WORD_CHARS,
+    BLOCK,
+    dna_bases,
     make_text,
     make_vocabulary,
     parse_vocabulary,
     zipf_indices,
 )
+from repro.apps.dna import FRAG_LEN, FRAGMENT
 from repro.apps.mastercard import N_CARDS, N_MERCHANTS, _render_transactions
 from repro.errors import ApplicationError
 
@@ -66,6 +75,23 @@ def join_text(rng, n_bytes, vocab_size=2000, sep=32):
             )
         out = out[: int(seps[-1]) + 1]
     return np.ascontiguousarray(out)
+
+
+def index_matrix_fragments(n, seed, genome_fraction):
+    """DNA's fragment records, gathered through an n x 46 index matrix
+    into the genome and copied one base field at a time."""
+    rng = np.random.default_rng(seed)
+    genome_len = max(FRAG_LEN + 1, int(n * genome_fraction) + FRAG_LEN)
+    genome = dna_bases(rng, genome_len)
+    starts = rng.integers(0, genome_len - FRAG_LEN, n)
+    idx = starts[:, None] + np.arange(FRAG_LEN)[None, :]
+    frags = genome[idx]
+    arr = np.zeros(n, dtype=FRAGMENT.numpy_dtype())
+    for j in range(FRAG_LEN):
+        arr[f"b{j}"] = frags[:, j]
+    arr["read_id"] = np.arange(n)
+    arr["quality"] = rng.uniform(0.5, 1.0, n).astype(np.float32)
+    return arr
 
 
 def loop_render(rng, cards, merchants):
@@ -272,7 +298,14 @@ class TestParseRejections:
 # -------------------------------------------------------------------- zipf
 @pytest.mark.parametrize(
     "vocab_size,n,s",
-    [(2000, 75_000, 1.2), (50, 1000, 1.2), (1, 17, 1.2), (1000, 5000, 0.7)],
+    [
+        (2000, 75_000, 1.2),
+        (50, 1000, 1.2),
+        (1, 17, 1.2),
+        (1000, 5000, 0.7),
+        # Mastercard's merchants, over several blocks
+        (1024, 3 * BLOCK + 7, 1.1),
+    ],
 )
 def test_zipf_matches_choice(vocab_size, n, s):
     for seed in range(50):
@@ -291,13 +324,21 @@ def test_zipf_steps_past_guide_entries():
     cdf, guide = _zipf_guide(2000, 1.2)
     edges = np.arange(0, 2**16, 97) / 2**16
     u = np.concatenate([edges, cdf[:-1], np.nextafter(cdf[:-1], 1.0)])
+    u = np.tile(u, BLOCK // u.size + 2)  # more than one block of draws
 
     class Fixed:
-        def random(self, n):
-            assert n == u.size
-            return u.copy()
+        """Serves ``u`` in order, one slice per ``random`` call."""
 
-    idx = zipf_indices(Fixed(), 2000, u.size)
+        drawn = 0
+
+        def random(self, n):
+            lo, self.drawn = self.drawn, self.drawn + n
+            assert self.drawn <= u.size
+            return u[lo : self.drawn].copy()
+
+    fixed = Fixed()
+    idx = zipf_indices(fixed, 2000, u.size)
+    assert fixed.drawn == u.size
     assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
 
 
@@ -305,21 +346,60 @@ def test_zipf_steps_past_guide_entries():
 TEXT_SIZES = [4, 8, 12, 17, 4096, 64 * KiB, 512 * KiB, 1 * MiB]
 
 
+def assert_text_matches_join(seed, n_bytes):
+    """``make_text`` against ``join_text`` at one recipe: the text, its word
+    count and the generator's state, or the same refusal. Returns the
+    oracle's text, or None if it refused."""
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expect = join_text(old, n_bytes)
+    except ApplicationError as exc:
+        with pytest.raises(ApplicationError, match="no word fits"):
+            make_text(new, n_bytes)
+        assert "no word fits" in str(exc)
+        return None
+    text, words = make_text(new, n_bytes)
+    assert text.dtype == np.uint8 and np.array_equal(text, expect), (seed, n_bytes)
+    assert words == np.count_nonzero(expect == 32), (seed, n_bytes)
+    assert state_of(new) == state_of(old), (seed, n_bytes)
+    return expect
+
+
 @pytest.mark.parametrize("n_bytes", TEXT_SIZES)
 def test_text_matches_join(n_bytes):
     seeds = range(6) if n_bytes >= 64 * KiB else range(12)
     for seed in seeds:
-        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-        try:
-            expect = join_text(old, n_bytes)
-        except ApplicationError as exc:
-            with pytest.raises(ApplicationError, match="no word fits"):
-                make_text(new, n_bytes)
-            assert "no word fits" in str(exc)
-            continue
-        text = make_text(new, n_bytes)
-        assert text.dtype == np.uint8 and np.array_equal(text, expect), seed
-        assert state_of(new) == state_of(old)
+        assert_text_matches_join(seed, n_bytes)
+
+
+def test_text_matches_join_at_block_edges():
+    # recipes whose zipf draws, or whose text, end on the last word of a
+    # block or the first word of the next: the draws do not depend on how
+    # many follow, so the oracle's first words fix both sizes
+    full_at_edge = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        vocab = loop_vocabulary(rng, 2000)
+        avg = sum(len(w) for w in vocab) / len(vocab) + 1
+        ends = np.cumsum([len(vocab[i]) + 1 for i in choice_zipf(rng, 2000, 2 * BLOCK + 1)])
+        for words in (BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1):
+            # the smallest text size that draws ``words`` words
+            drawn = math.ceil(words * avg)
+            drawn += int(drawn / avg) < words
+            assert int(drawn / avg) == words
+            assert_text_matches_join(seed, drawn)
+            # a text size that ``words`` words fill exactly
+            expect = assert_text_matches_join(seed, int(ends[words - 1]))
+            full_at_edge += np.count_nonzero(expect == 32) == words
+    assert full_at_edge > 0
+@pytest.mark.parametrize("block", [1, 7])
+def test_text_matches_join_in_small_blocks(monkeypatch, block):
+    # with many blocks per text, the text fills up blocks before the last
+    # draw, and the draws after it must still be made
+    monkeypatch.setattr(datagen, "BLOCK", block)
+    for seed in range(8):
+        for n_bytes in (17, 20_000):
+            assert_text_matches_join(seed, n_bytes)
 
 
 def test_small_texts_cover_both_outcomes():
@@ -335,7 +415,7 @@ def test_small_texts_cover_both_outcomes():
 
 
 # -------------------------------------------------------------- mastercard
-@pytest.mark.parametrize("n", [1, 4, 100, 8_000])
+@pytest.mark.parametrize("n", [1, 4, 100, 8_000, 3 * BLOCK + 7])
 def test_render_matches_loop(n):
     for seed in range(5):
         keys = np.random.default_rng(seed)
@@ -350,3 +430,15 @@ def test_render_matches_loop(n):
         assert np.array_equal(text, expect_text)
         assert np.array_equal(starts, expect_starts)
         assert state_of(new) == state_of(old)
+
+
+# --------------------------------------------------------------------- dna
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_dna_matches_index_matrix(n):
+    app = get_app("dna")
+    for seed in (0, 7):
+        fragments = app.generate(n_bytes=n * FRAGMENT.record_size, seed=seed)
+        expect = index_matrix_fragments(n, seed, app.genome_fraction)
+        arr = fragments.mapped["fragments"]
+        assert arr.dtype == expect.dtype and arr.shape == (n,)
+        assert arr.tobytes() == expect.tobytes(), seed

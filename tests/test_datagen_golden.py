@@ -26,14 +26,18 @@ from repro.apps.datagen import DATAGEN_VERSION
 KiB = 1024
 MiB = 1024 * KiB
 
-#: every app at seeds {0, 7} x {64 KiB, 512 KiB, 1 MiB}, plus the two text
-#: apps at the 16 MiB, seed-14 recipe of the ``sweep_des`` benchmark
+#: every app at seeds {0, 7} x {64 KiB, 512 KiB, 1 MiB}, plus the six
+#: datasets of the ``sweep_des`` benchmark (16 MiB, seed 14; MasterCard's
+#: indexed variant generates the same bytes as the plain one)
 RECIPES = [
     (app, seed, n_bytes)
     for app in sorted(APP_REGISTRY)
     for seed in (0, 7)
     for n_bytes in (64 * KiB, 512 * KiB, 1 * MiB)
-] + [("mastercard", 14, 16 * MiB), ("wordcount", 14, 16 * MiB)]
+] + [
+    (app, 14, 16 * MiB)
+    for app in ("dna", "kmeans", "mastercard", "netflix", "opinion", "wordcount")
+]
 
 
 def dataset_digest(data: AppData) -> str:
@@ -185,8 +189,20 @@ GOLDEN = {
         ("wordcount", 7, 1 * MiB): (
             "26ff49f288c1fa1fbc0781ccfcf75e5af3dd5205f65f6893236c30c28c42222b"
         ),
+        ("dna", 14, 16 * MiB): (
+            "19773a1cb9c3bbe5d632524bb8f3cccad19fed8777b6cf83e640d3efb57efe22"
+        ),
+        ("kmeans", 14, 16 * MiB): (
+            "85fa2d52597e85ce2c8717fd8bb0093c840cb8df0d655d0f949324fbe3aeb5d3"
+        ),
         ("mastercard", 14, 16 * MiB): (
             "7ff021fc18445dc7a12efb2cc843bde0013e54748138a1581f08c19222e12883"
+        ),
+        ("netflix", 14, 16 * MiB): (
+            "5c4f224d32236c3fe5df3cc0ef0d1c7e17cab373dd6da8c91a9e3ab3758601d1"
+        ),
+        ("opinion", 14, 16 * MiB): (
+            "a2f053255b7c1743d9b76f80f3c18a3d9346048ad97cea50bb962b30e96c9b32"
         ),
         ("wordcount", 14, 16 * MiB): (
             "a97591fce141ec7df1026968b933e301d078441ddf979c9891ea6aaed8763107"
