@@ -5,8 +5,9 @@ autotune sweep, the raw DES event throughput, the DES cost per pipeline
 chunk, a DES-bound thread-vs-process sweep, every app's dataset
 generation (wall and memory peak), a first vs a replayed run on three
 engines, a first functional run vs a memoized pass at another chunking, a
-served job dispatched after pricing vs unpriced and a memo hit, and
-records the measurements to ``BENCH_pipeline.json`` at the repo root.
+served job dispatched after pricing vs unpriced, a memo hit and one
+BigKernel pattern sample per app, and records the measurements to
+``BENCH_pipeline.json`` at the repo root.
 
 Every threshold is *warn-only*: wall-clock on shared CI boxes is
 too noisy for a hard assert, but the recorded JSON makes regressions
@@ -59,6 +60,10 @@ MEMO_HIT_WARN_RATIO = 6.0
 #: unpriced (BigKernel and ``gpu_uvm``) on a shared 2-vCPU host, because
 #: pricing planned it; below this ratio dispatch plans again
 PRICING_REUSE_WARN_SPEEDUP = 3.0
+#: one pattern sample at 512 KiB (256 KiB chunks) takes 0.15-0.3 ms per app
+#: on a shared 2-vCPU host; the per-period recognizer, one-address
+#: collection and the one-call-per-step growth loop took 0.5-1.8 ms
+PATTERN_SAMPLE_WARN_MS = 0.6
 
 SWEEP_GRID = {
     "chunk_bytes": [256 * 1024, 512 * 1024, 1 * MiB, 2 * MiB],
@@ -923,5 +928,67 @@ def test_memo_hit():
             f"memo_hit: a Memo.get hit costs {ratio:.1f}x a bare OrderedDict "
             f"lookup, above the {MEMO_HIT_WARN_RATIO:.0f}x expectation "
             f"(warn-only; see BENCH_pipeline.json)",
+            stacklevel=2,
+        )
+
+
+def test_pattern_sample(monkeypatch):
+    """Best-of-20 wall of one BigKernel pattern sample
+    (``_sample_pattern_fraction``: four sampled threads' address streams
+    through the online tracker) per app, at the ``serve_slo_edf`` shapes
+    (512 KiB datasets at 256 and 512 KiB chunks) and at 16 MiB with 32 KiB
+    chunks, where every fixed-record app's thread owns a unit or two and
+    the sampler fetches a longer stretch (best of 5). Every fraction must
+    equal the oracle's (the per-period recognizer, the growth loop and a
+    tracker fed one address at a time, ``tests/test_pattern_sampling.py``);
+    the walls are warn-only.
+    """
+    from repro.memo import Memo
+    from tests.test_pattern_sampling import oracle_fraction
+
+    shapes = {
+        "512kib_256kib": (512 * 1024, 256 * 1024, 20),
+        "512kib_512kib": (512 * 1024, 512 * 1024, 20),
+        "16mib_32kib": (16 * MiB, 32 * 1024, 5),
+    }
+    sample_ms: dict = {}
+    fractions: dict = {}
+    for shape, (n_bytes, chunk, repeats) in shapes.items():
+        sample_ms[shape], fractions[shape] = {}, {}
+        for name in sorted(APP_REGISTRY):
+            app = get_app(name)
+            data = app.generate(n_bytes=n_bytes, seed=0)
+            engine = BigKernelEngine()
+            config = EngineConfig(chunk_bytes=chunk)
+            upc = engine._schedule(app, data, config).upc
+            best = float("inf")
+            for _ in range(repeats):
+                monkeypatch.setattr(
+                    BigKernelEngine, "_pattern_cache", Memo("bigkernel.pattern", 256)
+                )
+                t0 = time.perf_counter()
+                fraction = engine._sample_pattern_fraction(app, data, config, upc)
+                best = min(best, time.perf_counter() - t0)
+            want = oracle_fraction(app, data, config.total_compute_threads, upc)
+            assert fraction == want, (shape, name)
+            sample_ms[shape][name] = best * 1e3
+            fractions[shape][name] = fraction
+    paper_six = ("dna", "kmeans", "mastercard", "netflix", "opinion", "wordcount")
+    median_ms = float(np.median([sample_ms["512kib_256kib"][a] for a in paper_six]))
+    _record(
+        {
+            "name": "pattern_sample",
+            "sample_ms": sample_ms,
+            "fractions": fractions,
+            "median_ms_512kib_256kib": median_ms,
+            "warn_ms": PATTERN_SAMPLE_WARN_MS,
+        }
+    )
+    if median_ms > PATTERN_SAMPLE_WARN_MS:
+        warnings.warn(
+            f"pattern_sample: one sample took {median_ms:.2f} ms (median of "
+            f"the six paper apps at 512 KiB), above the "
+            f"{PATTERN_SAMPLE_WARN_MS} ms expectation (warn-only; see "
+            f"BENCH_pipeline.json)",
             stacklevel=2,
         )

@@ -529,7 +529,12 @@ class Application(abc.ABC):
     @abc.abstractmethod
     def chunk_read_offsets(self, data: AppData, lo: int, hi: int) -> np.ndarray:
         """Byte offsets (into the primary byte view) the kernel reads for
-        units ``[lo, hi)``, in per-unit program order."""
+        units ``[lo, hi)``, in per-unit program order.
+
+        For any ``lo <= m <= hi``, the offsets of ``[lo, hi)`` are those of
+        ``[lo, m)`` followed by those of ``[m, hi)``, and an empty range
+        reads none: BigKernel's pattern sampler relies on it to size a
+        thread's stretch in a few calls (``engines.bigkernel``)."""
 
     def chunk_write_offsets(self, data: AppData, lo: int, hi: int) -> np.ndarray:
         """Byte offsets the kernel writes for units ``[lo, hi)``."""

@@ -51,6 +51,10 @@ READ_BYTES = WORDS_PER_TWEET * 4
 
 #: the word ids w0..w19 as one (WORDS_PER_TWEET,) int32 field of each record
 _WORDS_VIEW = field_run_dtype(TWEET, "w0", WORDS_PER_TWEET)
+#: byte offsets of w0..w19 within a record, in the kernel's read order
+_WORD_OFFSETS = np.array(
+    [TWEET.field(f"w{j}").offset for j in range(WORDS_PER_TWEET)], dtype=np.int64
+)
 #: bits of the per-word code table that folds the four dictionaries
 _POSITIVE, _NEGATIVE, _ADVERB, _SUBJECT = 1, 2, 4, 8
 _DICTIONARY_BITS = (
@@ -173,9 +177,7 @@ class OpinionFinderApp(Application):
 
     def chunk_read_offsets(self, data: AppData, lo: int, hi: int) -> np.ndarray:
         base = np.arange(lo, hi, dtype=np.int64) * TWEET.record_size
-        offs = [TWEET.field(f"w{j}").offset for j in range(WORDS_PER_TWEET)]
-        field_offs = np.array(offs, dtype=np.int64)
-        return (base[:, None] + field_offs[None, :]).reshape(-1)
+        return (base[:, None] + _WORD_OFFSETS[None, :]).reshape(-1)
 
     # ------------------------------------------------------- compiler path
     def kernel(self) -> Kernel:

@@ -73,6 +73,57 @@ PATTERN_MAX_PERIOD = 64
 PATTERN_SAMPLE_THREADS = 4
 #: addresses fed per sampled thread
 PATTERN_SAMPLE_ADDRS = 2048
+#: addresses a sampled thread's stretch must reach when the data allows:
+#: two full cycles of the longest period, plus the base
+PATTERN_EVIDENCE = 2 * PATTERN_MAX_PERIOD + 2
+
+
+def _evidence_offsets(
+    app: Application, data: AppData, lo: int, hi: int, step: int, n_units: int
+) -> np.ndarray:
+    """Read offsets of a sampled thread's stretch ``[lo, hi_k)``.
+
+    ``hi_k = min(hi + k * step, n_units)``, at the first ``k`` whose
+    stretch holds ``PATTERN_EVIDENCE`` offsets or reaches ``n_units``: a
+    cycle needs two full periods of evidence, so a short per-chunk span
+    samples a longer stretch of the thread's stream. The offsets of a
+    range are those of its first part followed by the rest's
+    (:meth:`~repro.apps.base.Application.chunk_read_offsets`), so their
+    count never falls as ``k`` grows. The search guesses ``k`` from the
+    first stretch's offsets per unit and confirms it with one call at
+    ``k`` and one at ``k - 1``; a wrong guess doubles, then bisects.
+    """
+    offsets = app.chunk_read_offsets(data, lo, hi)
+    if offsets.size >= PATTERN_EVIDENCE or hi >= n_units:
+        return offsets
+    last = -(-(n_units - hi) // step)  # the first k with hi_k = n_units
+
+    def stretch(k: int) -> Optional[np.ndarray]:
+        """The offsets at ``k`` if ``k`` stops the search, else None."""
+        offs = app.chunk_read_offsets(data, lo, min(hi + k * step, n_units))
+        return offs if offs.size >= PATTERN_EVIDENCE or k >= last else None
+
+    # guess k from the first stretch's offsets per unit
+    k = 1
+    if offsets.size:
+        units = -(-PATTERN_EVIDENCE * (hi - lo) // offsets.size)
+        k = min(max(-(-(units - (hi - lo)) // step), 1), last)
+    short = 0  # a k known to fall short
+    found = stretch(k)
+    while found is None:  # the guess fell short: double it
+        short, k = k, min(2 * k, last)
+        found = stretch(k)
+    # the first k that stops lies in (short, k]: try k - 1 (where a right
+    # guess ends), then bisect
+    probe = k - 1
+    while k - short > 1:
+        offs = stretch(probe)
+        if offs is None:
+            short = probe
+        else:
+            k, found = probe, offs
+        probe = (short + k) // 2
+    return found
 
 
 @dataclass(frozen=True)
@@ -214,12 +265,7 @@ class BigKernelEngine(Engine):
             hi = min(lo + per_thread, first_chunk_units)
             if hi <= lo:
                 break
-            offsets = app.chunk_read_offsets(data, lo, hi)
-            # a cycle needs two full periods of evidence; short per-chunk
-            # spans sample a longer stretch of the thread's stream
-            while offsets.size < 2 * PATTERN_MAX_PERIOD + 2 and hi < n_units:
-                hi = min(hi + per_thread + 1, n_units)
-                offsets = app.chunk_read_offsets(data, lo, hi)
+            offsets = _evidence_offsets(app, data, lo, hi, per_thread + 1, n_units)
             if offsets.size == 0:
                 continue
             tracker = OnlineAddressTracker(

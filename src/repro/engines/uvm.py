@@ -374,7 +374,7 @@ def _learned_source(app: Application, data: AppData, units: int) -> str:
             if streams[0].rec_stride > 0:
                 return "affine"
     offsets = app.chunk_read_offsets(data, 0, min(units, 64))
-    pattern = PatternRecognizer().recognize([int(o) for o in offsets])
+    pattern = PatternRecognizer().recognize(offsets)
     if pattern is not None and pattern.cycle_span > 0:
         return "stride"
     return "history"

@@ -90,21 +90,36 @@ class PatternRecognizer:
         """Smallest-period stride cycle explaining all samples, or None.
 
         Requires at least ``min_samples`` addresses and at least two full
-        cycles of evidence for the candidate period.
+        cycles of evidence for the candidate period. Every period of the
+        strides is at least their smallest one, so the smallest period
+        passes both bounds or no period does.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         if addrs.size < self.min_samples:
             return None
-        diffs = np.diff(addrs)
-        for period in range(1, self.max_period + 1):
-            if diffs.size < 2 * period:
+        diffs = (addrs[1:] - addrs[:-1]).tolist()
+        period = smallest_period(diffs)
+        if period > self.max_period or 2 * period > len(diffs):
+            return None
+        return StridePattern(int(addrs[0]), tuple(diffs[:period]))
+
+
+def smallest_period(seq: Sequence) -> int:
+    """Smallest ``p >= 1`` with ``seq[i] == seq[i + p]`` wherever both
+    exist (``len(seq)`` when nothing shorter repeats), by one pass of the
+    prefix function: ``p = n - border``, where ``border`` is the length of
+    the longest proper prefix of ``seq`` that is also its suffix."""
+    border = [0]
+    k = 0
+    for x in seq[1:]:
+        while seq[k] != x:
+            if not k:
                 break
-            # diffs repeats its first `period` strides iff it equals itself
-            # shifted by one period
-            if np.array_equal(diffs[period:], diffs[:-period]):
-                cycle = diffs[:period]
-                return StridePattern(int(addrs[0]), tuple(int(s) for s in cycle))
-        return None
+            k = border[k - 1]
+        else:
+            k += 1
+        border.append(k)
+    return max(len(seq) - k, 1)
 
 
 class OnlineAddressTracker:
@@ -164,40 +179,58 @@ class OnlineAddressTracker:
     def feed_many(self, addresses: Iterable[int]) -> None:
         """:meth:`feed` every address in turn, a run at a time.
 
-        While a pattern is verified, the run of addresses that matches it
-        is checked with one array compare against the pattern's expansion;
-        in fallback the rest is appended raw. Everything else (collection,
-        and the first mismatch) goes through :meth:`feed`, which stays the
-        definition.
+        Collection copies addresses into the temp buffer in bulk, up to one
+        short of full. While a pattern is verified, the run of addresses
+        that matches it is found with array compares of its steps against
+        the stride cycle; in fallback the rest is appended raw. Only the
+        address that fills the buffer and the first mismatch go through
+        :meth:`feed`, which stays the definition.
         """
         if not isinstance(addresses, np.ndarray):
             addresses = list(addresses)
         addrs = np.asarray(addresses, dtype=np.int64)
         i, n = 0, addrs.size
         while i < n:
-            if self.state == self.VERIFYING:
-                expect = self._expand_from(self._count, n - i)
-                bad = np.flatnonzero(expect != addrs[i:])
-                run = n - i if bad.size == 0 else int(bad[0])
+            if self.state == self.COLLECTING:
+                run = min(self.temp_buffer - 1 - len(self._buffer), n - i)
+                if run > 0:
+                    self._buffer.extend(addrs[i : i + run].tolist())
+                    self._count += run
+                    i += run
+                    continue
+            elif self.state == self.VERIFYING:
+                run = self._verified_run(addrs[i:])
                 self._count += run
                 i += run
                 if i == n:
                     break
-            elif self.state == self.FALLBACK:
+            else:  # FALLBACK
                 self.raw_emitted.extend(addrs[i:].tolist())
                 self._count += n - i
                 break
             self.feed(addrs[i])
             i += 1
 
-    def _expand_from(self, start: int, n: int) -> np.ndarray:
-        """Addresses ``start .. start + n - 1`` of the verified pattern."""
+    def _verified_run(self, addrs: np.ndarray) -> int:
+        """How many of ``addrs``, the stream's next addresses, the verified
+        pattern predicts before its first miss.
+
+        The first must be the pattern's next address. Each step after it
+        must be the cycle's next stride: the rotated cycle for one period,
+        then the step one period back.
+        """
         pat = self.pattern
         assert pat is not None
-        r = start % pat.period
-        return StridePattern(
-            pat.address_at(start), pat.strides[r:] + pat.strides[:r]
-        ).expand(n)
+        if int(addrs[0]) != pat.address_at(self._count):
+            return 0
+        period = pat.period
+        r = self._count % period
+        steps = addrs[1:] - addrs[:-1]
+        cycle = (pat.strides[r:] + pat.strides[:r])[: steps.size]
+        bad = np.flatnonzero(steps[:period] != np.asarray(cycle, dtype=np.int64))
+        if bad.size == 0:
+            bad = np.flatnonzero(steps[period:] != steps[:-period]) + period
+        return addrs.size if bad.size == 0 else int(bad[0]) + 1
 
     def finish(self) -> None:
         """End of stream: a still-collecting buffer is flushed raw, a

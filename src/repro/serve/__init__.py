@@ -11,6 +11,7 @@ from repro.serve.scheduler import (
     ServeOutcome,
     ServeResponse,
     Server,
+    StepTimer,
     bit_equal,
     oneshot_oracle,
     serve_trace,
@@ -38,6 +39,7 @@ __all__ = [
     "ServeOutcome",
     "ServeResponse",
     "Server",
+    "StepTimer",
     "bit_equal",
     "oneshot_oracle",
     "serve_trace",

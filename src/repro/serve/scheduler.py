@@ -859,6 +859,20 @@ class ServeOutcome:
         return "\n".join(lines)
 
 
+class StepTimer:
+    """Deterministic clock for :func:`serve_trace`: every call advances
+    by a fixed ``step`` of seconds, so a replay's timings, and every
+    decision made from them, repeat exactly."""
+
+    def __init__(self, step: float = 0.001):
+        self.step = step
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
 def serve_trace(
     server: Server, requests: list, timer=time.perf_counter
 ) -> ServeOutcome:
@@ -870,8 +884,8 @@ def serve_trace(
     each round, so overload (arrivals outpacing service) fills the queue
     and exercises admission control exactly as a live server would.  The
     server calibrates its pricer with the same ``timer``, so a replay
-    with a deterministic timer makes every scheduling, shedding and
-    admission decision reproducible.
+    with a deterministic timer (:class:`StepTimer`) makes every
+    scheduling, shedding and admission decision reproducible.
 
     ``submit`` is not charged to the clock: the pricing runs it makes (a
     job's first timing-only run, and any dataset generation it needs)

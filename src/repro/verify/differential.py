@@ -660,12 +660,18 @@ def run_serve_differential(
     :class:`~repro.errors.SloViolationError` on the response) and the
     accounting identities must close exactly — the SLO machinery may drop
     work, but never silently and never incorrectly.
+
+    Both phases run on one deterministic step timer
+    (:class:`~repro.serve.StepTimer`), so their service times, the SLO
+    derived from them and every admission decision repeat from run to
+    run, and so do the counts this pillar prints.
     """
     from repro.bench.sweep import RunCache
     from repro.errors import SloViolationError
     from repro.serve import (
         ServeConfig,
         Server,
+        StepTimer,
         TraceSpec,
         bit_equal,
         generate_trace,
@@ -680,9 +686,10 @@ def run_serve_differential(
     )
     trace = generate_trace(spec)
     config = ServeConfig(max_queue=len(trace) + 1, dataset_pool=1)
+    timer = StepTimer()
     # memory-only cache: the pillar must be hermetic, not a disk-state test
     with Server(config, cache=RunCache(disk=None)) as server:
-        outcome = serve_trace(server, trace)
+        outcome = serve_trace(server, trace, timer=timer)
 
     jobs = {req.req_id: (req.tenant, req.job) for req in trace}
     oracles: dict = {}
@@ -761,7 +768,7 @@ def run_serve_differential(
         tenants=with_slo(spec.tenants, slo_ms),
         cache=RunCache(disk=None),
     ) as server:
-        slo_outcome = serve_trace(server, scale_trace(trace, 1e-3))
+        slo_outcome = serve_trace(server, scale_trace(trace, 1e-3), timer=timer)
     report.counts["engine runs"] += slo_outcome.metrics.engine_runs
     for resp in slo_outcome.responses:
         grade(resp, "slo")

@@ -187,9 +187,9 @@ class TestFeedManyDifferential:
         )
 
     @staticmethod
-    def stream(rng, kind):
-        n = int(rng.integers(1, 400))
-        period = int(rng.integers(1, 6))
+    def stream(rng, kind, longest):
+        n = int(rng.integers(1, 700))
+        period = int(rng.integers(1, longest + 1))
         cycle = rng.integers(-64, 65, period)
         base = int(rng.integers(0, 10**6))
         steps = np.tile(cycle, n // period + 1)[: n - 1]
@@ -213,9 +213,13 @@ class TestFeedManyDifferential:
     def test_feed_many_equals_scalar_loop(self, kind, seed):
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            addrs = self.stream(rng, kind)
-            temp = int(rng.choice([4, 8, 16]))
-            scalar = OnlineAddressTracker(temp_buffer=temp)
+            temp = int(rng.choice([4, 8, 16, 128]))
+            # cycles up to half the buffer (two periods fit), at most 64
+            addrs = self.stream(rng, kind, min(temp // 2, 64))
+            recognizer = PatternRecognizer(
+                max_period=int(rng.choice([1, 4, 64])), min_samples=max(4, temp)
+            )
+            scalar = OnlineAddressTracker(recognizer, temp_buffer=temp)
             for a in addrs.tolist():
                 scalar.feed(a)
             fed = self.snapshot(scalar)
@@ -224,9 +228,35 @@ class TestFeedManyDifferential:
             cut = int(rng.integers(0, addrs.size + 1))
             # whole as an array, split in two as lists
             for pieces in ([addrs], [addrs[:cut].tolist(), addrs[cut:].tolist()]):
-                batched = OnlineAddressTracker(temp_buffer=temp)
+                batched = OnlineAddressTracker(recognizer, temp_buffer=temp)
                 for piece in pieces:
                     batched.feed_many(piece)
                 assert self.snapshot(batched) == fed
                 batched.finish()
                 assert self.snapshot(batched) == finished
+
+    @pytest.mark.parametrize("cycle", [(8,), (8, 8, 32), (1,) * 45 + (19,)], ids=len)
+    def test_feed_many_feeds_only_the_filling_address_and_the_miss(
+        self, cycle, monkeypatch
+    ):
+        """Collection and verification run in bulk: ``feed`` sees the
+        address that fills the buffer, and then only the first address the
+        pattern does not predict (verification picks up mid-cycle, since
+        128 is no multiple of these periods but the first)."""
+        fed = []
+        plain = OnlineAddressTracker.feed
+        monkeypatch.setattr(
+            OnlineAddressTracker, "feed", lambda t, a: fed.append(int(a)) or plain(t, a)
+        )
+        addrs = StridePattern(4096, cycle).expand(2048)
+        recognizer = PatternRecognizer(max_period=64, min_samples=8)
+        t = OnlineAddressTracker(recognizer, temp_buffer=128)
+        t.feed_many(addrs)
+        assert t.has_pattern and fed == [int(addrs[127])]
+        broken = addrs.copy()
+        broken[1500:] += 3
+        fed.clear()
+        t = OnlineAddressTracker(recognizer, temp_buffer=128)
+        t.feed_many(broken)
+        assert t.state == t.FALLBACK
+        assert fed == [int(broken[127]), int(broken[1500])]

@@ -1,7 +1,7 @@
 """SLO serving properties: EDF ordering, provably-safe shedding, typed
 predictive admission, adaptive windows, and deterministic replays.
 
-Everything timing-dependent runs on a *deterministic* fake timer — the
+Everything timing-dependent runs on a *deterministic* step timer — the
 server calibrates its pricer and stamps its virtual clock from the same
 injectable timer, so two replays of one trace make byte-identical
 scheduling, shedding and admission decisions.
@@ -21,6 +21,7 @@ from repro.serve import (
     ServeConfig,
     ServeRequest,
     Server,
+    StepTimer,
     TenantSpec,
     TraceSpec,
     bit_equal,
@@ -31,18 +32,6 @@ from repro.serve import (
 )
 from repro.serve.workload import engine_spec_by_name
 from repro.units import KiB
-
-
-class FakeTimer:
-    """Deterministic clock: every call advances by a fixed step."""
-
-    def __init__(self, step=0.001):
-        self.step = step
-        self.now = 0.0
-
-    def __call__(self):
-        self.now += self.step
-        return self.now
 
 
 def _job(seed=0, chunk=128 * KiB, engine="bigkernel", n_bytes=256 * KiB):
@@ -176,7 +165,7 @@ def test_shed_only_when_provably_doomed():
         tenants=tenants,
         cache=RunCache(disk=None),
     ) as server:
-        outcome = serve_trace(server, trace, timer=FakeTimer(step=0.004))
+        outcome = serve_trace(server, trace, timer=StepTimer(step=0.004))
     shed = [r for r in outcome.responses if r.status == "shed"]
     assert shed, "overload with a 40ms SLO must shed something"
     for resp in shed:
@@ -205,7 +194,7 @@ def test_fifo_baseline_never_sheds_but_accounts_slo():
         tenants=with_slo(spec.tenants, 40.0),
         cache=RunCache(disk=None),
     ) as server:
-        outcome = serve_trace(server, trace, timer=FakeTimer(step=0.004))
+        outcome = serve_trace(server, trace, timer=StepTimer(step=0.004))
     m = outcome.metrics
     assert m.shed == 0
     assert m.rejected_predicted == 0
@@ -224,7 +213,7 @@ def test_accounting_identities_hold_with_sheds():
         tenants=with_slo(spec.tenants, 50.0),
         cache=RunCache(disk=None),
     ) as server:
-        outcome = serve_trace(server, trace, timer=FakeTimer(step=0.003))
+        outcome = serve_trace(server, trace, timer=StepTimer(step=0.003))
     m = outcome.metrics
     assert len(outcome.responses) == len(trace)
     assert m.submitted == m.admitted + m.rejected
@@ -367,7 +356,7 @@ def test_slo_trace_bit_equal_across_backends(engines):
             config, tenants=tenants, cache=RunCache(disk=None)
         ) as server:
             outcomes[backend] = serve_trace(
-                server, trace, timer=FakeTimer(step=0.002)
+                server, trace, timer=StepTimer(step=0.002)
             )
     thread, proc = outcomes["thread"], outcomes["process"]
     assert [(r.req_id, r.status) for r in thread.responses] == [

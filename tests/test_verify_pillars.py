@@ -110,3 +110,17 @@ def test_serve_pillar_fails_when_nothing_short_circuits(monkeypatch):
     assert [c.detail for c in report.mismatches] == [
         "open phase never short-circuited: 0 cached and 0 coalesced responses"
     ]
+
+
+def test_serve_pillar_repeats_and_exercises_both_phases():
+    """On its step timer the serve pillar prints the same counts run after
+    run; its open phase still short-circuits and its burst phase still
+    rejects or sheds."""
+    first, second = (
+        run_serve_differential(data_bytes=64 * KiB, seed=7, duration=1.5)
+        for _ in range(2)
+    )
+    assert first.ok, first.summary()
+    assert first.summary() == second.summary()
+    assert first.counts["cached"] + first.counts["coalesced"] > 0
+    assert first.counts["slo shed"] + first.counts["slo rejected"] > 0
