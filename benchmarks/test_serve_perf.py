@@ -38,7 +38,8 @@ def test_serve_throughput():
     result = run_serve_benchmark()
     _record(result.figure_entry())
 
-    # every completed response bit-equals its fresh one-shot oracle
+    # repro.serve.judge finds no response wrong: every completed one
+    # bit-equals its fresh one-shot oracle, and no request failed
     assert result.verified > 0
     assert result.verify_failures == 0
 
@@ -82,12 +83,11 @@ def test_serve_slo():
     result = run_serve_slo_benchmark()
     _record(result.figure_entry())
 
-    # every completed response, from both policies, bit-equals its oracle
+    # repro.serve.judge finds no response of either policy wrong: every
+    # completed one bit-equals its oracle, no request failed, and every
+    # shed / predictively rejected one carries the typed error
     assert result.verified > 0
     assert result.verify_failures == 0
-
-    # every shed / predictively rejected response carries the typed error
-    assert result.untyped_terminals == 0
 
     # the cost-aware stack actually engaged: it dropped provably doomed
     # work instead of serving everything late

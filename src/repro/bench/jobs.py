@@ -153,7 +153,8 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[Application, AppData]:
 
 
 def run_jobspec(spec: JobSpec) -> RunResult:
-    """Execute one job in this process (the pool worker entry point)."""
+    """Execute one job in this process: :func:`run_ordered`'s default
+    process-pool worker."""
     app, data = materialize_dataset(spec.dataset)
     engine = _WORKER_ENGINES.get_or_compute(
         spec.engine, lambda: engine_from_spec(spec.engine)

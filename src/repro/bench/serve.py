@@ -21,10 +21,9 @@ Three load levels exercise the full policy surface on the *same* job mix:
   admission control must shed load (rejections > 0) while everything
   admitted still completes.
 
-Timing and verification are strictly separated: servers run with
-verification off, then every completed response is bit-compared (exact
-output equality and exact ``sim_time``) against a fresh one-shot oracle
-recorded during the naive pass.
+Timing and verification are strictly separated: the servers only serve,
+then every response is judged by :func:`repro.serve.judge` against a
+fresh one-shot oracle recorded during the naive pass.
 """
 
 from __future__ import annotations
@@ -36,12 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.sweep import RunCache
-from repro.errors import ReproError, SloViolationError
+from repro.errors import ReproError
 from repro.serve.pricing import JobPricer
 from repro.serve.scheduler import (
     ServeConfig,
     Server,
-    matches_oracle,
+    judge,
     oneshot_oracle,
     serve_trace,
 )
@@ -78,12 +77,25 @@ class LoadLevel:
     makespan: float
 
 
+def _verify(trace: list, replays: tuple, oracles: dict) -> tuple:
+    """``(judged, wrong)``: every response of every replay of ``trace``,
+    judged against the one-shot oracles ``oracles`` (keyed by job)."""
+    jobs = {req.req_id: req.job for req in trace}
+    verdicts = [
+        judge(jobs[resp.req_id], resp, oracles.__getitem__)
+        for responses in replays
+        for resp in responses
+    ]
+    return len(verdicts), sum(v is not None for v in verdicts)
+
+
 @dataclass
 class ServeBenchResult:
     n_requests: int
     naive_seconds: float
     naive_jobs_per_sec: float
     levels: list = field(default_factory=list)
+    #: responses judged, and those judged wrong (:func:`repro.serve.judge`)
     verified: int = 0
     verify_failures: int = 0
 
@@ -186,9 +198,7 @@ def run_serve_benchmark(
     oracles: dict = {}
     start = timer()
     for req in trace:
-        result = oneshot_oracle(req.job)
-        key = (req.job.dataset, req.job.engine, req.job.config)
-        oracles.setdefault(key, result)
+        oracles.setdefault(req.job, oneshot_oracle(req.job))
     naive_seconds = max(timer() - start, 1e-9)
     naive_rate = len(trace) / naive_seconds
 
@@ -208,7 +218,7 @@ def run_serve_benchmark(
         timer,
     )
     result.levels.append(level)
-    all_responses = [(trace, responses)]
+    replays = [responses]
 
     # --- moderate: open loop at 2x the naive service rate ---
     moderate = scale_trace(trace, spec.rate / (2.0 * naive_rate))
@@ -220,7 +230,7 @@ def run_serve_benchmark(
         timer,
     )
     result.levels.append(level)
-    all_responses.append((trace, responses))
+    replays.append(responses)
 
     # --- overload: 20x the naive rate into a small queue ---
     overload = scale_trace(trace, spec.rate / (20.0 * naive_rate))
@@ -232,19 +242,9 @@ def run_serve_benchmark(
         timer,
     )
     result.levels.append(level)
-    all_responses.append((trace, responses))
+    replays.append(responses)
 
-    # --- verification: every completed response bit-equals its oracle ---
-    by_id = {req.req_id: req.job for req in trace}
-    for _, responses in all_responses:
-        for resp in responses:
-            if resp.status in ("rejected", "failed"):
-                continue
-            job = by_id[resp.req_id]
-            oracle = oracles[(job.dataset, job.engine, job.config)]
-            result.verified += 1
-            if not matches_oracle(job, resp.result, oracle):
-                result.verify_failures += 1
+    result.verified, result.verify_failures = _verify(trace, replays, oracles)
     return result
 
 
@@ -303,12 +303,9 @@ class ServeSloResult:
     capacity_jobs_per_sec: float
     fifo: SloPolicyResult
     edf: SloPolicyResult
+    #: responses judged, and those judged wrong (:func:`repro.serve.judge`)
     verified: int = 0
     verify_failures: int = 0
-    #: shed/predicted-rejected responses carrying a typed SloViolationError
-    typed_terminals: int = 0
-    #: shed/predicted-rejected responses missing that typed exception
-    untyped_terminals: int = 0
 
     @property
     def p99_improvement(self) -> float:
@@ -329,8 +326,6 @@ class ServeSloResult:
             "edf": self.edf.as_dict(),
             "verified": self.verified,
             "verify_failures": self.verify_failures,
-            "typed_terminals": self.typed_terminals,
-            "untyped_terminals": self.untyped_terminals,
         }
 
     def summary(self) -> str:
@@ -405,9 +400,10 @@ def run_serve_slo_benchmark(
     carrying the SLO: once on the baseline (``scheduling="fifo"``, fixed
     window, deadline-blind) and once on the full cost-aware stack
     (``scheduling="edf"`` + predictive admission + adaptive batching).
-    Every completed response from both sides is bit-compared against a
-    fresh one-shot oracle; every shed or predictively rejected response
-    must carry a typed :class:`~repro.errors.SloViolationError`.
+    Every response from both sides is judged by :func:`repro.serve.judge`:
+    a completed one against a fresh one-shot oracle, and a shed or
+    predictively rejected one must carry a typed
+    :class:`~repro.errors.SloViolationError`.
     """
     trace = generate_trace(spec)
     if not trace:
@@ -415,9 +411,8 @@ def run_serve_slo_benchmark(
 
     oracles: dict = {}
     for req in trace:
-        key = (req.job.dataset, req.job.engine, req.job.config)
-        if key not in oracles:
-            oracles[key] = oneshot_oracle(req.job)
+        if req.job not in oracles:
+            oracles[req.job] = oneshot_oracle(req.job)
 
     # --- phase 1: measure capacity and warm the pricer (no deadlines) ---
     pricer = JobPricer()
@@ -475,25 +470,7 @@ def run_serve_slo_benchmark(
         fifo=fifo_policy,
         edf=edf_policy,
     )
-
-    # --- verification: completed responses bit-equal their oracles;
-    # shed / predicted-rejected responses carry the typed error ---
-    by_id = {req.req_id: req.job for req in trace}
-    for responses in (fifo_responses, edf_responses):
-        for resp in responses:
-            if resp.status in ("shed",) or (
-                resp.status == "rejected" and resp.error != "queue full"
-            ):
-                if isinstance(resp.exception, SloViolationError):
-                    result.typed_terminals += 1
-                else:
-                    result.untyped_terminals += 1
-                continue
-            if resp.status in ("rejected", "failed"):
-                continue
-            job = by_id[resp.req_id]
-            oracle = oracles[(job.dataset, job.engine, job.config)]
-            result.verified += 1
-            if not matches_oracle(job, resp.result, oracle):
-                result.verify_failures += 1
+    result.verified, result.verify_failures = _verify(
+        trace, (fifo_responses, edf_responses), oracles
+    )
     return result

@@ -25,8 +25,9 @@ Commands mirror the library's surfaces:
 * ``serve`` — multi-tenant serving: replay a seeded open-loop request
   trace through the admission queue + WDRR scheduler + batched
   dispatcher, with cache short-circuit and cross-job template reuse
-  (see ``docs/serving.md``); ``--verify`` oracle-checks every response;
-  exits nonzero on verification failure.
+  (see ``docs/serving.md``); ``--verify`` judges every response against
+  its one-shot oracle once the replay is done, and exits nonzero on any
+  wrong response.
 """
 
 from __future__ import annotations
@@ -364,8 +365,10 @@ def _analytic_scan(args, engine, app, data) -> int:
 
 
 def cmd_serve(args) -> int:
+    import functools
     import json
 
+    from repro.bench.sweep import DiskCache, RunCache
     from repro.errors import ReproError
     from repro.serve import (
         DEFAULT_TENANTS,
@@ -374,6 +377,8 @@ def cmd_serve(args) -> int:
         TenantSpec,
         TraceSpec,
         generate_trace,
+        judge,
+        oneshot_oracle,
         serve_trace,
         with_slo,
     )
@@ -411,23 +416,29 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         max_batch=args.max_batch,
         cache=not args.no_cache,
-        disk_cache=args.disk_cache,
-        verify=args.verify,
-        jobs=args.jobs,
-        backend=args.backend,
         scheduling=args.scheduling,
         adaptive_batch=args.adaptive_batch,
     )
+    cache = RunCache(disk=DiskCache()) if config.cache and args.disk_cache else None
     print(
         f"serving {len(trace)} requests over {spec.duration:g}s "
         f"({spec.rate:g}/s offered) from {len(tenants)} tenant(s), "
-        f"backend={config.backend} jobs={config.jobs} "
         f"scheduling={config.scheduling}"
         + (f" slo={args.slo:g}ms" if args.slo else "")
     )
-    with Server(config, tenants=tenants) as server:
+    with Server(config, tenants=tenants, cache=cache) as server:
         outcome = serve_trace(server, trace)
     print(outcome.summary())
+    wrong = 0
+    if args.verify:
+        jobs = {req.req_id: req.job for req in trace}
+        oracle = functools.cache(oneshot_oracle)
+        for resp in outcome.responses:
+            verdict = judge(jobs[resp.req_id], resp, oracle)
+            if verdict is not None:
+                resp.error = verdict
+                wrong += 1
+        print(f"verified {len(outcome.responses)} responses, {wrong} wrong")
     if args.trace_out:
         log = [
             {
@@ -446,12 +457,8 @@ def cmd_serve(args) -> int:
             json.dump(log, fh, indent=2)
         print(f"wrote {len(log)} responses to {args.trace_out}")
     metrics = outcome.metrics
-    if metrics.verify_failures:
-        print(
-            f"{metrics.verify_failures} response(s) diverged from their "
-            f"one-shot oracle",
-            file=sys.stderr,
-        )
+    if wrong:
+        print(f"{wrong} response(s) failed verification", file=sys.stderr)
         return 1
     if args.expect_cache_hits and metrics.cached == 0:
         print("expected cache hits but the run cache never hit",
@@ -629,12 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total backlog before admission control rejects")
     p_srv.add_argument("--max-batch", type=int, default=8,
                        help="dispatch window size")
-    p_srv.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --backend process")
-    p_srv.add_argument("--backend", default="thread",
-                       choices=["thread", "process"],
-                       help="thread amortizes via batched engine entry; "
-                            "process parallelizes unique jobs")
     p_srv.add_argument("--slo", type=float, default=0.0,
                        help="per-request latency SLO in milliseconds applied "
                             "to every tenant (0 = best-effort, no deadlines)")
@@ -652,8 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable the persistent disk tier "
                             "(.repro-cache / REPRO_CACHE_DIR)")
     p_srv.add_argument("--verify", action="store_true",
-                       help="oracle-check every response inline "
-                            "(exit nonzero on any divergence)")
+                       help="after the replay, judge every response "
+                            "against its one-shot oracle (exit nonzero on "
+                            "any wrong one)")
     p_srv.add_argument("--expect-cache-hits", action="store_true",
                        help="exit nonzero if the run cache never hit "
                             "(smoke-test guard)")

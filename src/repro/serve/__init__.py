@@ -13,6 +13,7 @@ from repro.serve.scheduler import (
     Server,
     StepTimer,
     bit_equal,
+    judge,
     oneshot_oracle,
     serve_trace,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "Server",
     "StepTimer",
     "bit_equal",
+    "judge",
     "oneshot_oracle",
     "serve_trace",
     "DEFAULT_TENANTS",

@@ -66,9 +66,6 @@ class ServeMetrics:
     store_evictions: int = 0
     #: bytes the store's datasets hold now (their derivations)
     store_bytes: int = 0
-    #: inline-oracle mismatches (only counted when the server verifies)
-    verify_failures: int = 0
-    verified: int = 0
     #: requests submitted with a finite deadline (SLO attainment denominator)
     slo_total: int = 0
     #: completed requests that met their deadline
@@ -80,7 +77,6 @@ class ServeMetrics:
     latencies: list = field(default_factory=list)
     #: per-tenant completion latencies (p99-by-tenant accounting)
     tenant_latencies: dict = field(default_factory=dict)
-    per_tenant_completed_share: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------- updates
     def tenant(self, name: str) -> dict:
@@ -152,16 +148,6 @@ class ServeMetrics:
             return None
         return self.slo_met / self.slo_total
 
-    def completed_share(self) -> dict:
-        """Fraction of all completed+failed requests per tenant (fairness)."""
-        totals = {
-            name: b["completed"] + b["failed"] for name, b in self.per_tenant.items()
-        }
-        grand = sum(totals.values())
-        if not grand:
-            return {}
-        return {name: n / grand for name, n in totals.items()}
-
     def summary(self) -> str:
         lines = [
             f"submitted={self.submitted} admitted={self.admitted} "
@@ -189,10 +175,6 @@ class ServeMetrics:
                 f"({100.0 * attainment:.1f}%) missed={self.slo_missed} "
                 f"shed={self.shed} predicted-rejections="
                 f"{self.rejected_predicted}"
-            )
-        if self.verified:
-            lines.append(
-                f"verified={self.verified} failures={self.verify_failures}"
             )
         for name in sorted(self.per_tenant):
             b = self.tenant(name)

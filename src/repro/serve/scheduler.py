@@ -74,21 +74,14 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.apps.base import get_app
-from repro.bench.jobs import (
-    DatasetSpec,
-    EngineSpec,
-    JobSpec,
-    engine_from_spec,
-    run_jobspec,
-)
-from repro.bench.sweep import DiskCache, RunCache, run_digest
+from repro.bench.jobs import DatasetSpec, EngineSpec, JobSpec, engine_from_spec
+from repro.bench.sweep import RunCache, run_digest
 from repro.engines.base import Engine, RunResult
 from repro.errors import ReproError, SloViolationError
 from repro.memo import Memo
@@ -131,17 +124,9 @@ class ServeConfig:
     max_queue: int = 64
     #: dispatch window size (upper bound on one round's batch)
     max_batch: int = 8
-    #: run-result caching (memory tier always; disk tier via disk_cache)
+    #: run-result caching in a memory-tier :class:`RunCache`, unless the
+    #: server is handed a cache (one with a disk tier, say)
     cache: bool = True
-    disk_cache: bool = False
-    #: compare every completed response against a fresh one-shot oracle
-    verify: bool = False
-    #: worker processes for backend="process"
-    jobs: int = 1
-    #: "thread" runs unique jobs in-process on pooled datasets (the
-    #: engine memos amortize across them); "process" ships them to a
-    #: worker pool (parallel)
-    backend: str = "thread"
     #: datasets kept with their arrays (LRU) for cross-request reuse; an
     #: evicted one drops its arrays and keeps what was derived from them in
     #: the server's store (:data:`STORE_BYTES`)
@@ -153,22 +138,14 @@ class ServeConfig:
     #: size dispatch windows from priced deadline slack instead of always
     #: coalescing up to max_batch
     adaptive_batch: bool = False
-    #: adaptive windows never shrink below this
-    min_batch: int = 1
 
     def __post_init__(self):
         if self.max_queue < 1 or self.max_batch < 1:
             raise ReproError("max_queue and max_batch must be >= 1")
-        if self.backend not in ("thread", "process"):
-            raise ReproError("backend must be 'thread' or 'process'")
-        if self.jobs < 1:
-            raise ReproError("jobs must be >= 1")
         if self.dataset_pool < 1:
             raise ReproError("dataset_pool must be >= 1")
         if self.scheduling not in ("edf", "fifo"):
             raise ReproError("scheduling must be 'edf' or 'fifo'")
-        if not 1 <= self.min_batch <= self.max_batch:
-            raise ReproError("need 1 <= min_batch <= max_batch")
 
 
 #: terminal states a request can reach
@@ -229,6 +206,38 @@ def matches_oracle(job: JobSpec, result: RunResult, oracle: RunResult) -> bool:
     )
 
 
+def judge(
+    job: JobSpec,
+    response: ServeResponse,
+    oracle: Callable[[JobSpec], RunResult],
+) -> Optional[str]:
+    """What is wrong with ``response``, the served outcome of ``job``, or
+    ``None`` when nothing is. The one rule every replay is judged by:
+
+    - a ``failed`` response is wrong;
+    - a ``shed`` response, or a rejection other than ``"queue full"``,
+      must carry a typed :class:`~repro.errors.SloViolationError`;
+    - a queue-full rejection is not wrong;
+    - a completed response must :func:`matches_oracle` ``oracle(job)``,
+      the job's one-shot oracle, which only a completed response asks for.
+    """
+    status = response.status
+    if status == "failed":
+        return response.error or "request failed"
+    if status == "shed" or (status == "rejected" and response.error != "queue full"):
+        if isinstance(response.exception, SloViolationError):
+            return None
+        return f"{status} response lacks a typed SloViolationError"
+    if status == "rejected":
+        return None
+    got, want = response.result, oracle(job)
+    if matches_oracle(job, got, want):
+        return None
+    if got.sim_time != want.sim_time:
+        return f"sim_time {got.sim_time!r} != one-shot oracle's {want.sim_time!r}"
+    return "output diverges from its one-shot oracle"
+
+
 class Server:
     """Admission queue + deadline/WDRR scheduler + batched dispatcher."""
 
@@ -257,11 +266,8 @@ class Server:
             self.register_tenant(tenant)
         if cache is not None:
             self.cache: Optional[RunCache] = cache
-        elif self.config.cache:
-            disk = DiskCache() if self.config.disk_cache else None
-            self.cache = RunCache(disk=disk)
         else:
-            self.cache = None
+            self.cache = RunCache() if self.config.cache else None
         #: recipe -> (app, data): the LRU dataset pool, the only datasets
         #: that may hold arrays
         self._datasets: "OrderedDict[DatasetSpec, tuple]" = OrderedDict()
@@ -272,21 +278,15 @@ class Server:
         #: seconds on ``timer`` spent generating datasets
         self._generation_s = 0.0
         self._engines = Memo("serve.engines", 64)
-        #: job -> its one-shot oracle, outputs included (``verify``)
-        self._oracles = Memo("serve.oracles", 256)
         #: req_id -> (deadline, admission price or None) for queued requests
         self._meta: dict = {}
         #: EWMA of unique-jobs / window-size per round (adaptive batching
         #: discounts the window by how much coalescing is expected)
         self._unique_frac = 1.0
-        self._executor: Optional[ProcessPoolExecutor] = None
         self._batch_seq = 0
 
     # ---------------------------------------------------------- lifecycle
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
         self._datasets.clear()
         self._store.clear()
 
@@ -450,9 +450,9 @@ class Server:
         if not math.isfinite(slack):
             return cfg.max_batch
         if slack <= 0.0:
-            return cfg.min_batch
+            return 1
         limit = int(slack / (per_run * max(self._unique_frac, 0.05)))
-        return max(cfg.min_batch, min(cfg.max_batch, limit))
+        return max(1, min(cfg.max_batch, limit))
 
     def _select_wdrr(self, limit: int) -> list:
         """One classic WDRR dispatch window (up to ``limit`` requests)."""
@@ -688,11 +688,6 @@ class Server:
             self._engines.put(spec, engine)
         return engine
 
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.config.jobs)
-        return self._executor
-
     def _terminal(
         self, req: ServeRequest, status: str, batch_id: int, now: float
     ) -> ServeResponse:
@@ -716,7 +711,6 @@ class Server:
         )
         engine = self._engine(batch.engine_spec)
         responses: dict = {}
-        verify_items: list = []
 
         # cache probe per unique job, keyed on its recipe: exact repeats
         # never reach the engine and need no dataset
@@ -744,26 +738,22 @@ class Server:
                     resp.result = hit
                     self.metrics.cached += 1
                     responses[req.req_id] = resp
-                    verify_items.append((job, resp))
             else:
                 misses.append((reqs, key, disk_key))
 
         # timed engine-run section: one batch is one (app, engine) cell, so
         # its wall time, less the dataset generation inside it, is one clean
         # calibration sample for the pricer
-        cfg = self.config
-        ship = cfg.backend == "process" and cfg.jobs > 1 and len(misses) > 1
         jobs = [reqs[0].job for reqs, *_ in misses]
         generation_s = self._generation_s
         start = self.timer()
-        outcomes = self._run_unique(engine, jobs, ship)
+        outcomes = self._run_unique(engine, jobs)
         generation_s = self._generation_s - generation_s
         elapsed = max(self.timer() - start - generation_s, 0.0)
         sims = [o.sim_time for o in outcomes if not isinstance(o, Exception)]
         if misses:
             self.pricer.observe_batch(jobs, elapsed, len(sims), sims)
         for (reqs, key, disk_key), outcome in zip(misses, outcomes):
-            job = reqs[0].job
             if isinstance(outcome, Exception):
                 for req in reqs:
                     responses[req.req_id] = self._fail(req, batch_id, now, outcome)
@@ -780,11 +770,6 @@ class Server:
                 else:
                     self.metrics.coalesced += 1
                 responses[req.req_id] = resp
-                verify_items.append((job, resp))
-
-        if self.config.verify:
-            for job, resp in verify_items:
-                self._verify_one(job, resp)
         return responses
 
     def _fail(
@@ -796,23 +781,10 @@ class Server:
         self.metrics.failed += 1
         return resp
 
-    def _run_unique(self, engine: Engine, jobs: list, ship: bool) -> list:
-        """Execute unique jobs; one outcome (result or exception) each.
-
-        In this process each job runs on its recipe's pooled dataset;
-        ``ship`` sends the jobs to the worker pool, which generates the
-        datasets there."""
-        if ship:
-            futures = [self._pool().submit(run_jobspec, job) for job in jobs]
-            outcomes: list = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except ReproError as exc:
-                    outcomes.append(exc)
-            return outcomes
-
-        outcomes = []
+    def _run_unique(self, engine: Engine, jobs: list) -> list:
+        """Run unique jobs, each on its recipe's pooled dataset; one
+        outcome (result or exception) each."""
+        outcomes: list = []
         for job in jobs:
             try:
                 app, data = self._dataset(job.dataset)
@@ -820,16 +792,6 @@ class Server:
             except ReproError as exc:
                 outcomes.append(exc)
         return outcomes
-
-    # -------------------------------------------------------- verification
-    def _verify_one(self, job: JobSpec, resp: ServeResponse) -> None:
-        """Bit-compare a completed response against its one-shot oracle."""
-        okey = (job.dataset, job.engine, job.config)
-        oracle = self._oracles.get_or_compute(okey, lambda: oneshot_oracle(job))
-        self.metrics.verified += 1
-        if not matches_oracle(job, resp.result, oracle):
-            self.metrics.verify_failures += 1
-            resp.error = "served result diverges from its one-shot oracle"
 
 
 @dataclass

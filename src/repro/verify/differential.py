@@ -17,6 +17,7 @@ live here too, and every pillar reports through one shape: a
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
@@ -667,14 +668,13 @@ def run_serve_differential(
     run, and so do the counts this pillar prints.
     """
     from repro.bench.sweep import RunCache
-    from repro.errors import SloViolationError
     from repro.serve import (
         ServeConfig,
         Server,
         StepTimer,
         TraceSpec,
-        bit_equal,
         generate_trace,
+        judge,
         oneshot_oracle,
         scale_trace,
         serve_trace,
@@ -692,7 +692,7 @@ def run_serve_differential(
         outcome = serve_trace(server, trace, timer=timer)
 
     jobs = {req.req_id: (req.tenant, req.job) for req in trace}
-    oracles: dict = {}
+    oracle = functools.cache(oneshot_oracle)
     m = outcome.metrics
     report = Report(
         "serve vs one-shot",
@@ -708,42 +708,18 @@ def run_serve_differential(
 
     def grade(resp, phase: str) -> None:
         tenant, job = jobs[resp.req_id]
-        problems = []
-        if resp.status == "failed" or (
-            phase == "open" and resp.status in ("rejected", "shed")
-        ):
+        if phase == "open" and resp.status in ("rejected", "shed"):
             # the open phase is sized so nothing is rejected or dropped
-            problems.append(resp.error or f"request {resp.status}")
-        elif resp.status in ("rejected", "shed"):
-            report.counts[f"slo {resp.status}"] += 1
-            # a rejection may also be a plain queue-full; a shed may not
-            queue_full = resp.status == "rejected" and resp.error == "queue full"
-            if not (queue_full or isinstance(resp.exception, SloViolationError)):
-                problems.append(
-                    f"{resp.status} response lacks a typed SloViolationError"
-                )
+            problem = resp.error or f"request {resp.status}"
         else:
-            key = (job.dataset, job.engine, job.config)
-            oracle = oracles.get(key)
-            if oracle is None:
-                oracle = oracles[key] = oneshot_oracle(job)
-            if resp.result.sim_time != oracle.sim_time:
-                problems.append(
-                    f"sim_time {resp.result.sim_time!r} != "
-                    f"{oracle.sim_time!r}"
-                )
-            if job.config.functional and not bit_equal(
-                resp.result.output, oracle.output
-            ):
-                problems.append(
-                    f"output {describe_output(resp.result.output)} != "
-                    f"{describe_output(oracle.output)}"
-                )
-        detail = "; ".join(problems)
-        if detail:
-            detail = f"req {resp.req_id} [{tenant}] {phase}:{resp.status}: {detail}"
+            if resp.status in ("rejected", "shed"):
+                report.counts[f"slo {resp.status}"] += 1
+            problem = judge(job, resp, oracle)
+        detail = ""
+        if problem is not None:
+            detail = f"req {resp.req_id} [{tenant}] {phase}:{resp.status}: {problem}"
         report.cells.append(
-            Cell(job.dataset.app, job.engine.name, not problems, detail)
+            Cell(job.dataset.app, job.engine.name, problem is None, detail)
         )
 
     for resp in outcome.responses:

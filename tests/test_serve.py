@@ -12,18 +12,21 @@ from repro.bench.jobs import DatasetSpec, JobSpec
 from repro.bench.sweep import DiskCache, RunCache, content_run_key, run_digest
 from repro.cli import main
 from repro.engines import BigKernelEngine, EngineConfig
-from repro.errors import ApplicationError, ReproError
+from repro.errors import ApplicationError, ReproError, SloViolationError
 from repro.memo import MEMO_STATS
 from repro.serve.scheduler import matches_oracle
 from repro.serve import (
+    STATUSES,
     ServeConfig,
     ServeRequest,
+    ServeResponse,
     Server,
     TenantSpec,
     TraceSpec,
     batch_key,
     coalesce,
     generate_trace,
+    judge,
     oneshot_oracle,
     scale_trace,
     serve_trace,
@@ -362,16 +365,15 @@ def test_drop_and_restore_are_invisible_on_a_one_slot_pool():
         for engine in ("bigkernel", "gpu_uvm")
         for app in STORE_APPS
     ]
-    config = ServeConfig(dataset_pool=1, verify=True)
+    config = ServeConfig(dataset_pool=1)
     with Server(config, cache=RunCache(disk=None)) as server:
         responses = [_serve_one(server, i, job) for i, job in enumerate(jobs)]
     m = server.metrics
     assert m.datasets_generated == len(STORE_APPS)
     assert m.datasets_restored == len(STORE_APPS)
-    assert m.verified == len(jobs) and m.verify_failures == 0
     for job, resp in zip(jobs, responses):
         assert resp.status == "served"
-        assert matches_oracle(job, resp.result, oneshot_oracle(job))
+        assert judge(job, resp, oneshot_oracle) is None
 
 
 def _evicted(server, job, other):
@@ -592,12 +594,102 @@ def test_verify_is_exact_where_outputs_equal_is_tolerant():
     assert get_app("netflix").outputs_equal(bad.output, good.output)
     cache = RunCache(disk=None)
     cache.put(RunCache.recipe_key(BigKernelEngine(), job), bad)
-    with Server(ServeConfig(verify=True), cache=cache) as server:
+    with Server(ServeConfig(), cache=cache) as server:
         server.submit(_request(0, job))
         (resp,) = server.drain()
     assert resp.status == "cached"
-    assert server.metrics.verify_failures == 1
-    assert resp.error == "served result diverges from its one-shot oracle"
+    assert judge(job, resp, oneshot_oracle) == (
+        "output diverges from its one-shot oracle"
+    )
+
+
+# ------------------------------------------------------------------ judge
+_TYPED = SloViolationError("deadline unreachable")
+
+#: (status, result, error, exception, verdict): ``result`` is the oracle's
+#: result as served, "slower" (sim_time doubled) or "off" (output + 1)
+JUDGE_TABLE = [
+    ("served", "oracle", None, None, None),
+    ("coalesced", "oracle", None, None, None),
+    ("cached", "oracle", None, None, None),
+    ("served", "slower", None, None, "sim_time"),
+    ("coalesced", "off", None, None, "output diverges from its one-shot oracle"),
+    ("cached", "off", None, None, "output diverges from its one-shot oracle"),
+    ("rejected", None, "queue full", None, None),
+    ("rejected", None, str(_TYPED), _TYPED, None),
+    ("rejected", None, "deadline unreachable", None,
+     "rejected response lacks a typed SloViolationError"),
+    ("shed", None, str(_TYPED), _TYPED, None),
+    ("shed", None, "deadline passed", None,
+     "shed response lacks a typed SloViolationError"),
+    ("failed", None, "ReproError: boom", ReproError("boom"), "ReproError: boom"),
+    ("failed", None, None, None, "request failed"),
+]
+
+
+def test_judge_table_covers_every_status():
+    assert {row[0] for row in JUDGE_TABLE} == set(STATUSES)
+
+
+@pytest.fixture(scope="module")
+def judged_job():
+    job = _job()
+    return job, oneshot_oracle(job)
+
+
+@pytest.mark.parametrize("status,result,error,exception,verdict", JUDGE_TABLE)
+def test_judge(judged_job, status, result, error, exception, verdict):
+    job, good = judged_job
+    served = {
+        None: None,
+        "oracle": good,
+        "slower": dataclasses.replace(good, sim_time=2 * good.sim_time),
+        "off": dataclasses.replace(good, output=good.output + 1),
+    }[result]
+    resp = ServeResponse(req_id=0, tenant="t", status=status, arrival=0.0,
+                         error=error, result=served, exception=exception)
+    asked = []
+
+    def oracle(j):
+        asked.append(j)
+        return good
+
+    got = judge(job, resp, oracle)
+    if verdict == "sim_time":
+        assert got.startswith("sim_time ")
+    else:
+        assert got == verdict
+    # the oracle runs only for a response that carries a result
+    assert asked == ([job] if served is not None else [])
+
+
+@pytest.fixture
+def each_server_fails_its_first_run(monkeypatch):
+    """Every server's first unique-job run comes back as a typed failure."""
+    real = Server._run_unique
+
+    def run_unique(self, engine, jobs):
+        outcomes = real(self, engine, jobs)
+        if jobs and not getattr(self, "_failed_one", False):
+            self._failed_one = True
+            outcomes[0] = ReproError("injected failure")
+        return outcomes
+
+    monkeypatch.setattr(Server, "_run_unique", run_unique)
+
+
+def test_both_serve_benchmarks_count_a_failed_request(
+    each_server_fails_its_first_run,
+):
+    from repro.bench.serve import run_serve_benchmark, run_serve_slo_benchmark
+
+    spec = TraceSpec(seed=23, duration=0.5, rate=20.0, data_bytes=128 * KiB,
+                     n_dataset_seeds=2, chunk_kib_choices=(64, 128),
+                     repeat_p=0.5)
+    throughput = run_serve_benchmark(spec)
+    assert throughput.verify_failures >= 3  # one per load level
+    slo = run_serve_slo_benchmark(spec)
+    assert slo.verify_failures >= 2  # one per policy
 
 
 # ------------------------------------------------- amortization accounting
@@ -739,6 +831,68 @@ def test_cli_serve_smoke(tmp_path, capsys):
     assert "cached=" in printed
     log = json.loads(out.read_text())
     assert log and all(r["status"] != "failed" for r in log)
+
+
+def _verified_cli(tmp_path, *extra) -> tuple:
+    """``repro serve --verify`` on a small cache-hitting trace: (exit code,
+    the ``--trace`` log)."""
+    out = tmp_path / "responses.json"
+    rc = main([
+        "serve", "--duration", "1", "--rate", "20", "--data-mib", "1",
+        "--seed", "3", "--verify", "--trace", str(out), *extra,
+    ])
+    return rc, json.loads(out.read_text())
+
+
+def test_cli_verify_runs_no_oracle_inside_dispatch(tmp_path, monkeypatch):
+    import repro.serve
+    import repro.serve.scheduler as scheduler
+
+    depth, inside, outside = [0], [], []
+    real_dispatch, real_oracle = Server.dispatch_round, scheduler.oneshot_oracle
+
+    def dispatch_round(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_dispatch(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def oracle(job):
+        (inside if depth[0] else outside).append(job)
+        return real_oracle(job)
+
+    monkeypatch.setattr(Server, "dispatch_round", dispatch_round)
+    for module in (scheduler, repro.serve):
+        monkeypatch.setattr(module, "oneshot_oracle", oracle)
+    rc, _ = _verified_cli(tmp_path)
+    assert rc == 0
+    assert outside and not inside
+
+
+def test_cli_verify_marks_a_poisoned_cache_entry(tmp_path, monkeypatch, capsys):
+    real_get = RunCache.get
+
+    def poisoned(self, key, disk_key=None):
+        hit = real_get(self, key, disk_key)
+        return hit and dataclasses.replace(hit, sim_time=2 * hit.sim_time)
+
+    monkeypatch.setattr(RunCache, "get", poisoned)
+    rc, log = _verified_cli(tmp_path, "--expect-cache-hits")
+    assert rc == 1
+    cached = [r for r in log if r["status"] == "cached"]
+    assert cached and all(r["error"].startswith("sim_time ") for r in cached)
+    assert all(r["error"] is None for r in log if r["status"] == "served")
+    assert "failed verification" in capsys.readouterr().err
+
+
+def test_cli_verify_fails_on_a_failed_request(
+    tmp_path, each_server_fails_its_first_run
+):
+    rc, log = _verified_cli(tmp_path)
+    assert rc == 1
+    errors = {r["error"] for r in log if r["status"] == "failed"}
+    assert errors == {"ReproError: injected failure"}
 
 
 def test_cli_serve_bad_tenants():

@@ -1,6 +1,8 @@
 """Seeded property tests for the serving layer: overload never corrupts
 accounting, WDRR converges to the weights, served answers stay bit-equal."""
 
+import functools
+
 import pytest
 
 from repro.apps.datagen import DATAGEN_VERSION
@@ -15,6 +17,7 @@ from repro.serve import (
     TraceSpec,
     bit_equal,
     generate_trace,
+    judge,
     oneshot_oracle,
     scale_trace,
     serve_trace,
@@ -156,7 +159,7 @@ def test_served_outputs_bit_equal_oneshot_oracle(seed):
 @pytest.mark.parametrize("seed", [4, 17, 29])
 def test_repeats_past_a_one_slot_dataset_pool_stay_bit_equal(seed):
     # every repeat outlives its dataset's eviction, so the recipe-keyed
-    # cache answers it; verify=True bit-checks each one against a fresh
+    # cache answers it; each response is then judged against a fresh
     # one-shot oracle
     spec = TraceSpec(
         seed=seed,
@@ -168,13 +171,14 @@ def test_repeats_past_a_one_slot_dataset_pool_stay_bit_equal(seed):
         repeat_p=0.8,
     )
     trace = generate_trace(spec)
-    config = ServeConfig(
-        max_queue=len(trace) + 1, max_batch=4, dataset_pool=1, verify=True
-    )
+    config = ServeConfig(max_queue=len(trace) + 1, max_batch=4, dataset_pool=1)
     with Server(config, cache=RunCache(disk=None)) as server:
         outcome = serve_trace(server, trace)
     m = outcome.metrics
     assert m.completed == len(trace)
-    assert m.verified == m.completed
-    assert m.verify_failures == 0
+    jobs = {req.req_id: req.job for req in trace}
+    oracle = functools.cache(oneshot_oracle)
+    assert [judge(jobs[r.req_id], r, oracle) for r in outcome.responses] == [
+        None
+    ] * len(trace)
     assert m.cached > 0
