@@ -6,6 +6,7 @@ paper's conclusion that the bottleneck migrated from PCIe to the GPU).
 """
 
 from repro.bench import fig6
+from repro.bench.paper_data import ADDR_GEN_MAX_FRACTION
 from repro.runtime.pipeline import FORWARD_STAGES
 
 
@@ -20,7 +21,9 @@ def test_fig6(benchmark, settings, matrix):
         assert max(stages.values()) == 1.0
 
     # addr-gen cheapest for the patterned apps
-    cheap = sum(1 for s in fig.series.values() if s["addr_gen"] <= 0.35)
+    cheap = sum(
+        1 for s in fig.series.values() if s["addr_gen"] <= ADDR_GEN_MAX_FRACTION
+    )
     assert cheap >= 6
 
     # computation is the slowest stage for most apps

@@ -7,7 +7,6 @@ from typing import Iterable, Optional
 
 from repro.apps import ALL_APPS, get_app
 from repro.apps.base import AppData, Application
-from repro.bench.sweep import cached_run
 from repro.engines import (
     ALL_ENGINES,
     BigKernelEngine,
@@ -29,16 +28,8 @@ class BenchSettings:
     data_bytes: int = 8 * MiB
     seed: int = 7
     config: EngineConfig = field(default_factory=lambda: EngineConfig(chunk_bytes=2 * MiB))
-    #: cross-check every engine's output against the serial reference
-    validate: bool = True
     #: run the trace invariant checkers (repro.verify) on every traced run
     check_invariants: bool = False
-    #: route engine runs through the process-wide two-tier RunCache
-    #: (:data:`repro.bench.sweep.RUN_CACHE`) — repeated harness invocations
-    #: (every figure re-running the same matrix) and even separate
-    #: processes then evaluate each (engine, app, dataset, config) cell
-    #: once, via the persistent content-keyed disk tier
-    cache: bool = False
 
 
 @dataclass
@@ -87,15 +78,11 @@ def run_matrix(
         data = app.generate(n_bytes=settings.data_bytes, seed=settings.seed)
         reference = None
         for engine in engines:
-            res = (
-                cached_run(engine, app, data, config)
-                if settings.cache
-                else engine.run(app, data, config)
-            )
+            res = engine.run(app, data, config)
             results[(app.name, engine.name)] = res
             if reference is None:
                 reference = res
-            elif settings.validate and config.functional and not app.outputs_equal(
+            elif config.functional and not app.outputs_equal(
                 reference.output, res.output
             ):
                 raise ValidationFailure(

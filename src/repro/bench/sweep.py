@@ -30,9 +30,8 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.apps.base import AppData, Application, data_fingerprint, dataset_key
 from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_ordered
@@ -359,53 +358,6 @@ def _des_bound(app: Application, config: EngineConfig) -> bool:
     return not config.fastpath or app.writes_mapped
 
 
-def _cached_runs(
-    engine: Engine,
-    app: Application,
-    data: AppData,
-    configs: list,
-    items: list,
-    run_items: Callable[[list], list],
-) -> list[RunResult]:
-    """The runs of ``configs`` through the process-wide :data:`RUN_CACHE`.
-
-    ``items[i]`` describes the run of ``configs[i]`` to ``run_items``. The
-    cache is probed for every config, ``run_items`` gets the items of the
-    misses in one call, and the results it returns are put back. The disk
-    tier is consulted only while it is enabled.
-    """
-    disk = RUN_CACHE.disk
-    disk_on = disk is not None and disk.enabled
-    keys = [
-        (
-            RunCache.key(engine, app, data, cfg),
-            content_run_key(engine, app, data, cfg) if disk_on else None,
-        )
-        for cfg in configs
-    ]
-    results = [RUN_CACHE.get(*key) for key in keys]
-    misses = [i for i, result in enumerate(results) if result is None]
-    for i, result in zip(misses, run_items([items[i] for i in misses])):
-        results[i] = result
-        RUN_CACHE.put(keys[i][0], result, keys[i][1])
-    return results
-
-
-def cached_run(
-    engine: Engine, app: Application, data: AppData, config: EngineConfig
-) -> RunResult:
-    """One engine run through the process-wide :data:`RUN_CACHE`."""
-    (result,) = _cached_runs(
-        engine,
-        app,
-        data,
-        [config],
-        [config],
-        lambda configs: [engine.run(app, data, cfg) for cfg in configs],
-    )
-    return result
-
-
 def _run_points(
     engine: Engine,
     app: Application,
@@ -541,14 +493,25 @@ def sweep(
         )
 
     if cache:
-        results = _cached_runs(
-            engine,
-            app,
-            data,
-            [base_config.with_(**chosen) for chosen in combos],
-            combos,
-            partial(_run_points, engine, app, data, base_config, jobs, backend),
+        # probe every point, run the misses in one batch and put them
+        # back; the disk tier is consulted only while it is enabled
+        disk_on = RUN_CACHE.disk is not None and RUN_CACHE.disk.enabled
+        keys = []
+        for chosen in combos:
+            cfg = base_config.with_(**chosen)
+            keys.append((
+                RunCache.key(engine, app, data, cfg),
+                content_run_key(engine, app, data, cfg) if disk_on else None,
+            ))
+        results = [RUN_CACHE.get(*key) for key in keys]
+        misses = [i for i, result in enumerate(results) if result is None]
+        ran = _run_points(
+            engine, app, data, base_config, jobs, backend,
+            [combos[i] for i in misses],
         )
+        for i, result in zip(misses, ran):
+            results[i] = result
+            RUN_CACHE.put(keys[i][0], result, keys[i][1])
     else:
         results = _run_points(
             engine, app, data, base_config, jobs, backend, combos

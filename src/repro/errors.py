@@ -15,22 +15,6 @@ class SimulationError(ReproError):
     """Errors raised by the discrete-event simulation engine."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a simulated process that another process interrupted.
-
-    Mirrors SimPy's ``Interrupt``: the ``cause`` attribute carries the value
-    supplied by the interrupter.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Deadlock(SimulationError):
-    """The event queue drained while processes were still waiting."""
-
-
 class HardwareError(ReproError):
     """Errors raised by the hardware cost models."""
 
@@ -67,9 +51,10 @@ class SlicingError(CompilerError):
 class VectorizationError(CompilerError):
     """The kernel cannot be lowered to the vectorized (compiled) backend.
 
-    Raised only when the caller *demanded* compilation
-    (``kernel_exec="compiled"``); under ``"auto"`` the analysis verdict
-    silently routes execution to the tree-walking interpreter instead.
+    :func:`~repro.kernelc.compile.compile_kernel` raises it, naming every
+    obstruction, on IR that the vectorizability analysis rejects. A launch
+    never sees it: it asks :func:`~repro.kernelc.compile.try_compile_kernel`,
+    which falls back to the tree-walking interpreter instead.
     """
 
 
@@ -79,10 +64,6 @@ class RuntimeConfigError(ReproError):
 
 class BufferOverrun(ReproError):
     """A pipeline stage wrote past the end of its staged buffer."""
-
-
-class SynchronizationError(ReproError):
-    """Pipeline synchronization protocol violation (e.g. consume-before-produce)."""
 
 
 class FaultError(ReproError):
@@ -100,14 +81,6 @@ class DmaFaultError(FaultError):
     with exponential backoff; when the injected fault outlives the budget,
     the transfer is declared permanently failed and this error propagates
     out of the simulated run.
-    """
-
-
-class DegradationError(FaultError):
-    """No degradation policy could absorb the injected fault.
-
-    Raised when, e.g., pinned-memory pressure cannot be satisfied even at the
-    minimum ring depth and block count and no engine fallback applies.
     """
 
 

@@ -1,4 +1,4 @@
-"""GPU device model: occupancy, kernel-stage timing, compute resource.
+"""GPU device model: occupancy and kernel-stage timing.
 
 Timing follows a roofline-style model: a kernel stage over one chunk takes
 ``max(arithmetic time, memory time)`` where the memory time is inflated by
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from repro.errors import HardwareError
 from repro.hw.elementwise import every, maximum, minimum
 from repro.hw.spec import GpuSpec
-from repro.sim.core import Environment
-from repro.sim.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,15 @@ class BlockResources:
 
 
 class GpuDevice:
-    """A simulated GPU: spec + timing + an optional timeline resource.
+    """A simulated GPU's spec and timing.
 
-    ``compute`` has capacity 2 so that one address-generation stage and one
-    computation stage (different warps of the same resident blocks) can be
-    on the device simultaneously, as BigKernel requires; their slowdown from
-    sharing the memory system is already folded into the stage costs.
+    The device on the timeline is the pipeline's capacity-2 ``gpu``
+    resource (:mod:`repro.runtime.pipeline`), which holds one
+    address-generation and one computation stage at once.
     """
 
-    def __init__(self, spec: GpuSpec, env: Environment | None = None):
+    def __init__(self, spec: GpuSpec):
         self.spec = spec
-        self.env = env
-        self.compute = Resource(env, capacity=2, name="gpu") if env else None
 
     # -- occupancy ---------------------------------------------------------
     def max_active_blocks(self, req: BlockResources) -> int:

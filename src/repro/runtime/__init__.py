@@ -5,7 +5,7 @@ Provides the ``streamingMalloc``/``streamingMap`` programming model
 compresses the address stream (:mod:`~repro.runtime.pattern`), the CPU-side
 data-assembly stage with its read-locality optimization
 (:mod:`~repro.runtime.assembly`), per-thread-block multi-instance buffer
-rings (:mod:`~repro.runtime.buffers`), active-thread-block accounting
+sets (:mod:`~repro.runtime.buffers`), active-thread-block accounting
 (:mod:`~repro.runtime.scheduler`), and the 4-stage (6 with mapped writes)
 pipeline that runs it all on the simulated timeline
 (:mod:`~repro.runtime.pipeline`).
@@ -21,7 +21,7 @@ from repro.runtime.pattern import (
 )
 from repro.runtime.streaming import StreamingArray, StreamingRegistry
 from repro.runtime.launcher import bigkernel_launch, KernelApplication, LaunchSpec
-from repro.runtime.buffers import BufferRing, BlockBuffers, BufferConfig
+from repro.runtime.buffers import BlockBuffers, BufferConfig
 from repro.runtime.assembly import (
     gather_values,
     gather_bytes,
@@ -56,7 +56,6 @@ __all__ = [
     "bigkernel_launch",
     "KernelApplication",
     "LaunchSpec",
-    "BufferRing",
     "BlockBuffers",
     "BufferConfig",
     "gather_values",

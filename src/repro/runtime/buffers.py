@@ -1,4 +1,4 @@
-"""Per-thread-block buffer sets and the multi-instance ring.
+"""Per-thread-block buffer sets, sized and allocated.
 
 BigKernel needs, per thread block: a pinned CPU-side address buffer, a
 pinned CPU-side prefetch buffer, a GPU-side data buffer — and, for kernels
@@ -8,14 +8,19 @@ overlap (Section III: "At minimum, two of each are required"); the ring
 discipline prevents stage *n* from reusing an instance before its consumer
 three stages downstream is done, which the paper implements by barriering
 each chunk iteration against iteration ``n - 3``.
+
+This module owns the memory side of that ring: how many bytes each
+instance takes and their allocation against the pinned and GPU
+allocators. The ring's timing, a stage waiting for a free instance, is
+enforced on the simulated timeline by the pipeline's buffer-ring
+semaphore and bounded stores (:mod:`repro.runtime.pipeline`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import dataclass, replace
 
-from repro.errors import RuntimeConfigError, SynchronizationError
+from repro.errors import RuntimeConfigError
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
 
@@ -66,50 +71,6 @@ class BufferConfig:
         return per_instance * self.instances
 
 
-class BufferRing:
-    """Fixed set of reusable slots with produce/consume hand-off tracking.
-
-    This is the *functional* ring (payload passing and misuse detection);
-    the *temporal* backpressure on the simulated timeline is enforced by the
-    pipeline's bounded stores and semaphores.
-    """
-
-    def __init__(self, instances: int, name: str = "ring"):
-        if instances < 2:
-            raise RuntimeConfigError("ring needs at least two instances")
-        self.name = name
-        self.instances = instances
-        self._slots: list[Optional[Any]] = [None] * instances
-        self._produced = 0
-        self._consumed = 0
-
-    @property
-    def in_flight(self) -> int:
-        return self._produced - self._consumed
-
-    def produce(self, payload: Any) -> int:
-        """Fill the next slot; errors if the ring is full (overrun)."""
-        if self.in_flight >= self.instances:
-            raise SynchronizationError(
-                f"{self.name}: produced into a slot not yet consumed "
-                f"(in flight {self.in_flight} of {self.instances})"
-            )
-        slot = self._produced % self.instances
-        self._slots[slot] = payload
-        self._produced += 1
-        return slot
-
-    def consume(self) -> Any:
-        """Take the oldest produced payload; errors on consume-before-produce."""
-        if self._consumed >= self._produced:
-            raise SynchronizationError(f"{self.name}: consume before produce")
-        slot = self._consumed % self.instances
-        payload = self._slots[slot]
-        self._slots[slot] = None
-        self._consumed += 1
-        return payload
-
-
 @dataclass
 class BlockBuffers:
     """All buffers of one thread block, allocated against real accounting.
@@ -122,18 +83,8 @@ class BlockBuffers:
 
     block_id: int
     config: BufferConfig
-    addr_ring: BufferRing = field(init=False)
-    data_ring: BufferRing = field(init=False)
-    write_ring: Optional[BufferRing] = field(init=False)
 
     def __post_init__(self):
-        self.addr_ring = BufferRing(self.config.instances, f"addr[{self.block_id}]")
-        self.data_ring = BufferRing(self.config.instances, f"data[{self.block_id}]")
-        self.write_ring = (
-            BufferRing(self.config.instances, f"write[{self.block_id}]")
-            if self.config.write_buf_bytes
-            else None
-        )
         self._pinned_handles: list = []
         self._gpu_handles: list = []
 

@@ -33,7 +33,6 @@ from repro.errors import RuntimeConfigError, SlicingError
 from repro.kernelc.codegen import ExecutionContext, KernelInterpreter
 from repro.kernelc.compile import (
     affine_streams,
-    compile_kernel,
     resident_kinds_of,
     try_compile_kernel,
     vector_fn_names,
@@ -74,13 +73,8 @@ class KernelApplication(Application):
         params: Optional[dict] = None,
         device_fns: Optional[dict] = None,
         spec: Optional[LaunchSpec] = None,
-        kernel_exec: str = "auto",
     ):
         validate_kernel(kernel)
-        if kernel_exec not in ("auto", "compiled", "interp"):
-            raise RuntimeConfigError(
-                "kernel_exec must be 'auto', 'compiled', or 'interp'"
-            )
         if len(kernel.mapped) != 1:
             raise RuntimeConfigError(
                 "the launch front end streams exactly one mapped structure; "
@@ -92,8 +86,6 @@ class KernelApplication(Application):
         self.params_init = dict(params or {})
         self.device_fns = dict(device_fns or {})
         self.spec = spec or LaunchSpec()
-        #: kernel-IR executor: "compiled" (or raise), "interp" or "auto"
-        self.kernel_exec = kernel_exec
         # lazy caches: False = not yet resolved (None is a valid verdict)
         self._compiled_main: Any = False
         self._compiled_ag: Any = False
@@ -155,22 +147,13 @@ class KernelApplication(Application):
 
     def compiled_kernel(self):
         """The vectorized executor for the original-form kernel, or None
-        when ``kernel_exec`` (or the vectorizability analysis) routes
-        execution to the interpreter. ``kernel_exec="compiled"`` raises
-        :class:`~repro.errors.VectorizationError` on unvectorizable IR."""
+        when the vectorizability analysis rejects it and execution falls
+        back to the interpreter."""
         if self._compiled_main is False:
-            if self.kernel_exec == "interp":
-                self._compiled_main = None
-            else:
-                vfns, rkinds = self._vector_gate()
-                if self.kernel_exec == "compiled":
-                    self._compiled_main = compile_kernel(
-                        self.kernel_ir, vector_fns=vfns, resident_kinds=rkinds
-                    )
-                else:
-                    self._compiled_main = try_compile_kernel(
-                        self.kernel_ir, vector_fns=vfns, resident_kinds=rkinds
-                    )
+            vfns, rkinds = self._vector_gate()
+            self._compiled_main = try_compile_kernel(
+                self.kernel_ir, vector_fns=vfns, resident_kinds=rkinds
+            )
         return self._compiled_main
 
     def _compiled_addrgen(self):
@@ -180,7 +163,7 @@ class KernelApplication(Application):
                 ag_kernel = make_addrgen_kernel(self.kernel_ir)
             except SlicingError:
                 ag_kernel = None
-            if ag_kernel is None or self.kernel_exec == "interp":
+            if ag_kernel is None:
                 self._compiled_ag = None
             else:
                 vfns, rkinds = self._vector_gate()
@@ -398,14 +381,14 @@ def bigkernel_launch(
     spec: Optional[LaunchSpec] = None,
     engine: Optional[BigKernelEngine] = None,
     verify: bool = False,
-    kernel_exec: str = "auto",
 ) -> RunResult:
     """Compile, characterize, and run ``kernel`` over the mapped data.
 
     Returns the engine's :class:`RunResult`: functional output (the
     resident state, or ``spec.make_output``'s extraction) plus the
-    simulated time, metrics and pipeline trace, with ``kernel_exec`` as
-    :class:`KernelApplication`'s executor.
+    simulated time, metrics and pipeline trace. The kernel runs on the
+    compiled (vectorized) backend when the vectorizability analysis admits
+    it, and on the tree-walking interpreter otherwise.
 
     With ``verify=True`` the launch is double-checked after the run: the
     pipeline timeline goes through the trace invariant checkers and the
@@ -414,10 +397,7 @@ def bigkernel_launch(
     raised on any divergence.
     """
     cfg = config or EngineConfig()
-    app = KernelApplication(
-        kernel, registry, resident, params, device_fns, spec,
-        kernel_exec=kernel_exec,
-    )
+    app = KernelApplication(kernel, registry, resident, params, device_fns, spec)
     eng = engine or BigKernelEngine()
     if not verify:
         return eng.run(app, app.data, cfg)

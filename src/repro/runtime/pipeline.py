@@ -368,6 +368,9 @@ def run_pipeline(
     trace = trace if trace is not None else TraceRecorder()
     link = PcieLink(env, hardware.pcie, trace=trace, faults=injector)
     dma = DmaEngine(link)
+    # one addr-gen and one compute stage at once (different warps of the
+    # same resident blocks); their sharing of the memory system is
+    # already in the stage costs
     gpu = Resource(env, capacity=2, name="gpu")
     cpu = Resource(env, capacity=config.cpu_workers, name="cpu")
     _spawn_block_processes(

@@ -2,14 +2,16 @@
 
 A minimal SimPy-like kernel purpose-built for this reproduction: simulated
 *processes* are Python generators that ``yield`` events (timeouts, resource
-requests, store gets, flags, barriers) and are resumed by the environment
-when those events fire. The BigKernel pipeline, the DMA engine, the PCIe
-link and the GPU/CPU compute stages are all modelled as processes competing
-for :class:`~repro.sim.resources.Resource` objects on one shared timeline.
+requests, store gets, flag waits, semaphore acquires, ``all_of``) and are
+resumed by the environment when those events fire. The BigKernel pipeline,
+the DMA engine, the PCIe link and the GPU/CPU compute stages are all
+modelled as processes and callback chains competing for
+:class:`~repro.sim.resources.Resource` objects on one shared timeline; a
+run goes until no event is left.
 
 Public surface::
 
-    from repro.sim import Environment, Resource, Store, Flag, Barrier
+    from repro.sim import Environment, Resource, Store, Flag, Semaphore
 
     env = Environment()
 
@@ -29,14 +31,13 @@ from repro.sim.core import (
     Timeout,
     Process,
     AllOf,
-    AnyOf,
     PENDING,
     URGENT,
     NORMAL,
 )
-from repro.sim.resources import Resource, Request, Release, PriorityResource
+from repro.sim.resources import Resource, Request
 from repro.sim.stores import Store, StorePut, StoreGet
-from repro.sim.sync import Flag, Barrier, Semaphore
+from repro.sim.sync import Flag, Semaphore
 from repro.sim.trace import TraceRecorder, Interval
 
 __all__ = [
@@ -45,19 +46,15 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "PENDING",
     "URGENT",
     "NORMAL",
     "Resource",
     "Request",
-    "Release",
-    "PriorityResource",
     "Store",
     "StorePut",
     "StoreGet",
     "Flag",
-    "Barrier",
     "Semaphore",
     "TraceRecorder",
     "Interval",

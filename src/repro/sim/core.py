@@ -3,7 +3,10 @@
 The design follows SimPy's architecture (events with callback lists, a heap
 of scheduled events, generator-based processes) but is intentionally small:
 only the features the BigKernel pipeline model needs are implemented, and
-each of those features is tested directly.
+each of those features is tested directly. The pipeline
+(``repro.runtime.pipeline``, ``repro.runtime.multigpu``), the PCIe link and
+the UVM engine use completion events, timeouts, processes, :class:`AllOf`
+and one way to run: until the heap drains.
 
 Determinism: ties in time are broken first by event *priority* (``URGENT``
 before ``NORMAL``) and then by schedule order, so repeated runs of the same
@@ -33,8 +36,7 @@ inside :meth:`Environment.run`. Three things keep a chunk cheap:
   clock to its time and runs its callbacks. A succeeded zero-delay event
   that nothing can ever wait on therefore changes nothing when popped,
   and needs no heap trip.
-  A resource released by leaving a ``with request:`` block creates no
-  :class:`~repro.sim.resources.Release` at all (the block discards it),
+  A resource is released without an event (nothing could wait on one),
   and a *detached* DMA that lands with no waiter completes in place: its
   value is set and it is marked processed without a push. The DMA engine
   detaches the two transfers of a flagged copy, whose consumer waits on
@@ -56,13 +58,13 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import Deadlock, Interrupt, SimulationError
+from repro.errors import SimulationError
 
 #: Sentinel for "event has not yet been given a value".
 PENDING = object()
 
 #: Priority for events that must fire before same-time normal events
-#: (used internally for process resumption after an interrupt).
+#: (the :class:`Initialize` that starts a process or a DMA).
 URGENT = 0
 #: Default event priority.
 NORMAL = 1
@@ -84,7 +86,7 @@ class Event:
         self._value: Any = PENDING
         self._ok: bool = True
         #: set True once a failure value has been retrieved or handled,
-        #: suppressing the "unhandled failure" error at run() end.
+        #: so that run() does not raise it as unhandled
         self._defused: bool = False
 
     # -- state ------------------------------------------------------------
@@ -137,13 +139,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
@@ -181,7 +176,8 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal URGENT event that runs ``start`` on the next step.
+    """Internal URGENT event that runs ``start`` now, ahead of same-time
+    NORMAL events.
 
     A :class:`Process` passes its resume callback; a callback-driven
     activity such as :class:`~repro.hw.pcie.Transfer` passes its first step.
@@ -208,7 +204,7 @@ class Process(Event):
     join on it.
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb")
+    __slots__ = ("_generator", "name", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
@@ -220,41 +216,12 @@ class Process(Event):
         #: the bound resume callback, created once — appending ``_resume``
         #: directly would allocate a fresh bound method per wait
         self._resume_cb = self._resume
-        self._target: Optional[Event] = Initialize(env, self._resume_cb)
+        Initialize(env, self._resume_cb)
         self.name = getattr(generator, "__name__", "process")
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.errors.Interrupt` into the process.
-
-        The process is rescheduled immediately (URGENT) with the interrupt;
-        whatever event it was waiting on is abandoned.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has already terminated")
-        if self._target is None or isinstance(self._target, Initialize):
-            raise SimulationError("cannot interrupt a process before it starts")
-        wake = Event(self.env)
-        wake._ok = False
-        wake._value = Interrupt(cause)
-        wake._defused = True
-        wake.callbacks.append(self._resume_cb)
-        self.env.schedule(wake, priority=URGENT)
-        # Detach from the event we were waiting on.
-        target = self._target
-        if target.callbacks is not None and self._resume_cb in target.callbacks:
-            target.callbacks.remove(self._resume_cb)
-        self._target = wake
 
     # -- engine internals ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        env = self.env
-        env._active_process = self
         send = self._generator.send
         while True:
             try:
@@ -264,25 +231,19 @@ class Process(Event):
                     event._defused = True
                     next_event = self._generator.throw(event._value)
             except StopIteration as exc:
-                self._target = None
-                env._active_process = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                self._target = None
-                env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_process = None
                 exc = SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
                 try:
                     self._generator.throw(exc)
                 except BaseException as err:
-                    self._target = None
                     self.fail(err)
                     return
                 raise exc  # pragma: no cover - generator swallowed the error
@@ -290,15 +251,17 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Still pending or scheduled: wait for it.
                 next_event.callbacks.append(self._resume_cb)
-                self._target = next_event
-                env._active_process = None
                 return
             # Already processed: continue immediately with its value.
             event = next_event
 
 
-class Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Triggers when every constituent event has succeeded.
+
+    Fails with the first constituent failure. Its value maps each event
+    to its value.
+    """
 
     __slots__ = ("events", "_done")
 
@@ -318,18 +281,6 @@ class Condition(Event):
             else:
                 ev.callbacks.append(self._check)
 
-    def _collect(self) -> dict:
-        return {ev: ev._value for ev in self.events if ev.callbacks is None and ev._ok}
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Triggers when every constituent event has succeeded."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -342,31 +293,15 @@ class AllOf(Condition):
             self.succeed({ev: ev._value for ev in self.events})
 
 
-class AnyOf(Condition):
-    """Triggers as soon as one constituent event has succeeded."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed({event: event._value})
-
-
 class Environment:
     """Owns the simulated clock and the pending event heap."""
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "timeout")
+    __slots__ = ("_now", "_queue", "_eid", "timeout")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: create an event that fires ``delay`` seconds from now — bound as
         #: a C-level partial because timeouts dominate event construction
         #: (a plain method would add a Python frame per timeout)
@@ -376,11 +311,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -395,10 +325,6 @@ class Environment:
         """Composite event: all of ``events`` succeed."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event: any one of ``events`` succeeds."""
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Queue ``event`` to fire ``delay`` seconds from now."""
@@ -407,78 +333,18 @@ class Environment:
         self._eid += 1
         heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+    def run(self) -> None:
+        """Process events in ``(time, priority, eid)`` order until the
+        queue drains.
 
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise Deadlock("event queue is empty")
-        self._now, _, _, event = heappop(self._queue)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the queue drains, time ``until``, or event ``until``.
-
-        Returns the value of ``until`` when it is an event.
+        An event that fails with nothing to handle its failure raises out
+        of ``run``.
         """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:
-                return stop_event._value
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
-        # The dispatch below is step() inlined with the heap bound to a
-        # local, split per stopping condition so the per-event overhead of
-        # the unused conditions is never paid. Event order is exactly
-        # step()'s: heappop on (time, priority, eid).
-        queue = self._queue
-        if stop_event is None and stop_time == float("inf"):
-            # run-to-exhaustion: the pipeline's common case
-            while queue:
-                self._now, _, _, event = heappop(queue)
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            return None
-
+        queue = self._queue  # bound to a local: this is the hot loop
         while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            if queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
             self._now, _, _, event = heappop(queue)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-
-        if stop_event is not None:
-            if stop_event.callbacks is None:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            raise Deadlock(
-                "run(until=<event>) exhausted the queue before the event fired"
-            )
-        return None

@@ -4,12 +4,14 @@ A :class:`Resource` models a device that at most ``capacity`` processes may
 hold at once — the PCIe link, a DMA engine channel, a CPU core, the GPU's
 SM array. Requests are granted strictly in arrival order, which keeps the
 in-order DMA property the BigKernel synchronization protocol relies on.
+A holder releases its unit by leaving the request's ``with`` block (a
+callback-driven holder such as a DMA calls :meth:`Resource._do_release`);
+a release is not an event, since nothing waits on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import PENDING, Environment, Event
@@ -25,9 +27,8 @@ class Request(Event):
             yield req
             yield env.timeout(cost)
 
-    Leaving the block releases the resource without creating a
-    :class:`Release`: the block would discard it, so nothing could ever
-    wait on it, and it stays off the heap.
+    Leaving the block releases the resource and pushes nothing onto the
+    heap.
     """
 
     __slots__ = ("resource",)
@@ -48,22 +49,6 @@ class Request(Event):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.resource._do_release(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request from the wait queue."""
-        if self in self.resource._waiting:
-            self.resource._waiting.remove(self)
-
-
-class Release(Event):
-    """Event representing a completed release (fires immediately)."""
-
-    __slots__ = ()
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
-        resource._do_release(request)
-        self.succeed(None)
 
 
 class Resource:
@@ -92,10 +77,6 @@ class Resource:
         """Ask for one unit of the resource; yield the returned event."""
         return Request(self)
 
-    def release(self, request: Request) -> Release:
-        """Give back a unit previously granted to ``request``."""
-        return Release(self, request)
-
     # -- internals ----------------------------------------------------------
     def _do_request(self, request: Request) -> None:
         if len(self._users) < self.capacity and not self._waiting:
@@ -119,38 +100,3 @@ class Resource:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
             nxt.succeed(None)
-
-
-class PriorityRequest(Request):
-    """Request carrying a priority (lower value = more urgent)."""
-
-    __slots__ = ("priority", "_seq")
-
-    def __init__(self, resource: "PriorityResource", priority: int):
-        self.priority = priority
-        self._seq: Optional[int] = None
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """Resource granting waiters in (priority, arrival) order."""
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
-        super().__init__(env, capacity, name)
-        self._arrivals = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        self._arrivals += 1
-        request._seq = self._arrivals
-        if len(self._users) < self.capacity and not self._waiting:
-            self._users.append(request)
-            request.succeed(None)
-        else:
-            self._waiting.append(request)
-            self._waiting = deque(
-                sorted(self._waiting, key=lambda r: (r.priority, r._seq))  # type: ignore[attr-defined]
-            )

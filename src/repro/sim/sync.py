@@ -2,17 +2,20 @@
 
 The paper (Section IV-C) notes that CPU<->GPU signalling is limited to
 memory flags plus busy-waiting, and that GPU-side threads synchronize with
-the efficient ``bar.red`` barrier instruction. :class:`Flag` and
-:class:`Barrier` model those two mechanisms on the simulated timeline,
-counting signal/wait traffic so the cost models can charge for it.
+the efficient ``bar.red`` barrier instruction. :class:`Flag` models the
+memory flag on the simulated timeline, and :class:`Semaphore` the buffer
+ring's reuse bound. The cost of polling a flag and of the ``bar.red``
+barriers is not simulated: it is priced analytically, as the
+``sync_overhead`` that ``BigKernelEngine.pipe_config`` adds to every
+compute stage.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
-from repro.errors import SimulationError, SynchronizationError
+from repro.errors import SimulationError
 from repro.sim.core import Environment, Event
 
 
@@ -20,8 +23,7 @@ class Flag:
     """A memory flag one side sets and the other busy-waits on.
 
     Re-armable: after :meth:`clear` the flag can be set again, which is how
-    the per-chunk ready flags in the pipeline are reused. ``signal_count``
-    and ``wait_count`` record traffic for the synchronization cost model.
+    the per-chunk ready flags in the pipeline are reused.
     """
 
     def __init__(self, env: Environment, name: str = ""):
@@ -30,8 +32,6 @@ class Flag:
         self._set = False
         self._value: Any = None
         self._waiters: deque[Event] = deque()
-        self.signal_count = 0
-        self.wait_count = 0
 
     @property
     def is_set(self) -> bool:
@@ -39,7 +39,6 @@ class Flag:
 
     def set(self, value: Any = None) -> None:
         """Set the flag, waking every current waiter."""
-        self.signal_count += 1
         self._set = True
         self._value = value
         while self._waiters:
@@ -52,60 +51,11 @@ class Flag:
 
     def wait(self) -> Event:
         """Event that fires when (or immediately if) the flag is set."""
-        self.wait_count += 1
         ev = Event(self.env)
         if self._set:
             ev.succeed(self._value)
         else:
             self._waiters.append(ev)
-        return ev
-
-
-class Barrier:
-    """A reusable ``bar.red``-style barrier for ``parties`` processes.
-
-    The k-th arrival in each generation releases all waiters of that
-    generation; the barrier then resets for the next generation, matching
-    the once-per-chunk barriering in Fig. 3 of the paper.
-    """
-
-    def __init__(self, env: Environment, parties: int, name: str = ""):
-        if parties < 1:
-            raise SimulationError(f"barrier parties must be >= 1, got {parties}")
-        self.env = env
-        self.parties = parties
-        self.name = name or f"barrier@{id(self):#x}"
-        self._arrived = 0
-        self._generation = 0
-        self._waiters: list[Event] = []
-
-    @property
-    def generation(self) -> int:
-        """How many times the barrier has tripped."""
-        return self._generation
-
-    @property
-    def waiting(self) -> int:
-        """Arrivals so far in the current generation."""
-        return self._arrived
-
-    def wait(self) -> Event:
-        """Arrive at the barrier; the event fires when all parties have."""
-        ev = Event(self.env)
-        self._arrived += 1
-        if self._arrived > self.parties:
-            raise SynchronizationError(
-                f"{self.name}: more arrivals ({self._arrived}) than parties"
-                f" ({self.parties}) in one generation"
-            )
-        self._waiters.append(ev)
-        if self._arrived == self.parties:
-            gen = self._generation
-            waiters, self._waiters = self._waiters, []
-            self._arrived = 0
-            self._generation += 1
-            for w in waiters:
-                w.succeed(gen)
         return ev
 
 

@@ -27,6 +27,9 @@ SETTINGS = BenchSettings(
     data_bytes=4 * MiB, config=EngineConfig(chunk_bytes=512 * 1024)
 )
 
+SMALL = BenchSettings(
+    data_bytes=256 * 1024, config=EngineConfig(chunk_bytes=64 * 1024)
+)
 
 @pytest.fixture(scope="module")
 def matrix():
@@ -173,6 +176,30 @@ class TestTable2:
         for app, row in t2.rows.items():
             if row["improvement"] is not None:
                 assert row["improvement"] >= -0.05, app
+
+
+class TestValidation:
+    def test_divergent_engine_output_rejected(self):
+        """run_matrix cross-checks every engine's output against the
+        first engine's: an engine that computed over other data fails."""
+        from repro.apps import get_app
+        from repro.engines import CpuMtEngine, CpuSerialEngine
+        from repro.errors import ValidationFailure
+
+        class WrongData(CpuSerialEngine):
+            name = "wrong_data"
+
+            def run(self, app, data, config):
+                other = app.generate(n_bytes=SMALL.data_bytes, seed=SMALL.seed + 1)
+                return super().run(app, other, config)
+
+        app = get_app("kmeans")
+        agreeing = run_matrix(
+            SMALL, apps=[app], engines=[CpuSerialEngine(), CpuMtEngine()]
+        )
+        assert agreeing.engines == ("cpu_serial", "cpu_mt")
+        with pytest.raises(ValidationFailure, match="wrong_data"):
+            run_matrix(SMALL, apps=[app], engines=[CpuSerialEngine(), WrongData()])
 
 
 class TestReport:

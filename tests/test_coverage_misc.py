@@ -11,7 +11,6 @@ from repro.hw.gpu import BlockResources
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
 from repro.runtime.buffers import BlockBuffers, BufferConfig
-from repro.sim import Environment
 from repro.units import GiB, MiB
 
 
@@ -97,6 +96,23 @@ class TestGpuDeviceEdges:
         assert self.gpu.max_active_blocks(req) > 0
 
     def test_compute_resource_capacity_two(self):
-        env = Environment()
-        gpu = GpuDevice(GTX680, env=env)
-        assert gpu.compute is not None and gpu.compute.capacity == 2
+        """The pipeline's GPU holds one address-generation and one
+        computation stage at once, and never a third."""
+        from repro.hw.spec import DEFAULT_HARDWARE
+        from repro.runtime.pipeline import ChunkWork, run_pipeline
+        from repro.verify.invariants import check_track_capacity
+
+        chunks = [
+            ChunkWork(
+                index=i,
+                t_addr_gen=1e-3,
+                addr_bytes_d2h=0,
+                t_assembly=1e-4,
+                xfer_bytes=64 * 1024,
+                t_compute=1e-3,
+            )
+            for i in range(6)
+        ]
+        trace = run_pipeline(DEFAULT_HARDWARE, chunks, fastpath=False).trace
+        assert check_track_capacity(trace, "gpu", 2) == []
+        assert check_track_capacity(trace, "gpu", 1)  # the two stages overlap

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS, get_app
-from repro.errors import BufferOverrun, RuntimeConfigError, VectorizationError
+from repro.errors import BufferOverrun, VectorizationError
 from repro.kernelc.analysis import analyze_vectorizable
 from repro.kernelc.codegen import ExecutionContext, InterpStats, KernelInterpreter
 from repro.kernelc.compile import (
@@ -550,12 +550,8 @@ class TestAppEquivalence:
 
 
 class TestEngineWiring:
-    def test_launch_validates_kernel_exec(self):
-        with pytest.raises(RuntimeConfigError):
-            self._launch("jit")
-
-    def _launch(self, kernel_exec):
-        from repro.runtime.launcher import bigkernel_launch
+    def _double_it(self):
+        """A writable mapped structure and a kernel the analysis admits."""
         from repro.runtime.streaming import StreamingRegistry
 
         schema = RecordSchema.packed([("v", "i8"), ("out", "i8")])
@@ -578,21 +574,30 @@ class TestEngineWiring:
             mapped={"pts": schema},
             resident=("total",),
         )
-        res = bigkernel_launch(
-            kernel,
-            registry,
-            resident={"total": np.zeros(1, dtype=np.int64)},
-            kernel_exec=kernel_exec,
-        )
-        return host["out"].copy(), res.output["total"].copy()
+        return host, registry, kernel
 
     def test_launch_compiled_matches_interp(self):
-        out_c, tot_c = self._launch("compiled")
-        out_i, tot_i = self._launch("interp")
-        np.testing.assert_array_equal(out_c, out_i)
-        np.testing.assert_array_equal(tot_c, tot_i)
+        from repro.runtime.launcher import KernelApplication, bigkernel_launch
 
-    def test_launch_compiled_demands_vectorizable(self):
+        host, registry, kernel = self._double_it()
+        oracle = ExecutionContext(
+            mapped={"pts": host.copy()},
+            resident={"total": np.zeros(1, dtype=np.int64)},
+        )
+        app = KernelApplication(
+            kernel, registry, resident={"total": np.zeros(1, dtype=np.int64)}
+        )
+        assert app.compiled_kernel() is not None  # the launch compiles it
+        res = bigkernel_launch(
+            kernel, registry, resident={"total": np.zeros(1, dtype=np.int64)}
+        )
+        KernelInterpreter(kernel, oracle).run_thread(0, 0, len(host))
+        np.testing.assert_array_equal(host["out"], oracle.mapped["pts"]["out"])
+        np.testing.assert_array_equal(
+            res.output["total"], oracle.resident["total"]
+        )
+
+    def test_launch_falls_back_to_interpreter(self):
         from repro.runtime.launcher import KernelApplication
         from repro.runtime.streaming import StreamingRegistry
 
@@ -616,16 +621,56 @@ class TestEngineWiring:
             resident=("acc",),
         )
         app = KernelApplication(
-            kernel, registry,
-            resident={"acc": np.zeros(1, dtype=np.int64)},
-            kernel_exec="compiled",
+            kernel, registry, resident={"acc": np.zeros(1, dtype=np.int64)}
         )
-        with pytest.raises(VectorizationError):
-            app.compiled_kernel()
-        # auto quietly falls back instead
-        auto = KernelApplication(
-            kernel, registry,
-            resident={"acc": np.zeros(1, dtype=np.int64)},
-            kernel_exec="auto",
+        # loop-carried state: the analysis rejects it, so the launch runs
+        # the interpreter instead of raising
+        assert app.compiled_kernel() is None
+
+    def test_launch_interprets_unvectorizable_kernel(self):
+        """A data-dependent While in the record body keeps the kernel off
+        the compiled backend; the launch still matches a direct
+        interpreter run."""
+        from repro.runtime.launcher import KernelApplication, bigkernel_launch
+        from repro.runtime.streaming import StreamingRegistry
+
+        schema = RecordSchema.packed([("v", "i8")])
+        n = 4096
+        host = np.zeros(n, dtype=schema.numpy_dtype())
+        host["v"] = np.arange(n) * 37 % 1001
+        registry = StreamingRegistry()
+        registry.streaming_malloc("pts", host.nbytes)
+        registry.streaming_map("pts", host, schema)
+        kernel = Kernel(
+            "bit_lengths",
+            (
+                For("i", Var("start"), Var("end"), (
+                    Assign("v", Load(MappedRef("pts", Var("i"), "v"))),
+                    Assign("c", Const(0)),
+                    While(BinOp(">", Var("v"), Const(0)), (
+                        Assign("v", BinOp(">>", Var("v"), Const(1))),
+                        Assign("c", BinOp("+", Var("c"), Const(1))),
+                    )),
+                    AtomicAdd("bits", Const(0), Var("c")),
+                )),
+            ),
+            mapped={"pts": schema},
+            resident=("bits",),
         )
-        assert auto.compiled_kernel() is None
+        app = KernelApplication(
+            kernel, registry, resident={"bits": np.zeros(1, dtype=np.int64)}
+        )
+        assert app.compiled_kernel() is None
+        oracle = ExecutionContext(
+            mapped={"pts": host.copy()},
+            resident={"bits": np.zeros(1, dtype=np.int64)},
+        )
+        KernelInterpreter(kernel, oracle).run_thread(0, 0, n)
+        res = bigkernel_launch(
+            kernel, registry, resident={"bits": np.zeros(1, dtype=np.int64)}
+        )
+        expected = sum(int(v).bit_length() for v in host["v"])
+        assert oracle.resident["bits"][0] == expected
+        np.testing.assert_array_equal(
+            res.output["bits"], oracle.resident["bits"]
+        )

@@ -1,14 +1,14 @@
-"""Tests for streaming arrays, buffer rings, and the scheduler."""
+"""Tests for streaming arrays, buffer sets, and the scheduler."""
 
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeConfigError, SynchronizationError
+from repro.errors import RuntimeConfigError
 from repro.hw import GTX680, GpuDevice
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
 from repro.kernelc.ir import RecordSchema
-from repro.runtime.buffers import BlockBuffers, BufferConfig, BufferRing
+from repro.runtime.buffers import BlockBuffers, BufferConfig
 from repro.runtime.scheduler import ThreadLayout, plan_blocks
 from repro.runtime.streaming import StreamingArray, StreamingRegistry
 from repro.units import GiB, KiB, MiB
@@ -57,33 +57,6 @@ class TestStreaming:
         assert arr.byte_view().shape == (480,)
 
 
-class TestBufferRing:
-    def test_produce_consume_fifo(self):
-        ring = BufferRing(2)
-        ring.produce("a")
-        ring.produce("b")
-        assert ring.consume() == "a"
-        ring.produce("c")
-        assert ring.consume() == "b"
-        assert ring.consume() == "c"
-
-    def test_overrun_detected(self):
-        ring = BufferRing(2)
-        ring.produce(1)
-        ring.produce(2)
-        with pytest.raises(SynchronizationError):
-            ring.produce(3)
-
-    def test_consume_before_produce_detected(self):
-        ring = BufferRing(2)
-        with pytest.raises(SynchronizationError):
-            ring.consume()
-
-    def test_minimum_two_instances(self):
-        with pytest.raises(RuntimeConfigError):
-            BufferRing(1)
-
-
 class TestBufferConfig:
     def test_pinned_footprint(self):
         c = BufferConfig(data_buf_bytes=1 * MiB, addr_buf_entries=1024, instances=2)
@@ -102,6 +75,22 @@ class TestBufferConfig:
         with pytest.raises(RuntimeConfigError):
             BufferConfig(data_buf_bytes=1, addr_buf_entries=1, instances=1)
 
+    def test_with_instances_rescales_ring_depth(self):
+        """Every instance is a full buffer set: footprints scale with the
+        ring depth, which never drops below the paper's two."""
+        c = BufferConfig(
+            data_buf_bytes=1 * MiB,
+            addr_buf_entries=64,
+            instances=2,
+            write_buf_bytes=256 * KiB,
+        )
+        deep = c.with_instances(4)
+        assert (deep.data_buf_bytes, deep.write_buf_bytes) == (1 * MiB, 256 * KiB)
+        assert deep.pinned_bytes_per_block() == 2 * c.pinned_bytes_per_block()
+        assert deep.gpu_bytes_per_block() == 2 * c.gpu_bytes_per_block()
+        with pytest.raises(RuntimeConfigError):
+            c.with_instances(1)
+
 
 class TestBlockBuffers:
     def test_allocation_accounting(self):
@@ -116,16 +105,26 @@ class TestBlockBuffers:
         assert pinned.used == 0
         assert gpu.used == 0
 
-    def test_write_rings_only_when_writing(self):
-        cfg = BufferConfig(data_buf_bytes=1 * MiB, addr_buf_entries=64, instances=2)
-        assert BlockBuffers(0, cfg).write_ring is None
-        cfg_w = BufferConfig(
-            data_buf_bytes=1 * MiB,
-            addr_buf_entries=64,
-            instances=2,
-            write_buf_bytes=1024,
-        )
-        assert BlockBuffers(0, cfg_w).write_ring is not None
+    def test_write_buffers_only_when_writing(self):
+        """Each instance adds a pinned write-landing buffer and a GPU write
+        buffer only when ``write_buf_bytes`` is set."""
+        handles = {}
+        for write_bytes in (0, 1024):
+            cfg = BufferConfig(
+                data_buf_bytes=1 * MiB,
+                addr_buf_entries=64,
+                instances=2,
+                write_buf_bytes=write_bytes,
+            )
+            pinned, gpu = PinnedAllocator(1 * GiB), GpuMemoryAllocator(1 * GiB)
+            bb = BlockBuffers(0, cfg)
+            bb.allocate(pinned, gpu)
+            handles[write_bytes] = (len(bb._pinned_handles), len(bb._gpu_handles))
+            assert pinned.used == cfg.pinned_bytes_per_block()
+            assert gpu.used == cfg.gpu_bytes_per_block()
+        # addr + prefetch pinned and one data buffer per instance, then one
+        # more of each side per instance
+        assert handles == {0: (4, 2), 1024: (6, 4)}
 
 
 class TestThreadLayout:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import Deadlock, Interrupt, SimulationError
-from repro.sim import Environment, AllOf, AnyOf, Resource
+from repro.errors import SimulationError
+from repro.sim import Environment, Resource
 
 
 def test_timeout_advances_clock():
@@ -57,19 +57,7 @@ def test_process_return_value_joinable():
     assert results == [(2.0, 42)]
 
 
-def test_run_until_time_stops_clock():
-    env = Environment()
-
-    def ticker(env):
-        while True:
-            yield env.timeout(1.0)
-
-    env.process(ticker(env))
-    env.run(until=5.5)
-    assert env.now == 5.5
-
-
-def test_run_until_event_returns_value():
+def test_finished_process_keeps_its_value():
     env = Environment()
 
     def child(env):
@@ -77,14 +65,24 @@ def test_run_until_event_returns_value():
         return "done"
 
     proc = env.process(child(env))
-    assert env.run(until=proc) == "done"
+    env.run()
+    assert proc.ok and proc.value == "done"
     assert env.now == 3.0
 
 
-def test_run_until_past_time_rejected():
-    env = Environment(initial_time=10.0)
-    with pytest.raises(SimulationError):
-        env.run(until=5.0)
+def test_run_on_empty_queue_returns_at_time_zero():
+    env = Environment()
+    assert env.run() is None
+    assert env.now == 0.0 and env._eid == 0
+
+
+def test_run_again_continues_the_clock():
+    env = Environment()
+    env.timeout(2.0)
+    env.run()
+    env.timeout(1.5)
+    env.run()
+    assert env.now == 3.5
 
 
 def test_exception_in_process_propagates_from_run():
@@ -97,6 +95,45 @@ def test_exception_in_process_propagates_from_run():
     env.process(boom(env))
     with pytest.raises(ValueError, match="boom"):
         env.run()
+
+
+def test_failed_process_holds_its_exception():
+    env = Environment()
+
+    def boom(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    def parent(env, child):
+        try:
+            yield child
+        except ValueError:
+            pass
+
+    child = env.process(boom(env))
+    env.process(parent(env, child))
+    env.run()
+    assert child.processed and not child.ok
+    assert isinstance(child.value, ValueError)
+
+
+def test_process_joined_by_many_wakes_each():
+    env = Environment()
+    seen = []
+
+    def child(env):
+        yield env.timeout(2.0)
+        return "v"
+
+    def parent(env, tag, proc):
+        value = yield proc
+        seen.append((tag, env.now, value))
+
+    proc = env.process(child(env))
+    for tag in "ab":
+        env.process(parent(env, tag, proc))
+    env.run()
+    assert seen == [("a", 2.0, "v"), ("b", 2.0, "v")]
 
 
 def test_exception_caught_by_joining_parent():
@@ -153,6 +190,58 @@ def test_event_fail_requires_exception():
         ev.fail("not an exception")
 
 
+def test_event_states_pending_triggered_processed():
+    env = Environment()
+    ev = env.event()
+    assert not ev.triggered and not ev.processed
+    with pytest.raises(SimulationError):
+        ev.value
+    with pytest.raises(SimulationError):
+        ev.ok
+    ev.succeed("v")
+    assert ev.triggered and not ev.processed
+    assert ev.ok and ev.value == "v"
+    env.run()
+    assert ev.processed and ev.value == "v"
+
+
+def test_fail_after_succeed_rejected():
+    env = Environment()
+    ev = env.event()
+    ev.succeed()
+    with pytest.raises(SimulationError):
+        ev.fail(ValueError("late"))
+
+
+def test_failed_event_raises_in_waiter():
+    env = Environment()
+    ev = env.event()
+    caught = []
+
+    def waiter(env):
+        try:
+            yield ev
+        except KeyError as e:
+            caught.append((env.now, e.args[0]))
+
+    def failer(env):
+        yield env.timeout(2.0)
+        ev.fail(KeyError("missing"))
+
+    env.process(waiter(env))
+    env.process(failer(env))
+    env.run()
+    assert caught == [(2.0, "missing")]
+    assert not ev.ok
+
+
+def test_unhandled_failed_event_raises_from_run():
+    env = Environment()
+    env.event().fail(KeyError("nobody waits"))
+    with pytest.raises(KeyError, match="nobody waits"):
+        env.run()
+
+
 def test_yield_already_processed_event_continues_immediately():
     env = Environment()
     ev = env.event()
@@ -185,22 +274,6 @@ def test_all_of_waits_for_slowest():
     assert times == [5.0]
 
 
-def test_any_of_fires_on_fastest():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        result = yield env.any_of([t1, t2])
-        times.append(env.now)
-        assert list(result.values()) == ["fast"]
-
-    env.process(proc(env))
-    env.run()
-    assert times == [1.0]
-
-
 def test_empty_all_of_fires_immediately():
     env = Environment()
     done = []
@@ -212,38 +285,6 @@ def test_empty_all_of_fires_immediately():
     env.process(proc(env))
     env.run()
     assert done == [0.0]
-
-
-def test_interrupt_raises_in_target():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as it:
-            log.append((env.now, it.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt(cause="wake-up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(2.0, "wake-up")]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_deterministic_tie_breaking_is_fifo():
@@ -260,22 +301,22 @@ def test_deterministic_tie_breaking_is_fifo():
     assert order == list(range(8))
 
 
-def test_step_on_empty_queue_is_deadlock():
+def test_process_starts_ahead_of_same_time_events():
+    """A process's start is URGENT: it runs before a NORMAL event
+    scheduled earlier for the same instant."""
     env = Environment()
-    with pytest.raises(Deadlock):
-        env.step()
-
-
-def test_run_until_event_that_never_fires_is_deadlock():
-    env = Environment()
+    order = []
     ev = env.event()
+    ev.callbacks.append(lambda e: order.append("event"))
+    ev.succeed()
 
-    def noop(env):
-        yield env.timeout(1.0)
+    def proc(env):
+        order.append("process")
+        yield env.timeout(0)
 
-    env.process(noop(env))
-    with pytest.raises(Deadlock):
-        env.run(until=ev)
+    env.process(proc(env))
+    env.run()
+    assert order == ["process", "event"]
 
 
 def test_yield_non_event_raises():
@@ -318,6 +359,19 @@ def test_nested_processes_compose():
 
 
 # -- events kept off the heap -----------------------------------------------
+def test_each_event_is_one_heap_push():
+    env = Environment()
+
+    def proc(env):
+        for _ in range(3):
+            yield env.timeout(1.0)
+
+    env.process(proc(env))
+    env.run()
+    # an Initialize, three timeouts and the process's completion
+    assert env._eid == 5
+
+
 def test_with_block_release_pushes_no_event():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -333,25 +387,7 @@ def test_with_block_release_pushes_no_event():
     env.process(user(env, "b"))
     env.run()
     assert order == [("a", 0.0), ("b", 1.0)]
-    # per user an Initialize, a grant, a timeout and its completion; no
-    # Release events
+    # per user an Initialize, a grant, a timeout and its completion; the
+    # releases push nothing
     assert env._eid == 8
     assert res.count == 0
-
-
-def test_explicit_release_is_still_a_scheduled_event():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    resumed = []
-
-    def user(env):
-        req = res.request()
-        yield req
-        rel = res.release(req)
-        assert rel.triggered and not rel.processed
-        yield rel
-        resumed.append(env.now)
-
-    env.process(user(env))
-    env.run()
-    assert resumed == [0.0] and res.count == 0

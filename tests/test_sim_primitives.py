@@ -1,14 +1,12 @@
-"""Tests for resources, stores, flags, barriers, semaphores, traces."""
+"""Tests for resources, stores, flags, semaphores, traces."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError, SynchronizationError
+from repro.errors import SimulationError
 from repro.sim import (
-    Barrier,
     Environment,
     Flag,
-    PriorityResource,
     Resource,
     Semaphore,
     Store,
@@ -106,35 +104,73 @@ class TestResource:
 
         def waiter(env):
             yield env.timeout(0.5)
-            req = res.request()
-            assert res.queue_length == 1
-            yield req
-            res.release(req)
+            with res.request() as req:
+                assert res.queue_length == 1
+                yield req
 
         env.process(holder(env))
         env.process(waiter(env))
         env.run()
 
 
-class TestPriorityResource:
-    def test_priority_jumps_queue(self):
+    def test_grant_is_immediate_when_free(self):
         env = Environment()
-        res = PriorityResource(env, capacity=1)
-        grants = []
+        res = Resource(env, capacity=1)
+        first, second = res.request(), res.request()
+        assert first.triggered and not second.triggered
+        assert (res.count, res.queue_length) == (1, 1)
 
-        def user(env, tag, prio, delay):
-            yield env.timeout(delay)
-            req = res.request(priority=prio)
-            yield req
-            grants.append(tag)
-            yield env.timeout(10.0)
-            res.release(req)
+    def test_capacity_two_admits_third_at_first_release(self):
+        env = Environment()
+        res = Resource(env, capacity=2)
+        starts = {}
 
-        env.process(user(env, "first", 5, 0.0))
-        env.process(user(env, "low", 5, 1.0))
-        env.process(user(env, "high", 0, 2.0))
+        def user(env, tag, hold):
+            with res.request() as req:
+                yield req
+                starts[tag] = env.now
+                yield env.timeout(hold)
+
+        for tag, hold in (("a", 3.0), ("b", 1.0), ("c", 1.0)):
+            env.process(user(env, tag, hold))
         env.run()
-        assert grants == ["first", "high", "low"]
+        assert starts == {"a": 0.0, "b": 0.0, "c": 1.0}
+
+    def test_leaving_block_before_grant_withdraws_request(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        queued, grants = [], []
+
+        def holder(env):
+            with res.request() as req:
+                yield req
+                yield env.timeout(2.0)
+
+        def quitter(env):
+            yield env.timeout(0.5)
+            with res.request():
+                queued.append(res.queue_length)
+            queued.append(res.queue_length)  # gave up before the grant
+
+        def waiter(env):
+            yield env.timeout(1.0)
+            with res.request() as req:
+                yield req
+                grants.append(env.now)
+
+        for proc in (holder, quitter, waiter):
+            env.process(proc(env))
+        env.run()
+        assert queued == [1, 0]
+        assert grants == [2.0] and res.count == 0
+
+    def test_release_of_unheld_request_rejected(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        with res.request() as req:
+            pass
+        with pytest.raises(SimulationError):
+            res._do_release(req)
 
 
 class TestStore:
@@ -200,6 +236,53 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(Environment(), capacity=0)
 
+    def test_level_counts_held_items(self):
+        env = Environment()
+        store = Store(env)
+        for i in range(3):
+            store.put(i)
+        assert store.level == 3
+        got = store.get()
+        assert store.level == 2 and got.value == 0
+
+    def test_put_hands_item_to_waiting_getter(self):
+        env = Environment()
+        store = Store(env, capacity=1)
+        got = store.get()
+        put = store.put("x")
+        assert put.triggered and got.value == "x"
+        assert store.level == 0
+
+    def test_get_admits_oldest_blocked_putter(self):
+        env = Environment()
+        store = Store(env, capacity=1)
+        store.put("a")
+        b, c = store.put("b"), store.put("c")
+        assert store.level == 1 and not b.triggered
+        got = store.get()
+        assert got.value == "a" and b.triggered and not c.triggered
+        assert list(store.items) == ["b"]
+
+    def test_waiting_getters_served_fifo(self):
+        env = Environment()
+        store = Store(env)
+        got = []
+
+        def consumer(env, tag):
+            item = yield store.get()
+            got.append((tag, item))
+
+        def producer(env):
+            yield env.timeout(1.0)
+            for item in "xyz":
+                yield store.put(item)
+
+        for tag in range(3):
+            env.process(consumer(env, tag))
+        env.process(producer(env))
+        env.run()
+        assert got == [(0, "x"), (1, "y"), (2, "z")]
+
 
 class TestFlag:
     def test_wait_after_set_fires_immediately(self):
@@ -239,63 +322,35 @@ class TestFlag:
         env.run()
         assert seen == [1, 2]
 
-    def test_counts_tracked(self):
+
+    def test_set_wakes_every_waiter(self):
         env = Environment()
         flag = Flag(env)
-        flag.set()
-        flag.wait()
-        assert flag.signal_count == 1
-        assert flag.wait_count == 1
+        woke = []
 
+        def waiter(env, tag):
+            v = yield flag.wait()
+            woke.append((tag, env.now, v))
 
-class TestBarrier:
-    def test_releases_all_at_last_arrival(self):
-        env = Environment()
-        bar = Barrier(env, parties=3)
-        released = []
+        def setter(env):
+            yield env.timeout(2.0)
+            flag.set("go")
 
-        def p(env, delay):
-            yield env.timeout(delay)
-            yield bar.wait()
-            released.append(env.now)
-
-        for d in (1.0, 2.0, 5.0):
-            env.process(p(env, d))
+        for tag in range(3):
+            env.process(waiter(env, tag))
+        env.process(setter(env))
         env.run()
-        assert released == [5.0, 5.0, 5.0]
+        assert woke == [(0, 2.0, "go"), (1, 2.0, "go"), (2, 2.0, "go")]
 
-    def test_reusable_generations(self):
+    def test_is_set_follows_set_and_clear(self):
         env = Environment()
-        bar = Barrier(env, parties=2)
-        gens = []
-
-        def p(env):
-            for _ in range(3):
-                g = yield bar.wait()
-                gens.append(g)
-
-        env.process(p(env))
-        env.process(p(env))
-        env.run()
-        assert sorted(gens) == [0, 0, 1, 1, 2, 2]
-        assert bar.generation == 3
-
-    def test_single_party_barrier_is_noop(self):
-        env = Environment()
-        bar = Barrier(env, parties=1)
-        done = []
-
-        def p(env):
-            yield bar.wait()
-            done.append(env.now)
-
-        env.process(p(env))
-        env.run()
-        assert done == [0.0]
-
-    def test_invalid_parties(self):
-        with pytest.raises(SimulationError):
-            Barrier(Environment(), parties=0)
+        flag = Flag(env)
+        assert not flag.is_set
+        flag.set(1)
+        assert flag.is_set and flag.wait().triggered
+        flag.clear()
+        assert not flag.is_set
+        assert not flag.wait().triggered  # a wait after clear blocks
 
 
 class TestSemaphore:
@@ -346,6 +401,44 @@ class TestSemaphore:
     def test_invalid_value(self):
         with pytest.raises(SimulationError):
             Semaphore(Environment(), value=-1)
+
+    def test_value_counts_free_permits(self):
+        env = Environment()
+        sem = Semaphore(env, value=2)
+        a, b, c = sem.acquire(), sem.acquire(), sem.acquire()
+        assert sem.value == 0
+        assert a.triggered and b.triggered and not c.triggered
+        sem.release()  # goes straight to the blocked acquirer
+        assert c.triggered and sem.value == 0
+        sem.release(2)
+        assert sem.value == 2
+
+    def test_release_many_wakes_waiters_fifo(self):
+        env = Environment()
+        sem = Semaphore(env, value=0)
+        woke = []
+
+        def p(env, tag):
+            yield sem.acquire()
+            woke.append((tag, env.now))
+
+        def releaser(env):
+            yield env.timeout(1.0)
+            sem.release(2)
+            yield env.timeout(1.0)
+            sem.release(2)
+
+        for tag in range(3):
+            env.process(p(env, tag))
+        env.process(releaser(env))
+        env.run()
+        assert woke == [(0, 1.0), (1, 1.0), (2, 2.0)]
+        assert sem.value == 1
+
+    def test_release_rejects_nonpositive_count(self):
+        sem = Semaphore(Environment(), value=1)
+        with pytest.raises(SimulationError):
+            sem.release(0)
 
 
 class TestTrace:

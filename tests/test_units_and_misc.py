@@ -70,10 +70,6 @@ class TestErrorHierarchy:
                 if obj not in (errors.ReproError,):
                     assert issubclass(obj, errors.ReproError), name
 
-    def test_interrupt_carries_cause(self):
-        it = errors.Interrupt(cause="stop")
-        assert it.cause == "stop"
-
     def test_slicing_is_compiler_error(self):
         assert issubclass(errors.SlicingError, errors.CompilerError)
 
