@@ -2,7 +2,7 @@
 
 Times (``time.perf_counter``) a ~500-chunk BigKernel run, a 16-point
 autotune sweep, the raw DES event throughput, the DES cost per pipeline
-chunk, a DES-bound thread-vs-process sweep, every app's dataset
+chunk, a DES-bound sweep on four workers against one, every app's dataset
 generation (wall and memory peak), a first vs a replayed run on three
 engines, a first functional run vs a memoized pass at another chunking, a
 served job dispatched after pricing vs unpriced, a memo hit and one
@@ -15,26 +15,24 @@ visible across commits. Expected on any machine: the analytic pipeline
 beats the DES by well over 5x at 500 chunks (it is O(n) arithmetic vs
 an event queue), the cached sweep beats the cold serial sweep by the
 cache hit rate, and the DES core clears 1.5x the pre-optimization event
-rate. The process-vs-thread expectation additionally needs real cores:
-on a single-CPU box a process pool cannot beat the GIL, so that check
-downgrades to recording only.
+rate. The parallel-over-serial expectation additionally needs real
+cores: on 1-2 cores the runner keeps DES-bound points on threads, which
+the GIL serializes, so that check downgrades to recording only.
 """
 
-import json
 import os
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 
+from bench_file import record
 from repro.apps import APP_REGISTRY, get_app
 from repro.bench.sweep import RUN_CACHE, sweep
 from repro.engines import BigKernelEngine, EngineConfig
 from repro.units import MiB
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 WARN_SPEEDUP = 5.0
 
 #: DES event throughput of the pre-optimization core (measured on the
@@ -71,15 +69,6 @@ SWEEP_GRID = {
 }
 
 
-def _record(entry: dict) -> None:
-    entries = []
-    if BENCH_FILE.exists():
-        entries = json.loads(BENCH_FILE.read_text())
-    entries = [e for e in entries if e["name"] != entry["name"]]
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
-
-
 def _warn_if_slow(name: str, speedup: float) -> None:
     if speedup < WARN_SPEEDUP:
         warnings.warn(
@@ -108,7 +97,7 @@ def test_fastpath_500_chunk_run():
     assert fast.sim_time == slow.sim_time  # exactness is non-negotiable
     assert fast.metrics.n_chunks >= 500
     speedup = t_des / t_fast if t_fast > 0 else float("inf")
-    _record(
+    record(
         {
             "name": "bigkernel_500_chunk_run",
             "n_chunks": fast.metrics.n_chunks,
@@ -142,7 +131,7 @@ def test_sweep_16_points_cached_parallel():
     assert len(cold.points) == 16 and len(warm.points) == 16
     assert warm.best.params == cold.best.params
     speedup = t_serial / t_cached if t_cached > 0 else float("inf")
-    _record(
+    record(
         {
             "name": "sweep_16_point_cached",
             "points": len(warm.points),
@@ -191,7 +180,7 @@ def test_des_event_throughput():
         best_rate = max(best_rate, events / elapsed)
 
     speedup = best_rate / DES_BASELINE_EVENTS_PER_SEC
-    _record(
+    record(
         {
             "name": "des_event_throughput",
             "events": events,
@@ -261,7 +250,7 @@ def test_des_pipeline(monkeypatch):
                     f"{DES_EVENTS_PER_CHUNK[app_name]} (warn-only)",
                     stacklevel=2,
                 )
-    _record({"name": "des_pipeline", "n_bytes": 16 * MiB, "runs": runs})
+    record({"name": "des_pipeline", "n_bytes": 16 * MiB, "runs": runs})
 
 
 def _held_bytes(data) -> int:
@@ -309,7 +298,7 @@ def test_datagen_throughput():
     generate_ms = {name: best_ms(name, 512 * 1024, 5) for name in apps}
     generate_16mib_ms = {name: best_ms(name, 16 * MiB, 3) for name in apps}
     peak_16mib = {name: peak_over_held(name, 16 * MiB) for name in apps}
-    _record(
+    record(
         {
             "name": "datagen_throughput",
             "n_bytes": 512 * 1024,
@@ -337,77 +326,64 @@ def test_datagen_throughput():
             )
 
 
-def test_des_bound_sweep_process_vs_thread():
-    """Thread vs process backend on a purely DES-bound grid.
+def test_des_bound_sweep_parallel_vs_serial():
+    """Four workers against one on a purely DES-bound grid.
 
     Every point runs the pure-Python simulator (``fastpath=False``), so
-    the GIL serializes the thread backend while process workers run truly
-    concurrently — the process pool should win by ~min(jobs, cores) once
-    points dwarf the fork + regeneration overhead. On a single-CPU box
-    there is no concurrency to buy and the fork tax makes processes
-    *slower*; the expectation is skipped there (recorded either way).
+    on a host with more than 2 cores the runner's rule sends the points to
+    a process pool, whose workers run truly concurrently and should win by
+    ~min(jobs, cores) once points dwarf the fork + regeneration overhead.
+    On 1-2 cores the rule keeps threads, which the GIL serializes, so the
+    ratio reads about 1x there; the expectation is skipped below 4 cores
+    (recorded either way). The entry records the rule's verdict next to
+    the timings it is supposed to predict.
     """
     from repro.bench.jobs import dataset_spec, engine_to_spec, resolve_backend
     from repro.bench.sweep import _des_bound
 
     app = get_app("kmeans")
     data = app.generate(n_bytes=32 * MiB, seed=7)
-    engine = BigKernelEngine()
     base = EngineConfig(fastpath=False, functional=False)
     grid = {"chunk_bytes": [8 * 1024, 16 * 1024], "num_blocks": [8, 16, 32, 64]}
-    n_points = 8
+
+    # a fresh engine per sweep: neither run starts with the other's memos
+    t0 = time.perf_counter()
+    serial = sweep(BigKernelEngine(), app, data, base, grid, jobs=1)
+    t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    threaded = sweep(engine, app, data, base, grid, jobs=4, backend="thread")
-    t_thread = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    proc = sweep(engine, app, data, base, grid, jobs=4, backend="process")
-    t_proc = time.perf_counter() - t0
+    parallel = sweep(BigKernelEngine(), app, data, base, grid, jobs=4)
+    t_parallel = time.perf_counter() - t0
 
     # equivalence is a hard assert even though the timing is not
-    assert [(p.params, p.sim_time) for p in threaded.points] == [
-        (p.params, p.sim_time) for p in proc.points
+    assert [(p.params, p.sim_time) for p in serial.points] == [
+        (p.params, p.sim_time) for p in parallel.points
     ]
     cores = os.cpu_count() or 1
-    # what backend="auto" would have chosen for this grid on this box —
-    # the dispatch heuristic's verdict belongs next to the timings it is
-    # supposed to predict (a 1-core runner records "thread" here, which
-    # explains a process_speedup < 1 without flagging a regression)
-    auto_backend = resolve_backend(
-        "auto",
-        jobs=4,
-        n_items=n_points,
+    pool = resolve_backend(
+        len(parallel.points),
         speccable=dataset_spec(app, data) is not None
-        and engine_to_spec(engine) is not None,
+        and engine_to_spec(BigKernelEngine()) is not None,
         des_bound=_des_bound(app, base),
     )
-    speedup = t_thread / t_proc if t_proc > 0 else float("inf")
-    _record(
+    speedup = t_serial / t_parallel if t_parallel > 0 else float("inf")
+    record(
         {
-            "name": "des_bound_sweep_process_vs_thread",
-            "points": len(proc.points),
+            "name": "des_bound_sweep_parallel_vs_serial",
+            "points": len(parallel.points),
             "jobs": 4,
             "cpu_count": cores,
-            "auto_backend": auto_backend,
-            "thread_seconds": t_thread,
-            "process_seconds": t_proc,
-            "process_speedup": speedup,
-            # consumers must gate any speedup expectation on this flag: a
-            # process pool cannot beat the GIL without a second core, so
-            # on a 1-core runner the ratio is pure fork overhead noise
-            "process_timing_meaningful": cores >= 2,
+            "pool": pool,
+            "serial_seconds": t_serial,
+            "parallel_seconds": t_parallel,
+            "parallel_speedup": speedup,
         }
     )
-    if cores < 2:
-        # a process pool cannot beat the GIL without a second core: the
-        # timing expectation is meaningless there, so don't even warn
-        return
     if cores >= 4 and speedup < PROCESS_WARN_SPEEDUP:
         warnings.warn(
-            f"des_bound_sweep_process_vs_thread: process backend only "
-            f"{speedup:.2f}x over threads on {cores} cores, below the "
-            f"{PROCESS_WARN_SPEEDUP:.0f}x expectation (warn-only)",
+            f"des_bound_sweep_parallel_vs_serial: {pool} pool only "
+            f"{speedup:.2f}x over the serial sweep on {cores} cores, below "
+            f"the {PROCESS_WARN_SPEEDUP:.0f}x expectation (warn-only)",
             stacklevel=2,
         )
 
@@ -444,7 +420,7 @@ def test_uvm_comparison():
     entry = comp.figure_entry()
     entry["bigkernel_wins"] = wins
     entry["wall_seconds"] = elapsed
-    _record(entry)
+    record(entry)
 
 
 def test_replay(monkeypatch):
@@ -515,7 +491,7 @@ def test_replay(monkeypatch):
             ),
             "sim_time": first.sim_time,
         }
-    _record({"name": "replay", "runs": entries})
+    record({"name": "replay", "runs": entries})
     for label, entry in entries.items():
         _warn_if_slow(f"replay {label}", entry["speedup"])
 
@@ -570,7 +546,7 @@ def test_functional_memo(monkeypatch):
     }
     hit = best["memo_hit"]
     speedup = best["first"] / hit if hit > 0 else float("inf")
-    _record(
+    record(
         {
             "name": "functional_memo",
             "n_bytes": 1 * MiB,
@@ -656,7 +632,7 @@ def test_pricing_reuse(monkeypatch):
             "speedup": best["unpriced_dispatch"] / best["dispatch"],
             "sim_time": sims.pop(),
         }
-    _record({"name": "pricing_reuse", "n_bytes": 512 * 1024, "runs": entries})
+    record({"name": "pricing_reuse", "n_bytes": 512 * 1024, "runs": entries})
     for engine, entry in entries.items():
         if entry["speedup"] < PRICING_REUSE_WARN_SPEEDUP:
             warnings.warn(
@@ -687,7 +663,7 @@ def test_multigpu_scaling():
 
     t0 = time.perf_counter()
     scaling = run_multigpu_scaling(
-        gpu_counts=(1, 2, 4, 8), verify_shards=True, predict=True
+        gpu_counts=(1, 2, 4, 8), verify_shards=True
     )
     elapsed = time.perf_counter() - t0
 
@@ -716,7 +692,7 @@ def test_multigpu_scaling():
     entry = scaling.figure_entry()
     entry["wall_seconds"] = elapsed
     entry["worst_prediction_rel_err"] = worst
-    _record(entry)
+    record(entry)
 
 
 def test_kernel_exec_throughput():
@@ -760,7 +736,7 @@ def test_kernel_exec_throughput():
     assert run.stats.mapped_read_bytes == interp.stats.mapped_read_bytes
 
     speedup = t_interp / t_compiled if t_compiled > 0 else float("inf")
-    _record(
+    record(
         {
             "name": "kernel_exec_throughput",
             "app": "dna",
@@ -830,7 +806,7 @@ def test_analytic_sweep():
     assert hybrid.best.sim_time == pure.best.sim_time
     assert len(hybrid.points) <= len(pure.points)
 
-    _record(
+    record(
         {
             "name": "analytic_sweep",
             "app": "wordcount",
@@ -910,7 +886,7 @@ def test_memo_hit():
     }
     lookups = {name: count for name, count in lookups.items() if count}
     ratio = memo_ns / bare_ns
-    _record(
+    record(
         {
             "name": "memo_hit",
             "memo_hit_ns": memo_ns,
@@ -975,7 +951,7 @@ def test_pattern_sample(monkeypatch):
             fractions[shape][name] = fraction
     paper_six = ("dna", "kmeans", "mastercard", "netflix", "opinion", "wordcount")
     median_ms = float(np.median([sample_ms["512kib_256kib"][a] for a in paper_six]))
-    _record(
+    record(
         {
             "name": "pattern_sample",
             "sample_ms": sample_ms,

@@ -15,28 +15,15 @@ one-shot oracle and rejection behavior under overload are exact
 properties and assert at full strength.
 """
 
-import json
-from pathlib import Path
-
+from bench_file import record
 from repro.bench.serve import run_serve_benchmark
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
 HARD_SPEEDUP = 3.0
 
 
-def _record(entry: dict) -> None:
-    entries = []
-    if BENCH_FILE.exists():
-        entries = json.loads(BENCH_FILE.read_text())
-    entries = [e for e in entries if e["name"] != entry["name"]]
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=2) + "\n")
-
-
 def test_serve_throughput():
     result = run_serve_benchmark()
-    _record(result.figure_entry())
+    record(result.figure_entry())
 
     # repro.serve.judge finds no response wrong: every completed one
     # bit-equals its fresh one-shot oracle, and no request failed
@@ -81,7 +68,7 @@ def test_serve_slo():
     from repro.bench.serve import run_serve_slo_benchmark
 
     result = run_serve_slo_benchmark()
-    _record(result.figure_entry())
+    record(result.figure_entry())
 
     # repro.serve.judge finds no response of either policy wrong: every
     # completed one bit-equals its oracle, no request failed, and every

@@ -140,7 +140,7 @@ def data_fingerprint(data: AppData) -> tuple:
     on anything the caller did to the instance (in-place edits included).
     For caches that must survive the process — the on-disk tier of
     :class:`repro.bench.sweep.RunCache` — or be shared between processes
-    (the ``backend="process"`` sweep workers), use :func:`dataset_key`,
+    (a sweep's process-pool workers), use :func:`dataset_key`,
     which names the dataset by *content* instead.
     """
     token = data.meta.get("_fingerprint")
@@ -168,8 +168,8 @@ def dataset_key(data: AppData) -> tuple:
     this names the dataset by what it contains, so two independently
     regenerated datasets — in this process, another process, or another CI
     run — get equal keys exactly when their bytes are equal. That is the
-    right key for the persistent run cache and for ``backend="process"``
-    sweep workers, which regenerate data locally instead of shipping
+    right key for the persistent run cache and for a sweep's process-pool
+    workers, which regenerate data locally instead of shipping
     arrays; it is the *wrong* key for anything keyed on an instance that
     may have been mutated in place after generation.
 
@@ -334,7 +334,7 @@ def _stamping_generate(generate):
 
     ``data.meta["datagen"]`` carries everything needed to regenerate the
     dataset deterministically elsewhere — the content identity behind
-    :func:`dataset_key` and the ``backend="process"`` sweep workers. The
+    :func:`dataset_key` and a sweep's process-pool workers. The
     requested (pre-default-resolution) ``n_bytes`` is recorded: two calls
     with the same arguments produce the same bytes, which is all the key
     needs. A recipe names only the app, so only an app that

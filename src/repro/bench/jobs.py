@@ -2,13 +2,13 @@
 
 :func:`run_ordered` is how every harness fans independent runs out:
 ``sweep``'s grid points, ``chaos``'s (app, engine) blocks and the
-``repro bench`` ladders' cells (:func:`run_cells`). It owns the
-``jobs``/``backend`` contract. ``jobs`` <= 0 means one worker per core.
-``backend`` is one of :data:`BACKENDS`, and :func:`resolve_backend` is
-the one ``auto`` rule. Results come back in item order on every backend,
-so a harness merges them exactly as its serial loop would.
+``repro bench`` ladders' cells (:func:`run_cells`). ``jobs`` is the only
+knob: 1 runs serially, <= 0 means one worker per core, and with more
+than one worker :func:`resolve_backend` picks threads or a process pool
+from the runs themselves. Results come back in item order whatever ran
+them, so a harness merges them exactly as its serial loop would.
 
-The process backend cannot ship live objects to workers: engines carry
+A process pool cannot ship live objects to workers: engines carry
 memoization caches, ``AppData`` holds tens of megabytes of arrays, and
 pickling either would cost more than the run itself. Instead the parent
 sends a :class:`JobSpec` — app name, generation recipe (seed, requested
@@ -25,8 +25,7 @@ Only registry apps and registered engine classes, with any constructor
 keywords, are spec-able: a hand-built ``AppData`` or an unregistered
 engine class has no recipe a worker could replay, in which case
 :func:`dataset_spec` / :func:`engine_to_spec` return ``None`` and the
-runner stays on threads (or raises, when the process backend was
-requested explicitly).
+runs stay on threads.
 """
 
 from __future__ import annotations
@@ -162,51 +161,29 @@ def run_jobspec(spec: JobSpec) -> RunResult:
     return engine.run(app, data, spec.config)
 
 
-#: recognized ``backend=`` values
-BACKENDS = ("auto", "thread", "process")
-
-#: ``auto`` forks only for at least this many runs
-AUTO_PROCESS_MIN_ITEMS = 4
+#: a process pool is used only for at least this many runs
+PROCESS_MIN_ITEMS = 4
 
 
 def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_backend(
-    backend: str, jobs: int, n_items: int, speccable: bool, des_bound: bool
-) -> str:
-    """The executor for ``n_items`` runs on ``jobs`` workers.
+def resolve_backend(n_items: int, speccable: bool, des_bound: bool) -> str:
+    """The executor for ``n_items`` runs on more than one worker.
 
-    Returns ``"thread"`` or ``"process"``. Raises on an unknown backend,
-    and on an explicit ``"process"`` with ``jobs > 1`` that cannot be
-    honoured because some run has no picklable spec. ``"auto"`` picks
-    processes only when every run is spec-able, the runs are DES-bound
-    (the pure-Python DES holds the GIL, so threads serialize them), the
-    host has more than 2 cores, and there are at least
-    :data:`AUTO_PROCESS_MIN_ITEMS` runs. Elsewhere the fork and
-    regeneration tax does not amortize: on a 1-core runner the process
-    backend measured 0.35x.
+    Returns ``"process"`` only when every run is spec-able, the runs are
+    DES-bound (the pure-Python DES holds the GIL, so threads serialize
+    them), the host has more than 2 cores, and there are at least
+    :data:`PROCESS_MIN_ITEMS` runs; ``"thread"`` otherwise. Elsewhere
+    the fork and regeneration tax does not amortize: on a 1-core runner a
+    process pool measured 0.35x.
     """
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "thread" or jobs <= 1:
-        return "thread"
-    if backend == "process":
-        if not speccable:
-            raise ReproError(
-                "backend='process' needs registry apps with a generation "
-                "recipe and registry engines (workers rebuild both from "
-                "picklable specs); use backend='thread' for custom instances"
-            )
-        return "process"
     if (
         speccable
         and des_bound
         and _cores() > 2
-        and n_items >= AUTO_PROCESS_MIN_ITEMS
+        and n_items >= PROCESS_MIN_ITEMS
     ):
         return "process"
     return "thread"
@@ -216,7 +193,6 @@ def run_ordered(
     fn: Callable,
     items: Sequence,
     jobs: Optional[int] = 1,
-    backend: str = "auto",
     specs: Optional[Sequence] = None,
     des_bound: bool = True,
     worker: Callable = run_jobspec,
@@ -225,24 +201,21 @@ def run_ordered(
 
     ``jobs`` <= 0 (or None) means one worker per core. ``specs`` are the
     items' picklable twins, with ``worker(specs[i])`` equal to
-    ``fn(items[i])``, or None when some item has none. The process backend
+    ``fn(items[i])``, or None when some item has none. A process pool
     ships only specs; threads and the serial loop call ``fn``. Results
     come back in item order whatever ran them. ``des_bound`` tells
     :func:`resolve_backend` whether the runs hold the GIL throughout.
     """
-    if jobs == 1 and backend in BACKENDS:  # the common serial call, kept lean
+    if jobs == 1:  # the common serial call, kept lean
         return [fn(item) for item in items]
     workers = jobs if jobs is not None and jobs > 0 else _cores()
-    chosen = resolve_backend(
-        backend, workers, len(items), specs is not None, des_bound
-    )
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     # looked up per call, so a test can stand in for either pool class
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-    if chosen == "process":
+    if resolve_backend(len(items), specs is not None, des_bound) == "process":
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(worker, specs))
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -254,7 +227,6 @@ def run_cells(
     datasets: dict,
     config: EngineConfig,
     jobs: Optional[int] = 1,
-    backend: str = "auto",
 ) -> list[RunResult]:
     """Run every ``(app, engine)`` cell on ``datasets[app.name]``, in order.
 
@@ -274,6 +246,5 @@ def run_cells(
         lambda cell: cell[1].run(cell[0], datasets[cell[0].name], config),
         cells,
         jobs,
-        backend,
         specs=specs,
     )

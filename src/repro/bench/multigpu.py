@@ -13,9 +13,9 @@ folded into the sweep itself:
 * **per-shard invariants** (``verify_shards=True``) — each cell runs as
   a true DES and every shard's trace is audited by the standard pipeline
   checkers (capacity, ordering, backpressure, byte conservation);
-* **analytic agreement** (``predict=True``) — the closed-form shard
-  predictor prices every cell; dedicated-link cells must match the DES
-  exactly, shared-link cells within the 5% analytic tolerance.
+* **analytic agreement** — the closed-form shard predictor prices every
+  cell; dedicated-link cells must match the DES exactly, shared-link
+  cells within the 5% analytic tolerance.
 
 Expected shape (asserted by ``benchmarks/test_perf_smoke`` and pinned at
 reference scale by ``tests/test_calibration_lock``): compute-bound apps
@@ -51,16 +51,13 @@ DEFAULT_GPU_COUNTS = (1, 2, 4, 8)
 def scaling_engines(
     gpu_counts: Iterable[int] = DEFAULT_GPU_COUNTS,
     shared_link: bool = False,
-    numa_aware: bool = True,
 ) -> tuple:
-    """One sharded engine per GPU count, in ladder order."""
+    """One NUMA-aware sharded engine per GPU count, in ladder order."""
     counts = tuple(gpu_counts)
     if not counts or any(n < 1 for n in counts):
         raise ReproError(f"gpu counts must be positive: {counts!r}")
     return tuple(
-        MultiGpuBigKernelEngine(
-            n_gpus=n, shared_link=shared_link, numa_aware=numa_aware
-        )
+        MultiGpuBigKernelEngine(n_gpus=n, shared_link=shared_link)
         for n in counts
     )
 
@@ -73,10 +70,9 @@ class MultiGpuScaling:
     data_bytes: int
     gpu_counts: tuple = DEFAULT_GPU_COUNTS
     shared_link: bool = False
-    numa_aware: bool = True
     apps: tuple = ()
     results: dict = field(default_factory=dict)  # (app, n_gpus) -> RunResult
-    #: (app, n_gpus) -> closed-form predicted sim_time (when priced)
+    #: (app, n_gpus) -> closed-form predicted sim_time
     predictions: dict = field(default_factory=dict)
 
     def get(self, app: str, n_gpus: int):
@@ -124,15 +120,13 @@ class MultiGpuScaling:
             per_app = {}
             for n in self.gpu_counts:
                 res = self.get(app, n)
-                cell = {
+                per_app[f"g{n}"] = {
                     "sim_time": res.sim_time,
                     "speedup": self.speedup(app, n),
                     "merge_time": res.metrics.notes.get("merge_time", 0.0),
+                    "predicted": self.predictions[(app, n)],
+                    "prediction_rel_err": self.prediction_rel_err(app, n),
                 }
-                if (app, n) in self.predictions:
-                    cell["predicted"] = self.predictions[(app, n)]
-                    cell["prediction_rel_err"] = self.prediction_rel_err(app, n)
-                per_app[f"g{n}"] = cell
             cells[app] = per_app
         return {
             "name": "multigpu_scaling",
@@ -140,7 +134,6 @@ class MultiGpuScaling:
             "data_bytes": self.data_bytes,
             "gpu_counts": list(self.gpu_counts),
             "shared_link": self.shared_link,
-            "numa_aware": self.numa_aware,
             "apps": cells,
         }
 
@@ -163,10 +156,7 @@ def run_multigpu_scaling(
     apps: Optional[Iterable[str]] = None,
     gpu_counts: Iterable[int] = DEFAULT_GPU_COUNTS,
     shared_link: bool = False,
-    numa_aware: bool = True,
     jobs: int = 1,
-    backend: str = "auto",
-    predict: bool = True,
     verify_shards: bool = False,
 ) -> MultiGpuScaling:
     """Run the scaling ladder over the paper's six applications.
@@ -175,10 +165,10 @@ def run_multigpu_scaling(
     single-GPU cell of the same ladder — sharding plus the merge stage
     must be invisible to the result, bit for bit. ``verify_shards=True``
     forces every cell through the true DES (the closed-form fastpath is
-    proven time-identical) and audits each shard's trace; ``predict``
-    prices every cell with the analytic shard model. ``jobs``/``backend``
-    fan the cells out through :func:`repro.bench.jobs.run_cells`; cell
-    order (and the figure entry) is backend-invariant.
+    proven time-identical) and audits each shard's trace. The analytic
+    shard model prices every cell. ``jobs`` fans the cells out through
+    :func:`repro.bench.jobs.run_cells`; cell order (and the figure entry)
+    is the same whatever ran the cells.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
     if verify_shards:
@@ -186,7 +176,7 @@ def run_multigpu_scaling(
         config = config.with_(fastpath=False)
     app_names = tuple(apps) if apps is not None else PAPER_APP_NAMES
     app_objs = [get_app(name) for name in app_names]
-    engines = scaling_engines(gpu_counts, shared_link, numa_aware)
+    engines = scaling_engines(gpu_counts, shared_link)
     counts = tuple(e.n_gpus for e in engines)
     datasets = {
         app.name: app.generate(n_bytes=data_bytes, seed=seed)
@@ -198,12 +188,11 @@ def run_multigpu_scaling(
         data_bytes=data_bytes,
         gpu_counts=counts,
         shared_link=shared_link,
-        numa_aware=numa_aware,
         apps=tuple(app_names),
     )
 
     cells = [(app, engine) for app in app_objs for engine in engines]
-    results = run_cells(cells, datasets, config, jobs, backend)
+    results = run_cells(cells, datasets, config, jobs)
     for (app, engine), res in zip(cells, results):
         scaling.results[(app.name, engine.n_gpus)] = res
 
@@ -222,11 +211,10 @@ def run_multigpu_scaling(
         for (app, engine), res in zip(cells, results):
             _verify_cell_shards(app, res)
 
-    if predict:
-        from repro.analytic import predict_run
+    from repro.analytic import predict_run
 
-        for app, engine in cells:
-            pred = predict_run(app, datasets[app.name], config, engine)
-            scaling.predictions[(app.name, engine.n_gpus)] = pred.sim_time
+    for app, engine in cells:
+        pred = predict_run(app, datasets[app.name], config, engine)
+        scaling.predictions[(app.name, engine.n_gpus)] = pred.sim_time
 
     return scaling

@@ -8,12 +8,13 @@ a small grid per engine/app pair and returns the fastest configuration.
 
 Two levers keep big grids fast (``docs/performance.md``):
 
-* ``jobs=N`` and ``backend=`` fan the grid points out through
+* ``jobs=N`` fans the grid points out through
   :func:`repro.bench.jobs.run_ordered`, the runner every harness shares.
   Points are independent engine runs, and results merge back in grid
   order, so the outcome — including every tie-break — is identical to the
   serial sweep. The sweep tells the runner whether its points are
-  DES-bound (:func:`_des_bound`), which is what ``backend="auto"`` weighs.
+  DES-bound (:func:`_des_bound`), which its threads-or-processes rule
+  weighs.
 * ``cache=True`` consults the two-tier :class:`RunCache`: an in-process
   LRU keyed on dataset *identity* in front of a persistent on-disk store
   (:class:`DiskCache`, SHA-256 content key under ``.repro-cache/``) keyed
@@ -364,7 +365,6 @@ def _run_points(
     data: AppData,
     base_config: EngineConfig,
     jobs: Optional[int],
-    backend: str,
     points: list,
 ) -> list[RunResult]:
     """Run grid points (override dicts) through the shared runner.
@@ -385,7 +385,6 @@ def _run_points(
         lambda chosen: engine.run(app, data, base_config.with_(**chosen)),
         points,
         jobs,
-        backend,
         specs,
         des_bound,
     )
@@ -422,7 +421,7 @@ def _hybrid_candidates(
     ``predict_grid`` enumerates sorted keys x listed values — the same
     order ``combos`` was built in — so selected flat indices map straight
     back. Returning them sorted preserves grid order, which keeps every
-    downstream tie-break (and the process backend's merge) identical to a
+    downstream tie-break (and a process pool's merge) identical to a
     pure-DES sweep over the same candidate set.
     """
     if top_k >= len(combos):
@@ -442,7 +441,6 @@ def sweep(
     grid: dict,
     jobs: int = 1,
     cache: bool = False,
-    backend: str = "auto",
     mode: str = "des",
     top_k: int = 8,
 ) -> SweepResult:
@@ -454,12 +452,11 @@ def sweep(
     :data:`RUN_CACHE` (in-memory LRU + on-disk content-keyed store) for
     every point; the misses then run through
     :func:`repro.bench.jobs.run_ordered` on ``jobs`` workers (0/None means
-    one per CPU) and ``backend`` (``"thread"``, ``"process"`` or
-    ``"auto"``, told whether the points are DES-bound: faulted,
-    ``fastpath=False`` or mapped-writes runs), and their results are put
-    back in the cache. Whatever the backend, results merge in grid order,
-    so the points list and the tie-broken winner are identical to the
-    serial sweep's.
+    one per CPU), which picks threads or a process pool once told whether
+    the points are DES-bound (faulted, ``fastpath=False`` or mapped-writes
+    runs), and their results are put back in the cache. Whatever ran them,
+    results merge in grid order, so the points list and the tie-broken
+    winner are identical to the serial sweep's.
 
     ``mode`` selects how points are evaluated:
 
@@ -472,7 +469,7 @@ def sweep(
     - ``"hybrid"``: rank the full grid analytically, then DES-evaluate
       only the best ``top_k`` candidates (plus any points whose
       prediction exactly ties the k-th — analytic plateaus are bitwise
-      ties), through the normal backend/cache machinery. The analytic
+      ties), through the normal runner/cache machinery. The analytic
       ranking uses the same ``(sim_time, chunk_bytes, num_blocks, grid
       order)`` tie-break as :meth:`SweepResult.best`, so on plateaus the
       hybrid winner is identical to the pure-DES winner.
@@ -506,16 +503,14 @@ def sweep(
         results = [RUN_CACHE.get(*key) for key in keys]
         misses = [i for i, result in enumerate(results) if result is None]
         ran = _run_points(
-            engine, app, data, base_config, jobs, backend,
+            engine, app, data, base_config, jobs,
             [combos[i] for i in misses],
         )
         for i, result in zip(misses, ran):
             results[i] = result
             RUN_CACHE.put(keys[i][0], result, keys[i][1])
     else:
-        results = _run_points(
-            engine, app, data, base_config, jobs, backend, combos
-        )
+        results = _run_points(engine, app, data, base_config, jobs, combos)
     points = []  # a loop, not a comprehension: single-point sweeps are hot
     for chosen, result in zip(combos, results):
         points.append(SweepPoint(chosen, result.sim_time, result))
@@ -538,7 +533,6 @@ def autotune(
     grid: Optional[dict] = None,
     jobs: int = 1,
     cache: bool = False,
-    backend: str = "auto",
     mode: str = "des",
     top_k: int = 8,
 ) -> tuple[EngineConfig, SweepResult]:
@@ -548,8 +542,8 @@ def autotune(
     ``base_config`` with the winning grid overrides applied (all other
     base fields preserved). Ties follow :meth:`SweepResult.best`'s
     deterministic ordering. CPU engines are configuration-insensitive and
-    short-circuit to the base config. ``jobs``/``cache``/``backend``/
-    ``mode``/``top_k`` pass through to :func:`sweep`.
+    short-circuit to the base config. ``jobs``/``cache``/``mode``/``top_k``
+    pass through to :func:`sweep`.
     """
     base_config = base_config or EngineConfig()
     if engine.name.startswith("cpu"):
@@ -565,7 +559,6 @@ def autotune(
         grid or DEFAULT_GRID,
         jobs=jobs,
         cache=cache,
-        backend=backend,
         mode=mode,
         top_k=top_k,
     )

@@ -20,7 +20,7 @@ best UVM variant on most apps — prefetching narrows the gap but cannot
 buy the pipeline's pinned-buffer bandwidth or its transfer-volume
 reduction.
 
-Exposed as ``python -m repro bench [--jobs N] [--backend B]``. The
+Exposed as ``python -m repro bench [--jobs N]``. The
 (app, engine) cells run through :func:`repro.bench.jobs.run_cells`, the
 cell runner the multi-GPU ladder also uses, and come back in the serial
 nesting order.
@@ -133,16 +133,15 @@ def run_uvm_comparison(
     config: Optional[EngineConfig] = None,
     apps: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    backend: str = "auto",
 ) -> UvmComparison:
     """Run the four-scheme comparison over the paper's six applications.
 
     Every engine's functional output is cross-checked against the first
     (BigKernel, itself differentially verified against the serial oracle
     by ``repro verify``) — a paging bug can slow the timeline, but it must
-    never corrupt data. ``jobs``/``backend`` fan the cells out through
+    never corrupt data. ``jobs`` fans the cells out through
     :func:`repro.bench.jobs.run_cells`; cell order (and therefore the
-    figure entry) is backend-invariant.
+    figure entry) is the same whatever ran the cells.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
     app_names = tuple(apps) if apps is not None else PAPER_APP_NAMES
@@ -161,7 +160,7 @@ def run_uvm_comparison(
     )
 
     cells = [(app, engine) for app in app_objs for engine in engines]
-    results = run_cells(cells, datasets, config, jobs, backend)
+    results = run_cells(cells, datasets, config, jobs)
     for (app, engine), res in zip(cells, results):
         comparison.results[(app.name, engine.name)] = res
 

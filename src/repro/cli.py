@@ -13,15 +13,14 @@ Commands mirror the library's surfaces:
   differential; exits nonzero on any violation;
 * ``chaos`` — fault-injection sweep: the app x engine matrix under a
   seeded fault grid, with differential + invariant verification per cell
-  (see ``docs/faults.md``); ``--jobs``/``--backend`` parallelize the
-  blocks without changing the fingerprint; exits nonzero on any failing
-  cell;
+  (see ``docs/faults.md``); ``--jobs`` parallelizes the blocks without
+  changing the fingerprint; exits nonzero on any failing cell;
 * ``bench`` — competitor comparison: BigKernel vs the unified-memory
   engine family (plain / readahead / learned prefetch) on the paper's six
   apps (see ``docs/engines.md``);
 * ``sweep`` — autotune one engine/app pair over the default grid, with
-  ``--jobs``/``--backend`` for parallel evaluation and a persistent run
-  cache (see ``docs/performance.md``);
+  ``--jobs`` for parallel evaluation and a persistent run cache (see
+  ``docs/performance.md``);
 * ``serve`` — multi-tenant serving: replay a seeded open-loop request
   trace through the admission queue + WDRR scheduler + batched
   dispatcher, with cache short-circuit and cross-job template reuse
@@ -218,7 +217,6 @@ def cmd_chaos(args) -> int:
         seed=args.seed,
         data_bytes=args.data_mib * MiB if args.data_mib else None,
         jobs=args.jobs,
-        backend=args.backend,
         serve=args.serve,
     )
     print(report.summary())
@@ -239,7 +237,6 @@ def cmd_bench(args) -> int:
         data_bytes=args.data_mib * MiB,
         seed=args.seed,
         jobs=args.jobs,
-        backend=args.backend,
     )
     print(comparison.summary())
     wins = sum(
@@ -269,7 +266,6 @@ def _cmd_bench_multigpu(args) -> int:
         gpu_counts=gpu_counts,
         shared_link=args.shared_link,
         jobs=args.jobs,
-        backend=args.backend,
     )
     print(scaling.summary())
     worst = max(
@@ -289,12 +285,17 @@ def cmd_sweep(args) -> int:
     from repro.bench.report import render_table
     from repro.bench.sweep import DEFAULT_GRID, autotune
 
+    if args.mode != "analytic" and (args.points or args.spot_check):
+        flag = "--points" if args.points else "--spot-check"
+        print(f"{flag} needs --mode analytic (got --mode {args.mode})",
+              file=sys.stderr)
+        return 2
     app = get_app(args.app)
     data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
     engine = _engine_by_name(args.engine)
     if engine is None:
         return 2
-    if args.points and args.mode == "analytic":
+    if args.points:
         return _analytic_scan(args, engine, app, data)
     best_cfg, res = autotune(
         engine,
@@ -303,7 +304,6 @@ def cmd_sweep(args) -> int:
         base_config=_settings(args).config,
         jobs=args.jobs,
         cache=True,
-        backend=args.backend,
         mode=args.mode,
         top_k=args.top_k,
     )
@@ -324,7 +324,7 @@ def cmd_sweep(args) -> int:
     ))
     print(f"best: chunk_bytes={fmt_bytes(best_cfg.chunk_bytes)} "
           f"num_blocks={best_cfg.num_blocks}")
-    if args.spot_check and args.mode == "analytic":
+    if args.spot_check:
         return _spot_check(engine, app, data, best_cfg, res.best.sim_time)
     return 0
 
@@ -545,12 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the FaultReport JSON to this path")
     p_c.add_argument("--jobs", type=int, default=1,
                      help="parallel (app, engine) blocks (0 = one per CPU); "
-                          "the fingerprint is identical for any jobs/backend")
-    p_c.add_argument("--backend", default="auto",
-                     choices=["auto", "thread", "process"],
-                     help="executor for --jobs > 1 (auto picks process only "
-                          "with more than 2 cores and at least 4 blocks; "
-                          "see docs/performance.md)")
+                          "a process pool with more than 2 cores and at "
+                          "least 4 blocks, else threads (see "
+                          "docs/performance.md); the fingerprint is "
+                          "identical for any jobs")
     p_c.add_argument("--serve", action="store_true",
                      help="route every faulted run through a live serve "
                           "Server; the report fingerprint must match the "
@@ -569,12 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dataset size (MiB)")
     p_b.add_argument("--seed", type=int, default=4, help="data generator seed")
     p_b.add_argument("--jobs", type=int, default=1,
-                     help="parallel (app, engine) cells (0 = one per CPU)")
-    p_b.add_argument("--backend", default="auto",
-                     choices=["auto", "thread", "process"],
-                     help="executor for --jobs > 1 (auto picks process only "
-                          "with more than 2 cores and at least 4 cells; "
-                          "see docs/performance.md)")
+                     help="parallel (app, engine) cells (0 = one per CPU); "
+                          "a process pool with more than 2 cores and at "
+                          "least 4 cells, else threads (see "
+                          "docs/performance.md)")
     p_b.add_argument("--gpus", default="",
                      help="run the multi-GPU scaling sweep instead: "
                           "comma-separated GPU counts, e.g. 1,2,4,8 "
@@ -590,14 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--engine", default="bigkernel",
                       help="engine to tune (default: bigkernel)")
     p_sw.add_argument("--jobs", type=int, default=1,
-                      help="parallel sweep workers (0 = one per CPU)")
-    p_sw.add_argument("--backend", default="auto",
-                      choices=["auto", "thread", "process"],
-                      help="executor for --jobs > 1: process sidesteps the "
-                           "GIL for DES-bound grids, thread suits "
-                           "fastpath/cached ones (auto picks process only "
-                           "for DES-bound grids of at least 4 uncached "
-                           "points with more than 2 cores)")
+                      help="parallel sweep workers (0 = one per CPU); a "
+                           "process pool for DES-bound grids of at least 4 "
+                           "uncached points with more than 2 cores, else "
+                           "threads (see docs/performance.md)")
     p_sw.add_argument("--mode", default="des",
                       choices=["des", "analytic", "hybrid"],
                       help="des simulates every point; analytic prices the "

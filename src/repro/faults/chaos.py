@@ -22,7 +22,7 @@ a picklable spec. The blocks run through
 serially or on ``jobs`` workers, and their plan-ordered cells come back in
 the serial nesting order. The report fingerprint is therefore identical
 whether the sweep ran serial, threaded, or across a process pool.
-Exposed as ``python -m repro chaos [--quick] [--jobs N] [--backend B]``.
+Exposed as ``python -m repro chaos [--quick] [--jobs N]``.
 """
 
 from __future__ import annotations
@@ -208,7 +208,6 @@ def run_chaos(
     plans: Optional[Iterable[FaultPlan]] = None,
     config: Optional[EngineConfig] = None,
     jobs: int = 1,
-    backend: str = "auto",
     serve: bool = False,
 ) -> FaultReport:
     """Run the fault grid over the app x engine matrix.
@@ -219,18 +218,17 @@ def run_chaos(
     Both scales include the unified-memory engine, so every fault primitive
     is also exercised against the demand-paging migration path.
 
-    ``jobs``/``backend`` fan the per-(app, engine) blocks out through
-    :func:`repro.bench.jobs.run_ordered`: ``"process"`` ships picklable
-    block specs to a process pool, ``"thread"`` shares live instances (and
-    works for custom apps/engines), and ``"auto"`` applies the runner's one
-    rule, to which faulted runs are DES-bound. Cells are merged in the
-    serial nesting order, so ``report.fingerprint()`` is backend-invariant.
+    ``jobs`` fans the per-(app, engine) blocks out through
+    :func:`repro.bench.jobs.run_ordered`, whose rule counts faulted runs as
+    DES-bound: a process pool gets picklable block specs, threads share
+    the live instances (and so also take custom apps and engines). Cells
+    are merged in the serial nesting order, so ``report.fingerprint()`` is
+    the same whatever ran the blocks.
 
     ``serve=True`` routes every faulted run through a live
-    :class:`~repro.serve.Server` (``jobs`` is ignored — the server under
-    test runs in-process — but an unknown ``backend`` still raises) and
-    must produce the identical fingerprint: fault containment has to
-    survive the batching layer.
+    :class:`~repro.serve.Server` (``jobs`` is ignored: the server under
+    test runs in-process) and must produce the identical fingerprint:
+    fault containment has to survive the batching layer.
     """
     data_bytes = data_bytes or (1 * MiB if quick else 4 * MiB)
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 8))
@@ -265,7 +263,6 @@ def run_chaos(
         lambda block: run_block(*block, plans, config, seed, data_bytes),
         blocks,
         jobs,
-        backend,
         specs=tasks if speccable else None,
         worker=_cell_block_spec,
     ):

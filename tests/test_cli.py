@@ -53,6 +53,26 @@ class TestCli:
         assert exc.value.code == 2
         assert "--data-mib" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["des", "hybrid"])
+    @pytest.mark.parametrize(
+        "flag", [["--points", "100000"], ["--spot-check"]],
+        ids=["points", "spot-check"],
+    )
+    def test_sweep_analytic_only_flag_rejected(self, flag, mode, capsys):
+        """``--points`` and ``--spot-check`` act only under ``--mode
+        analytic``; elsewhere they fail instead of being ignored."""
+        argv = ["sweep", "wordcount", "--mode", mode, *flag, "--data-mib", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flag[0]} needs --mode analytic" in captured.err
+        assert "sweep" not in captured.out
+
+    def test_sweep_analytic_scan_with_spot_check(self, capsys):
+        assert main(["sweep", "wordcount", "--mode", "analytic", "--points",
+                     "1000", "--spot-check", "--data-mib", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "analytic scan of" in out and "spot check:" in out
+
     def test_table1_command(self, capsys):
         assert main(["table1", *FAST]) == 0
         assert "Table I" in capsys.readouterr().out

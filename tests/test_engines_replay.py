@@ -135,7 +135,7 @@ def _assert_same_run(res, ref, took_des):
 
 
 def _hammer(engine, runs, expected, view, iterations=1000):
-    """Four threads share ``engine``, as ``sweep``'s thread backend does,
+    """Four threads share ``engine``, as a ``sweep`` on threads does,
     each cycling from its own offset through ``runs`` (``(app, data,
     config)`` triples, more keys than the shrunk memos hold) at a 1 us
     switch interval. No lookup may fail, and ``view`` of every run must

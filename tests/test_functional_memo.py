@@ -203,7 +203,7 @@ def test_oneshot_oracle_runs_a_real_pass_after_served_runs(passes):
 
 
 def test_concurrent_runs_on_one_dataset_share_the_memo():
-    # the sweep's thread backend runs points on one dataset at once
+    # a sweep on a thread pool runs points on one dataset at once
     app = get_app("wordcount")
     data = app.generate(n_bytes=N_BYTES, seed=9)
     fresh_app = get_app("wordcount")

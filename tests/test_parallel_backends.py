@@ -1,9 +1,11 @@
-"""Backend equivalence and persistent-cache tests.
+"""Runner equivalence and persistent-cache tests.
 
-The contract under test: a sweep or chaos run produces *identical* results
-— point order, tie-broken winner, report fingerprint — whether it ran
-serial, on a thread pool, or across a process pool; and the on-disk cache
-tier lets a fresh process replay a sweep with zero engine runs.
+The contract under test: a sweep, a chaos run or a ``repro bench`` ladder
+produces *identical* results — point order, tie-broken winner, report
+fingerprint, figure entry — whether it ran serially, on a thread pool or
+across a process pool, each pool reached through the runner's one rule
+(:func:`repro.bench.jobs.resolve_backend`); and the on-disk cache tier
+lets a fresh process replay a sweep with zero engine runs.
 """
 
 import json
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import get_app
+from repro.apps import KMeansApp, WordCountApp, get_app
 from repro.apps.base import AppData, data_fingerprint, dataset_key
 from repro.bench.jobs import (
     EngineSpec,
@@ -28,7 +30,7 @@ from repro.bench.jobs import (
     run_jobspec,
 )
 from repro.bench.multigpu import run_multigpu_scaling
-from repro.bench.sweep import RunCache, _des_bound, sweep
+from repro.bench.sweep import RunCache, sweep
 from repro.bench.uvm import run_uvm_comparison
 from repro.engines import (
     ENGINES,
@@ -47,6 +49,40 @@ from repro.faults.chaos import default_fault_grid, run_chaos
 from repro.units import KiB, MiB
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+class UnregisteredBigKernel(BigKernelEngine):
+    """BigKernel under a name the registry does not map: no spec."""
+
+    name = "unregistered"
+
+
+@pytest.fixture
+def host(monkeypatch):
+    """``host(cores)`` makes the rule see ``cores`` cores and returns the
+    list of pools ``run_ordered`` then builds (``"process"`` or
+    ``"thread"``), each still a real pool."""
+    import concurrent.futures
+
+    built = []
+
+    def recording(kind, cls):
+        def build(*args, **kwargs):
+            built.append(kind)
+            return cls(*args, **kwargs)
+
+        return build
+
+    for kind in ("process", "thread"):
+        name = f"{kind.capitalize()}PoolExecutor"
+        cls = getattr(concurrent.futures, name)
+        monkeypatch.setattr(concurrent.futures, name, recording(kind, cls))
+
+    def with_cores(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        return built
+
+    return with_cores
 
 
 class TestDatasetKey:
@@ -229,95 +265,115 @@ class TestEngineRegistry:
         subclass = type(f"Custom{cls.__name__}", (cls,), {})
         assert engine_to_spec(subclass()) is None
 
-    def test_custom_uvm_spec_ships_to_process_workers(self):
+    def test_custom_uvm_spec_ships_to_process_workers(self, host):
         app = get_app("wordcount")
         data = app.generate(n_bytes=512 * KiB, seed=3)
         engine = GpuUvmEngine(UvmSpec(page_bytes=16 * KiB))
-        grid = {"num_blocks": [8, 16]}
+        grid = {"num_blocks": [8, 16, 32, 64]}
+        config = EngineConfig(fastpath=False)  # DES-bound points
 
         def points(**kwargs):
-            res = sweep(engine, app, data, EngineConfig(), grid, **kwargs)
+            res = sweep(engine, app, data, config, grid, **kwargs)
             return [(p.params, p.sim_time) for p in res.points]
 
-        assert points(jobs=2, backend="process") == points()
+        serial = points()
+        built = host(8)
+        assert points(jobs=2) == serial
+        assert built == ["process"]
 
 
-class TestSweepBackendEquivalence:
-    GRID = {"chunk_bytes": [512 * 1024, 1 * MiB], "num_blocks": [8, 16]}
+#: four points, two of each chunk size and launch width
+GRID_4 = {"chunk_bytes": [512 * 1024, 1 * MiB], "num_blocks": [8, 16]}
+#: two points, too few for a process pool
+GRID_2 = {"chunk_bytes": [512 * 1024, 1 * MiB], "num_blocks": [8]}
+
+
+class TestSweepPools:
+    """A sweep's points and winner are the serial sweep's on whichever
+    pool the rule picks, and ``jobs=1`` builds no pool at all."""
 
     @pytest.fixture(scope="class")
-    def workload(self):
-        app = get_app("kmeans")
-        return app, app.generate(n_bytes=2 * MiB, seed=3)
+    def datasets(self):
+        return {
+            name: get_app(name).generate(n_bytes=2 * MiB, seed=3)
+            for name in ("kmeans", "wordcount")
+        }
 
-    def _run(self, workload, **kwargs):
-        app, data = workload
-        res = sweep(
-            BigKernelEngine(), app, data, EngineConfig(), self.GRID, **kwargs
-        )
-        return [(p.params, p.sim_time) for p in res.points], res.best.params
+    # K-means writes mapped buffers, so its points are DES-bound; Word
+    # Count's default points take the closed-form fast path
+    @pytest.mark.parametrize("app_name, engine_cls, cores, grid, pool", [
+        pytest.param("kmeans", BigKernelEngine, 8, GRID_4, "process",
+                     id="des-bound-4-points-8-cores"),
+        pytest.param("kmeans", BigKernelEngine, 2, GRID_4, "thread",
+                     id="2-cores"),
+        pytest.param("kmeans", BigKernelEngine, 8, GRID_2, "thread",
+                     id="2-points"),
+        pytest.param("wordcount", BigKernelEngine, 8, GRID_4, "thread",
+                     id="fast-path"),
+        pytest.param("kmeans", UnregisteredBigKernel, 8, GRID_4, "thread",
+                     id="no-spec"),
+    ])
+    def test_pool_matches_serial(
+        self, datasets, host, app_name, engine_cls, cores, grid, pool
+    ):
+        app, data = get_app(app_name), datasets[app_name]
+        built = host(cores)
 
-    def test_backends_agree(self, workload):
-        serial = self._run(workload)
-        thread = self._run(workload, jobs=2, backend="thread")
-        proc = self._run(workload, jobs=2, backend="process")
-        auto = self._run(workload, jobs=2, backend="auto")
-        assert serial == thread == proc == auto
+        def run(jobs):
+            res = sweep(engine_cls(), app, data, EngineConfig(), grid,
+                        jobs=jobs)
+            return [(p.params, p.sim_time) for p in res.points], res.best
 
-    def test_tie_break_plateau_is_backend_invariant(self):
-        """Two chunk sizes that both mean 'one chunk' tie on sim_time; every
-        backend must break the tie the same way (smallest chunk_bytes)."""
+        serial = run(1)
+        assert built == []
+        assert run(2) == serial
+        assert built == [pool]
+
+    @pytest.mark.parametrize("cores, pool", [(8, "process"), (2, "thread")])
+    def test_tie_break_plateau_on_either_pool(self, host, cores, pool):
+        """Chunk sizes that all mean 'one chunk' tie on sim_time; every
+        pool must break the tie the same way (smallest chunk_bytes)."""
         app = get_app("wordcount")
         data = app.generate(n_bytes=1 * MiB, seed=3)
-        grid = {"chunk_bytes": [2 * MiB, 4 * MiB]}
-        results = [
-            sweep(GpuDoubleBufferEngine(), app, data, EngineConfig(), grid,
-                  **kw)
-            for kw in ({}, {"jobs": 2, "backend": "thread"},
-                       {"jobs": 2, "backend": "process"})
+        grid = {"chunk_bytes": [2 * MiB, 4 * MiB, 8 * MiB, 16 * MiB]}
+        config = EngineConfig(fastpath=False)  # DES-bound points
+        serial = sweep(GpuDoubleBufferEngine(), app, data, config, grid)
+        assert len({p.sim_time for p in serial.points}) == 1  # a plateau
+        built = host(cores)
+        res = sweep(GpuDoubleBufferEngine(), app, data, config, grid, jobs=2)
+        assert built == [pool]
+        assert res.best.params == {"chunk_bytes": 2 * MiB}
+        assert [p.sim_time for p in res.points] == [
+            p.sim_time for p in serial.points
         ]
-        times = {p.sim_time for p in results[0].points}
-        assert len(times) == 1  # genuinely a plateau
-        for res in results:
-            assert res.best.params == {"chunk_bytes": 2 * MiB}
-            assert [p.sim_time for p in res.points] == [
-                p.sim_time for p in results[0].points
-            ]
-
-    def test_process_backend_rejects_unspeccable(self, workload):
-        app, data = workload
-
-        class Custom(BigKernelEngine):
-            name = "custom"
-
-        with pytest.raises(ReproError):
-            sweep(Custom(), app, data, EngineConfig(), self.GRID,
-                  jobs=2, backend="process")
-
-    def test_unknown_backend_rejected(self, workload):
-        app, data = workload
-        with pytest.raises(ReproError):
-            sweep(BigKernelEngine(), app, data, EngineConfig(), self.GRID,
-                  backend="distributed")
 
 
-class TestChaosBackendEquivalence:
-    def test_fingerprint_is_backend_invariant(self):
-        kwargs = dict(quick=True, plans=default_fault_grid(7)[:2])
+class TestChaosPools:
+    PLANS = default_fault_grid(7)[:2]
+
+    # chaos blocks are (app, engine) pairs, and faulted runs are DES-bound
+    @pytest.mark.parametrize("n_apps, cores, pool", [
+        pytest.param(2, 8, "process", id="4-blocks-8-cores"),
+        pytest.param(2, 2, "thread", id="2-cores"),
+        pytest.param(1, 8, "thread", id="2-blocks"),
+    ])
+    def test_fingerprint_matches_serial(self, host, n_apps, cores, pool):
+        kwargs = dict(
+            quick=True,
+            plans=self.PLANS,
+            apps=[WordCountApp(), KMeansApp()][:n_apps],
+            engines=[GpuDoubleBufferEngine(), BigKernelEngine()],
+        )
         serial = run_chaos(**kwargs)
-        thread = run_chaos(jobs=2, backend="thread", **kwargs)
-        proc = run_chaos(jobs=2, backend="process", **kwargs)
-        assert serial.fingerprint() == thread.fingerprint()
-        assert serial.fingerprint() == proc.fingerprint()
+        built = host(cores)
+        parallel = run_chaos(jobs=2, **kwargs)
+        assert built == [pool]
+        assert parallel.fingerprint() == serial.fingerprint()
         order = [(c.app, c.engine, c.plan) for c in serial.cells]
-        assert order == [(c.app, c.engine, c.plan) for c in proc.cells]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError):
-            run_chaos(quick=True, backend="bogus")
+        assert order == [(c.app, c.engine, c.plan) for c in parallel.cells]
 
 
-#: a few-second subset of both ``repro bench`` ladders
+#: a few-second subset of both ``repro bench`` ladders: 8 and 4 cells
 LADDERS = {
     "uvm": lambda **kw: run_uvm_comparison(
         data_bytes=256 * KiB, apps=("kmeans", "wordcount"), **kw
@@ -329,22 +385,20 @@ LADDERS = {
 }
 
 
-class TestBenchBackendEquivalence:
+class TestBenchPools:
+    # both ladders count their cells as DES-bound
+    @pytest.mark.parametrize("cores, pool", [(8, "process"), (2, "thread")])
     @pytest.mark.parametrize("ladder", sorted(LADDERS))
-    def test_backends_agree(self, ladder):
+    def test_pool_matches_serial(self, host, ladder, cores, pool):
         run = LADDERS[ladder]
         serial = run()
-        for backend in ("thread", "process"):
-            parallel = run(jobs=2, backend=backend)
-            assert parallel.figure_entry() == serial.figure_entry()
-            assert list(parallel.results) == list(serial.results)
-            for cell, res in serial.results.items():
-                assert parallel.results[cell].sim_time == res.sim_time
-
-    @pytest.mark.parametrize("ladder", sorted(LADDERS))
-    def test_unknown_backend_rejected_even_serially(self, ladder):
-        with pytest.raises(ReproError):
-            LADDERS[ladder](jobs=1, backend="bogus")
+        built = host(cores)
+        parallel = run(jobs=2)
+        assert built == [pool]
+        assert parallel.figure_entry() == serial.figure_entry()
+        assert list(parallel.results) == list(serial.results)
+        for cell, res in serial.results.items():
+            assert parallel.results[cell].sim_time == res.sim_time
 
 
 _SWEEP_SCRIPT = """\
@@ -425,89 +479,20 @@ class TestDiskCacheAcrossProcesses:
         assert cache.disk.hits == disk_reads  # served from memory
 
 
-class TestAutoBackendHeuristic:
-    """backend="auto" must not pick processes where they cannot win:
-    1-2 core boxes and tiny grids (BENCH_pipeline.json once recorded the
-    process backend at 0.35x on a 1-core runner)."""
+class TestRule:
+    """A process pool only when every condition holds; failing any one
+    keeps threads (a process pool once measured 0.35x on a 1-core
+    runner)."""
 
-    def _sweep_resolve(self, monkeypatch, cores, backend="auto", n_points=8):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        app = get_app("kmeans")
-        data = app.generate(n_bytes=1 * MiB, seed=3)
-        speccable = (
-            dataset_spec(app, data) is not None
-            and engine_to_spec(BigKernelEngine()) is not None
-        )
-        config = EngineConfig(fastpath=False)  # DES-bound
-        return resolve_backend(
-            backend, jobs=4, n_items=n_points, speccable=speccable,
-            des_bound=_des_bound(app, config),
-        )
-
-    def test_sweep_auto_prefers_process_when_parallel_pays(self, monkeypatch):
-        assert self._sweep_resolve(monkeypatch, cores=8) == "process"
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_sweep_auto_prefers_thread_on_small_boxes(self, monkeypatch, cores):
-        assert self._sweep_resolve(monkeypatch, cores=cores) == "thread"
-
-    def test_sweep_auto_prefers_thread_on_tiny_grids(self, monkeypatch):
-        assert self._sweep_resolve(monkeypatch, cores=8, n_points=2) == "thread"
-
-    def test_sweep_explicit_process_honored_on_small_boxes(self, monkeypatch):
-        assert (
-            self._sweep_resolve(monkeypatch, cores=1, backend="process")
-            == "process"
-        )
-
-    def _chaos_resolve(self, monkeypatch, cores, backend="auto", n_apps=2):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        apps = [get_app("kmeans"), get_app("wordcount")][:n_apps]
-        engines = [BigKernelEngine(), GpuDoubleBufferEngine()]
-        # chaos blocks are (app, engine) pairs, and faulted runs are
-        # always DES-bound
-        return resolve_backend(
-            backend, jobs=4, n_items=len(apps) * len(engines),
-            speccable=all(engine_to_spec(e) is not None for e in engines),
-            des_bound=True,
-        )
-
-    def test_chaos_auto_prefers_process_when_parallel_pays(self, monkeypatch):
-        assert self._chaos_resolve(monkeypatch, cores=8) == "process"
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_chaos_auto_prefers_thread_on_small_boxes(self, monkeypatch, cores):
-        assert self._chaos_resolve(monkeypatch, cores=cores) == "thread"
-
-    def test_chaos_auto_prefers_thread_on_tiny_grids(self, monkeypatch):
-        assert self._chaos_resolve(monkeypatch, cores=8, n_apps=1) == "thread"
-
-    def test_chaos_explicit_process_honored_on_small_boxes(self, monkeypatch):
-        assert (
-            self._chaos_resolve(monkeypatch, cores=2, backend="process")
-            == "process"
-        )
-
-    @pytest.mark.parametrize("ladder", sorted(LADDERS))
-    def test_bench_auto_prefers_thread_on_small_boxes(
-        self, monkeypatch, ladder
+    @pytest.mark.parametrize("cores, n_runs, speccable, des_bound, pool", [
+        pytest.param(3, 4, True, True, "process", id="all-hold"),
+        pytest.param(2, 4, True, True, "thread", id="2-cores"),
+        pytest.param(3, 3, True, True, "thread", id="3-runs"),
+        pytest.param(3, 4, False, True, "thread", id="no-spec"),
+        pytest.param(3, 4, True, False, "thread", id="not-des-bound"),
+    ])
+    def test_rule(
+        self, monkeypatch, cores, n_runs, speccable, des_bound, pool
     ):
-        import concurrent.futures
-
-        def no_processes(*args, **kwargs):
-            raise AssertionError("auto built a process pool on a 2-core box")
-
-        thread_pools = []
-        real_threads = concurrent.futures.ThreadPoolExecutor
-
-        def threads(*args, **kwargs):
-            thread_pools.append(kwargs)
-            return real_threads(*args, **kwargs)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", no_processes
-        )
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", threads)
-        LADDERS[ladder](jobs=2, backend="auto")
-        assert thread_pools  # the cells did fan out, on threads
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert resolve_backend(n_runs, speccable, des_bound) == pool

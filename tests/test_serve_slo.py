@@ -339,7 +339,7 @@ def _wrong(trace: list, outcome) -> list:
 # ------------------------------------------------------- gpu_uvm round-trip
 def test_gpu_uvm_jobspec_roundtrip_matches_direct_run():
     """A picklable gpu_uvm JobSpec run by :func:`run_jobspec` (what
-    ``run_ordered``'s process backend runs in its workers) reproduces a
+    ``run_ordered``'s process pool runs in its workers) reproduces a
     direct engine run bit-exactly."""
     from repro.apps.base import get_app
     from repro.bench.jobs import engine_from_spec
