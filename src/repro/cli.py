@@ -22,8 +22,8 @@ Commands mirror the library's surfaces:
   ``--jobs`` for parallel evaluation and a persistent run cache (see
   ``docs/performance.md``);
 * ``serve`` — multi-tenant serving: replay a seeded open-loop request
-  trace through the admission queue + WDRR scheduler + batched
-  dispatcher, with cache short-circuit and cross-job template reuse
+  trace through the admission queue + EDF (or FIFO) window scheduler +
+  batched dispatcher, with cache short-circuit and cross-job template reuse
   (see ``docs/serving.md``); ``--verify`` judges every response against
   its one-shot oracle once the replay is done, and exits nonzero on any
   wrong response.
@@ -290,6 +290,10 @@ def cmd_sweep(args) -> int:
         print(f"{flag} needs --mode analytic (got --mode {args.mode})",
               file=sys.stderr)
         return 2
+    if args.mode != "hybrid" and args.top_k is not None:
+        print(f"--top-k needs --mode hybrid (got --mode {args.mode})",
+              file=sys.stderr)
+        return 2
     app = get_app(args.app)
     data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
     engine = _engine_by_name(args.engine)
@@ -305,7 +309,7 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         cache=True,
         mode=args.mode,
-        top_k=args.top_k,
+        **({} if args.top_k is None else {"top_k": args.top_k}),
     )
     rows = [
         [
@@ -560,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="competitor comparison: BigKernel vs the unified-memory engine "
              "family on the paper's six apps (see docs/engines.md)",
     )
-    p_b.add_argument("--engine", default="uvm", choices=["uvm"],
-                     help="competitor family to compare against "
-                          "(currently only 'uvm')")
     p_b.add_argument("--data-mib", type=_data_mib, default=4,
                      help="dataset size (MiB)")
     p_b.add_argument("--seed", type=int, default=4, help="data generator seed")
@@ -596,9 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "grid with the closed-form predictor (no "
                            "simulation); hybrid ranks analytically and "
                            "simulates only the top candidates")
-    p_sw.add_argument("--top-k", type=int, default=8,
-                      help="candidates the hybrid mode DES-verifies "
-                           "(exact prediction ties are expanded)")
+    p_sw.add_argument("--top-k", type=int, default=None,
+                      help="hybrid mode only: candidates to DES-verify "
+                           "(default 8; exact prediction ties are "
+                           "expanded)")
     p_sw.add_argument("--points", type=int, default=0,
                       help="analytic mode only: scan a generated grid of at "
                            "least this many configurations instead of the "
@@ -611,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv = sub.add_parser(
         "serve",
         help="multi-tenant serving: replay a seeded request trace through "
-             "the admission queue + WDRR scheduler + batched dispatcher "
+             "the admission queue + EDF (or FIFO) window scheduler + "
+             "batched dispatcher "
              "(see docs/serving.md)",
     )
     p_srv.add_argument("--duration", type=float, default=3.0,
@@ -633,9 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "to every tenant (0 = best-effort, no deadlines)")
     p_srv.add_argument("--scheduling", default="edf",
                        choices=["edf", "fifo"],
-                       help="edf: deadline-aware dispatch with WDRR tiebreak "
-                            "(identical to WDRR without SLOs); fifo: "
-                            "deadline-blind arrival order (baseline)")
+                       help="edf: earliest deadline first, with a "
+                            "weighted deficit as the tiebreak (weighted "
+                            "shares without SLOs); fifo: deadline-blind "
+                            "arrival order (baseline)")
     p_srv.add_argument("--adaptive-batch", action="store_true",
                        help="size dispatch windows from priced deadline "
                             "slack instead of always filling max-batch")

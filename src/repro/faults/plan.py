@@ -224,13 +224,6 @@ class FaultPlan:
             }[kind]
         return tuple(e for e in self.events if isinstance(e, kind))
 
-    def pipeline_active(self) -> bool:
-        """True when any primitive perturbs the simulated timeline itself
-        (as opposed to only the allocation phase)."""
-        return any(
-            isinstance(e, (PcieDegrade, DmaError, AssemblyStall)) for e in self.events
-        )
-
     def pinned_deny_after(self) -> Optional[int]:
         """The tightest pinned-denial threshold, or None."""
         denies = self.of_type(PinnedDeny)

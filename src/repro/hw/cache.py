@@ -78,10 +78,6 @@ class CacheSim:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 def analytic_hit_rate(
     elem_bytes: int,

@@ -336,14 +336,6 @@ class CompiledRun:
             for o, e in zip(offs, ev)
         ]
 
-    def write_records(self) -> list:
-        offs, ev = _stream(self._rt.write_log, self._rt.root_lanes)
-        log = self._rt.write_log
-        return [
-            AddressRecord(log[e][0], int(o), log[e][3], log[e][4], True)
-            for o, e in zip(offs, ev)
-        ]
-
     def write_queue(self) -> list:
         """Databuf-form pending writes in interpreter order:
         ``[(AddressRecord, value), ...]``."""

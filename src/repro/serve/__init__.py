@@ -1,6 +1,6 @@
-"""Multi-tenant serving layer: admission, SLO-aware EDF/WDRR scheduling,
-online job pricing, launch batching, cross-job template reuse, and
-run-cache short-circuit (docs/serving.md)."""
+"""Multi-tenant serving layer: admission, SLO-aware EDF scheduling with
+weighted-deficit fairness, online job pricing, launch batching, cross-job
+template reuse, and run-cache short-circuit (docs/serving.md)."""
 
 from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
 from repro.serve.metrics import ServeMetrics

@@ -21,11 +21,11 @@ and the scheduler becomes *cost-aware* end to end:
   its own price exceeds the deadline) is rejected immediately with a
   typed :class:`~repro.errors.SloViolationError` instead of wasting
   queue space and an engine run.  Unpriced backlogs never reject.
-- **EDF dispatch** — when any queued request has a finite deadline, the
-  window is picked earliest-deadline-first with the WDRR deficit as the
-  tiebreak, so equal deadlines still resolve toward the weights.  With
-  no deadlines in the queues the window selection *is* the classic
-  weighted deficit round-robin, unchanged.
+- **EDF dispatch** — one loop picks every window, queue head by queue
+  head, earliest deadline first (``inf`` for a best-effort request) with
+  a weighted deficit as the tiebreak, so equal deadlines, and a queue
+  with no deadlines at all, resolve toward the tenants' weights.  The
+  ``"fifo"`` baseline runs the same loop keyed on arrival order.
 - **Shedding** — a queued request whose deadline has already passed at
   dispatch-pick time is provably doomed (its completion would be ``>=
   now > deadline``), so it is dropped as a typed ``"shed"`` terminal
@@ -131,9 +131,10 @@ class ServeConfig:
     #: evicted one drops its arrays and keeps what was derived from them in
     #: the server's store (:data:`STORE_BYTES`)
     dataset_pool: int = 8
-    #: "edf" = deadline-aware scheduling (identical to WDRR while no
-    #: queued request carries a finite deadline); "fifo" = deadline-blind
-    #: global arrival order, the fixed baseline the benchmark beats
+    #: "edf" = earliest deadline first, weighted deficit as the tiebreak
+    #: (weighted shares when no queued request carries a deadline);
+    #: "fifo" = deadline-blind global arrival order, the fixed baseline
+    #: the benchmark beats
     scheduling: str = "edf"
     #: size dispatch windows from priced deadline slack instead of always
     #: coalescing up to max_batch
@@ -239,7 +240,8 @@ def judge(
 
 
 class Server:
-    """Admission queue + deadline/WDRR scheduler + batched dispatcher."""
+    """Admission queue + keyed window scheduler (EDF or FIFO) + batched
+    dispatcher."""
 
     def __init__(
         self,
@@ -454,84 +456,6 @@ class Server:
         limit = int(slack / (per_run * max(self._unique_frac, 0.05)))
         return max(1, min(cfg.max_batch, limit))
 
-    def _select_wdrr(self, limit: int) -> list:
-        """One classic WDRR dispatch window (up to ``limit`` requests)."""
-        window: list = []
-        while len(window) < limit:
-            if not any(self._queues.values()):
-                break
-            for name, queue in self._queues.items():
-                if not queue:
-                    # an idle tenant banks no credit (standard DRR reset)
-                    self._deficit[name] = 0.0
-                    continue
-                self._deficit[name] += self._weights[name]
-                while (
-                    queue
-                    and self._deficit[name] >= 1.0
-                    and len(window) < limit
-                ):
-                    window.append(queue.popleft())
-                    self._deficit[name] -= 1.0
-                if len(window) >= limit:
-                    break
-        return window
-
-    def _select_fifo(self, limit: int) -> list:
-        """Deadline-blind global arrival order (the baseline policy)."""
-        window: list = []
-        while len(window) < limit:
-            best: Optional[str] = None
-            for name, queue in self._queues.items():
-                if not queue:
-                    continue
-                if best is None or (
-                    (queue[0].arrival, queue[0].req_id)
-                    < (
-                        self._queues[best][0].arrival,
-                        self._queues[best][0].req_id,
-                    )
-                ):
-                    best = name
-            if best is None:
-                break
-            window.append(self._queues[best].popleft())
-        return window
-
-    def _select_edf(self, limit: int) -> list:
-        """EDF with WDRR-deficit tiebreak.
-
-        Every pick takes the queue head with the earliest deadline; ties
-        resolve to the tenant with the larger banked deficit (then
-        registration order), and each pick charges the chosen tenant one
-        unit while crediting the other backlogged tenants in proportion
-        to their weights — so sustained equal-deadline contention
-        converges to the same weighted shares WDRR would give.
-        """
-        window: list = []
-        while len(window) < limit:
-            best: Optional[str] = None
-            best_key: Optional[tuple] = None
-            for idx, (name, queue) in enumerate(self._queues.items()):
-                if not queue:
-                    self._deficit[name] = 0.0
-                    continue
-                key = (self._deadline_of(queue[0]), -self._deficit[name], idx)
-                if best_key is None or key < best_key:
-                    best_key, best = key, name
-            if best is None:
-                break
-            window.append(self._queues[best].popleft())
-            self._deficit[best] -= 1.0
-            backlogged = [name for name, q in self._queues.items() if q]
-            total = sum(self._weights[name] for name in backlogged)
-            for name in backlogged:
-                cap = 4.0 * max(1.0, self._weights[name])
-                self._deficit[name] = min(
-                    cap, self._deficit[name] + self._weights[name] / total
-                )
-        return window
-
     def _shed_doomed(self, now: float) -> list:
         """Remove every queued request whose deadline has already passed.
 
@@ -554,17 +478,51 @@ class Server:
         return shed
 
     def _select_window(self, now: float = 0.0) -> list:
-        """Pick one dispatch window (up to the adaptive window limit)."""
+        """Pick one dispatch window: until the window limit, take the queue
+        head whose key is smallest.
+
+        Under ``"edf"`` the key is ``(deadline, -deficit, registration
+        index)``, with ``inf`` as a best-effort request's deadline: the
+        earliest deadline goes first, and ties go to the tenant with the
+        larger banked deficit. Each pick charges the chosen tenant one unit
+        and credits every backlogged tenant in proportion to its weight,
+        capped, while an idle tenant banks nothing; so sustained
+        equal-deadline contention, a queue with no deadlines included,
+        converges to the weighted shares. Under ``"fifo"`` the key is
+        ``(arrival, req_id)``: global arrival order, deadline-blind.
+        """
+        edf = self.config.scheduling == "edf"
         limit = self._window_limit(now)
-        if self.config.scheduling == "fifo":
-            return self._select_fifo(limit)
-        if any(
-            math.isfinite(self._deadline_of(r))
-            for q in self._queues.values()
-            for r in q
-        ):
-            return self._select_edf(limit)
-        return self._select_wdrr(limit)
+        window: list = []
+        while len(window) < limit:
+            best: Optional[str] = None
+            best_key: Optional[tuple] = None
+            for idx, (name, queue) in enumerate(self._queues.items()):
+                if not queue:
+                    self._deficit[name] = 0.0
+                    continue
+                head = queue[0]
+                key = (
+                    (self._deadline_of(head), -self._deficit[name], idx)
+                    if edf
+                    else (head.arrival, head.req_id)
+                )
+                if best_key is None or key < best_key:
+                    best_key, best = key, name
+            if best is None:
+                break
+            window.append(self._queues[best].popleft())
+            if not edf:
+                continue
+            self._deficit[best] -= 1.0
+            backlogged = [name for name, q in self._queues.items() if q]
+            total = sum(self._weights[name] for name in backlogged)
+            for name in backlogged:
+                cap = 4.0 * max(1.0, self._weights[name])
+                self._deficit[name] = min(
+                    cap, self._deficit[name] + self._weights[name] / total
+                )
+        return window
 
     def dispatch_round(self, now: float = 0.0) -> list:
         """Select one window, execute it as batches, return its responses.

@@ -135,7 +135,9 @@ def run_differential(
 ) -> Report:
     """Run every engine on every app and diff against the serial oracle.
 
-    ``apps``/``engines`` accept instances (defaults: all six apps, all five
+    Each engine runs on its own freshly generated dataset of the recipe, so
+    each cell's functional pass runs at that engine's own chunking.
+    ``apps``/``engines`` accept instances (defaults: all seven apps, all five
     schemes). Timelines of engines named in ``traced_engines`` additionally
     pass through the invariant checkers when ``check_invariants`` is set
     (default: BigKernel only; the UVM pillar passes the uvm family); those
@@ -158,13 +160,15 @@ def run_differential(
 
     report = Report(f"differential vs {ORACLE}")
     for app in apps:
-        data = app.generate(n_bytes=data_bytes, seed=seed)
-        ref = oracle.run(app, data, config)
+        ref = oracle.run(app, app.generate(n_bytes=data_bytes, seed=seed), config)
         report.cells.append(Cell(app.name, oracle.name, True))
         for engine in engines:
             if engine is oracle:
                 continue
             wants_trace = check_invariants and engine.name in traced_engines
+            # a fresh dataset of the recipe: on a shared one every engine
+            # after the first would return that engine's memoized pass
+            data = app.generate(n_bytes=data_bytes, seed=seed)
             res = engine.run(app, data, traced_config if wants_trace else config)
             ok, detail = compare_outputs(app, ref.output, res.output)
             if wants_trace:

@@ -67,6 +67,33 @@ class TestCli:
         assert f"{flag[0]} needs --mode analytic" in captured.err
         assert "sweep" not in captured.out
 
+    @pytest.mark.parametrize("mode", ["des", "analytic"])
+    def test_sweep_top_k_needs_hybrid(self, mode, capsys):
+        """``--top-k`` acts only under ``--mode hybrid``; elsewhere it
+        fails instead of being ignored."""
+        argv = ["sweep", "wordcount", "--mode", mode, "--top-k", "3",
+                "--data-mib", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--top-k needs --mode hybrid" in captured.err
+        assert "sweep" not in captured.out
+
+    @pytest.mark.parametrize(
+        "top_k, points", [([], 8), (["--top-k", "2"], 2)], ids=["default", "2"]
+    )
+    def test_sweep_hybrid_top_k(self, top_k, points, capsys):
+        """The hybrid mode DES-verifies ``--top-k`` candidates, 8 when
+        the flag is not given."""
+        assert main(["sweep", "wordcount", "--mode", "hybrid", *top_k,
+                     "--data-mib", "1"]) == 0
+        assert f"{points}-point sweep" in capsys.readouterr().out
+
+    def test_bench_has_no_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--engine", "uvm"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_sweep_analytic_scan_with_spot_check(self, capsys):
         assert main(["sweep", "wordcount", "--mode", "analytic", "--points",
                      "1000", "--spot-check", "--data-mib", "1"]) == 0

@@ -1,5 +1,6 @@
 """Seeded property tests for the serving layer: overload never corrupts
-accounting, WDRR converges to the weights, served answers stay bit-equal."""
+accounting, backlogged shares converge to the weights, served answers
+stay bit-equal."""
 
 import functools
 
@@ -80,7 +81,7 @@ def test_overload_never_corrupts_accounting(seed):
 
 
 # --------------------------------------------------------------- fairness
-def test_wdrr_shares_follow_weights_under_backlog():
+def test_shares_follow_weights_under_backlog():
     tenants = (
         TenantSpec("small", 1.0),
         TenantSpec("mid", 2.0),

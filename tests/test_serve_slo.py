@@ -124,9 +124,9 @@ def test_edf_serves_earliest_deadline_first():
     assert [r.tenant for r in window] == ["tight", "loose", "none"]
 
 
-def test_edf_mode_without_slos_is_classic_wdrr():
-    """scheduling='edf' with no deadlines anywhere must take the WDRR
-    path byte-for-byte: same selection as an explicit WDRR pull."""
+def test_edf_mode_without_slos_picks_deterministically():
+    """scheduling='edf' with no deadlines anywhere: two servers fed the
+    same backlog pick the same order."""
     tenants = (TenantSpec("a", 1.0), TenantSpec("b", 3.0))
     picks = []
     for _ in range(2):
@@ -146,6 +146,100 @@ def test_edf_mode_without_slos_is_classic_wdrr():
             order.extend(r.req_id for r in server._select_window(now=0.0))
         picks.append(order)
     assert picks[0] == picks[1]
+
+
+#: the windows the scheduler picked, as req_ids, on the backlog
+#: :func:`_backlogged_windows` builds, recorded before the WDRR, EDF and
+#: FIFO loops became one keyed loop: under "edf" only while a deadline is
+#: queued, the regime both loops shared
+BACKLOGGED_WINDOWS = {
+    "fifo": [
+        [0, 10, 37, 20, 47],
+        [57, 3, 30, 40, 13],
+        [23, 50, 6, 33, 60],
+        [16, 43, 53, 26, 36],
+        [63, 9, 19, 46],
+    ],
+    "edf": [
+        [0, 57, 37, 3, 47],
+        [13, 40, 6, 50, 16],
+        [60, 26, 53, 19, 63],
+        [9, 10, 20, 30, 23],
+    ],
+}
+
+
+def _backlogged_windows(scheduling):
+    """Windows of 5 pulled from three backlogged tenants: eight bursts
+    1/64 s apart, one request per tenant each, submitted in a rotating
+    tenant order under scrambled req_ids. ``a`` (weight 1, 31.25 ms SLO)
+    and ``b`` (weight 2, 62.5 ms) tie on deadline exactly two bursts
+    apart, so the deficit breaks the ties; ``c`` (weight 4) is
+    best-effort. Under "edf", windows are pulled while a deadline is
+    queued."""
+    tenants = (
+        TenantSpec("a", 1.0, slo_ms=31.25),
+        TenantSpec("b", 2.0, slo_ms=62.5),
+        TenantSpec("c", 4.0),
+    )
+    server = Server(
+        ServeConfig(max_queue=64, max_batch=5, cache=False, scheduling=scheduling),
+        tenants=tenants,
+    )
+    job = _job()
+    for i in range(24):
+        burst, k = divmod(i, 3)
+        req = ServeRequest(
+            req_id=(37 * i) % 64,
+            tenant=tenants[(burst + k) % 3].name,
+            arrival=burst / 64,
+            job=job,
+        )
+        assert server.submit(req, now=req.arrival) is None
+    windows = []
+    while server.pending():
+        if scheduling == "edf" and not any(
+            math.isfinite(server._deadline_of(r))
+            for q in server._queues.values()
+            for r in q
+        ):
+            break
+        windows.append([r.req_id for r in server._select_window(now=0.0)])
+    return windows
+
+
+@pytest.mark.parametrize("scheduling", ["fifo", "edf"])
+def test_backlogged_windows_match_recorded_picks(scheduling):
+    """FIFO windows, and EDF windows while a deadline is queued, are the
+    ones recorded from the separate FIFO and EDF loops."""
+    assert _backlogged_windows(scheduling) == BACKLOGGED_WINDOWS[scheduling]
+
+
+def test_banked_deficit_is_capped_and_idle_tenants_bank_nothing():
+    """Tenants passed over for an earlier deadline bank credit by weight
+    up to ``4 * max(1, weight)`` and no further; an idle tenant's bank
+    empties."""
+    tenants = (
+        TenantSpec("a", 1.0, slo_ms=1e6),
+        TenantSpec("b", 0.5),
+        TenantSpec("c", 2.0),
+    )
+    server = Server(
+        ServeConfig(max_queue=64, max_batch=8, cache=False), tenants=tenants
+    )
+    job = _job()
+    for rid, name in enumerate(["a"] * 40 + ["b", "b", "c", "c"]):
+        assert server.submit(
+            ServeRequest(req_id=rid, tenant=name, arrival=0.0, job=job)
+        ) is None
+    for _ in range(4):
+        # 32 picks, every one a deadline: b and c bank 1/7 and 4/7 a pick
+        assert {r.tenant for r in server._select_window(now=0.0)} == {"a"}
+    assert (server._deficit["b"], server._deficit["c"]) == (4.0, 8.0)
+    while server.pending():
+        server._select_window(now=0.0)
+    assert server._select_window(now=0.0) == []
+    assert set(server._deficit.values()) == {0.0}
 
 
 # ---------------------------------------------------------------- shedding

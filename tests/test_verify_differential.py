@@ -45,6 +45,27 @@ def test_matrix_is_complete(report):
     assert "0 mismatch(es)" in report.summary()
 
 
+def test_each_engine_cell_runs_its_own_pass(monkeypatch):
+    """Each engine runs on a fresh dataset of the recipe, so none is
+    handed the pass another engine memoized: one functional pass per
+    engine cell (the oracle computes its reference without one)."""
+    from repro.engines import base
+
+    passes = []
+    original = base._run_passes
+
+    def counted(app, data, units_per_chunk):
+        passes.append(app.name)
+        return original(app, data, units_per_chunk)
+
+    monkeypatch.setattr(base, "_run_passes", counted)
+    rep = run_differential(data_bytes=DATA_BYTES, seed=11, config=CFG)
+    assert rep.ok
+    assert sorted(passes) == sorted(
+        c.app for c in rep.cells if c.engine != "cpu_serial"
+    )
+
+
 def test_bigkernel_cells_carry_invariant_reports(report):
     cells = [e for e in report.cells if e.engine == "bigkernel"]
     assert cells and all(e.mode == "traced" and e.ok for e in cells)
