@@ -62,7 +62,12 @@ def run_matrix(
     apps: Optional[Iterable[Application]] = None,
     engines: Optional[Iterable] = None,
 ) -> Matrix:
-    """Run every engine on every app; validates output equality."""
+    """Run every engine on every app; validates output equality.
+
+    Each engine runs on its own freshly generated dataset of the recipe,
+    so each cell runs its own functional pass and the cross-check
+    compares passes, not one memoized pass with itself.
+    """
     settings = settings or BenchSettings()
     apps = tuple(apps) if apps is not None else tuple(cls() for cls in ALL_APPS)
     engines = tuple(engines) if engines is not None else default_engines()
@@ -75,9 +80,9 @@ def run_matrix(
 
     results: dict = {}
     for app in apps:
-        data = app.generate(n_bytes=settings.data_bytes, seed=settings.seed)
         reference = None
         for engine in engines:
+            data = app.generate(n_bytes=settings.data_bytes, seed=settings.seed)
             res = engine.run(app, data, config)
             results[(app.name, engine.name)] = res
             if reference is None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.apps.base import (
@@ -151,10 +152,16 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[Application, AppData]:
     return cached
 
 
-def run_jobspec(spec: JobSpec) -> RunResult:
+def run_jobspec(spec: JobSpec, fresh: bool = False) -> RunResult:
     """Execute one job in this process: :func:`run_ordered`'s default
-    process-pool worker."""
-    app, data = materialize_dataset(spec.dataset)
+    process-pool worker. ``fresh=True`` generates the dataset anew
+    instead of taking the worker's cached one (see :func:`run_cells`)."""
+    if fresh:
+        spec.dataset.check_version("worker")
+        app = get_app(spec.dataset.app)
+        data = app.generate(n_bytes=spec.dataset.n_bytes, seed=spec.dataset.seed)
+    else:
+        app, data = materialize_dataset(spec.dataset)
     engine = _WORKER_ENGINES.get_or_compute(
         spec.engine, lambda: engine_from_spec(spec.engine)
     )
@@ -224,27 +231,42 @@ def run_ordered(
 
 def run_cells(
     cells: Sequence,
-    datasets: dict,
+    data_bytes: Optional[int],
+    seed: int,
     config: EngineConfig,
     jobs: Optional[int] = 1,
 ) -> list[RunResult]:
-    """Run every ``(app, engine)`` cell on ``datasets[app.name]``, in order.
+    """Run every ``(app, engine)`` cell, in order, each on its own freshly
+    generated dataset of the recipe (``data_bytes``, ``seed``).
 
-    The cell runner of both ``repro bench`` ladders. They count as
+    The cell runner of both ``repro bench`` ladders. Both cross-check
+    their cells' outputs, so no two cells share a dataset instance: on a
+    shared one every engine after the first would return the first
+    engine's memoized functional pass
+    (:meth:`~repro.engines.base.Engine._functional_output`), and the
+    check would compare that pass with itself. The cells count as
     DES-bound: unified-memory paging has no analytic fast path, and a
     shared root complex runs one joint DES.
     """
     specs = [
         JobSpec(
-            dataset_spec(app, datasets[app.name]), engine_to_spec(engine), config
+            DatasetSpec(app.name, seed, data_bytes, DATAGEN_VERSION),
+            engine_to_spec(engine),
+            config,
         )
         for app, engine in cells
     ]
-    if any(s.dataset is None or s.engine is None for s in specs):
+    if any(
+        s.engine is None or APP_REGISTRY.get(app.name) is not type(app)
+        for s, (app, _) in zip(specs, cells)
+    ):
         specs = None
     return run_ordered(
-        lambda cell: cell[1].run(cell[0], datasets[cell[0].name], config),
+        lambda cell: cell[1].run(
+            cell[0], cell[0].generate(n_bytes=data_bytes, seed=seed), config
+        ),
         cells,
         jobs,
         specs=specs,
+        worker=partial(run_jobspec, fresh=True),
     )

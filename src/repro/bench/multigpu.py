@@ -192,7 +192,7 @@ def run_multigpu_scaling(
     )
 
     cells = [(app, engine) for app in app_objs for engine in engines]
-    results = run_cells(cells, datasets, config, jobs)
+    results = run_cells(cells, data_bytes, seed, config, jobs)
     for (app, engine), res in zip(cells, results):
         scaling.results[(app.name, engine.n_gpus)] = res
 

@@ -139,18 +139,15 @@ def run_uvm_comparison(
     Every engine's functional output is cross-checked against the first
     (BigKernel, itself differentially verified against the serial oracle
     by ``repro verify``) — a paging bug can slow the timeline, but it must
-    never corrupt data. ``jobs`` fans the cells out through
-    :func:`repro.bench.jobs.run_cells`; cell order (and therefore the
-    figure entry) is the same whatever ran the cells.
+    never corrupt data. Each cell runs its own functional pass, on its
+    own freshly generated dataset of the recipe. ``jobs`` fans the cells
+    out through :func:`repro.bench.jobs.run_cells`; cell order (and
+    therefore the figure entry) is the same whatever ran the cells.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
     app_names = tuple(apps) if apps is not None else PAPER_APP_NAMES
     app_objs = [get_app(name) for name in app_names]
     engines = comparison_engines()
-    datasets = {
-        app.name: app.generate(n_bytes=data_bytes, seed=seed)
-        for app in app_objs
-    }
 
     comparison = UvmComparison(
         seed=seed,
@@ -160,7 +157,7 @@ def run_uvm_comparison(
     )
 
     cells = [(app, engine) for app in app_objs for engine in engines]
-    results = run_cells(cells, datasets, config, jobs)
+    results = run_cells(cells, data_bytes, seed, config, jobs)
     for (app, engine), res in zip(cells, results):
         comparison.results[(app.name, engine.name)] = res
 

@@ -107,7 +107,6 @@ def cmd_run(args) -> int:
     from repro.engines import ALL_ENGINES, CpuSerialEngine
 
     app = get_app(args.app)
-    data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
     settings = _settings(args)
     if args.engine == "all":
         engines = [cls() for cls in ALL_ENGINES]
@@ -120,7 +119,13 @@ def cmd_run(args) -> int:
         engines = [engine]
         if type(engine) not in ALL_ENGINES:
             engines.insert(0, CpuSerialEngine())
-    results = [e.run(app, data, settings.config) for e in engines]
+    results = []
+    for engine in engines:
+        # a fresh dataset of the recipe per engine: on a shared one every
+        # engine after the first would return the first one's memoized
+        # functional pass, and the check below would compare it with itself
+        data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
+        results.append(engine.run(app, data, settings.config))
     for r in results[1:]:
         if not app.outputs_equal(results[0].output, r.output):
             print(f"OUTPUT MISMATCH in {r.engine}", file=sys.stderr)

@@ -55,7 +55,7 @@ from repro.runtime.pipeline import (
     STAGE_TRANSFER,
     STAGE_WRITEBACK_XFER,
 )
-from repro.sim.core import Environment
+from repro.sim.core import PENDING, AllOf, Environment, Event, Initialize, Timeout
 from repro.sim.trace import TraceRecorder
 from repro.units import KiB, US
 
@@ -176,9 +176,22 @@ class _UvmPlan:
         self.timeline: Optional[Timeline] = None
 
 
-class _UvmSimulation:
-    """One DES run of the paged executor over a :class:`_UvmPlan` (state
-    shared by the stages)."""
+class _UvmSimulation(Event):
+    """One DES run of the paged executor over a :class:`_UvmPlan`.
+
+    The run's kernel is a chain of callbacks, and the simulation is its
+    completion event. Like every DES chain it pushes exactly the heap
+    entries a generator process running the same loop pushed: the URGENT
+    entry that starts it, each timeout and ``all_of`` a step makes, and
+    the NORMAL entry of its completion. Each migration is a
+    :class:`_Migration`.
+    """
+
+    __slots__ = (
+        "plan", "spec", "mode", "gpu", "table", "trace", "injector", "link",
+        "dma", "inflight", "wb_events", "window", "fault_events",
+        "fault_stall", "comp_time", "_g", "_pages", "_missing", "_start",
+    )
 
     def __init__(
         self,
@@ -187,29 +200,36 @@ class _UvmSimulation:
         mode: str,
         config: EngineConfig,
     ):
+        # Event.__init__, flattened
+        self.env = env = Environment()
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.plan = plan
         self.spec = spec
         self.mode = mode
         hw = config.hardware
         self.gpu = GpuDevice(hw.gpu)
         self.table = PageTable(plan.total_bytes, spec.page_bytes, plan.capacity)
-        self.env = Environment()
         self.trace = TraceRecorder()
         self.injector = as_injector(config.faults)
-        self.link = PcieLink(self.env, hw.pcie, trace=self.trace, faults=self.injector)
+        self.link = PcieLink(env, hw.pcie, trace=self.trace, faults=self.injector)
         self.dma = DmaEngine(self.link)
-        #: page -> migration process currently carrying it
+        #: page -> migration currently carrying it
         self.inflight: dict = {}
         self.wb_events: list = []
         self.window = 1
         self.fault_events = 0
         self.fault_stall = 0.0
         self.comp_time = 0.0
+        #: the fault batch the kernel is at
+        self._g = 0
 
     # -------------------------------------------------------------- run
     def execute(self) -> Timeline:
         """Run the DES and keep the numbers a result is built from."""
-        self.env.process(self._main())
+        Initialize(self.env, self._launch)
         self.env.run()
         table = self.table
         notes = {
@@ -239,48 +259,98 @@ class _UvmSimulation:
         )
         return Timeline(self.env.now, metrics, tuple(self.trace))
 
-    def _main(self):
-        plan = self.plan
-        batches, n_batches = plan.batches, plan.n_batches
+    # ----------------------------------------------------------- kernel
+    def _launch(self, _event: Event) -> None:
         # UVM keeps BigKernel's single-launch model: one kernel over the
         # whole dataset, paying the launch overhead exactly once
-        yield self.env.timeout(self.gpu.spec.kernel_launch_overhead)
+        Timeout(self.env, self.gpu.spec.kernel_launch_overhead).callbacks.append(
+            self._launched
+        )
+
+    def _launched(self, _event: Event) -> None:
         self.comp_time += self.gpu.spec.kernel_launch_overhead
-        for g in range(plan.n_instances):
-            pages = batches[g % n_batches]
-            self.table.pin(pages)
-            missing = self.table.missing(pages)
-            if missing:
-                self.fault_events += 1
-                stall = self.spec.fault_latency * (1.0 - self.spec.overlap)
-                start = self.env.now
-                yield self.env.timeout(stall)
-                self.fault_stall += self.env.now - start
-                self.trace.record(
-                    "cpu", FAULT_SERVICE, start, self.env.now,
-                    chunk=g, pages=len(missing),
-                )
-                self._issue(g, missing, "demand", must=True)
-                if self.mode == "readahead":
-                    self.window = max(1, self.window // 2)
-            elif self.mode == "readahead":
-                self.window = min(self.window + 1, self.spec.max_window)
-            self._issue_prefetches(g)
-            waits = [self.inflight[p] for p in pages if p in self.inflight]
-            if waits:
-                yield self.env.all_of(waits)
-            start = self.env.now
-            yield self.env.timeout(plan.comp_times[g % n_batches])
-            self.comp_time += self.env.now - start
-            self.trace.record("gpu", STAGE_COMPUTE, start, self.env.now, chunk=g)
-            self.table.touch(pages, dirty=plan.writes)
-            if plan.writes and g // n_batches == plan.passes - 1:
-                # eager asynchronous write-back right after the final pass
-                # over this batch; only the tail remains at the barrier
-                self._flush(self.table.take_dirty(pages))
-            self.table.unpin(pages)
-        if self.wb_events:
-            yield self.env.all_of(self.wb_events)
+        self._batch()
+
+    def _batch(self) -> None:
+        """Fault batch ``_g``: fault its missing pages in, or finish."""
+        plan = self.plan
+        g = self._g
+        if g == plan.n_instances:
+            if self.wb_events:
+                AllOf(self.env, self.wb_events).callbacks.append(self._flushed)
+            else:
+                self.succeed()
+            return
+        pages = self._pages = plan.batches[g % plan.n_batches]
+        self.table.pin(pages)
+        missing = self.table.missing(pages)
+        if missing:
+            self.fault_events += 1
+            self._missing = missing
+            self._start = self.env._now
+            stall = self.spec.fault_latency * (1.0 - self.spec.overlap)
+            Timeout(self.env, stall).callbacks.append(self._serviced)
+            return
+        if self.mode == "readahead":
+            self.window = min(self.window + 1, self.spec.max_window)
+        self._prefetch()
+
+    def _serviced(self, _event: Event) -> None:
+        """The grouped fault is serviced: migrate the missing pages."""
+        g, start, now = self._g, self._start, self.env._now
+        self.fault_stall += now - start
+        self.trace.record(
+            "cpu", FAULT_SERVICE, start, now, chunk=g, pages=len(self._missing),
+        )
+        self._issue(g, self._missing, "demand", must=True)
+        if self.mode == "readahead":
+            self.window = max(1, self.window // 2)
+        self._prefetch()
+
+    def _prefetch(self) -> None:
+        """Prefetch ahead, then wait for the batch's pages to land."""
+        self._issue_prefetches(self._g)
+        inflight = self.inflight
+        waits = [inflight[p] for p in self._pages if p in inflight]
+        if waits:
+            AllOf(self.env, waits).callbacks.append(self._resident)
+        else:
+            self._compute()
+
+    def _resident(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        self._compute()
+
+    def _compute(self) -> None:
+        plan = self.plan
+        self._start = self.env._now
+        Timeout(self.env, plan.comp_times[self._g % plan.n_batches]).callbacks.append(
+            self._computed
+        )
+
+    def _computed(self, _event: Event) -> None:
+        plan, g, pages = self.plan, self._g, self._pages
+        start, now = self._start, self.env._now
+        self.comp_time += now - start
+        self.trace.record("gpu", STAGE_COMPUTE, start, now, chunk=g)
+        self.table.touch(pages, dirty=plan.writes)
+        if plan.writes and g // plan.n_batches == plan.passes - 1:
+            # eager asynchronous write-back right after the final pass
+            # over this batch; only the tail remains at the barrier
+            self._flush(self.table.take_dirty(pages))
+        self.table.unpin(pages)
+        self._g = g + 1
+        self._batch()
+
+    def _flushed(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        self.succeed()
 
     # -------------------------------------------------------- migrations
     def _issue(self, g: int, pages: list[int], kind: str, must: bool) -> bool:
@@ -288,23 +358,10 @@ class _UvmSimulation:
         if victims is None:
             return False
         self._flush([p for p, _, dirty in victims if dirty])
-        proc = self.env.process(self._migrate(g, pages, kind))
+        migration = _Migration(self, g, pages, kind)
         for p in pages:
-            self.inflight[p] = proc
+            self.inflight[p] = migration
         return True
-
-    def _migrate(self, g: int, pages: list[int], kind: str):
-        events = [
-            self.dma.copy_async(
-                nbytes, direction=H2D, pinned=True,
-                label=STAGE_TRANSFER, chunk=g, kind=kind, pages=count,
-            )
-            for _, count, nbytes in self.table.page_runs(pages)
-        ]
-        yield self.env.all_of(events)
-        self.table.complete(pages)
-        for p in pages:
-            self.inflight.pop(p, None)
 
     def _flush(self, pages: list[int]) -> None:
         """Asynchronous dirty-page write-back (evictions and completion);
@@ -353,6 +410,50 @@ class _UvmSimulation:
             want = self.table.missing(plan.batches[nxt % n_batches])
             if want and not self._issue(nxt, want, "prefetch", must=False):
                 break
+
+
+class _Migration(Event):
+    """One migration of pages host-to-device: a DMA per contiguous run of
+    pages, then the pages turn resident. A chain of callbacks that pushes
+    what a generator process doing the same pushed; its DMAs start when
+    its URGENT start entry pops."""
+
+    __slots__ = ("sim", "g", "pages", "kind")
+
+    def __init__(self, sim: _UvmSimulation, g: int, pages: list[int], kind: str):
+        # Event.__init__, flattened
+        self.env = env = sim.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.sim = sim
+        self.g = g
+        self.pages = pages
+        self.kind = kind
+        Initialize(env, self._copy)
+
+    def _copy(self, _event: Event) -> None:
+        sim = self.sim
+        events = [
+            sim.dma.copy_async(
+                nbytes, direction=H2D, pinned=True,
+                label=STAGE_TRANSFER, chunk=self.g, kind=self.kind, pages=count,
+            )
+            for _, count, nbytes in sim.table.page_runs(self.pages)
+        ]
+        AllOf(self.env, events).callbacks.append(self._landed)
+
+    def _landed(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        sim = self.sim
+        sim.table.complete(self.pages)
+        for p in self.pages:
+            sim.inflight.pop(p, None)
+        self.succeed()
 
 
 def _learned_source(app: Application, data: AppData, units: int) -> str:

@@ -35,11 +35,14 @@ class GpuMemoryAllocator:
         # Sorted list of (offset, nbytes) free holes.
         self._free: list[tuple[int, int]] = [(0, self.capacity)]
         self._live: dict[int, Allocation] = {}
+        #: bytes of the live allocations, kept as a running total (a sum
+        #: over every live allocation on each ``alloc`` is quadratic)
+        self._used = 0
         self.peak_usage = 0
 
     @property
     def used(self) -> int:
-        return sum(a.nbytes for a in self._live.values())
+        return self._used
 
     @property
     def available(self) -> int:
@@ -66,7 +69,8 @@ class GpuMemoryAllocator:
                 else:
                     self._free[i] = (off + need, size - need)
                 self._live[off] = alloc
-                self.peak_usage = max(self.peak_usage, self.used)
+                self._used += need
+                self.peak_usage = max(self.peak_usage, self._used)
                 return alloc
         raise GpuOutOfMemory(
             f"cannot allocate {need} bytes ({label!r}): "
@@ -78,7 +82,7 @@ class GpuMemoryAllocator:
         """Return a region, coalescing adjacent holes."""
         if alloc.offset not in self._live:
             raise AllocationError(f"double free or unknown allocation at {alloc.offset}")
-        del self._live[alloc.offset]
+        self._used -= self._live.pop(alloc.offset).nbytes
         self._free.append((alloc.offset, alloc.nbytes))
         self._free.sort()
         merged: list[tuple[int, int]] = []
@@ -92,4 +96,5 @@ class GpuMemoryAllocator:
     def reset(self) -> None:
         """Free everything (device reset)."""
         self._live.clear()
+        self._used = 0
         self._free = [(0, self.capacity)]

@@ -14,8 +14,8 @@ from typing import Any, Callable, Optional
 
 from repro.errors import DmaFaultError, HardwareError
 from repro.hw.spec import PcieSpec
-from repro.sim.core import PENDING, Environment, Event, Initialize
-from repro.sim.resources import Resource
+from repro.sim.core import PENDING, Environment, Event, Initialize, Timeout
+from repro.sim.resources import Request, Resource
 from repro.sim.sync import Flag
 from repro.sim.trace import TraceRecorder
 
@@ -89,15 +89,6 @@ class PcieLink:
         """
         return Transfer(self, req, detached)
 
-    def _attempt_time(self, req: TransferRequest) -> float:
-        """Duration of one DMA attempt, honouring any injected degradation
-        in effect at its start (clean path: identical to transfer_time)."""
-        if self.faults is not None:
-            return self.faults.transfer_time(
-                self.spec, req.nbytes, req.pinned, req.segments, self.env.now
-            )
-        return self.transfer_time(req.nbytes, req.pinned, req.segments)
-
 
 class Transfer(Event):
     """One DMA on a :class:`PcieLink`: an event that drives itself.
@@ -143,9 +134,8 @@ class Transfer(Event):
         Initialize(env, self._begin)
 
     def _begin(self, _event: Event) -> None:
-        grant = self.link._channels[self.req.direction].request()
+        self._grant = grant = Request(self.link._channels[self.req.direction])
         grant.callbacks.append(self._granted)
-        self._grant = grant
 
     def _granted(self, _event: Event) -> None:
         req = self.req
@@ -160,9 +150,17 @@ class Transfer(Event):
             self._retry(None)
 
     def _attempt(self, then: Callable[[Event], None]) -> None:
-        """Start one DMA attempt; ``then`` runs when it ends."""
-        self._start = self.env.now
-        self.env.timeout(self.link._attempt_time(self.req)).callbacks.append(then)
+        """Start one DMA attempt; ``then`` runs when it ends. Its duration
+        honours any injected degradation in effect at its start."""
+        link, req, env = self.link, self.req, self.env
+        self._start = now = env._now
+        if link.faults is None:
+            duration = link.spec.transfer_time(req.nbytes, req.pinned, req.segments)
+        else:
+            duration = link.faults.transfer_time(
+                link.spec, req.nbytes, req.pinned, req.segments, now
+            )
+        Timeout(env, duration).callbacks.append(then)
 
     def _failed(self, _event: Event) -> None:
         """An injected failure burnt the attempt: record it, then back off."""
@@ -218,7 +216,7 @@ class Transfer(Event):
                 f"pcie-{req.direction}",
                 req.label,
                 self._start,
-                self.env.now,
+                self.env._now,
                 nbytes=req.nbytes,
                 pinned=req.pinned,
                 **req.meta,
@@ -255,8 +253,10 @@ class DmaEngine:
         **meta: Any,
     ) -> Event:
         """Queue one logical transfer; returns its completion event."""
-        return self.link.transfer(
-            TransferRequest(nbytes, direction, pinned, label, segments, meta=meta)
+        return Transfer(
+            self.link,
+            TransferRequest(nbytes, direction, pinned, label, segments, meta=meta),
+            False,
         )
 
     def copy_with_flag(
@@ -280,11 +280,13 @@ class DmaEngine:
         returned event when the DMA lands is still resumed through the
         heap; one that starts waiting later finds it processed.
         """
-        data_done = self.link.transfer(
+        data_done = Transfer(
+            self.link,
             TransferRequest(nbytes, direction, pinned, label, segments, meta=meta),
-            detached=True,
+            True,
         )
-        self.link.transfer(
+        Transfer(
+            self.link,
             TransferRequest(
                 flag_bytes,
                 direction,
@@ -295,6 +297,6 @@ class DmaEngine:
                 # checkers can pair each flag with the transfer it chases
                 meta=dict(meta),
             ),
-            detached=True,
+            True,
         )
         return data_done

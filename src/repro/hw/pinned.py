@@ -38,11 +38,15 @@ class PinnedAllocator:
         )
         self._next = 1
         self._live: dict[int, PinnedBuffer] = {}
+        #: bytes of the live buffers, kept as a running total: planning
+        #: allocates per block and ring slot, so a sum over every live
+        #: buffer on each ``alloc`` would make it quadratic
+        self._used = 0
         self.peak_usage = 0
 
     @property
     def used(self) -> int:
-        return sum(b.nbytes for b in self._live.values())
+        return self._used
 
     @property
     def available(self) -> int:
@@ -69,10 +73,11 @@ class PinnedAllocator:
         buf = PinnedBuffer(self._next, int(nbytes), label)
         self._next += 1
         self._live[buf.handle] = buf
-        self.peak_usage = max(self.peak_usage, self.used)
+        self._used += buf.nbytes
+        self.peak_usage = max(self.peak_usage, self._used)
         return buf
 
     def free(self, buf: PinnedBuffer) -> None:
         if buf.handle not in self._live:
             raise AllocationError(f"double free or unknown pinned buffer {buf.handle}")
-        del self._live[buf.handle]
+        self._used -= self._live.pop(buf.handle).nbytes

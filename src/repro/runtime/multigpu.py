@@ -20,7 +20,7 @@ two *chunks*, never between a chunk and its flag.
 
 Each shard's stage records land in that shard's own
 :class:`~repro.sim.trace.TraceRecorder` (dispatched on the ``block``
-meta the stage processes and the DMA requests both carry), so the
+meta the stages and the DMA requests both carry), so the
 standard invariant checkers can audit each shard's pipeline — capacity,
 ordering, backpressure, byte conservation — independently.
 """
@@ -37,7 +37,7 @@ from repro.runtime.pipeline import (
     ChunkWork,
     PipelineConfig,
     PipelineResult,
-    _spawn_block_processes,
+    _spawn_block_stages,
     _stage_totals,
 )
 from repro.sim.core import Environment
@@ -48,7 +48,7 @@ from repro.sim.trace import TraceRecorder
 class ShardTraceRouter:
     """Trace sink dispatching records to per-shard recorders.
 
-    The stage processes tag every record (and every DMA request's meta)
+    The stages tag every record (and every DMA request's meta)
     with ``block=<shard>``; the router forwards each interval to that
     shard's :class:`TraceRecorder` so per-shard invariant checking sees
     exactly one pipeline per trace.
@@ -144,7 +144,7 @@ def run_pipeline_sharded(
     for g, (chunks, cfg) in enumerate(zip(shard_chunks, shard_configs)):
         gpu = Resource(env, capacity=2, name=f"gpu{g}")
         cpu = Resource(env, capacity=cfg.cpu_workers, name=f"cpu{g}")
-        _spawn_block_processes(
+        _spawn_block_stages(
             env, links[g], dmas[g], gpu, cpu, chunks, cfg, router, block=g
         )
     env.run()

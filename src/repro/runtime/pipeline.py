@@ -1,12 +1,11 @@
-"""The BigKernel 4-stage pipeline (6 with mapped writes) as simulated
-processes.
+"""The BigKernel 4-stage pipeline (6 with mapped writes) on the DES.
 
-Stage processes are connected by bounded stores whose capacity equals the
-buffer-ring depth, so backpressure (a stage cannot run ahead of the
-consumer of its buffer instances) emerges from the queueing rather than
-being hard-coded; the paper implements the same constraint by barriering
-address generation of iteration *n* against computation of iteration
-*n - 3*.
+Each stage is a chain of callbacks (:class:`_Stage`). Stages are
+connected by bounded stores whose capacity equals the buffer-ring depth,
+so backpressure (a stage cannot run ahead of the consumer of its buffer
+instances) emerges from the queueing rather than being hard-coded; the
+paper implements the same constraint by barriering address generation of
+iteration *n* against computation of iteration *n - 3*.
 
 Resource mapping:
 
@@ -23,16 +22,16 @@ Resource mapping:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import RuntimeConfigError
 from repro.faults.inject import FaultInjector, as_injector
 from repro.hw.elementwise import every
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
 from repro.hw.spec import HardwareSpec
-from repro.sim.core import Environment
-from repro.sim.resources import Resource
-from repro.sim.stores import Store
+from repro.sim.core import PENDING, Environment, Event, Initialize, Timeout
+from repro.sim.resources import Request, Resource
+from repro.sim.stores import Store, StoreGet, StorePut
 from repro.sim.sync import Flag, Semaphore
 from repro.sim.trace import TraceRecorder
 
@@ -132,7 +131,265 @@ class PipelineResult:
         return self.stage_totals.get(stage, 0.0) / longest
 
 
-def _spawn_block_processes(
+class _Stage(Event):
+    """One pipeline stage over its chunks: a chain of callbacks, and its
+    own completion event.
+
+    Each step runs when the event it waits on pops, and pushes exactly
+    the heap entries a generator process running the same loop pushed,
+    at the same moments and with the same priorities: the URGENT
+    :class:`~repro.sim.core.Initialize` entry that starts it, each event
+    a step makes (a grant, a timeout, a store hand-off, a DMA), and the
+    NORMAL entry of its completion once the loop ends. A step waits by
+    appending a bound method to the callbacks of the event it has just
+    made (a fresh event is never processed yet); where the loop went on
+    without waiting, the step calls the next one directly. A failed DMA
+    is defused and fails the stage, so ``env.run()`` raises its error
+    when the stage's completion entry pops, as it did for a process.
+
+    A stage that takes its chunks from ``src`` starts every iteration
+    at :meth:`_next` and resumes at :meth:`_got` with the chunk; the
+    address-generation stage walks the chunk list instead. ``res`` is
+    the GPU or CPU resource a stage holds while it works (None for the
+    DMA stages).
+    """
+
+    __slots__ = (
+        "trace", "meta", "src", "out", "res", "_left", "_chunk", "_start", "_grant",
+    )
+
+    def __init__(self, env, chunks, trace, meta, src, out, res):
+        # Event.__init__, flattened
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.trace = trace
+        self.meta = meta
+        self.src = src
+        self.out = out
+        self.res = res
+        self._left = len(chunks)
+        Initialize(env, self._next)
+
+    def _next(self, _event) -> None:
+        if self._left:
+            self._left -= 1
+            StoreGet(self.src).callbacks.append(self._got)
+        else:
+            self.succeed()
+
+    def _got(self, event) -> None:
+        """The chunk is in: ask for the stage's resource."""
+        self._chunk = event._value
+        self._grant = grant = Request(self.res)
+        grant.callbacks.append(self._granted)
+
+    def _forward(self, event) -> None:
+        """After the chunk's DMA: pass the chunk on, or fail with it."""
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        StorePut(self.out, self._chunk).callbacks.append(self._next)
+
+
+class _AddrGen(_Stage):
+    """Address generation: a ring slot, the GPU, then the address buffer
+    shipped device-to-host when a pattern did not compress it away."""
+
+    __slots__ = ("_chunks", "ring", "dma")
+
+    def __init__(self, env, chunks, trace, meta, out, gpu, ring, dma):
+        super().__init__(env, chunks, trace, meta, None, out, gpu)
+        self._chunks = iter(chunks)
+        self.ring = ring
+        self.dma = dma
+
+    def _next(self, _event) -> None:
+        chunk = next(self._chunks, None)
+        if chunk is None:
+            self.succeed()
+            return
+        self._chunk = chunk
+        self.ring.acquire().callbacks.append(self._acquired)
+
+    def _acquired(self, _event) -> None:
+        self._grant = grant = Request(self.res)
+        grant.callbacks.append(self._granted)
+
+    def _granted(self, _event) -> None:
+        self._start = self.env._now
+        Timeout(self.env, self._chunk.t_addr_gen).callbacks.append(self._generated)
+
+    def _generated(self, _event) -> None:
+        chunk = self._chunk
+        self.trace.record(
+            "gpu", STAGE_ADDR_GEN, self._start, self.env._now,
+            chunk=chunk.index, **self.meta,
+        )
+        self.res._do_release(self._grant)
+        if chunk.addr_bytes_d2h > 0:
+            # ship the address buffer (or nothing, if a pattern compressed
+            # it away — descriptor cost is folded into t_addr_gen)
+            self.dma.copy_async(
+                chunk.addr_bytes_d2h, D2H, label=STAGE_ADDR_GEN,
+                chunk=chunk.index, **self.meta,
+            ).callbacks.append(self._forward)
+        else:
+            StorePut(self.out, chunk).callbacks.append(self._next)
+
+
+class _Assembly(_Stage):
+    """Data assembly on a CPU worker, lengthened by an injected stall."""
+
+    __slots__ = ("faults", "_stall")
+
+    def __init__(self, env, chunks, trace, meta, src, out, cpu, faults):
+        super().__init__(env, chunks, trace, meta, src, out, cpu)
+        self.faults = faults
+
+    def _granted(self, _event) -> None:
+        self._start = self.env._now
+        Timeout(self.env, self._chunk.t_assembly).callbacks.append(self._assembled)
+
+    def _assembled(self, _event) -> None:
+        faults = self.faults
+        stall = (
+            faults.assembly_stall(self._chunk.index) if faults is not None else 0.0
+        )
+        if stall > 0:
+            # a stalled worker keeps its CPU slot, so the stall lengthens
+            # the recorded assembly interval
+            faults.note_stall(stall)
+            self._stall = stall
+            Timeout(self.env, stall).callbacks.append(self._stalled)
+            return
+        self.trace.record(
+            "cpu", STAGE_ASSEMBLY, self._start, self.env._now,
+            chunk=self._chunk.index, **self.meta,
+        )
+        self._hand_on()
+
+    def _stalled(self, _event) -> None:
+        self.trace.record(
+            "cpu", STAGE_ASSEMBLY, self._start, self.env._now,
+            chunk=self._chunk.index, stall=self._stall, **self.meta,
+        )
+        self._hand_on()
+
+    def _hand_on(self) -> None:
+        self.res._do_release(self._grant)
+        StorePut(self.out, self._chunk).callbacks.append(self._next)
+
+
+class _DataTransfer(_Stage):
+    """The prefetch buffer host-to-device, chased by its flag write."""
+
+    __slots__ = ("dma", "flag")
+
+    def __init__(self, env, chunks, trace, meta, src, out, dma, flag):
+        super().__init__(env, chunks, trace, meta, src, out, None)
+        self.dma = dma
+        #: one ready flag, re-armed per chunk: the previous chunk's flag
+        #: DMA has landed before the next chunk's copy is issued
+        self.flag = flag
+
+    def _got(self, event) -> None:
+        chunk = self._chunk = event._value
+        flag = self.flag
+        flag.clear()
+        self.dma.copy_with_flag(
+            chunk.xfer_bytes, flag, H2D, label=STAGE_TRANSFER,
+            segments=chunk.xfer_segments, chunk=chunk.index, **self.meta,
+        )
+        flag.wait().callbacks.append(self._landed)
+
+    def _landed(self, _event) -> None:
+        StorePut(self.out, self._chunk).callbacks.append(self._next)
+
+
+class _Compute(_Stage):
+    """Computation on the GPU; it frees a ring slot, and hands the chunk
+    to write-back when the run has mapped writes (``out`` is None
+    otherwise)."""
+
+    __slots__ = ("ring", "sync_overhead")
+
+    def __init__(self, env, chunks, trace, meta, src, out, gpu, ring, sync_overhead):
+        super().__init__(env, chunks, trace, meta, src, out, gpu)
+        self.ring = ring
+        self.sync_overhead = sync_overhead
+
+    def _granted(self, _event) -> None:
+        self._start = self.env._now
+        Timeout(
+            self.env, self._chunk.t_compute + self.sync_overhead
+        ).callbacks.append(self._computed)
+
+    def _computed(self, _event) -> None:
+        chunk = self._chunk
+        self.trace.record(
+            "gpu", STAGE_COMPUTE, self._start, self.env._now,
+            chunk=chunk.index, **self.meta,
+        )
+        self.res._do_release(self._grant)
+        self.ring.release()
+        if self.out is not None:
+            StorePut(self.out, chunk).callbacks.append(self._next)
+        else:
+            self._next(None)
+
+
+class _WriteTransfer(_Stage):
+    """The write buffer device-to-host (mapped writes)."""
+
+    __slots__ = ("dma",)
+
+    def __init__(self, env, chunks, trace, meta, src, out, dma):
+        super().__init__(env, chunks, trace, meta, src, out, None)
+        self.dma = dma
+
+    def _got(self, event) -> None:
+        chunk = self._chunk = event._value
+        if chunk.write_bytes > 0:
+            self.dma.copy_async(
+                chunk.write_bytes, D2H, label=STAGE_WRITEBACK_XFER,
+                segments=chunk.xfer_segments, chunk=chunk.index, **self.meta,
+            ).callbacks.append(self._forward)
+        else:
+            StorePut(self.out, chunk).callbacks.append(self._next)
+
+
+class _Scatter(_Stage):
+    """The write buffer scattered on a CPU worker (mapped writes)."""
+
+    __slots__ = ()
+
+    def __init__(self, env, chunks, trace, meta, src, cpu):
+        super().__init__(env, chunks, trace, meta, src, None, cpu)
+
+    def _got(self, event) -> None:
+        if event._value.t_scatter > 0:
+            super()._got(event)
+        else:
+            self._next(None)
+
+    def _granted(self, _event) -> None:
+        self._start = self.env._now
+        Timeout(self.env, self._chunk.t_scatter).callbacks.append(self._scattered)
+
+    def _scattered(self, _event) -> None:
+        self.trace.record(
+            "cpu", STAGE_WRITEBACK_SCATTER, self._start, self.env._now,
+            chunk=self._chunk.index, **self.meta,
+        )
+        self.res._do_release(self._grant)
+        self._next(None)
+
+
+def _spawn_block_stages(
     env: Environment,
     link: PcieLink,
     dma: DmaEngine,
@@ -144,7 +401,7 @@ def _spawn_block_processes(
     block: Optional[int] = None,
     faults: Optional[FaultInjector] = None,
 ) -> None:
-    """Wire up one pipeline's stage processes over shared resources.
+    """Wire up one pipeline's stages over shared resources.
 
     ``block`` tags trace records for per-block runs; the aggregate mode
     passes None. ``faults`` is the active fault injector, if any — the
@@ -157,139 +414,28 @@ def _spawn_block_processes(
     addr_store = Store(env, capacity=depth, name=f"addr_ready{tag}")
     asm_store = Store(env, capacity=depth, name=f"prefetch_ready{tag}")
     comp_store = Store(env, capacity=depth, name=f"data_ready{tag}")
-    wb_store = Store(env, capacity=depth, name=f"write_ready{tag}")
-    scatter_store = Store(env, capacity=depth, name=f"scatter_ready{tag}")
     # Address buffers of iteration n are reusable once computation of
     # iteration n - depth has consumed its data buffer.
     ring = Semaphore(env, value=depth, name=f"buffer_ring{tag}")
-
     has_writes = any(c.write_bytes > 0 for c in chunks)
 
-    def addr_gen_proc() -> Generator:
-        for chunk in chunks:
-            yield ring.acquire()
-            with gpu.request() as grant:
-                yield grant
-                start = env.now
-                yield env.timeout(chunk.t_addr_gen)
-                trace.record(
-                    "gpu", STAGE_ADDR_GEN, start, env.now, chunk=chunk.index, **meta
-                )
-            if chunk.addr_bytes_d2h > 0:
-                # ship the address buffer (or nothing, if a pattern compressed
-                # it away — descriptor cost is folded into t_addr_gen)
-                done = dma.copy_async(
-                    chunk.addr_bytes_d2h,
-                    D2H,
-                    label=STAGE_ADDR_GEN,
-                    chunk=chunk.index,
-                    **meta,
-                )
-                yield done
-            yield addr_store.put(chunk)
-
-    def assembly_proc() -> Generator:
-        for _ in chunks:
-            chunk = yield addr_store.get()
-            with cpu.request() as grant:
-                yield grant
-                start = env.now
-                yield env.timeout(chunk.t_assembly)
-                stall = (
-                    faults.assembly_stall(chunk.index) if faults is not None else 0.0
-                )
-                if stall > 0:
-                    # a stalled worker keeps its CPU slot, so the stall
-                    # lengthens the recorded assembly interval
-                    faults.note_stall(stall)
-                    yield env.timeout(stall)
-                    trace.record(
-                        "cpu",
-                        STAGE_ASSEMBLY,
-                        start,
-                        env.now,
-                        chunk=chunk.index,
-                        stall=stall,
-                        **meta,
-                    )
-                else:
-                    trace.record(
-                        "cpu", STAGE_ASSEMBLY, start, env.now, chunk=chunk.index, **meta
-                    )
-            yield asm_store.put(chunk)
-
-    def transfer_proc() -> Generator:
-        # one ready flag, re-armed per chunk: the previous chunk's flag DMA
-        # has landed before the next chunk's copy is issued
-        flag = Flag(env, name=f"data_ready{tag}")
-        for _ in chunks:
-            chunk = yield asm_store.get()
-            flag.clear()
-            dma.copy_with_flag(
-                chunk.xfer_bytes,
-                flag,
-                H2D,
-                label=STAGE_TRANSFER,
-                segments=chunk.xfer_segments,
-                chunk=chunk.index,
-                **meta,
-            )
-            yield flag.wait()
-            yield comp_store.put(chunk)
-
-    def compute_proc() -> Generator:
-        for _ in chunks:
-            chunk = yield comp_store.get()
-            with gpu.request() as grant:
-                yield grant
-                start = env.now
-                yield env.timeout(chunk.t_compute + config.sync_overhead)
-                trace.record(
-                    "gpu", STAGE_COMPUTE, start, env.now, chunk=chunk.index, **meta
-                )
-            ring.release()
-            if has_writes:
-                yield wb_store.put(chunk)
-
-    def writeback_xfer_proc() -> Generator:
-        for _ in chunks:
-            chunk = yield wb_store.get()
-            if chunk.write_bytes > 0:
-                done = dma.copy_async(
-                    chunk.write_bytes,
-                    D2H,
-                    label=STAGE_WRITEBACK_XFER,
-                    segments=chunk.xfer_segments,
-                    chunk=chunk.index,
-                    **meta,
-                )
-                yield done
-            yield scatter_store.put(chunk)
-
-    def scatter_proc() -> Generator:
-        for _ in chunks:
-            chunk = yield scatter_store.get()
-            if chunk.t_scatter > 0:
-                with cpu.request() as grant:
-                    yield grant
-                    start = env.now
-                    yield env.timeout(chunk.t_scatter)
-                    trace.record(
-                        "cpu",
-                        STAGE_WRITEBACK_SCATTER,
-                        start,
-                        env.now,
-                        chunk=chunk.index,
-                        **meta,
-                    )
-
-    env.process(addr_gen_proc())
-    env.process(assembly_proc())
-    env.process(transfer_proc())
-    env.process(compute_proc())
+    _AddrGen(env, chunks, trace, meta, addr_store, gpu, ring, dma)
+    _Assembly(env, chunks, trace, meta, addr_store, asm_store, cpu, faults)
+    _DataTransfer(
+        env, chunks, trace, meta, asm_store, comp_store, dma,
+        Flag(env, name=f"data_ready{tag}"),
+    )
+    wb_store = (
+        Store(env, capacity=depth, name=f"write_ready{tag}") if has_writes else None
+    )
+    _Compute(
+        env, chunks, trace, meta, comp_store, wb_store, gpu, ring,
+        config.sync_overhead,
+    )
     if has_writes:
-        env.process(writeback_xfer_proc())
-        env.process(scatter_proc())
+        scatter_store = Store(env, capacity=depth, name=f"scatter_ready{tag}")
+        _WriteTransfer(env, chunks, trace, meta, wb_store, scatter_store, dma)
+        _Scatter(env, chunks, trace, meta, scatter_store, cpu)
 
 
 def _stage_totals(trace: TraceRecorder) -> dict:
@@ -373,7 +519,7 @@ def run_pipeline(
     # already in the stage costs
     gpu = Resource(env, capacity=2, name="gpu")
     cpu = Resource(env, capacity=config.cpu_workers, name="cpu")
-    _spawn_block_processes(
+    _spawn_block_stages(
         env, link, dma, gpu, cpu, chunks, config, trace, faults=injector
     )
     env.run()
@@ -406,7 +552,7 @@ def run_pipeline_per_block(
 
     Where :func:`run_pipeline` takes pre-aggregated stage durations (CPU
     work already divided by the worker count, DMA latency folded into
-    ``xfer_segments``), this mode gives each block its own stage processes
+    ``xfer_segments``), this mode gives each block its own stages
     and lets the contention *emerge*: all blocks' assembly threads compete
     for ``cpu_threads`` hardware threads, every block's buffer DMAs queue
     individually on the shared FIFO link, and each block's addr-gen/compute
@@ -429,7 +575,7 @@ def run_pipeline_per_block(
     cpu = Resource(env, capacity=cpu_threads, name="cpu")
     for b, chunks in enumerate(block_chunks):
         if chunks:
-            _spawn_block_processes(
+            _spawn_block_stages(
                 env, link, dma, gpu, cpu, chunks, config, trace, block=b,
                 faults=injector,
             )

@@ -1,15 +1,13 @@
-"""Generator-based discrete-event simulation engine.
+"""Discrete-event simulation engine.
 
-A minimal SimPy-like kernel purpose-built for this reproduction: simulated
-*processes* are Python generators that ``yield`` events (timeouts, resource
-requests, store gets, flag waits, semaphore acquires, ``all_of``) and are
-resumed by the environment when those events fire. The BigKernel pipeline,
-the DMA engine, the PCIe link and the GPU/CPU compute stages are all
-modelled as processes and callback chains competing for
-:class:`~repro.sim.resources.Resource` objects on one shared timeline; a
-run goes until no event is left.
-
-Public surface::
+A minimal SimPy-like kernel purpose-built for this reproduction: events
+(timeouts, resource requests, store gets, flag waits, semaphore acquires,
+``all_of``) run their callbacks when they fire. The BigKernel pipeline's
+stages, the DMA engine, the PCIe link and the UVM engine are chains of
+callbacks competing for :class:`~repro.sim.resources.Resource` objects on
+one shared timeline; a run goes until no event is left. Simulated
+*processes*, Python generators that ``yield`` events and are resumed
+when those events fire, stay for tests and user code::
 
     from repro.sim import Environment, Resource, Store, Flag, Semaphore
 

@@ -5,8 +5,10 @@ of scheduled events, generator-based processes) but is intentionally small:
 only the features the BigKernel pipeline model needs are implemented, and
 each of those features is tested directly. The pipeline
 (``repro.runtime.pipeline``, ``repro.runtime.multigpu``), the PCIe link and
-the UVM engine use completion events, timeouts, processes, :class:`AllOf`
-and one way to run: until the heap drains.
+the UVM engine use completion events, timeouts, :class:`AllOf` and one way
+to run: until the heap drains. None of them runs a :class:`Process`: each
+of their activities is a chain of callbacks (below). Processes stay for
+tests and user code.
 
 Determinism: ties in time are broken first by event *priority* (``URGENT``
 before ``NORMAL``) and then by schedule order, so repeated runs of the same
@@ -27,11 +29,19 @@ inside :meth:`Environment.run`. Three things keep a chunk cheap:
   ``schedule`` would have built, at the same moment.
 * **No process where a callback chain will do.** :class:`Initialize`
   takes a start callback: a :class:`Process` passes its resume callback,
-  and a DMA (:class:`~repro.hw.pcie.Transfer`, the most-repeated action
-  on the timeline) passes the first link of a chain of callbacks that
-  request the channel, time the attempts and land the data. The chain
-  pushes exactly the entries a generator process doing the same would
-  push, without a generator, its frames or its resumes.
+  and every activity of the models passes the first step of a chain of
+  callbacks: a DMA (:class:`~repro.hw.pcie.Transfer`, the most-repeated
+  action on the timeline), each pipeline stage
+  (``repro.runtime.pipeline``), and UVM's kernel and page migrations
+  (``repro.engines.uvm``). A chain is an event with ``__slots__`` whose
+  steps are bound methods; a step runs when the event it waits on pops.
+  It pushes exactly the entries a generator process doing the same would
+  push (its URGENT start, every event it makes, its NORMAL completion),
+  without a generator, its frames or its resumes. A failed DMA fails the
+  chain waiting on it, so :meth:`Environment.run` raises at the same pop.
+  No chain keeps its own bound methods: one kept on its instance is a
+  reference cycle, and the run's trace would wait for the cyclic
+  collector instead of dying with the result.
 * **Unobservable events stay off the heap.** Popping an event sets the
   clock to its time and runs its callbacks. A succeeded zero-delay event
   that nothing can ever wait on therefore changes nothing when popped,

@@ -18,3 +18,20 @@ def _isolated_disk_cache(tmp_path_factory):
     mp.setenv("REPRO_CACHE_DIR", str(cache_root))
     yield
     mp.undo()
+
+
+@pytest.fixture
+def functional_passes(monkeypatch):
+    """The app name of every functional pass run during the test, one entry
+    per ``repro.engines.base._run_passes`` call."""
+    from repro.engines import base
+
+    passes = []
+    original = base._run_passes
+
+    def counted(app, data, units_per_chunk):
+        passes.append(app.name)
+        return original(app, data, units_per_chunk)
+
+    monkeypatch.setattr(base, "_run_passes", counted)
+    return passes

@@ -201,6 +201,33 @@ class TestValidation:
         with pytest.raises(ValidationFailure, match="wrong_data"):
             run_matrix(SMALL, apps=[app], engines=[CpuSerialEngine(), WrongData()])
 
+    def test_each_matrix_cell_runs_its_own_pass(self, functional_passes):
+        """Each engine runs on a fresh dataset of the recipe, so the output
+        cross-check compares passes: one per cell of a functional engine
+        (the serial oracle computes its output without one)."""
+        from repro.apps import get_app
+
+        apps = [get_app("wordcount"), get_app("kmeans")]
+        m = run_matrix(SMALL, apps=apps)
+        functional = [e for e in m.engines if e != "cpu_serial"]
+        assert len(functional) == 4
+        assert sorted(functional_passes) == sorted(
+            app.name for app in apps for _ in functional
+        )
+
+    def test_each_uvm_comparison_cell_runs_its_own_pass(self, functional_passes):
+        """The same for the UVM comparison's cells: BigKernel and the three
+        unified-memory engines each run their own pass per app."""
+        from repro.bench.uvm import run_uvm_comparison
+
+        comp = run_uvm_comparison(
+            data_bytes=256 * 1024, seed=3, apps=("wordcount", "kmeans")
+        )
+        assert len(comp.engines) == 4
+        assert sorted(functional_passes) == sorted(
+            name for name in comp.apps for _ in comp.engines
+        )
+
 
 class TestReport:
     def test_render_table_basic(self):

@@ -32,6 +32,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bigkernel" in out
 
+    def test_run_gives_each_engine_its_own_pass(self, capsys, functional_passes):
+        """Every engine but the serial baseline runs its own functional
+        pass, on its own dataset, before the outputs are compared."""
+        assert main(["run", "wordcount", *FAST]) == 0
+        assert functional_passes == ["wordcount"] * 4
+
     def test_run_unknown_engine_fails(self, capsys):
         assert main(["run", "kmeans", "--engine", "warpdrive", *FAST]) == 2
 

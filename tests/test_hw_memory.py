@@ -120,3 +120,66 @@ class TestPinnedAllocator:
         p.alloc(400)
         p.free(b1)
         assert p.peak_usage == 800
+
+
+#: one alloc/free sequence: (alloc?, size or which live buffer to free)
+OPS = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=1, max_value=4096)), max_size=80
+)
+
+
+@given(ops=OPS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_gpu_used_is_the_live_sum(ops):
+    """The running total equals the sum over live allocations after every
+    step, and the out-of-memory message reads what the sum reads."""
+    a = GpuMemoryAllocator(24 * 1024, alignment=256)
+    live, peak = [], 0
+    for is_alloc, n in ops:
+        if is_alloc or not live:
+            total = sum(x.nbytes for x in a._live.values())
+            try:
+                live.append(a.alloc(n, "x"))
+            except GpuOutOfMemory as err:
+                need = (n + 255) // 256 * 256
+                assert str(err) == (
+                    f"cannot allocate {need} bytes ('x'): "
+                    f"{a.capacity - total} free of {a.capacity}, fragmented into "
+                    f"{len(a._free)} holes"
+                )
+        else:
+            a.free(live.pop(n % len(live)))
+        total = sum(x.nbytes for x in a._live.values())
+        peak = max(peak, total)
+        assert (a.used, a.available, a.peak_usage) == (total, a.capacity - total, peak)
+
+
+@given(ops=OPS, deny=st.one_of(st.none(), st.integers(min_value=1, max_value=20000)))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_pinned_used_is_the_live_sum(ops, deny):
+    """The running total equals the sum over live buffers after every
+    step, and both refusals read what the sum reads."""
+    p = PinnedAllocator(16 * 1024, deny_after_bytes=deny)
+    live, peak = [], 0
+    for is_alloc, n in ops:
+        if is_alloc or not live:
+            total = sum(b.nbytes for b in p._live.values())
+            try:
+                live.append(p.alloc(n, "x"))
+            except PinnedMemoryExceeded as err:
+                if total + n > p.limit:
+                    assert str(err) == (
+                        f"pinning {n} bytes ('x') would exceed the "
+                        f"{p.limit}-byte limit ({p.limit - total} available)"
+                    )
+                else:
+                    assert str(err) == (
+                        f"pinning {n} bytes ('x') denied: injected fault "
+                        f"caps pinned usage at {deny} bytes "
+                        f"({total} already pinned)"
+                    )
+        else:
+            p.free(live.pop(n % len(live)))
+        total = sum(b.nbytes for b in p._live.values())
+        peak = max(peak, total)
+        assert (p.used, p.available, p.peak_usage) == (total, p.limit - total, peak)

@@ -15,6 +15,13 @@ engines, a two-GPU shared-link sharded run, and every fault primitive
 pinned-memory denial with both its ring shrink and its double-buffer
 fallback).
 
+The heap work is pinned beside the timelines: every case's heap pushes
+(``HEAP_PUSHES``) and the ``(time, priority, eid)`` of every entry it
+pops (``HEAP_ORDER``), so a chain of callbacks standing in for a process
+must push what the process pushed, in the same order. Three runs whose
+failing DMA a stage or a migration waits on pin that the waiter fails
+and raises at its own entry (``WAITED_FATAL``).
+
 A digest may change only with a deliberate change to the timing model.
 To print the current table::
 
@@ -48,6 +55,7 @@ from repro.runtime.pipeline import (
     run_pipeline,
     run_pipeline_per_block,
 )
+from repro.sim import core
 from repro.sim.core import Environment
 from repro.sim.trace import TraceRecorder
 from repro.units import KiB, MiB
@@ -229,19 +237,55 @@ def test_golden_trace(name):
     assert case_digest(name) == GOLDEN[name]
 
 
-#: heap pushes (``env._eid``) of one run at 32 KiB chunks on the 1 MiB
-#: datasets: the DES work per chunk, which the digests above do not see
+#: heap pushes (``env._eid``) of each case's run, counted when its
+#: ``env.run()`` returns (the fatal case at the raise): the DES work, which
+#: the digests above do not see. A chain of callbacks that replaces a
+#: process must push exactly the entries the process pushed, so no count
+#: here moves with one. The four clean engine cases are counted at 32 KiB
+#: chunks (twice the chunks of their digest runs), every other case as its
+#: digest runs it.
 HEAP_PUSHES = {
-    ("bigkernel", "wordcount"): 648,
-    ("gpu_double", "wordcount"): 648,
-    ("bigkernel", "kmeans"): 522,
-    ("gpu_double", "kmeans"): 1002,
+    "bigkernel-wordcount": 648,
+    "bigkernel-kmeans": 522,
+    "gpu_double-wordcount": 648,
+    "gpu_double-kmeans": 1002,
+    "per_block-synthetic": 540,
+    "gpu_uvm-kmeans": 1341,
+    "uvm_readahead-wordcount": 517,
+    "uvm_learned-kmeans": 837,
+    "multigpu2-shared-wordcount": 336,
+    "pcie.degrade-bigkernel": 328,
+    "pcie.degrade-gpu_uvm": 1341,
+    "dma.error-retried-gpu_double": 332,
+    "dma.error-retried-d2h-bigkernel": 284,
+    "dma.error-fatal": 96,
+    "assembly.stall-bigkernel": 291,
+    "assembly.stall-one-gpu_double": 329,
+    "pinned.deny-shrink-bigkernel": 88,
+    "pinned.deny-fallback-bigkernel": 88,
 }
-ENGINES = {"bigkernel": BigKernelEngine, "gpu_double": GpuDoubleBufferEngine}
+PUSH_RUNS = {
+    **CASES,
+    "bigkernel-wordcount": engine_run(
+        BigKernelEngine, "wordcount", chunk_bytes=32 * KiB
+    ),
+    "bigkernel-kmeans": engine_run(BigKernelEngine, "kmeans", chunk_bytes=32 * KiB),
+    "gpu_double-wordcount": engine_run(
+        GpuDoubleBufferEngine, "wordcount", chunk_bytes=32 * KiB
+    ),
+    "gpu_double-kmeans": engine_run(
+        GpuDoubleBufferEngine, "kmeans", chunk_bytes=32 * KiB
+    ),
+}
 
 
-@pytest.mark.parametrize("engine_name,app_name", sorted(HEAP_PUSHES))
-def test_heap_pushes_per_run(engine_name, app_name, monkeypatch):
+def test_every_case_has_a_push_count():
+    assert set(HEAP_PUSHES) == set(CASES)
+
+
+def counted_pushes(monkeypatch) -> list:
+    """From now on, ``env._eid`` of every ``env.run()`` as it returns or
+    raises."""
     pushes = []
     plain_run = Environment.run
 
@@ -252,9 +296,127 @@ def test_heap_pushes_per_run(engine_name, app_name, monkeypatch):
             pushes.append(env._eid)
 
     monkeypatch.setattr(Environment, "run", counting_run)
-    app, data = dataset(app_name)
-    ENGINES[engine_name]().run(app, data, DES.with_(chunk_bytes=32 * KiB))
-    assert pushes == [HEAP_PUSHES[engine_name, app_name]]
+    return pushes
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_PUSHES))
+def test_heap_pushes_per_run(name, monkeypatch):
+    pushes = counted_pushes(monkeypatch)
+    PUSH_RUNS[name]()
+    assert pushes == [HEAP_PUSHES[name]]
+
+
+def heap_order(run, monkeypatch) -> str:
+    """SHA-256 over the ``(time, priority, eid)`` of every heap entry
+    popped while ``run`` runs, in pop order. Each ``eid`` is the order of
+    a push, so this pins which push made which entry: two same-time
+    pushes made in the other order, or one pushed a step early, change it
+    even where no interval and no count moves."""
+    pops = []
+    plain_pop = core.heappop
+
+    def recording_pop(queue):
+        entry = plain_pop(queue)
+        pops.append(entry[:3])
+        return entry
+
+    monkeypatch.setattr(core, "heappop", recording_pop)
+    run()
+    return hashlib.sha256(repr(pops).encode()).hexdigest()
+
+
+#: :func:`heap_order` of each golden case
+HEAP_ORDER = {
+    'bigkernel-wordcount': '00d64d489fe40935c34e06793bdb6cec3e2397da755f1d995f3da9ae25a4359b',
+    'bigkernel-kmeans': 'f3e00d1346f5f5a5d752bdefb97b4b0afceb03495d4c3aaabc0c9a0ed39e94cd',
+    'gpu_double-wordcount': '9ec2139c9f16ed19f078bfd8fb5995b23da303d1f909d5d37890ecddabe468a0',
+    'gpu_double-kmeans': '443e073b34fadb70a618a0f4a22433036bc089fa36fcbbe051570670a9b9ac18',
+    'per_block-synthetic': '2b200ab2a3cd5aed1b25f6eb517a318a654aec893636f2c2ac493ae86b358e45',
+    'gpu_uvm-kmeans': '33b8ed63dc67e9966b001ac0d82309ce69278c378acfc77a7cb331404deda6ae',
+    'uvm_readahead-wordcount': 'dbf89272adc4aa5899be31b7880a6eb01fe19f9b8cf6cdc390e574c95ffa2a30',
+    'uvm_learned-kmeans': 'e416b96a70b86b5c32226263fb25ef0564b1f5a7f4080d8d868f4d2fe9333d0f',
+    'multigpu2-shared-wordcount': '27b56eb7afec293f5e84d59b2de312957850ffd18878ff0afe6bf25b8ec1779b',
+    'pcie.degrade-bigkernel': 'f86e214f88fc26c9038be1371b57ca669613e8a724f543548d91519a5c9abb13',
+    'pcie.degrade-gpu_uvm': '12773fa29520f4109cf1300175464f77c581d6efc4633c6a791cfd654ddb33b0',
+    'dma.error-retried-gpu_double': '4a31d0f6980ca5f94fa6176182be1851701a2a41b56f9cec81dfb535c2465489',
+    'dma.error-retried-d2h-bigkernel': '9078f01ab46c08b05f29c3dbd1f1f5d6f3fb715441f4dc53e032369fc1aa69e3',
+    'dma.error-fatal': '85fc2f261b3280e6e17a8fcb180cf37625e4cc633aee7ceaad2dd3b0c5e4e2e2',
+    'assembly.stall-bigkernel': '533e21b83886ec9a9c6378f039c1dd718a61dc0ed142cbdc40c71be985c9b7e9',
+    'assembly.stall-one-gpu_double': '4c7ca4119c4c935b3db29cb5ed2390c331d54d3116b48c76c489675e5ffb01ad',
+    'pinned.deny-shrink-bigkernel': '35767acd340f285b578a252f965cf3c368188cecb210edf9293d961b1bd8e694',
+    'pinned.deny-fallback-bigkernel': 'ce0f5758e45f81710455d81abf93af7b9fa9475b7da2c2d48e0362d68b9e3b19',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_heap_order(name, monkeypatch):
+    assert heap_order(CASES[name], monkeypatch) == HEAP_ORDER[name]
+
+
+def waited_fatal_run(make_engine, app_name: str, plan):
+    def run():
+        app, data = dataset(app_name)
+        with pytest.raises(DmaFaultError) as err:
+            make_engine().run(app, data, DES.with_(faults=plan))
+        return str(err.value)
+    return run
+
+
+def waited_fatal_pipeline_run():
+    with pytest.raises(DmaFaultError) as err:
+        run_pipeline(
+            DEFAULT_HARDWARE,
+            synthetic_chunks(5),
+            PipelineConfig(ring_depth=2, cpu_workers=2),
+            faults=FaultPlan(name="fatal-addr").dma.error(
+                chunk=1, retries=99, direction="d2h", stage="addr_gen"
+            ),
+        )
+    return str(err.value)
+
+
+#: DMAs that fail for good while a stage or a migration waits on them
+#: (the ``dma.error-fatal`` case fails a flagged transfer, which nothing
+#: waits on). The waiter defuses the failure and fails itself, so
+#: ``env.run()`` raises when the waiter's own entry pops. Each run is
+#: pinned by its error, its heap pushes at the raise and its
+#: :func:`heap_order`.
+WAITED_FATAL = {
+    "addr_gen-pipeline": (
+        waited_fatal_pipeline_run,
+        "DMA 'addr_gen' (chunk 1, d2h) failed permanently after 3 attempt(s)",
+        43,
+        "61652460421c01f619cd40f8a27d6934a787377a1ff3b8644849274a4b234857",
+    ),
+    "write_transfer-bigkernel": (
+        waited_fatal_run(
+            BigKernelEngine, "kmeans",
+            FaultPlan(name="fatal-d2h").dma.error(
+                chunk=3, retries=99, direction="d2h", stage="write_transfer"
+            ),
+        ),
+        "DMA 'write_transfer' (chunk 3, d2h) failed permanently after 3 attempt(s)",
+        225,
+        "730dc1e1f20c8d1e57539c2447edd1cc02bda0ed3c00605b894e79b5621af1af",
+    ),
+    "migration-gpu_uvm": (
+        waited_fatal_run(
+            lambda: GpuUvmEngine(SMALL_PAGES), "kmeans",
+            FaultPlan(name="fatal-migration").dma.error(chunk=2, retries=99),
+        ),
+        "DMA 'data_transfer' (chunk 2, h2d) failed permanently after 3 attempt(s)",
+        57,
+        "e2a6ee7e0ae6a13c48b8099c28ee4616b08f58e6ad25741198540b30a6bcfb0b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WAITED_FATAL))
+def test_waited_dma_failure_fails_its_waiter(name, monkeypatch):
+    run, message, n_pushes, order = WAITED_FATAL[name]
+    pushes, errors = counted_pushes(monkeypatch), []
+    assert heap_order(lambda: errors.append(run()), monkeypatch) == order
+    assert (errors, pushes) == ([message], [n_pushes])
 
 
 if __name__ == "__main__":
