@@ -669,11 +669,11 @@ def test_multigpu_scaling():
 
     compute_bound = ("kmeans", "wordcount", "opinion", "mastercard")
     for app in compute_bound:
-        assert scaling.speedup(app, 2) > 1.0, app
+        assert scaling.speedup(app, "bigkernel_multigpu2") > 1.0, app
     worst = 0.0
     for app in scaling.apps:
-        for n in scaling.gpu_counts:
-            worst = max(worst, scaling.prediction_rel_err(app, n))
+        for engine in scaling.engines:
+            worst = max(worst, scaling.prediction_rel_err(app, engine))
     assert worst <= ANALYTIC_TOL, (
         f"analytic shard model off by {worst:.2e} somewhere in the sweep"
     )
@@ -687,7 +687,9 @@ def test_multigpu_scaling():
     shared = MultiGpuBigKernelEngine(2, shared_link=True).run(
         app_obj, data, cfg
     )
-    assert shared.sim_time >= scaling.sim_time(app0, 2) * (1 - 1e-12)
+    assert shared.sim_time >= (
+        scaling.sim_time(app0, "bigkernel_multigpu2") * (1 - 1e-12)
+    )
 
     entry = scaling.figure_entry()
     entry["wall_seconds"] = elapsed

@@ -2,7 +2,7 @@
 
 :func:`run_ordered` is how every harness fans independent runs out:
 ``sweep``'s grid points, ``chaos``'s (app, engine) blocks and the
-``repro bench`` ladders' cells (:func:`run_cells`). ``jobs`` is the only
+cells of :func:`repro.bench.harness.run_matrix`. ``jobs`` is the only
 knob: 1 runs serially, <= 0 means one worker per core, and with more
 than one worker :func:`resolve_backend` picks threads or a process pool
 from the runs themselves. Results come back in item order whatever ran
@@ -33,7 +33,6 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.apps.base import (
@@ -155,7 +154,8 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[Application, AppData]:
 def run_jobspec(spec: JobSpec, fresh: bool = False) -> RunResult:
     """Execute one job in this process: :func:`run_ordered`'s default
     process-pool worker. ``fresh=True`` generates the dataset anew
-    instead of taking the worker's cached one (see :func:`run_cells`)."""
+    instead of taking the worker's cached one, so the run computes its
+    own functional pass (see :func:`repro.bench.harness.run_matrix`)."""
     if fresh:
         spec.dataset.check_version("worker")
         app = get_app(spec.dataset.app)
@@ -228,45 +228,3 @@ def run_ordered(
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 
-
-def run_cells(
-    cells: Sequence,
-    data_bytes: Optional[int],
-    seed: int,
-    config: EngineConfig,
-    jobs: Optional[int] = 1,
-) -> list[RunResult]:
-    """Run every ``(app, engine)`` cell, in order, each on its own freshly
-    generated dataset of the recipe (``data_bytes``, ``seed``).
-
-    The cell runner of both ``repro bench`` ladders. Both cross-check
-    their cells' outputs, so no two cells share a dataset instance: on a
-    shared one every engine after the first would return the first
-    engine's memoized functional pass
-    (:meth:`~repro.engines.base.Engine._functional_output`), and the
-    check would compare that pass with itself. The cells count as
-    DES-bound: unified-memory paging has no analytic fast path, and a
-    shared root complex runs one joint DES.
-    """
-    specs = [
-        JobSpec(
-            DatasetSpec(app.name, seed, data_bytes, DATAGEN_VERSION),
-            engine_to_spec(engine),
-            config,
-        )
-        for app, engine in cells
-    ]
-    if any(
-        s.engine is None or APP_REGISTRY.get(app.name) is not type(app)
-        for s, (app, _) in zip(specs, cells)
-    ):
-        specs = None
-    return run_ordered(
-        lambda cell: cell[1].run(
-            cell[0], cell[0].generate(n_bytes=data_bytes, seed=seed), config
-        ),
-        cells,
-        jobs,
-        specs=specs,
-        worker=partial(run_jobspec, fresh=True),
-    )

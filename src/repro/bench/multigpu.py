@@ -26,8 +26,9 @@ shrinking per-shard win; a shared root complex is never faster than
 dedicated links.
 
 Exposed as ``python -m repro bench --gpus 1,2,4,8 [--shared-link]``.
-Cells run through :func:`repro.bench.jobs.run_cells`, the cell runner
-the UVM comparison also uses, and come back in serial nesting order.
+The ladder is one call to :func:`repro.bench.harness.run_matrix`, which
+runs the cells and makes the first two checks; this module adds the
+analytic prices, the table and the figure entry.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.apps import get_app
-from repro.bench.jobs import run_cells
+from repro.bench.harness import BenchSettings, Matrix, run_matrix
 from repro.engines import EngineConfig
 from repro.engines.multigpu import MultiGpuBigKernelEngine
-from repro.errors import ReproError, ValidationFailure
+from repro.errors import ReproError
 from repro.units import MiB, fmt_time
 
 from repro.bench.uvm import PAPER_APP_NAMES
@@ -63,32 +64,20 @@ def scaling_engines(
 
 
 @dataclass
-class MultiGpuScaling:
-    """Results of one 1→K GPU scaling sweep."""
+class MultiGpuScaling(Matrix):
+    """Results of one 1→K GPU scaling sweep: one engine column per GPU
+    count, in ladder order, so :meth:`speedup` is over the single-GPU
+    column of the same fabric."""
 
-    seed: int
-    data_bytes: int
     gpu_counts: tuple = DEFAULT_GPU_COUNTS
     shared_link: bool = False
-    apps: tuple = ()
-    results: dict = field(default_factory=dict)  # (app, n_gpus) -> RunResult
-    #: (app, n_gpus) -> closed-form predicted sim_time
+    #: (app, engine) -> closed-form predicted sim_time
     predictions: dict = field(default_factory=dict)
 
-    def get(self, app: str, n_gpus: int):
-        return self.results[(app, n_gpus)]
-
-    def sim_time(self, app: str, n_gpus: int) -> float:
-        return self.get(app, n_gpus).sim_time
-
-    def speedup(self, app: str, n_gpus: int) -> float:
-        """Scaling over the single-GPU run of the same fabric."""
-        return self.sim_time(app, self.gpu_counts[0]) / self.sim_time(app, n_gpus)
-
-    def prediction_rel_err(self, app: str, n_gpus: int) -> float:
+    def prediction_rel_err(self, app: str, engine: str) -> float:
         """Relative error of the analytic price against the DES."""
-        predicted = self.predictions[(app, n_gpus)]
-        simulated = self.sim_time(app, n_gpus)
+        predicted = self.predictions[(app, engine)]
+        simulated = self.sim_time(app, engine)
         return abs(predicted - simulated) / max(abs(simulated), 1e-300)
 
     def summary(self) -> str:
@@ -97,10 +86,10 @@ class MultiGpuScaling:
         rows = []
         for app in self.apps:
             row = [app]
-            for n in self.gpu_counts:
+            for engine in self.engines:
                 row.append(
-                    f"{fmt_time(self.sim_time(app, n))} "
-                    f"({self.speedup(app, n):.2f}x)"
+                    f"{fmt_time(self.sim_time(app, engine))} "
+                    f"({self.speedup(app, engine):.2f}x)"
                 )
             rows.append(row)
         link = "shared root complex" if self.shared_link else "dedicated links"
@@ -118,14 +107,14 @@ class MultiGpuScaling:
         cells = {}
         for app in self.apps:
             per_app = {}
-            for n in self.gpu_counts:
-                res = self.get(app, n)
+            for n, engine in zip(self.gpu_counts, self.engines):
+                res = self.get(app, engine)
                 per_app[f"g{n}"] = {
                     "sim_time": res.sim_time,
-                    "speedup": self.speedup(app, n),
+                    "speedup": self.speedup(app, engine),
                     "merge_time": res.metrics.notes.get("merge_time", 0.0),
-                    "predicted": self.predictions[(app, n)],
-                    "prediction_rel_err": self.prediction_rel_err(app, n),
+                    "predicted": self.predictions[(app, engine)],
+                    "prediction_rel_err": self.prediction_rel_err(app, engine),
                 }
             cells[app] = per_app
         return {
@@ -136,17 +125,6 @@ class MultiGpuScaling:
             "shared_link": self.shared_link,
             "apps": cells,
         }
-
-
-def _verify_cell_shards(app, res) -> None:
-    """Audit every shard's trace with the standard pipeline checkers."""
-    from repro.verify.invariants import audit_sharded_run
-
-    problems = audit_sharded_run(res)
-    if problems:
-        raise ValidationFailure(
-            f"{res.engine} on {app.name}: " + "; ".join(problems)
-        )
 
 
 def run_multigpu_scaling(
@@ -161,60 +139,45 @@ def run_multigpu_scaling(
 ) -> MultiGpuScaling:
     """Run the scaling ladder over the paper's six applications.
 
-    Every K-GPU cell's functional output is cross-checked against the
-    single-GPU cell of the same ladder — sharding plus the merge stage
-    must be invisible to the result, bit for bit. ``verify_shards=True``
-    forces every cell through the true DES (the closed-form fastpath is
-    proven time-identical) and audits each shard's trace. The analytic
-    shard model prices every cell. ``jobs`` fans the cells out through
-    :func:`repro.bench.jobs.run_cells`; cell order (and the figure entry)
-    is the same whatever ran the cells.
+    :func:`~repro.bench.harness.run_matrix` cross-checks every K-GPU
+    cell's functional output against the single-GPU cell of the same
+    ladder — sharding plus the merge stage must be invisible to the
+    result, bit for bit. ``verify_shards=True`` is its
+    ``check_invariants``: every cell runs through the true DES (the
+    closed-form fastpath is proven time-identical) and each shard's trace
+    is audited. The analytic shard model prices every cell. ``jobs`` fans
+    the cells out; cell order (and the figure entry) is the same whatever
+    ran the cells.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
-    if verify_shards:
-        # the DES yields per-shard traces; totals are identical either way
-        config = config.with_(fastpath=False)
-    app_names = tuple(apps) if apps is not None else PAPER_APP_NAMES
-    app_objs = [get_app(name) for name in app_names]
+    app_objs = [
+        get_app(name) for name in (apps if apps is not None else PAPER_APP_NAMES)
+    ]
     engines = scaling_engines(gpu_counts, shared_link)
-    counts = tuple(e.n_gpus for e in engines)
-    datasets = {
-        app.name: app.generate(n_bytes=data_bytes, seed=seed)
-        for app in app_objs
-    }
-
-    scaling = MultiGpuScaling(
-        seed=seed,
-        data_bytes=data_bytes,
-        gpu_counts=counts,
-        shared_link=shared_link,
-        apps=tuple(app_names),
+    matrix = run_matrix(
+        BenchSettings(
+            data_bytes=data_bytes,
+            seed=seed,
+            config=config,
+            check_invariants=verify_shards,
+        ),
+        apps=app_objs,
+        engines=engines,
+        jobs=jobs,
     )
-
-    cells = [(app, engine) for app in app_objs for engine in engines]
-    results = run_cells(cells, data_bytes, seed, config, jobs)
-    for (app, engine), res in zip(cells, results):
-        scaling.results[(app.name, engine.n_gpus)] = res
-
-    if config.functional:
-        for app in app_objs:
-            ref = scaling.get(app.name, counts[0])
-            for n in counts[1:]:
-                res = scaling.get(app.name, n)
-                if not app.outputs_equal(ref.output, res.output):
-                    raise ValidationFailure(
-                        f"{n}-GPU merged output differs from "
-                        f"{counts[0]}-GPU on {app.name}"
-                    )
-
-    if verify_shards:
-        for (app, engine), res in zip(cells, results):
-            _verify_cell_shards(app, res)
 
     from repro.analytic import predict_run
 
-    for app, engine in cells:
-        pred = predict_run(app, datasets[app.name], config, engine)
-        scaling.predictions[(app.name, engine.n_gpus)] = pred.sim_time
-
-    return scaling
+    predictions = {}
+    for app in app_objs:
+        data = app.generate(n_bytes=data_bytes, seed=seed)
+        for engine in engines:
+            predictions[(app.name, engine.name)] = predict_run(
+                app, data, config, engine
+            ).sim_time
+    return MultiGpuScaling(
+        **vars(matrix),
+        gpu_counts=tuple(e.n_gpus for e in engines),
+        shared_link=shared_link,
+        predictions=predictions,
+    )

@@ -20,25 +20,23 @@ best UVM variant on most apps — prefetching narrows the gap but cannot
 buy the pipeline's pinned-buffer bandwidth or its transfer-volume
 reduction.
 
-Exposed as ``python -m repro bench [--jobs N]``. The
-(app, engine) cells run through :func:`repro.bench.jobs.run_cells`, the
-cell runner the multi-GPU ladder also uses, and come back in the serial
-nesting order.
+Exposed as ``python -m repro bench [--jobs N]``. The comparison is one
+call to :func:`repro.bench.harness.run_matrix`, which runs and
+cross-checks the (app, engine) cells; this module adds the table and the
+figure entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.apps import get_app
-from repro.bench.jobs import run_cells
+from repro.bench.harness import BenchSettings, Matrix, run_matrix
 from repro.engines import (
     UVM_ENGINES,
     BigKernelEngine,
     EngineConfig,
 )
-from repro.errors import ValidationFailure
 from repro.units import MiB, fmt_time
 
 #: the six applications of the paper's evaluation (the indexed MasterCard
@@ -58,25 +56,8 @@ def comparison_engines() -> tuple:
     return (BigKernelEngine(),) + tuple(cls() for cls in UVM_ENGINES)
 
 
-@dataclass
-class UvmComparison:
+class UvmComparison(Matrix):
     """Results of one BigKernel-vs-UVM comparison sweep."""
-
-    seed: int
-    data_bytes: int
-    apps: tuple = ()
-    engines: tuple = ()
-    results: dict = field(default_factory=dict)  # (app, engine) -> RunResult
-
-    def get(self, app: str, engine: str):
-        return self.results[(app, engine)]
-
-    def sim_time(self, app: str, engine: str) -> float:
-        return self.get(app, engine).sim_time
-
-    def speedup(self, app: str, engine: str, baseline: str = "gpu_uvm") -> float:
-        """How much faster ``engine`` is than ``baseline`` on ``app``."""
-        return self.sim_time(app, baseline) / self.sim_time(app, engine)
 
     def summary(self) -> str:
         from repro.bench.report import render_table
@@ -136,39 +117,20 @@ def run_uvm_comparison(
 ) -> UvmComparison:
     """Run the four-scheme comparison over the paper's six applications.
 
-    Every engine's functional output is cross-checked against the first
-    (BigKernel, itself differentially verified against the serial oracle
-    by ``repro verify``) — a paging bug can slow the timeline, but it must
-    never corrupt data. Each cell runs its own functional pass, on its
-    own freshly generated dataset of the recipe. ``jobs`` fans the cells
-    out through :func:`repro.bench.jobs.run_cells`; cell order (and
-    therefore the figure entry) is the same whatever ran the cells.
+    :func:`~repro.bench.harness.run_matrix` cross-checks every engine's
+    functional output against the first (BigKernel, itself differentially
+    verified against the serial oracle by ``repro verify``), each cell on
+    its own freshly generated dataset of the recipe — a paging bug can
+    slow the timeline, but it must never corrupt data. ``jobs`` fans the
+    cells out; cell order (and therefore the figure entry) is the same
+    whatever ran them.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
-    app_names = tuple(apps) if apps is not None else PAPER_APP_NAMES
-    app_objs = [get_app(name) for name in app_names]
-    engines = comparison_engines()
-
-    comparison = UvmComparison(
-        seed=seed,
-        data_bytes=data_bytes,
-        apps=tuple(app_names),
-        engines=tuple(e.name for e in engines),
+    app_names = apps if apps is not None else PAPER_APP_NAMES
+    matrix = run_matrix(
+        BenchSettings(data_bytes=data_bytes, seed=seed, config=config),
+        apps=[get_app(name) for name in app_names],
+        engines=comparison_engines(),
+        jobs=jobs,
     )
-
-    cells = [(app, engine) for app in app_objs for engine in engines]
-    results = run_cells(cells, data_bytes, seed, config, jobs)
-    for (app, engine), res in zip(cells, results):
-        comparison.results[(app.name, engine.name)] = res
-
-    if config.functional:
-        for app in app_objs:
-            ref = comparison.get(app.name, engines[0].name)
-            for engine in engines[1:]:
-                res = comparison.get(app.name, engine.name)
-                if not app.outputs_equal(ref.output, res.output):
-                    raise ValidationFailure(
-                        f"{engine.name} output differs from {ref.engine} "
-                        f"on {app.name}"
-                    )
-    return comparison
+    return UvmComparison(**vars(matrix))

@@ -103,11 +103,12 @@ def _engine_by_name(name: str):
 
 def cmd_run(args) -> int:
     from repro.apps import get_app
+    from repro.bench import run_matrix
     from repro.bench.report import render_table
     from repro.engines import ALL_ENGINES, CpuSerialEngine
+    from repro.errors import ValidationFailure
 
     app = get_app(args.app)
-    settings = _settings(args)
     if args.engine == "all":
         engines = [cls() for cls in ALL_ENGINES]
     else:
@@ -119,23 +120,20 @@ def cmd_run(args) -> int:
         engines = [engine]
         if type(engine) not in ALL_ENGINES:
             engines.insert(0, CpuSerialEngine())
-    results = []
-    for engine in engines:
-        # a fresh dataset of the recipe per engine: on a shared one every
-        # engine after the first would return the first one's memoized
-        # functional pass, and the check below would compare it with itself
-        data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
-        results.append(engine.run(app, data, settings.config))
-    for r in results[1:]:
-        if not app.outputs_equal(results[0].output, r.output):
-            print(f"OUTPUT MISMATCH in {r.engine}", file=sys.stderr)
-            return 1
+    try:
+        matrix = run_matrix(_settings(args), apps=[app], engines=engines)
+    except ValidationFailure as exc:
+        print(f"OUTPUT MISMATCH: {exc}", file=sys.stderr)
+        return 1
+    results = [matrix.get(app.name, e) for e in matrix.engines]
     base = results[0].sim_time
     rows = [
         [r.engine, fmt_time(r.sim_time), f"{base / r.sim_time:.2f}x",
          fmt_bytes(r.metrics.bytes_h2d), r.metrics.n_chunks]
         for r in results
     ]
+    # the title's mapped size: run_matrix keeps none of its datasets
+    data = app.generate(n_bytes=args.data_mib * MiB, seed=args.seed)
     print(render_table(
         ["scheme", "sim time", f"vs {results[0].engine}", "h2d", "chunks"],
         rows,
@@ -274,13 +272,13 @@ def _cmd_bench_multigpu(args) -> int:
     )
     print(scaling.summary())
     worst = max(
-        scaling.prediction_rel_err(app, n)
+        scaling.prediction_rel_err(app, engine)
         for app in scaling.apps
-        for n in scaling.gpu_counts
+        for engine in scaling.engines
     )
     print(
         f"analytic shard model vs DES: worst relative error "
-        f"{worst:.2e} over {len(scaling.apps) * len(scaling.gpu_counts)} cells"
+        f"{worst:.2e} over {len(scaling.apps) * len(scaling.engines)} cells"
     )
     return 0
 

@@ -44,6 +44,7 @@ from typing import Any, Optional
 from repro.apps.base import AppData, Application
 from repro.engines.base import EngineConfig, RunMetrics, RunResult
 from repro.engines.bigkernel import BigKernelEngine, BigKernelFeatures
+from repro.faults.inject import FaultInjector
 from repro.hw.gpu import GpuDevice
 from repro.hw.topology import (
     FabricSpec,
@@ -241,18 +242,23 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
         plans, workers = self._shard_plan(app, data, config)
         n_shards = len(plans)
         merge_time = self._merge_time(app, data, hw, n_shards)
+        injector = None
+        if config.faults is not None and config.faults.active():
+            injector = FaultInjector(config.faults)
 
         shard_details = None
-        if self.shared_link or not config.fastpath:
+        if self.shared_link or not config.fastpath or injector is not None:
             # one combined DES: shared-link contention must emerge from
             # the single FIFO; with dedicated links the shards share no
             # resource, so the combined timeline equals the independent
-            # one — but yields per-shard traces for verification
+            # one — but yields per-shard traces for verification (an
+            # active plan forces this path, as it forces the DES)
             sharded = run_pipeline_sharded(
                 hw,
                 [sched.chunks for _, _, sched in plans],
                 [sched.pipe_cfg for _, _, sched in plans],
                 shared_link=self.shared_link,
+                faults=injector,
             )
             pipeline_total = sharded.total_time
             shard_results = sharded.shards
@@ -324,6 +330,8 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
                 "features": self.features.label,
             },
         )
+        if injector is not None:
+            metrics.notes["fault_stats"] = injector.stats()
         result = RunResult(self.name, app.name, output, sim_time, metrics)
         # per-shard traces/chunks for the verification battery (DES runs
         # only); a plain attribute, not a field — figure harnesses and

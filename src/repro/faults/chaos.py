@@ -16,8 +16,8 @@ byte-identical :class:`~repro.faults.report.FaultReport`
 (``report.fingerprint()`` is the contract ``tests/test_faults.py`` pins).
 That determinism is also what makes the sweep parallelizable. The grid is
 split into per-(app, engine) *blocks*, and each block regenerates its
-dataset and oracle locally, so nothing is shipped between processes but
-a picklable spec. The blocks run through
+datasets (one per run) and oracle locally, so nothing is shipped between
+processes but a picklable spec. The blocks run through
 :func:`repro.bench.jobs.run_ordered`, the runner every harness shares,
 serially or on ``jobs`` workers, and their plan-ordered cells come back in
 the serial nesting order. The report fingerprint is therefore identical
@@ -168,17 +168,23 @@ def _serve_cell_block(
 def _cell_block(app, engine, plans, config, seed, data_bytes) -> list[FaultCell]:
     """All cells of one (app, engine) block, in plan order.
 
-    Regenerates the dataset and reruns the oracle locally — generation is
-    deterministic, so the block is self-contained and its cells are the
-    same, byte for byte, on whichever worker runs it.
+    Every run of the block (the oracle, the clean run and each faulted
+    run) gets its own freshly generated dataset of the block's recipe, so
+    each computes its own functional pass: on a shared dataset every run
+    after the first would return the first one's memoized pass, and the
+    check against the oracle would not see a degraded plan's output.
+    Generation is deterministic, so the block is self-contained and its
+    cells are the same, byte for byte, on whichever worker runs it.
     """
-    data = app.generate(n_bytes=data_bytes, seed=seed)
-    ref = CpuSerialEngine().run(app, data, config)
-    clean = engine.run(app, data, config)
+    def fresh():
+        return app.generate(n_bytes=data_bytes, seed=seed)
+
+    ref = CpuSerialEngine().run(app, fresh(), config)
+    clean = engine.run(app, fresh(), config)
     cells = []
     for plan in plans:
         try:
-            outcome = engine.run(app, data, config.with_(faults=plan))
+            outcome = engine.run(app, fresh(), config.with_(faults=plan))
         except ReproError as exc:
             outcome = exc
         cells.append(

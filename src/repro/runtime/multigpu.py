@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import RuntimeConfigError
+from repro.faults.inject import as_injector
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
 from repro.hw.spec import HardwareSpec
 from repro.runtime.pipeline import (
@@ -104,6 +105,7 @@ def run_pipeline_sharded(
     shard_chunks: list[list[ChunkWork]],
     shard_configs: list[PipelineConfig],
     shared_link: bool = False,
+    faults=None,
 ) -> ShardedPipelineResult:
     """Simulate K per-shard pipelines contending on the host fabric.
 
@@ -111,6 +113,9 @@ def run_pipeline_sharded(
     schedules are materialized); ``shard_configs[g]`` its scheduling
     knobs. ``shared_link`` routes every shard's DMAs through one PCIe
     root-complex port; otherwise each shard gets a dedicated link.
+    ``faults`` is taken as :func:`~repro.runtime.pipeline.run_pipeline`
+    takes it: every link and every shard's assembly stage consult the one
+    injector, so a chunk index names that chunk of each shard.
 
     NUMA/memory-bandwidth contention is *not* modeled here — it is a
     static derating of each shard's assembly costs (the engine prices
@@ -127,17 +132,19 @@ def run_pipeline_sharded(
         c.materialize() if isinstance(c, TemplatedChunks) else c
         for c in shard_chunks
     ]
+    injector = as_injector(faults)
     env = Environment()
     traces = [TraceRecorder() for _ in shard_chunks]
     router = ShardTraceRouter(traces)
 
     if shared_link:
-        link = PcieLink(env, hardware.pcie, trace=router)
+        link = PcieLink(env, hardware.pcie, trace=router, faults=injector)
         links = [link] * len(shard_chunks)
         dmas = [DmaEngine(link)] * len(shard_chunks)
     else:
         links = [
-            PcieLink(env, hardware.pcie, trace=router) for _ in shard_chunks
+            PcieLink(env, hardware.pcie, trace=router, faults=injector)
+            for _ in shard_chunks
         ]
         dmas = [DmaEngine(lk) for lk in links]
 
@@ -145,7 +152,8 @@ def run_pipeline_sharded(
         gpu = Resource(env, capacity=2, name=f"gpu{g}")
         cpu = Resource(env, capacity=cfg.cpu_workers, name=f"cpu{g}")
         _spawn_block_stages(
-            env, links[g], dmas[g], gpu, cpu, chunks, cfg, router, block=g
+            env, links[g], dmas[g], gpu, cpu, chunks, cfg, router, block=g,
+            faults=injector,
         )
     env.run()
 

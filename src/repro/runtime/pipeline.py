@@ -298,15 +298,17 @@ class _DataTransfer(_Stage):
 
     def _got(self, event) -> None:
         chunk = self._chunk = event._value
-        flag = self.flag
-        flag.clear()
         self.dma.copy_with_flag(
-            chunk.xfer_bytes, flag, H2D, label=STAGE_TRANSFER,
+            chunk.xfer_bytes, self.flag, H2D, label=STAGE_TRANSFER,
             segments=chunk.xfer_segments, chunk=chunk.index, **self.meta,
         )
-        flag.wait().callbacks.append(self._landed)
+        self.flag.wait().callbacks.append(self._landed)
 
     def _landed(self, _event) -> None:
+        # re-arm the flag now, not at the next chunk: a set flag holds its
+        # flag DMA's request, which holds the flag, and the last chunk's
+        # would be left as a reference cycle
+        self.flag.clear()
         StorePut(self.out, self._chunk).callbacks.append(self._next)
 
 

@@ -64,7 +64,6 @@ user, and ``tests/test_calibration_lock.py`` the calibrated times). The
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -306,16 +305,12 @@ class AllOf(Event):
 class Environment:
     """Owns the simulated clock and the pending event heap."""
 
-    __slots__ = ("_now", "_queue", "_eid", "timeout")
+    __slots__ = ("_now", "_queue", "_eid")
 
     def __init__(self):
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        #: create an event that fires ``delay`` seconds from now — bound as
-        #: a C-level partial because timeouts dominate event construction
-        #: (a plain method would add a Python frame per timeout)
-        self.timeout: Callable[..., Timeout] = partial(Timeout, self)
 
     @property
     def now(self) -> float:
@@ -323,6 +318,10 @@ class Environment:
         return self._now
 
     # -- factories ----------------------------------------------------------
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """Create an event that fires ``delay`` seconds from now."""
+        return Timeout(self, delay, value)
+
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
         return Event(self)

@@ -38,6 +38,22 @@ class TestCli:
         assert main(["run", "wordcount", *FAST]) == 0
         assert functional_passes == ["wordcount"] * 4
 
+    def test_run_output_mismatch_exits_nonzero(self, capsys, monkeypatch):
+        """An engine whose output differs from the first engine's fails
+        the command instead of printing the table."""
+        from repro.engines import CpuMtEngine
+
+        run = CpuMtEngine.run
+
+        def other_data(self, app, data, config):
+            return run(self, app, app.generate(n_bytes=2 << 20, seed=99), config)
+
+        monkeypatch.setattr(CpuMtEngine, "run", other_data)
+        assert main(["run", "kmeans", *FAST]) == 1
+        captured = capsys.readouterr()
+        assert "OUTPUT MISMATCH" in captured.err and "cpu_mt" in captured.err
+        assert "scheme" not in captured.out
+
     def test_run_unknown_engine_fails(self, capsys):
         assert main(["run", "kmeans", "--engine", "warpdrive", *FAST]) == 2
 

@@ -21,7 +21,9 @@ fabric shape:
 * **merge correctness** — resident state merges across shards (sum /
   logical-or / keep-if-equal) reproduce the single-GPU state on the
   writer and multi-pass apps, and the merge stage charges nonzero time
-  exactly when there is state to exchange.
+  exactly when there is state to exchange;
+* **fault plans** — an active plan reaches every shard's links, so a
+  degraded link or a retried DMA lengthens the run on either fabric.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ import pytest
 from repro.apps import get_app
 from repro.engines import BigKernelEngine, CpuSerialEngine, EngineConfig
 from repro.engines.multigpu import MultiGpuBigKernelEngine
+from repro.faults import FaultPlan
 from repro.units import KiB, MiB
 from repro.verify.invariants import audit_sharded_run
 
@@ -232,6 +235,42 @@ class TestMergeStage:
             data, [{"assigned": 5}, {"assigned": 7}, {"assigned": 5}]
         )
         assert merged["assigned"] == 17
+
+
+class TestFaultPlans:
+    """An active plan reaches every shard's links and forces the DES,
+    the run records ``fault_stats``, and the output is untouched."""
+
+    PLANS = {
+        "pcie-degrade": FaultPlan().pcie.degrade(gbps=1.0),
+        "dma-retry": FaultPlan().dma.error(chunk=1, retries=2),
+    }
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["dedicated", "shared"])
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_fault_lengthens_a_two_gpu_run(self, workloads, plan, shared):
+        app, data = workloads["wordcount"]
+        eng = MultiGpuBigKernelEngine(n_gpus=2, shared_link=shared)
+        clean = eng.run(app, data, CFG)
+        faulted = eng.run(app, data, CFG.with_(faults=self.PLANS[plan]))
+        assert faulted.sim_time > clean.sim_time
+        stats = faulted.metrics.notes["fault_stats"]
+        if plan == "dma-retry":  # chunk 1 of each shard, twice
+            assert stats["retries_injected"] == 4
+        else:
+            assert stats["degraded_transfers"] > 0
+        assert app.outputs_equal(clean.output, faulted.output)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["dedicated", "shared"])
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_faulted_shard_traces_pass_battery(self, workloads, plan, shared):
+        """With the default fast path on, an active plan still runs the
+        combined DES, so the run keeps per-shard traces; failed attempts
+        are kept out of each shard's byte ledger."""
+        app, data = workloads["wordcount"]
+        eng = MultiGpuBigKernelEngine(n_gpus=2, shared_link=shared)
+        res = eng.run(app, data, CFG.with_(faults=self.PLANS[plan]))
+        assert audit_sharded_run(res) == []
 
 
 class TestPredictorCornerGeometries:

@@ -255,3 +255,18 @@ class TestChaosSweep:
         a = run_chaos(quick=True, seed=7)
         b = run_chaos(quick=True, seed=8)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_each_block_run_computes_its_own_pass(self, functional_passes):
+        """The clean run and every faulted run of a block run on their own
+        dataset of the recipe, so each computes its own functional pass
+        and the check against the oracle sees every plan's output (the
+        serial oracle computes its output without one)."""
+        plans = default_fault_grid(7)[:2]
+        report = run_chaos(
+            quick=True,
+            data_bytes=256 * 1024,
+            plans=plans,
+            engines=[GpuDoubleBufferEngine(), BigKernelEngine()],
+        )
+        assert report.ok, report.summary()
+        assert functional_passes == ["wordcount"] * (2 * (1 + len(plans)))

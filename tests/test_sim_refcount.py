@@ -6,7 +6,8 @@ heap drains, nothing they leave behind forms a reference cycle around
 them, so dropping a run's result frees its ``TraceRecorder`` and its
 ``ChunkWork`` objects at once, with the cyclic collector off. A run whose
 trace waits for the collector holds every interval of it until the next
-collection, and a sweep of many runs piles them up.
+collection, and a sweep of many runs piles them up. Nor does a run leave
+any other cycle behind: the collector finds nothing after it.
 """
 
 import gc
@@ -16,7 +17,7 @@ import pytest
 
 import repro.engines.uvm as uvm
 from repro.apps import get_app
-from repro.engines import EngineConfig, GpuUvmEngine, UvmSpec
+from repro.engines import BigKernelEngine, EngineConfig, GpuUvmEngine, UvmSpec
 from repro.hw.spec import DEFAULT_HARDWARE
 from repro.runtime.pipeline import ChunkWork, PipelineConfig, run_pipeline
 from repro.sim.trace import TraceRecorder
@@ -80,3 +81,40 @@ def test_uvm_run_frees_its_trace(no_cyclic_gc, monkeypatch):
     assert len(made) == 1 and res.trace
     del res
     assert made[0]() is None
+
+
+#: DES runs that must leave nothing for the collector: ``(engine, app)``
+LEAK_CASES = {
+    "bigkernel-kmeans": (BigKernelEngine, "kmeans"),
+    "bigkernel-wordcount": (BigKernelEngine, "wordcount"),
+    "gpu_uvm-kmeans": (
+        lambda: GpuUvmEngine(UvmSpec(page_bytes=4 * KiB, batch_pages=4)),
+        "kmeans",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAK_CASES))
+def test_des_run_leaves_no_reference_cycle(no_cyclic_gc, case):
+    """The environment holds no callable bound to itself, and the
+    transfer stage's flag drops the last flag DMA's request (which holds
+    the flag) once its chunk has landed. A first run builds the engine's
+    schedule, so the kernel analysis it memoizes once per kernel is not
+    counted; the second run simulates again."""
+    make, name = LEAK_CASES[case]
+    engine, app = make(), get_app(name)
+    data = app.generate(n_bytes=1 * MiB, seed=7)
+    config = EngineConfig(chunk_bytes=64 * KiB, fastpath=False)
+    engine.run(app, data, config)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        res = engine.run(app, data, config)
+        assert res.trace
+        del res
+        gc.collect()
+        left = sorted(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

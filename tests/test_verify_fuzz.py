@@ -17,6 +17,7 @@ from repro.verify.fuzz import (
     FuzzFailure,
     check_kernel_roundtrip,
     check_pipeline_case,
+    check_uvm_differential,
     random_chunk_schedule,
     random_kernel,
     random_pipeline_config,
@@ -83,3 +84,29 @@ def test_report_raise_if_failed():
     report.failures.append(FuzzFailure("ir", 1, 0, "synthetic"))
     with pytest.raises(VerificationError, match="synthetic"):
         report.raise_if_failed()
+
+
+def test_uvm_case_gives_the_engine_its_own_dataset(monkeypatch):
+    """The serial oracle and the paged engine's functional pass read two
+    datasets of the drawn recipe, so nothing the oracle leaves on its
+    dataset can reach the pass it checks."""
+    from repro.apps.base import Application
+    from repro.engines import base
+
+    seen = []
+    reference, run_passes = Application.reference, base._run_passes
+
+    def recorded_reference(self, data):
+        seen.append(data)
+        return reference(self, data)
+
+    def recorded_passes(app, data, units_per_chunk):
+        seen.append(data)
+        return run_passes(app, data, units_per_chunk)
+
+    monkeypatch.setattr(Application, "reference", recorded_reference)
+    monkeypatch.setattr(base, "_run_passes", recorded_passes)
+    check_uvm_differential(random.Random(3))
+    oracle, engine = seen
+    assert oracle is not engine
+    assert oracle.meta["datagen"] == engine.meta["datagen"]
