@@ -475,10 +475,9 @@ def sweep(
       hybrid winner is identical to the pure-DES winner.
     """
     keys = sorted(grid)
-    combos = [
-        dict(zip(keys, values))
-        for values in itertools.product(*[grid[k] for k in keys])
-    ]
+    combos = []  # a loop, not a comprehension: single-point sweeps are hot
+    for values in itertools.product(*map(grid.__getitem__, keys)):
+        combos.append(dict(zip(keys, values)))
 
     if mode not in ("des", "analytic", "hybrid"):
         raise ReproError(f"unknown sweep mode {mode!r}: des | analytic | hybrid")
@@ -489,6 +488,14 @@ def sweep(
             engine, app, data, base_config, grid, combos, top_k
         )
 
+    if jobs == 1 and not cache:
+        # a serial sweep runs its points straight on the engine: no runner,
+        # no second pass over the results
+        points = []
+        for chosen in combos:
+            result = engine.run(app, data, base_config.with_(**chosen))
+            points.append(SweepPoint(chosen, result.sim_time, result))
+        return SweepResult(points)
     if cache:
         # probe every point, run the misses in one batch and put them
         # back; the disk tier is consulted only while it is enabled

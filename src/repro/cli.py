@@ -7,7 +7,8 @@ Commands mirror the library's surfaces:
 * ``fig4a`` / ``fig4b`` / ``fig5`` / ``fig6`` / ``table1`` / ``table2`` —
   regenerate one paper artifact;
 * ``hw`` — print the simulated testbed;
-* ``trace`` — run BigKernel on an app and dump a Chrome-trace timeline;
+* ``trace`` — run BigKernel on an app, check its timeline against the
+  pipeline invariants and dump it as a Chrome trace;
 * ``verify`` — invariant + differential + fuzz verification sweep
   (see ``docs/verification.md``); ``--fastpath`` adds the analytic-vs-DES
   differential; exits nonzero on any violation;
@@ -186,6 +187,15 @@ def cmd_trace(args) -> int:
     cfg = _settings(args).config.with_(fastpath=False)
     res = BigKernelEngine().run(app, data, cfg)
     assert res.trace is not None
+    # the timeline is checked before it is written: a broken one fails
+    # the command, as ``run_matrix`` does under ``check_invariants``
+    from repro.verify.invariants import verify_run
+
+    report = verify_run(res, cfg)
+    if not report.ok:
+        print(f"trace: the {app.name} timeline violates pipeline invariants:\n"
+              f"{report.summary()}", file=sys.stderr)
+        return 1
     res.trace.dump_chrome_trace(args.out)
     if args.gantt:
         from repro.bench.report import render_gantt

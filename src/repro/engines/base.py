@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Callable, Optional
 
@@ -12,12 +12,13 @@ import numpy as np
 from repro.apps.base import AccessProfile, AppData, Application, is_registered
 from repro.errors import RuntimeConfigError
 from repro.faults.plan import FaultPlan
-from repro.hw.spec import DEFAULT_HARDWARE, HardwareSpec, hash_once
+from repro.hw.spec import DEFAULT_HARDWARE, HardwareSpec, dict_init, hash_once
 from repro.sim.trace import Interval, ReadOnlyMeta, TraceRecorder
 from repro.units import MiB
 
 
 @hash_once
+@dict_init
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs shared by every execution scheme.
@@ -70,7 +71,20 @@ class EngineConfig:
         return self.num_blocks * self.compute_threads
 
     def with_(self, **overrides) -> "EngineConfig":
-        return replace(self, **overrides)
+        """This config with ``overrides`` applied and validated, as
+        ``dataclasses.replace`` makes it, without a keyword round trip
+        through ``__init__``: a sweep derives one config per point."""
+        state = {**self.__dict__, **overrides}
+        state.pop("_hash", None)  # the kept hash is this config's
+        if len(state) != _N_FIELDS or "_hash" in overrides:
+            return replace(self, **overrides)  # an unknown keyword: its TypeError
+        config = object.__new__(type(self))
+        object.__setattr__(config, "__dict__", state)
+        config.__post_init__()
+        return config
+
+
+_N_FIELDS = len(fields(EngineConfig))
 
 
 @dataclass

@@ -280,7 +280,7 @@ class BigKernelEngine(Engine):
         return fraction
 
     def _allocate_buffers(
-        self, config: EngineConfig, writes: bool
+        self, config: EngineConfig, writes: bool, pinned_shards: int = 1
     ) -> tuple[int, BufferConfig, dict]:
         """Plan active blocks and allocate their buffer sets for real.
 
@@ -291,7 +291,9 @@ class BigKernelEngine(Engine):
         Under injected pinned-memory pressure (``faults.pinned.deny``) the
         degradation policy shrinks the ring toward depth 2 and then the
         active-block count until the set fits; the returned dict records
-        what was given up. When nothing fits,
+        what was given up. ``pinned_shards`` plans sharing one host pool
+        (the shards of a multi-GPU run) each get an equal share of the
+        denied budget. When nothing fits,
         :class:`~repro.errors.PinnedMemoryExceeded` propagates and
         :meth:`run` falls back to plain double-buffering."""
         cache_key = (
@@ -302,6 +304,7 @@ class BigKernelEngine(Engine):
             config.ring_depth,
             writes,
             config.faults,
+            pinned_shards,
         )
         cached = self._buffer_cache.get(cache_key)
         if cached is not None:
@@ -323,6 +326,7 @@ class BigKernelEngine(Engine):
         )
         degradations: dict = {}
         if deny is not None:
+            deny //= pinned_shards
             buf_cfg, active_blocks, degradations = degrade_buffer_plan(
                 buf_cfg, active_blocks, min(pinned_limit, deny)
             )
@@ -344,11 +348,13 @@ class BigKernelEngine(Engine):
         config: EngineConfig,
         units: Optional[int] = None,
         workers_override: Optional[int] = None,
+        pinned_shards: int = 1,
     ) -> "BigKernelSchedule":
         """Build the chunk schedule and pipeline config for ``units`` units
         (defaults to the whole dataset). Exposed so layered engines (e.g.
         the multi-GPU extension) can plan per-shard schedules with their
-        own CPU-worker budgets.
+        own CPU-worker budgets and their share of the pinned host pool
+        (``pinned_shards``, see :meth:`_allocate_buffers`).
 
         Schedules are memoized per engine instance, keyed by the app
         instance (its configuration, e.g. K-means' ``n_clusters``, shapes
@@ -369,6 +375,7 @@ class BigKernelEngine(Engine):
             config.ring_depth,
             config.pattern_recognition,
             config.faults,
+            pinned_shards,
         )
         sched = self._schedule_cache.get(cache_key)
         if sched is not None:
@@ -390,7 +397,7 @@ class BigKernelEngine(Engine):
         pattern_on = config.pattern_recognition and pattern_fraction >= 0.5
 
         active_blocks, buf_cfg, degradations = self._allocate_buffers(
-            config, app.writes_mapped
+            config, app.writes_mapped, pinned_shards
         )
         workers = (
             workers_override
@@ -545,26 +552,34 @@ class BigKernelEngine(Engine):
         try:
             sched = self._schedule(app, data, config)
         except PinnedMemoryExceeded as exc:
-            if config.faults is not None and config.faults.active():
-                # last degradation rung: even the minimum plan (two-deep
-                # ring, one block) does not fit under the injected pinned
-                # pressure — fall back to plain double-buffering, which
-                # needs no pinned prefetch/address buffers (the paper's
-                # fall-back-to-all-data spirit, applied to memory pressure)
-                from repro.engines.gpu_double import GpuDoubleBufferEngine
-
-                fallback = GpuDoubleBufferEngine().run(app, data, config)
-                fallback.metrics.notes["degraded_from"] = self.name
-                fallback.metrics.notes["degraded_reason"] = (
-                    f"pinned-memory-pressure: {exc}"
-                )
-                return fallback
-            raise
+            return self._pinned_fallback(app, data, config, exc)
         timeline = self._timed(sched, config, lambda: self._simulate(sched, config))
         output = None
         if config.functional:
             output = self._functional_output(app, data, sched.upc)
         return timeline.result(self.name, app.name, output)
+
+    def _pinned_fallback(
+        self,
+        app: Application,
+        data: AppData,
+        config: EngineConfig,
+        exc: PinnedMemoryExceeded,
+    ) -> RunResult:
+        """The last degradation rung: even the minimum plan (two-deep
+        ring, one block) does not fit under the injected pinned pressure,
+        so the run falls back to plain double-buffering, which needs no
+        pinned prefetch/address buffers (the paper's fall-back-to-all-data
+        spirit, applied to memory pressure). Without an active fault plan
+        the error is a real configuration error, and it is raised."""
+        if config.faults is None or not config.faults.active():
+            raise exc
+        from repro.engines.gpu_double import GpuDoubleBufferEngine
+
+        fallback = GpuDoubleBufferEngine().run(app, data, config)
+        fallback.metrics.notes["degraded_from"] = self.name
+        fallback.metrics.notes["degraded_reason"] = f"pinned-memory-pressure: {exc}"
+        return fallback
 
     def _simulate(self, sched: BigKernelSchedule, config: EngineConfig) -> Timeline:
         """One simulation of ``sched``: the closed form when the run

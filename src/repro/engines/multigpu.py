@@ -44,6 +44,7 @@ from typing import Any, Optional
 from repro.apps.base import AppData, Application
 from repro.engines.base import EngineConfig, RunMetrics, RunResult
 from repro.engines.bigkernel import BigKernelEngine, BigKernelFeatures
+from repro.errors import PinnedMemoryExceeded
 from repro.faults.inject import FaultInjector
 from repro.hw.gpu import GpuDevice
 from repro.hw.topology import (
@@ -135,6 +136,8 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
         Returns ``(plans, workers)`` where each plan is ``(shard, units,
         schedule)``. Shards on the same node with equal unit counts share
         a memoized schedule (the cache keys on the derated hardware).
+        Raises :class:`~repro.errors.PinnedMemoryExceeded` when a shard's
+        share of a denied pinned budget holds no buffer set.
         """
         shards, workers = self._shards(config.hardware, app.n_units(data))
         plans = []
@@ -142,8 +145,11 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
             shard_cfg = config
             if shard_hw is not config.hardware:
                 shard_cfg = config.with_(hardware=shard_hw)
+            # the shards' buffers come from one host pool: each plans
+            # against its share of a denied pinned budget
             sched = self._schedule(
-                app, data, shard_cfg, units=su, workers_override=workers
+                app, data, shard_cfg, units=su, workers_override=workers,
+                pinned_shards=len(shards),
             )
             plans.append((g, su, sched))
         return plans, workers
@@ -239,7 +245,10 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
         hw = config.hardware
         gpu = GpuDevice(hw.gpu)
 
-        plans, workers = self._shard_plan(app, data, config)
+        try:
+            plans, workers = self._shard_plan(app, data, config)
+        except PinnedMemoryExceeded as exc:
+            return self._pinned_fallback(app, data, config, exc)
         n_shards = len(plans)
         merge_time = self._merge_time(app, data, hw, n_shards)
         injector = None
@@ -330,6 +339,12 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
                 "features": self.features.label,
             },
         )
+        degradations: dict = {}
+        for _, _, sched in plans:
+            degradations.update(sched.degradations)
+        if degradations:
+            # what every shard's buffer plan gave up (they plan alike)
+            metrics.notes["degradations"] = degradations
         if injector is not None:
             metrics.notes["fault_stats"] = injector.stats()
         result = RunResult(self.name, app.name, output, sim_time, metrics)

@@ -55,7 +55,7 @@ from repro.runtime.pipeline import (
     STAGE_TRANSFER,
     STAGE_WRITEBACK_XFER,
 )
-from repro.sim.core import PENDING, AllOf, Environment, Event, Initialize, Timeout
+from repro.sim.core import PENDING, Environment, Event
 from repro.sim.trace import TraceRecorder
 from repro.units import KiB, US
 
@@ -176,15 +176,54 @@ class _UvmPlan:
         self.timeline: Optional[Timeline] = None
 
 
-class _UvmSimulation(Event):
+class _Chain(Event):
+    """A UVM chain of steps (:mod:`repro.sim.core`) that may wait on
+    several events at once."""
+
+    __slots__ = ("_left", "_then")
+
+    def _join(self, events: list, then) -> None:
+        """Run ``then`` once every one of ``events`` (at least one) has
+        succeeded, or fail on the first of them that fails.
+
+        The wait pushes the NORMAL entry an ``all_of`` over them pushed, at
+        the same moment, without building one: ``then`` when the last
+        succeeds (at once if all have been processed), or the chain's
+        :meth:`fail` when one fails. A member that fails after that is not
+        defused, and raises out of ``run()`` where it pops. ``then`` is
+        held only until its entry is pushed.
+        """
+        self._left = len(events)
+        self._then = then
+        for event in events:
+            if event.callbacks is None:
+                self._joined(event)
+            else:
+                event.callbacks.append(self._joined)
+
+    def _joined(self, event: Event) -> None:
+        then = self._then
+        if then is None:
+            return  # the join has already fired
+        if not event._ok:
+            event._defused = True
+            self._then = None
+            self.env.grant(self.fail, event._value)
+            return
+        self._left -= 1
+        if not self._left:
+            self._then = None
+            self.env.grant(then)
+
+
+class _UvmSimulation(_Chain):
     """One DES run of the paged executor over a :class:`_UvmPlan`.
 
-    The run's kernel is a chain of callbacks, and the simulation is its
+    The run's kernel is a chain of steps, and the simulation is its
     completion event. Like every DES chain it pushes exactly the heap
     entries a generator process running the same loop pushed: the URGENT
-    entry that starts it, each timeout and ``all_of`` a step makes, and
-    the NORMAL entry of its completion. Each migration is a
-    :class:`_Migration`.
+    entry that starts it, each delay and join a step makes, and the NORMAL
+    entry of its completion. Each migration is a :class:`_Migration`.
     """
 
     __slots__ = (
@@ -229,7 +268,7 @@ class _UvmSimulation(Event):
     # -------------------------------------------------------------- run
     def execute(self) -> Timeline:
         """Run the DES and keep the numbers a result is built from."""
-        Initialize(self.env, self._launch)
+        self.env.start(self._launch)
         self.env.run()
         table = self.table
         notes = {
@@ -260,24 +299,23 @@ class _UvmSimulation(Event):
         return Timeline(self.env.now, metrics, tuple(self.trace))
 
     # ----------------------------------------------------------- kernel
-    def _launch(self, _event: Event) -> None:
+    def _launch(self, _value) -> None:
         # UVM keeps BigKernel's single-launch model: one kernel over the
         # whole dataset, paying the launch overhead exactly once
-        Timeout(self.env, self.gpu.spec.kernel_launch_overhead).callbacks.append(
-            self._launched
-        )
+        self.env.call_later(self.gpu.spec.kernel_launch_overhead, self._launched)
 
-    def _launched(self, _event: Event) -> None:
+    def _launched(self, _value) -> None:
         self.comp_time += self.gpu.spec.kernel_launch_overhead
         self._batch()
 
     def _batch(self) -> None:
-        """Fault batch ``_g``: fault its missing pages in, or finish."""
+        """Fault batch ``_g``: fault its missing pages in, or finish once
+        the write-backs have landed."""
         plan = self.plan
         g = self._g
         if g == plan.n_instances:
             if self.wb_events:
-                AllOf(self.env, self.wb_events).callbacks.append(self._flushed)
+                self._join(self.wb_events, self.succeed)
             else:
                 self.succeed()
             return
@@ -289,13 +327,13 @@ class _UvmSimulation(Event):
             self._missing = missing
             self._start = self.env._now
             stall = self.spec.fault_latency * (1.0 - self.spec.overlap)
-            Timeout(self.env, stall).callbacks.append(self._serviced)
+            self.env.call_later(stall, self._serviced)
             return
         if self.mode == "readahead":
             self.window = min(self.window + 1, self.spec.max_window)
         self._prefetch()
 
-    def _serviced(self, _event: Event) -> None:
+    def _serviced(self, _value) -> None:
         """The grouped fault is serviced: migrate the missing pages."""
         g, start, now = self._g, self._start, self.env._now
         self.fault_stall += now - start
@@ -313,25 +351,18 @@ class _UvmSimulation(Event):
         inflight = self.inflight
         waits = [inflight[p] for p in self._pages if p in inflight]
         if waits:
-            AllOf(self.env, waits).callbacks.append(self._resident)
+            self._join(waits, self._compute)
         else:
-            self._compute()
+            self._compute(None)
 
-    def _resident(self, event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._compute()
-
-    def _compute(self) -> None:
+    def _compute(self, _value) -> None:
         plan = self.plan
         self._start = self.env._now
-        Timeout(self.env, plan.comp_times[self._g % plan.n_batches]).callbacks.append(
-            self._computed
+        self.env.call_later(
+            plan.comp_times[self._g % plan.n_batches], self._computed
         )
 
-    def _computed(self, _event: Event) -> None:
+    def _computed(self, _value) -> None:
         plan, g, pages = self.plan, self._g, self._pages
         start, now = self._start, self.env._now
         self.comp_time += now - start
@@ -344,13 +375,6 @@ class _UvmSimulation(Event):
         self.table.unpin(pages)
         self._g = g + 1
         self._batch()
-
-    def _flushed(self, event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed()
 
     # -------------------------------------------------------- migrations
     def _issue(self, g: int, pages: list[int], kind: str, must: bool) -> bool:
@@ -412,9 +436,9 @@ class _UvmSimulation(Event):
                 break
 
 
-class _Migration(Event):
+class _Migration(_Chain):
     """One migration of pages host-to-device: a DMA per contiguous run of
-    pages, then the pages turn resident. A chain of callbacks that pushes
+    pages, then the pages turn resident. A chain of steps that pushes
     what a generator process doing the same pushed; its DMAs start when
     its URGENT start entry pops."""
 
@@ -431,9 +455,9 @@ class _Migration(Event):
         self.g = g
         self.pages = pages
         self.kind = kind
-        Initialize(env, self._copy)
+        env.start(self._copy)
 
-    def _copy(self, _event: Event) -> None:
+    def _copy(self, _value) -> None:
         sim = self.sim
         events = [
             sim.dma.copy_async(
@@ -442,13 +466,9 @@ class _Migration(Event):
             )
             for _, count, nbytes in sim.table.page_runs(self.pages)
         ]
-        AllOf(self.env, events).callbacks.append(self._landed)
+        self._join(events, self._landed)
 
-    def _landed(self, event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
+    def _landed(self, _value) -> None:
         sim = self.sim
         sim.table.complete(self.pages)
         for p in self.pages:

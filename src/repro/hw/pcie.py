@@ -10,12 +10,12 @@ data (Section IV-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import DmaFaultError, HardwareError
 from repro.hw.spec import PcieSpec
-from repro.sim.core import PENDING, Environment, Event, Initialize, Timeout
-from repro.sim.resources import Request, Resource
+from repro.sim.core import PENDING, Environment, Event, Step
+from repro.sim.resources import Resource
 from repro.sim.sync import Flag
 from repro.sim.trace import TraceRecorder
 
@@ -93,14 +93,14 @@ class PcieLink:
 class Transfer(Event):
     """One DMA on a :class:`PcieLink`: an event that drives itself.
 
-    A chain of callbacks instead of a simulated process, because the DMA is
-    the most-repeated action on the timeline. Each step runs when the event
-    it waits on pops, and pushes the same heap entries, at the same moments
-    and with the same priorities, as a generator process doing the same:
+    A chain of steps instead of a simulated process, because the DMA is
+    the most-repeated action on the timeline. Each wait pushes its next
+    step (:mod:`repro.sim.core`), the same heap entry, at the same moment
+    and with the same priority, as a generator process doing the same:
 
-    1. the start (the URGENT entry of :class:`~repro.sim.core.Initialize`)
-       requests the direction's channel;
-    2. the grant starts an attempt timeout;
+    1. the start (an URGENT entry) requests the direction's channel, which
+       the transfer holds as itself;
+    2. the grant starts an attempt's delay;
     3. each injected failure records its ``-retry`` interval and waits its
        backoff, holding the channel: releasing it would let the trailing
        completion-flag DMA overtake the data on the FIFO, breaking the
@@ -112,9 +112,13 @@ class Transfer(Event):
        channel, sets the completion flag and then completes: in place when
        the transfer is detached and nothing waits on it, through the heap
        otherwise.
+
+    The transfer stays an event because more than one party may wait on
+    it: UVM collects its ``copy_async`` transfers and may join them after
+    they land.
     """
 
-    __slots__ = ("link", "req", "_detached", "_grant", "_start", "_outcome", "_tries")
+    __slots__ = ("link", "req", "_detached", "_start", "_outcome", "_tries")
 
     def __init__(self, link: PcieLink, req: TransferRequest, detached: bool):
         # Event.__init__, flattened
@@ -131,13 +135,12 @@ class Transfer(Event):
         self._outcome = None
         #: failed attempts made so far
         self._tries = 0
-        Initialize(env, self._begin)
+        env.start(self._begin)
 
-    def _begin(self, _event: Event) -> None:
-        self._grant = grant = Request(self.link._channels[self.req.direction])
-        grant.callbacks.append(self._granted)
+    def _begin(self, _value) -> None:
+        self.link._channels[self.req.direction]._do_request(self._granted)
 
-    def _granted(self, _event: Event) -> None:
+    def _granted(self, _value) -> None:
         req = self.req
         inj = self.link.faults
         if inj is not None and not req.label.endswith("-flag"):
@@ -149,7 +152,7 @@ class Transfer(Event):
         else:
             self._retry(None)
 
-    def _attempt(self, then: Callable[[Event], None]) -> None:
+    def _attempt(self, then: Step) -> None:
         """Start one DMA attempt; ``then`` runs when it ends. Its duration
         honours any injected degradation in effect at its start."""
         link, req, env = self.link, self.req, self.env
@@ -160,9 +163,9 @@ class Transfer(Event):
             duration = link.faults.transfer_time(
                 link.spec, req.nbytes, req.pinned, req.segments, now
             )
-        Timeout(env, duration).callbacks.append(then)
+        env.call_later(duration, then)
 
-    def _failed(self, _event: Event) -> None:
+    def _failed(self, _value) -> None:
         """An injected failure burnt the attempt: record it, then back off."""
         link, req = self.link, self.req
         self._tries += 1
@@ -184,11 +187,11 @@ class Transfer(Event):
             )
         backoff = self._outcome.backoffs[self._tries - 1]
         if backoff > 0:
-            self.env.timeout(backoff).callbacks.append(self._retry)
+            self.env.call_later(backoff, self._retry)
         else:
             self._retry(None)
 
-    def _retry(self, _event: Optional[Event]) -> None:
+    def _retry(self, _value) -> None:
         """After the grant or a failure's backoff: the next failing
         attempt, the fatal end, or the attempt that lands."""
         outcome = self._outcome
@@ -202,12 +205,12 @@ class Transfer(Event):
                 f"{req.direction}) failed permanently after "
                 f"{len(outcome.backoffs)} attempt(s)"
             )
-            self.link._channels[req.direction]._do_release(self._grant)
+            self.link._channels[req.direction]._do_release(self)
             self.fail(error)
         else:
             self._attempt(self._landed)
 
-    def _landed(self, _event: Event) -> None:
+    def _landed(self, _value) -> None:
         link, req = self.link, self.req
         link.bytes_moved[req.direction] += req.nbytes
         link.transfer_count[req.direction] += 1
@@ -221,7 +224,7 @@ class Transfer(Event):
                 pinned=req.pinned,
                 **req.meta,
             )
-        link._channels[req.direction]._do_release(self._grant)
+        link._channels[req.direction]._do_release(self)
         if req.completion_flag is not None:
             req.completion_flag.set(req)
         if self._detached and not self.callbacks:

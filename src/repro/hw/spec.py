@@ -8,7 +8,7 @@ the paper does not restate (GTX 680 memory bandwidth 192 GB/s, 8 SMX units).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from repro.hw.elementwise import every, where
 from repro.units import GB, GiB, MiB, KiB, US, MS
@@ -40,6 +40,37 @@ def hash_once(cls):
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
+    return cls
+
+
+def dict_init(cls):
+    """Class decorator for a frozen dataclass: an ``__init__`` that sets
+    the instance's ``__dict__`` in one assignment, where the generated one
+    calls ``object.__setattr__`` once per field.
+
+    The signature, the defaults and ``__post_init__`` are the
+    dataclass's; every field must be an init field without a default
+    factory. A sweep builds a config per grid point, so this is on its
+    fixed cost per point.
+    """
+    params, defaults = [], {}
+    for f in fields(cls):
+        if not f.init or f.default_factory is not MISSING:
+            raise TypeError(f"dict_init: field {f.name!r} needs the generated __init__")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            defaults[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    state = ", ".join(f"{f.name!r}: {f.name}" for f in fields(cls))
+    src = f"def __init__(self, {', '.join(params)}):\n    _set(self, '__dict__', {{{state}}})\n"
+    if hasattr(cls, "__post_init__"):
+        src += "    self.__post_init__()\n"
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec(src, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
     return cls
 
 

@@ -1,6 +1,6 @@
 """The BigKernel 4-stage pipeline (6 with mapped writes) on the DES.
 
-Each stage is a chain of callbacks (:class:`_Stage`). Stages are
+Each stage is a chain of steps (:class:`_Stage`). Stages are
 connected by bounded stores whose capacity equals the buffer-ring depth,
 so backpressure (a stage cannot run ahead of the consumer of its buffer
 instances) emerges from the queueing rather than being hard-coded; the
@@ -29,9 +29,9 @@ from repro.faults.inject import FaultInjector, as_injector
 from repro.hw.elementwise import every
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
 from repro.hw.spec import HardwareSpec
-from repro.sim.core import PENDING, Environment, Event, Initialize, Timeout
-from repro.sim.resources import Request, Resource
-from repro.sim.stores import Store, StoreGet, StorePut
+from repro.sim.core import PENDING, Environment, Event
+from repro.sim.resources import Resource
+from repro.sim.stores import Store
 from repro.sim.sync import Flag, Semaphore
 from repro.sim.trace import TraceRecorder
 
@@ -132,20 +132,19 @@ class PipelineResult:
 
 
 class _Stage(Event):
-    """One pipeline stage over its chunks: a chain of callbacks, and its
-    own completion event.
+    """One pipeline stage over its chunks: a chain of steps, and its own
+    completion event.
 
-    Each step runs when the event it waits on pops, and pushes exactly
-    the heap entries a generator process running the same loop pushed,
-    at the same moments and with the same priorities: the URGENT
-    :class:`~repro.sim.core.Initialize` entry that starts it, each event
-    a step makes (a grant, a timeout, a store hand-off, a DMA), and the
-    NORMAL entry of its completion once the loop ends. A step waits by
-    appending a bound method to the callbacks of the event it has just
-    made (a fresh event is never processed yet); where the loop went on
-    without waiting, the step calls the next one directly. A failed DMA
-    is defused and fails the stage, so ``env.run()`` raises its error
-    when the stage's completion entry pops, as it did for a process.
+    Each wait pushes the stage's next step (:mod:`repro.sim.core`): the
+    same heap entry, at the same moment and with the same priority, as a
+    generator process running the same loop: the URGENT entry that starts
+    it, each wait's grant (a store hand-off, a ring slot, its resource, a
+    flag), each delay, and the NORMAL entry of its completion once the
+    loop ends. The stage holds its resource as itself. Where the loop went
+    on without waiting, a step calls the next one directly. A DMA stays an
+    event, and a stage that ships one waits on it; a failed DMA is
+    defused and fails the stage, so ``env.run()`` raises its error when
+    the stage's completion entry pops, as it did for a process.
 
     A stage that takes its chunks from ``src`` starts every iteration
     at :meth:`_next` and resumes at :meth:`_got` with the chunk; the
@@ -154,9 +153,7 @@ class _Stage(Event):
     DMA stages).
     """
 
-    __slots__ = (
-        "trace", "meta", "src", "out", "res", "_left", "_chunk", "_start", "_grant",
-    )
+    __slots__ = ("trace", "meta", "src", "out", "res", "_left", "_chunk", "_start")
 
     def __init__(self, env, chunks, trace, meta, src, out, res):
         # Event.__init__, flattened
@@ -171,20 +168,19 @@ class _Stage(Event):
         self.out = out
         self.res = res
         self._left = len(chunks)
-        Initialize(env, self._next)
+        env.start(self._next)
 
-    def _next(self, _event) -> None:
+    def _next(self, _value) -> None:
         if self._left:
             self._left -= 1
-            StoreGet(self.src).callbacks.append(self._got)
+            self.src._do_get(self._got)
         else:
             self.succeed()
 
-    def _got(self, event) -> None:
+    def _got(self, chunk) -> None:
         """The chunk is in: ask for the stage's resource."""
-        self._chunk = event._value
-        self._grant = grant = Request(self.res)
-        grant.callbacks.append(self._granted)
+        self._chunk = chunk
+        self.res._do_request(self._granted)
 
     def _forward(self, event) -> None:
         """After the chunk's DMA: pass the chunk on, or fail with it."""
@@ -192,7 +188,7 @@ class _Stage(Event):
             event._defused = True
             self.fail(event._value)
             return
-        StorePut(self.out, self._chunk).callbacks.append(self._next)
+        self.out._do_put(self._next, self._chunk)
 
 
 class _AddrGen(_Stage):
@@ -207,29 +203,28 @@ class _AddrGen(_Stage):
         self.ring = ring
         self.dma = dma
 
-    def _next(self, _event) -> None:
+    def _next(self, _value) -> None:
         chunk = next(self._chunks, None)
         if chunk is None:
             self.succeed()
             return
         self._chunk = chunk
-        self.ring.acquire().callbacks.append(self._acquired)
+        self.ring._do_acquire(self._acquired)
 
-    def _acquired(self, _event) -> None:
-        self._grant = grant = Request(self.res)
-        grant.callbacks.append(self._granted)
+    def _acquired(self, _value) -> None:
+        self.res._do_request(self._granted)
 
-    def _granted(self, _event) -> None:
+    def _granted(self, _value) -> None:
         self._start = self.env._now
-        Timeout(self.env, self._chunk.t_addr_gen).callbacks.append(self._generated)
+        self.env.call_later(self._chunk.t_addr_gen, self._generated)
 
-    def _generated(self, _event) -> None:
+    def _generated(self, _value) -> None:
         chunk = self._chunk
         self.trace.record(
             "gpu", STAGE_ADDR_GEN, self._start, self.env._now,
             chunk=chunk.index, **self.meta,
         )
-        self.res._do_release(self._grant)
+        self.res._do_release(self)
         if chunk.addr_bytes_d2h > 0:
             # ship the address buffer (or nothing, if a pattern compressed
             # it away — descriptor cost is folded into t_addr_gen)
@@ -238,7 +233,7 @@ class _AddrGen(_Stage):
                 chunk=chunk.index, **self.meta,
             ).callbacks.append(self._forward)
         else:
-            StorePut(self.out, chunk).callbacks.append(self._next)
+            self.out._do_put(self._next, chunk)
 
 
 class _Assembly(_Stage):
@@ -250,11 +245,11 @@ class _Assembly(_Stage):
         super().__init__(env, chunks, trace, meta, src, out, cpu)
         self.faults = faults
 
-    def _granted(self, _event) -> None:
+    def _granted(self, _value) -> None:
         self._start = self.env._now
-        Timeout(self.env, self._chunk.t_assembly).callbacks.append(self._assembled)
+        self.env.call_later(self._chunk.t_assembly, self._assembled)
 
-    def _assembled(self, _event) -> None:
+    def _assembled(self, _value) -> None:
         faults = self.faults
         stall = (
             faults.assembly_stall(self._chunk.index) if faults is not None else 0.0
@@ -264,7 +259,7 @@ class _Assembly(_Stage):
             # the recorded assembly interval
             faults.note_stall(stall)
             self._stall = stall
-            Timeout(self.env, stall).callbacks.append(self._stalled)
+            self.env.call_later(stall, self._stalled)
             return
         self.trace.record(
             "cpu", STAGE_ASSEMBLY, self._start, self.env._now,
@@ -272,7 +267,7 @@ class _Assembly(_Stage):
         )
         self._hand_on()
 
-    def _stalled(self, _event) -> None:
+    def _stalled(self, _value) -> None:
         self.trace.record(
             "cpu", STAGE_ASSEMBLY, self._start, self.env._now,
             chunk=self._chunk.index, stall=self._stall, **self.meta,
@@ -280,8 +275,8 @@ class _Assembly(_Stage):
         self._hand_on()
 
     def _hand_on(self) -> None:
-        self.res._do_release(self._grant)
-        StorePut(self.out, self._chunk).callbacks.append(self._next)
+        self.res._do_release(self)
+        self.out._do_put(self._next, self._chunk)
 
 
 class _DataTransfer(_Stage):
@@ -296,20 +291,20 @@ class _DataTransfer(_Stage):
         #: DMA has landed before the next chunk's copy is issued
         self.flag = flag
 
-    def _got(self, event) -> None:
-        chunk = self._chunk = event._value
+    def _got(self, chunk) -> None:
+        self._chunk = chunk
         self.dma.copy_with_flag(
             chunk.xfer_bytes, self.flag, H2D, label=STAGE_TRANSFER,
             segments=chunk.xfer_segments, chunk=chunk.index, **self.meta,
         )
-        self.flag.wait().callbacks.append(self._landed)
+        self.flag._do_wait(self._landed)
 
-    def _landed(self, _event) -> None:
+    def _landed(self, _value) -> None:
         # re-arm the flag now, not at the next chunk: a set flag holds its
         # flag DMA's request, which holds the flag, and the last chunk's
         # would be left as a reference cycle
         self.flag.clear()
-        StorePut(self.out, self._chunk).callbacks.append(self._next)
+        self.out._do_put(self._next, self._chunk)
 
 
 class _Compute(_Stage):
@@ -324,22 +319,22 @@ class _Compute(_Stage):
         self.ring = ring
         self.sync_overhead = sync_overhead
 
-    def _granted(self, _event) -> None:
+    def _granted(self, _value) -> None:
         self._start = self.env._now
-        Timeout(
-            self.env, self._chunk.t_compute + self.sync_overhead
-        ).callbacks.append(self._computed)
+        self.env.call_later(
+            self._chunk.t_compute + self.sync_overhead, self._computed
+        )
 
-    def _computed(self, _event) -> None:
+    def _computed(self, _value) -> None:
         chunk = self._chunk
         self.trace.record(
             "gpu", STAGE_COMPUTE, self._start, self.env._now,
             chunk=chunk.index, **self.meta,
         )
-        self.res._do_release(self._grant)
+        self.res._do_release(self)
         self.ring.release()
         if self.out is not None:
-            StorePut(self.out, chunk).callbacks.append(self._next)
+            self.out._do_put(self._next, chunk)
         else:
             self._next(None)
 
@@ -353,15 +348,15 @@ class _WriteTransfer(_Stage):
         super().__init__(env, chunks, trace, meta, src, out, None)
         self.dma = dma
 
-    def _got(self, event) -> None:
-        chunk = self._chunk = event._value
+    def _got(self, chunk) -> None:
+        self._chunk = chunk
         if chunk.write_bytes > 0:
             self.dma.copy_async(
                 chunk.write_bytes, D2H, label=STAGE_WRITEBACK_XFER,
                 segments=chunk.xfer_segments, chunk=chunk.index, **self.meta,
             ).callbacks.append(self._forward)
         else:
-            StorePut(self.out, chunk).callbacks.append(self._next)
+            self.out._do_put(self._next, chunk)
 
 
 class _Scatter(_Stage):
@@ -372,22 +367,22 @@ class _Scatter(_Stage):
     def __init__(self, env, chunks, trace, meta, src, cpu):
         super().__init__(env, chunks, trace, meta, src, None, cpu)
 
-    def _got(self, event) -> None:
-        if event._value.t_scatter > 0:
-            super()._got(event)
+    def _got(self, chunk) -> None:
+        if chunk.t_scatter > 0:
+            super()._got(chunk)
         else:
             self._next(None)
 
-    def _granted(self, _event) -> None:
+    def _granted(self, _value) -> None:
         self._start = self.env._now
-        Timeout(self.env, self._chunk.t_scatter).callbacks.append(self._scattered)
+        self.env.call_later(self._chunk.t_scatter, self._scattered)
 
-    def _scattered(self, _event) -> None:
+    def _scattered(self, _value) -> None:
         self.trace.record(
             "cpu", STAGE_WRITEBACK_SCATTER, self._start, self.env._now,
             chunk=self._chunk.index, **self.meta,
         )
-        self.res._do_release(self._grant)
+        self.res._do_release(self)
         self._next(None)
 
 

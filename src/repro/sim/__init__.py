@@ -1,13 +1,18 @@
 """Discrete-event simulation engine.
 
-A minimal SimPy-like kernel purpose-built for this reproduction: events
-(timeouts, resource requests, store gets, flag waits, semaphore acquires,
-``all_of``) run their callbacks when they fire. The BigKernel pipeline's
-stages, the DMA engine, the PCIe link and the UVM engine are chains of
-callbacks competing for :class:`~repro.sim.resources.Resource` objects on
-one shared timeline; a run goes until no event is left. Simulated
-*processes*, Python generators that ``yield`` events and are resumed
-when those events fire, stay for tests and user code::
+A minimal SimPy-like kernel purpose-built for this reproduction. A heap
+entry carries the code it runs: popping ``(time, priority, eid, step,
+value)`` calls ``step(value)``, and an event (pushed with no step) runs
+its callbacks. The BigKernel pipeline's stages, the DMA engine, the PCIe
+link and the UVM engine are *chains*: callback-driven activities whose
+every wait (a delay, a resource grant, a store hand-off, a ring permit, a
+flag) pushes the chain's next step, with no event built for it. They
+compete for :class:`~repro.sim.resources.Resource` objects on one shared
+timeline, and a run goes until no entry is left. Each primitive keeps one
+FIFO waiter queue for both kinds of waiter, so events and steps are
+granted in arrival order. Simulated *processes*, Python generators that
+``yield`` events and are resumed when those events fire, stay for tests
+and user code::
 
     from repro.sim import Environment, Resource, Store, Flag, Semaphore
 

@@ -5,61 +5,72 @@ of scheduled events, generator-based processes) but is intentionally small:
 only the features the BigKernel pipeline model needs are implemented, and
 each of those features is tested directly. The pipeline
 (``repro.runtime.pipeline``, ``repro.runtime.multigpu``), the PCIe link and
-the UVM engine use completion events, timeouts, :class:`AllOf` and one way
-to run: until the heap drains. None of them runs a :class:`Process`: each
-of their activities is a chain of callbacks (below). Processes stay for
-tests and user code.
+the UVM engine run no :class:`Process`: each of their activities is a
+*chain* of steps (below). Processes, :class:`AllOf` and the event API stay
+for tests and user code.
 
-Determinism: ties in time are broken first by event *priority* (``URGENT``
-before ``NORMAL``) and then by schedule order, so repeated runs of the same
+Determinism: ties in time are broken first by entry *priority* (``URGENT``
+before ``NORMAL``) and then by push order, so repeated runs of the same
 model produce identical timelines.
 
-Performance: this module is the simulator's hot loop. Every chunk of every
-pipeline stage turns into a handful of events here, and DES-bound workloads
+Performance: this module is the simulator's hot loop. DES-bound workloads
 (sweeps, traced, verified or faulted runs) spend most of their wall-clock
-inside :meth:`Environment.run`. Three things keep a chunk cheap:
+inside :meth:`Environment.run`, so a simulated chunk should cost its heap
+entries and little else. :class:`Timeout` and :meth:`Event.succeed` push
+their entries inline, with no call through :meth:`Environment.schedule`.
 
-* **Inline pushes.** Heap entries are pushed where they are made, with
-  no call through :meth:`Environment.schedule`: by :class:`Timeout`,
-  :meth:`Event.succeed` and :class:`Initialize`.
-  The :class:`~repro.sim.resources.Request`,
-  :class:`~repro.sim.stores.StorePut` and :class:`~repro.sim.stores.StoreGet`
-  constructors flatten ``Event.__init__`` and push an immediate grant or
-  hand-off through that inlined ``succeed``. Each push builds the entry
-  ``schedule`` would have built, at the same moment.
-* **No process where a callback chain will do.** :class:`Initialize`
-  takes a start callback: a :class:`Process` passes its resume callback,
-  and every activity of the models passes the first step of a chain of
-  callbacks: a DMA (:class:`~repro.hw.pcie.Transfer`, the most-repeated
-  action on the timeline), each pipeline stage
-  (``repro.runtime.pipeline``), and UVM's kernel and page migrations
-  (``repro.engines.uvm``). A chain is an event with ``__slots__`` whose
-  steps are bound methods; a step runs when the event it waits on pops.
-  It pushes exactly the entries a generator process doing the same would
-  push (its URGENT start, every event it makes, its NORMAL completion),
-  without a generator, its frames or its resumes. A failed DMA fails the
-  chain waiting on it, so :meth:`Environment.run` raises at the same pop.
-  No chain keeps its own bound methods: one kept on its instance is a
-  reference cycle, and the run's trace would wait for the cyclic
-  collector instead of dying with the result.
-* **Unobservable events stay off the heap.** Popping an event sets the
-  clock to its time and runs its callbacks. A succeeded zero-delay event
-  that nothing can ever wait on therefore changes nothing when popped,
-  and needs no heap trip.
-  A resource is released without an event (nothing could wait on one),
-  and a *detached* DMA that lands with no waiter completes in place: its
-  value is set and it is marked processed without a push. The DMA engine
-  detaches the two transfers of a flagged copy, whose consumer waits on
-  the flag, never on them.
+**A heap entry carries the code it runs.** An entry is ``(time, priority,
+eid, step, value)``. Popping it sets the clock to ``time`` and calls
+``step(value)``. An event is pushed as ``(time, priority, eid, None,
+event)``, and the loop fires it inline, as an event loop with no steps
+would: its callbacks run with the event, and a failure nothing handled
+raises out of :meth:`Environment.run`. ``_eid`` counts pushes; it is the
+tie-break, so no comparison ever reaches a step.
 
-The invariant is on the heap entries that remain: they keep their
-relative ``(time, priority, eid)`` order, because every push still takes
-the next ``_eid`` at the moment the straightforward implementation would
-have scheduled it. Dropping an entry that runs no callback cannot reorder
-the others, so every timeline is unchanged
-(``tests/test_sim_golden_trace.py`` pins the interval order of every DES
-user, and ``tests/test_calibration_lock.py`` the calibrated times). The
-``_eid`` counter counts heap pushes, nothing else.
+**A chain waits without an event.** A chain is one of the models'
+callback-driven activities (a pipeline stage, a DMA, UVM's kernel and its
+page migrations); a step is its next bound method. Every wait a chain
+makes pushes its next step, directly or when the wait is granted:
+
+* its start is :meth:`Environment.start`, an URGENT entry ahead of the
+  same-time NORMAL ones (a :class:`Process` starts the same way);
+* a delay is :meth:`Environment.call_later`, the entry a
+  :class:`Timeout` would push, with no :class:`Timeout`;
+* a resource grant, a store hand-off, a semaphore permit and a flag
+  wake-up go through the primitive's waiter queue (below), which pushes
+  the step at the grant, with the granted value.
+
+Each wait pushes the entry a generator process doing the same pushed, at
+the same moment, with the same priority and the next ``_eid``, so the
+entries keep their ``(time, priority, eid)`` order and no timeline moves;
+it just builds no event, callbacks list or generator frame for it. Waits
+that more than one party may see stay events: a DMA
+(:class:`~repro.hw.pcie.Transfer`, which UVM joins after it lands), and
+each chain's own completion, whose NORMAL entry raises a failed DMA out of
+:meth:`Environment.run`.
+
+**One waiter queue per primitive.** :class:`~repro.sim.resources.Resource`,
+:class:`~repro.sim.stores.Store`, :class:`~repro.sim.sync.Semaphore` and
+:class:`~repro.sim.sync.Flag` each queue their waiters FIFO in one queue,
+whatever their kind, and wake each through :meth:`Environment.grant`: an
+event from the ``request()``/``get()``/``put()``/``acquire()``/``wait()``
+API is succeeded at its grant, and a step is pushed with the granted
+value. So grants are FIFO across both kinds.
+
+**Nothing kept alive.** A step is a bound method held only while its entry
+is queued or it waits in a primitive. No chain keeps its own bound methods
+on itself: that would be a reference cycle, and a finished run's trace
+would wait for the cyclic collector instead of dying with the result.
+
+**Unobservable events stay off the heap.** A resource is released without
+an entry (nothing could wait on one), and a *detached* DMA that lands with
+no waiter completes in place: its value is set and it is marked processed
+without a push. The DMA engine detaches the two transfers of a flagged
+copy, whose consumer waits on the flag, never on them. Dropping an entry
+that runs nothing cannot reorder the others
+(``tests/test_sim_golden_trace.py`` pins the interval order and the popped
+``(time, priority, eid)`` sequence of every DES user, and
+``tests/test_calibration_lock.py`` the calibrated times).
 """
 
 from __future__ import annotations
@@ -72,11 +83,14 @@ from repro.errors import SimulationError
 #: Sentinel for "event has not yet been given a value".
 PENDING = object()
 
-#: Priority for events that must fire before same-time normal events
-#: (the :class:`Initialize` that starts a process or a DMA).
+#: Priority for entries that must run before same-time normal ones (the
+#: start of a chain or a process).
 URGENT = 0
-#: Default event priority.
+#: Default entry priority.
 NORMAL = 1
+
+#: A step: called with the value its entry carries.
+Step = Callable[[Any], None]
 
 
 class Event:
@@ -134,7 +148,7 @@ class Event:
         env = self.env
         eid = env._eid + 1
         env._eid = eid
-        heappush(env._queue, (env._now, NORMAL, eid, self))
+        heappush(env._queue, (env._now, NORMAL, eid, None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -170,9 +184,9 @@ class Timeout(Event):
     ):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Flattened Event.__init__ + env.schedule: timeouts are by far the
-        # most-constructed event, and the heap entry below is identical to
-        # what schedule() would push (same _eid sequence, same tuple).
+        # Flattened Event.__init__ + env.schedule: the heap entry below is
+        # identical to what schedule() would push (same _eid sequence,
+        # same tuple).
         self.env = env
         self.callbacks = []
         self._value = value
@@ -181,28 +195,18 @@ class Timeout(Event):
         self.delay = delay
         eid = env._eid + 1
         env._eid = eid
-        _heappush(env._queue, (env._now + delay, _NORMAL, eid, self))
+        _heappush(env._queue, (env._now + delay, _NORMAL, eid, None, self))
 
 
-class Initialize(Event):
-    """Internal URGENT event that runs ``start`` now, ahead of same-time
-    NORMAL events.
-
-    A :class:`Process` passes its resume callback; a callback-driven
-    activity such as :class:`~repro.hw.pcie.Transfer` passes its first step.
-    """
+class _Started:
+    """What a process's first resume reads: a success with no value."""
 
     __slots__ = ()
+    _ok = True
+    _value = None
 
-    def __init__(self, env: "Environment", start: Callable[[Event], None]):
-        self.env = env
-        self.callbacks = [start]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        eid = env._eid + 1
-        env._eid = eid
-        heappush(env._queue, (env._now, URGENT, eid, self))
+
+_STARTED = _Started()
 
 
 class Process(Event):
@@ -210,7 +214,8 @@ class Process(Event):
 
     The process *is* an event: it triggers with the generator's return value
     when the generator finishes, so other processes can ``yield proc`` to
-    join on it.
+    join on it. It starts by a step, the URGENT entry of
+    :meth:`Environment.start`.
     """
 
     __slots__ = ("_generator", "name", "_resume_cb")
@@ -225,7 +230,7 @@ class Process(Event):
         #: the bound resume callback, created once — appending ``_resume``
         #: directly would allocate a fresh bound method per wait
         self._resume_cb = self._resume
-        Initialize(env, self._resume_cb)
+        env.start(self._resume_cb, _STARTED)
         self.name = getattr(generator, "__name__", "process")
 
     # -- engine internals ---------------------------------------------------
@@ -303,13 +308,16 @@ class AllOf(Event):
 
 
 class Environment:
-    """Owns the simulated clock and the pending event heap."""
+    """Owns the simulated clock and the pending entry heap."""
 
     __slots__ = ("_now", "_queue", "_eid")
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: ``(time, priority, eid, step, value)`` entries; ``step`` is None
+        #: for an event, which is then the value
+        self._queue: list[tuple[float, int, int, Optional[Step], Any]] = []
+        #: heap pushes so far: the next entry's tie-break
         self._eid = 0
 
     @property
@@ -340,18 +348,48 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, None, event))
+
+    def start(self, step: Step, value: Any = None) -> None:
+        """Run ``step(value)`` now, ahead of the same-time NORMAL entries:
+        how a chain or a process starts."""
+        eid = self._eid + 1
+        self._eid = eid
+        heappush(self._queue, (self._now, URGENT, eid, step, value))
+
+    def call_later(self, delay: float, step: Step, value: Any = None) -> None:
+        """Run ``step(value)`` ``delay`` seconds from now: how a chain
+        waits out a delay, with the entry a :class:`Timeout` of that delay
+        would push."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        eid = self._eid + 1
+        self._eid = eid
+        heappush(self._queue, (self._now + delay, NORMAL, eid, step, value))
+
+    def grant(self, waiter: Any, value: Any = None) -> None:
+        """Wake ``waiter`` now with ``value``: succeed it if it is an event,
+        push it if it is a step. Every primitive grants through here."""
+        if isinstance(waiter, Event):
+            waiter.succeed(value)
+            return
+        eid = self._eid + 1
+        self._eid = eid
+        heappush(self._queue, (self._now, NORMAL, eid, waiter, value))
 
     def run(self) -> None:
-        """Process events in ``(time, priority, eid)`` order until the
-        queue drains.
+        """Run entries in ``(time, priority, eid)`` order until the heap
+        drains.
 
         An event that fails with nothing to handle its failure raises out
         of ``run``.
         """
         queue = self._queue  # bound to a local: this is the hot loop
         while queue:
-            self._now, _, _, event = heappop(queue)
+            self._now, _, _, step, event = heappop(queue)
+            if step is not None:
+                step(event)
+                continue
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

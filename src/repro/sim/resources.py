@@ -1,17 +1,23 @@
 """Counted resources with FIFO queuing.
 
-A :class:`Resource` models a device that at most ``capacity`` processes may
+A :class:`Resource` models a device that at most ``capacity`` holders may
 hold at once — the PCIe link, a DMA engine channel, a CPU core, the GPU's
 SM array. Requests are granted strictly in arrival order, which keeps the
 in-order DMA property the BigKernel synchronization protocol relies on.
-A holder releases its unit by leaving the request's ``with`` block (a
-callback-driven holder such as a DMA calls :meth:`Resource._do_release`);
-a release is not an event, since nothing waits on it.
+
+A waiter is either a :class:`Request` (``request()``, which a process
+yields and which holds the unit it is granted) or a chain's step (a
+bound method passed to :meth:`Resource._do_request`, whose object holds
+the unit as itself). Both kinds wait in one FIFO queue and are granted by
+one routine. A holder releases its unit by leaving the request's ``with``
+block, or by :meth:`Resource._do_release` with itself; a release is not
+an event, since nothing waits on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.core import PENDING, Environment, Event
@@ -60,8 +66,10 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name or f"resource@{id(self):#x}"
-        self._users: list[Request] = []
-        self._waiting: deque[Request] = deque()
+        #: current holders: granted requests, and chains holding as themselves
+        self._users: list[Any] = []
+        #: requests and steps waiting, in arrival order
+        self._waiting: deque[Any] = deque()
 
     @property
     def count(self) -> int:
@@ -70,7 +78,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for the resource."""
+        """Number of waiters for the resource."""
         return len(self._waiting)
 
     def request(self) -> Request:
@@ -78,25 +86,34 @@ class Resource:
         return Request(self)
 
     # -- internals ----------------------------------------------------------
-    def _do_request(self, request: Request) -> None:
+    def _do_request(self, waiter: Any) -> None:
+        """Queue ``waiter``, a :class:`Request` or a chain's step, and grant
+        it at once if a unit is free and nobody waits."""
         if len(self._users) < self.capacity and not self._waiting:
-            self._users.append(request)
-            request.succeed(None)
+            self._grant(waiter)
         else:
-            self._waiting.append(request)
+            self._waiting.append(waiter)
 
-    def _do_release(self, request: Request) -> None:
-        if request in self._users:
-            self._users.remove(request)
-        elif request in self._waiting:
+    def _grant(self, waiter: Any) -> None:
+        """Give ``waiter`` a unit: a request holds it, a step's chain holds
+        it as itself."""
+        self._users.append(
+            waiter if isinstance(waiter, Event) else waiter.__self__
+        )
+        self.env.grant(waiter)
+
+    def _do_release(self, holder: Any) -> None:
+        """Return ``holder``'s unit (a request withdraws if still waiting)
+        and grant the freed units FIFO."""
+        if holder in self._users:
+            self._users.remove(holder)
+        elif holder in self._waiting:
             # Releasing an ungranted request simply withdraws it.
-            self._waiting.remove(request)
+            self._waiting.remove(holder)
             return
         else:
             raise SimulationError(
                 f"release of a request that does not hold {self.name!r}"
             )
         while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            self._users.append(nxt)
-            nxt.succeed(None)
+            self._grant(self._waiting.popleft())

@@ -1,8 +1,11 @@
 """FIFO item stores for producer/consumer pipelines.
 
-A :class:`Store` carries discrete items between simulated processes — the
-BigKernel pipeline uses stores as the hand-off points between stages when a
-model wants queue semantics rather than raw flag signalling.
+A :class:`Store` carries discrete items between simulated activities —
+the BigKernel pipeline's stages hand their chunks on through bounded
+stores. A putter or a getter is either an event (``put()``/``get()``) or a
+chain's step (:meth:`Store._do_put`/:meth:`Store._do_get`); each side
+waits in one FIFO queue whatever its kind, and every hand-off goes through
+:meth:`~repro.sim.core.Environment.grant`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class StorePut(Event):
         self._ok = True
         self._defused = False
         self.item = item
-        store._do_put(self)
+        store._do_put(self, item)
 
 
 class StoreGet(Event):
@@ -46,7 +49,7 @@ class StoreGet(Event):
 
 
 class Store:
-    """Bounded FIFO queue of items with blocking put/get events."""
+    """Bounded FIFO queue of items with blocking put/get waiters."""
 
     def __init__(self, env: Environment, capacity: float = float("inf"), name: str = ""):
         if capacity <= 0:
@@ -55,8 +58,10 @@ class Store:
         self.capacity = capacity
         self.name = name or f"store@{id(self):#x}"
         self.items: deque[Any] = deque()
-        self._putters: deque[StorePut] = deque()
-        self._getters: deque[StoreGet] = deque()
+        #: blocked ``(putter, item)`` pairs, in arrival order
+        self._putters: deque[tuple[Any, Any]] = deque()
+        #: blocked getters, in arrival order
+        self._getters: deque[Any] = deque()
 
     @property
     def level(self) -> int:
@@ -72,29 +77,34 @@ class Store:
         return StoreGet(self)
 
     # -- internals ----------------------------------------------------------
-    def _do_put(self, event: StorePut) -> None:
+    def _do_put(self, putter: Any, item: Any) -> None:
+        """Offer ``item`` for ``putter``, a :class:`StorePut` or a chain's
+        step, which is granted (with None) once the store accepts it."""
+        grant = self.env.grant
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(event.item)
-            event.succeed(None)
+            grant(self._getters.popleft(), item)
+            grant(putter)
         elif len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed(None)
+            self.items.append(item)
+            grant(putter)
         else:
-            self._putters.append(event)
+            self._putters.append((putter, item))
 
-    def _do_get(self, event: StoreGet) -> None:
+    def _do_get(self, getter: Any) -> None:
+        """Take the oldest item for ``getter``, a :class:`StoreGet` or a
+        chain's step, which is granted with the item."""
+        grant = self.env.grant
         if self.items:
-            event.succeed(self.items.popleft())
+            grant(getter, self.items.popleft())
             # Space freed: admit the oldest blocked putter.
             if self._putters:
-                putter = self._putters.popleft()
-                self.items.append(putter.item)
-                putter.succeed(None)
+                putter, item = self._putters.popleft()
+                self.items.append(item)
+                grant(putter)
         elif self._putters:
-            putter = self._putters.popleft()
-            event.succeed(putter.item)
-            putter.succeed(None)
+            putter, item = self._putters.popleft()
+            grant(getter, item)
+            grant(putter)
         else:
-            self._getters.append(event)
+            self._getters.append(getter)

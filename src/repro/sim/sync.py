@@ -23,7 +23,9 @@ class Flag:
     """A memory flag one side sets and the other busy-waits on.
 
     Re-armable: after :meth:`clear` the flag can be set again, which is how
-    the per-chunk ready flags in the pipeline are reused.
+    the per-chunk ready flags in the pipeline are reused. A waiter is an
+    event (:meth:`wait`) or a chain's step (:meth:`_do_wait`); both wait in
+    one FIFO queue.
     """
 
     def __init__(self, env: Environment, name: str = ""):
@@ -31,7 +33,7 @@ class Flag:
         self.name = name or f"flag@{id(self):#x}"
         self._set = False
         self._value: Any = None
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Any] = deque()
 
     @property
     def is_set(self) -> bool:
@@ -41,8 +43,9 @@ class Flag:
         """Set the flag, waking every current waiter."""
         self._set = True
         self._value = value
-        while self._waiters:
-            self._waiters.popleft().succeed(value)
+        waiters = self._waiters
+        while waiters:
+            self.env.grant(waiters.popleft(), value)
 
     def clear(self) -> None:
         """Re-arm the flag for the next chunk iteration."""
@@ -52,11 +55,16 @@ class Flag:
     def wait(self) -> Event:
         """Event that fires when (or immediately if) the flag is set."""
         ev = Event(self.env)
-        if self._set:
-            ev.succeed(self._value)
-        else:
-            self._waiters.append(ev)
+        self._do_wait(ev)
         return ev
+
+    def _do_wait(self, waiter: Any) -> None:
+        """Wake ``waiter``, an event or a chain's step, with the flag's
+        value once it is set (now, if it is)."""
+        if self._set:
+            self.env.grant(waiter, self._value)
+        else:
+            self._waiters.append(waiter)
 
 
 class Semaphore:
@@ -65,7 +73,8 @@ class Semaphore:
     The BigKernel buffer instances form a ring: a stage may not produce into
     buffer slot *n* before the consumer of slot *n - depth* has finished.
     That is exactly ``acquire``/``release`` on a semaphore initialized to
-    the ring depth.
+    the ring depth. A waiter is an event (:meth:`acquire`) or a chain's
+    step (:meth:`_do_acquire`); both wait in one FIFO queue.
     """
 
     def __init__(self, env: Environment, value: int, name: str = ""):
@@ -74,7 +83,7 @@ class Semaphore:
         self.env = env
         self.name = name or f"semaphore@{id(self):#x}"
         self._value = value
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Any] = deque()
 
     @property
     def value(self) -> int:
@@ -83,12 +92,17 @@ class Semaphore:
     def acquire(self) -> Event:
         """Take one permit; fires when a permit is available."""
         ev = Event(self.env)
+        self._do_acquire(ev)
+        return ev
+
+    def _do_acquire(self, waiter: Any) -> None:
+        """Grant ``waiter``, an event or a chain's step, a permit now or
+        once one is released."""
         if self._value > 0:
             self._value -= 1
-            ev.succeed(None)
+            self.env.grant(waiter)
         else:
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append(waiter)
 
     def release(self, n: int = 1) -> None:
         """Return ``n`` permits, waking blocked acquirers FIFO."""
@@ -96,6 +110,6 @@ class Semaphore:
             raise SimulationError(f"release count must be >= 1, got {n}")
         for _ in range(n):
             if self._waiters:
-                self._waiters.popleft().succeed(None)
+                self.env.grant(self._waiters.popleft())
             else:
                 self._value += 1

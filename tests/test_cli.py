@@ -140,6 +140,26 @@ class TestCli:
         xs = [e for e in events if e.get("ph") == "X"]
         assert xs and all(e["dur"] >= 0 for e in xs)
 
+    def test_trace_exits_nonzero_on_a_broken_timeline(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """A timeline that breaks a pipeline invariant fails the command
+        and is not written."""
+        from repro.engines import BigKernelEngine
+
+        run = BigKernelEngine.run
+
+        def lost_byte(self, app, data, config):
+            res = run(self, app, data, config)
+            res.metrics.bytes_h2d -= 1  # the link moved more than counted
+            return res
+
+        monkeypatch.setattr(BigKernelEngine, "run", lost_byte)
+        out_file = tmp_path / "trace.json"
+        assert main(["trace", "kmeans", "--out", str(out_file), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert "violates pipeline invariants" in err and "violation" in err
+        assert not out_file.exists()
+
     def test_verify_quick_passes(self, capsys):
         assert main(["verify", "--quick", "--fuzz-iters", "2",
                      "--data-mib", "1"]) == 0

@@ -203,8 +203,17 @@ class TestEngineConfig:
             EngineConfig(ring_depth=1)
 
     def test_with_override(self):
-        cfg = EngineConfig().with_(num_blocks=4)
+        base = EngineConfig(num_blocks=8)
+        hash(base)  # the base keeps its hash on the instance
+        cfg = base.with_(num_blocks=4, ring_depth=2)
         assert cfg.num_blocks == 4
+        assert cfg == replace(base, num_blocks=4, ring_depth=2)
+        assert hash(cfg) == hash(EngineConfig(num_blocks=4, ring_depth=2))
+        with pytest.raises(RuntimeConfigError):
+            base.with_(ring_depth=1)
+        for unknown in ({"nope": 1}, {"_hash": 0}):
+            with pytest.raises(TypeError):
+                base.with_(**unknown)
 
     def test_speedup_helper(self, runs):
         _, r = runs["kmeans"]

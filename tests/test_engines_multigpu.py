@@ -273,6 +273,41 @@ class TestFaultPlans:
         assert audit_sharded_run(res) == []
 
 
+class TestPinnedPressure:
+    """The shards allocate their buffers from one host pool, so under
+    ``pinned.deny`` each plans against its share of the budget, and the
+    run degrades, or falls back to double buffering, as ``bigkernel``
+    does."""
+
+    CHUNK = CFG.with_(chunk_bytes=256 * KiB)
+
+    @staticmethod
+    def _wordcount():
+        app = get_app("wordcount")
+        return app, app.generate(n_bytes=1 * MiB, seed=7)
+
+    def test_shards_split_the_denied_budget(self):
+        app, data = self._wordcount()
+        cfg = self.CHUNK.with_(faults=FaultPlan().pinned.deny(after_bytes=1 * MiB))
+        single = BigKernelEngine().run(app, data, cfg)
+        sharded = MultiGpuBigKernelEngine(n_gpus=2).run(app, data, cfg)
+        blocks = single.metrics.notes["degradations"]["blocks_shrunk_to"]
+        shard_blocks = sharded.metrics.notes["degradations"]["blocks_shrunk_to"]
+        # two shards' buffer sets fit where one run's did
+        assert 2 * shard_blocks <= blocks
+        assert app.outputs_equal(single.output, sharded.output)
+
+    def test_no_buffer_set_fits_falls_back_to_gpu_double(self):
+        app, data = self._wordcount()
+        cfg = self.CHUNK.with_(faults=FaultPlan().pinned.deny(after_bytes=64 * KiB))
+        res = MultiGpuBigKernelEngine(n_gpus=2).run(app, data, cfg)
+        assert res.engine == "gpu_double"
+        assert res.metrics.notes["degraded_from"] == "bigkernel_multigpu2"
+        assert "pinned-memory-pressure" in res.metrics.notes["degraded_reason"]
+        oracle = CpuSerialEngine().run(app, data, CFG)
+        assert app.outputs_equal(oracle.output, res.output)
+
+
 class TestPredictorCornerGeometries:
     """The worst fill/drain corners of the fuzz draw space, pinned.
 

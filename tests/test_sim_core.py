@@ -368,7 +368,7 @@ def test_each_event_is_one_heap_push():
 
     env.process(proc(env))
     env.run()
-    # an Initialize, three timeouts and the process's completion
+    # the process's start, three timeouts and its completion
     assert env._eid == 5
 
 
@@ -387,7 +387,7 @@ def test_with_block_release_pushes_no_event():
     env.process(user(env, "b"))
     env.run()
     assert order == [("a", 0.0), ("b", 1.0)]
-    # per user an Initialize, a grant, a timeout and its completion; the
+    # per user a start, a grant, a timeout and its completion; the
     # releases push nothing
     assert env._eid == 8
     assert res.count == 0
