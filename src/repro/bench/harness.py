@@ -1,17 +1,18 @@
 """The run matrix: every app x engine comparison, cross-checked.
 
 :func:`run_matrix` is the one code path that runs an app x engine
-comparison and checks it: the figures' five-scheme matrix, ``repro run``
-and both ``repro bench`` ladders (:mod:`repro.bench.uvm`,
-:mod:`repro.bench.multigpu`) each make one call to it and only add their
-own tables.
+comparison and checks it: the figures' five-scheme matrix, ``repro run``,
+both ``repro bench`` ladders (:mod:`repro.bench.uvm`,
+:mod:`repro.bench.multigpu`) and the ``repro verify`` pillars that run
+engine cells each make one or more calls to it and only add their own
+tables or grades.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.apps import ALL_APPS
 from repro.apps.base import Application, is_registered
@@ -26,6 +27,9 @@ from repro.bench.jobs import (
 from repro.engines import ALL_ENGINES, EngineConfig, RunResult
 from repro.errors import ValidationFailure
 from repro.units import MiB
+
+if TYPE_CHECKING:
+    from repro.verify.differential import Report
 
 
 @dataclass
@@ -50,6 +54,9 @@ class Matrix:
     engines: tuple
     seed: int
     data_bytes: int
+    #: the grades (:func:`repro.verify.differential.grade`), one
+    #: :class:`~repro.verify.differential.Cell` per result, in run order
+    report: Report
 
     def get(self, app: str, engine: str) -> RunResult:
         return self.results[(app, engine)]
@@ -73,7 +80,7 @@ def run_matrix(
     jobs: Optional[int] = 1,
 ) -> Matrix:
     """Run every engine on every app, each cell on its own freshly
-    generated dataset of the recipe, and cross-check the outputs.
+    generated dataset of the recipe, and grade every cell.
 
     A fresh dataset per cell makes each cell run its own functional pass:
     on a shared one every engine after the first would return the first
@@ -83,11 +90,17 @@ def run_matrix(
     cells out through :func:`repro.bench.jobs.run_ordered`, which counts
     them as DES-bound (unified-memory paging has no analytic fast path,
     and a shared root complex runs one joint DES); the results come back
-    in cell order whatever ran them. Raises
-    :class:`~repro.errors.ValidationFailure` when a cell's output differs
-    from the first engine's on the same app, or, with
-    ``settings.check_invariants``, when its timeline breaks an invariant.
+    in cell order whatever ran them.
+
+    Every cell is graded (:func:`repro.verify.differential.grade`): its
+    output against the first engine's cell on the same app and, with
+    ``settings.check_invariants``, its timeline against the invariant
+    checkers. The grades stay on the matrix as its ``report``. Raises
+    :class:`~repro.errors.ValidationFailure`, carrying the graded matrix,
+    when a cell fails.
     """
+    from repro.verify.differential import Report, grade
+
     settings = settings or BenchSettings()
     apps = tuple(apps) if apps is not None else tuple(cls() for cls in ALL_APPS)
     engines = (
@@ -123,6 +136,14 @@ def run_matrix(
         specs=specs,
         worker=partial(run_jobspec, fresh=True),
     )
+    ref_engine = engines[0].name
+    report = Report(f"matrix vs {ref_engine}")
+    for (app, engine), res in zip(cells, results):
+        if engine is engines[0]:  # each app's cells start with its reference
+            ref = res
+        report.cells.append(
+            grade(app, engine.name, ref, res, config, settings.check_invariants)
+        )
     matrix = Matrix(
         results={
             (app.name, engine.name): res
@@ -132,38 +153,13 @@ def run_matrix(
         engines=tuple(e.name for e in engines),
         seed=seed,
         data_bytes=data_bytes,
+        report=report,
     )
-    _check(matrix, apps, config, settings.check_invariants)
+    if report.mismatches:
+        first = report.mismatches[0]
+        raise ValidationFailure(
+            f"{first.engine} fails against {ref_engine} on {first.app}\n"
+            f"{report.summary()}",
+            matrix,
+        )
     return matrix
-
-
-def _check(
-    matrix: Matrix, apps: tuple, config: EngineConfig, check_invariants: bool
-) -> None:
-    """Compare every cell's output with the first engine's cell on the same
-    app and, when asked, audit every cell's timeline; raise on the first
-    failure."""
-    from repro.verify.invariants import audit_sharded_run, verify_run
-
-    for app in apps:
-        ref = None
-        for engine in matrix.engines:
-            res = matrix.get(app.name, engine)
-            if ref is None:
-                ref = res
-            elif config.functional and not app.outputs_equal(ref.output, res.output):
-                raise ValidationFailure(
-                    f"{engine} output differs from {ref.engine} on {app.name}"
-                )
-            if not check_invariants:
-                continue
-            if getattr(res, "shard_details", None) is not None:
-                problems = "; ".join(audit_sharded_run(res))
-            else:
-                report = verify_run(res, config)
-                problems = "" if report.ok else report.summary()
-            if problems:
-                raise ValidationFailure(
-                    f"{engine} timeline on {app.name} violates pipeline "
-                    f"invariants:\n{problems}"
-                )

@@ -9,7 +9,9 @@ every GPU count, dedicated or shared links, with three cross-checks
 folded into the sweep itself:
 
 * **merged-output equality** — every K-GPU cell's functional output must
-  be bit-equal (``outputs_equal``, rtol 0) to the single-GPU run;
+  equal the single-GPU run's under the app's ``outputs_equal``: bit for
+  bit on every app but Netflix, whose fp64 moment table is merged in
+  shard order and matches within its 1e-9 tolerance;
 * **per-shard invariants** (``verify_shards=True``) — each cell runs as
   a true DES and every shard's trace is audited by the standard pipeline
   checkers (capacity, ordering, backpressure, byte conservation);
@@ -141,8 +143,9 @@ def run_multigpu_scaling(
 
     :func:`~repro.bench.harness.run_matrix` cross-checks every K-GPU
     cell's functional output against the single-GPU cell of the same
-    ladder — sharding plus the merge stage must be invisible to the
-    result, bit for bit. ``verify_shards=True`` is its
+    ladder under the app's ``outputs_equal`` — sharding plus the merge
+    stage must be invisible to the result (bit for bit but for Netflix's
+    shard-order fp64 sums). ``verify_shards=True`` is its
     ``check_invariants``: every cell runs through the true DES (the
     closed-form fastpath is proven time-identical) and each shard's trace
     is audited. The analytic shard model prices every cell. ``jobs`` fans

@@ -106,5 +106,13 @@ class VerificationError(ReproError):
     """A simulated timeline or differential run violated a checked law."""
 
 
-class ValidationFailure(ReproError):
-    """An engine produced output that does not match the CPU reference."""
+class ValidationFailure(VerificationError):
+    """A cell of an app x engine matrix broke a checked law: its output
+    differs from the reference cell's, or its timeline breaks an
+    invariant. ``matrix`` is the graded
+    :class:`~repro.bench.harness.Matrix`, whose ``report`` lists every
+    failing cell."""
+
+    def __init__(self, message: str, matrix=None):
+        super().__init__(message)
+        self.matrix = matrix

@@ -41,7 +41,7 @@ from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultCell, FaultReport
 from repro.units import MiB
-from repro.verify.invariants import verify_run
+from repro.verify.differential import grade
 
 
 def default_fault_grid(seed: int = 7) -> tuple[FaultPlan, ...]:
@@ -62,12 +62,14 @@ def _judge_outcome(
     """Score one faulted-run outcome against the oracle and the clean run.
 
     ``outcome`` is either a :class:`~repro.engines.base.RunResult` or the
-    typed :class:`~repro.errors.ReproError` the run raised. Splitting the
-    judge from the run is what lets serve mode grade outcomes that came
-    back through a live :class:`~repro.serve.Server` with the exact same
-    code that grades direct runs — the fingerprint contract depends on it.
+    typed :class:`~repro.errors.ReproError` the run raised. A result is
+    graded by :func:`repro.verify.differential.grade`, the grader of
+    every engine cell: its output against the oracle's, its timeline
+    against the invariant checkers. Splitting the judge from the run is
+    what lets serve mode grade outcomes that came back through a live
+    :class:`~repro.serve.Server` with the exact same code that grades
+    direct runs — the fingerprint contract depends on it.
     """
-    cfg = config.with_(faults=plan)
     cell = FaultCell(
         app=app.name,
         engine=engine_name,
@@ -84,22 +86,15 @@ def _judge_outcome(
         return cell
     res = outcome
     cell.fault_time = res.sim_time
-    problems = []
-    if not app.outputs_equal(ref.output, res.output):
-        problems.append("output mismatch vs cpu_serial")
-    if res.trace is not None:
-        inv = verify_run(res, cfg)
-        if not inv.ok:
-            problems.append(inv.summary())
     cell.degradations = dict(res.metrics.notes.get("degradations", {}))
     if "degraded_from" in res.metrics.notes:
         cell.degradations["fallback"] = (
             f"{res.metrics.notes['degraded_from']}->{res.engine}"
         )
     cell.stats = dict(res.metrics.notes.get("fault_stats", {}))
-    if problems:
-        cell.ok = False
-        cell.detail = "; ".join(problems)
+    graded = grade(app, engine_name, ref, res, config.with_(faults=plan),
+                   audit=True)
+    cell.ok, cell.detail = graded.ok, graded.detail
     return cell
 
 

@@ -391,10 +391,11 @@ def bigkernel_launch(
     it, and on the tree-walking interpreter otherwise.
 
     With ``verify=True`` the launch is double-checked after the run: the
-    pipeline timeline goes through the trace invariant checkers and the
-    output is diffed against a serial-oracle execution of the same kernel
-    (:mod:`repro.verify`); a :class:`~repro.errors.VerificationError` is
-    raised on any divergence.
+    run is graded against a serial-oracle execution of the same kernel by
+    :func:`repro.verify.differential.grade` (output diffed, pipeline
+    timeline through the trace invariant checkers), and the mapped
+    write-back is compared byte for byte; a
+    :class:`~repro.errors.VerificationError` is raised on any divergence.
     """
     cfg = config or EngineConfig()
     app = KernelApplication(kernel, registry, resident, params, device_fns, spec)
@@ -404,23 +405,22 @@ def bigkernel_launch(
 
     from repro.engines.cpu_serial import CpuSerialEngine
     from repro.errors import VerificationError
-    from repro.verify.invariants import verify_run
+    from repro.verify.differential import grade
 
     # the interpreter mutates the mapped/resident arrays in place, so the
     # oracle must replay from the pre-launch state and the engine's final
     # state must win afterwards
     pre = _snapshot_state(app)
     result = eng.run(app, app.data, cfg)
-    verify_run(result, cfg).raise_if_failed()
     post = _snapshot_state(app)
     _restore_state(app, pre)
     oracle = CpuSerialEngine().run(app, app.data, cfg)
     oracle_post = _snapshot_state(app)
     _restore_state(app, post)
-    if not app.outputs_equal(oracle.output, result.output):
+    cell = grade(app, eng.name, oracle, result, cfg, audit=True)
+    if not cell.ok:
         raise VerificationError(
-            f"launch of {kernel.name!r}: {eng.name} output diverged from "
-            f"the serial oracle"
+            f"launch of {kernel.name!r} on {eng.name}: {cell.detail}"
         )
     if not np.array_equal(
         post[0].view(np.uint8), oracle_post[0].view(np.uint8)

@@ -6,17 +6,20 @@ run by default, five opt-in):
 * :mod:`repro.verify.invariants` — physical-law checkers over pipeline
   timelines (capacity, causality, backpressure, byte conservation);
   the ``invariants`` pillar runs them over BigKernel timelines;
-* :mod:`repro.verify.differential` — every engine vs the serial CPU
-  oracle, bit-for-bit (the ``differential`` and ``uvm`` pillars), plus
-  the opt-in oracle pillars: ``fastpath`` (the analytic steady-state
-  pipeline vs the DES, totals within 1e-9), ``compiled`` (the vectorized
-  kernel backend vs the interpreter), ``analytic`` (the closed-form
-  predictor vs the DES at 5% relative tolerance), ``multigpu`` (the
-  sharded scale-out engine vs the serial oracle, every shard's trace
-  invariant-checked, analytic shard predictions within tolerance) and
-  ``serve`` (every response of a live multi-tenant server bit-equal to a
-  fresh one-shot oracle). Each reports a :class:`Report` of
-  :class:`Cell` s;
+* :mod:`repro.verify.differential` — :func:`grade`, the one grader of
+  an engine cell (its output equal to the reference cell's under the
+  app's ``outputs_equal``, its timeline through the invariant checkers),
+  which :func:`repro.bench.harness.run_matrix` applies to every cell;
+  the ``differential`` and ``uvm`` pillars are graded matrices of every
+  engine vs the serial CPU oracle. Plus the opt-in oracle pillars:
+  ``fastpath`` (the analytic steady-state pipeline vs the DES, totals
+  exactly equal), ``compiled`` (the vectorized kernel backend vs the
+  interpreter), ``analytic`` (the closed-form predictor vs the DES at 5%
+  relative tolerance), ``multigpu`` (the sharded scale-out engine vs the
+  serial oracle, every shard's trace invariant-checked, analytic shard
+  predictions within tolerance) and ``serve`` (every response of a live
+  multi-tenant server bit-equal to a fresh one-shot oracle). Each
+  reports a :class:`Report` of :class:`Cell` s;
 * :mod:`repro.verify.fuzz` — seeded random IR programs, pipeline
   schedules and UVM paging configurations through the compiler round
   trip, the compiled backend and the invariant checkers.
@@ -40,9 +43,10 @@ _EXPORTS = {
     "differential": (
         "Cell",
         "Report",
+        "grade",
+        "graded_matrix",
         "run_analytic_differential",
         "run_compiled_differential",
-        "run_differential",
         "run_fastpath_differential",
         "run_multigpu_differential",
         "run_serve_differential",

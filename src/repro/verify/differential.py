@@ -1,18 +1,21 @@
-"""Differential oracle: every engine must reproduce the serial CPU output.
+"""Differential oracles: every engine must reproduce the serial CPU output.
 
 All five execution schemes share one functional semantics (the chunked
 kernel path); they differ only in *when* data moves and *what* the timeline
 charges. The single-threaded :class:`~repro.engines.cpu_serial.CpuSerialEngine`
 is therefore a trusted oracle: it has no pipeline, no buffers, no overlap —
-nothing that a scheduling bug could corrupt. This module runs the full
-app × engine matrix against that oracle, compares outputs bit-for-bit
-(via each app's ``outputs_equal``, which is exact equality for integer
-outputs and tight-tolerance comparison for accumulated floats), and
-invariant-checks every BigKernel timeline on the side.
+nothing that a scheduling bug could corrupt.
 
-The other oracle pillars (fastpath, compiled, analytic, multigpu, serve)
-live here too, and every pillar reports through one shape: a
-:class:`Report` holding one :class:`Cell` per graded unit.
+:func:`grade` is the one grader of an engine cell. Its two laws — the
+output equals the reference cell's, the timeline passes the invariant
+checkers — grade every cell of :func:`repro.bench.harness.run_matrix`,
+and so every verify pillar that runs engine cells (invariants,
+differential, uvm, fastpath, multigpu and the UVM fuzz loop, each one or
+more :func:`graded_matrix` calls) and the chaos sweep's judge.
+
+The other oracle pillars (compiled, analytic, serve) live here too, and
+every pillar reports through one shape: a :class:`Report` holding one
+:class:`Cell` per graded unit.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 
 from repro.apps import ALL_APPS
 from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
-from repro.errors import VerificationError
+from repro.errors import ValidationFailure, VerificationError
 from repro.units import MiB
-from repro.verify.invariants import verify_run
+from repro.verify.invariants import audit_sharded_run, verify_run
 
 ORACLE = CpuSerialEngine.name
 
@@ -55,8 +58,9 @@ class Cell:
     engine: str
     ok: bool
     detail: str = ""
-    #: how the cell ran (``fast``/``des-fallback``, ``clean``/``fuzz``,
-    #: ``compiled``/``fallback``, ...); the headline counts cells per mode
+    #: how the cell ran (``traced``, ``fast``/``des-fallback``/
+    #: ``closed-form``, ``clean``/``fuzz``, ``compiled``/``fallback``, ...);
+    #: the headline counts cells per mode
     mode: str = ""
     #: a model's relative error against the DES, for pillars that price
     rel_err: Optional[float] = None
@@ -114,73 +118,58 @@ class Report:
             )
 
 
-def compare_outputs(app, reference, candidate) -> tuple[bool, str]:
-    """(equal?, detail) for one engine output against the oracle's."""
-    if app.outputs_equal(reference, candidate):
-        return True, ""
-    return False, (
-        f"oracle={describe_output(reference)} vs "
-        f"engine={describe_output(candidate)}"
-    )
+def grade(app, engine: str, ref, res, config, audit: bool) -> Cell:
+    """Grade one engine cell, ``res`` (the run of ``engine`` on ``app``
+    under ``config``), by the two laws every check applies.
 
-
-def run_differential(
-    data_bytes: int = 2 * MiB,
-    seed: int = 7,
-    config: Optional[EngineConfig] = None,
-    apps: Optional[Iterable] = None,
-    engines: Optional[Iterable] = None,
-    check_invariants: bool = True,
-    traced_engines: tuple = ("bigkernel",),
-) -> Report:
-    """Run every engine on every app and diff against the serial oracle.
-
-    Each engine runs on its own freshly generated dataset of the recipe, so
-    each cell's functional pass runs at that engine's own chunking.
-    ``apps``/``engines`` accept instances (defaults: all seven apps, all five
-    schemes). Timelines of engines named in ``traced_engines`` additionally
-    pass through the invariant checkers when ``check_invariants`` is set
-    (default: BigKernel only; the UVM pillar passes the uvm family); those
-    cells run in mode ``traced``, and a violated timeline marks the cell
-    as a mismatch even if the output agreed.
+    * **Output** — with ``config.functional``, the output equals the
+      reference cell ``ref``'s under ``app.outputs_equal``. That is exact
+      equality for integer outputs but a tight absolute tolerance for
+      accumulated floats, so the law is not bit-equality everywhere:
+      Netflix's fp64 moment table, merged in shard order on a multi-GPU
+      fabric, differs from ``cpu_serial``'s in its last bits (the other
+      apps' merged outputs are bit-equal). The reference cell itself
+      (``res is ref``) has no output to check.
+    * **Timeline** — with ``audit``, a sharded run passes
+      :func:`~repro.verify.invariants.audit_sharded_run` shard by shard,
+      and any other run that recorded a trace passes
+      :func:`~repro.verify.invariants.verify_run` against ``config``; the
+      cell's mode is then ``traced``. A closed form has no timeline to
+      audit.
     """
-    config = config or EngineConfig(chunk_bytes=512 * 1024)
-    apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
-    engines = (
-        list(engines) if engines is not None else [cls() for cls in ALL_ENGINES]
-    )
-    oracle = next((e for e in engines if e.name == ORACLE), None)
-    if oracle is None:
-        oracle = CpuSerialEngine()
-        engines = [oracle] + engines
-
-    # invariant checking reads full timelines; the analytic fast path
-    # records none, so those cells run against the DES explicitly
-    traced_config = config.with_(fastpath=False) if config.fastpath else config
-
-    report = Report(f"differential vs {ORACLE}")
-    for app in apps:
-        ref = oracle.run(app, app.generate(n_bytes=data_bytes, seed=seed), config)
-        report.cells.append(Cell(app.name, oracle.name, True))
-        for engine in engines:
-            if engine is oracle:
-                continue
-            wants_trace = check_invariants and engine.name in traced_engines
-            # a fresh dataset of the recipe: on a shared one every engine
-            # after the first would return that engine's memoized pass
-            data = app.generate(n_bytes=data_bytes, seed=seed)
-            res = engine.run(app, data, traced_config if wants_trace else config)
-            ok, detail = compare_outputs(app, ref.output, res.output)
-            if wants_trace:
-                inv = verify_run(res, traced_config)
-                if not inv.ok:
-                    ok = False
-                    detail = (detail + "; " if detail else "") + inv.summary()
-            report.cells.append(
-                Cell(app.name, engine.name, ok, detail,
-                     "traced" if wants_trace else "")
+    problems = []
+    if config.functional and res is not ref and not app.outputs_equal(
+        ref.output, res.output
+    ):
+        problems.append(
+            f"output differs from {ref.engine}: {describe_output(ref.output)}"
+            f" vs {describe_output(res.output)}"
+        )
+    mode = ""
+    if audit and getattr(res, "shard_details", None) is not None:
+        problems += audit_sharded_run(res)
+        mode = "traced"
+    elif audit and res.trace is not None:
+        inv = verify_run(res, config)
+        if not inv.ok:
+            problems.append(
+                f"timeline violates pipeline invariants:\n{inv.summary()}"
             )
-    return report
+        mode = "traced"
+    return Cell(app.name, engine, not problems, "; ".join(problems), mode)
+
+
+def graded_matrix(settings, apps: Optional[Iterable] = None,
+                  engines: Optional[Iterable] = None):
+    """One :func:`~repro.bench.harness.run_matrix` call's graded matrix,
+    whether or not a cell failed: a pillar reports its failing cells
+    where ``run_matrix`` raises on them."""
+    from repro.bench.harness import run_matrix
+
+    try:
+        return run_matrix(settings, apps, engines)
+    except ValidationFailure as exc:
+        return exc.matrix
 
 
 # --------------------------------------------------------------------------
@@ -228,38 +217,50 @@ def run_fastpath_differential(
     engines: Optional[Iterable] = None,
     tol: float = FASTPATH_TOL,
 ) -> Report:
-    """Run every (app, engine) cell twice — fast path allowed vs DES forced —
-    and assert ``sim_time``/``stage_totals``/byte counters/outputs agree.
+    """Run every (app, engine) cell twice — one graded matrix with the
+    fast path allowed, one with the DES forced — and assert
+    ``sim_time``/``stage_totals``/byte counters/outputs agree.
 
     This is the oracle that lets the analytic pipeline ship: the DES is
     the trusted model, and every cell must agree within ``tol`` (by
-    default exactly: the fast path is bit-identical). Cells where the
-    fast path declines (mapped writes, short runs) compare DES vs DES and
-    pass trivially — their mode is ``des-fallback``, while ``fast`` marks
-    the cells that actually exercised the analytic engine. Engine
-    instances are reused between the two runs of a cell, so schedule
+    default exactly: the fast path is bit-identical). Each cell's mode
+    says what ran: ``fast`` when the fast-path run took the analytic
+    engine, ``des-fallback`` when it declined (mapped writes, short runs)
+    and simulated, so the cell compares DES with DES, and
+    ``closed-form`` when neither run recorded a trace (the engines that
+    never simulate). A cell also fails when either matrix graded it as
+    failing. The two matrices share the engine instances, so schedule
     memoization is shared and only the simulation layer differs.
     """
+    from repro.bench.harness import BenchSettings
+
     config = config or EngineConfig(chunk_bytes=512 * 1024)
-    fast_config = config.with_(fastpath=True)
-    des_config = config.with_(fastpath=False)
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
     engines = (
         list(engines) if engines is not None else [cls() for cls in ALL_ENGINES]
     )
+    fast, des = (
+        graded_matrix(
+            BenchSettings(data_bytes, seed, config.with_(fastpath=fastpath)),
+            apps, engines,
+        )
+        for fastpath in (True, False)
+    )
 
+    by_name = {app.name: app for app in apps}
     report = Report("fastpath vs des", tol=tol)
-    for app in apps:
-        data = app.generate(n_bytes=data_bytes, seed=seed)
-        for engine in engines:
-            fast = engine.run(app, data, fast_config)
-            des = engine.run(app, data, des_config)
-            problems = _diff_runs(app, fast, des, tol)
-            used_fastpath = fast.trace is None and des.trace is not None
-            report.cells.append(Cell(
-                app.name, engine.name, not problems, "; ".join(problems),
-                "fast" if used_fastpath else "des-fallback",
-            ))
+    for f, d in zip(fast.report.cells, des.report.cells):
+        a, b = fast.get(f.app, f.engine), des.get(d.app, d.engine)
+        problems = _diff_runs(by_name[f.app], a, b, tol)
+        problems += [c.detail for c in (f, d) if not c.ok]
+        mode = (
+            "des-fallback" if a.trace is not None
+            else "fast" if b.trace is not None
+            else "closed-form"
+        )
+        report.cells.append(
+            Cell(f.app, f.engine, not problems, "; ".join(problems), mode)
+        )
     return report
 
 
@@ -534,36 +535,6 @@ MULTIGPU_DEDICATED_TOL = 5e-3
 MULTIGPU_SHARED_TOL = 1e-1
 
 
-def multigpu_cell(app, data, config, engine, reference, tol: float,
-                  mode: str = "clean") -> tuple[Cell, int]:
-    """Grade one sharded run by the multigpu pillar's three laws.
-
-    * the merged output matches ``reference`` (the serial oracle's
-      output) bit-for-bit — sharding plus the cross-GPU merge is
-      invisible to the result;
-    * every shard's trace passes the full pipeline invariant battery and
-      the per-shard byte ledgers sum to the run's counters
-      (:func:`repro.verify.invariants.audit_sharded_run`);
-    * the closed-form shard predictor prices the run within ``tol``.
-
-    Returns the cell and the number of shard traces audited.
-    """
-    from repro.analytic import predict_run
-    from repro.verify.invariants import audit_sharded_run
-
-    res = engine.run(app, data, config)
-    _, detail = compare_outputs(app, reference, res.output)
-    problems = [detail] if detail else []
-    problems += audit_sharded_run(res)
-    err = _rel_err(predict_run(app, data, config, engine).sim_time,
-                   res.sim_time)
-    if err > tol:
-        problems.append(f"analytic rel err {err:.2e} > {tol:g}")
-    cell = Cell(app.name, engine.name, not problems, "; ".join(problems),
-                mode, err)
-    return cell, len(res.shard_details or ())
-
-
 def run_multigpu_differential(
     data_bytes: int = 2 * MiB,
     seed: int = 7,
@@ -575,14 +546,20 @@ def run_multigpu_differential(
 ) -> Report:
     """Validate the sharded scale-out engine against the serial oracle.
 
-    Two phases, mirroring the analytic suite, each cell graded by
-    :func:`multigpu_cell`. The *clean matrix* runs every app across
-    ``gpu_counts`` with dedicated links and (for K>1) a shared root
-    complex, always through the true DES: dedicated links are priced
-    within :data:`MULTIGPU_DEDICATED_TOL` (exact bound family), shared
-    links within ``tol`` (default :data:`MULTIGPU_SHARED_TOL`, sized for
-    the fill/drain corner geometries the steady-state bounds cannot
-    capture).
+    Two phases, mirroring the analytic suite, each a graded matrix of
+    ``cpu_serial`` and sharded engines through the true DES. Each sharded
+    cell is held to three laws: its merged output matches the oracle's
+    and every shard's trace passes the invariant battery with the shard
+    byte ledgers summing to the run's (both by :func:`grade`), and the
+    closed-form shard predictor prices the run within tolerance. The
+    oracle's cells are the reference and are not reported.
+
+    The *clean matrix* runs every app across ``gpu_counts`` with
+    dedicated links and (for K>1) a shared root complex: dedicated links
+    are priced within :data:`MULTIGPU_DEDICATED_TOL` (exact bound
+    family), shared links within ``tol`` (default
+    :data:`MULTIGPU_SHARED_TOL`, sized for the fill/drain corner
+    geometries the steady-state bounds cannot capture).
 
     The *fuzz loop* then draws ``fuzz_iterations`` random fabrics (GPU
     count, link topology, NUMA placement, chunk geometry) through
@@ -594,37 +571,54 @@ def run_multigpu_differential(
     """
     import random
 
+    from repro.analytic import predict_run
+    from repro.bench.harness import BenchSettings
     from repro.engines.multigpu import MultiGpuBigKernelEngine
     from repro.verify.fuzz import draw_multigpu_case
 
     config = config or EngineConfig(chunk_bytes=512 * 1024)
-    # shard traces only exist on the true DES; totals are fastpath-identical
-    config = config.with_(fastpath=False)
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
-    oracle = CpuSerialEngine()
     report = Report(f"multigpu vs {ORACLE}", counts={"shard traces": 0})
 
-    def add(graded) -> Cell:
-        cell, shards = graded
-        report.cells.append(cell)
-        report.counts["shard traces"] += shards
+    def add(settings, apps, engines, mode, tol_of) -> Cell:
+        """Report the sharded cells of one graded matrix, each priced by
+        the shard predictor within ``tol_of(engine)``; returns the last."""
+        matrix = graded_matrix(settings, apps, [CpuSerialEngine(), *engines])
+        cells = {(c.app, c.engine): c for c in matrix.report.cells}
+        for app in apps:
+            data = app.generate(n_bytes=settings.data_bytes, seed=settings.seed)
+            for engine in engines:
+                cell = cells[(app.name, engine.name)]
+                res = matrix.get(app.name, engine.name)
+                err = _rel_err(
+                    predict_run(app, data, settings.config, engine).sim_time,
+                    res.sim_time,
+                )
+                if err > tol_of(engine):
+                    cell.ok = False
+                    cell.detail = "; ".join(filter(None, (
+                        cell.detail,
+                        f"analytic rel err {err:.2e} > {tol_of(engine):g}",
+                    )))
+                cell.mode, cell.rel_err = mode, err
+                report.cells.append(cell)
+                report.counts["shard traces"] += len(res.shard_details or ())
         return cell
 
-    for app in apps:
-        data = app.generate(n_bytes=data_bytes, seed=seed)
-        ref = oracle.run(app, data, config).output
-        for n in gpu_counts:
-            for shared in (False,) if n == 1 else (False, True):
-                engine = MultiGpuBigKernelEngine(n, shared_link=shared)
-                add(multigpu_cell(app, data, config, engine, ref,
-                                  tol if shared else MULTIGPU_DEDICATED_TOL))
+    clean = BenchSettings(data_bytes, seed, config, check_invariants=True)
+    engines = [
+        MultiGpuBigKernelEngine(n, shared_link=shared)
+        for n in gpu_counts
+        for shared in ((False,) if n == 1 else (False, True))
+    ]
+    add(clean, apps, engines, "clean",
+        lambda e: tol if e.shared_link else MULTIGPU_DEDICATED_TOL)
 
     for case in range(fuzz_iterations):
-        app, data, engine, cfg = draw_multigpu_case(
+        app, engine, settings = draw_multigpu_case(
             random.Random(f"multigpu-{seed}-{case}")
         )
-        ref = oracle.run(app, data, cfg).output
-        cell = add(multigpu_cell(app, data, cfg, engine, ref, tol, "fuzz"))
+        cell = add(settings, [app], [engine], "fuzz", lambda e: tol)
         cell.detail += f" [reproduce: multigpu-{seed}-{case}]"
     return report
 

@@ -19,12 +19,13 @@ explores the same space more aggressively when it is installed):
 * :func:`check_uvm_differential` draws a random unified-memory paging
   configuration (page size, fault-batch size, device-memory capacity,
   prefetcher) and asserts the UVM engine's output matches the serial
-  oracle, its timeline passes the invariant checkers, and its page-byte
+  oracle, its timeline passes the invariant checkers (both through a
+  graded :func:`repro.bench.harness.run_matrix`), and its page-byte
   ledger conserves (migrated == evicted + resident, written-back == d2h).
 * :func:`draw_multigpu_case` draws a random sharded fabric (GPU count,
-  shared vs dedicated links, NUMA placement, chunk geometry) for the
-  multigpu pillar's fuzz loop, which grades it by the same laws as the
-  clean matrix (:func:`repro.verify.differential.multigpu_cell`).
+  shared vs dedicated links, NUMA placement, chunk geometry) and dataset
+  recipe for the multigpu pillar's fuzz loop, which grades it by the
+  same laws as the clean matrix.
 
 :func:`run_fuzz` bundles the loops into a :class:`FuzzReport`.
 """
@@ -391,21 +392,21 @@ def check_uvm_differential(rng: random.Random) -> None:
     """One random paged-UVM configuration against the serial oracle.
 
     Draws page geometry, fault-batch size, device-memory capacity, and
-    the prefetcher's engine class; the run's output must match
-    ``cpu_serial``, its timeline must pass every invariant checker, and
-    the page table's byte ledger must reconcile with the PCIe byte
+    the prefetcher's engine class; a graded matrix of ``cpu_serial`` and
+    the drawn engine (:func:`repro.bench.harness.run_matrix`) checks the
+    run's output against the oracle's and its timeline against every
+    invariant checker, raising :class:`~repro.errors.ValidationFailure`;
+    then the page table's byte ledger must reconcile with the PCIe byte
     counters.
     """
     from repro.apps import get_app
+    from repro.bench.harness import BenchSettings, run_matrix
     from repro.engines import UVM_ENGINES, CpuSerialEngine, EngineConfig, UvmSpec
     from repro.units import KiB, MiB
-    from repro.verify.invariants import verify_run
 
     app = get_app(rng.choice(("netflix", "dna", "kmeans", "mastercard")))
-    recipe = dict(
-        n_bytes=rng.choice((256 * KiB, 512 * KiB, 1 * MiB)),
-        seed=rng.randint(0, 999),
-    )
+    data_bytes = rng.choice((256 * KiB, 512 * KiB, 1 * MiB))
+    seed = rng.randint(0, 999)
     spec = UvmSpec(
         page_bytes=rng.choice((4 * KiB, 16 * KiB, 64 * KiB)),
         batch_pages=rng.choice((4, 8, 16)),
@@ -414,17 +415,11 @@ def check_uvm_differential(rng: random.Random) -> None:
         max_window=rng.choice((2, 8, 32)),
     )
     engine = rng.choice(UVM_ENGINES)(spec)
-    config = EngineConfig(chunk_bytes=256 * KiB)
-    # the engine runs on its own dataset of the recipe, so its functional
-    # pass starts from the generated dataset, not from one the oracle used
-    ref = CpuSerialEngine().run(app, app.generate(**recipe), config)
-    res = engine.run(app, app.generate(**recipe), config)
-    if not app.outputs_equal(ref.output, res.output):
-        raise VerificationError(
-            f"{engine.name} output diverged from {ref.engine} on {app.name} "
-            f"(spec={spec})"
-        )
-    verify_run(res, config).raise_if_failed()
+    settings = BenchSettings(data_bytes, seed, EngineConfig(chunk_bytes=256 * KiB),
+                             check_invariants=True)
+    res = run_matrix(settings, [app], [CpuSerialEngine(), engine]).get(
+        app.name, engine.name
+    )
     paging = res.metrics.notes["paging"]
     if res.metrics.bytes_h2d != paging["migrated_bytes"]:
         raise VerificationError(
@@ -449,23 +444,24 @@ def check_uvm_differential(rng: random.Random) -> None:
 # ---------------------------------------------------------------------------
 
 def draw_multigpu_case(rng: random.Random) -> tuple:
-    """One random sharded fabric: ``(app, data, engine, config)``.
+    """One random sharded fabric: ``(app, engine, settings)``.
 
-    Draws the app, dataset, GPU count, link topology (dedicated per-GPU
-    links vs one shared root complex), NUMA placement mode, and chunk
-    geometry. The config pins the true DES: shard traces only exist
-    there (totals are identical).
+    Draws the app, the dataset recipe (size and seed), GPU count, link
+    topology (dedicated per-GPU links vs one shared root complex), NUMA
+    placement mode, and chunk geometry. ``settings`` is the recipe and
+    config as :class:`~repro.bench.harness.BenchSettings` with
+    ``check_invariants`` set: the case is graded on its shard traces,
+    which only the true DES records.
     """
     from repro.apps import get_app
+    from repro.bench.harness import BenchSettings
     from repro.engines import EngineConfig
     from repro.engines.multigpu import MultiGpuBigKernelEngine
     from repro.units import KiB, MiB
 
     app = get_app(rng.choice(("netflix", "wordcount", "kmeans", "mastercard")))
-    data = app.generate(
-        n_bytes=rng.choice((512 * KiB, 1 * MiB, 2 * MiB)),
-        seed=rng.randint(0, 999),
-    )
+    data_bytes = rng.choice((512 * KiB, 1 * MiB, 2 * MiB))
+    seed = rng.randint(0, 999)
     engine = MultiGpuBigKernelEngine(
         n_gpus=rng.choice((2, 3, 4, 8)),
         shared_link=rng.random() < 0.5,
@@ -474,9 +470,9 @@ def draw_multigpu_case(rng: random.Random) -> tuple:
     config = EngineConfig(
         chunk_bytes=rng.choice((64, 128, 256)) * KiB,
         ring_depth=rng.randint(2, 5),
-        fastpath=False,
     )
-    return app, data, engine, config
+    return app, engine, BenchSettings(data_bytes, seed, config,
+                                      check_invariants=True)
 
 
 # ---------------------------------------------------------------------------

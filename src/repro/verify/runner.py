@@ -6,15 +6,16 @@ walks it and the CLI builds one ``--<name>`` flag per opt-in entry.
 
 1. **invariants** — run BigKernel (aggregate mode) on every app and
    invariant-check each timeline; also one per-block high-fidelity run.
-2. **differential** — every engine vs the serial oracle on every app.
+2. **differential** — every engine vs the serial oracle on every app,
+   every simulated timeline invariant-checked.
 3. **uvm** — the unified-memory engine family
    (``gpu_uvm``/``uvm_readahead``/``uvm_learned``) vs the serial oracle on
    every app, each timeline invariant-checked.
 4. **fuzz** — seeded random IR programs, pipeline schedules, and
    randomized UVM paging configurations.
 5. **fastpath** (opt-in) — every (app, engine) cell run with the analytic
-   steady-state pipeline vs with the DES forced; totals must agree within
-   1e-9 (see ``docs/performance.md``).
+   steady-state pipeline vs with the DES forced; totals must agree
+   exactly (tolerance 0, see ``docs/performance.md``).
 6. **compiled** (opt-in) — every app's kernel run through the vectorized
    NumPy backend vs the tree-walking interpreter: outputs at 1e-9 (rtol
    0), InterpStats counters and addr-gen address streams exact, and
@@ -24,15 +25,21 @@ walks it and the CLI builds one ``--<name>`` flag per opt-in entry.
    engine at the base geometry, plus fuzzed chunk/ring geometries, each
    cell within 5% relative error (most are exact).
 8. **multigpu** (opt-in) — the sharded scale-out engine vs the serial
-   oracle across GPU counts and link topologies: merged outputs
-   bit-equal, every shard's DES trace invariant-checked with byte ledgers
-   reconciled, analytic shard predictions within tolerance, plus fuzzed
-   random fabrics (see ``docs/verification.md``).
+   oracle across GPU counts and link topologies: merged outputs equal
+   under each app's ``outputs_equal`` (bit-equal but for Netflix's fp64
+   moment table, merged in shard order), every shard's DES trace
+   invariant-checked with byte ledgers reconciled, analytic shard
+   predictions within tolerance, plus fuzzed random fabrics (see
+   ``docs/verification.md``).
 9. **serve** (opt-in) — a seeded multi-tenant trace through a live server
    with the full amortization stack (run cache, coalescing, shared
    datasets); every response — served, coalesced or cached — must
    bit-equal (rtol 0, exact ``sim_time``) a fresh one-shot oracle run of
    the same job (see ``docs/serving.md``).
+
+Pillars 1-3, 5 and 8 run their engine cells through
+:func:`repro.bench.harness.run_matrix`, which grades every cell by the
+one grader, :func:`repro.verify.differential.grade`.
 
 ``quick`` shrinks the datasets and iteration counts to CI scale.
 
@@ -72,33 +79,31 @@ def _config(data_bytes: int):
     return EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 8))
 
 
+def _graded(title, seed, data_bytes, engines=None):
+    """One graded matrix over every app: each cell's output against the
+    first engine's, every simulated timeline invariant-checked."""
+    from repro.bench.harness import BenchSettings
+    from repro.verify.differential import graded_matrix
+
+    settings = BenchSettings(data_bytes=data_bytes, seed=seed,
+                             config=_config(data_bytes), check_invariants=True)
+    report = graded_matrix(settings, engines=engines).report
+    report.title = title
+    return report
+
+
 def _run_invariants(quick, seed, data_bytes, fuzz_n):
     from repro.apps import ALL_APPS
     from repro.engines import BigKernelEngine
     from repro.runtime.pipeline import run_pipeline_per_block
-    from repro.verify.differential import Cell, Report
-    from repro.verify.invariants import verify_pipeline_trace, verify_run
+    from repro.verify.differential import Cell
+    from repro.verify.invariants import verify_pipeline_trace
 
-    config = _config(data_bytes)
-    # the invariant checkers consume full timelines, which the analytic
-    # fast path deliberately skips: pin the DES
-    traced_config = config.with_(fastpath=False)
     engine = BigKernelEngine()
-    report = Report("invariants")
-
-    def add(app, engine_name, mode, inv):
-        report.cells.append(
-            Cell(app.name, engine_name, inv.ok,
-                 "" if inv.ok else inv.summary(), mode)
-        )
-
-    for cls in ALL_APPS:
-        app = cls()
-        data = app.generate(n_bytes=data_bytes, seed=seed)
-        res = engine.run(app, data, traced_config)
-        add(app, engine.name, "aggregate", verify_run(res, traced_config))
+    report = _graded("invariants", seed, data_bytes, [engine])
 
     # one high-fidelity per-block pipeline run
+    config = _config(data_bytes)
     app = ALL_APPS[0]()
     data = app.generate(n_bytes=data_bytes, seed=seed)
     sched = engine._schedule(app, data, config, workers_override=1)
@@ -107,37 +112,31 @@ def _run_invariants(quick, seed, data_bytes, fuzz_n):
     result = run_pipeline_per_block(
         config.hardware, block_chunks, sched.pipe_cfg, cpu_threads=4
     )
-    add(app, "pipeline", "per-block", verify_pipeline_trace(
+    inv = verify_pipeline_trace(
         result.trace,
         gpu_capacity=2 * n_blocks,
         cpu_workers=4,
         ring_depth=sched.pipe_cfg.ring_depth,
         bytes_h2d=result.bytes_h2d,
         bytes_d2h=result.bytes_d2h,
-    ))
+    )
+    report.cells.append(Cell(app.name, "pipeline", inv.ok,
+                             "" if inv.ok else inv.summary(), "per-block"))
     return report
 
 
 def _run_differential(quick, seed, data_bytes, fuzz_n):
-    from repro.verify.differential import run_differential
+    from repro.verify.differential import ORACLE
 
-    return run_differential(
-        data_bytes=data_bytes, seed=seed, config=_config(data_bytes)
-    )
+    return _graded(f"differential vs {ORACLE}", seed, data_bytes)
 
 
 def _run_uvm(quick, seed, data_bytes, fuzz_n):
     from repro.engines import UVM_ENGINES, CpuSerialEngine
-    from repro.verify.differential import run_differential
+    from repro.verify.differential import ORACLE
 
-    uvm_engines = [cls() for cls in UVM_ENGINES]
-    report = run_differential(
-        data_bytes=data_bytes, seed=seed, config=_config(data_bytes),
-        engines=[CpuSerialEngine()] + uvm_engines,
-        traced_engines=tuple(e.name for e in uvm_engines),
-    )
-    report.title = "uvm " + report.title
-    return report
+    engines = [CpuSerialEngine()] + [cls() for cls in UVM_ENGINES]
+    return _graded(f"uvm differential vs {ORACLE}", seed, data_bytes, engines)
 
 
 def _run_fuzz(quick, seed, data_bytes, fuzz_n):

@@ -3,9 +3,11 @@
 Each property is one law the scale-out model must obey regardless of
 fabric shape:
 
-* **differential oracle** — the merged output of every sharded run is
-  bit-equal (rtol 0) to the serial CPU oracle; sharding plus the
-  cross-GPU merge must be invisible to the result;
+* **differential oracle** — the merged output of every sharded run
+  equals the serial CPU oracle's under the app's ``outputs_equal``;
+  sharding plus the cross-GPU merge must be invisible to the result.
+  That is bit-equality for every app but Netflix, whose fp64 moment
+  table is merged in shard order and so differs in its last bits;
 * **per-shard invariants** — every shard's DES trace passes the full
   pipeline invariant battery, and the per-shard PCIe ledgers sum to the
   run's aggregate byte counters (nothing dropped, nothing invented);
@@ -78,6 +80,33 @@ class TestDifferentialOracle:
         ref = CpuSerialEngine().run(app, data, CFG)
         res = MultiGpuBigKernelEngine(n_gpus).run(app, data, CFG)
         assert app.outputs_equal(ref.output, res.output)
+
+    def test_only_netflix_merged_output_is_not_bit_equal(self):
+        """At 4 MiB (seed 7, 512 KiB chunks) the six integer-output apps
+        merge bit-equal on 2 and 4 GPUs; Netflix's fp64 moment table,
+        summed in shard order, is equal only within its ``outputs_equal``
+        tolerance (the graded matrix passes, ``bit_equal`` does not)."""
+        from repro.apps import ALL_APPS as APP_CLASSES
+        from repro.bench import BenchSettings, run_matrix
+        from repro.serve import bit_equal
+
+        matrix = run_matrix(
+            BenchSettings(4 * MiB, 7, EngineConfig(chunk_bytes=512 * KiB)),
+            engines=[CpuSerialEngine(), MultiGpuBigKernelEngine(2),
+                     MultiGpuBigKernelEngine(4)],
+        )
+        assert matrix.report.ok
+        bit_equal_apps = {
+            app for app in matrix.apps
+            if all(bit_equal(matrix.get(app, "cpu_serial").output,
+                             matrix.get(app, e).output)
+                   for e in matrix.engines[1:])
+        }
+        assert len(matrix.apps) == len(APP_CLASSES) == 7
+        assert bit_equal_apps == set(matrix.apps) - {"netflix"}
+        for engine in matrix.engines[1:]:
+            assert not bit_equal(matrix.get("netflix", "cpu_serial").output,
+                                 matrix.get("netflix", engine).output)
 
     @pytest.mark.parametrize("shared", (False, True))
     def test_shared_link_and_numa_blind_do_not_change_output(

@@ -251,6 +251,13 @@ class TestChaosSweep:
         assert len({c.engine for c in a.cells}) >= 2
         assert len({c.plan for c in a.cells}) >= 3
 
+    def test_quick_sweep_fingerprint_is_pinned(self):
+        """The ``chaos --quick`` report, byte for byte: any change to the
+        grid, the runs or the judge that moves one cell moves this."""
+        assert run_chaos(quick=True).fingerprint() == (
+            "cd6f5e462916d7071d10a2d56da08d8023496061b83c4ad2ad2fa0c6699e68f4"
+        )
+
     def test_seed_changes_fingerprint(self):
         a = run_chaos(quick=True, seed=7)
         b = run_chaos(quick=True, seed=8)

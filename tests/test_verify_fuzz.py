@@ -110,3 +110,24 @@ def test_uvm_case_gives_the_engine_its_own_dataset(monkeypatch):
     oracle, engine = seen
     assert oracle is not engine
     assert oracle.meta["datagen"] == engine.meta["datagen"]
+
+
+def test_uvm_case_records_a_failed_matrix(monkeypatch):
+    """A UVM case runs as a graded two-engine matrix: a timeline that
+    breaks byte conservation raises the matrix's ValidationFailure, which
+    the fuzz loop records like any other failed law."""
+    from repro.engines import GpuUvmEngine
+
+    run = GpuUvmEngine.run
+
+    def lost_byte(self, app, data, config):
+        res = run(self, app, data, config)
+        res.metrics.bytes_h2d -= 1
+        return res
+
+    monkeypatch.setattr(GpuUvmEngine, "run", lost_byte)
+    report = run_fuzz(ir_iterations=0, pipeline_iterations=0, seed=3,
+                      uvm_iterations=2)
+    assert [(f.kind, f.case) for f in report.failures] == [("uvm", 0), ("uvm", 1)]
+    assert all("violates pipeline invariants" in f.message
+               for f in report.failures)

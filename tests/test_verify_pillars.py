@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.units import KiB
+from repro.units import KiB, MiB
 from repro.verify import runner
 from repro.verify.differential import Cell, Report, run_serve_differential
 
@@ -94,6 +94,23 @@ def test_opt_in_pillar_smoke(name):
     report = pillar.run(quick=True, seed=7, data_bytes=64 * KiB, fuzz_n=1)
     assert report.ok, report.summary()
     assert report.cells
+
+
+def test_quick_fastpath_pillar_labels_cells_by_what_ran():
+    """At ``verify --quick`` scale only K-means on the two simulating
+    engines falls back to the DES (its mapped writes); the engines that
+    never simulate are closed forms on both sides, the rest run fast."""
+    pillar = next(p for p in runner.PILLARS if p.name == "fastpath")
+    report = pillar.run(quick=True, seed=7, data_bytes=1 * MiB, fuzz_n=8)
+    assert report.ok, report.summary()
+    modes = {}
+    for c in report.cells:
+        modes.setdefault(c.mode, set()).add((c.app, c.engine))
+    assert modes["des-fallback"] == {("kmeans", "bigkernel"),
+                                     ("kmeans", "gpu_double")}
+    assert {e for _, e in modes["closed-form"]} == {"cpu_serial", "cpu_mt",
+                                                    "gpu_single"}
+    assert (len(modes["closed-form"]), len(modes["fast"])) == (21, 12)
 
 
 def test_serve_pillar_fails_when_nothing_short_circuits(monkeypatch):
