@@ -66,9 +66,12 @@ class AppData:
 
     @property
     def n_records(self) -> int:
-        if not self.holds_arrays:
+        # every memo key built from data_fingerprint reads this: one dict
+        # probe, where holds_arrays and primary_array are two more calls
+        mapped = self.__dict__.get("mapped")
+        if mapped is None:
             return self._dropped_records
-        return int(self.primary_array.shape[0])
+        return int(mapped[self.primary].shape[0])
 
     @property
     def holds_arrays(self) -> bool:

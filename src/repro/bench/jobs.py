@@ -46,12 +46,17 @@ from repro.apps.datagen import DATAGEN_VERSION
 from repro.engines import ENGINES
 from repro.engines.base import Engine, EngineConfig, EngineSpec, RunResult
 from repro.errors import ReproError
+from repro.hw.spec import hash_once
 from repro.memo import Memo
 
 
+@hash_once
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Generation recipe of one dataset — enough to regenerate it."""
+    """Generation recipe of one dataset — enough to regenerate it.
+
+    It keys the server's dataset pool and, inside a request's duplicate
+    key, each window's grouping, so its hash is kept (``hash_once``)."""
 
     app: str
     seed: int

@@ -16,6 +16,10 @@ from repro.hw.spec import DEFAULT_HARDWARE, HardwareSpec, dict_init, hash_once
 from repro.sim.trace import Interval, ReadOnlyMeta, TraceRecorder
 from repro.units import MiB
 
+_new = object.__new__
+#: a functional memo's miss (an app's output may be anything, None too)
+_NOT_RUN = object()
+
 
 @hash_once
 @dict_init
@@ -155,20 +159,28 @@ class Timeline:
         )
         return Timeline(self.sim_time, self.metrics, intervals)
 
+    @cached_property
+    def _nested_notes(self) -> tuple:
+        """The notes whose values are dicts or lists: each result copies
+        them, and shares the rest."""
+        return tuple(
+            k for k, v in self.metrics.notes.items() if isinstance(v, (dict, list))
+        )
+
     def result(self, engine: str, app: str, output: Any) -> RunResult:
         """A :class:`RunResult` of this timeline in fresh containers (stage
         totals, notes, trace recorder) over its intervals, which a kept
         timeline shares read-only: a caller that edits what it got cannot
-        change a later replay."""
+        change a later replay. The metrics are a copy of this timeline's
+        field by field, without a call of their generated ``__init__``."""
         m = self.metrics
-        notes = {
-            k: type(v)(v) if isinstance(v, (dict, list)) else v
-            for k, v in m.notes.items()
+        notes = dict(m.notes)
+        for k in self._nested_notes:
+            notes[k] = type(notes[k])(notes[k])
+        metrics = _new(RunMetrics)
+        metrics.__dict__ = {
+            **m.__dict__, "stage_totals": dict(m.stage_totals), "notes": notes
         }
-        metrics = RunMetrics(
-            m.n_chunks, m.bytes_h2d, m.bytes_d2h, m.comp_time, m.comm_time,
-            dict(m.stage_totals), m.pattern_fraction, m.kernel_launches, notes,
-        )
         trace = None if self.intervals is None else TraceRecorder(self.intervals)
         return RunResult(engine, app, output, self.sim_time, metrics, trace)
 
@@ -259,10 +271,13 @@ class Engine(abc.ABC):
         """
         if not is_registered(app):
             return _run_passes(app, data, units_per_chunk)
-        memo = data.meta.setdefault("_functional", {})
-        if app not in memo:
-            memo[app] = _run_passes(app, data, units_per_chunk)
-        return _read_only(memo[app])
+        memo = data.meta.get("_functional")
+        if memo is None:
+            memo = data.meta["_functional"] = {}
+        output = memo.get(app, _NOT_RUN)
+        if output is _NOT_RUN:
+            output = memo[app] = _run_passes(app, data, units_per_chunk)
+        return _read_only(output)
 
     @staticmethod
     def totals(app: Application, data: AppData, profile: AccessProfile) -> dict:
@@ -293,9 +308,11 @@ def _run_passes(app: Application, data: AppData, units_per_chunk: int) -> Any:
 
 def _read_only(value: Any) -> Any:
     """``value`` in fresh dicts, lists and tuples around its arrays, each
-    marked read-only."""
+    marked read-only. Marking is dear next to reading the flag, and a
+    memoized output's arrays stay marked, so only a writeable one is."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+        if value.flags.writeable:
+            value.flags.writeable = False
         return value
     if isinstance(value, dict):
         return {k: _read_only(v) for k, v in value.items()}

@@ -2,7 +2,13 @@
 weighted-deficit fairness, online job pricing, launch batching, cross-job
 template reuse, and run-cache short-circuit (docs/serving.md)."""
 
-from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
+from repro.serve.batcher import (
+    Batch,
+    QueuedRequest,
+    batch_key,
+    coalesce,
+    unique_key,
+)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pricing import JobPricer
 from repro.serve.scheduler import (
@@ -30,6 +36,7 @@ from repro.serve.workload import (
 
 __all__ = [
     "Batch",
+    "QueuedRequest",
     "batch_key",
     "coalesce",
     "unique_key",

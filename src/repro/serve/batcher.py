@@ -6,12 +6,17 @@ the same hardware spec. Within a batch, requests that are *exact*
 duplicates (same dataset recipe and same full config) collapse onto a
 single engine run: the first becomes the batch leader, the rest become
 followers that share the leader's result object.
+
+A server keys each admitted request once, at submit, into a
+:class:`QueuedRequest`; :func:`coalesce` groups a window of them into
+batches and duplicate groups in one pass over those keys.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.bench.jobs import JobSpec
 from repro.serve.workload import ServeRequest
@@ -27,35 +32,68 @@ def unique_key(job: JobSpec) -> tuple:
     return (job.dataset, job.config)
 
 
+class QueuedRequest:
+    """One admitted request as a server's queue holds it: the request's
+    fields, and what dispatch reads of it, derived once at submit — its
+    serving-clock deadline, its admission price, its batch key
+    (:func:`batch_key`) and its duplicate key (the batch key and
+    :func:`unique_key`: equal for exact duplicates anywhere in a window).
+    ``response`` is the terminal response dispatch builds for it."""
+
+    __slots__ = (
+        "req_id", "tenant", "arrival", "job", "deadline", "price",
+        "batch_key", "dup_key", "response",
+    )
+
+    def __init__(
+        self,
+        req: ServeRequest,
+        deadline: float = math.inf,
+        price: Optional[float] = None,
+    ):
+        job = req.job
+        self.req_id = req.req_id
+        self.tenant = req.tenant
+        self.arrival = req.arrival
+        self.job = job
+        self.deadline = deadline
+        self.price = price
+        self.batch_key = key = batch_key(job)
+        self.dup_key = (key, unique_key(job))
+        self.response = None
+
+
 @dataclass
 class Batch:
     """One compatibility class worth of requests from a dispatch window."""
 
     key: tuple
+    #: the batch's requests, in window order
     requests: list = field(default_factory=list)
+    #: its duplicate groups, in order of first appearance: each a list of
+    #: requests, the leader first; followers coalesce onto its result
+    groups: list = field(default_factory=list)
 
     @property
     def engine_spec(self):
         return self.key[0]
 
-    def unique_jobs(self) -> "OrderedDict[tuple, list[ServeRequest]]":
-        """Requests grouped by exact-duplicate class, insertion-ordered.
 
-        The first request of each group is the leader; followers coalesce
-        onto its result.
-        """
-        groups: OrderedDict[tuple, list[ServeRequest]] = OrderedDict()
-        for req in self.requests:
-            groups.setdefault(unique_key(req.job), []).append(req)
-        return groups
-
-
-def coalesce(window: list[ServeRequest]) -> list[Batch]:
-    """Split a dispatch window into compatibility batches, order-stable."""
-    batches: OrderedDict[tuple, Batch] = OrderedDict()
+def coalesce(window: list[QueuedRequest]) -> list[Batch]:
+    """Split a dispatch window into compatibility batches and each batch
+    into duplicate groups, in one order-stable pass over the requests'
+    kept keys."""
+    batches: dict = {}
+    groups: dict = {}
     for req in window:
-        key = batch_key(req.job)
-        if key not in batches:
-            batches[key] = Batch(key=key)
-        batches[key].requests.append(req)
+        group = groups.setdefault(req.dup_key, [])
+        if group:
+            batch = batches[req.batch_key]
+        else:
+            batch = batches.get(req.batch_key)
+            if batch is None:
+                batch = batches[req.batch_key] = Batch(req.batch_key)
+            batch.groups.append(group)
+        group.append(req)
+        batch.requests.append(req)
     return list(batches.values())

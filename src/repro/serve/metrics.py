@@ -73,9 +73,8 @@ class ServeMetrics:
     #: completed requests that finished past their deadline
     slo_missed: int = 0
     per_tenant: dict = field(default_factory=dict)
-    #: completion − arrival of every completed request, in trace seconds
-    latencies: list = field(default_factory=list)
-    #: per-tenant completion latencies (p99-by-tenant accounting)
+    #: completion − arrival of every completed request, in trace seconds,
+    #: by tenant; the server-wide percentiles read their concatenation
     tenant_latencies: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------- updates
@@ -100,8 +99,10 @@ class ServeMetrics:
             bucket["shed"] += 1
         else:
             bucket["completed"] += 1
-            self.latencies.append(latency)
-            self.tenant_latencies.setdefault(tenant, []).append(latency)
+            lats = self.tenant_latencies.get(tenant)
+            if lats is None:
+                lats = self.tenant_latencies[tenant] = []
+            lats.append(latency)
             if math.isfinite(deadline):
                 if completion <= deadline:
                     self.slo_met += 1
@@ -117,9 +118,13 @@ class ServeMetrics:
         return self.served + self.coalesced + self.cached
 
     def percentile(self, q: float) -> float:
-        if not self.latencies:
+        """Latency percentile over every completion. ``np.percentile``
+        reads order statistics, so the tenants' concatenated lists give
+        the values the completions' own order would."""
+        lats = [lat for lats in self.tenant_latencies.values() for lat in lats]
+        if not lats:
             return float("nan")
-        return float(np.percentile(np.asarray(self.latencies), q))
+        return float(np.percentile(np.asarray(lats), q))
 
     def tenant_percentile(self, name: str, q: float) -> float:
         """Latency percentile over one tenant's completions."""
@@ -166,7 +171,7 @@ class ServeMetrics:
             f"store={fmt_bytes(self.store_bytes)} "
             f"store_evictions={self.store_evictions}",
         ]
-        if self.latencies:
+        if self.tenant_latencies:
             lines.append(f"latency p50={self.p50:.4f}s p99={self.p99:.4f}s")
         attainment = self.slo_attainment()
         if attainment is not None:

@@ -88,6 +88,8 @@ class JobPricer:
         if n_runs <= 0 or elapsed <= 0.0 or not jobs:
             return
         self.run_wall = _ewma(self.run_wall, elapsed / n_runs)
-        if n_runs == len(jobs) and sum(sims) > 0.0:
-            cell = self.cell(jobs[0])
-            self._ratio[cell] = _ewma(self._ratio.get(cell), elapsed / sum(sims))
+        if n_runs == len(jobs):
+            total = sum(sims)
+            if total > 0.0:
+                cell = self.cell(jobs[0])
+                self._ratio[cell] = _ewma(self._ratio.get(cell), elapsed / total)

@@ -85,7 +85,7 @@ from repro.bench.sweep import RunCache, run_digest
 from repro.engines.base import Engine, RunResult
 from repro.errors import ReproError, SloViolationError
 from repro.memo import Memo
-from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
+from repro.serve.batcher import Batch, QueuedRequest, coalesce
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pricing import JobPricer
 from repro.serve.workload import DEFAULT_TENANTS, ServeRequest, TenantSpec
@@ -153,7 +153,7 @@ class ServeConfig:
 STATUSES = ("served", "coalesced", "cached", "rejected", "failed", "shed")
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeResponse:
     """Terminal outcome of one request."""
 
@@ -239,9 +239,56 @@ def judge(
     return "output diverges from its one-shot oracle"
 
 
+class _Tenant:
+    """One tenant's queue and the scheduling state kept for it."""
+
+    __slots__ = ("name", "weight", "cap", "slo", "queue", "deficit")
+
+    def __init__(self, name: str):
+        self.name = name
+        #: its admitted :class:`~repro.serve.batcher.QueuedRequest`\\ s
+        self.queue: deque = deque()
+        #: the weighted deficit banked while it was passed over
+        self.deficit = 0.0
+
+    def configure(self, spec: TenantSpec) -> None:
+        self.weight = spec.weight
+        #: the most deficit it may bank
+        self.cap = 4.0 * max(1.0, spec.weight)
+        #: serving-clock seconds from arrival to deadline (``inf`` = none)
+        self.slo = spec.slo_seconds
+
+
+def _respond(
+    queued: QueuedRequest,
+    status: str,
+    batch_id: int,
+    now: float,
+    result: Optional[RunResult] = None,
+    error: Optional[str] = None,
+    exc: Optional[Exception] = None,
+) -> ServeResponse:
+    """The terminal response of a dispatched request, kept on its record."""
+    queued.response = resp = ServeResponse(
+        queued.req_id, queued.tenant, status, queued.arrival, now, math.nan,
+        batch_id, queued.deadline, error, result, exc,
+    )
+    return resp
+
+
 class Server:
     """Admission queue + keyed window scheduler (EDF or FIFO) + batched
-    dispatcher."""
+    dispatcher.
+
+    :meth:`submit` keys each admitted request once into a
+    :class:`~repro.serve.batcher.QueuedRequest` (deadline, admission
+    price, batch and duplicate keys) and counts it: :meth:`pending` and
+    the number of queued finite deadlines are counters, so a round with
+    no deadline queued neither scans for doomed requests nor for slack.
+    :meth:`dispatch_round` groups its window in one pass
+    (:func:`~repro.serve.batcher.coalesce`), reads the unique fraction
+    off those groups, and builds each response once, returning them in
+    window order."""
 
     def __init__(
         self,
@@ -260,10 +307,11 @@ class Server:
         #: online wall-cost estimator; pass a warmed one to carry
         #: calibration across server lifetimes
         self.pricer = pricer if pricer is not None else JobPricer()
-        self._queues: "OrderedDict[str, deque]" = OrderedDict()
-        self._weights: dict = {}
-        self._deficit: dict = {}
-        self._slo: dict = {}
+        #: name -> tenant, in registration order (the EDF tiebreak's)
+        self._tenants: dict = {}
+        #: queued requests, and those of them with a finite deadline
+        self._pending = 0
+        self._deadlines = 0
         for tenant in tenants:
             self.register_tenant(tenant)
         if cache is not None:
@@ -280,8 +328,6 @@ class Server:
         #: seconds on ``timer`` spent generating datasets
         self._generation_s = 0.0
         self._engines = Memo("serve.engines", 64)
-        #: req_id -> (deadline, admission price or None) for queued requests
-        self._meta: dict = {}
         #: EWMA of unique-jobs / window-size per round (adaptive batching
         #: discounts the window by how much coalescing is expected)
         self._unique_frac = 1.0
@@ -300,17 +346,13 @@ class Server:
 
     # ---------------------------------------------------------- admission
     def register_tenant(self, tenant: TenantSpec) -> None:
-        if tenant.name not in self._queues:
-            self._queues[tenant.name] = deque()
-            self._deficit[tenant.name] = 0.0
-        self._weights[tenant.name] = tenant.weight
-        self._slo[tenant.name] = tenant.slo_seconds
+        state = self._tenants.get(tenant.name)
+        if state is None:
+            state = self._tenants[tenant.name] = _Tenant(tenant.name)
+        state.configure(tenant)
 
     def pending(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def _deadline_of(self, req: ServeRequest) -> float:
-        return self._meta.get(req.req_id, (math.inf, None))[0]
+        return self._pending
 
     def _cache_would_hit(self, job: JobSpec) -> bool:
         """Silent probe: would this job short-circuit through the cache?
@@ -321,16 +363,16 @@ class Server:
         engine = self._engine(job.engine)
         return self.cache.contains(RunCache.recipe_key(engine, job))
 
-    def _admission_price(self, req: ServeRequest) -> Optional[float]:
-        """Predicted wall cost of one enqueued request, cache-aware.
+    def _admission_price(self, job: JobSpec) -> Optional[float]:
+        """Predicted wall cost of one enqueued job, cache-aware.
 
         A job the run cache would short-circuit costs (practically)
         nothing, whatever the model says — without the probe, repeat-heavy
         traces would predictively reject work the server serves for free.
         """
-        if self._cache_would_hit(req.job):
+        if self._cache_would_hit(job):
             return 0.0
-        return self.pricer.price(req.job, self._sim_time)
+        return self.pricer.price(job, self._sim_time)
 
     def _sim_time(self, job: JobSpec) -> float:
         """``sim_time`` of a timing-only run of ``job`` on the engine and
@@ -342,7 +384,7 @@ class Server:
         return self._engine(job.engine).run(app, data, config).sim_time
 
     def _predicted_violation(
-        self, req: ServeRequest, deadline: float, price: Optional[float], now: float
+        self, deadline: float, price: Optional[float], now: float
     ) -> Optional[str]:
         """Evidence string when the deadline is provably unreachable.
 
@@ -354,16 +396,13 @@ class Server:
         if price is None:
             return None
         backlog = 0.0
-        for queue in self._queues.values():
-            for queued in queue:
-                q_deadline, q_price = self._meta.get(
-                    queued.req_id, (math.inf, None)
-                )
-                if q_deadline > deadline:
+        for tenant in self._tenants.values():
+            for queued in tenant.queue:
+                if queued.deadline > deadline:
                     continue
-                if q_price is None:
+                if queued.price is None:
                     return None
-                backlog += q_price
+                backlog += queued.price
         eta = now + backlog + price
         if eta <= deadline:
             return None
@@ -379,51 +418,45 @@ class Server:
 
         Returns the terminal rejection response, or ``None`` on admission
         (the response then comes out of a later :meth:`dispatch_round`).
+        An admitted request is queued as one
+        :class:`~repro.serve.batcher.QueuedRequest`, keyed here once.
         """
-        if req.tenant not in self._queues:
+        tenant = self._tenants.get(req.tenant)
+        if tenant is None:
             self.register_tenant(TenantSpec(req.tenant, 1.0))
-        deadline = req.arrival + self._slo.get(req.tenant, math.inf)
-        self.metrics.submitted += 1
-        bucket = self.metrics.tenant(req.tenant)
+            tenant = self._tenants[req.tenant]
+        deadline = req.arrival + tenant.slo
+        metrics = self.metrics
+        metrics.submitted += 1
+        bucket = metrics.tenant(req.tenant)
         bucket["submitted"] += 1
-        if math.isfinite(deadline):
-            self.metrics.slo_total += 1
-        if self.pending() >= self.config.max_queue:
-            self.metrics.rejected += 1
+        finite = math.isfinite(deadline)
+        if finite:
+            metrics.slo_total += 1
+        if self._pending >= self.config.max_queue:
+            metrics.rejected += 1
             bucket["rejected"] += 1
             return ServeResponse(
-                req_id=req.req_id,
-                tenant=req.tenant,
-                status="rejected",
-                arrival=req.arrival,
-                dispatch=now,
-                completion=now,
-                deadline=deadline,
-                error="queue full",
+                req.req_id, req.tenant, "rejected", req.arrival, now, now,
+                deadline=deadline, error="queue full",
             )
         price: Optional[float] = None
-        if self.config.scheduling == "edf" and math.isfinite(deadline):
-            price = self._admission_price(req)
-            evidence = self._predicted_violation(req, deadline, price, now)
+        if finite and self.config.scheduling == "edf":
+            price = self._admission_price(req.job)
+            evidence = self._predicted_violation(deadline, price, now)
             if evidence is not None:
-                self.metrics.rejected += 1
-                self.metrics.rejected_predicted += 1
+                metrics.rejected += 1
+                metrics.rejected_predicted += 1
                 bucket["rejected"] += 1
                 exc = SloViolationError(evidence)
                 return ServeResponse(
-                    req_id=req.req_id,
-                    tenant=req.tenant,
-                    status="rejected",
-                    arrival=req.arrival,
-                    dispatch=now,
-                    completion=now,
-                    deadline=deadline,
-                    error=str(exc),
-                    exception=exc,
+                    req.req_id, req.tenant, "rejected", req.arrival, now, now,
+                    deadline=deadline, error=str(exc), exception=exc,
                 )
-        self.metrics.admitted += 1
-        self._queues[req.tenant].append(req)
-        self._meta[req.req_id] = (deadline, price)
+        metrics.admitted += 1
+        tenant.queue.append(QueuedRequest(req, deadline, price))
+        self._pending += 1
+        self._deadlines += finite
         return None
 
     # --------------------------------------------------------- scheduling
@@ -438,19 +471,16 @@ class Server:
         ship when a deadline is close.
         """
         cfg = self.config
-        if not cfg.adaptive_batch:
+        if not cfg.adaptive_batch or not self._deadlines:
             return cfg.max_batch
         per_run = self.pricer.run_wall
         if per_run is None or per_run <= 0.0:
             return cfg.max_batch
         slack = math.inf
-        for queue in self._queues.values():
-            for queued in queue:
-                deadline = self._deadline_of(queued)
-                if math.isfinite(deadline):
-                    slack = min(slack, deadline - now)
-        if not math.isfinite(slack):
-            return cfg.max_batch
+        for tenant in self._tenants.values():
+            for queued in tenant.queue:
+                if math.isfinite(queued.deadline):
+                    slack = min(slack, queued.deadline - now)
         if slack <= 0.0:
             return 1
         limit = int(slack / (per_run * max(self._unique_frac, 0.05)))
@@ -462,19 +492,24 @@ class Server:
         Such a request is *provably* doomed: its completion would be
         ``>= now > deadline``, so dropping it can never cost a request
         that would have met its deadline.  Deadline-blind (fifo) servers
-        never shed — that is the baseline's burden.
+        never shed — that is the baseline's burden — and with no finite
+        deadline queued there is nothing to look for.
         """
-        if self.config.scheduling != "edf":
+        if not self._deadlines or self.config.scheduling != "edf":
             return []
         shed: list = []
-        for queue in self._queues.values():
+        for tenant in self._tenants.values():
+            queue = tenant.queue
             if not queue:
                 continue
-            keep = [r for r in queue if not now > self._deadline_of(r)]
+            keep = [r for r in queue if not now > r.deadline]
             if len(keep) != len(queue):
-                shed.extend(r for r in queue if now > self._deadline_of(r))
+                shed.extend(r for r in queue if now > r.deadline)
                 queue.clear()
                 queue.extend(keep)
+        # now > deadline: every shed deadline is finite
+        self._pending -= len(shed)
+        self._deadlines -= len(shed)
         return shed
 
     def _select_window(self, now: float = 0.0) -> list:
@@ -490,84 +525,91 @@ class Server:
         equal-deadline contention, a queue with no deadlines included,
         converges to the weighted shares. Under ``"fifo"`` the key is
         ``(arrival, req_id)``: global arrival order, deadline-blind.
+        Every scan zeroes an idle tenant's deficit, the last one (which
+        finds every queue empty, or ends a full window) included.
         """
         edf = self.config.scheduling == "edf"
         limit = self._window_limit(now)
+        tenants = self._tenants.values()
         window: list = []
         while len(window) < limit:
-            best: Optional[str] = None
-            best_key: Optional[tuple] = None
-            for idx, (name, queue) in enumerate(self._queues.items()):
+            best = head = None
+            for tenant in tenants:
+                queue = tenant.queue
                 if not queue:
-                    self._deficit[name] = 0.0
+                    tenant.deficit = 0.0
                     continue
-                head = queue[0]
-                key = (
-                    (self._deadline_of(head), -self._deficit[name], idx)
+                cand = queue[0]
+                # the key comparison, registration order breaking full ties
+                if best is None or (
+                    (cand.deadline < head.deadline or (
+                        cand.deadline == head.deadline
+                        and tenant.deficit > best.deficit
+                    ))
                     if edf
-                    else (head.arrival, head.req_id)
-                )
-                if best_key is None or key < best_key:
-                    best_key, best = key, name
+                    else (cand.arrival < head.arrival or (
+                        cand.arrival == head.arrival and cand.req_id < head.req_id
+                    ))
+                ):
+                    best, head = tenant, cand
             if best is None:
                 break
-            window.append(self._queues[best].popleft())
+            window.append(best.queue.popleft())
+            self._pending -= 1
+            self._deadlines -= math.isfinite(head.deadline)
             if not edf:
                 continue
-            self._deficit[best] -= 1.0
-            backlogged = [name for name, q in self._queues.items() if q]
-            total = sum(self._weights[name] for name in backlogged)
-            for name in backlogged:
-                cap = 4.0 * max(1.0, self._weights[name])
-                self._deficit[name] = min(
-                    cap, self._deficit[name] + self._weights[name] / total
-                )
+            best.deficit -= 1.0
+            total = 0
+            for tenant in tenants:
+                if tenant.queue:
+                    total += tenant.weight
+            for tenant in tenants:
+                if tenant.queue:
+                    credit = tenant.deficit + tenant.weight / total
+                    tenant.deficit = credit if credit < tenant.cap else tenant.cap
         return window
 
     def dispatch_round(self, now: float = 0.0) -> list:
         """Select one window, execute it as batches, return its responses.
 
+        The window is grouped into batches and duplicate groups in one
+        pass, each response is built once, and the window's come back in
+        window order, after the round's shed requests as typed terminals.
         Responses carry ``dispatch`` stamps but no ``completion`` — the
         caller knows when the round finished (wall-measured or virtual)
-        and must pass the responses through :meth:`finish`.  Shed
-        requests come back as typed terminals in the same list.
+        and must pass the responses through :meth:`finish`.
         """
         shed = self._shed_doomed(now)
         window = self._select_window(now)
         out: list = []
-        for req in shed:
-            resp = self._terminal(req, "shed", -1, now)
+        for queued in shed:
             exc = SloViolationError(
-                f"deadline {resp.deadline:.4f}s had already passed at "
+                f"deadline {queued.deadline:.4f}s had already passed at "
                 f"dispatch time {now:.4f}s"
             )
-            resp.error = str(exc)
-            resp.exception = exc
-            self.metrics.shed += 1
-            out.append(resp)
+            out.append(_respond(queued, "shed", -1, now, error=str(exc), exc=exc))
+        self.metrics.shed += len(shed)
         if window:
-            responses: dict = {}
+            unique = 0
             for batch in coalesce(window):
-                responses.update(self._execute_batch(batch, now))
-            unique = len({(batch_key(r.job), unique_key(r.job)) for r in window})
+                self._execute_batch(batch, now)
+                unique += len(batch.groups)
             self._unique_frac = 0.7 * self._unique_frac + 0.3 * (
                 unique / len(window)
             )
-            out.extend(responses[req.req_id] for req in window)
-        for req in window + shed:
-            self._meta.pop(req.req_id, None)
+            for queued in window:
+                out.append(queued.response)
         return out
 
     def finish(self, responses: list, completion: float) -> None:
         """Stamp completion times and fold the round into the metrics."""
+        observe = self.metrics.observe_completion
         for resp in responses:
             resp.completion = completion
-            self.metrics.observe_completion(
-                resp.tenant,
-                resp.completion - resp.arrival,
-                resp.status,
-                deadline=resp.deadline,
-                completion=resp.completion,
+            observe(
+                resp.tenant, completion - resp.arrival, resp.status,
+                resp.deadline, completion,
             )
 
     def drain(self, now: float = 0.0) -> list:
@@ -646,98 +688,75 @@ class Server:
             self._engines.put(spec, engine)
         return engine
 
-    def _terminal(
-        self, req: ServeRequest, status: str, batch_id: int, now: float
-    ) -> ServeResponse:
-        return ServeResponse(
-            req_id=req.req_id,
-            tenant=req.tenant,
-            status=status,
-            arrival=req.arrival,
-            dispatch=now,
-            batch_id=batch_id,
-            deadline=self._deadline_of(req),
-        )
-
-    def _execute_batch(self, batch: Batch, now: float) -> dict:
-        """Run one compatibility batch; returns req_id -> response."""
+    def _execute_batch(self, batch: Batch, now: float) -> None:
+        """Run one compatibility batch, answering each of its requests
+        (:attr:`QueuedRequest.response`)."""
         batch_id = self._batch_seq
         self._batch_seq += 1
-        self.metrics.batches += 1
-        self.metrics.largest_batch = max(
-            self.metrics.largest_batch, len(batch.requests)
-        )
+        metrics = self.metrics
+        metrics.batches += 1
+        metrics.largest_batch = max(metrics.largest_batch, len(batch.requests))
         engine = self._engine(batch.engine_spec)
-        responses: dict = {}
+        cache = self.cache
 
-        # cache probe per unique job, keyed on its recipe: exact repeats
-        # never reach the engine and need no dataset
+        # cache probe per duplicate group, keyed on its recipe: exact
+        # repeats never reach the engine and need no dataset
         misses: list = []
-        for reqs in batch.unique_jobs().values():
-            job = reqs[0].job
+        jobs: list = []
+        for group in batch.groups:
+            job = group[0].job
             try:
                 # before any probe: a stale recipe is never answered from
                 # a disk entry written under its key
                 job.dataset.check_version("server")
             except ReproError as exc:
-                for req in reqs:
-                    responses[req.req_id] = self._fail(req, batch_id, now, exc)
+                self._fail(group, batch_id, now, exc)
                 continue
-            key = disk_key = None
-            hit = None
-            if self.cache is not None:
+            key = disk_key = hit = None
+            if cache is not None:
                 key = RunCache.recipe_key(engine, job)
-                if self.cache.disk is not None and self.cache.disk.enabled:
+                if cache.disk is not None and cache.disk.enabled:
                     disk_key = run_digest(key)
-                hit = self.cache.get(key, disk_key)
-            if hit is not None:
-                for req in reqs:
-                    resp = self._terminal(req, "cached", batch_id, now)
-                    resp.result = hit
-                    self.metrics.cached += 1
-                    responses[req.req_id] = resp
-            else:
-                misses.append((reqs, key, disk_key))
+                hit = cache.get(key, disk_key)
+            if hit is None:
+                misses.append((group, key, disk_key))
+                jobs.append(job)
+                continue
+            for queued in group:
+                _respond(queued, "cached", batch_id, now, hit)
+            metrics.cached += len(group)
 
         # timed engine-run section: one batch is one (app, engine) cell, so
         # its wall time, less the dataset generation inside it, is one clean
         # calibration sample for the pricer
-        jobs = [reqs[0].job for reqs, *_ in misses]
         generation_s = self._generation_s
         start = self.timer()
         outcomes = self._run_unique(engine, jobs)
         generation_s = self._generation_s - generation_s
         elapsed = max(self.timer() - start - generation_s, 0.0)
-        sims = [o.sim_time for o in outcomes if not isinstance(o, Exception)]
+        sims: list = []
+        for (group, key, disk_key), outcome in zip(misses, outcomes):
+            if isinstance(outcome, Exception):
+                self._fail(group, batch_id, now, outcome)
+                continue
+            sims.append(outcome.sim_time)
+            metrics.engine_runs += 1
+            if cache is not None:
+                cache.put(key, outcome, disk_key)
+            status = "served"
+            for queued in group:
+                _respond(queued, status, batch_id, now, outcome)
+                status = "coalesced"
+            metrics.served += 1
+            metrics.coalesced += len(group) - 1
         if misses:
             self.pricer.observe_batch(jobs, elapsed, len(sims), sims)
-        for (reqs, key, disk_key), outcome in zip(misses, outcomes):
-            if isinstance(outcome, Exception):
-                for req in reqs:
-                    responses[req.req_id] = self._fail(req, batch_id, now, outcome)
-                continue
-            self.metrics.engine_runs += 1
-            if self.cache is not None:
-                self.cache.put(key, outcome, disk_key)
-            for pos, req in enumerate(reqs):
-                status = "served" if pos == 0 else "coalesced"
-                resp = self._terminal(req, status, batch_id, now)
-                resp.result = outcome
-                if status == "served":
-                    self.metrics.served += 1
-                else:
-                    self.metrics.coalesced += 1
-                responses[req.req_id] = resp
-        return responses
 
-    def _fail(
-        self, req: ServeRequest, batch_id: int, now: float, exc: Exception
-    ) -> ServeResponse:
-        resp = self._terminal(req, "failed", batch_id, now)
-        resp.error = f"{type(exc).__name__}: {exc}"
-        resp.exception = exc
-        self.metrics.failed += 1
-        return resp
+    def _fail(self, group: list, batch_id: int, now: float, exc: Exception) -> None:
+        error = f"{type(exc).__name__}: {exc}"
+        for queued in group:
+            _respond(queued, "failed", batch_id, now, error=error, exc=exc)
+        self.metrics.failed += len(group)
 
     def _run_unique(self, engine: Engine, jobs: list) -> list:
         """Run unique jobs, each on its recipe's pooled dataset; one

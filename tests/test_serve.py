@@ -17,6 +17,7 @@ from repro.memo import MEMO_STATS
 from repro.serve.scheduler import matches_oracle
 from repro.serve import (
     STATUSES,
+    QueuedRequest,
     ServeConfig,
     ServeRequest,
     ServeResponse,
@@ -98,17 +99,17 @@ def test_coalesce_groups_by_compatibility():
     j1, j2 = _job(chunk_kib=256), _job(chunk_kib=512)
     j_other_app = _job(dataset=_dataset_spec(app="dna"))
     window = [_request(0, j1), _request(1, j_other_app), _request(2, j2),
-              _request(3, j1)]
-    batches = coalesce(window)
+              _request(3, dataclasses.replace(j1))]
+    batches = coalesce([QueuedRequest(r) for r in window])
     # same engine+hardware: wordcount jobs batch together, dna separately
     assert len(batches) == 2
     assert batch_key(j1) == batch_key(j2)
     assert batch_key(j1) != batch_key(j_other_app)
     wc = batches[0]
     assert [r.req_id for r in wc.requests] == [0, 2, 3]
-    groups = wc.unique_jobs()
-    # j1 twice (exact dup), j2 once
-    assert [len(reqs) for reqs in groups.values()] == [2, 1]
+    # j1 twice (an equal copy is an exact dup), j2 once; leaders first
+    assert [[r.req_id for r in group] for group in wc.groups] == [[0, 3], [2]]
+    assert [[r.req_id for r in group] for group in batches[1].groups] == [[1]]
 
 
 # ---------------------------------------------------------------- scheduler
@@ -199,6 +200,14 @@ def generate_calls(monkeypatch):
     return calls
 
 
+def _queued(server, req_id):
+    """The queued record of an admitted, not yet dispatched request."""
+    (queued,) = [
+        q for t in server._tenants.values() for q in t.queue if q.req_id == req_id
+    ]
+    return queued
+
+
 def _serve_one(server, req_id, job, now=0.0):
     assert server.submit(_request(req_id, job), now=now) is None
     (resp,) = server.drain(now=now)
@@ -232,7 +241,7 @@ def test_slo_admission_of_a_cached_job_prices_zero_and_loads_nothing(
         _serve_one(server, 1, job_b)  # evicts A's dataset
         del generate_calls[:]
         assert server.submit(_request(2, job_a)) is None
-        assert server._meta[2][1] == 0.0
+        assert _queued(server, 2).price == 0.0
         assert generate_calls == []
         (resp,) = server.drain()
     assert resp.status == "cached"
@@ -392,7 +401,7 @@ def test_pricing_a_stored_recipe_generates_nothing(generate_calls):
         del generate_calls[:]
         priced = dataclasses.replace(job_a, config=job_a.config.with_(ring_depth=4))
         assert server.submit(_request(2, priced)) is None
-        assert server._meta[2][1] is not None
+        assert _queued(server, 2).price is not None
         assert generate_calls == []
         assert not _pooled(server, job_a)[1].holds_arrays
 

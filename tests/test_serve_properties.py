@@ -105,7 +105,9 @@ def test_shares_follow_weights_under_backlog():
     # only regime where the weighted shares are defined
     counts = {t.name: 0 for t in tenants}
     drawn = 0
-    while all(len(q) > server.config.max_batch for q in server._queues.values()):
+    while all(
+        len(t.queue) > server.config.max_batch for t in server._tenants.values()
+    ):
         window = server._select_window()
         assert len(window) == server.config.max_batch
         for req in window:

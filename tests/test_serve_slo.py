@@ -91,7 +91,7 @@ def test_edf_fairness_with_loose_equal_deadlines():
 
     counts = {t.name: 0 for t in tenants}
     drawn = 0
-    while all(len(q) > server.config.max_batch for q in server._queues.values()):
+    while all(len(t.queue) > server.config.max_batch for t in server._tenants.values()):
         window = server._select_window(now=0.0)
         assert len(window) == server.config.max_batch
         for req in window:
@@ -199,9 +199,9 @@ def _backlogged_windows(scheduling):
     windows = []
     while server.pending():
         if scheduling == "edf" and not any(
-            math.isfinite(server._deadline_of(r))
-            for q in server._queues.values()
-            for r in q
+            math.isfinite(r.deadline)
+            for t in server._tenants.values()
+            for r in t.queue
         ):
             break
         windows.append([r.req_id for r in server._select_window(now=0.0)])
@@ -235,11 +235,12 @@ def test_banked_deficit_is_capped_and_idle_tenants_bank_nothing():
     for _ in range(4):
         # 32 picks, every one a deadline: b and c bank 1/7 and 4/7 a pick
         assert {r.tenant for r in server._select_window(now=0.0)} == {"a"}
-    assert (server._deficit["b"], server._deficit["c"]) == (4.0, 8.0)
+    tenant = server._tenants
+    assert (tenant["b"].deficit, tenant["c"].deficit) == (4.0, 8.0)
     while server.pending():
         server._select_window(now=0.0)
     assert server._select_window(now=0.0) == []
-    assert set(server._deficit.values()) == {0.0}
+    assert {t.deficit for t in tenant.values()} == {0.0}
 
 
 # ---------------------------------------------------------------- shedding
@@ -319,7 +320,9 @@ def test_accounting_identities_hold_with_sheds():
     assert m.slo_total == m.submitted
     assert m.slo_met + m.slo_missed == m.completed
     assert server.pending() == 0
-    assert not server._meta  # no leaked per-request bookkeeping
+    # no leaked per-request bookkeeping: no record queued, no deadline counted
+    assert not any(t.queue for t in server._tenants.values())
+    assert server._deadlines == 0
     # per-tenant buckets reconcile, including the new shed/met/missed keys
     assert sum(b["shed"] for b in m.per_tenant.values()) == m.shed
     assert sum(b["slo_met"] for b in m.per_tenant.values()) == m.slo_met
