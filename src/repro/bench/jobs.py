@@ -53,10 +53,8 @@ from repro.memo import Memo
 @hash_once
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Generation recipe of one dataset — enough to regenerate it.
-
-    It keys the server's dataset pool and, inside a request's duplicate
-    key, each window's grouping, so its hash is kept (``hash_once``)."""
+    """Generation recipe of one dataset — enough to regenerate it. It keys
+    the server's dataset pool, so its hash is kept (``hash_once``)."""
 
     app: str
     seed: int
@@ -85,9 +83,11 @@ class DatasetSpec:
             )
 
 
+@hash_once
 @dataclass(frozen=True)
 class JobSpec:
-    """One engine run, fully described by value — safe to pickle."""
+    """One engine run, fully described by value — safe to pickle. A
+    served request's job is its duplicate key, so its hash is kept."""
 
     dataset: DatasetSpec
     engine: EngineSpec

@@ -36,9 +36,14 @@ class QueuedRequest:
     """One admitted request as a server's queue holds it: the request's
     fields, and what dispatch reads of it, derived once at submit — its
     serving-clock deadline, its admission price, its batch key
-    (:func:`batch_key`) and its duplicate key (the batch key and
-    :func:`unique_key`: equal for exact duplicates anywhere in a window).
-    ``response`` is the terminal response dispatch builds for it."""
+    (:func:`batch_key`) and its duplicate key. ``response`` is the
+    terminal response dispatch builds for it.
+
+    The duplicate key is the job itself: two jobs with the same
+    :func:`batch_key` and :func:`unique_key` are equal jobs (the app is
+    the dataset's and the hardware the config's), so equal duplicate keys
+    mark exact duplicates anywhere in a window, and a job keeps its hash.
+    """
 
     __slots__ = (
         "req_id", "tenant", "arrival", "job", "deadline", "price",
@@ -58,8 +63,8 @@ class QueuedRequest:
         self.job = job
         self.deadline = deadline
         self.price = price
-        self.batch_key = key = batch_key(job)
-        self.dup_key = (key, unique_key(job))
+        self.batch_key = batch_key(job)
+        self.dup_key = job
         self.response = None
 
 

@@ -540,17 +540,17 @@ class Server:
                     tenant.deficit = 0.0
                     continue
                 cand = queue[0]
-                # the key comparison, registration order breaking full ties
-                if best is None or (
-                    (cand.deadline < head.deadline or (
-                        cand.deadline == head.deadline
-                        and tenant.deficit > best.deficit
-                    ))
-                    if edf
-                    else (cand.arrival < head.arrival or (
+                if best is None:
+                    smaller = True
+                elif edf:  # (deadline, -deficit)
+                    smaller = cand.deadline < head.deadline or (
+                        cand.deadline == head.deadline and tenant.deficit > best.deficit
+                    )
+                else:  # (arrival, req_id)
+                    smaller = cand.arrival < head.arrival or (
                         cand.arrival == head.arrival and cand.req_id < head.req_id
-                    ))
-                ):
+                    )
+                if smaller:  # a full tie keeps the earlier-registered tenant
                     best, head = tenant, cand
             if best is None:
                 break
@@ -825,6 +825,17 @@ def serve_trace(
     server calibrates its pricer with the same ``timer``, so a replay
     with a deterministic timer (:class:`StepTimer`) makes every
     scheduling, shedding and admission decision reproducible.
+
+    Every read of the timer is part of such a replay, since each one
+    advances a :class:`StepTimer`: this loop reads it twice around each
+    round, and the server twice around each batch's engine section (a
+    batch whose every job hit the cache included; that section is the
+    pricer's calibration sample) and twice around each dataset
+    generation. A server that read it once more or once less would stamp
+    every later response, and price every later job, differently.
+    Each round itself is one pass over its window: the server keyed each
+    request once, at submit, and groups the window's batches and
+    duplicates in one go (:meth:`Server.dispatch_round`).
 
     ``submit`` is not charged to the clock: the pricing runs it makes (a
     job's first timing-only run, and any dataset generation it needs)

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.apps import ALL_APPS
 from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
-from repro.errors import ValidationFailure, VerificationError
+from repro.errors import ValidationFailure
 from repro.units import MiB
 from repro.verify.invariants import audit_sharded_run, verify_run
 
@@ -109,13 +109,6 @@ class Report:
                 line += f" rel {c.rel_err:.2e}"
             lines.append(f"{line} — {c.detail}")
         return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({c.app}, {c.engine})" for c in self.mismatches)
-            raise VerificationError(
-                f"{self.title} mismatch in {named}\n{self.summary()}"
-            )
 
 
 def grade(app, engine: str, ref, res, config, audit: bool) -> Cell:
