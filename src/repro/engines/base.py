@@ -171,8 +171,8 @@ class Timeline:
         """A :class:`RunResult` of this timeline in fresh containers (stage
         totals, notes, trace recorder) over its intervals, which a kept
         timeline shares read-only: a caller that edits what it got cannot
-        change a later replay. The metrics are a copy of this timeline's
-        field by field, without a call of their generated ``__init__``."""
+        change a later replay. The result and its metrics are built field
+        by field, without a call of their generated ``__init__``s."""
         m = self.metrics
         notes = dict(m.notes)
         for k in self._nested_notes:
@@ -181,8 +181,13 @@ class Timeline:
         metrics.__dict__ = {
             **m.__dict__, "stage_totals": dict(m.stage_totals), "notes": notes
         }
-        trace = None if self.intervals is None else TraceRecorder(self.intervals)
-        return RunResult(engine, app, output, self.sim_time, metrics, trace)
+        result = _new(RunResult)
+        result.__dict__ = {
+            "engine": engine, "app": app, "output": output,
+            "sim_time": self.sim_time, "metrics": metrics,
+            "trace": None if self.intervals is None else TraceRecorder(self.intervals),
+        }
+        return result
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,19 @@ class _UvmPlan:
         )
         #: the fault-free run, once simulated (see :meth:`Engine._timed`)
         self.timeline: Optional[Timeline] = None
+        #: chunk bytes -> the functional pass's units per chunk
+        self._upc: dict = {}
+
+    def units_per_chunk(self, chunk_bytes: int) -> int:
+        """The functional pass's units per chunk at ``chunk_bytes``,
+        derived once per chunk size: a run hands it to the functional
+        memo, which reads it only when the pass runs."""
+        upc = self._upc.get(chunk_bytes)
+        if upc is None:
+            upc = self._upc[chunk_bytes] = chunk_plan(
+                self.units, chunk_bytes, self.profile.record_bytes
+            )[0]
+        return upc
 
 
 class _Chain(Event):
@@ -552,10 +565,9 @@ class GpuUvmEngine(Engine):
         )
         output = None
         if config.functional:
-            upc, _ = chunk_plan(
-                plan.units, config.chunk_bytes, plan.profile.record_bytes
+            output = self._functional_output(
+                app, data, plan.units_per_chunk(config.chunk_bytes)
             )
-            output = self._functional_output(app, data, upc)
         return timeline.result(self.name, app.name, output)
 
 

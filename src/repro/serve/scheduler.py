@@ -695,7 +695,8 @@ class Server:
         self._batch_seq += 1
         metrics = self.metrics
         metrics.batches += 1
-        metrics.largest_batch = max(metrics.largest_batch, len(batch.requests))
+        if len(batch.requests) > metrics.largest_batch:
+            metrics.largest_batch = len(batch.requests)
         engine = self._engine(batch.engine_spec)
         cache = self.cache
 
