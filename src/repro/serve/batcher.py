@@ -35,19 +35,19 @@ def unique_key(job: JobSpec) -> tuple:
 class QueuedRequest:
     """One admitted request as a server's queue holds it: the request's
     fields, and what dispatch reads of it, derived once at submit — its
-    serving-clock deadline, its admission price, its batch key
-    (:func:`batch_key`) and its duplicate key. ``response`` is the
-    terminal response dispatch builds for it.
+    serving-clock deadline, its admission price and its batch key
+    (:func:`batch_key`). ``response`` is the terminal response dispatch
+    builds for it.
 
-    The duplicate key is the job itself: two jobs with the same
+    Its duplicate key is its job: two jobs with the same
     :func:`batch_key` and :func:`unique_key` are equal jobs (the app is
-    the dataset's and the hardware the config's), so equal duplicate keys
-    mark exact duplicates anywhere in a window, and a job keeps its hash.
+    the dataset's and the hardware the config's), so equal jobs mark
+    exact duplicates anywhere in a window, and a job keeps its hash.
     """
 
     __slots__ = (
         "req_id", "tenant", "arrival", "job", "deadline", "price",
-        "batch_key", "dup_key", "response",
+        "batch_key", "response",
     )
 
     def __init__(
@@ -64,7 +64,6 @@ class QueuedRequest:
         self.deadline = deadline
         self.price = price
         self.batch_key = batch_key(job)
-        self.dup_key = job
         self.response = None
 
 
@@ -87,11 +86,11 @@ class Batch:
 def coalesce(window: list[QueuedRequest]) -> list[Batch]:
     """Split a dispatch window into compatibility batches and each batch
     into duplicate groups, in one order-stable pass over the requests'
-    kept keys."""
+    kept batch keys and their jobs (the duplicate key)."""
     batches: dict = {}
     groups: dict = {}
     for req in window:
-        group = groups.setdefault(req.dup_key, [])
+        group = groups.setdefault(req.job, [])
         if group:
             batch = batches[req.batch_key]
         else:
